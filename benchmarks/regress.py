@@ -24,11 +24,22 @@ Checks (all fatal, exit 1, every failure reported before exiting):
    deliberate: the mixed workload includes bucket-array resizes, whose
    placement relative to the timed window shifts with machine speed.
 
+5. dfck (--dfck FRESH [BASELINE]): coverage counts are deterministic, so
+   they are gated *exactly*. Every row label present in both documents whose
+   governing params agree must match on every count field (DFCK_COUNT_FIELDS)
+   — `pair` / `map-resize` rows always, `multi` rows when `multi_ops` and
+   `seed` agree, interleaved `/tN` rows when `conc_seeds` and `conc_threads`
+   agree — compared by label, not position. A fresh row whose variant the
+   baseline does not know fails (a renamed or misspelt label must not pass
+   by matching nothing), as does a run with no comparable row at all.
+   BASELINE defaults to BENCH_dfck.json in the --baseline directory.
+
 Usage:
-  regress.py --baseline benchmarks \
-             --fig7 fresh/BENCH_fig7.json \
+  regress.py [--baseline benchmarks] \
+             [--fig7 fresh/BENCH_fig7.json] \
              [--instr fresh/BENCH_instr_overhead.json] \
-             [--map fresh/BENCH_map.json]
+             [--map fresh/BENCH_map.json] \
+             [--dfck fresh/BENCH_dfck.json [baseline/BENCH_dfck.json]]
 
 Env overrides: DF_REGRESS_TOL, DF_REGRESS_SCALE_MIN, DF_REGRESS_CEILING,
 DF_REGRESS_DISARM_TOL, DF_REGRESS_MAP_TOL.
@@ -48,6 +59,12 @@ SEED_CEILING = float(os.environ.get("DF_REGRESS_CEILING", "3.7"))
 DISARM_TOL = float(os.environ.get("DF_REGRESS_DISARM_TOL", "0.30"))
 MAP_TOL = float(os.environ.get("DF_REGRESS_MAP_TOL", "0.60"))
 MILLION_KEYS = 1 << 20
+DFCK_COUNT_FIELDS = [
+    "crash_points", "replays", "crashes_injected", "covictim_crashes",
+    "recoveries", "entry_retries", "recovery_crashes", "fast_ops", "demotions",
+    "audit_flags", "hb_flags", "oracle_failures", "seeds",
+    "distinct_interleavings",
+]
 
 
 def rows(doc, variant=None, threads=None):
@@ -156,20 +173,65 @@ def check_map(baseline, fresh, failures):
             print(f"ok fig_map {variant}: {new:.3f} vs baseline {r['mops']:.3f}")
 
 
+def dfck_governing_params(label):
+    """The params a dfck row's counts depend on (see check 5)."""
+    segments = label.split("/")
+    if any(seg[:1] == "t" and seg[1:].isdigit() for seg in segments[2:]):
+        return ["conc_seeds", "conc_threads"]
+    if len(segments) > 1 and segments[1].startswith("multi"):
+        return ["multi_ops", "seed"]
+    return []
+
+
+def check_dfck(baseline, fresh, failures):
+    base_rows = {r["variant"]: r for r in baseline["results"]}
+    known_variants = {label.split("/")[0] for label in base_rows}
+    base_params = baseline.get("params", {})
+    fresh_params = fresh.get("params", {})
+    compared = skipped = 0
+    for r in fresh["results"]:
+        label = r["variant"]
+        if label.split("/")[0] not in known_variants:
+            failures.append(f"dfck {label}: variant unknown to the baseline")
+            continue
+        base = base_rows.get(label)
+        governing = dfck_governing_params(label)
+        if base is None or any(base_params.get(p) != fresh_params.get(p) for p in governing):
+            skipped += 1
+            continue
+        compared += 1
+        for field in DFCK_COUNT_FIELDS:
+            if base.get(field) != r.get(field):
+                failures.append(
+                    f"dfck {label}: {field} = {r.get(field)} != baseline {base.get(field)}"
+                )
+    if compared == 0:
+        failures.append("dfck: no fresh row is comparable with the baseline")
+    print(f"dfck: {compared} rows compared exactly, {skipped} not comparable (new label or differing params)")
+
+
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--baseline", required=True, help="directory with committed BENCH_*.json")
-    ap.add_argument("--fig7", required=True, help="fresh BENCH_fig7.json")
+    ap.add_argument("--baseline", default=os.path.dirname(os.path.abspath(__file__)),
+                    help="directory with committed BENCH_*.json (default: this script's)")
+    ap.add_argument("--fig7", help="fresh BENCH_fig7.json")
     ap.add_argument("--instr", help="fresh BENCH_instr_overhead.json (optional)")
     ap.add_argument("--map", dest="map_json", help="fresh BENCH_map.json (optional)")
+    ap.add_argument("--dfck", nargs="+", metavar=("FRESH", "BASELINE"),
+                    help="fresh BENCH_dfck.json, optionally the baseline file to compare with")
     args = ap.parse_args()
+    if not (args.fig7 or args.dfck):
+        ap.error("nothing to gate: pass --fig7 and/or --dfck")
+    if args.dfck and len(args.dfck) > 2:
+        ap.error("--dfck takes FRESH and at most one BASELINE")
 
     failures = []
-    with open(os.path.join(args.baseline, "BENCH_fig7.json")) as f:
-        fig7_base = json.load(f)
-    with open(args.fig7) as f:
-        fig7_fresh = json.load(f)
-    check_fig7(fig7_base, fig7_fresh, failures)
+    if args.fig7:
+        with open(os.path.join(args.baseline, "BENCH_fig7.json")) as f:
+            fig7_base = json.load(f)
+        with open(args.fig7) as f:
+            fig7_fresh = json.load(f)
+        check_fig7(fig7_base, fig7_fresh, failures)
 
     if args.instr:
         with open(os.path.join(args.baseline, "BENCH_instr_overhead.json")) as f:
@@ -184,6 +246,14 @@ def main():
         with open(args.map_json) as f:
             map_fresh = json.load(f)
         check_map(map_base, map_fresh, failures)
+
+    if args.dfck:
+        base_path = args.dfck[1] if len(args.dfck) == 2 else os.path.join(args.baseline, "BENCH_dfck.json")
+        with open(base_path) as f:
+            dfck_base = json.load(f)
+        with open(args.dfck[0]) as f:
+            dfck_fresh = json.load(f)
+        check_dfck(dfck_base, dfck_fresh, failures)
 
     if failures:
         for msg in failures:

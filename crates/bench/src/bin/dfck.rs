@@ -1,30 +1,29 @@
-//! `dfck` — exhaustive crash-point sweep over every queue *and* structure
-//! variant.
+//! `dfck` — exhaustive crash-point sweep over every variant of every shape.
 //!
-//! For each of MSQ-Izraelevitz, General, General-Opt, Normalized,
-//! Normalized-Opt and LogQueue — plus the structure family of the `structs`
-//! crate (Treiber stack, linked-list set and bucketed hash map, each as
-//! Izraelevitz / General / Normalized, with LIFO- and membership-exactly-once
-//! oracles) — runs the seeded single-pair and multi-op workloads — and, for
-//! the maps, the resize-crossing window on a [`structs::MapConfig::tiny`]
-//! bucket array — once per possible crash point (count taken from
+//! For each [`Variant`] — the queues MSQ-Izraelevitz, General, General-Opt,
+//! Normalized, Normalized-Opt and LogQueue, plus the Treiber stack, the
+//! linked-list set and the bucketed hash map, each as Izraelevitz / General /
+//! Normalized — runs the shape's pair workload (for the maps, the
+//! resize-crossing window on a [`structs::MapConfig::tiny`] bucket array) and
+//! a seeded multi-op workload once per possible crash point (count taken from
 //! [`pmem::Stats::crash_points`], never hard-coded) under *both* crash
 //! flavours — per-process faults (the PPM model) and full-system power
 //! failures (`/system`: unflushed cache lines roll back, verifying flush
 //! placement) — plus a nested sweep that injects a second crash inside the
 //! recovery triggered by the first. Every replay runs with the
 //! [`pmem::FlushAuditor`] and the [`pmem::HbAnalyzer`] armed and is checked
-//! against the exactly-once / durable-linearizability oracle. Exits non-zero
-//! on any oracle violation, auditor flag or happens-before flag. The per-crash-point replays fan out across worker threads
-//! (`DF_DFCK_THREADS`), keeping the full matrix inside the CI budget.
+//! against the shape's exactly-once / durable-linearizability oracle. Exits
+//! non-zero on any oracle violation, auditor flag or happens-before flag. The
+//! per-crash-point replays fan out across worker threads (`DF_DFCK_THREADS`),
+//! keeping the full matrix inside the CI budget.
 //!
 //! On top of the single-threaded matrix, the binary sweeps the **interleaved**
-//! dimension: the same variants driven by 2+ deterministic cooperative threads
+//! dimension: the same engine driven by 2 deterministic cooperative threads
 //! under the [`pmem::ThreadScheduler`], enumerating (interleaving seed ×
 //! victim crash point) with the oracle generalized to linearization checking
-//! over the scheduler's global instruction clock. All six queue variants plus
-//! the General stack run concurrently by default (`DF_DFCK_CONC_VARIANTS`
-//! narrows the set for bounded CI jobs).
+//! over the scheduler's global instruction clock. Every queue variant and
+//! every detectable stack / set / map variant runs concurrently by default
+//! (`DF_DFCK_CONC_VARIANTS` narrows the set for bounded CI jobs).
 //!
 //! ```text
 //! cargo run -p bench --release --bin dfck
@@ -37,108 +36,72 @@
 //! |---|---|---|
 //! | `DF_DFCK_OPS`  | operations in the seeded multi-op workload | 8 |
 //! | `DF_DFCK_SEED` | seed of the multi-op workload | 42 |
-//! | `DF_DFCK_GAP`  | crash-point gap of the nested (crash-during-recovery) sweep | 0 |
 //! | `DF_DFCK_THREADS` | sweep worker threads | `available_parallelism`, ≤ 8 |
 //! | `DF_DFCK_CONC_SEEDS` | interleaving seeds per concurrent sweep (0 = skip) | 8 |
-//! | `DF_DFCK_CONC_THREADS` | scheduled worker pids per concurrent replay | 2 |
-//! | `DF_DFCK_MV_GAP` | co-victim crash gap of the multi-victim (`/mv`) rows | 3 |
 //! | `DF_DFCK_CONC_ONLY` | non-zero: run only the interleaved matrix | 0 |
 //! | `DF_DFCK_CONC_VARIANTS` | comma list of variant labels to sweep concurrently | all |
 
 use std::time::Instant;
 
 use bench::dfck::{
-    sweep, sweep_system, ConcSweepReport, ConcWorkload, SweepReport, SweepVariant, Workload,
-};
-use bench::dfck_struct::{
-    self, ConcStructSweepReport, ConcStructWorkload, StructSweepReport, StructVariant,
-    StructWorkload,
+    sweep, sweep_interleaved, sweep_interleaved_multi, sweep_system, ConcWorkload, Shape, Variant,
+    Workload,
 };
 use bench::env_u64;
 use bench::json::{emit, JsonRow};
+use bench::sweep::{ConcReport, Report};
 
-/// The queue and structure sweep reports share every aggregate the table and
-/// JSON rows need; this view lets one printer/row-builder serve both.
-struct ReportView<'a> {
-    variant_label: &'static str,
-    workload: &'static str,
-    nested: &'a [u64],
+/// Crash-point gap of the nested (crash-during-recovery) rows: the second
+/// crash lands on the first instruction of the recovery the first triggered.
+const NESTED_GAP: u64 = 0;
+/// Co-victim crash gap of the multi-victim (`/mv`) rows.
+const MV_GAP: u64 = 3;
+/// Scheduled worker pids per concurrent replay (the map's `/mv` row runs 3).
+const CONC_THREADS: usize = 2;
+
+/// The sweep's display/JSON label, shared by the console table and the
+/// emitted rows so the committed baseline can be cross-referenced with CI
+/// logs: `variant/workload[/tN][/nestedG][/mv][/system]` (`/tN` = interleaved
+/// over N scheduled pids; `/mv` = multi-victim: a co-victim pid crashes in the
+/// same replay).
+fn label(
+    variant: Variant,
+    workload: &str,
+    threads: Option<usize>,
+    nested: &[u64],
+    multi_victim: bool,
     system: bool,
-    crash_points: u64,
-    replays: u64,
-    crashes_injected: u64,
-    recoveries: u64,
-    entry_retries: u64,
-    recovery_crashes: u64,
-    fast_ops: u64,
-    demotions: u64,
-    audit_flags: u64,
-    hb_flags: u64,
-    violations: &'a [String],
-}
-
-impl<'a> From<&'a SweepReport> for ReportView<'a> {
-    fn from(r: &'a SweepReport) -> Self {
-        ReportView {
-            variant_label: r.variant.label(),
-            workload: r.workload,
-            nested: &r.nested,
-            system: r.system,
-            crash_points: r.crash_points,
-            replays: r.replays,
-            crashes_injected: r.crashes_injected,
-            recoveries: r.recoveries,
-            entry_retries: r.entry_retries,
-            recovery_crashes: r.recovery_crashes,
-            fast_ops: r.fast_ops,
-            demotions: r.demotions,
-            audit_flags: r.audit_flags,
-            hb_flags: r.hb_flags,
-            violations: &r.violations,
-        }
+) -> String {
+    let mut label = format!("{}/{workload}", variant.label());
+    if let Some(threads) = threads {
+        label.push_str(&format!("/t{threads}"));
     }
-}
-
-impl<'a> From<&'a StructSweepReport> for ReportView<'a> {
-    fn from(r: &'a StructSweepReport) -> Self {
-        ReportView {
-            variant_label: r.variant.label(),
-            workload: r.workload,
-            nested: &r.nested,
-            system: r.system,
-            crash_points: r.crash_points,
-            replays: r.replays,
-            crashes_injected: r.crashes_injected,
-            recoveries: r.recoveries,
-            entry_retries: r.entry_retries,
-            recovery_crashes: r.recovery_crashes,
-            fast_ops: r.fast_ops,
-            demotions: r.demotions,
-            audit_flags: r.audit_flags,
-            hb_flags: r.hb_flags,
-            violations: &r.violations,
-        }
-    }
-}
-
-/// The sweep's display/JSON label, shared by the console table and the emitted
-/// rows so the committed baseline can be cross-referenced with CI logs.
-fn label(report: &ReportView<'_>) -> String {
-    let mut label = format!("{}/{}", report.variant_label, report.workload);
-    if !report.nested.is_empty() {
-        let gaps: Vec<String> = report.nested.iter().map(|g| g.to_string()).collect();
+    if !nested.is_empty() {
+        let gaps: Vec<String> = nested.iter().map(|g| g.to_string()).collect();
         label.push_str(&format!("/nested{}", gaps.join("-")));
     }
-    if report.system {
+    if multi_victim {
+        label.push_str("/mv");
+    }
+    if system {
         label.push_str("/system");
     }
     label
 }
 
-fn row(report: &ReportView<'_>) -> JsonRow {
+fn report_label(r: &Report) -> String {
+    label(r.variant, r.workload, None, &r.nested, false, r.system)
+}
+
+fn conc_label(r: &ConcReport) -> String {
+    let multi_victim = r.covictim_gap.is_some();
+    label(r.variant, r.workload, Some(r.threads), &r.nested, multi_victim, r.system)
+}
+
+fn row(report: &Report) -> JsonRow {
     // Coverage rows have no throughput; `crashes_injected` is the
     // DF_REQUIRE_NONZERO signal (zero exactly when the sweep verified nothing).
-    JsonRow::new(label(report), 1, 0.0)
+    JsonRow::new(report_label(report), 1, 0.0)
         .with("crash_points", report.crash_points as f64)
         .with("replays", report.replays as f64)
         .with("crashes_injected", report.crashes_injected as f64)
@@ -152,108 +115,9 @@ fn row(report: &ReportView<'_>) -> JsonRow {
         .with("oracle_failures", report.violations.len() as f64)
 }
 
-/// The interleaved-sweep analogue of [`ReportView`]: one view over the queue
-/// and structure [`bench::sweep::ConcReport`]s.
-struct ConcView<'a> {
-    variant_label: &'static str,
-    workload: &'static str,
-    threads: usize,
-    seeds: usize,
-    nested: &'a [u64],
-    system: bool,
-    distinct_interleavings: u64,
-    crash_points: u64,
-    replays: u64,
-    crashes_injected: u64,
-    multi_victim: bool,
-    covictim_crashes: u64,
-    recoveries: u64,
-    entry_retries: u64,
-    recovery_crashes: u64,
-    fast_ops: u64,
-    demotions: u64,
-    audit_flags: u64,
-    hb_flags: u64,
-    violations: &'a [String],
-}
-
-impl<'a> From<&'a ConcSweepReport> for ConcView<'a> {
-    fn from(r: &'a ConcSweepReport) -> Self {
-        ConcView {
-            variant_label: r.variant.label(),
-            workload: r.workload,
-            threads: r.threads,
-            seeds: r.seeds.len(),
-            nested: &r.nested,
-            system: r.system,
-            distinct_interleavings: r.distinct_interleavings,
-            crash_points: r.crash_points,
-            replays: r.replays,
-            crashes_injected: r.crashes_injected,
-            multi_victim: r.covictim_gap.is_some(),
-            covictim_crashes: r.covictim_crashes,
-            recoveries: r.recoveries,
-            entry_retries: r.entry_retries,
-            recovery_crashes: r.recovery_crashes,
-            fast_ops: r.fast_ops,
-            demotions: r.demotions,
-            audit_flags: r.audit_flags,
-            hb_flags: r.hb_flags,
-            violations: &r.violations,
-        }
-    }
-}
-
-impl<'a> From<&'a ConcStructSweepReport> for ConcView<'a> {
-    fn from(r: &'a ConcStructSweepReport) -> Self {
-        ConcView {
-            variant_label: r.variant.label(),
-            workload: r.workload,
-            threads: r.threads,
-            seeds: r.seeds.len(),
-            nested: &r.nested,
-            system: r.system,
-            distinct_interleavings: r.distinct_interleavings,
-            crash_points: r.crash_points,
-            replays: r.replays,
-            crashes_injected: r.crashes_injected,
-            multi_victim: r.covictim_gap.is_some(),
-            covictim_crashes: r.covictim_crashes,
-            recoveries: r.recoveries,
-            entry_retries: r.entry_retries,
-            recovery_crashes: r.recovery_crashes,
-            fast_ops: r.fast_ops,
-            demotions: r.demotions,
-            audit_flags: r.audit_flags,
-            hb_flags: r.hb_flags,
-            violations: &r.violations,
-        }
-    }
-}
-
-/// Interleaved-sweep label: `variant/workload/tN[/nestedG][/mv][/system]`
-/// (`/mv` = multi-victim: a co-victim pid crashes in the same replay).
-fn conc_label(report: &ConcView<'_>) -> String {
-    let mut label = format!(
-        "{}/{}/t{}",
-        report.variant_label, report.workload, report.threads
-    );
-    if !report.nested.is_empty() {
-        let gaps: Vec<String> = report.nested.iter().map(|g| g.to_string()).collect();
-        label.push_str(&format!("/nested{}", gaps.join("-")));
-    }
-    if report.multi_victim {
-        label.push_str("/mv");
-    }
-    if report.system {
-        label.push_str("/system");
-    }
-    label
-}
-
-fn conc_row(report: &ConcView<'_>) -> JsonRow {
+fn conc_row(report: &ConcReport) -> JsonRow {
     JsonRow::new(conc_label(report), report.threads, 0.0)
-        .with("seeds", report.seeds as f64)
+        .with("seeds", report.seeds.len() as f64)
         .with("distinct_interleavings", report.distinct_interleavings as f64)
         .with("crash_points", report.crash_points as f64)
         .with("replays", report.replays as f64)
@@ -269,40 +133,76 @@ fn conc_row(report: &ConcView<'_>) -> JsonRow {
         .with("oracle_failures", report.violations.len() as f64)
 }
 
+/// Whether the interleaved matrix sweeps `variant`: every queue, and the
+/// detectable constructions of the other shapes (the non-detectable
+/// Izraelevitz discipline is swept concurrently on the MSQ, where
+/// interrupted-operation ambiguity is the interesting case; the structure
+/// rows concentrate on the exactly-once claim under contention).
+fn swept_interleaved(variant: &Variant) -> bool {
+    variant.shape() == Shape::Fifo || variant.detectable()
+}
+
+/// `DF_DFCK_CONC_VARIANTS`: the interleaved matrix's variants, narrowed to the
+/// listed labels. A label that names none of them is an error, not an empty
+/// filter — a typo must not silently drop coverage.
+fn interleaved_variants() -> Result<Vec<Variant>, String> {
+    let all: Vec<Variant> = Variant::all().into_iter().filter(swept_interleaved).collect();
+    let Ok(list) = std::env::var("DF_DFCK_CONC_VARIANTS") else {
+        return Ok(all);
+    };
+    let mut wanted = Vec::new();
+    for label in list.split(',').map(str::trim).filter(|l| !l.is_empty()) {
+        match Variant::from_label(label).filter(|v| all.contains(v)) {
+            Some(v) => wanted.push(v),
+            None => {
+                let valid: Vec<&str> = all.iter().map(|v| v.label()).collect();
+                return Err(format!(
+                    "DF_DFCK_CONC_VARIANTS: {label:?} is not a variant of the interleaved \
+                     matrix, which sweeps: {}",
+                    valid.join(", ")
+                ));
+            }
+        }
+    }
+    // Matrix order, whatever order the list came in.
+    Ok(all.into_iter().filter(|v| wanted.contains(v)).collect())
+}
+
 fn main() {
     let ops = env_u64("DF_DFCK_OPS", 8) as usize;
     let seed = env_u64("DF_DFCK_SEED", 42);
-    let gap = env_u64("DF_DFCK_GAP", 0);
     let conc_seeds = env_u64("DF_DFCK_CONC_SEEDS", 8);
-    let conc_threads = (env_u64("DF_DFCK_CONC_THREADS", 2) as usize).max(2);
-    let mv_gap = env_u64("DF_DFCK_MV_GAP", 3);
     let conc_only = env_u64("DF_DFCK_CONC_ONLY", 0) != 0;
-    let conc_filter: Option<Vec<String>> = std::env::var("DF_DFCK_CONC_VARIANTS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|v| v.trim().to_string())
-                .filter(|v| !v.is_empty())
-                .collect()
-        });
-    let conc_wants =
-        |label: &str| conc_filter.as_ref().map_or(true, |f| f.iter().any(|v| v == label));
-    let workloads = [Workload::pair(), Workload::seeded(seed, ops)];
+    let conc_variants = interleaved_variants().unwrap_or_else(|e| {
+        eprintln!("dfck: {e}");
+        std::process::exit(2);
+    });
 
-    println!("# dfck — exhaustive crash-point sweep (multi-op seed {seed}, {ops} ops, nested gap {gap})");
+    println!(
+        "# dfck — exhaustive crash-point sweep (multi-op seed {seed}, {ops} ops, nested gap {NESTED_GAP})"
+    );
 
     let wall = Instant::now();
     let mut rows = Vec::new();
     let mut failures = 0usize;
-    let mut reports = Vec::new();
-    let mut struct_reports = Vec::new();
+    let mut reports: Vec<Report> = Vec::new();
     if !conc_only {
-        for variant in SweepVariant::all() {
+        for variant in Variant::all() {
+            // Per shape: the pair workload (for maps, its analogue crossing a
+            // bucket-array resize inside the swept window) and a seeded
+            // multi-op one (maps share the set's generator — same op
+            // alphabet — on the tiny bucket array).
+            let workloads = match variant.shape() {
+                Shape::Fifo => [Workload::pair(), Workload::seeded(seed, ops)],
+                Shape::Lifo => [Workload::stack_pair(), Workload::stack_seeded(seed, ops)],
+                Shape::Set => [Workload::set_pair(), Workload::set_seeded(seed, ops)],
+                Shape::Map => [Workload::map_resize(), Workload::set_seeded(seed, ops)],
+            };
             for workload in &workloads {
-                for nested in [None, Some(gap)] {
+                for nested in [None, Some(NESTED_GAP)] {
                     // Per-process (PPM) sweeps, then the full-system sweeps that
                     // additionally roll unflushed lines back — every variant's
-                    // flush discipline is now complete (DESIGN.md §7), so the whole
+                    // flush discipline is complete (DESIGN.md §7), so the whole
                     // matrix runs under both crash flavours.
                     reports.push(sweep(variant, workload, nested));
                     reports.push(sweep_system(variant, workload, nested));
@@ -321,50 +221,15 @@ fn main() {
                 }
             }
         }
-        // The structure family (Treiber stack + linked-list set) under the same
-        // matrix: pair + seeded multi workloads, single + nested schedules, PPM +
-        // full-system crashes, flush auditor armed.
-        for variant in StructVariant::all() {
-            let struct_workloads = if variant.is_stack() {
-                [
-                    StructWorkload::stack_pair(),
-                    StructWorkload::stack_seeded(seed, ops),
-                ]
-            } else if variant.is_map() {
-                // The map's pair analogue crosses a bucket-array resize inside
-                // the swept window; the seeded multi workload shares the set's
-                // generator (same op alphabet) on the tiny bucket array.
-                [
-                    StructWorkload::map_resize(),
-                    StructWorkload::set_seeded(seed, ops),
-                ]
-            } else {
-                [
-                    StructWorkload::set_pair(),
-                    StructWorkload::set_seeded(seed, ops),
-                ]
-            };
-            for workload in &struct_workloads {
-                for nested in [None, Some(gap)] {
-                    struct_reports.push(dfck_struct::sweep(variant, workload, nested));
-                    struct_reports.push(dfck_struct::sweep_system(variant, workload, nested));
-                }
-            }
-        }
     }
-    let views: Vec<ReportView<'_>> = reports
-        .iter()
-        .map(ReportView::from)
-        .chain(struct_reports.iter().map(ReportView::from))
-        .collect();
-    if !views.is_empty() {
+    if !reports.is_empty() {
         println!(
             "{:<46} {:>12} {:>9} {:>9} {:>11} {:>9} {:>7} {:>5} {:>10}",
             "sweep", "crash pts", "replays", "crashes", "recoveries", "nested", "audit", "hb", "violations"
         );
     }
-    for report in &views {
-        let label = label(report);
+    for report in &reports {
+        let label = report_label(report);
         println!(
             "{:<46} {:>12} {:>9} {:>9} {:>11} {:>9} {:>7} {:>5} {:>10}",
             label,
@@ -377,7 +242,7 @@ fn main() {
             report.hb_flags,
             report.violations.len()
         );
-        for v in report.violations {
+        for v in &report.violations {
             eprintln!("VIOLATION [{label}]: {v}");
         }
         failures += report.violations.len();
@@ -385,33 +250,33 @@ fn main() {
     }
 
     // The interleaved matrix: (interleaving seed × victim crash point) over the
-    // scheduled concurrent pair workloads — every queue variant plus the
-    // General stack as the structure family's representative, under single +
-    // nested schedules and both crash flavours.
+    // scheduled concurrent pair workloads, under single + nested schedules and
+    // both crash flavours.
     let seeds: Vec<u64> = (1..=conc_seeds).collect();
-    let mut conc_reports: Vec<ConcSweepReport> = Vec::new();
-    let mut conc_struct_reports: Vec<ConcStructSweepReport> = Vec::new();
+    let mut conc_reports: Vec<ConcReport> = Vec::new();
     if !seeds.is_empty() {
-        let w = ConcWorkload::pair(conc_threads);
-        for variant in SweepVariant::all() {
-            if !conc_wants(variant.label()) {
-                continue;
+        let workload_for = |variant: Variant, threads: usize| match variant.shape() {
+            Shape::Fifo => ConcWorkload::pair(threads),
+            Shape::Lifo => ConcWorkload::stack_pair(threads),
+            Shape::Set => ConcWorkload::set_pair(threads),
+            Shape::Map => ConcWorkload::map_pair(threads),
+        };
+        for &variant in &conc_variants {
+            let w = workload_for(variant, CONC_THREADS);
+            for nested in [&[] as &[u64], &[NESTED_GAP]] {
+                conc_reports.push(sweep_interleaved(variant, &w, &seeds, nested, false));
+                conc_reports.push(sweep_interleaved(variant, &w, &seeds, nested, true));
             }
-            for nested in [&[] as &[u64], &[gap]] {
-                conc_reports.push(bench::dfck::sweep_interleaved(
-                    variant, &w, &seeds, nested, false,
-                ));
-                conc_reports.push(bench::dfck::sweep_interleaved(
-                    variant, &w, &seeds, nested, true,
+            // The queues' multi-victim row: the same (seed × crash point)
+            // matrix, but every scripted replay also crashes a co-victim pid,
+            // so one process's recovery races a peer that is itself
+            // recovering.
+            if variant.shape() == Shape::Fifo {
+                conc_reports.push(sweep_interleaved_multi(
+                    variant, &w, &seeds, &[], MV_GAP, false,
                 ));
             }
-            // The multi-victim row: the same (seed × crash point) matrix, but
-            // every scripted replay also crashes a co-victim pid, so one
-            // process's recovery races a peer that is itself recovering.
-            conc_reports.push(bench::dfck::sweep_interleaved_multi(
-                variant, &w, &seeds, &[], mv_gap, false,
-            ));
-            // The sensitized adaptive row: trip threshold 1, so the scheduled
+            // The sensitized adaptive rows: trip threshold 1, so the scheduled
             // contention demotes fast-path operations inside the swept window
             // and the crash-point enumeration covers the fast→slow demotion
             // boundary plus the slow-path helping that follows a fast-path
@@ -419,64 +284,26 @@ fn main() {
             // never trips inside these short scheduled windows).
             if variant.adaptive_capable() {
                 let sens = w.clone().sensitized();
-                conc_reports.push(bench::dfck::sweep_interleaved(
-                    variant, &sens, &seeds, &[], false,
-                ));
-                conc_reports.push(bench::dfck::sweep_interleaved(
-                    variant, &sens, &seeds, &[], true,
-                ));
-            }
-        }
-        for (variant, sw) in [
-            (
-                StructVariant::StackGeneral,
-                ConcStructWorkload::stack_pair(conc_threads),
-            ),
-            (
-                StructVariant::MapGeneral,
-                ConcStructWorkload::map_pair(conc_threads),
-            ),
-            (
-                StructVariant::MapNormalized,
-                ConcStructWorkload::map_pair(conc_threads),
-            ),
-        ] {
-            if !conc_wants(variant.label()) {
-                continue;
-            }
-            for nested in [&[] as &[u64], &[gap]] {
-                conc_struct_reports.push(dfck_struct::sweep_interleaved(
-                    variant, &sw, &seeds, nested, false,
-                ));
-                conc_struct_reports.push(dfck_struct::sweep_interleaved(
-                    variant, &sw, &seeds, nested, true,
-                ));
+                conc_reports.push(sweep_interleaved(variant, &sens, &seeds, &[], false));
+                conc_reports.push(sweep_interleaved(variant, &sens, &seeds, &[], true));
             }
         }
         // A wider map row: three scheduled pids race the resize trigger while
         // the victim *and* a co-victim crash in the same replay.
-        if conc_wants(StructVariant::MapGeneral.label()) {
-            let sw3 = ConcStructWorkload::map_pair(conc_threads.max(3));
-            conc_struct_reports.push(dfck_struct::sweep_interleaved_multi(
-                StructVariant::MapGeneral,
-                &sw3,
+        if conc_variants.contains(&Variant::MapGeneral) {
+            let w3 = workload_for(Variant::MapGeneral, 3);
+            conc_reports.push(sweep_interleaved_multi(
+                Variant::MapGeneral,
+                &w3,
                 &seeds,
                 &[],
-                mv_gap,
+                MV_GAP,
                 false,
             ));
         }
     }
-    let conc_views: Vec<ConcView<'_>> = conc_reports
-        .iter()
-        .map(ConcView::from)
-        .chain(conc_struct_reports.iter().map(ConcView::from))
-        .collect();
-    if !conc_views.is_empty() {
-        println!(
-            "# interleaved sweeps — {} seeds × {} scheduled threads",
-            conc_seeds, conc_threads
-        );
+    if !conc_reports.is_empty() {
+        println!("# interleaved sweeps — {conc_seeds} seeds × {CONC_THREADS} scheduled threads");
         println!(
             "{:<46} {:>7} {:>13} {:>12} {:>9} {:>9} {:>11} {:>7} {:>5} {:>10}",
             "sweep",
@@ -491,12 +318,12 @@ fn main() {
             "violations"
         );
     }
-    for report in &conc_views {
+    for report in &conc_reports {
         let label = conc_label(report);
         println!(
             "{:<46} {:>7} {:>13} {:>12} {:>9} {:>9} {:>11} {:>7} {:>5} {:>10}",
             label,
-            report.seeds,
+            report.seeds.len(),
             report.distinct_interleavings,
             report.crash_points,
             report.replays,
@@ -506,7 +333,7 @@ fn main() {
             report.hb_flags,
             report.violations.len()
         );
-        for v in report.violations {
+        for v in &report.violations {
             eprintln!("VIOLATION [{label}]: {v}");
         }
         failures += report.violations.len();
@@ -518,9 +345,9 @@ fn main() {
         &[
             ("multi_ops", ops as u64),
             ("seed", seed),
-            ("nested_gap", gap),
+            ("nested_gap", NESTED_GAP),
             ("conc_seeds", conc_seeds),
-            ("conc_threads", conc_threads as u64),
+            ("conc_threads", CONC_THREADS as u64),
         ],
         wall.elapsed().as_secs_f64(),
         &rows,

@@ -1,4 +1,5 @@
-//! `dfck` — the deterministic, exhaustive crash-point sweeper.
+//! `dfck` — the deterministic, exhaustive crash-point sweeper, one engine for
+//! every variant of every shape.
 //!
 //! The paper's correctness claim (Definition 2.2, Theorems 5.1/6.1/7.1) is that
 //! capsule re-execution is *invisible at every possible crash point*. Random
@@ -10,45 +11,58 @@
 //! nested mode, crashes *again* a fixed number of crash points later, which lands
 //! inside the recovery code the first crash triggered.
 //!
-//! After every replay the engine drains the queue (the uniform
-//! [`QueueHandle::drain`] hook) and checks an oracle over the full observable
-//! history — every operation's return value plus the final queue contents:
+//! One [`Variant`] enum names every swept structure — six FIFO queues and the
+//! stack / list-set / hash-map family in three constructions each — and one op
+//! alphabet ([`StructOp`]) drives them all: a queue reads `Push`/`Pop` as
+//! enqueue/dequeue through the [`Fifo`] adaptor. [`build`] is the single table
+//! from a variant to its structure and [`Built::handle`] the single table to its
+//! boxed per-thread handle (the throughput harness in
+//! [`crate::structs_bench`] builds through the same two). A replay then runs
+//! every operation through one of exactly **three op-runners**, picked by
+//! variant:
 //!
-//! * **exactly-once** for the detectable variants (General, Normalized, LogQueue):
-//!   the history must be *identical* to the crash-free run's, at every crash
-//!   point — crashes must be invisible;
-//! * **durable linearizability** for the Izraelevitz-transformed MSQ, which is
-//!   durable but *not* detectable: an interrupted operation may or may not have
-//!   taken effect, so the oracle accepts a history iff it is consistent with some
-//!   choice of applied/not-applied for each interrupted operation.
+//! * **non-detectable** (the Izraelevitz constructions): no recovery protocol —
+//!   [`catch_crash`] unwinds to the driver, which records the operation as
+//!   [`OpOutcome::Interrupted`]; the oracle forks applied/not-applied;
+//! * **capsule** (General / Normalized, every shape): the capsule runtime
+//!   absorbs the crash inside the operation, which completes with its exact
+//!   result; recovery counters are the handle's [`CapsuleMetrics`] delta;
+//! * **LogQueue**: the driver runs the queue's detectable-recovery protocol
+//!   (`log_queue_op`) until the operation's exact result is known.
 //!
-//! This is the verification discipline of kaist-cp/memento's per-crash-point
-//! detectability checks, applied to every queue variant in the workspace through
-//! one engine.
+//! After every replay the engine drains the structure (bounded by the replay's
+//! maximum possible survivors, so a corrupted cyclic chain is a violation, not
+//! a hang) and checks the full observable history — every return value plus the
+//! final contents — against the shape's sequential `Model` (FIFO, LIFO or
+//! ordered set; maps share the set's):
+//!
+//! * **exactly-once** for the detectable variants: the history must be
+//!   *identical* to the crash-free run's at every crash point;
+//! * **durable linearizability** for the non-detectable ones: consistent with
+//!   some choice of applied/not-applied for each interrupted operation.
 //!
 //! The sweep engine itself (baseline, fan-out, report assembly, the oracle
-//! machinery) lives in [`crate::sweep`], shared with [`crate::dfck_struct`];
-//! this module contributes the queue drivers and workloads.
+//! machinery) lives in [`crate::sweep`].
 //!
 //! ## Interleaved sweeps: (schedule × crash point)
 //!
 //! [`sweep_interleaved`] extends the enumeration with a second axis: a
-//! deterministic cooperative interleaving of 2–3 worker processes driving
-//! *one shared queue* under [`pmem::ThreadScheduler`]. Each scheduler seed
-//! picks a distinct instruction-level interleaving (reproducible bit-for-bit
-//! from the seed), a victim pid sweeps every crash point of its scheduled
-//! window, and the oracle generalizes from "identical to the crash-free
-//! history" to "consistent with *some* valid linearization of the concurrent
-//! history" ([`sweep::check_linearizable`]), with timestamps taken from the
-//! scheduler's global instruction clock.
+//! deterministic cooperative interleaving of 2+ worker processes driving *one
+//! shared structure* under [`pmem::ThreadScheduler`]. Each scheduler seed picks
+//! a distinct instruction-level interleaving (reproducible bit-for-bit from the
+//! seed), a victim pid sweeps every crash point of its scheduled window, and
+//! the oracle generalizes from "identical to the crash-free history" to
+//! "consistent with *some* valid linearization of the concurrent history"
+//! ([`sweep::check_linearizable`]), with timestamps taken from the scheduler's
+//! global instruction clock.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use capsules::{BoundaryStyle, CapsuleMetrics, ContentionMeasure};
 use pmem::{
-    catch_crash, CrashPlan, MemConfig, Mode, PMem, PThread, SchedConfig, ThreadOptions,
+    catch_crash, CrashPlan, MemConfig, Mode, PMem, PThread, SchedConfig, Stats, ThreadOptions,
     ThreadScheduler,
 };
 use queues::{
@@ -56,14 +70,48 @@ use queues::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use structs::api::Drain;
+use structs::{
+    DetMap, GeneralDetMap, GeneralSet, GeneralStack, ListSet, MapConfig, NormalizedDetMap,
+    NormalizedSet, NormalizedStack, StructHandle, StructOp, TreiberStack,
+};
 
-use crate::sweep::{self, OpOutcome, ReplayRecord, TimedOp, TurnGate};
+use crate::sweep::{self, ConcReport, OpOutcome, ReplayRecord, Report, TimedOp, TurnGate};
 
-/// The queue variants the sweeper covers, one per recovery discipline (plus the
-/// hand-optimised capsule configurations, whose compact single-copy frames have
-/// their own flush-ordering obligations worth sweeping separately).
+/// The abstract data type a [`Variant`] implements: it picks the sequential
+/// model the oracle checks against, the op alphabet, and the workload table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SweepVariant {
+pub enum Shape {
+    /// FIFO queue: `Push` = enqueue, `Pop` = dequeue.
+    Fifo,
+    /// LIFO stack.
+    Lifo,
+    /// Ordered set (`Insert` / `Remove` / `Contains`).
+    Set,
+    /// Hash map: the set's alphabet and oracle, swept on a
+    /// [`MapConfig::tiny`] bucket array so crash windows cross the resize
+    /// protocol.
+    Map,
+}
+
+impl Shape {
+    /// The operation that puts `v` into a structure of this shape before the
+    /// swept window.
+    pub(crate) fn prefill_op(self, v: u64) -> StructOp {
+        match self {
+            Shape::Fifo | Shape::Lifo => StructOp::Push(v),
+            Shape::Set | Shape::Map => StructOp::Insert(v),
+        }
+    }
+}
+
+/// Every structure the sweeper covers: the queue variants, one per recovery
+/// discipline (plus the hand-optimised capsule configurations, whose compact
+/// single-copy frames have their own flush-ordering obligations), and each
+/// non-queue shape as Izraelevitz flush-everything (durable, not detectable),
+/// General capsules and the Normalized simulator (both detectable).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Variant {
     /// MSQ + Izraelevitz construction: durably linearizable, *not* detectable.
     IzraelevitzMsq,
     /// The CAS-Read (General) transformation: detectable via capsules.
@@ -76,74 +124,134 @@ pub enum SweepVariant {
     NormalizedOpt,
     /// Friedman et al.'s LogQueue: detectable via its operation log.
     LogQueue,
+    /// Treiber stack + Izraelevitz construction.
+    StackIzraelevitz,
+    /// Treiber stack through the CAS-Read (General) transformation.
+    StackGeneral,
+    /// Treiber stack through the Persistent Normalized Simulator.
+    StackNormalized,
+    /// Harris–Michael list set + Izraelevitz construction.
+    SetIzraelevitz,
+    /// List set through the CAS-Read (General) transformation.
+    SetGeneral,
+    /// List set through the Persistent Normalized Simulator.
+    SetNormalized,
+    /// Bucketed hash map + Izraelevitz construction.
+    MapIzraelevitz,
+    /// Hash map through the CAS-Read (General) transformation.
+    MapGeneral,
+    /// Hash map through the Persistent Normalized Simulator.
+    MapNormalized,
 }
 
-impl SweepVariant {
-    /// Short label for tables and JSON rows.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SweepVariant::IzraelevitzMsq => "MSQ-Izraelevitz",
-            SweepVariant::General => "General",
-            SweepVariant::GeneralOpt => "General-Opt",
-            SweepVariant::Normalized => "Normalized",
-            SweepVariant::NormalizedOpt => "Normalized-Opt",
-            SweepVariant::LogQueue => "LogQueue",
-        }
-    }
-
-    /// Every swept variant.
-    pub fn all() -> Vec<SweepVariant> {
-        vec![
-            SweepVariant::IzraelevitzMsq,
-            SweepVariant::General,
-            SweepVariant::GeneralOpt,
-            SweepVariant::Normalized,
-            SweepVariant::NormalizedOpt,
-            SweepVariant::LogQueue,
+impl Variant {
+    /// Every swept variant, queues first.
+    pub fn all() -> [Variant; 15] {
+        use Variant::*;
+        [
+            IzraelevitzMsq,
+            General,
+            GeneralOpt,
+            Normalized,
+            NormalizedOpt,
+            LogQueue,
+            StackIzraelevitz,
+            StackGeneral,
+            StackNormalized,
+            SetIzraelevitz,
+            SetGeneral,
+            SetNormalized,
+            MapIzraelevitz,
+            MapGeneral,
+            MapNormalized,
         ]
     }
 
+    /// Short label for tables and JSON rows.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Variant::IzraelevitzMsq => "MSQ-Izraelevitz",
+            Variant::General => "General",
+            Variant::GeneralOpt => "General-Opt",
+            Variant::Normalized => "Normalized",
+            Variant::NormalizedOpt => "Normalized-Opt",
+            Variant::LogQueue => "LogQueue",
+            Variant::StackIzraelevitz => "Stack-Izraelevitz",
+            Variant::StackGeneral => "Stack-General",
+            Variant::StackNormalized => "Stack-Normalized",
+            Variant::SetIzraelevitz => "Set-Izraelevitz",
+            Variant::SetGeneral => "Set-General",
+            Variant::SetNormalized => "Set-Normalized",
+            Variant::MapIzraelevitz => "Map-Izraelevitz",
+            Variant::MapGeneral => "Map-General",
+            Variant::MapNormalized => "Map-Normalized",
+        }
+    }
+
+    /// The variant with this [`label`](Variant::label), if any.
+    pub fn from_label(label: &str) -> Option<Variant> {
+        Variant::all().into_iter().find(|v| v.label() == label)
+    }
+
+    /// The abstract data type the variant implements.
+    pub fn shape(&self) -> Shape {
+        use Variant::*;
+        match self {
+            IzraelevitzMsq | General | GeneralOpt | Normalized | NormalizedOpt | LogQueue => {
+                Shape::Fifo
+            }
+            StackIzraelevitz | StackGeneral | StackNormalized => Shape::Lifo,
+            SetIzraelevitz | SetGeneral | SetNormalized => Shape::Set,
+            MapIzraelevitz | MapGeneral | MapNormalized => Shape::Map,
+        }
+    }
+
     /// Whether the variant guarantees exactly-once (detectable) semantics, i.e.
-    /// whether the strict oracle applies.
+    /// whether the strict oracle applies. The others are the Izraelevitz
+    /// constructions, whose thread handles flush every access.
     pub fn detectable(&self) -> bool {
-        !matches!(self, SweepVariant::IzraelevitzMsq)
+        use Variant::*;
+        !matches!(self, IzraelevitzMsq | StackIzraelevitz | SetIzraelevitz | MapIzraelevitz)
     }
 
     /// Whether the variant has a contention-adaptive fast path (the four
-    /// capsule variants). Only these get the extra slow-path-pinned sweep
-    /// rows — the fast path is the default, so the simulator-only route
-    /// would otherwise lose single-threaded crash coverage.
+    /// capsule queues). Only these get the extra slow-path-pinned sweep rows —
+    /// the fast path is the default, so the simulator-only route would
+    /// otherwise lose single-threaded crash coverage.
     pub fn adaptive_capable(&self) -> bool {
-        matches!(
-            self,
-            SweepVariant::General
-                | SweepVariant::GeneralOpt
-                | SweepVariant::Normalized
-                | SweepVariant::NormalizedOpt
-        )
+        use Variant::*;
+        matches!(self, General | GeneralOpt | Normalized | NormalizedOpt)
+    }
+
+    /// The options every thread handle driving this variant is created with.
+    pub fn thread_options(&self) -> ThreadOptions {
+        ThreadOptions {
+            izraelevitz: !self.detectable(),
+        }
     }
 }
 
-/// One workload operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Op {
-    /// Enqueue this value.
-    Enqueue(u64),
-    /// Dequeue once.
-    Dequeue,
+/// `Push`/`Insert` operations in `ops`: how many elements they can add.
+fn additions<'a>(ops: impl IntoIterator<Item = &'a StructOp>) -> usize {
+    ops.into_iter()
+        .filter(|op| matches!(op, StructOp::Push(_) | StructOp::Insert(_)))
+        .count()
 }
 
-/// A deterministic workload: a prefilled queue plus a fixed operation sequence.
+/// A deterministic workload: prefilled contents plus a fixed operation
+/// sequence. The ops must match the swept variant's [`Shape`] (`Push`/`Pop`
+/// for FIFO and LIFO, the membership alphabet for sets and maps).
 #[derive(Clone, Debug)]
 pub struct Workload {
     /// Name used in reports ("pair", "multi", …).
     pub name: &'static str,
-    /// Values present in the queue before the swept window starts.
+    /// Contents before the swept window starts: enqueued / pushed in order, or
+    /// (sets and maps) inserted as distinct keys.
     pub prefill: Vec<u64>,
     /// The operations executed inside the swept window.
-    pub ops: Vec<Op>,
-    /// Whether the replayed queues keep their contention-adaptive fast path
-    /// (the default). [`Workload::slow_path`] pins it off so the matrix
+    pub ops: Vec<StructOp>,
+    /// Whether replayed capsule queues keep their contention-adaptive fast
+    /// path (the default). [`Workload::slow_path`] pins it off so the matrix
     /// retains dedicated simulator-route crash coverage — an uncontended
     /// adaptive replay never demotes, so without these rows the slow path
     /// would only ever be crashed through interleaved sweeps.
@@ -151,28 +259,67 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// The canonical single-op-pair workload: one enqueue followed by one dequeue
-    /// on a lightly prefilled queue (so the dequeue hits a non-trivial head).
+    /// The canonical single-op-pair workload of the queues and stacks: one
+    /// enqueue/push followed by one dequeue/pop on a lightly prefilled
+    /// structure (so the removal hits a non-trivial head).
     pub fn pair() -> Workload {
         Workload {
             name: "pair",
             prefill: (0..4).map(|i| 10_000 + i).collect(),
-            ops: vec![Op::Enqueue(1), Op::Dequeue],
+            ops: vec![StructOp::Push(1), StructOp::Pop],
             adaptive: true,
         }
     }
 
-    /// A seeded multi-op workload: `nops` operations, each independently an
-    /// enqueue (fresh value) or a dequeue, drawn from a reproducible RNG.
+    /// [`Workload::pair`] under the stack family's name.
+    pub fn stack_pair() -> Workload {
+        Workload::pair()
+    }
+
+    /// The canonical set pair: one insert that lands mid-list, one remove of a
+    /// prefilled key — both protocol paths (link CAS, mark + unlink) swept.
+    pub fn set_pair() -> Workload {
+        Workload {
+            name: "pair",
+            prefill: vec![10, 20, 30],
+            ops: vec![StructOp::Insert(15), StructOp::Remove(20)],
+            adaptive: true,
+        }
+    }
+
+    /// The canonical map workload: the same membership paths as
+    /// [`Workload::set_pair`] *plus* a bucket-array resize inside the swept
+    /// window — map replays build with [`MapConfig::tiny`] (2 buckets,
+    /// `max_chain` 3), so the sixth insert's trigger fires mid-window and
+    /// every crash point of the freeze/copy/promote migration is enumerated.
+    pub fn map_resize() -> Workload {
+        Workload {
+            name: "map-resize",
+            prefill: vec![10, 20, 30],
+            ops: vec![
+                StructOp::Insert(15),
+                StructOp::Insert(25),
+                StructOp::Insert(15),
+                StructOp::Remove(10),
+                StructOp::Contains(15),
+                StructOp::Remove(99),
+            ],
+            adaptive: true,
+        }
+    }
+
+    /// A seeded multi-op queue/stack workload: `nops` operations, each
+    /// independently an enqueue/push (fresh value) or a dequeue/pop, drawn
+    /// from a reproducible RNG.
     pub fn seeded(seed: u64, nops: usize) -> Workload {
         Workload::seeded_full(seed, nops, 3, 0)
     }
 
-    /// The fully parameterised seeded workload generator (the surface the
-    /// property-based tests sample): `nops` operations on a queue prefilled with
-    /// `prefill` values, with every value offset by `value_base` so distinct
-    /// property cases produce disjoint value ranges. `seeded(seed, n)` is
-    /// `seeded_full(seed, n, 3, 0)`.
+    /// The fully parameterised seeded queue/stack generator (the surface the
+    /// property-based tests sample): `nops` operations on a structure
+    /// prefilled with `prefill` values, with every value offset by
+    /// `value_base` so distinct property cases produce disjoint value ranges.
+    /// `seeded(seed, n)` is `seeded_full(seed, n, 3, 0)`.
     pub fn seeded_full(seed: u64, nops: usize, prefill: usize, value_base: u64) -> Workload {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut next_value = value_base + 1;
@@ -181,15 +328,56 @@ impl Workload {
                 if rng.gen_bool(0.5) {
                     let v = next_value;
                     next_value += 1;
-                    Op::Enqueue(v)
+                    StructOp::Push(v)
                 } else {
-                    Op::Dequeue
+                    StructOp::Pop
                 }
             })
             .collect();
         Workload {
             name: "multi",
             prefill: (0..prefill as u64).map(|i| value_base + 10_000 + i).collect(),
+            ops,
+            adaptive: true,
+        }
+    }
+
+    /// [`Workload::seeded`] under the stack family's name.
+    pub fn stack_seeded(seed: u64, nops: usize) -> Workload {
+        Workload::seeded(seed, nops)
+    }
+
+    /// [`Workload::seeded_full`] under the stack family's name.
+    pub fn stack_seeded_full(seed: u64, nops: usize, prefill: usize, value_base: u64) -> Workload {
+        Workload::seeded_full(seed, nops, prefill, value_base)
+    }
+
+    /// Seeded multi-op set/map workload (`set_seeded_full` with the default
+    /// prefill).
+    pub fn set_seeded(seed: u64, nops: usize) -> Workload {
+        Workload::set_seeded_full(seed, nops, 3, 0)
+    }
+
+    /// Fully parameterised seeded set/map workload: keys are drawn from a
+    /// small range around `key_base` (every other key prefilled) so inserts,
+    /// removes and membership tests all hit both their *true* and *false*
+    /// paths.
+    pub fn set_seeded_full(seed: u64, nops: usize, prefill: usize, key_base: u64) -> Workload {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let span = (2 * prefill as u64 + 4).max(6);
+        let ops = (0..nops)
+            .map(|_| {
+                let k = key_base + rng.gen_range(0..span);
+                match rng.gen_range(0..3u64) {
+                    0 => StructOp::Insert(k),
+                    1 => StructOp::Remove(k),
+                    _ => StructOp::Contains(k),
+                }
+            })
+            .collect();
+        Workload {
+            name: "multi",
+            prefill: (0..prefill as u64).map(|i| key_base + 2 * i).collect(),
             ops,
             adaptive: true,
         }
@@ -207,18 +395,29 @@ impl Workload {
         };
         self
     }
+
+    /// Upper bound on the elements a replay can leave behind: the prefill
+    /// plus every addition in the swept window (whether or not it completed —
+    /// an interrupted one may still have applied). Draining is bounded by
+    /// this figure so a cyclic next-pointer chain produced by a recovery bug
+    /// terminates the replay with an over-long drain (an oracle violation
+    /// carrying the offending schedule) instead of hanging the sweep.
+    pub fn drain_bound(&self) -> usize {
+        self.prefill.len() + additions(&self.ops)
+    }
 }
 
-/// A concurrent workload: per-pid operation sequences over one shared queue.
+/// A concurrent workload: per-pid operation sequences over one shared
+/// structure.
 #[derive(Clone, Debug)]
 pub struct ConcWorkload {
-    /// Name used in reports ("conc-pair", "conc-multi").
+    /// Name used in reports ("conc-pair", "conc-multi", "conc-map").
     pub name: &'static str,
-    /// Values present in the queue before the scheduled window starts.
+    /// Contents before the scheduled window starts (see [`Workload::prefill`]).
     pub prefill: Vec<u64>,
     /// Per-pid operation sequences; `per_pid.len()` is the process count.
-    pub per_pid: Vec<Vec<Op>>,
-    /// Contention-trip-threshold override for the adaptive capsule variants
+    pub per_pid: Vec<Vec<StructOp>>,
+    /// Contention-trip-threshold override for the adaptive capsule queues
     /// (`None` = the production policy). The sensitized demotion sweeps set
     /// this to 1 so *any* lost fast-path CAS demotes the operation, making
     /// the fast→slow demotion boundary deterministically reachable under the
@@ -227,21 +426,61 @@ pub struct ConcWorkload {
 }
 
 impl ConcWorkload {
-    /// The canonical concurrent pair workload: every pid enqueues one
-    /// distinctive value and dequeues once, on a lightly prefilled queue.
+    /// The canonical concurrent queue/stack pair: every pid enqueues/pushes
+    /// one distinctive value and dequeues/pops once, on a lightly prefilled
+    /// structure.
     pub fn pair(threads: usize) -> ConcWorkload {
         ConcWorkload {
             name: "conc-pair",
             prefill: (0..4).map(|i| 10_000 + i).collect(),
             per_pid: (0..threads as u64)
-                .map(|p| vec![Op::Enqueue(100 + p), Op::Dequeue])
+                .map(|p| vec![StructOp::Push(100 + p), StructOp::Pop])
                 .collect(),
             trip_threshold: None,
         }
     }
 
-    /// A seeded concurrent workload: every pid runs its own reproducible
-    /// operation sequence with a disjoint value range.
+    /// [`ConcWorkload::pair`] under the stack family's name.
+    pub fn stack_pair(threads: usize) -> ConcWorkload {
+        ConcWorkload::pair(threads)
+    }
+
+    /// The canonical concurrent set pair: every pid inserts a fresh mid-list
+    /// key and removes a (for up to 3 pids) prefilled one.
+    pub fn set_pair(threads: usize) -> ConcWorkload {
+        ConcWorkload {
+            name: "conc-pair",
+            prefill: vec![10, 20, 30],
+            per_pid: (0..threads as u64)
+                .map(|p| vec![StructOp::Insert(11 + 2 * p), StructOp::Remove(10 * (p + 1))])
+                .collect(),
+            trip_threshold: None,
+        }
+    }
+
+    /// The canonical concurrent map workload: distinct inserts per pid on a
+    /// [`MapConfig::tiny`] map, so the pids race the resize trigger and the
+    /// migration helping paths against each other (and against the scripted
+    /// crashes) while the removes exercise tombstoning under contention.
+    pub fn map_pair(threads: usize) -> ConcWorkload {
+        ConcWorkload {
+            name: "conc-map",
+            prefill: vec![10, 20, 30],
+            per_pid: (0..threads as u64)
+                .map(|p| {
+                    vec![
+                        StructOp::Insert(11 + 2 * p),
+                        StructOp::Insert(40 + p),
+                        StructOp::Remove(10 * (p + 1)),
+                    ]
+                })
+                .collect(),
+            trip_threshold: None,
+        }
+    }
+
+    /// A seeded concurrent queue/stack workload: every pid runs its own
+    /// reproducible operation sequence with a disjoint value range.
     pub fn seeded(seed: u64, threads: usize, nops_per_pid: usize) -> ConcWorkload {
         ConcWorkload {
             name: "conc-multi",
@@ -255,7 +494,7 @@ impl ConcWorkload {
         }
     }
 
-    /// Sensitize the adaptive capsule variants' contention policy: a trip
+    /// Sensitize the adaptive capsule queues' contention policy: a trip
     /// threshold of 1 makes every lost fast-path CAS demote its operation,
     /// so the interleaved sweeps crash the demotion boundary rather than
     /// hoping the production streak (2 consecutive losses) ever trips inside
@@ -276,71 +515,244 @@ impl ConcWorkload {
     }
 
     /// Upper bound on the elements a replay can leave behind (see
-    /// [`drain_bound`]): the prefill plus every enqueue of every pid.
+    /// [`Workload::drain_bound`]): the prefill plus every addition of every
+    /// pid.
     pub fn drain_bound(&self) -> usize {
-        self.prefill.len()
-            + self
-                .per_pid
-                .iter()
-                .flatten()
-                .filter(|op| matches!(op, Op::Enqueue(_)))
-                .count()
+        self.prefill.len() + additions(self.per_pid.iter().flatten())
     }
 }
 
-/// The FIFO reference model the oracles run against.
+/// The sequential reference model the oracles run against, one per abstract
+/// data type (maps are checked as sets).
 #[derive(Clone, PartialEq, Eq, Hash)]
-struct FifoModel(VecDeque<u64>);
+enum Model {
+    Fifo(VecDeque<u64>),
+    Lifo(Vec<u64>),
+    Set(BTreeSet<u64>),
+}
 
-impl sweep::SeqModel for FifoModel {
-    type Op = Op;
-    fn apply(&mut self, op: Op) -> Option<u64> {
-        match op {
-            Op::Enqueue(v) => {
-                self.0.push_back(v);
+impl Model {
+    fn initial(shape: Shape, prefill: &[u64]) -> Model {
+        match shape {
+            Shape::Fifo => Model::Fifo(prefill.iter().copied().collect()),
+            Shape::Lifo => Model::Lifo(prefill.to_vec()),
+            Shape::Set | Shape::Map => Model::Set(prefill.iter().copied().collect()),
+        }
+    }
+}
+
+impl sweep::SeqModel for Model {
+    type Op = StructOp;
+    fn apply(&mut self, op: StructOp) -> Option<u64> {
+        match (self, op) {
+            (Model::Fifo(q), StructOp::Push(v)) => {
+                q.push_back(v);
                 None
             }
-            Op::Dequeue => self.0.pop_front(),
+            (Model::Fifo(q), StructOp::Pop) => q.pop_front(),
+            (Model::Lifo(s), StructOp::Push(v)) => {
+                s.push(v);
+                None
+            }
+            (Model::Lifo(s), StructOp::Pop) => s.pop(),
+            (Model::Set(s), StructOp::Insert(k)) => Some(s.insert(k) as u64),
+            (Model::Set(s), StructOp::Remove(k)) => Some(s.remove(&k) as u64),
+            (Model::Set(s), StructOp::Contains(k)) => Some(s.contains(&k) as u64),
+            _ => unreachable!("operation does not match the variant's shape"),
         }
     }
     fn final_drain(&self) -> Vec<u64> {
-        self.0.iter().copied().collect()
+        match self {
+            Model::Fifo(q) => q.iter().copied().collect(),
+            // Stacks drain top-down.
+            Model::Lifo(items) => items.iter().rev().copied().collect(),
+            // Sets snapshot ascending.
+            Model::Set(keys) => keys.iter().copied().collect(),
+        }
     }
 }
 
-/// Aggregate result of sweeping one (variant, workload) combination
-/// (the shared [`sweep::Report`] instantiated at the queue variants).
-pub type SweepReport = sweep::Report<SweepVariant>;
+/// The `QueueHandle` → [`StructHandle`] adaptor: a FIFO reads `Push` as
+/// enqueue and `Pop` as dequeue, so queues are driven by the same op alphabet
+/// and the same boxed handle as every other shape.
+pub struct Fifo<H>(pub H);
 
-/// Aggregate result of an interleaved (schedule × crash point) sweep
-/// (the shared [`sweep::ConcReport`] instantiated at the queue variants).
-pub type ConcSweepReport = sweep::ConcReport<SweepVariant>;
+impl<H: QueueHandle> StructHandle for Fifo<H> {
+    fn apply(&mut self, op: StructOp) -> Option<u64> {
+        match op {
+            StructOp::Push(v) => {
+                self.0.enqueue(v);
+                None
+            }
+            StructOp::Pop => self.0.dequeue(),
+            other => panic!("queues take Push/Pop only, got {other:?}"),
+        }
+    }
 
-/// Upper bound on the elements a replay of `workload` can leave behind:
-/// the prefill plus every enqueue in the swept window (whether or not it
-/// completed — an interrupted enqueue may still have applied). Draining is
-/// bounded by this figure so a cyclic next-pointer chain produced by a
-/// recovery bug terminates the replay with an over-long drain (an oracle
-/// violation carrying the offending schedule) instead of hanging the sweep.
-fn drain_bound(workload: &Workload) -> usize {
-    workload.prefill.len()
-        + workload
-            .ops
-            .iter()
-            .filter(|op| matches!(op, Op::Enqueue(_)))
-            .count()
+    fn drain_up_to(&mut self, max: usize) -> Drain {
+        let items = self.0.drain_up_to(max);
+        let truncated = max > 0 && items.len() == max;
+        Drain { items, truncated }
+    }
+}
+
+/// The per-thread handle of any [`Variant`]: [`StructHandle`] plus the one way
+/// the sweeper reaches a capsule handle's `runtime_mut()`. The defaults are
+/// what a handle without a capsule runtime answers.
+pub trait Handle: StructHandle {
+    /// The capsule runtime's counters so far (all zero without a runtime).
+    fn capsule_metrics(&mut self) -> CapsuleMetrics {
+        CapsuleMetrics::default()
+    }
+    /// Make crashes the capsule runtime absorbs full-system ones (unflushed
+    /// lines roll back); a no-op without a runtime, whose driver applies the
+    /// crash itself ([`sweep::apply_driver_crash`]).
+    fn set_system_crashes(&mut self, _system: bool) {}
+}
+
+macro_rules! handles {
+    (plain: $($plain:ty),*; capsule: $($caps:ty $(=> .$inner:tt)?),* $(,)?) => {
+        $(impl Handle for $plain {})*
+        $(impl Handle for $caps {
+            fn capsule_metrics(&mut self) -> CapsuleMetrics {
+                self$(.$inner)?.runtime_mut().metrics()
+            }
+            fn set_system_crashes(&mut self, system: bool) {
+                self$(.$inner)?.runtime_mut().set_system_crashes(system)
+            }
+        })*
+    };
+}
+handles! {
+    plain: Fifo<queues::MsqHandle<'_, '_, '_>>, Fifo<queues::LogQueueHandle<'_, '_, '_>>,
+        structs::TreiberStackHandle<'_, '_, '_>, structs::ListSetHandle<'_, '_, '_>,
+        structs::DetMapHandle<'_, '_, '_>;
+    capsule: Fifo<queues::GeneralQueueHandle<'_, '_, '_>> => .0,
+        Fifo<queues::NormalizedQueueHandle<'_, '_, '_>> => .0,
+        structs::GeneralStackHandle<'_, '_, '_>, structs::NormalizedStackHandle<'_, '_, '_>,
+        structs::GeneralSetHandle<'_, '_, '_>, structs::NormalizedSetHandle<'_, '_, '_>,
+        structs::GeneralDetMapHandle<'_, '_, '_>, structs::NormalizedDetMapHandle<'_, '_, '_>,
+}
+
+/// A constructed structure of any [`Variant`] (see [`build`]).
+pub enum Built {
+    /// [`Variant::IzraelevitzMsq`].
+    Msq(MsQueue),
+    /// [`Variant::General`] / [`Variant::GeneralOpt`].
+    GeneralQueue(GeneralQueue),
+    /// [`Variant::Normalized`] / [`Variant::NormalizedOpt`].
+    NormalizedQueue(NormalizedQueue),
+    /// [`Variant::LogQueue`].
+    Log(LogQueue),
+    /// [`Variant::StackIzraelevitz`].
+    Stack(TreiberStack),
+    /// [`Variant::StackGeneral`].
+    GeneralStack(GeneralStack),
+    /// [`Variant::StackNormalized`].
+    NormalizedStack(NormalizedStack),
+    /// [`Variant::SetIzraelevitz`].
+    Set(ListSet),
+    /// [`Variant::SetGeneral`].
+    GeneralSet(GeneralSet),
+    /// [`Variant::SetNormalized`].
+    NormalizedSet(NormalizedSet),
+    /// [`Variant::MapIzraelevitz`].
+    Map(DetMap),
+    /// [`Variant::MapGeneral`].
+    GeneralMap(GeneralDetMap),
+    /// [`Variant::MapNormalized`].
+    NormalizedMap(NormalizedDetMap),
+}
+
+/// The one table from a [`Variant`] to its structure, shared by the sweeper's
+/// replays and the throughput harnesses. `t` allocates the structure for
+/// `nprocs` processes; `map` sizes the map variants' bucket array; `adaptive`
+/// and `trip_threshold` configure the capsule queues' contention-adaptive fast
+/// path (`adaptive` is and-ed with the `DF_ADAPTIVE` knob; `None` keeps the
+/// production contention policy) and mean nothing to the other variants.
+pub fn build(
+    variant: Variant,
+    t: &PThread<'_>,
+    nprocs: usize,
+    map: MapConfig,
+    adaptive: bool,
+    trip_threshold: Option<u32>,
+) -> Built {
+    let adaptive = adaptive && capsules::adaptive_enabled();
+    let contention = trip_threshold.map(|n| ContentionMeasure::new().with_threshold(n));
+    let general = BoundaryStyle::General;
+    match variant {
+        Variant::IzraelevitzMsq => Built::Msq(MsQueue::new(t)),
+        Variant::General | Variant::GeneralOpt => {
+            let style = if variant == Variant::GeneralOpt {
+                BoundaryStyle::Compact
+            } else {
+                general
+            };
+            let q = GeneralQueue::new(t, nprocs, Durability::Manual, style).with_adaptive(adaptive);
+            Built::GeneralQueue(match contention {
+                Some(policy) => q.with_contention(policy),
+                None => q,
+            })
+        }
+        Variant::Normalized | Variant::NormalizedOpt => {
+            let optimised = variant == Variant::NormalizedOpt;
+            let q = NormalizedQueue::new(t, nprocs, Durability::Manual, optimised)
+                .with_adaptive(adaptive);
+            Built::NormalizedQueue(match contention {
+                Some(policy) => q.with_contention(policy),
+                None => q,
+            })
+        }
+        Variant::LogQueue => Built::Log(LogQueue::new(t, nprocs)),
+        Variant::StackIzraelevitz => Built::Stack(TreiberStack::new(t)),
+        Variant::StackGeneral => Built::GeneralStack(GeneralStack::new(t, nprocs, true, general)),
+        Variant::StackNormalized => {
+            Built::NormalizedStack(NormalizedStack::new(t, nprocs, true, false))
+        }
+        Variant::SetIzraelevitz => Built::Set(ListSet::new(t)),
+        Variant::SetGeneral => Built::GeneralSet(GeneralSet::new(t, nprocs, true, general)),
+        Variant::SetNormalized => Built::NormalizedSet(NormalizedSet::new(t, nprocs, true, false)),
+        Variant::MapIzraelevitz => Built::Map(DetMap::new(t, map)),
+        Variant::MapGeneral => {
+            Built::GeneralMap(GeneralDetMap::new(t, nprocs, map, true, general))
+        }
+        Variant::MapNormalized => {
+            Built::NormalizedMap(NormalizedDetMap::new(t, nprocs, map, true, false))
+        }
+    }
+}
+
+impl Built {
+    /// The one table from a built structure to thread `t`'s boxed handle.
+    pub fn handle<'a>(&'a self, t: &'a PThread<'a>) -> Box<dyn Handle + 'a> {
+        match self {
+            Built::Msq(q) => Box::new(Fifo(q.handle(t))),
+            Built::GeneralQueue(q) => Box::new(Fifo(q.handle(t))),
+            Built::NormalizedQueue(q) => Box::new(Fifo(q.handle(t))),
+            Built::Log(q) => Box::new(Fifo(q.handle(t))),
+            Built::Stack(s) => Box::new(s.handle(t)),
+            Built::GeneralStack(s) => Box::new(s.handle(t)),
+            Built::NormalizedStack(s) => Box::new(s.handle(t)),
+            Built::Set(s) => Box::new(s.handle(t)),
+            Built::GeneralSet(s) => Box::new(s.handle(t)),
+            Built::NormalizedSet(s) => Box::new(s.handle(t)),
+            Built::Map(m) => Box::new(m.handle(t)),
+            Built::GeneralMap(m) => Box::new(m.handle(t)),
+            Built::NormalizedMap(m) => Box::new(m.handle(t)),
+        }
+    }
 }
 
 /// Run one operation through the LogQueue's detectable-recovery protocol
 /// (documented on `LogQueue::logged_seq`), retrying through crashes — nested
-/// ones included — until the operation's exact result is known. Shared by the
-/// single-threaded replays and the scheduled concurrent workers; crashes are
+/// ones included — until the operation's exact result is known. Crashes are
 /// applied kill-aware via [`sweep::apply_driver_crash`].
-fn log_queue_op<H: QueueHandle>(
+fn log_queue_op(
     q: &LogQueue,
     t: &PThread<'_>,
-    h: &mut H,
-    op: Op,
+    h: &mut dyn Handle,
+    op: StructOp,
     system: bool,
     recoveries: &Cell<u64>,
     recovery_crashes: &Cell<u64>,
@@ -370,14 +782,7 @@ fn log_queue_op<H: QueueHandle>(
     };
     loop {
         let seq_before = read_only(&|| q.logged_seq(t), false);
-        let attempt = catch_crash(|| match op {
-            Op::Enqueue(v) => {
-                h.enqueue(v);
-                None
-            }
-            Op::Dequeue => h.dequeue(),
-        });
-        match attempt {
+        match catch_crash(|| h.apply(op)) {
             Ok(ret) => break ret,
             Err(_) => {
                 crashed(false);
@@ -401,8 +806,8 @@ fn log_queue_op<H: QueueHandle>(
                         // The log entry is marked done: the operation
                         // completed before the crash.
                         break match op {
-                            Op::Enqueue(_) => None,
-                            Op::Dequeue => loop {
+                            StructOp::Push(_) => None,
+                            _ => loop {
                                 match catch_crash(|| q.logged_result(t)) {
                                     Ok(r) => break r,
                                     Err(_) => crashed(true),
@@ -419,16 +824,103 @@ fn log_queue_op<H: QueueHandle>(
     }
 }
 
+/// One process driving one built structure: the thread's boxed handle plus
+/// the three op-runners (module docs) and the recovery bookkeeping they
+/// share. Used verbatim by the single-threaded and the scheduled replays.
+struct Driver<'a> {
+    variant: Variant,
+    built: &'a Built,
+    t: &'a PThread<'a>,
+    h: Box<dyn Handle + 'a>,
+    system: bool,
+    /// The handle's capsule metrics when the swept window opened.
+    base: CapsuleMetrics,
+    /// LogQueue protocol recoveries / crashes inside them (driver-counted;
+    /// the capsule variants count theirs in the runtime's metrics).
+    recoveries: Cell<u64>,
+    recovery_crashes: Cell<u64>,
+}
+
+impl<'a> Driver<'a> {
+    fn new(variant: Variant, built: &'a Built, t: &'a PThread<'a>, system: bool) -> Driver<'a> {
+        let mut h = built.handle(t);
+        h.set_system_crashes(system);
+        Driver {
+            variant,
+            built,
+            t,
+            h,
+            system,
+            base: CapsuleMetrics::default(),
+            recoveries: Cell::new(0),
+            recovery_crashes: Cell::new(0),
+        }
+    }
+
+    /// Open the swept window: recovery counters are deltas from here.
+    fn open_window(&mut self) {
+        self.base = self.h.capsule_metrics();
+    }
+
+    /// Run one operation through the variant's op-runner.
+    fn run(&mut self, op: StructOp) -> OpOutcome {
+        match self.built {
+            Built::Log(q) => OpOutcome::Completed(log_queue_op(
+                q,
+                self.t,
+                self.h.as_mut(),
+                op,
+                self.system,
+                &self.recoveries,
+                &self.recovery_crashes,
+            )),
+            // The capsule runtime absorbs every crash inside the operation:
+            // it completes with its exact result no matter where the schedule
+            // fires. That completion *is* the detectability claim the oracle
+            // then verifies against the crash-free history.
+            _ if self.variant.detectable() => OpOutcome::Completed(self.h.apply(op)),
+            // No recovery protocol: a crash unwinds to here, and the process
+            // cannot tell whether the interrupted operation took effect (that
+            // is the point of Figure 5's comparison). Record the ambiguity
+            // for the forked-model oracle and move on.
+            _ => match catch_crash(|| self.h.apply(op)) {
+                Ok(ret) => OpOutcome::Completed(ret),
+                Err(_) => {
+                    sweep::apply_driver_crash(self.t, self.system);
+                    OpOutcome::Interrupted
+                }
+            },
+        }
+    }
+
+    /// Recovery counters since [`open_window`](Driver::open_window), in the
+    /// matching [`CapsuleMetrics`] fields (the others stay zero).
+    fn window_metrics(&mut self) -> CapsuleMetrics {
+        let m = self.h.capsule_metrics();
+        CapsuleMetrics {
+            recoveries: m.recoveries - self.base.recoveries + self.recoveries.get(),
+            entry_retries: m.entry_retries - self.base.entry_retries,
+            recovery_crashes: m.recovery_crashes - self.base.recovery_crashes
+                + self.recovery_crashes.get(),
+            fast_ops: m.fast_ops - self.base.fast_ops,
+            demotions: m.demotions - self.base.demotions,
+            ..CapsuleMetrics::default()
+        }
+    }
+}
+
 /// Run one replay of `workload` on `variant` with the given crash script
 /// (a disarmed/empty plan ⇒ crash-free baseline). `system` selects full-system
 /// crash semantics (see [`sweep::apply_driver_crash`] and [`sweep`]).
 ///
-/// Every replay runs with the [`pmem::FlushAuditor`] armed: on top of the
-/// history oracle, any flush-ordering violation is caught *at the faulting
+/// Every replay runs with the [`pmem::FlushAuditor`] and the
+/// [`pmem::HbAnalyzer`] armed (handles pick the armed bits up at
+/// construction): on top of the history oracle, any flush-ordering or
+/// synchronization-discipline violation is caught *at the faulting
 /// instruction* and reported with the replay (all swept variants claim a
-/// complete flush discipline, so the auditor must stay silent).
-fn replay(
-    variant: SweepVariant,
+/// complete flush discipline, so both must stay silent).
+pub(crate) fn replay(
+    variant: Variant,
     workload: &Workload,
     plan: &CrashPlan,
     system: bool,
@@ -436,248 +928,65 @@ fn replay(
     pmem::install_quiet_crash_hook();
     let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
     mem.flush_auditor().arm();
-    // The happens-before analyzer rides every replay too (handles created
-    // below pick the armed bit up at construction): every crash point is also
-    // checked for synchronization- and persist-order discipline.
     mem.hb().arm();
-    let audit_of = |mem: &PMem| (mem.flush_auditor().flags(), mem.flush_auditor().take_reports());
-    let hb_of = |mem: &PMem| (mem.hb().flags(), mem.hb().take_reports());
-    // Every drain below is bounded: `bound + 1` dequeues is enough to prove a
-    // corrupted (cyclic) chain without ever spinning on it.
-    let bound = drain_bound(workload);
-    match variant {
-        SweepVariant::IzraelevitzMsq => {
-            let t = mem.thread_with(0, ThreadOptions { izraelevitz: true });
-            let q = MsQueue::new(&t);
-            let mut h = q.handle(&t);
-            for &v in &workload.prefill {
-                h.enqueue(v);
-            }
-            mem.persist_everything();
-            let _ = t.take_stats();
-            if plan.remaining() > 0 {
-                t.set_crash_schedule(plan.clone());
-            }
-            let mut outcomes = Vec::with_capacity(workload.ops.len());
-            for &op in &workload.ops {
-                // The plain MSQ has no recovery protocol: a crash unwinds to
-                // here, and the process cannot tell whether the interrupted
-                // operation took effect (that is the point of Figure 5's
-                // comparison). Record the ambiguity for the oracle and move on.
-                let outcome = catch_crash(|| match op {
-                    Op::Enqueue(v) => {
-                        h.enqueue(v);
-                        None
-                    }
-                    Op::Dequeue => h.dequeue(),
-                });
-                outcomes.push(match outcome {
-                    Ok(ret) => OpOutcome::Completed(ret),
-                    Err(_) => {
-                        sweep::apply_driver_crash(&t, system);
-                        OpOutcome::Interrupted
-                    }
-                });
-            }
-            let window = t.stats();
-            t.disarm_crashes();
-            let drained = h.drain_up_to(bound + 1);
-            let (audit_flags, audit_reports) = audit_of(&mem);
-            let (hb_flags, hb_reports) = hb_of(&mem);
-            ReplayRecord {
-                outcomes,
-                drain_overflow: drained.len() > bound,
-                drained,
-                crash_points: window.crash_points,
-                crashes: window.crashes,
-                recoveries: 0,
-                entry_retries: 0,
-                recovery_crashes: 0,
-                fast_ops: 0,
-                demotions: 0,
-                audit_flags,
-                audit_reports,
-                hb_flags,
-                hb_reports,
-            }
-        }
-        SweepVariant::General
-        | SweepVariant::GeneralOpt
-        | SweepVariant::Normalized
-        | SweepVariant::NormalizedOpt => {
-            enum H<'q, 't, 'm> {
-                G(queues::GeneralQueueHandle<'q, 't, 'm>),
-                N(queues::NormalizedQueueHandle<'q, 't, 'm>),
-            }
-            impl H<'_, '_, '_> {
-                fn run(&mut self, op: Op) -> Option<u64> {
-                    let h: &mut dyn QueueHandle = match self {
-                        H::G(h) => h,
-                        H::N(h) => h,
-                    };
-                    match op {
-                        Op::Enqueue(v) => {
-                            h.enqueue(v);
-                            None
-                        }
-                        Op::Dequeue => h.dequeue(),
-                    }
-                }
-                fn drain_up_to(&mut self, max: usize) -> Vec<u64> {
-                    match self {
-                        H::G(h) => h.drain_up_to(max),
-                        H::N(h) => h.drain_up_to(max),
-                    }
-                }
-                fn metrics(&mut self) -> CapsuleMetrics {
-                    match self {
-                        H::G(h) => h.runtime_mut().metrics(),
-                        H::N(h) => h.runtime_mut().metrics(),
-                    }
-                }
-            }
-            let t = mem.thread(0);
-            let general;
-            let normalized;
-            let mut h = match variant {
-                SweepVariant::General | SweepVariant::GeneralOpt => {
-                    let style = if variant == SweepVariant::GeneralOpt {
-                        BoundaryStyle::Compact
-                    } else {
-                        BoundaryStyle::General
-                    };
-                    // `slow_path` workloads pin the simulator route; adaptive
-                    // workloads keep the queue's own default (the `DF_ADAPTIVE`
-                    // knob), so the default matrix crashes the fast path.
-                    general = GeneralQueue::new(&t, 1, Durability::Manual, style)
-                        .with_adaptive(workload.adaptive && capsules::adaptive_enabled());
-                    H::G(general.handle(&t))
-                }
-                _ => {
-                    let optimised = variant == SweepVariant::NormalizedOpt;
-                    normalized = NormalizedQueue::new(&t, 1, Durability::Manual, optimised)
-                        .with_adaptive(workload.adaptive && capsules::adaptive_enabled());
-                    H::N(normalized.handle(&t))
-                }
-            };
-            match &mut h {
-                H::G(hh) => hh.runtime_mut().set_system_crashes(system),
-                H::N(hh) => hh.runtime_mut().set_system_crashes(system),
-            }
-            for &v in &workload.prefill {
-                h.run(Op::Enqueue(v));
-            }
-            mem.persist_everything();
-            let metrics_before = h.metrics();
-            let _ = t.take_stats();
-            if plan.remaining() > 0 {
-                t.set_crash_schedule(plan.clone());
-            }
-            // The capsule runtime absorbs every crash inside `run_op`: the
-            // operation completes with its exact result no matter where the
-            // schedule fires. That completion *is* the detectability claim the
-            // oracle then verifies against the crash-free history.
-            let outcomes = workload
-                .ops
-                .iter()
-                .map(|&op| OpOutcome::Completed(h.run(op)))
-                .collect();
-            let window = t.stats();
-            t.disarm_crashes();
-            let drained = h.drain_up_to(bound + 1);
-            let metrics = h.metrics();
-            let (audit_flags, audit_reports) = audit_of(&mem);
-            let (hb_flags, hb_reports) = hb_of(&mem);
-            ReplayRecord {
-                outcomes,
-                drain_overflow: drained.len() > bound,
-                drained,
-                crash_points: window.crash_points,
-                crashes: window.crashes,
-                recoveries: metrics.recoveries - metrics_before.recoveries,
-                entry_retries: metrics.entry_retries - metrics_before.entry_retries,
-                recovery_crashes: metrics.recovery_crashes - metrics_before.recovery_crashes,
-                fast_ops: metrics.fast_ops - metrics_before.fast_ops,
-                demotions: metrics.demotions - metrics_before.demotions,
-                audit_flags,
-                audit_reports,
-                hb_flags,
-                hb_reports,
-            }
-        }
-        SweepVariant::LogQueue => {
-            let t = mem.thread(0);
-            let q = LogQueue::new(&t, 1);
-            let mut h = q.handle(&t);
-            for &v in &workload.prefill {
-                h.enqueue(v);
-            }
-            mem.persist_everything();
-            let _ = t.take_stats();
-            if plan.remaining() > 0 {
-                t.set_crash_schedule(plan.clone());
-            }
-            let recoveries = Cell::new(0u64);
-            let recovery_crashes = Cell::new(0u64);
-            let outcomes = workload
-                .ops
-                .iter()
-                .map(|&op| {
-                    OpOutcome::Completed(log_queue_op(
-                        &q,
-                        &t,
-                        &mut h,
-                        op,
-                        system,
-                        &recoveries,
-                        &recovery_crashes,
-                    ))
-                })
-                .collect();
-            let window = t.stats();
-            t.disarm_crashes();
-            let drained = h.drain_up_to(bound + 1);
-            let (audit_flags, audit_reports) = audit_of(&mem);
-            let (hb_flags, hb_reports) = hb_of(&mem);
-            ReplayRecord {
-                outcomes,
-                drain_overflow: drained.len() > bound,
-                drained,
-                crash_points: window.crash_points,
-                crashes: window.crashes,
-                recoveries: recoveries.get(),
-                entry_retries: 0,
-                recovery_crashes: recovery_crashes.get(),
-                fast_ops: 0,
-                demotions: 0,
-                audit_flags,
-                audit_reports,
-                hb_flags,
-                hb_reports,
-            }
-        }
+    let bound = workload.drain_bound();
+    let t = mem.thread_with(0, variant.thread_options());
+    let built = build(variant, &t, 1, MapConfig::tiny(), workload.adaptive, None);
+    let mut d = Driver::new(variant, &built, &t, system);
+    for &v in &workload.prefill {
+        let _ = d.h.apply(variant.shape().prefill_op(v));
+    }
+    mem.persist_everything();
+    d.open_window();
+    let _ = t.take_stats();
+    if plan.remaining() > 0 {
+        t.set_crash_schedule(plan.clone());
+    }
+    let outcomes = workload.ops.iter().map(|&op| d.run(op)).collect();
+    let window = t.stats();
+    t.disarm_crashes();
+    // `bound + 1` visits are enough to prove a corrupted (cyclic) chain
+    // without ever spinning on it; `truncated` also covers the
+    // marked-node-cycle case, where the walk hits the cap without collecting
+    // an over-long key list.
+    let drained = d.h.drain_up_to(bound + 1);
+    let m = d.window_metrics();
+    ReplayRecord {
+        outcomes,
+        drain_overflow: drained.truncated || drained.items.len() > bound,
+        drained: drained.items,
+        crash_points: window.crash_points,
+        crashes: window.crashes,
+        recoveries: m.recoveries,
+        entry_retries: m.entry_retries,
+        recovery_crashes: m.recovery_crashes,
+        fast_ops: m.fast_ops,
+        demotions: m.demotions,
+        audit_flags: mem.flush_auditor().flags(),
+        audit_reports: mem.flush_auditor().take_reports(),
+        hb_flags: mem.hb().flags(),
+        hb_reports: mem.hb().take_reports(),
     }
 }
 
-/// Check one replayed history against the oracle.
-///
-/// The model is a plain FIFO queue over 64-bit values, driven through the
-/// shared forked-model checker ([`sweep::check_sequential`]): for every
-/// interrupted operation (non-detectable variants only) the model forks into
-/// "applied" and "not applied" branches, and the replay passes iff at least
-/// one branch reproduces every completed operation's return value *and* the
-/// final drained contents.
-fn check_history(workload: &Workload, r: &ReplayRecord) -> Result<(), String> {
+/// Check one replayed history against the oracle: the shape's [`Model`]
+/// driven through the shared forked-model checker
+/// ([`sweep::check_sequential`]). For every interrupted operation
+/// (non-detectable variants only) the model forks into "applied" and "not
+/// applied" branches, and the replay passes iff at least one branch
+/// reproduces every completed operation's return value *and* the final
+/// drained contents.
+fn check_history(shape: Shape, workload: &Workload, r: &ReplayRecord) -> Result<(), String> {
     if r.drain_overflow {
         return Err(format!(
             "drain returned {} elements but at most {} could have survived the \
              replay — corrupted (cyclic?) next-pointer chain",
             r.drained.len(),
-            drain_bound(workload)
+            workload.drain_bound()
         ));
     }
     sweep::check_sequential(
-        FifoModel(workload.prefill.iter().copied().collect()),
+        Model::initial(shape, &workload.prefill),
         &workload.ops,
         &r.outcomes,
         &r.drained,
@@ -693,7 +1002,7 @@ fn check_history(workload: &Workload, r: &ReplayRecord) -> Result<(), String> {
 /// `Some(gap)` injects a second crash `gap` crash points after the first, which
 /// for `gap` near zero lands inside the recovery triggered by the first crash —
 /// the crash-during-recovery schedules of the issue's Definition 2.2 argument.
-pub fn sweep(variant: SweepVariant, workload: &Workload, nested_gap: Option<u64>) -> SweepReport {
+pub fn sweep(variant: Variant, workload: &Workload, nested_gap: Option<u64>) -> Report {
     let nested: Vec<u64> = nested_gap.into_iter().collect();
     sweep_plan(variant, workload, &nested, false)
 }
@@ -706,11 +1015,7 @@ pub fn sweep(variant: SweepVariant, workload: &Workload, nested_gap: Option<u64>
 /// before that, the capsule variants failed exactly here (a rollback zeroed
 /// published-but-unflushed announcement state and `check_recovery` re-applied
 /// the CAS, duplicating an element).
-pub fn sweep_system(
-    variant: SweepVariant,
-    workload: &Workload,
-    nested_gap: Option<u64>,
-) -> SweepReport {
+pub fn sweep_system(variant: Variant, workload: &Workload, nested_gap: Option<u64>) -> Report {
     let nested: Vec<u64> = nested_gap.into_iter().collect();
     sweep_plan(variant, workload, &nested, true)
 }
@@ -725,12 +1030,7 @@ pub fn sweep_system(
 /// sweep fans them out across OS threads — `DF_DFCK_THREADS` bounds the worker
 /// count (default: `available_parallelism`, capped at 8). Results are merged in
 /// `k` order, so reports are deterministic regardless of the worker count.
-pub fn sweep_plan(
-    variant: SweepVariant,
-    workload: &Workload,
-    nested: &[u64],
-    system: bool,
-) -> SweepReport {
+pub fn sweep_plan(variant: Variant, workload: &Workload, nested: &[u64], system: bool) -> Report {
     sweep_plan_with_workers(variant, workload, nested, system, None)
 }
 
@@ -738,38 +1038,36 @@ pub fn sweep_plan(
 /// [`sweep::sweep_workers`]); lets tests compare sequential and parallel runs
 /// without racing on the process environment.
 fn sweep_plan_with_workers(
-    variant: SweepVariant,
+    variant: Variant,
     workload: &Workload,
     nested: &[u64],
     system: bool,
     workers_override: Option<usize>,
-) -> SweepReport {
+) -> Report {
     sweep::run_sweep(
         variant,
-        &format!("dfck trace: {variant:?} {}", workload.name),
         workload.name,
         nested,
         system,
-        variant.detectable(),
         workers_override,
         |plan| replay(variant, workload, plan, system),
-        |r| check_history(workload, r),
+        |r| check_history(variant.shape(), workload, r),
     )
 }
 
-/// Run one *scheduled* replay: the workload's pids drive one shared queue
+/// Run one *scheduled* replay: the workload's pids drive one shared structure
 /// under the deterministic [`ThreadScheduler`] seeded with `sched_seed`;
 /// `plans` assigns each victim/co-victim pid its crash schedule, and
 /// full-system crashes kill the scheduled peers through the scheduler. Public
 /// so the determinism tests can compare fingerprints and timed histories
 /// across runs; sweeps go through [`sweep_interleaved`].
 pub fn conc_replay(
-    variant: SweepVariant,
+    variant: Variant,
     w: &ConcWorkload,
     sched_seed: u64,
     plans: &sweep::VictimPlans,
     system: bool,
-) -> sweep::ConcReplayRecord<Op> {
+) -> sweep::ConcReplayRecord<StructOp> {
     pmem::install_quiet_crash_hook();
     let threads = w.threads();
     let victim = plans.victim();
@@ -784,11 +1082,11 @@ pub fn conc_replay(
     let helper = threads;
     let nprocs = threads + 1;
     let mem = PMem::new(MemConfig::new(nprocs).mode(Mode::SharedCache));
-    // Unlike the flush auditor (disarmed below — its reader discipline is
-    // single-threaded-only, see the comment), the happens-before analyzer
-    // stays armed in scheduled replays: its model is schedule-aware (baton
-    // handovers draw no edges, crashes are barriers), so the interleaved
-    // sweeps double as race checks over every enumerated interleaving.
+    // Unlike the flush auditor (left disarmed — see below), the
+    // happens-before analyzer stays armed in scheduled replays: its model is
+    // schedule-aware (baton handovers draw no edges, crashes are barriers),
+    // so the interleaved sweeps double as race checks over every enumerated
+    // interleaving.
     mem.hb().arm();
     // The flush auditor encodes the Izraelevitz flush-before-publish reader
     // discipline, which only cross-pid reads can violate — and every swept
@@ -802,240 +1100,50 @@ pub fn conc_replay(
     // with it, and a full-system crash rolls the reader's dependent state back
     // together with it. The single-threaded sweeps (where no cross-pid read
     // exists and the discipline is exact) keep the auditor armed; the
-    // scheduled replays disarm it and rely on the linearization oracle plus
-    // the /system rollback semantics to catch real durability bugs.
-    let opts = ThreadOptions {
-        izraelevitz: variant == SweepVariant::IzraelevitzMsq,
-    };
+    // scheduled replays leave it disarmed and rely on the linearization oracle
+    // plus the /system rollback semantics to catch real durability bugs.
+    let opts = variant.thread_options();
     let bound = w.drain_bound();
 
-    enum Q {
-        Msq(MsQueue),
-        Gen(GeneralQueue),
-        Norm(NormalizedQueue),
-        Log(LogQueue),
-    }
     // Build and prefill from the helper pid, unscheduled and crash-free, then
     // make the prefill durable so it survives any later rollback.
-    let q = {
+    let built = {
         let t = mem.thread_with(helper, opts);
-        match variant {
-            SweepVariant::IzraelevitzMsq => {
-                let q = MsQueue::new(&t);
-                {
-                    let mut h = q.handle(&t);
-                    for &v in &w.prefill {
-                        h.enqueue(v);
-                    }
-                }
-                Q::Msq(q)
-            }
-            SweepVariant::General | SweepVariant::GeneralOpt => {
-                let style = if variant == SweepVariant::GeneralOpt {
-                    BoundaryStyle::Compact
-                } else {
-                    BoundaryStyle::General
-                };
-                let mut q = GeneralQueue::new(&t, nprocs, Durability::Manual, style);
-                if let Some(threshold) = w.trip_threshold {
-                    q = q.with_contention(ContentionMeasure::new().with_threshold(threshold));
-                }
-                {
-                    let mut h = q.handle(&t);
-                    for &v in &w.prefill {
-                        h.enqueue(v);
-                    }
-                }
-                Q::Gen(q)
-            }
-            SweepVariant::Normalized | SweepVariant::NormalizedOpt => {
-                let optimised = variant == SweepVariant::NormalizedOpt;
-                let mut q = NormalizedQueue::new(&t, nprocs, Durability::Manual, optimised);
-                if let Some(threshold) = w.trip_threshold {
-                    q = q.with_contention(ContentionMeasure::new().with_threshold(threshold));
-                }
-                {
-                    let mut h = q.handle(&t);
-                    for &v in &w.prefill {
-                        h.enqueue(v);
-                    }
-                }
-                Q::Norm(q)
-            }
-            SweepVariant::LogQueue => {
-                let q = LogQueue::new(&t, nprocs);
-                {
-                    let mut h = q.handle(&t);
-                    for &v in &w.prefill {
-                        h.enqueue(v);
-                    }
-                }
-                Q::Log(q)
-            }
+        let built = build(variant, &t, nprocs, MapConfig::tiny(), true, w.trip_threshold);
+        let mut h = built.handle(&t);
+        for &v in &w.prefill {
+            let _ = h.apply(variant.shape().prefill_op(v));
         }
+        drop(h);
+        built
     };
     mem.persist_everything();
 
-    struct PidOut {
-        history: Vec<TimedOp<Op>>,
-        crash_points: u64,
-        crashes: u64,
-        recoveries: u64,
-        entry_retries: u64,
-        recovery_crashes: u64,
-        fast_ops: u64,
-        demotions: u64,
-    }
-
     let sched = ThreadScheduler::new(SchedConfig::new(threads, sched_seed));
     let gate = TurnGate::new();
+    struct PidOut {
+        history: Vec<TimedOp<StructOp>>,
+        window: Stats,
+        metrics: CapsuleMetrics,
+    }
     let outs: Vec<PidOut> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|pid| {
                 let sched = Arc::clone(&sched);
-                let (mem, q, gate) = (&mem, &q, &gate);
-                let ops: &[Op] = &w.per_pid[pid];
+                let (mem, built, gate) = (&mem, &built, &gate);
+                let ops: &[StructOp] = &w.per_pid[pid];
                 s.spawn(move || {
                     let t = mem.thread_with(pid, opts);
+                    // Handle construction allocates: serialise it in pid
+                    // order so equal seeds reproduce the same layout.
                     gate.wait_for(pid);
-                    match q {
-                        Q::Msq(q) => {
-                            let mut h = q.handle(&t);
-                            gate.advance(pid);
-                            let (history, window) = sweep::run_scheduled_window(
-                                &t,
-                                &sched,
-                                pid,
-                                plans,
-                                ops,
-                                |op| {
-                                    match catch_crash(|| match op {
-                                        Op::Enqueue(v) => {
-                                            h.enqueue(v);
-                                            None
-                                        }
-                                        Op::Dequeue => h.dequeue(),
-                                    }) {
-                                        Ok(ret) => OpOutcome::Completed(ret),
-                                        Err(_) => {
-                                            sweep::apply_driver_crash(&t, system);
-                                            OpOutcome::Interrupted
-                                        }
-                                    }
-                                },
-                            );
-                            PidOut {
-                                history,
-                                crash_points: window.crash_points,
-                                crashes: window.crashes,
-                                recoveries: 0,
-                                entry_retries: 0,
-                                recovery_crashes: 0,
-                                fast_ops: 0,
-                                demotions: 0,
-                            }
-                        }
-                        Q::Gen(q) => {
-                            let mut h = q.handle(&t);
-                            h.runtime_mut().set_system_crashes(system);
-                            gate.advance(pid);
-                            let before = h.runtime_mut().metrics();
-                            let (history, window) = sweep::run_scheduled_window(
-                                &t,
-                                &sched,
-                                pid,
-                                plans,
-                                ops,
-                                |op| {
-                                    OpOutcome::Completed(match op {
-                                        Op::Enqueue(v) => {
-                                            h.enqueue(v);
-                                            None
-                                        }
-                                        Op::Dequeue => h.dequeue(),
-                                    })
-                                },
-                            );
-                            let m = h.runtime_mut().metrics();
-                            PidOut {
-                                history,
-                                crash_points: window.crash_points,
-                                crashes: window.crashes,
-                                recoveries: m.recoveries - before.recoveries,
-                                entry_retries: m.entry_retries - before.entry_retries,
-                                recovery_crashes: m.recovery_crashes - before.recovery_crashes,
-                                fast_ops: m.fast_ops - before.fast_ops,
-                                demotions: m.demotions - before.demotions,
-                            }
-                        }
-                        Q::Norm(q) => {
-                            let mut h = q.handle(&t);
-                            h.runtime_mut().set_system_crashes(system);
-                            gate.advance(pid);
-                            let before = h.runtime_mut().metrics();
-                            let (history, window) = sweep::run_scheduled_window(
-                                &t,
-                                &sched,
-                                pid,
-                                plans,
-                                ops,
-                                |op| {
-                                    OpOutcome::Completed(match op {
-                                        Op::Enqueue(v) => {
-                                            h.enqueue(v);
-                                            None
-                                        }
-                                        Op::Dequeue => h.dequeue(),
-                                    })
-                                },
-                            );
-                            let m = h.runtime_mut().metrics();
-                            PidOut {
-                                history,
-                                crash_points: window.crash_points,
-                                crashes: window.crashes,
-                                recoveries: m.recoveries - before.recoveries,
-                                entry_retries: m.entry_retries - before.entry_retries,
-                                recovery_crashes: m.recovery_crashes - before.recovery_crashes,
-                                fast_ops: m.fast_ops - before.fast_ops,
-                                demotions: m.demotions - before.demotions,
-                            }
-                        }
-                        Q::Log(q) => {
-                            let mut h = q.handle(&t);
-                            gate.advance(pid);
-                            let recoveries = Cell::new(0u64);
-                            let recovery_crashes = Cell::new(0u64);
-                            let (history, window) = sweep::run_scheduled_window(
-                                &t,
-                                &sched,
-                                pid,
-                                plans,
-                                ops,
-                                |op| {
-                                    OpOutcome::Completed(log_queue_op(
-                                        q,
-                                        &t,
-                                        &mut h,
-                                        op,
-                                        system,
-                                        &recoveries,
-                                        &recovery_crashes,
-                                    ))
-                                },
-                            );
-                            PidOut {
-                                history,
-                                crash_points: window.crash_points,
-                                crashes: window.crashes,
-                                recoveries: recoveries.get(),
-                                entry_retries: 0,
-                                recovery_crashes: recovery_crashes.get(),
-                                fast_ops: 0,
-                                demotions: 0,
-                            }
-                        }
-                    }
+                    let mut d = Driver::new(variant, built, &t, system);
+                    gate.advance(pid);
+                    d.open_window();
+                    let (history, window) =
+                        sweep::run_scheduled_window(&t, &sched, pid, plans, ops, |op| d.run(op));
+                    let metrics = d.window_metrics();
+                    PidOut { history, window, metrics }
                 })
             })
             .collect();
@@ -1047,42 +1155,24 @@ pub fn conc_replay(
 
     // Drain from a fresh, unscheduled helper-pid handle after every worker
     // joined.
-    let drained = {
-        let t = mem.thread_with(helper, opts);
-        match &q {
-            Q::Msq(q) => {
-                let mut h = q.handle(&t);
-                h.drain_up_to(bound + 1)
-            }
-            Q::Gen(q) => {
-                let mut h = q.handle(&t);
-                h.drain_up_to(bound + 1)
-            }
-            Q::Norm(q) => {
-                let mut h = q.handle(&t);
-                h.drain_up_to(bound + 1)
-            }
-            Q::Log(q) => {
-                let mut h = q.handle(&t);
-                h.drain_up_to(bound + 1)
-            }
-        }
-    };
+    let drained = built.handle(&mem.thread_with(helper, opts)).drain_up_to(bound + 1);
+    let sum = |f: &dyn Fn(&PidOut) -> u64| outs.iter().map(f).sum::<u64>();
+    let v = &outs[victim];
     sweep::ConcReplayRecord {
         history: outs.iter().flat_map(|o| o.history.iter().copied()).collect(),
-        drain_overflow: drained.len() > bound,
-        drained,
+        drain_overflow: drained.truncated || drained.items.len() > bound,
+        drained: drained.items,
         fingerprint: sched.fingerprint(),
-        victim_crash_points: outs[victim].crash_points,
-        victim_crashes: outs[victim].crashes,
-        covictim_crashes: plans.covictim_pids().map(|p| outs[p].crashes).sum(),
-        victim_recovery_actions: outs[victim].recoveries + outs[victim].entry_retries,
-        crashes: outs.iter().map(|o| o.crashes).sum(),
-        recoveries: outs.iter().map(|o| o.recoveries).sum(),
-        entry_retries: outs.iter().map(|o| o.entry_retries).sum(),
-        recovery_crashes: outs.iter().map(|o| o.recovery_crashes).sum(),
-        fast_ops: outs.iter().map(|o| o.fast_ops).sum(),
-        demotions: outs.iter().map(|o| o.demotions).sum(),
+        victim_crash_points: v.window.crash_points,
+        victim_crashes: v.window.crashes,
+        covictim_crashes: plans.covictim_pids().map(|p| outs[p].window.crashes).sum(),
+        victim_recovery_actions: v.metrics.recoveries + v.metrics.entry_retries,
+        crashes: sum(&|o| o.window.crashes),
+        recoveries: sum(&|o| o.metrics.recoveries),
+        entry_retries: sum(&|o| o.metrics.entry_retries),
+        recovery_crashes: sum(&|o| o.metrics.recovery_crashes),
+        fast_ops: sum(&|o| o.metrics.fast_ops),
+        demotions: sum(&|o| o.metrics.demotions),
         audit_flags: 0,
         audit_reports: Vec::new(),
         hb_flags: mem.hb().flags(),
@@ -1091,21 +1181,21 @@ pub fn conc_replay(
 }
 
 /// The interleaved sweep: enumerate (interleaving seed × crash point) for one
-/// queue variant. For every seed, the crash-free scheduled baseline learns how
-/// many crash points the victim pid (`seed % threads`, rotating across the
-/// seed set) passes, then every one of them is replayed with the scripted
-/// schedule `[k, nested…]` — under per-process (`system = false`) or
-/// full-system (`system = true`) crash semantics. Histories are checked with
-/// the linearization oracle ([`sweep::check_linearizable`]); detectable
-/// variants must additionally complete every operation exactly-once and run a
-/// recovery action on the victim for every injected crash.
+/// variant. For every seed, the crash-free scheduled baseline learns how many
+/// crash points the victim pid (`seed % threads`, rotating across the seed
+/// set) passes, then every one of them is replayed with the scripted schedule
+/// `[k, nested…]` — under per-process (`system = false`) or full-system
+/// (`system = true`) crash semantics. Histories are checked with the
+/// linearization oracle ([`sweep::check_linearizable`]); detectable variants
+/// must additionally complete every operation exactly-once and run a recovery
+/// action on the victim for every injected crash.
 pub fn sweep_interleaved(
-    variant: SweepVariant,
+    variant: Variant,
     w: &ConcWorkload,
     seeds: &[u64],
     nested: &[u64],
     system: bool,
-) -> ConcSweepReport {
+) -> ConcReport {
     sweep_interleaved_with_workers(variant, w, seeds, nested, None, system, None)
 }
 
@@ -1117,39 +1207,37 @@ pub fn sweep_interleaved(
 /// recovering. The report's `covictim_crashes` counts how often the second
 /// schedule actually fired; the engine fails the sweep if it never did.
 pub fn sweep_interleaved_multi(
-    variant: SweepVariant,
+    variant: Variant,
     w: &ConcWorkload,
     seeds: &[u64],
     nested: &[u64],
     covictim_gap: u64,
     system: bool,
-) -> ConcSweepReport {
+) -> ConcReport {
     sweep_interleaved_with_workers(variant, w, seeds, nested, Some(covictim_gap), system, None)
 }
 
 /// [`sweep_interleaved`] with an explicit fan-out worker count (`None` ⇒
 /// [`sweep::sweep_workers`]); lets tests compare sequential and parallel runs.
 fn sweep_interleaved_with_workers(
-    variant: SweepVariant,
+    variant: Variant,
     w: &ConcWorkload,
     seeds: &[u64],
     nested: &[u64],
     covictim_gap: Option<u64>,
     system: bool,
     workers_override: Option<usize>,
-) -> ConcSweepReport {
+) -> ConcReport {
     sweep::run_conc_sweep(
         variant,
-        &format!("dfck conc trace: {variant:?} {}", w.name),
         w.name,
         w.threads(),
         seeds,
         nested,
         covictim_gap,
         system,
-        variant.detectable(),
         workers_override,
-        || FifoModel(w.prefill.iter().copied().collect()),
+        || Model::initial(variant.shape(), &w.prefill),
         |seed, plans| conc_replay(variant, w, seed, plans, system),
     )
 }
@@ -1158,6 +1246,20 @@ fn sweep_interleaved_with_workers(
 mod tests {
 
     use super::*;
+
+    fn crash_free() -> CrashPlan {
+        CrashPlan::new(Vec::new())
+    }
+
+    #[test]
+    fn variant_labels_are_unique_and_round_trip() {
+        let labels: BTreeSet<&str> = Variant::all().iter().map(|v| v.label()).collect();
+        assert_eq!(labels.len(), 15, "duplicate label in Variant::all()");
+        for v in Variant::all() {
+            assert_eq!(Variant::from_label(v.label()), Some(v));
+        }
+        assert_eq!(Variant::from_label("Stack-Generl"), None);
+    }
 
     /// A slow-path enqueue under a full-system crash that lands between the
     /// E_LINK boundary's flush and its fence — the window where the compact
@@ -1168,86 +1270,106 @@ mod tests {
     #[test]
     fn generalopt_slow_path_boundary_crash_runs_hb_clean() {
         let w = Workload::pair().slow_path();
-        let r = replay(SweepVariant::GeneralOpt, &w, &CrashPlan::once(15), true);
+        let r = replay(Variant::GeneralOpt, &w, &CrashPlan::once(15), true);
         assert_eq!(r.hb_flags, 0, "{:?}", r.hb_reports);
     }
 
-    #[test]
-    fn baseline_pair_history_is_consistent() {
-        for variant in SweepVariant::all() {
-            let w = Workload::pair();
-            let r = replay(variant, &w, &CrashPlan::new(Vec::new()), false);
+    /// The crash-free pair replay of every variant of `shape` passes crash
+    /// points and satisfies the shape's oracle.
+    fn baseline_pair_is_consistent(fifo: bool) {
+        for variant in Variant::all() {
+            if (variant.shape() == Shape::Fifo) != fifo {
+                continue;
+            }
+            let w = match variant.shape() {
+                Shape::Fifo => Workload::pair(),
+                Shape::Lifo => Workload::stack_pair(),
+                Shape::Set => Workload::set_pair(),
+                Shape::Map => Workload::map_resize(),
+            };
+            let r = replay(variant, &w, &crash_free(), false);
             assert_eq!(r.crashes, 0);
-            assert!(
-                r.crash_points > 0,
-                "{variant:?}: workload passed no crash points"
-            );
-            check_history(&w, &r).unwrap();
+            assert!(r.crash_points > 0, "{variant:?}: workload passed no crash points");
+            check_history(variant.shape(), &w, &r).unwrap();
         }
     }
 
     #[test]
-    fn oracle_rejects_lost_and_duplicated_elements() {
-        let w = Workload::pair();
-        let good = replay(SweepVariant::General, &w, &CrashPlan::new(Vec::new()), false);
-        check_history(&w, &good).unwrap();
+    fn baseline_pair_history_is_consistent() {
+        baseline_pair_is_consistent(true);
+    }
+
+    /// Lost, duplicated and reordered drains plus an over-long one must all
+    /// fail the oracle of `variant`'s shape.
+    fn oracle_rejects_corrupted_drains(variant: Variant) -> ReplayRecord {
+        let (w, shape) = (Workload::pair(), variant.shape());
+        let good = replay(variant, &w, &crash_free(), false);
+        check_history(shape, &w, &good).unwrap();
         // Lost element: drop the first drained value.
         let mut lost = good.clone();
         lost.drained.remove(0);
-        assert!(check_history(&w, &lost).is_err());
+        assert!(check_history(shape, &w, &lost).is_err());
         // Duplicated element: drain reports a value twice.
         let mut dup = good.clone();
         let v = dup.drained[0];
         dup.drained.insert(0, v);
-        assert!(check_history(&w, &dup).is_err());
+        assert!(check_history(shape, &w, &dup).is_err());
+        // The other shape's drain order (FIFO vs LIFO).
+        let mut reversed = good.clone();
+        reversed.drained.reverse();
+        assert!(check_history(shape, &w, &reversed).is_err());
+        // Over-long drain is diagnosed as a cycle.
+        let mut cycled = good.clone();
+        cycled.drain_overflow = true;
+        let err = check_history(shape, &w, &cycled).unwrap_err();
+        assert!(err.contains("cyclic"), "diagnosis missing from: {err}");
+        good
+    }
+
+    #[test]
+    fn oracle_rejects_lost_and_duplicated_elements() {
+        let mut wrong = oracle_rejects_corrupted_drains(Variant::General);
         // Wrong dequeue return.
-        let mut wrong = good.clone();
         for o in &mut wrong.outcomes {
             if let OpOutcome::Completed(Some(v)) = o {
                 *v += 1;
             }
         }
-        assert!(check_history(&w, &wrong).is_err());
+        assert!(check_history(Shape::Fifo, &Workload::pair(), &wrong).is_err());
     }
 
-    #[test]
-    fn oracle_accepts_ambiguous_interrupted_op_either_way() {
-        // An interrupted enqueue may or may not have applied; both final states
-        // must be accepted, anything else rejected.
+    /// An interrupted addition of 42 to a structure holding 7 may or may not
+    /// have applied; both final states must be accepted, `corrupt` rejected.
+    fn oracle_accepts_interrupted_addition_either_way(shape: Shape, corrupt: Vec<u64>) {
         let w = Workload {
             name: "ambig",
             prefill: vec![7],
-            ops: vec![Op::Enqueue(42)],
+            ops: vec![shape.prefill_op(42)],
             adaptive: true,
         };
         let base = ReplayRecord {
             outcomes: vec![OpOutcome::Interrupted],
             drained: vec![7, 42],
-            drain_overflow: false,
             crash_points: 1,
             crashes: 1,
-            recoveries: 0,
-            entry_retries: 0,
-            recovery_crashes: 0,
-            fast_ops: 0,
-            demotions: 0,
-            audit_flags: 0,
-            audit_reports: Vec::new(),
-            hb_flags: 0,
-            hb_reports: Vec::new(),
+            ..ReplayRecord::default()
         };
-        check_history(&w, &base).unwrap();
-        let mut not_applied = base.clone();
-        not_applied.drained = vec![7];
-        check_history(&w, &not_applied).unwrap();
-        let mut corrupt = base.clone();
-        corrupt.drained = vec![42, 7];
-        assert!(check_history(&w, &corrupt).is_err());
+        check_history(shape, &w, &base).unwrap();
+        let not_applied = ReplayRecord { drained: vec![7], ..base.clone() };
+        check_history(shape, &w, &not_applied).unwrap();
+        let corrupt = ReplayRecord { drained: corrupt, ..base };
+        assert!(check_history(shape, &w, &corrupt).is_err());
     }
 
-    // The full pair sweeps (single + nested, every variant) live in
-    // tests/dfck_sweep.rs; duplicating the multi-thousand-replay runs here
-    // would double the cost of every `cargo test` for identical coverage.
+    #[test]
+    fn oracle_accepts_ambiguous_interrupted_op_either_way() {
+        oracle_accepts_interrupted_addition_either_way(Shape::Fifo, vec![42, 7]);
+    }
+
+    // The full pair sweeps (single + nested, every variant) live in the
+    // integration tests (`tests/`); duplicating the multi-thousand-replay
+    // runs here would double the cost of every `cargo test` for identical
+    // coverage.
 
     /// Deterministic regression for the bounded-drain oracle path: an
     /// artificially cycled queue (the shape a buggy recovery could splice)
@@ -1258,9 +1380,9 @@ mod tests {
         let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
         let t = mem.thread(0);
         let q = MsQueue::new(&t);
-        let mut h = q.handle(&t);
+        let mut h = Fifo(q.handle(&t));
         for v in [1, 2, 3] {
-            h.enqueue(v);
+            h.apply(StructOp::Push(v));
         }
         // Walk sentinel -> n1 -> n2 -> n3 and splice n3.next back to n1.
         let sentinel = pmem::PAddr::from_raw(t.read(q.head_addr()));
@@ -1272,46 +1394,36 @@ mod tests {
         let w = Workload {
             name: "cycled",
             prefill: Vec::new(),
-            ops: vec![Op::Enqueue(1), Op::Enqueue(2), Op::Enqueue(3)],
+            ops: vec![StructOp::Push(1), StructOp::Push(2), StructOp::Push(3)],
             adaptive: true,
         };
-        let bound = drain_bound(&w);
+        let bound = w.drain_bound();
         assert_eq!(bound, 3);
         // The bounded drain stops after bound + 1 dequeues despite the cycle…
         let drained = h.drain_up_to(bound + 1);
-        assert_eq!(drained.len(), bound + 1, "drain must stop at the bound");
+        assert_eq!(drained.items.len(), bound + 1, "drain must stop at the bound");
         // …and the oracle rejects the over-long history with the cycle diagnosis.
         let r = ReplayRecord {
             outcomes: vec![OpOutcome::Completed(None); 3],
-            drain_overflow: drained.len() > bound,
-            drained,
-            crash_points: 0,
-            crashes: 0,
-            recoveries: 0,
-            entry_retries: 0,
-            recovery_crashes: 0,
-            fast_ops: 0,
-            demotions: 0,
-            audit_flags: 0,
-            audit_reports: Vec::new(),
-            hb_flags: 0,
-            hb_reports: Vec::new(),
+            drain_overflow: drained.truncated,
+            drained: drained.items,
+            ..ReplayRecord::default()
         };
-        let err = check_history(&w, &r).unwrap_err();
+        let err = check_history(Shape::Fifo, &w, &r).unwrap_err();
         assert!(err.contains("cyclic"), "diagnosis missing from: {err}");
     }
 
     #[test]
     fn drain_bound_counts_prefill_plus_enqueues() {
         let w = Workload::pair();
-        assert_eq!(drain_bound(&w), w.prefill.len() + 1);
+        assert_eq!(w.drain_bound(), w.prefill.len() + 1);
         let all_deq = Workload {
             name: "deq",
             prefill: vec![1, 2],
-            ops: vec![Op::Dequeue, Op::Dequeue],
+            ops: vec![StructOp::Pop, StructOp::Pop],
             adaptive: true,
         };
-        assert_eq!(drain_bound(&all_deq), 2);
+        assert_eq!(all_deq.drain_bound(), 2);
     }
 
     #[test]
@@ -1319,8 +1431,8 @@ mod tests {
         let a = Workload::seeded(9, 12);
         let b = Workload::seeded(9, 12);
         assert_eq!(a.ops, b.ops);
-        assert!(a.ops.iter().any(|o| matches!(o, Op::Enqueue(_))));
-        assert!(a.ops.iter().any(|o| matches!(o, Op::Dequeue)));
+        assert!(a.ops.iter().any(|o| matches!(o, StructOp::Push(_))));
+        assert!(a.ops.iter().any(|o| matches!(o, StructOp::Pop)));
         assert_ne!(Workload::seeded(10, 12).ops, a.ops);
     }
 
@@ -1332,33 +1444,29 @@ mod tests {
         assert!(w
             .ops
             .iter()
-            .all(|o| !matches!(o, Op::Enqueue(v) if *v <= 1_000_000)));
+            .all(|o| !matches!(o, StructOp::Push(v) if *v <= 1_000_000)));
         // Same seed/ops as the plain generator, just shifted ranges.
         assert_eq!(w.ops.len(), Workload::seeded(9, 12).ops.len());
     }
 
-    #[test]
-    fn parallel_sweep_matches_sequential_sweep() {
-        // The fan-out must not change what is verified: run the same sweep with
-        // one worker and with several, and compare every aggregate.
+    /// The fan-out must not change what is verified: the same sweep with one
+    /// worker and with several yields the same report, field for field.
+    fn parallel_sweep_matches_sequential(variant: Variant) {
         let w = Workload::pair();
-        let seq = sweep_plan_with_workers(SweepVariant::General, &w, &[0], false, Some(1));
-        let par = sweep_plan_with_workers(SweepVariant::General, &w, &[0], false, Some(4));
-        assert_eq!(seq.crash_points, par.crash_points);
-        assert_eq!(seq.replays, par.replays);
-        assert_eq!(seq.crashes_injected, par.crashes_injected);
-        assert_eq!(seq.recoveries, par.recoveries);
-        assert_eq!(seq.entry_retries, par.entry_retries);
-        assert_eq!(seq.recovery_crashes, par.recovery_crashes);
-        assert_eq!(seq.audit_flags, par.audit_flags);
-        assert_eq!(seq.hb_flags, par.hb_flags);
-        assert_eq!(seq.violations, par.violations);
+        let seq = sweep_plan_with_workers(variant, &w, &[0], false, Some(1));
+        let par = sweep_plan_with_workers(variant, &w, &[0], false, Some(4));
+        assert_eq!(seq, par);
         assert!(seq.passed());
     }
 
     #[test]
+    fn parallel_sweep_matches_sequential_sweep() {
+        parallel_sweep_matches_sequential(Variant::General);
+    }
+
+    #[test]
     fn opt_variants_are_swept_and_pass_the_pair_sweep() {
-        for variant in [SweepVariant::GeneralOpt, SweepVariant::NormalizedOpt] {
+        for variant in [Variant::GeneralOpt, Variant::NormalizedOpt] {
             let report = sweep(variant, &Workload::pair(), None);
             assert!(report.passed(), "{variant:?}: {:?}", report.violations);
             assert!(report.crash_points > 0);
@@ -1379,39 +1487,92 @@ mod tests {
 
     #[test]
     fn parallel_interleaved_sweep_matches_sequential_sweep() {
-        // Same discipline as the sequential sweeps, under the new
+        // Same discipline as the sequential sweeps, under the
         // (seed × crash point) dimension: the fan-out worker count must not
         // change any aggregate of the merged report.
         let w = ConcWorkload::pair(2);
-        let seeds = [1, 2];
-        let seq = sweep_interleaved_with_workers(
-            SweepVariant::General,
-            &w,
-            &seeds,
-            &[],
-            None,
-            false,
-            Some(1),
-        );
-        let par = sweep_interleaved_with_workers(
-            SweepVariant::General,
-            &w,
-            &seeds,
-            &[],
-            None,
-            false,
-            Some(4),
-        );
-        assert_eq!(seq.crash_points, par.crash_points);
-        assert_eq!(seq.replays, par.replays);
-        assert_eq!(seq.crashes_injected, par.crashes_injected);
-        assert_eq!(seq.recoveries, par.recoveries);
-        assert_eq!(seq.entry_retries, par.entry_retries);
-        assert_eq!(seq.recovery_crashes, par.recovery_crashes);
-        assert_eq!(seq.audit_flags, par.audit_flags);
-        assert_eq!(seq.hb_flags, par.hb_flags);
-        assert_eq!(seq.distinct_interleavings, par.distinct_interleavings);
-        assert_eq!(seq.violations, par.violations);
+        let run = |workers| {
+            sweep_interleaved_with_workers(
+                Variant::General,
+                &w,
+                &[1, 2],
+                &[],
+                None,
+                false,
+                Some(workers),
+            )
+        };
+        let (seq, par) = (run(1), run(4));
+        assert_eq!(seq, par);
         assert!(seq.passed(), "{:?}", seq.violations);
+    }
+
+    /// The stack / set / map side of the in-module tests (the former
+    /// structure sweeper's), on the same engine and helpers.
+    mod structs {
+        use super::*;
+
+        #[test]
+        fn baseline_pair_histories_are_consistent() {
+            baseline_pair_is_consistent(false);
+        }
+
+        #[test]
+        fn stack_oracle_rejects_corrupted_histories() {
+            oracle_rejects_corrupted_drains(Variant::StackGeneral);
+        }
+
+        #[test]
+        fn set_oracle_rejects_wrong_membership_answers() {
+            let w = Workload::set_pair();
+            let good = replay(Variant::SetGeneral, &w, &crash_free(), false);
+            check_history(Shape::Set, &w, &good).unwrap();
+            assert_eq!(good.drained, vec![10, 15, 30]);
+            // A flipped insert return (claims the key was present).
+            let mut flipped = good.clone();
+            flipped.outcomes[0] = OpOutcome::Completed(Some(0));
+            assert!(check_history(Shape::Set, &w, &flipped).is_err());
+            // A remove that "succeeded" but left the key behind.
+            let mut stale = good.clone();
+            stale.drained = vec![10, 15, 20, 30];
+            assert!(check_history(Shape::Set, &w, &stale).is_err());
+        }
+
+        #[test]
+        fn set_oracle_accepts_interrupted_ops_either_way() {
+            oracle_accepts_interrupted_addition_either_way(Shape::Set, vec![42]);
+        }
+
+        #[test]
+        fn seeded_workloads_are_reproducible_and_mixed() {
+            let a = Workload::stack_seeded(9, 12);
+            assert_eq!(a.ops, Workload::stack_seeded(9, 12).ops);
+            assert!(a.ops.iter().any(|o| matches!(o, StructOp::Push(_))));
+            assert!(a.ops.iter().any(|o| matches!(o, StructOp::Pop)));
+            let s = Workload::set_seeded(9, 24);
+            assert_eq!(s.ops, Workload::set_seeded(9, 24).ops);
+            assert!(s.ops.iter().any(|o| matches!(o, StructOp::Insert(_))));
+            assert!(s.ops.iter().any(|o| matches!(o, StructOp::Remove(_))));
+            assert!(s.ops.iter().any(|o| matches!(o, StructOp::Contains(_))));
+            // Offsets shift the key/value ranges so property cases stay disjoint.
+            let shifted = Workload::set_seeded_full(9, 24, 3, 1_000_000);
+            assert!(shifted.prefill.iter().all(|&k| k >= 1_000_000));
+        }
+
+        #[test]
+        fn parallel_sweep_matches_sequential_sweep() {
+            parallel_sweep_matches_sequential(Variant::StackGeneral);
+        }
+
+        #[test]
+        fn conc_struct_workload_generators_are_sane() {
+            let sp = ConcWorkload::stack_pair(2);
+            assert_eq!(sp.threads(), 2);
+            assert_eq!(sp.drain_bound(), 4 + 2);
+            let tp = ConcWorkload::set_pair(3);
+            assert_eq!(tp.threads(), 3);
+            // Inserted keys are distinct across pids; removed keys are prefilled.
+            assert_eq!(tp.drain_bound(), 3 + 3);
+        }
     }
 }

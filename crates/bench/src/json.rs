@@ -160,29 +160,41 @@ pub fn render(bench: &str, params: &[(&str, u64)], wall_clock_secs: f64, rows: &
 /// "green" baseline — the exact failure the guard exists to stop.
 const NONZERO_METRIC_KEYS: [&str; 2] = ["recovery_steps", "crashes_injected"];
 
+/// The `DF_REQUIRE_NONZERO` check: every row must report a measured signal —
+/// positive throughput or, for rows that carry benchmark-specific `extra`
+/// metrics instead of a throughput (the recovery table, the dfck coverage
+/// report), a positive [`NONZERO_METRIC_KEYS`] extra — and there must be rows
+/// at all: a run whose filters matched nothing measured nothing.
+fn require_nonzero(bench: &str, rows: &[JsonRow]) -> Result<(), String> {
+    if rows.is_empty() {
+        return Err(format!("DF_REQUIRE_NONZERO: {bench} produced no rows"));
+    }
+    for row in rows {
+        let has_signal = row.mops > 0.0
+            || row
+                .extra
+                .iter()
+                .any(|(k, v)| NONZERO_METRIC_KEYS.contains(k) && *v > 0.0);
+        if !has_signal {
+            return Err(format!(
+                "DF_REQUIRE_NONZERO: {} @ {} threads reported {} Mops/s and no non-zero metric extra",
+                row.variant, row.threads, row.mops
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Write `BENCH_<name>.json` if `DF_JSON` is set; returns the path written.
 ///
-/// When `DF_REQUIRE_NONZERO` is set, exits with an error if any row reports no
-/// measured signal — zero (or negative) throughput and, for rows that carry
-/// benchmark-specific `extra` metrics instead of a throughput (the recovery
-/// table, the dfck coverage report), every [`NONZERO_METRIC_KEYS`] extra zero
-/// as well. The CI bench-smoke job uses this as its pass/fail criterion so a
-/// silently broken variant cannot upload a "green" baseline.
+/// When `DF_REQUIRE_NONZERO` is set, panics instead if [`require_nonzero`]
+/// rejects the rows. The CI bench-smoke job uses this as its pass/fail
+/// criterion so a silently broken variant — or a filter that silently matched
+/// nothing — cannot upload a "green" baseline.
 pub fn emit(bench: &str, params: &[(&str, u64)], wall_clock_secs: f64, rows: &[JsonRow]) -> Option<PathBuf> {
     if std::env::var_os("DF_REQUIRE_NONZERO").is_some() {
-        for row in rows {
-            let has_signal = row.mops > 0.0
-                || row
-                    .extra
-                    .iter()
-                    .any(|(k, v)| NONZERO_METRIC_KEYS.contains(k) && *v > 0.0);
-            assert!(
-                has_signal,
-                "DF_REQUIRE_NONZERO: {} @ {} threads reported {} Mops/s and no non-zero metric extra",
-                row.variant,
-                row.threads,
-                row.mops
-            );
+        if let Err(e) = require_nonzero(bench, rows) {
+            panic!("{e}");
         }
     }
     let dir = json_dir()?;
@@ -244,6 +256,17 @@ mod tests {
         assert!(doc.contains("\"variant\": \"a\\\\b\""));
         assert!(!doc.contains("NaN"));
         assert!(!doc.contains("inf"));
+    }
+
+    #[test]
+    fn require_nonzero_rejects_an_empty_row_set_and_signal_free_rows() {
+        let err = require_nonzero("dfck", &[]).unwrap_err();
+        assert!(err.contains("no rows"), "{err}");
+        require_nonzero("fig7", &[row("MSQ", 1.0)]).unwrap();
+        assert!(require_nonzero("fig7", &[row("MSQ", 0.0)]).is_err());
+        let coverage = |crashes| JsonRow::new("General/pair", 1, 0.0).with("crashes_injected", crashes);
+        require_nonzero("dfck", &[coverage(3.0)]).unwrap();
+        assert!(require_nonzero("dfck", &[coverage(0.0)]).is_err());
     }
 
     #[test]

@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 
 pub mod dfck;
-pub mod dfck_struct;
 pub mod json;
 pub mod structs_bench;
 pub mod sweep;

@@ -11,14 +11,10 @@
 use std::sync::Barrier;
 use std::time::Instant;
 
-use capsules::BoundaryStyle;
-use pmem::{MemConfig, Mode, PMem, Stats, ThreadOptions};
-use structs::{
-    DetMap, GeneralDetMap, GeneralSet, GeneralStack, ListSet, MapConfig, NormalizedDetMap,
-    NormalizedSet, NormalizedStack, StructHandle, StructOp, TreiberStack,
-};
+use pmem::{MemConfig, Mode, PMem, Stats};
+use structs::{MapConfig, StructOp};
 
-use crate::dfck_struct::StructVariant;
+use crate::dfck::{self, Built, Shape, Variant};
 use crate::json::JsonRow;
 use crate::WorkloadConfig;
 
@@ -26,7 +22,7 @@ use crate::WorkloadConfig;
 #[derive(Clone, Debug)]
 pub struct StructMeasurement {
     /// The variant measured.
-    pub variant: StructVariant,
+    pub variant: Variant,
     /// Worker-thread count.
     pub threads: usize,
     /// Throughput in million operations per second.
@@ -50,76 +46,19 @@ impl From<&StructMeasurement> for JsonRow {
     }
 }
 
-enum Built {
-    StackPlain(TreiberStack),
-    StackGeneral(GeneralStack),
-    StackNormalized(NormalizedStack),
-    SetPlain(ListSet),
-    SetGeneral(GeneralSet),
-    SetNormalized(NormalizedSet),
-    MapPlain(DetMap),
-    MapGeneral(GeneralDetMap),
-    MapNormalized(NormalizedDetMap),
+/// The structure family: every swept variant that is not a queue (those have
+/// their own figure harness in the crate root).
+fn struct_variants() -> Vec<Variant> {
+    let all = Variant::all().into_iter();
+    all.filter(|v| v.shape() != Shape::Fifo).collect()
 }
 
-/// Bucket sizing for the throughput maps: small enough that the measured
+/// Build `variant` for `threads` workers through the sweeper's table
+/// ([`dfck::build`]). Maps get a bucket array small enough that the measured
 /// window still crosses grow cycles (the resize protocol is part of the cost
 /// being measured), large enough that steady-state chains stay short.
-fn bench_map_config() -> MapConfig {
-    MapConfig::new(64, 8)
-}
-
-fn build(variant: StructVariant, mem: &PMem, threads: usize) -> Built {
-    let t = mem.thread(0);
-    match variant {
-        StructVariant::StackIzraelevitz => Built::StackPlain(TreiberStack::new(&t)),
-        StructVariant::StackGeneral => {
-            Built::StackGeneral(GeneralStack::new(&t, threads, true, BoundaryStyle::General))
-        }
-        StructVariant::StackNormalized => {
-            Built::StackNormalized(NormalizedStack::new(&t, threads, true, false))
-        }
-        StructVariant::SetIzraelevitz => Built::SetPlain(ListSet::new(&t)),
-        StructVariant::SetGeneral => {
-            Built::SetGeneral(GeneralSet::new(&t, threads, true, BoundaryStyle::General))
-        }
-        StructVariant::SetNormalized => {
-            Built::SetNormalized(NormalizedSet::new(&t, threads, true, false))
-        }
-        StructVariant::MapIzraelevitz => Built::MapPlain(DetMap::new(&t, bench_map_config())),
-        StructVariant::MapGeneral => Built::MapGeneral(GeneralDetMap::new(
-            &t,
-            threads,
-            bench_map_config(),
-            true,
-            BoundaryStyle::General,
-        )),
-        StructVariant::MapNormalized => Built::MapNormalized(NormalizedDetMap::new(
-            &t,
-            threads,
-            bench_map_config(),
-            true,
-            false,
-        )),
-    }
-}
-
-fn handle<'q, 't, 'm>(built: &'q Built, t: &'t pmem::PThread<'m>) -> Box<dyn StructHandle + 'q>
-where
-    't: 'q,
-    'm: 'q,
-{
-    match built {
-        Built::StackPlain(s) => Box::new(s.handle(t)),
-        Built::StackGeneral(s) => Box::new(s.handle(t)),
-        Built::StackNormalized(s) => Box::new(s.handle(t)),
-        Built::SetPlain(s) => Box::new(s.handle(t)),
-        Built::SetGeneral(s) => Box::new(s.handle(t)),
-        Built::SetNormalized(s) => Box::new(s.handle(t)),
-        Built::MapPlain(m) => Box::new(m.handle(t)),
-        Built::MapGeneral(m) => Box::new(m.handle(t)),
-        Built::MapNormalized(m) => Box::new(m.handle(t)),
-    }
+fn build(variant: Variant, mem: &PMem, threads: usize) -> Built {
+    dfck::build(variant, &mem.thread(0), threads, MapConfig::new(64, 8), true, None)
 }
 
 /// Run the structure workload for one variant and thread count.
@@ -127,24 +66,18 @@ where
 /// Set prefill keys are spread across the worker stripes so every thread's
 /// traversals cross other threads' keys (`prefill` bounds the list length and
 /// therefore the search cost, as in the paper's queue prefill).
-pub fn run_struct_workload(variant: StructVariant, cfg: &WorkloadConfig) -> StructMeasurement {
+pub fn run_struct_workload(variant: Variant, cfg: &WorkloadConfig) -> StructMeasurement {
+    assert_ne!(variant.shape(), Shape::Fifo, "queues run through `run_workload`");
     let mem = PMem::new(MemConfig::new(cfg.threads.max(1)).mode(Mode::SharedCache));
     let built = build(variant, &mem, cfg.threads);
-    let opts = ThreadOptions {
-        izraelevitz: matches!(
-            variant,
-            StructVariant::StackIzraelevitz
-                | StructVariant::SetIzraelevitz
-                | StructVariant::MapIzraelevitz
-        ),
-    };
-    let stack = variant.is_stack();
+    let opts = variant.thread_options();
+    let stack = variant.shape() == Shape::Lifo;
 
     // Pre-fill from thread 0 (not timed, not counted). Sets keep a bounded
     // key universe, so prefill inserts distinct keys outside the worker range.
     {
         let t = mem.thread_with(0, opts);
-        let mut h = handle(&built, &t);
+        let mut h = built.handle(&t);
         for i in 0..cfg.prefill {
             let _ = h.apply(if stack {
                 StructOp::Push(i)
@@ -165,7 +98,7 @@ pub fn run_struct_workload(variant: StructVariant, cfg: &WorkloadConfig) -> Stru
                 let threads = cfg.threads as u64;
                 s.spawn(move || {
                     let t = mem.thread_with(pid, opts);
-                    let mut h = handle(built, &t);
+                    let mut h = built.handle(&t);
                     let iters = cfg.pairs_per_thread;
                     let base = (pid as u64) << 48;
                     barrier.wait();
@@ -230,7 +163,7 @@ pub fn run_struct_figure() -> Vec<StructMeasurement> {
     let mut all = Vec::new();
     for threads in 1..=max {
         let cfg = WorkloadConfig::from_env(threads);
-        for variant in StructVariant::all() {
+        for variant in struct_variants() {
             let m = run_struct_workload(variant, &cfg);
             println!(
                 "{:<10} {:<22} {:>10.3} {:>12.2} {:>12.2}",
@@ -272,7 +205,7 @@ mod tests {
 
     #[test]
     fn every_struct_variant_runs_the_workload() {
-        for variant in StructVariant::all() {
+        for variant in struct_variants() {
             let m = run_struct_workload(variant, &tiny(2));
             assert!(m.mops > 0.0, "{variant:?} produced no throughput");
         }
@@ -280,19 +213,36 @@ mod tests {
 
     #[test]
     fn detectable_variants_flush_and_izraelevitz_flushes_more_often_than_plain() {
-        for variant in [
-            StructVariant::StackIzraelevitz,
-            StructVariant::StackGeneral,
-            StructVariant::StackNormalized,
-            StructVariant::SetIzraelevitz,
-            StructVariant::SetGeneral,
-            StructVariant::SetNormalized,
-            StructVariant::MapIzraelevitz,
-            StructVariant::MapGeneral,
-            StructVariant::MapNormalized,
-        ] {
+        for variant in struct_variants() {
             let m = run_struct_workload(variant, &tiny(1));
             assert!(m.flushes_per_op > 0.0, "{variant:?} should flush");
+        }
+    }
+
+    /// The harness has no variant table of its own: what it measures is a
+    /// [`dfck::Built`] from the sweeper's `build`, so driving the sweeper's
+    /// pair workload through it reproduces the sweeper's crash-free history.
+    #[test]
+    fn structs_bench_and_the_sweeper_share_one_build() {
+        use dfck::Workload;
+        for variant in struct_variants() {
+            let w = match variant.shape() {
+                Shape::Lifo => Workload::stack_pair(),
+                _ => Workload::set_pair(),
+            };
+            let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+            let built: Built = build(variant, &mem, 1);
+            let t = mem.thread_with(0, variant.thread_options());
+            let mut h = built.handle(&t);
+            for &v in &w.prefill {
+                let _ = h.apply(variant.shape().prefill_op(v));
+            }
+            let rets: Vec<Option<u64>> = w.ops.iter().map(|&op| h.apply(op)).collect();
+            let drained = h.drain_up_to(w.drain_bound() + 1);
+            let swept = dfck::replay(variant, &w, &pmem::CrashPlan::new(Vec::new()), false);
+            let completed: Vec<_> = rets.into_iter().map(crate::sweep::OpOutcome::Completed).collect();
+            assert_eq!(completed, swept.outcomes, "{variant:?}");
+            assert_eq!(drained.items, swept.drained, "{variant:?}");
         }
     }
 }

@@ -1,14 +1,13 @@
-//! `sweep` — the machinery shared by the exhaustive crash-point sweepers.
+//! `sweep` — the engine under the exhaustive crash-point sweeper.
 //!
-//! [`crate::dfck`] (queues) and [`crate::dfck_struct`] (stacks and sets) run
-//! the same engine over different shapes: a crash-free baseline learns the
-//! crash-point count, each point `k` is replayed with a scripted
+//! [`crate::dfck`] runs one engine over every shape: a crash-free baseline
+//! learns the crash-point count, each point `k` is replayed with a scripted
 //! [`CrashPlan`], the independent replays fan out across worker threads, and
 //! per-replay results are merged into a report in `k` order. This module owns
 //! that engine — the replay record, the report, the fan-out/striping, the
-//! kill-aware crash application and the drain-bound discipline — so the two
-//! sweepers contribute only their drivers (how to run one replay) and their
-//! sequential models (what a correct history looks like).
+//! kill-aware crash application and the drain-bound discipline — so
+//! [`crate::dfck`] contributes only the driver (how to run one replay of one
+//! variant) and the sequential models (what a correct history looks like).
 //!
 //! It also owns the **generalized oracle**: a Wing&Gong-style linearization
 //! checker over timed operation histories ([`check_linearizable`]). The
@@ -27,6 +26,8 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use pmem::{CrashPlan, PThread, Stats, ThreadScheduler};
 
+use crate::dfck::Variant;
+
 /// What a replay driver observed for one operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpOutcome {
@@ -39,8 +40,8 @@ pub enum OpOutcome {
 }
 
 /// Everything one single-threaded replay produced, for the oracle and the
-/// report. Shared verbatim by the queue and structure sweepers.
-#[derive(Clone, Debug)]
+/// report.
+#[derive(Clone, Debug, Default)]
 pub struct ReplayRecord {
     /// Per-operation outcomes, in program order.
     pub outcomes: Vec<OpOutcome>,
@@ -79,13 +80,11 @@ pub struct ReplayRecord {
     pub hb_reports: Vec<String>,
 }
 
-/// Aggregate result of sweeping one (variant, workload) combination. `V` is
-/// the sweeper's variant enum ([`crate::dfck::SweepVariant`] or
-/// [`crate::dfck_struct::StructVariant`]); everything else is shared.
-#[derive(Clone, Debug)]
-pub struct Report<V> {
+/// Aggregate result of sweeping one (variant, workload) combination.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Report {
     /// The swept variant.
-    pub variant: V,
+    pub variant: Variant,
     /// Workload name ("pair" / "multi").
     pub workload: &'static str,
     /// Crash schedule family: the gaps injected *after* the swept crash point.
@@ -124,10 +123,30 @@ pub struct Report<V> {
     pub violations: Vec<String>,
 }
 
-impl<V> Report<V> {
+impl Report {
     /// Whether every replay satisfied the oracle.
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// Count one replay (`tag` names it in violation messages) into the
+    /// aggregates.
+    fn absorb(&mut self, tag: &str, r: &ReplayRecord) {
+        self.replays += 1;
+        self.crashes_injected += r.crashes;
+        self.recoveries += r.recoveries;
+        self.entry_retries += r.entry_retries;
+        self.recovery_crashes += r.recovery_crashes;
+        self.fast_ops += r.fast_ops;
+        self.demotions += r.demotions;
+        self.audit_flags += r.audit_flags;
+        self.hb_flags += r.hb_flags;
+        flag_violations(
+            &mut self.violations,
+            tag,
+            (r.audit_flags, &r.audit_reports),
+            (r.hb_flags, &r.hb_reports),
+        );
     }
 }
 
@@ -204,29 +223,41 @@ pub fn fan_out<R: Send>(
     all
 }
 
-/// The shared single-threaded sweep engine: run the crash-free baseline, fan
-/// one replay per crash point out over [`sweep_workers`], and assemble the
+/// Fold one replay's auditor and analyzer flags into `violations`, tagged
+/// with the replay they came from.
+fn flag_violations(
+    violations: &mut Vec<String>,
+    tag: &str,
+    (audit_flags, audit_reports): (u64, &[String]),
+    (hb_flags, hb_reports): (u64, &[String]),
+) {
+    if audit_flags > 0 {
+        violations.push(format!("{tag}: {audit_flags} flush-audit flag(s): {audit_reports:?}"));
+    }
+    if hb_flags > 0 {
+        violations.push(format!("{tag}: {hb_flags} happens-before flag(s): {hb_reports:?}"));
+    }
+}
+
+/// The single-threaded sweep engine: run the crash-free baseline, fan one
+/// replay per crash point out over [`sweep_workers`], and assemble the
 /// [`Report`] — audit flags, schedule-never-fired detection, the
-/// model-consistency check, and (for `strict` = detectable variants) the
-/// exactly-once obligations: history identical to the crash-free run and at
-/// least one recovery action per injected crash.
+/// model-consistency check, and (for detectable variants) the exactly-once
+/// obligations: history identical to the crash-free run and at least one
+/// recovery action per injected crash.
 ///
-/// `trace_tag` prefixes the optional `DF_DFCK_TRACE` schedule log; `replay`
-/// runs one replay under the given plan; `check` is the model-consistency
-/// oracle for one replay (typically [`check_sequential`] behind a
-/// drain-overflow guard).
-#[allow(clippy::too_many_arguments)] // one assembly site, two thin callers
-pub fn run_sweep<V: Copy>(
-    variant: V,
-    trace_tag: &str,
+/// `replay` runs one replay under the given plan; `check` is the
+/// model-consistency oracle for one replay (typically [`check_sequential`]
+/// behind a drain-overflow guard).
+pub fn run_sweep(
+    variant: Variant,
     workload_name: &'static str,
     nested: &[u64],
     system: bool,
-    strict: bool,
     workers_override: Option<usize>,
     replay: impl Fn(&CrashPlan) -> ReplayRecord + Sync,
     check: impl Fn(&ReplayRecord) -> Result<(), String>,
-) -> Report<V> {
+) -> Report {
     // Crash-free baseline: defines the sweep range and the reference history.
     let baseline = replay(&CrashPlan::new(Vec::new()));
     assert_eq!(baseline.crashes, 0);
@@ -236,15 +267,15 @@ pub fn run_sweep<V: Copy>(
         nested: nested.to_vec(),
         system,
         crash_points: baseline.crash_points,
-        replays: 1,
+        replays: 0,
         crashes_injected: 0,
         recoveries: 0,
         entry_retries: 0,
         recovery_crashes: 0,
-        fast_ops: baseline.fast_ops,
-        demotions: baseline.demotions,
-        audit_flags: baseline.audit_flags,
-        hb_flags: baseline.hb_flags,
+        fast_ops: 0,
+        demotions: 0,
+        audit_flags: 0,
+        hb_flags: 0,
         violations: Vec::new(),
     };
     if let Err(e) = check(&baseline) {
@@ -252,25 +283,17 @@ pub fn run_sweep<V: Copy>(
             .violations
             .push(format!("baseline (crash-free): {e}"));
     }
-    if baseline.audit_flags > 0 {
-        report.violations.push(format!(
-            "baseline (crash-free): {} flush-audit flag(s): {:?}",
-            baseline.audit_flags, baseline.audit_reports
-        ));
-    }
-    if baseline.hb_flags > 0 {
-        report.violations.push(format!(
-            "baseline (crash-free): {} happens-before flag(s): {:?}",
-            baseline.hb_flags, baseline.hb_reports
-        ));
-    }
+    report.absorb("baseline (crash-free)", &baseline);
     // One source of truth for the scripted schedule shape: `CrashPlan::nested`
     // builds `[k, nested…]`, and `script()` is what the reports print.
     let plan_for = |k: u64| CrashPlan::nested(k, nested);
     let run_one = |k: u64| -> ReplayRecord {
         let plan = plan_for(k);
         if std::env::var_os("DF_DFCK_TRACE").is_some() {
-            eprintln!("{trace_tag}: k={k} gaps={:?} system={system}", plan.script());
+            eprintln!(
+                "dfck trace: {variant:?} {workload_name}: k={k} gaps={:?} system={system}",
+                plan.script()
+            );
         }
         replay(&plan)
     };
@@ -280,27 +303,7 @@ pub fn run_sweep<V: Copy>(
         .unwrap_or_else(|| sweep_workers(n));
     for (k, r) in fan_out(n, workers, run_one) {
         let gaps = plan_for(k).script().to_vec();
-        report.replays += 1;
-        report.crashes_injected += r.crashes;
-        report.recoveries += r.recoveries;
-        report.entry_retries += r.entry_retries;
-        report.recovery_crashes += r.recovery_crashes;
-        report.fast_ops += r.fast_ops;
-        report.demotions += r.demotions;
-        report.audit_flags += r.audit_flags;
-        report.hb_flags += r.hb_flags;
-        if r.audit_flags > 0 {
-            report.violations.push(format!(
-                "k={k} gaps={gaps:?}: {} flush-audit flag(s): {:?}",
-                r.audit_flags, r.audit_reports
-            ));
-        }
-        if r.hb_flags > 0 {
-            report.violations.push(format!(
-                "k={k} gaps={gaps:?}: {} happens-before flag(s): {:?}",
-                r.hb_flags, r.hb_reports
-            ));
-        }
+        report.absorb(&format!("k={k} gaps={gaps:?}"), &r);
         if r.crashes == 0 {
             report.violations.push(format!(
                 "k={k}: the schedule never fired (swept range disagrees with the replay)"
@@ -311,7 +314,7 @@ pub fn run_sweep<V: Copy>(
             report.violations.push(format!("k={k} gaps={gaps:?}: {e}"));
             continue;
         }
-        if strict {
+        if variant.detectable() {
             // Detectable variants: the history must be *identical* to the
             // crash-free one — crashes must be invisible (Definition 2.2) —
             // and the crash must actually have forced a recovery, proving the
@@ -739,10 +742,10 @@ pub struct ConcReplayRecord<O> {
 /// Aggregate result of an interleaved sweep: one (variant, workload,
 /// schedule-flavour) combination enumerated over (interleaving seed × crash
 /// point).
-#[derive(Clone, Debug)]
-pub struct ConcReport<V> {
+#[derive(Clone, Debug, PartialEq)]
+pub struct ConcReport {
     /// The swept variant.
-    pub variant: V,
+    pub variant: Variant,
     /// Workload name ("conc-pair" / "conc-multi").
     pub workload: &'static str,
     /// Number of scheduled processes.
@@ -787,23 +790,43 @@ pub struct ConcReport<V> {
     pub violations: Vec<String>,
 }
 
-impl<V> ConcReport<V> {
+impl ConcReport {
     /// Whether every replay satisfied the oracle.
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
     }
+
+    /// Count one replay (`tag` names it in violation messages) into the
+    /// aggregates.
+    fn absorb<O>(&mut self, tag: &str, r: &ConcReplayRecord<O>) {
+        self.replays += 1;
+        self.crashes_injected += r.crashes;
+        self.covictim_crashes += r.covictim_crashes;
+        self.recoveries += r.recoveries;
+        self.entry_retries += r.entry_retries;
+        self.recovery_crashes += r.recovery_crashes;
+        self.fast_ops += r.fast_ops;
+        self.demotions += r.demotions;
+        self.audit_flags += r.audit_flags;
+        self.hb_flags += r.hb_flags;
+        flag_violations(
+            &mut self.violations,
+            tag,
+            (r.audit_flags, &r.audit_reports),
+            (r.hb_flags, &r.hb_reports),
+        );
+    }
 }
 
-/// The shared interleaved-sweep engine: for every seed, run a crash-free
-/// scheduled baseline to learn the victim's crash-point count, then fan out
-/// one replay per (seed, crash point `k`) with the scripted schedule
-/// `[k, nested…]` installed on the victim pid (`seed % threads`, so the
-/// victim rotates across the seed set). Every replay is checked with
-/// [`check_linearizable`] against `initial()`; `strict` (detectable variants)
-/// additionally requires every operation to complete — concurrent returns may
-/// legitimately differ across interleavings, so exact baseline equality is
-/// *not* required — and at least one victim recovery action per injected
-/// crash.
+/// The interleaved-sweep engine: for every seed, run a crash-free scheduled
+/// baseline to learn the victim's crash-point count, then fan out one replay
+/// per (seed, crash point `k`) with the scripted schedule `[k, nested…]`
+/// installed on the victim pid (`seed % threads`, so the victim rotates across
+/// the seed set). Every replay is checked with [`check_linearizable`] against
+/// `initial()`; detectable variants additionally must complete every
+/// operation — concurrent returns may legitimately differ across
+/// interleavings, so exact baseline equality is *not* required — and run at
+/// least one victim recovery action per injected crash.
 ///
 /// With `covictim_gap = Some(g)`, every scripted replay additionally arms the
 /// pid after the victim (`(victim + 1) % threads`) with the independent
@@ -814,21 +837,19 @@ impl<V> ConcReport<V> {
 /// `replay(seed, plans)` runs one scheduled replay (a baseline when
 /// `plans.plan_for` is empty everywhere); everything else mirrors
 /// [`run_sweep`].
-#[allow(clippy::too_many_arguments)] // one assembly site, two thin callers
-pub fn run_conc_sweep<V: Copy, M: SeqModel>(
-    variant: V,
-    trace_tag: &str,
+#[allow(clippy::too_many_arguments)] // one assembly site, one thin caller
+pub fn run_conc_sweep<M: SeqModel>(
+    variant: Variant,
     workload_name: &'static str,
     threads: usize,
     seeds: &[u64],
     nested: &[u64],
     covictim_gap: Option<u64>,
     system: bool,
-    strict: bool,
     workers_override: Option<usize>,
     initial: impl Fn() -> M,
     replay: impl Fn(u64, &VictimPlans) -> ConcReplayRecord<M::Op> + Sync,
-) -> ConcReport<V>
+) -> ConcReport
 where
     M::Op: Send,
 {
@@ -836,6 +857,7 @@ where
         covictim_gap.is_none() || threads >= 2,
         "multi-victim sweeps need at least two scheduled pids"
     );
+    let strict = variant.detectable();
     let mut report = ConcReport {
         variant,
         workload: workload_name,
@@ -858,39 +880,27 @@ where
         hb_flags: 0,
         violations: Vec::new(),
     };
+    // The oracle for a replay that carries no scripted victim crash (the
+    // baseline and the multi-victim calibration).
+    let check_unscripted = |report: &mut ConcReport, tag: &str, r: &ConcReplayRecord<M::Op>| {
+        if r.drain_overflow {
+            report
+                .violations
+                .push(format!("{tag}: drain overflow — corrupted (cyclic?) chain"));
+        } else if let Err(e) = check_linearizable(initial(), &r.history, &r.drained) {
+            report.violations.push(format!("{tag}: {e}"));
+        }
+    };
     let mut fingerprints = BTreeSet::new();
     for &seed in seeds {
         let victim = (seed as usize) % threads;
         let baseline = replay(seed, &VictimPlans::baseline(victim));
         assert_eq!(baseline.crashes, 0, "crash-free baseline must not crash");
-        report.replays += 1;
-        report.fast_ops += baseline.fast_ops;
-        report.demotions += baseline.demotions;
-        report.audit_flags += baseline.audit_flags;
-        report.hb_flags += baseline.hb_flags;
         fingerprints.insert(baseline.fingerprint);
         let base_tag = format!("seed={seed} victim={victim}");
-        if baseline.drain_overflow {
-            report.violations.push(format!(
-                "{base_tag} baseline: drain overflow — corrupted (cyclic?) chain"
-            ));
-        } else if let Err(e) =
-            check_linearizable(initial(), &baseline.history, &baseline.drained)
-        {
-            report.violations.push(format!("{base_tag} baseline: {e}"));
-        }
-        if baseline.audit_flags > 0 {
-            report.violations.push(format!(
-                "{base_tag} baseline: {} flush-audit flag(s): {:?}",
-                baseline.audit_flags, baseline.audit_reports
-            ));
-        }
-        if baseline.hb_flags > 0 {
-            report.violations.push(format!(
-                "{base_tag} baseline: {} happens-before flag(s): {:?}",
-                baseline.hb_flags, baseline.hb_reports
-            ));
-        }
+        let baseline_tag = format!("{base_tag} baseline");
+        check_unscripted(&mut report, &baseline_tag, &baseline);
+        report.absorb(&baseline_tag, &baseline);
         let covictim = (victim + 1) % threads;
         // The victim's reachable crash-point range must be calibrated under
         // the schedule the fan-out will actually run: with a co-victim armed,
@@ -904,36 +914,9 @@ where
                 let plans = VictimPlans::baseline(victim)
                     .with_covictim(covictim, CrashPlan::once(gap));
                 let cal = replay(seed, &plans);
-                report.replays += 1;
-                report.crashes_injected += cal.crashes;
-                report.covictim_crashes += cal.covictim_crashes;
-                report.recoveries += cal.recoveries;
-                report.entry_retries += cal.entry_retries;
-                report.recovery_crashes += cal.recovery_crashes;
-                report.fast_ops += cal.fast_ops;
-                report.demotions += cal.demotions;
-                report.audit_flags += cal.audit_flags;
-                report.hb_flags += cal.hb_flags;
                 let cal_tag = format!("{base_tag} calibration covictim={covictim} gap={gap}");
-                if cal.audit_flags > 0 {
-                    report.violations.push(format!(
-                        "{cal_tag}: {} flush-audit flag(s): {:?}",
-                        cal.audit_flags, cal.audit_reports
-                    ));
-                }
-                if cal.hb_flags > 0 {
-                    report.violations.push(format!(
-                        "{cal_tag}: {} happens-before flag(s): {:?}",
-                        cal.hb_flags, cal.hb_reports
-                    ));
-                }
-                if cal.drain_overflow {
-                    report.violations.push(format!(
-                        "{cal_tag}: drain overflow — corrupted (cyclic?) chain"
-                    ));
-                } else if let Err(e) = check_linearizable(initial(), &cal.history, &cal.drained) {
-                    report.violations.push(format!("{cal_tag}: {e}"));
-                }
+                report.absorb(&cal_tag, &cal);
+                check_unscripted(&mut report, &cal_tag, &cal);
                 cal.victim_crash_points
             }
         };
@@ -958,7 +941,7 @@ where
             let plans = plans_for(k);
             if std::env::var_os("DF_DFCK_TRACE").is_some() {
                 eprintln!(
-                    "{trace_tag}: seed={seed} victim={victim} k={k} gaps={:?} covictim_gap={covictim_gap:?} system={system}",
+                    "dfck conc trace: {variant:?} {workload_name}: seed={seed} victim={victim} k={k} gaps={:?} covictim_gap={covictim_gap:?} system={system}",
                     CrashPlan::nested(k, nested).script()
                 );
             }
@@ -972,28 +955,7 @@ where
             if let Some(gap) = covictim_gap {
                 tag.push_str(&format!(" covictim={covictim} covictim_gap={gap}"));
             }
-            report.replays += 1;
-            report.crashes_injected += r.crashes;
-            report.covictim_crashes += r.covictim_crashes;
-            report.recoveries += r.recoveries;
-            report.entry_retries += r.entry_retries;
-            report.recovery_crashes += r.recovery_crashes;
-            report.fast_ops += r.fast_ops;
-            report.demotions += r.demotions;
-            report.audit_flags += r.audit_flags;
-            report.hb_flags += r.hb_flags;
-            if r.audit_flags > 0 {
-                report.violations.push(format!(
-                    "{tag}: {} flush-audit flag(s): {:?}",
-                    r.audit_flags, r.audit_reports
-                ));
-            }
-            if r.hb_flags > 0 {
-                report.violations.push(format!(
-                    "{tag}: {} happens-before flag(s): {:?}",
-                    r.hb_flags, r.hb_reports
-                ));
-            }
+            report.absorb(&tag, &r);
             if r.victim_crashes == 0 {
                 report.violations.push(format!(
                     "{tag}: the schedule never fired on the victim"

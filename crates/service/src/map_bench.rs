@@ -22,12 +22,11 @@
 use std::sync::Barrier;
 use std::time::Instant;
 
-use bench::dfck_struct::StructVariant;
+use bench::dfck::{self, Shape, Variant};
 use bench::env_u64;
 use bench::json::JsonRow;
-use capsules::BoundaryStyle;
-use pmem::{MemConfig, Mode, PMem, Stats, ThreadOptions};
-use structs::{DetMap, GeneralDetMap, MapConfig, NormalizedDetMap, StructHandle, StructOp};
+use pmem::{MemConfig, Mode, PMem, Stats};
+use structs::{MapConfig, StructOp};
 
 use crate::generator::{RequestGen, Zipfian};
 
@@ -79,55 +78,13 @@ impl MapBenchConfig {
     }
 }
 
-enum BuiltMap {
-    Plain(DetMap),
-    General(GeneralDetMap),
-    Normalized(NormalizedDetMap),
-}
-
-fn build(variant: StructVariant, mem: &PMem, threads: usize, cfg: &MapBenchConfig) -> BuiltMap {
-    let t = mem.thread(0);
-    match variant {
-        StructVariant::MapIzraelevitz => BuiltMap::Plain(DetMap::new(&t, cfg.map_config())),
-        StructVariant::MapGeneral => BuiltMap::General(GeneralDetMap::new(
-            &t,
-            threads,
-            cfg.map_config(),
-            true,
-            BoundaryStyle::General,
-        )),
-        StructVariant::MapNormalized => BuiltMap::Normalized(NormalizedDetMap::new(
-            &t,
-            threads,
-            cfg.map_config(),
-            true,
-            false,
-        )),
-        other => panic!("fig_map covers the map variants only, got {other:?}"),
-    }
-}
-
-fn handle<'q, 't, 'm>(built: &'q BuiltMap, t: &'t pmem::PThread<'m>) -> Box<dyn StructHandle + 'q>
-where
-    't: 'q,
-    'm: 'q,
-{
-    match built {
-        BuiltMap::Plain(m) => Box::new(m.handle(t)),
-        BuiltMap::General(m) => Box::new(m.handle(t)),
-        BuiltMap::Normalized(m) => Box::new(m.handle(t)),
-    }
-}
-
 /// Run the Zipfian mixed workload for one map variant; returns the JSON row
 /// (`mops` > 0 is the `DF_REQUIRE_NONZERO` signal).
-pub fn run_map_workload(variant: StructVariant, cfg: &MapBenchConfig) -> JsonRow {
-    assert!(variant.is_map(), "fig_map drives map variants");
+pub fn run_map_workload(variant: Variant, cfg: &MapBenchConfig) -> JsonRow {
+    assert_eq!(variant.shape(), Shape::Map, "fig_map drives map variants");
     let mem = PMem::new(MemConfig::new(cfg.threads).mode(Mode::SharedCache));
-    let built = build(variant, &mem, cfg.threads, cfg);
-    let opts = ThreadOptions {
-        izraelevitz: matches!(variant, StructVariant::MapIzraelevitz),
-    };
+    let built = dfck::build(variant, &mem.thread(0), cfg.threads, cfg.map_config(), true, None);
+    let opts = variant.thread_options();
 
     // Prefill the even keys from thread 0 (untimed, uncounted): half the
     // Zipfian head is present and half absent, so probes, inserts and removes
@@ -136,7 +93,7 @@ pub fn run_map_workload(variant: StructVariant, cfg: &MapBenchConfig) -> JsonRow
     // the residual resizes the write mix still triggers.
     {
         let t = mem.thread_with(0, opts);
-        let mut h = handle(&built, &t);
+        let mut h = built.handle(&t);
         for i in 0..cfg.prefill {
             let _ = h.apply(StructOp::Insert((2 * i) % cfg.keys.max(1)));
         }
@@ -152,7 +109,7 @@ pub fn run_map_workload(variant: StructVariant, cfg: &MapBenchConfig) -> JsonRow
                 let (mem, built, barrier, zipf) = (&mem, &built, &barrier, &zipf);
                 s.spawn(move || {
                     let t = mem.thread_with(pid, opts);
-                    let mut h = handle(built, &t);
+                    let mut h = built.handle(&t);
                     let mut gen =
                         RequestGen::new(cfg.seed + pid as u64, zipf.clone(), cfg.read_pct);
                     let _ = t.take_stats();
@@ -202,9 +159,9 @@ pub fn run_map_figure() -> Vec<JsonRow> {
     );
     let mut rows = Vec::new();
     for variant in [
-        StructVariant::MapIzraelevitz,
-        StructVariant::MapGeneral,
-        StructVariant::MapNormalized,
+        Variant::MapIzraelevitz,
+        Variant::MapGeneral,
+        Variant::MapNormalized,
     ] {
         let row = run_map_workload(variant, &cfg);
         println!(
@@ -251,9 +208,9 @@ mod tests {
     #[test]
     fn every_map_variant_runs_the_zipfian_mix() {
         for variant in [
-            StructVariant::MapIzraelevitz,
-            StructVariant::MapGeneral,
-            StructVariant::MapNormalized,
+            Variant::MapIzraelevitz,
+            Variant::MapGeneral,
+            Variant::MapNormalized,
         ] {
             let row = run_map_workload(variant, &tiny());
             assert!(row.mops > 0.0, "{variant:?} produced no throughput");

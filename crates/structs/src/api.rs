@@ -5,7 +5,7 @@
 ///
 /// Stack handles accept `Push`/`Pop`; set handles accept
 /// `Insert`/`Remove`/`Contains`. Applying an operation of the wrong shape is a
-/// driver bug and panics (the `dfck_struct` workloads are shape-homogeneous by
+/// driver bug and panics (the `bench::dfck` workloads are shape-homogeneous by
 /// construction).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StructOp {

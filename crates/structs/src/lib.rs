@@ -26,7 +26,7 @@
 //!
 //! Every handle presents the uniform [`StructHandle`] face (word-encoded
 //! returns plus the bounded `drain_up_to` quiescent history hook) so the
-//! `bench::dfck_struct` exhaustive crash-point sweeper can drive the whole
+//! `bench::dfck` exhaustive crash-point sweeper can drive the whole
 //! family through one driver.
 
 #![warn(missing_docs)]

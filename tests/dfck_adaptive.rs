@@ -27,12 +27,12 @@
 //! simulator-only route's single-thread coverage alive now that the fast
 //! path is the default.
 
-use bench::dfck::{conc_replay, sweep, sweep_interleaved, sweep_system, ConcWorkload, SweepVariant,
+use bench::dfck::{conc_replay, sweep, sweep_interleaved, sweep_system, ConcWorkload, Variant,
     Workload};
 use bench::sweep::VictimPlans;
 
-fn adaptive_variants() -> Vec<SweepVariant> {
-    SweepVariant::all().into_iter().filter(|v| v.adaptive_capable()).collect()
+fn adaptive_variants() -> Vec<Variant> {
+    Variant::all().into_iter().filter(|v| v.adaptive_capable()).collect()
 }
 
 /// Site (a): with the fast path on (default), the single-thread pair sweep

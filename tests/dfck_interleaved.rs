@@ -20,11 +20,7 @@
 use std::collections::BTreeSet;
 
 use bench::dfck::{
-    conc_replay, sweep_interleaved, sweep_interleaved_multi, ConcWorkload, SweepVariant,
-};
-use bench::dfck_struct::{
-    conc_replay as struct_conc_replay, sweep_interleaved as struct_sweep_interleaved,
-    ConcStructWorkload, StructVariant,
+    conc_replay, sweep_interleaved, sweep_interleaved_multi, ConcWorkload, Shape, Variant,
 };
 use bench::sweep::VictimPlans;
 use pmem::CrashPlan;
@@ -36,7 +32,7 @@ use pmem::CrashPlan;
 #[test]
 fn scheduled_replays_are_bit_identical_for_the_same_seed() {
     let w = ConcWorkload::pair(2);
-    for variant in [SweepVariant::IzraelevitzMsq, SweepVariant::General, SweepVariant::LogQueue] {
+    for variant in [Variant::IzraelevitzMsq, Variant::General, Variant::LogQueue] {
         for system in [false, true] {
             let baseline = conc_replay(variant, &w, 5, &VictimPlans::baseline(1), system);
             let again = conc_replay(variant, &w, 5, &VictimPlans::baseline(1), system);
@@ -61,20 +57,20 @@ fn scheduled_replays_are_bit_identical_for_the_same_seed() {
 #[test]
 fn scheduled_struct_replays_are_bit_identical_for_the_same_seed() {
     for threads in [2usize, 3] {
-        let stack = ConcStructWorkload::stack_pair(threads);
-        let set = ConcStructWorkload::set_pair(threads);
+        let stack = ConcWorkload::stack_pair(threads);
+        let set = ConcWorkload::set_pair(threads);
         for (variant, w) in [
-            (StructVariant::StackGeneral, &stack),
-            (StructVariant::SetNormalized, &set),
+            (Variant::StackGeneral, &stack),
+            (Variant::SetNormalized, &set),
         ] {
             let victim = threads - 1;
-            let baseline = struct_conc_replay(variant, w, 9, &VictimPlans::baseline(victim), true);
-            let again = struct_conc_replay(variant, w, 9, &VictimPlans::baseline(victim), true);
+            let baseline = conc_replay(variant, w, 9, &VictimPlans::baseline(victim), true);
+            let again = conc_replay(variant, w, 9, &VictimPlans::baseline(victim), true);
             assert_eq!(baseline, again, "{variant:?} t{threads}: crash-free replay");
             let k = baseline.victim_crash_points / 2;
             let plans = VictimPlans::scripted(victim, CrashPlan::nested(k, &[]));
-            let crashed = struct_conc_replay(variant, w, 9, &plans, true);
-            let crashed_again = struct_conc_replay(variant, w, 9, &plans, true);
+            let crashed = conc_replay(variant, w, 9, &plans, true);
+            let crashed_again = conc_replay(variant, w, 9, &plans, true);
             assert_eq!(crashed, crashed_again, "{variant:?} t{threads}: crashed replay");
         }
     }
@@ -89,7 +85,7 @@ fn scheduled_struct_replays_are_bit_identical_for_the_same_seed() {
 fn eight_seeds_yield_eight_distinct_interleavings_per_variant() {
     let seeds: Vec<u64> = (1..=8).collect();
     let w = ConcWorkload::pair(2);
-    for variant in SweepVariant::all() {
+    for variant in Variant::all().into_iter().filter(|v| v.shape() == Shape::Fifo) {
         let fingerprints: BTreeSet<u64> = seeds
             .iter()
             .map(|&s| {
@@ -103,12 +99,12 @@ fn eight_seeds_yield_eight_distinct_interleavings_per_variant() {
             "{variant:?}: seeds must map to distinct interleavings"
         );
     }
-    let sw = ConcStructWorkload::stack_pair(2);
+    let sw = ConcWorkload::stack_pair(2);
     let fingerprints: BTreeSet<u64> = seeds
         .iter()
         .map(|&s| {
-            struct_conc_replay(
-                StructVariant::StackGeneral,
+            conc_replay(
+                Variant::StackGeneral,
                 &sw,
                 s,
                 &VictimPlans::baseline((s % 2) as usize),
@@ -122,8 +118,8 @@ fn eight_seeds_yield_eight_distinct_interleavings_per_variant() {
 
 /// Three scheduled processes: distinct seeds still give distinct
 /// interleavings, and each replay is reproducible (the sweep matrix defaults
-/// to two threads; this pins the 3-thread path the `DF_DFCK_CONC_THREADS`
-/// knob exposes).
+/// to two threads; this pins the 3-thread path the library entry points
+/// take as an argument).
 #[test]
 fn three_thread_replays_are_deterministic_and_seed_sensitive() {
     let w = ConcWorkload::pair(3);
@@ -132,8 +128,8 @@ fn three_thread_replays_are_deterministic_and_seed_sensitive() {
         .iter()
         .map(|&s| {
             let plans = VictimPlans::baseline((s % 3) as usize);
-            let r = conc_replay(SweepVariant::General, &w, s, &plans, false);
-            let again = conc_replay(SweepVariant::General, &w, s, &plans, false);
+            let r = conc_replay(Variant::General, &w, s, &plans, false);
+            let again = conc_replay(Variant::General, &w, s, &plans, false);
             assert_eq!(r, again, "seed {s}: 3-thread replay must be deterministic");
             r.fingerprint
         })
@@ -149,7 +145,7 @@ fn three_thread_replays_are_deterministic_and_seed_sensitive() {
 fn bounded_interleaved_sweeps_pass_the_linearization_oracle() {
     let seeds = [1u64, 2];
     let w = ConcWorkload::pair(2);
-    for variant in [SweepVariant::IzraelevitzMsq, SweepVariant::LogQueue] {
+    for variant in [Variant::IzraelevitzMsq, Variant::LogQueue] {
         for system in [false, true] {
             let report = sweep_interleaved(variant, &w, &seeds, &[], system);
             assert!(
@@ -168,9 +164,9 @@ fn bounded_interleaved_sweeps_pass_the_linearization_oracle() {
             assert_eq!(report.covictim_crashes, 0);
         }
     }
-    let sw = ConcStructWorkload::stack_pair(2);
+    let sw = ConcWorkload::stack_pair(2);
     for system in [false, true] {
-        let report = struct_sweep_interleaved(StructVariant::StackGeneral, &sw, &seeds, &[], system);
+        let report = sweep_interleaved(Variant::StackGeneral, &sw, &seeds, &[], system);
         assert!(
             report.passed(),
             "Stack-General (system={system}): {:?}",
@@ -182,13 +178,43 @@ fn bounded_interleaved_sweeps_pass_the_linearization_oracle() {
     }
 }
 
+/// The structure variants the interleaved matrix gained with the unified
+/// engine — Stack-Normalized and both detectable sets — swept over two seeds
+/// under single and nested schedules and both crash flavours (the bin's
+/// default matrix runs the same cells over eight seeds).
+#[test]
+fn bounded_interleaved_sweeps_pass_for_the_normalized_stack_and_the_sets() {
+    let seeds = [1u64, 2];
+    for (variant, w) in [
+        (Variant::StackNormalized, ConcWorkload::stack_pair(2)),
+        (Variant::SetGeneral, ConcWorkload::set_pair(2)),
+        (Variant::SetNormalized, ConcWorkload::set_pair(2)),
+    ] {
+        for (nested, system) in [(&[] as &[u64], false), (&[], true), (&[0], false), (&[0], true)] {
+            let report = sweep_interleaved(variant, &w, &seeds, nested, system);
+            assert!(
+                report.passed(),
+                "{variant:?} (nested={nested:?} system={system}): {:?}",
+                report.violations
+            );
+            assert_eq!((report.audit_flags, report.hb_flags), (0, 0));
+            assert_eq!(report.distinct_interleavings, seeds.len() as u64);
+            assert!(report.crash_points > 0);
+            assert!(report.recoveries > 0, "detectable variant must run recovery actions");
+            if !nested.is_empty() {
+                assert!(report.recovery_crashes > 0, "{variant:?}: nested crash missed recovery");
+            }
+        }
+    }
+}
+
 /// Nested (crash-during-recovery) schedules compose with the scheduled
 /// window: a detectable variant swept with `[k, 0]` plans must interrupt its
 /// own recovery and still pass the oracle.
 #[test]
 fn nested_crash_schedules_compose_with_scheduling() {
     let w = ConcWorkload::pair(2);
-    let report = sweep_interleaved(SweepVariant::General, &w, &[3], &[0], true);
+    let report = sweep_interleaved(Variant::General, &w, &[3], &[0], true);
     assert!(report.passed(), "General nested /system: {:?}", report.violations);
     assert!(
         report.recovery_crashes > 0,
@@ -205,15 +231,15 @@ fn multi_victim_sweeps_crash_two_pids_and_pass_the_oracle() {
     let w = ConcWorkload::pair(2);
     // Replay-level: both pids crash in one deterministic replay.
     let plans = VictimPlans::scripted(0, CrashPlan::once(2)).with_covictim(1, CrashPlan::once(2));
-    let r = conc_replay(SweepVariant::General, &w, 4, &plans, false);
-    let again = conc_replay(SweepVariant::General, &w, 4, &plans, false);
+    let r = conc_replay(Variant::General, &w, 4, &plans, false);
+    let again = conc_replay(Variant::General, &w, 4, &plans, false);
     assert_eq!(r, again, "multi-victim replay must be deterministic");
     assert!(r.victim_crashes >= 1, "victim plan must fire");
     assert!(r.covictim_crashes >= 1, "co-victim plan must fire");
     // Sweep-level: every (seed × crash point) cell with a co-victim crash in
     // the mix passes the oracle, and the engine counted the co-victim fires.
     let seeds = [1u64, 2];
-    for variant in [SweepVariant::General, SweepVariant::LogQueue] {
+    for variant in [Variant::General, Variant::LogQueue] {
         let report = sweep_interleaved_multi(variant, &w, &seeds, &[], 2, false);
         assert!(report.passed(), "{variant:?} /mv: {:?}", report.violations);
         assert_eq!(report.covictim_gap, Some(2));
@@ -236,12 +262,12 @@ fn multi_victim_sweeps_crash_two_pids_and_pass_the_oracle() {
 #[test]
 fn four_thread_system_crash_kills_parked_peers_at_their_next_yield() {
     let w = ConcWorkload::pair(4);
-    let baseline = conc_replay(SweepVariant::General, &w, 11, &VictimPlans::baseline(0), true);
+    let baseline = conc_replay(Variant::General, &w, 11, &VictimPlans::baseline(0), true);
     assert_eq!(baseline.crashes, 0);
     let k = baseline.victim_crash_points / 2;
     let plans = VictimPlans::scripted(0, CrashPlan::nested(k, &[]));
-    let crashed = conc_replay(SweepVariant::General, &w, 11, &plans, true);
-    let again = conc_replay(SweepVariant::General, &w, 11, &plans, true);
+    let crashed = conc_replay(Variant::General, &w, 11, &plans, true);
+    let again = conc_replay(Variant::General, &w, 11, &plans, true);
     assert_eq!(crashed, again, "4-thread kill delivery must be deterministic");
     assert!(crashed.victim_crashes >= 1, "the scripted crash must fire");
     assert!(
@@ -267,13 +293,13 @@ fn four_thread_system_crash_kills_parked_peers_at_their_next_yield() {
 #[test]
 fn four_thread_kill_delivery_skips_finished_peers() {
     let w = ConcWorkload::pair(4);
-    let baseline = conc_replay(SweepVariant::General, &w, 13, &VictimPlans::baseline(2), true);
+    let baseline = conc_replay(Variant::General, &w, 13, &VictimPlans::baseline(2), true);
     let n = baseline.victim_crash_points;
     assert!(n > 1);
     for k in [n - 1, n / 2] {
         let plans = VictimPlans::scripted(2, CrashPlan::nested(k, &[]));
-        let crashed = conc_replay(SweepVariant::General, &w, 13, &plans, true);
-        let again = conc_replay(SweepVariant::General, &w, 13, &plans, true);
+        let crashed = conc_replay(Variant::General, &w, 13, &plans, true);
+        let again = conc_replay(Variant::General, &w, 13, &plans, true);
         assert_eq!(crashed, again, "k={k}: late-window kill must be deterministic");
         assert!(crashed.victim_crashes >= 1, "k={k}: the scripted crash must fire");
         assert!(
@@ -293,7 +319,7 @@ fn four_thread_fingerprints_are_seed_sensitive() {
     let fingerprints: BTreeSet<u64> = seeds
         .iter()
         .map(|&s| {
-            conc_replay(SweepVariant::General, &w, s, &VictimPlans::baseline((s % 4) as usize), false)
+            conc_replay(Variant::General, &w, s, &VictimPlans::baseline((s % 4) as usize), false)
                 .fingerprint
         })
         .collect();

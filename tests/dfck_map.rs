@@ -5,12 +5,11 @@
 //! three-pid multi-victim row where two processes crash in the same replay.
 //!
 //! The single-threaded resize-window sweeps (single, nested, PPM, system)
-//! run through `tests/dfck_struct_sweep.rs`, which picks the resize-crossing
-//! pair workload for every map variant; this file adds the map-only checks.
+//! run through the structure-family sweep tests, which pick the
+//! resize-crossing pair workload for every map variant; this file adds the
+//! map-only checks.
 
-use bench::dfck_struct::{
-    sweep_interleaved, sweep_interleaved_multi, ConcStructWorkload, StructVariant, StructWorkload,
-};
+use bench::dfck::{sweep_interleaved, sweep_interleaved_multi, ConcWorkload, Variant, Workload};
 use capsules::BoundaryStyle;
 use pmem::PMem;
 use structs::{DetMap, GeneralDetMap, MapConfig, NormalizedDetMap, StructHandle};
@@ -21,7 +20,7 @@ use structs::{DetMap, GeneralDetMap, MapConfig, NormalizedDetMap, StructHandle};
 /// simulator transformations provably preserve the bucketed protocol.
 #[test]
 fn all_three_map_constructions_agree_op_for_op_across_resizes() {
-    let w = StructWorkload::set_seeded_full(13, 60, 6, 0);
+    let w = Workload::set_seeded_full(13, 60, 6, 0);
     let run = |which: usize| -> (Vec<Option<u64>>, Vec<u64>) {
         let mem = PMem::with_threads(1);
         let t = mem.thread(0);
@@ -66,9 +65,9 @@ fn all_three_map_constructions_agree_op_for_op_across_resizes() {
 /// under per-process and full-system semantics plus a nested schedule.
 #[test]
 fn interleaved_map_sweeps_pass_for_both_detectable_constructions() {
-    let w = ConcStructWorkload::map_pair(2);
+    let w = ConcWorkload::map_pair(2);
     let seeds = [1, 2];
-    for variant in [StructVariant::MapGeneral, StructVariant::MapNormalized] {
+    for variant in [Variant::MapGeneral, Variant::MapNormalized] {
         for (nested, system) in [(&[] as &[u64], false), (&[], true), (&[0u64][..], false)] {
             let report = sweep_interleaved(variant, &w, &seeds, nested, system);
             assert!(
@@ -90,8 +89,8 @@ fn interleaved_map_sweeps_pass_for_both_detectable_constructions() {
 /// array.
 #[test]
 fn three_pid_multi_victim_interleaved_map_sweep_is_exact() {
-    let w = ConcStructWorkload::map_pair(3);
-    let report = sweep_interleaved_multi(StructVariant::MapGeneral, &w, &[1, 2], &[], 3, false);
+    let w = ConcWorkload::map_pair(3);
+    let report = sweep_interleaved_multi(Variant::MapGeneral, &w, &[1, 2], &[], 3, false);
     assert!(
         report.passed(),
         "Map-General 3-pid multi-victim: {:?}",

@@ -10,8 +10,7 @@
 //! is capped below the proptest default; `PROPTEST_CASES` can lower it further
 //! but not raise it past the cap (CI time budget).
 
-use bench::dfck::{sweep, sweep_system, SweepVariant, Workload};
-use bench::dfck_struct::{self, StructVariant, StructWorkload};
+use bench::dfck::{sweep, sweep_system, Shape, Variant, Workload};
 use proptest::prelude::*;
 
 /// Upper bound on sampled property cases (each one is a whole sweep).
@@ -29,11 +28,11 @@ fn sample_cases(n: u32) -> Vec<(u64, usize, usize, u64)> {
 #[test]
 fn sampled_workloads_pass_the_sweep_on_rotating_detectable_variants() {
     let variants = [
-        SweepVariant::General,
-        SweepVariant::GeneralOpt,
-        SweepVariant::Normalized,
-        SweepVariant::NormalizedOpt,
-        SweepVariant::LogQueue,
+        Variant::General,
+        Variant::GeneralOpt,
+        Variant::Normalized,
+        Variant::NormalizedOpt,
+        Variant::LogQueue,
     ];
     for (case, &(seed, ops, prefill, base)) in sample_cases(cases().min(MAX_CASES))
         .iter()
@@ -66,17 +65,17 @@ fn sampled_workloads_pass_the_struct_sweep_on_rotating_variants() {
     // builds a stack- and a set-shaped workload via the `seeded_full`
     // generators, swept on a rotating variant, alternating PPM and
     // full-system crash semantics. Failure messages carry the tuple so the
-    // case reproduces with `StructWorkload::{stack,set}_seeded_full(...)`.
+    // case reproduces with `Workload::{stack,set}_seeded_full(...)`.
     let variants = [
-        StructVariant::StackGeneral,
-        StructVariant::StackNormalized,
-        StructVariant::SetGeneral,
-        StructVariant::SetNormalized,
-        StructVariant::MapGeneral,
-        StructVariant::MapNormalized,
-        StructVariant::StackIzraelevitz,
-        StructVariant::SetIzraelevitz,
-        StructVariant::MapIzraelevitz,
+        Variant::StackGeneral,
+        Variant::StackNormalized,
+        Variant::SetGeneral,
+        Variant::SetNormalized,
+        Variant::MapGeneral,
+        Variant::MapNormalized,
+        Variant::StackIzraelevitz,
+        Variant::SetIzraelevitz,
+        Variant::MapIzraelevitz,
     ];
     for (case, &(seed, ops, prefill, base)) in sample_cases(cases().min(MAX_CASES))
         .iter()
@@ -86,21 +85,22 @@ fn sampled_workloads_pass_the_struct_sweep_on_rotating_variants() {
         // Maps share the set's op alphabet, so the set generator drives them
         // too — on the tiny bucket array, where the sampled inserts trip
         // resizes mid-sweep.
-        let workload = if variant.is_stack() {
-            StructWorkload::stack_seeded_full(seed, ops, prefill, base)
+        let stack = variant.shape() == Shape::Lifo;
+        let workload = if stack {
+            Workload::stack_seeded_full(seed, ops, prefill, base)
         } else {
-            StructWorkload::set_seeded_full(seed, ops, prefill, base)
+            Workload::set_seeded_full(seed, ops, prefill, base)
         };
         let report = if case % 2 == 0 {
-            dfck_struct::sweep(variant, &workload, None)
+            sweep(variant, &workload, None)
         } else {
-            dfck_struct::sweep_system(variant, &workload, None)
+            sweep_system(variant, &workload, None)
         };
         prop_assert!(
             report.passed(),
             "failing workload: {}_seeded_full({seed}, {ops}, {prefill}, {base}) \
              on {} (case {case}, system={}): {:?}",
-            if variant.is_stack() { "stack" } else { "set" },
+            if stack { "stack" } else { "set" },
             variant.label(),
             case % 2 == 1,
             report.violations
@@ -115,7 +115,7 @@ fn sampled_workloads_pass_the_nested_system_sweep_on_the_msq() {
     // couple of workloads through the nested full-system schedules too.
     for &(seed, ops, prefill, base) in sample_cases(cases().min(4)).iter() {
         let workload = Workload::seeded_full(seed, ops, prefill, base);
-        let report = sweep_system(SweepVariant::IzraelevitzMsq, &workload, Some(0));
+        let report = sweep_system(Variant::IzraelevitzMsq, &workload, Some(0));
         prop_assert!(
             report.passed(),
             "failing workload: Workload::seeded_full({seed}, {ops}, {prefill}, {base}): {:?}",

@@ -1,12 +1,12 @@
-//! Cross-crate integration tests for the structure-family exhaustive
-//! crash-point sweeper (`bench::dfck_struct`): Treiber stack, linked-list
+//! Cross-crate integration tests for the exhaustive crash-point sweeper
+//! (`bench::dfck`) on the structure family: Treiber stack, linked-list
 //! set and bucketed hash map, every variant, every crash point of the
 //! canonical pair workloads (resize-crossing for the maps),
 //! single and nested (crash-during-recovery) schedules, per-process *and*
 //! full-system crash semantics, flush auditor armed — mirroring
 //! `tests/dfck_sweep.rs` for the non-queue shapes.
 
-use bench::dfck_struct::{sweep, sweep_plan, sweep_system, StructVariant, StructWorkload};
+use bench::dfck::{sweep, sweep_plan, sweep_system, Shape, Variant, Workload};
 use capsules::BoundaryStyle;
 use pmem::PMem;
 use structs::{
@@ -14,23 +14,25 @@ use structs::{
     TreiberStack,
 };
 
-fn pair_for(variant: StructVariant) -> StructWorkload {
-    if variant.is_stack() {
-        StructWorkload::stack_pair()
-    } else if variant.is_map() {
+fn struct_variants() -> impl Iterator<Item = Variant> {
+    Variant::all().into_iter().filter(|v| v.shape() != Shape::Fifo)
+}
+
+fn pair_for(variant: Variant) -> Workload {
+    match variant.shape() {
+        Shape::Fifo | Shape::Lifo => Workload::stack_pair(),
+        Shape::Set => Workload::set_pair(),
         // The map's pair analogue additionally crosses a bucket-array resize
         // inside the swept window (tiny bucket array, sixth insert trips the
         // grow trigger), so these sweeps enumerate every crash point of the
         // freeze/copy/promote migration too.
-        StructWorkload::map_resize()
-    } else {
-        StructWorkload::set_pair()
+        Shape::Map => Workload::map_resize(),
     }
 }
 
 #[test]
 fn every_struct_variant_passes_the_pair_sweep_at_every_crash_point() {
-    for variant in StructVariant::all() {
+    for variant in struct_variants() {
         let report = sweep(variant, &pair_for(variant), None);
         assert!(
             report.passed(),
@@ -47,7 +49,7 @@ fn every_struct_variant_passes_the_pair_sweep_at_every_crash_point() {
 
 #[test]
 fn every_struct_variant_passes_the_nested_crash_during_recovery_sweep() {
-    for variant in StructVariant::all() {
+    for variant in struct_variants() {
         let report = sweep(variant, &pair_for(variant), Some(0));
         assert!(
             report.passed(),
@@ -72,7 +74,7 @@ fn every_struct_variant_passes_the_nested_crash_during_recovery_sweep() {
 /// auditor's flags count as violations via `passed()`.
 #[test]
 fn system_crash_pair_sweep_passes_for_every_struct_variant() {
-    for variant in StructVariant::all() {
+    for variant in struct_variants() {
         for nested in [None, Some(0)] {
             let report = sweep_system(variant, &pair_for(variant), nested);
             assert!(
@@ -100,8 +102,8 @@ fn system_crash_pair_sweep_passes_for_every_struct_variant() {
 #[test]
 fn depth2_nested_crash_schedules_pass_on_set_general_and_stack_normalized() {
     for (variant, workload) in [
-        (StructVariant::SetGeneral, StructWorkload::set_pair()),
-        (StructVariant::StackNormalized, StructWorkload::stack_pair()),
+        (Variant::SetGeneral, Workload::set_pair()),
+        (Variant::StackNormalized, Workload::stack_pair()),
     ] {
         for system in [false, true] {
             let report = sweep_plan(variant, &workload, &[0, 0], system);
@@ -131,9 +133,9 @@ fn depth2_nested_crash_schedules_pass_on_set_general_and_stack_normalized() {
 fn all_three_constructions_of_each_shape_agree_op_for_op() {
     for shape_is_stack in [true, false] {
         let w = if shape_is_stack {
-            StructWorkload::stack_seeded(11, 40)
+            Workload::stack_seeded(11, 40)
         } else {
-            StructWorkload::set_seeded(11, 40)
+            Workload::set_seeded(11, 40)
         };
         let run = |which: usize| -> (Vec<Option<u64>>, Vec<u64>) {
             let mem = PMem::with_threads(1);
@@ -196,17 +198,17 @@ fn all_three_constructions_of_each_shape_agree_op_for_op() {
 #[test]
 fn seeded_multi_op_sweep_is_exact_for_detectable_struct_variants() {
     for variant in [
-        StructVariant::StackGeneral,
-        StructVariant::StackNormalized,
-        StructVariant::SetGeneral,
-        StructVariant::SetNormalized,
-        StructVariant::MapGeneral,
-        StructVariant::MapNormalized,
+        Variant::StackGeneral,
+        Variant::StackNormalized,
+        Variant::SetGeneral,
+        Variant::SetNormalized,
+        Variant::MapGeneral,
+        Variant::MapNormalized,
     ] {
-        let workload = if variant.is_stack() {
-            StructWorkload::stack_seeded(7, 6)
+        let workload = if variant.shape() == Shape::Lifo {
+            Workload::stack_seeded(7, 6)
         } else {
-            StructWorkload::set_seeded(7, 6)
+            Workload::set_seeded(7, 6)
         };
         let report = sweep(variant, &workload, None);
         assert!(

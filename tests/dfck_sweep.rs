@@ -5,14 +5,18 @@
 //! [`pmem::Stats::crash_points`], so the sweeps automatically track any change to
 //! the instruction footprint of the queues.
 
-use bench::dfck::{sweep, sweep_plan, sweep_system, SweepVariant, Workload};
+use bench::dfck::{sweep, sweep_plan, sweep_system, Shape, Variant, Workload};
 use capsules::{BoundaryStyle, CapsuleRuntime, CapsuleStep};
 use pmem::{CrashPlan, PMem};
 use queues::{Durability, GeneralQueue, NormalizedQueue, QueueHandle};
 
+fn queue_variants() -> impl Iterator<Item = Variant> {
+    Variant::all().into_iter().filter(|v| v.shape() == Shape::Fifo)
+}
+
 #[test]
 fn every_variant_passes_the_pair_sweep_at_every_crash_point() {
-    for variant in SweepVariant::all() {
+    for variant in queue_variants() {
         let report = sweep(variant, &Workload::pair(), None);
         assert!(
             report.passed(),
@@ -30,7 +34,7 @@ fn every_variant_passes_the_pair_sweep_at_every_crash_point() {
 
 #[test]
 fn every_variant_passes_the_nested_crash_during_recovery_sweep() {
-    for variant in SweepVariant::all() {
+    for variant in queue_variants() {
         let report = sweep(variant, &Workload::pair(), Some(0));
         assert!(
             report.passed(),
@@ -55,7 +59,7 @@ fn every_variant_passes_the_nested_crash_during_recovery_sweep() {
 /// with the flush-order auditor armed; `passed()` covers its flags too.
 #[test]
 fn system_crash_pair_sweep_passes_for_every_variant() {
-    for variant in SweepVariant::all() {
+    for variant in queue_variants() {
         for nested in [None, Some(0)] {
             let report = sweep_system(variant, &Workload::pair(), nested);
             assert!(
@@ -84,7 +88,7 @@ fn system_crash_pair_sweep_passes_for_every_variant() {
 /// simulator's frame recovery — under per-process *and* full-system crashes.
 #[test]
 fn depth2_nested_crash_schedules_pass_on_log_queue_and_normalized() {
-    for variant in [SweepVariant::LogQueue, SweepVariant::Normalized] {
+    for variant in [Variant::LogQueue, Variant::Normalized] {
         for system in [false, true] {
             let report = sweep_plan(variant, &Workload::pair(), &[0, 0], system);
             assert!(
@@ -110,7 +114,7 @@ fn depth2_nested_crash_schedules_pass_on_log_queue_and_normalized() {
 #[test]
 fn seeded_multi_op_sweep_is_exact_for_detectable_variants() {
     let workload = Workload::seeded(7, 6);
-    for variant in [SweepVariant::General, SweepVariant::Normalized, SweepVariant::LogQueue] {
+    for variant in [Variant::General, Variant::Normalized, Variant::LogQueue] {
         let report = sweep(variant, &workload, None);
         assert!(
             report.passed(),

@@ -49,6 +49,18 @@ pub enum BoundaryStyle {
     Compact,
 }
 
+impl BoundaryStyle {
+    /// The style of a variant's hand-optimised (`-Opt`) configuration when
+    /// `optimised`, of its plain configuration otherwise.
+    pub fn opt(optimised: bool) -> BoundaryStyle {
+        if optimised {
+            BoundaryStyle::Compact
+        } else {
+            BoundaryStyle::General
+        }
+    }
+}
+
 /// Maximum number of user locals in a general frame (mask bits minus the seq slot).
 pub const MAX_GENERAL_VARS: usize = 31;
 /// Maximum number of user locals in a compact frame (one cache line minus the

@@ -15,26 +15,70 @@
 //! Fewer boundaries mean less computation delay but a longer re-execution after a
 //! crash — exactly the trade-off of the paper's "General" queue variant.
 //!
-//! The simulator is a thin layer: the CAS entry point is
-//! [`capsules::recoverable_cas`]; this type adds the read helpers and records how
-//! many boundaries a transformed operation actually used so tests can verify the
-//! boundary-count claims (e.g. that the General queue uses more boundaries per
-//! operation than the Normalized one).
+//! The simulator owns every decision of the construction that is not the
+//! transformed program's own: which frame layout handles use, whether flushes are
+//! hand-placed and which of their fences the `-Opt` style may drop, how a capsule
+//! CAS, a helping CAS ([`mem`](CasReadSimulator::mem)) and the contention-adaptive
+//! fast CAS are issued and persisted, and how a crash inside a fast capsule is
+//! triaged. A transformed
+//! structure holds one simulator and writes only its capsules.
 
-use capsules::{recoverable_cas, CapsuleRuntime};
-use pmem::PAddr;
-use rcas::RcasSpace;
+use capsules::{recoverable_cas, BoundaryStyle, CapsuleRuntime, ContentionMeasure};
+use pmem::{PAddr, PThread};
+use rcas::{CasEvidence, RcasSpace};
+
+use crate::mem::RcasMem;
 
 /// The Low-Computation-Delay (CAS-Read) simulator.
 #[derive(Clone, Copy, Debug)]
 pub struct CasReadSimulator {
     space: RcasSpace,
+    durable: bool,
+    style: BoundaryStyle,
+    adaptive: bool,
+    contention: ContentionMeasure,
 }
 
 impl CasReadSimulator {
-    /// Build a simulator that uses `space` for its recoverable CASes.
+    /// Build a simulator that uses `space` for its recoverable CASes: no
+    /// hand-placed flushes, [`BoundaryStyle::General`] frames, no fast path.
     pub fn new(space: RcasSpace) -> CasReadSimulator {
-        CasReadSimulator { space }
+        CasReadSimulator {
+            space,
+            durable: false,
+            style: BoundaryStyle::General,
+            adaptive: false,
+            contention: ContentionMeasure::new(),
+        }
+    }
+
+    /// Place flushes by hand (the shared-cache "manual" discipline): data a
+    /// boundary or a CAS publishes is persisted first, CAS targets after.
+    pub fn with_durable(mut self, durable: bool) -> CasReadSimulator {
+        self.durable = durable;
+        self
+    }
+
+    /// The frame layout of handles. [`BoundaryStyle::Compact`] is the `-Opt`
+    /// configuration, which also drops the fences a CAS makes redundant
+    /// ([`persist_line`](Self::persist_line)).
+    pub fn with_style(mut self, style: BoundaryStyle) -> CasReadSimulator {
+        self.style = style;
+        self
+    }
+
+    /// Let uncontended operations run as one un-checkpointed fast capsule
+    /// ([`enter`](Self::enter)).
+    pub fn with_adaptive(mut self, adaptive: bool) -> CasReadSimulator {
+        self.adaptive = adaptive;
+        self
+    }
+
+    /// The contention policy handles start with (sensitized sweeps lower the
+    /// trip threshold so the fast→slow demotion is deterministically reached).
+    pub fn with_contention(mut self, policy: ContentionMeasure) -> CasReadSimulator {
+        self.contention = policy;
+        self
     }
 
     /// The recoverable-CAS space used by this simulator.
@@ -42,9 +86,36 @@ impl CasReadSimulator {
         &self.space
     }
 
+    /// Whether the simulator issues hand-placed flushes.
+    pub fn durable(&self) -> bool {
+        self.durable
+    }
+
+    /// The frame layout of handles.
+    pub fn style(&self) -> BoundaryStyle {
+        self.style
+    }
+
+    /// Whether operations may enter through their fast capsule.
+    pub fn adaptive(&self) -> bool {
+        self.adaptive
+    }
+
+    /// The contention-policy template copied into every handle's runtime.
+    pub fn contention(&self) -> ContentionMeasure {
+        self.contention
+    }
+
+    /// The [`SharedMem`] face for parallelizable code run on `thread` inside
+    /// this simulator's capsules (and for quiescent walks outside them).
+    pub fn mem<'a, 't, 'm>(&'a self, thread: &'t PThread<'m>) -> RcasMem<'a, 't, 'm> {
+        RcasMem::new(&self.space, thread, self.durable)
+    }
+
     /// The CAS that opens a CAS-Read capsule (Algorithm 3). Must be the capsule's
     /// first shared-memory effect; `expected`/`new` must come from state persisted
-    /// at the previous boundary.
+    /// at the previous boundary. On success its target line is persisted
+    /// ([`persist_line`](Self::persist_line)).
     pub fn capsule_cas(
         &self,
         rt: &mut CapsuleRuntime<'_, '_>,
@@ -52,7 +123,35 @@ impl CasReadSimulator {
         expected: u64,
         new: u64,
     ) -> bool {
-        recoverable_cas(rt, &self.space, addr, expected, new)
+        let ok = recoverable_cas(rt, &self.space, addr, expected, new);
+        if ok {
+            self.persist_line(rt.thread(), addr);
+        }
+        ok
+    }
+
+    /// The single evidence-carrying CAS of a fast capsule: takes a fresh
+    /// sequence number, and on success credits the handle's contention measure
+    /// and persists the target line. `aux` rides the evidence so a post-CAS
+    /// crash can still report the operation's result
+    /// ([`recover_fast`](Self::recover_fast)).
+    pub fn fast_cas(
+        &self,
+        rt: &mut CapsuleRuntime<'_, '_>,
+        addr: PAddr,
+        expected: u64,
+        new: u64,
+        aux: u64,
+    ) -> bool {
+        let seq = rt.advance_seq();
+        let ok = self
+            .space
+            .cas_with_evidence(rt.thread(), addr, expected, new, seq, aux);
+        if ok {
+            rt.contention_mut().record_success();
+            self.persist_line(rt.thread(), addr);
+        }
+        ok
     }
 
     /// A shared read of a recoverable-CAS-formatted word. Reads are invisible and
@@ -72,6 +171,75 @@ impl CasReadSimulator {
     pub fn write_private(&self, rt: &mut CapsuleRuntime<'_, '_>, addr: PAddr, value: u64) {
         rt.thread().write(addr, value);
     }
+
+    /// Flush a line and fence, per the manual discipline — except that the
+    /// `-Opt` style omits the fence: the next publication is a CAS, whose lock
+    /// prefix orders the pending flush just like the fence would (Px86). A
+    /// capsule *boundary* does not qualify — see
+    /// [`persist_line_before_boundary`](Self::persist_line_before_boundary).
+    pub fn persist_line(&self, thread: &PThread<'_>, addr: PAddr) {
+        if !self.durable {
+            return;
+        }
+        thread.flush(addr);
+        if self.style != BoundaryStyle::Compact {
+            thread.fence();
+        }
+    }
+
+    /// Flush a line and fence unconditionally (under the manual discipline): for
+    /// data whose next publication is a capsule boundary rather than a CAS.
+    /// The compact boundary publishes its control word with a release *store* —
+    /// a plain `mov` on x86, which (unlike a locked CAS) does not order earlier
+    /// `clflushopt`s — so a crash between the boundary's own flush and its
+    /// trailing fence could persist the frame without the node it references.
+    /// Recovery would then resume from the boundary and link a node whose
+    /// contents never became durable.
+    pub fn persist_line_before_boundary(&self, thread: &PThread<'_>, addr: PAddr) {
+        if !self.durable {
+            return;
+        }
+        thread.flush(addr);
+        thread.fence();
+    }
+
+    /// Pick the entry capsule of the next operation: `fast` when the simulator
+    /// is adaptive and the handle's contention measure is off probation, `slow`
+    /// (the fully checkpointed state machine) otherwise.
+    pub fn enter(&self, rt: &mut CapsuleRuntime<'_, '_>, fast: u32, slow: u32) -> u32 {
+        if self.adaptive && !rt.contention_mut().begin_op() {
+            fast
+        } else {
+            slow
+        }
+    }
+
+    /// Crash triage of a fast capsule (see [`recover_fast`]).
+    pub fn recover_fast(&self, rt: &mut CapsuleRuntime<'_, '_>) -> Option<CasEvidence> {
+        recover_fast(rt, &self.space)
+    }
+}
+
+/// Crash triage of a fast capsule, from the announcement line alone: returns
+/// `Some(evidence)` when the crash interrupted *this* operation's
+/// evidence-carrying CAS and that CAS took effect (the operation is complete up
+/// to re-persisting `evidence.x` and its final boundary); `None` means no
+/// durable effect escaped and the capsule may simply run again. Either way the
+/// runtime's sequence number is raised past every announced attempt, so no
+/// sequence number is ever reused. Shared by both simulators' fast paths.
+pub(crate) fn recover_fast(rt: &mut CapsuleRuntime<'_, '_>, space: &RcasSpace) -> Option<CasEvidence> {
+    let t = rt.thread();
+    // Honour the sharding contract: a recovering process re-runs the notify
+    // step for its own announcement group before consulting its own state.
+    let _ = space.help_group(t);
+    let ann = space.announcement(t);
+    if ann.seq <= rt.seq() {
+        return None; // crash hit before this op announced anything
+    }
+    rt.sync_seq(ann.seq);
+    let ev = space.evidence(t)?;
+    // Announced but never took durable effect: retry.
+    (ev.result.seq == ann.seq && space.recover(t, ev.x).flag).then_some(ev)
 }
 
 #[cfg(test)]

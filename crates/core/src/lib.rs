@@ -11,12 +11,19 @@
 //! * [`CasReadSimulator`] (§6) — the Low-Computation-Delay simulator: capsule
 //!   boundaries only where required by the CAS-Read discipline (one CAS at the head
 //!   of a capsule, reads afterwards), trading recovery delay for fewer boundaries.
+//!   It owns the construction's flush discipline, its capsule / helping / fast
+//!   CASes and the fast path's crash triage; a transformed structure writes only
+//!   its capsules.
 //! * [`NormalizedSimulator`] (§7, Algorithm 4) — for normalized lock-free data
 //!   structures (CAS generator / CAS executor / wrap-up): one capsule boundary per
 //!   iteration of the operation's retry loop.
 //!
 //! plus:
 //!
+//! * [`SharedMem`] — the one word-access face parallelizable code (searches,
+//!   traversals, helping, resize machinery) is written over, so each structure's
+//!   protocol exists once and its three constructions differ only in the face
+//!   and the simulator they are given,
 //! * [`delay`] — helpers for measuring computation delay and recovery delay against
 //!   an un-transformed baseline (Definition 3.1/3.3),
 //! * [`writes`] — the §8 story for shared writes: replace non-racy writes by a CAS,
@@ -83,12 +90,14 @@
 pub mod cas_read;
 pub mod constant_delay;
 pub mod delay;
+pub mod mem;
 pub mod normalized;
 pub mod writes;
 
 pub use cas_read::CasReadSimulator;
 pub use constant_delay::ConstantDelaySimulator;
 pub use delay::{DelayReport, RecoveryProbe};
+pub use mem::{RcasMem, SharedMem};
 pub use normalized::{
     CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, PersistResult, WrapUp,
     NORMALIZED_INLINE_LOCALS, NORMALIZED_LOCALS,

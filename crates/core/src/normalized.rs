@@ -17,12 +17,15 @@
 //! (Theorem 7.1).
 //!
 //! Locations that both an executor and a generator/wrap-up may CAS must use the
-//! *anonymous* CAS ([`NormalizedCtx::helping_cas`]) in the parallelizable parts so
+//! *anonymous* CAS ([`SharedMem::help_cas`] on [`NormalizedCtx::mem`]) in the parallelizable parts so
 //! that executor notifications are never clobbered (§7).
 
-use capsules::{CapsuleRuntime, CapsuleStep};
+use capsules::{BoundaryStyle, CapsuleRuntime, CapsuleStep, ContentionMeasure};
 use pmem::{PAddr, PThread};
 use rcas::{check_recovery, RcasSpace};
+
+use crate::cas_read::recover_fast;
+use crate::mem::{RcasMem, SharedMem};
 
 /// One entry of a CAS list: CAS `obj` from `expected` to `new`. The `aux` word is
 /// carried along untouched — data structures use it to pass information from the
@@ -126,54 +129,30 @@ impl PersistResult for Option<u64> {
 }
 
 /// The environment handed to generators and wrap-ups: shared-memory access plus the
-/// helping CAS for locations the executor also updates.
+/// helping CAS for locations the executor also updates. [`mem`](Self::mem) is its
+/// [`SharedMem`] face, so parallelizable code written once over that face runs
+/// here unchanged.
 pub struct NormalizedCtx<'a, 't, 'm> {
     rt: &'a mut CapsuleRuntime<'t, 'm>,
-    space: &'a RcasSpace,
+    sim: &'a NormalizedSimulator,
 }
 
 impl<'a, 't, 'm> NormalizedCtx<'a, 't, 'm> {
-    /// Wrap a capsule runtime for use inside a parallelizable method.
-    pub fn new(rt: &'a mut CapsuleRuntime<'t, 'm>, space: &'a RcasSpace) -> Self {
-        NormalizedCtx { rt, space }
+    /// Wrap a capsule runtime for use inside a parallelizable method of `sim`.
+    pub fn new(rt: &'a mut CapsuleRuntime<'t, 'm>, sim: &'a NormalizedSimulator) -> Self {
+        NormalizedCtx { rt, sim }
     }
 
-    /// The thread issuing instructions.
-    pub fn thread(&self) -> &'t PThread<'m> {
-        self.rt.thread()
-    }
-
-    /// The recoverable-CAS space of the enclosing simulator.
-    pub fn space(&self) -> &RcasSpace {
-        self.space
+    /// The [`SharedMem`] face of this method's memory accesses: reads, private
+    /// writes, allocation, and the *helping* CAS (anonymous, so an executor's
+    /// notification on the same word survives — §7) with its flushes.
+    pub fn mem(&self) -> RcasMem<'a, 't, 'm> {
+        self.sim.mem(self.rt.thread())
     }
 
     /// Read a recoverable-CAS-formatted word (returns its application value).
     pub fn read(&self, addr: PAddr) -> u64 {
-        self.space.read(self.rt.thread(), addr)
-    }
-
-    /// Read a plain persistent word.
-    pub fn read_plain(&self, addr: PAddr) -> u64 {
-        self.rt.thread().read(addr)
-    }
-
-    /// Write to a private persistent location (e.g. initialise a new node). Safe in
-    /// a parallelizable method: repetition overwrites the same data.
-    pub fn write_private(&self, addr: PAddr, value: u64) {
-        self.rt.thread().write(addr, value)
-    }
-
-    /// Allocate persistent words.
-    pub fn alloc(&self, nwords: u64) -> PAddr {
-        self.rt.thread().alloc(nwords)
-    }
-
-    /// A *helping* CAS on a recoverable-CAS-formatted word that the executor may
-    /// also CAS: installs the anonymous pid so the executor's notifications survive
-    /// (§7). Safe to repeat; only use inside generators and wrap-ups.
-    pub fn helping_cas(&mut self, addr: PAddr, expected: u64, new: u64) -> bool {
-        self.space.cas_anonymous(self.rt.thread(), addr, expected, new)
+        self.mem().read(addr)
     }
 
     /// A plain CAS on a word that no executor ever touches (e.g. the tail pointer of
@@ -182,9 +161,12 @@ impl<'a, 't, 'm> NormalizedCtx<'a, 't, 'm> {
         self.rt.thread().cas(addr, expected, new)
     }
 
-    /// Flush + fence a line (for hand-placed durability in the shared-cache model).
+    /// Flush + fence a line when the simulator places flushes by hand (a
+    /// generator persisting the node its CAS is about to publish).
     pub fn persist(&self, addr: PAddr) {
-        self.rt.thread().persist(addr)
+        let m = self.mem();
+        m.flush_line(addr);
+        m.fence();
     }
 }
 
@@ -238,8 +220,10 @@ pub const NORMALIZED_INLINE_LOCALS: usize = 7;
 pub struct NormalizedSimulator {
     space: RcasSpace,
     durable: bool,
+    style: BoundaryStyle,
     inline_lists: bool,
     adaptive: bool,
+    contention: ContentionMeasure,
 }
 
 impl NormalizedSimulator {
@@ -252,9 +236,42 @@ impl NormalizedSimulator {
         NormalizedSimulator {
             space,
             durable,
+            style: BoundaryStyle::General,
             inline_lists: false,
             adaptive: false,
+            contention: ContentionMeasure::new(),
         }
+    }
+
+    /// The frame layout of handles ([`BoundaryStyle::Compact`] is the `-Opt`
+    /// configuration).
+    pub fn with_style(mut self, style: BoundaryStyle) -> NormalizedSimulator {
+        self.style = style;
+        self
+    }
+
+    /// The frame layout of handles.
+    pub fn style(&self) -> BoundaryStyle {
+        self.style
+    }
+
+    /// The [`SharedMem`] face for code run on `thread` on this simulator's
+    /// behalf: inside generators and wrap-ups ([`NormalizedCtx::mem`]) and for
+    /// quiescent walks outside any operation.
+    pub fn mem<'a, 't, 'm>(&'a self, thread: &'t PThread<'m>) -> RcasMem<'a, 't, 'm> {
+        RcasMem::new(&self.space, thread, self.durable)
+    }
+
+    /// The contention policy handles start with (sensitized sweeps lower the
+    /// trip threshold so the fast→slow demotion is deterministically reached).
+    pub fn with_contention(mut self, policy: ContentionMeasure) -> NormalizedSimulator {
+        self.contention = policy;
+        self
+    }
+
+    /// The contention-policy template copied into every handle's runtime.
+    pub fn contention(&self) -> ContentionMeasure {
+        self.contention
     }
 
     /// Enable the hand-optimisation used by the paper's `Normalized-Opt` variant:
@@ -321,7 +338,7 @@ impl NormalizedSimulator {
                     None => CapsuleStep::Continue,
                 },
                 PC_GEN => {
-                    let list = op.generator(&mut NormalizedCtx::new(rt, &self.space), input);
+                    let list = op.generator(&mut NormalizedCtx::new(rt, self), input);
                     self.persist_list_and_boundary(rt, &list);
                     cached = Some(list);
                     CapsuleStep::Continue
@@ -334,7 +351,7 @@ impl NormalizedSimulator {
                     };
                     let executed = self.cas_executor(rt, &list);
                     let wrap =
-                        op.wrap_up(&mut NormalizedCtx::new(rt, &self.space), input, &list, executed);
+                        op.wrap_up(&mut NormalizedCtx::new(rt, self), input, &list, executed);
                     match wrap {
                         WrapUp::Done(out) => {
                             rt.set_local(L_OUT, out.to_word());
@@ -354,7 +371,7 @@ impl NormalizedSimulator {
                                 // §7: the wrap-up and the next iteration's generator
                                 // share this capsule — one boundary per iteration.
                                 let list =
-                                    op.generator(&mut NormalizedCtx::new(rt, &self.space), input);
+                                    op.generator(&mut NormalizedCtx::new(rt, self), input);
                                 self.persist_list_and_boundary(rt, &list);
                                 cached = Some(list);
                                 CapsuleStep::Continue
@@ -385,47 +402,34 @@ impl NormalizedSimulator {
         cached: &mut Option<CasList>,
     ) -> Option<O::Output> {
         if rt.crashed() {
-            // Crash triage from the announcement line alone. Honour the
-            // sharding contract first: re-run the notify step for the group.
-            let t = rt.thread();
-            let _ = self.space.help_group(t);
-            let ann = self.space.announcement(t);
-            if ann.seq > rt.seq() {
-                // The crash hit at or after this operation's announce; no
-                // sequence number may ever be reused, so raise ours past it.
-                rt.sync_seq(ann.seq);
-                if let Some(ev) = self.space.evidence(t) {
-                    if ev.result.seq == ann.seq && self.space.recover(t, ev.x).flag {
-                        // The fast CAS took effect: re-persist its target (the
-                        // original flush may have been interrupted), rebuild
-                        // the one-entry list from the evidence and let the
-                        // wrap-up finish the operation.
-                        if self.durable {
-                            t.persist(ev.x);
-                        }
-                        let list = vec![CasDesc {
-                            obj: ev.x,
-                            expected: ev.expected,
-                            new: ev.new,
-                            aux: ev.aux,
-                        }];
-                        let wrap =
-                            op.wrap_up(&mut NormalizedCtx::new(rt, &self.space), input, &list, 1);
-                        if let WrapUp::Done(out) = wrap {
-                            rt.set_local(L_OUT, out.to_word());
-                            rt.finish_boundary(PC_DONE);
-                            return Some(out);
-                        }
-                        // A wrap-up that restarts even though every CAS of its
-                        // list succeeded (not the MSQ, but legal): fall through
-                        // and run the loop below from a clean slate.
-                    }
+            if let Some(ev) = recover_fast(rt, &self.space) {
+                // The fast CAS took effect: re-persist its target (the
+                // original flush may have been interrupted), rebuild the
+                // one-entry list from the evidence and let the wrap-up finish
+                // the operation.
+                if self.durable {
+                    rt.thread().persist(ev.x);
                 }
-                // No durable effect escaped the crash: plain retry is safe.
+                let list = vec![CasDesc {
+                    obj: ev.x,
+                    expected: ev.expected,
+                    new: ev.new,
+                    aux: ev.aux,
+                }];
+                let wrap = op.wrap_up(&mut NormalizedCtx::new(rt, self), input, &list, 1);
+                if let WrapUp::Done(out) = wrap {
+                    rt.set_local(L_OUT, out.to_word());
+                    rt.finish_boundary(PC_DONE);
+                    return Some(out);
+                }
+                // A wrap-up that restarts even though every CAS of its list
+                // succeeded (not the MSQ, but legal): fall through and run the
+                // loop below from a clean slate.
             }
+            // No durable effect escaped the crash: plain retry is safe.
         }
         loop {
-            let list = op.generator(&mut NormalizedCtx::new(rt, &self.space), input);
+            let list = op.generator(&mut NormalizedCtx::new(rt, self), input);
             if list.len() > 1 {
                 // The fast path only covers single-CAS operations; hand the
                 // multi-CAS list to the full executor machinery.
@@ -453,7 +457,7 @@ impl NormalizedSimulator {
                 }
                 None => 0,
             };
-            let wrap = op.wrap_up(&mut NormalizedCtx::new(rt, &self.space), input, &list, executed);
+            let wrap = op.wrap_up(&mut NormalizedCtx::new(rt, self), input, &list, executed);
             match wrap {
                 WrapUp::Done(out) => {
                     rt.set_local(L_OUT, out.to_word());

@@ -27,11 +27,14 @@
 //!   sequentially consistent machine would provide to those algorithms. The
 //!   simulator's own [`fence`](crate::PThread::fence) additionally issues a real
 //!   `SeqCst` fence.
-//! * `persisted` uses `Relaxed`. It is written by flushes (per-location atomic
-//!   copies; coherence alone guarantees a flush publishes a value that was
-//!   `current` at some point) and read only under quiescence — crash rollback and
+//! * `persisted` is *read* `Relaxed`, under quiescence only — crash rollback and
 //!   [`durable`](Word::durable) assertions run after every worker has been joined
-//!   or unwound, and the join/catch itself is the synchronising edge.
+//!   or unwound, and the join/catch itself is the synchronising edge. It is
+//!   *written* by flushes with a `SeqCst` swap-then-verify
+//!   ([`Word::write_back`]): "a value that was `current` at some point" is not
+//!   enough once two processes flush one line, because the older of two such
+//!   values can land last. Only writers that cannot race (quiescent walks, the
+//!   private-cache model, one-process machines) keep the `Relaxed` copy.
 //! * the allocation cursor `next` uses `Relaxed` RMWs: it is a monotone counter
 //!   whose atomicity (not its ordering) provides disjointness, and addresses only
 //!   reach other threads through `current` (release/acquire) after allocation.
@@ -106,13 +109,68 @@ impl Word {
     /// Copy the cached value into the durable copy (what a `clflushopt` does once
     /// the following fence completes; the simulator persists eagerly at the flush).
     ///
-    /// `Relaxed` on both sides: per-location coherence already guarantees the
-    /// copied value was `current` at some moment, and the durable copy is only
-    /// *read* under quiescence (rollback / test assertions after joining workers).
+    /// A `Relaxed` load-then-store, so only sound when no second flusher can
+    /// touch the word concurrently: quiescent walks ([`Arena::persist_all`]),
+    /// the private-cache model (whose durable copy is never rolled back to),
+    /// and one-process machines. Everything else uses
+    /// [`write_back`](Word::write_back).
     #[inline]
     pub fn persist_now(&self) {
         self.persisted
             .store(self.current.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+
+    /// Write the cached value back to the durable copy when other processes may
+    /// be flushing (or storing to) the same word: a clean word is left alone,
+    /// a dirty one is written back and *re-checked* until the durable copy
+    /// holds a value that was still current after it landed.
+    ///
+    /// The re-check closes the stale write-back race of a plain
+    /// load-then-store: flusher A loads `v1`, owner B CASes the word to `v2`
+    /// and writes `v2` back, A's delayed store then overwrites the durable
+    /// `v2` with `v1` — an acknowledged update lost at the next crash. Several
+    /// nodes and bucket heads share one line, so two processes flush one line
+    /// for *different* words all the time.
+    #[inline]
+    pub fn write_back(&self) {
+        if let Some(seen) = self.write_back_begin() {
+            self.write_back_finish(seen);
+        }
+    }
+
+    /// First half of [`write_back`](Word::write_back): load the cached value;
+    /// `None` when the durable copy already equals it (nothing to do). Split
+    /// out so a test can interleave a second flusher between the halves.
+    #[inline]
+    pub fn write_back_begin(&self) -> Option<u64> {
+        let seen = self.current.load(Ordering::Relaxed);
+        (self.persisted.load(Ordering::Relaxed) != seen).then_some(seen)
+    }
+
+    /// Second half of [`write_back`](Word::write_back): store `seen`, then
+    /// verify it is still current and repeat with the newer value otherwise.
+    ///
+    /// Every durable-copy store outside quiescence is this swap, an RMW, so
+    /// the swaps on one word form one release sequence: a swap that lands
+    /// after a peer's synchronizes with it, hence happens-after the load of
+    /// `current` that produced the peer's value, and the re-load below cannot
+    /// return anything older than that value. Whichever swap is last in the
+    /// durable copy's modification order therefore wrote a value at least as
+    /// new as every value a completed write-back confirmed.
+    #[inline]
+    pub fn write_back_finish(&self, mut seen: u64) {
+        loop {
+            // SeqCst: an RMW, so later write-backs synchronize with this one
+            // (the release-sequence argument above).
+            self.persisted.swap(seen, Ordering::SeqCst);
+            // SeqCst: with the swap, a store→load barrier — the check that
+            // `seen` is still current may not pass the store that landed it.
+            let now = self.current.load(Ordering::SeqCst);
+            if now == seen {
+                return;
+            }
+            seen = now;
+        }
     }
 
     /// Roll the cached value back to the durable copy (a crash). Quiescent by
@@ -131,11 +189,11 @@ impl Word {
     }
 
     /// Whether the durable copy already equals the cached value, i.e. a flush
-    /// of this word would be a no-op. Racy by nature: a concurrent store can
-    /// land between the two loads. That is fine for the flush-coalescing use —
-    /// eliding a flush because the word *was* clean is indistinguishable from
-    /// a real flush that linearized just before the racing store, which the
-    /// crash model already allows.
+    /// of this word would be a no-op. Racy by nature (a concurrent store can
+    /// land between the two loads); only [`Stats::duplicate_flushes`]
+    /// accounting reads it, never a decision about what to persist.
+    ///
+    /// [`Stats::duplicate_flushes`]: crate::Stats::duplicate_flushes
     #[inline]
     pub fn is_clean(&self) -> bool {
         self.persisted.load(Ordering::Relaxed) == self.current.load(Ordering::Relaxed)
@@ -329,7 +387,7 @@ impl Arena {
     /// line.
     pub fn flush_line(&self, addr: PAddr) {
         for word in self.line_slice(addr) {
-            word.persist_now();
+            word.write_back();
         }
     }
 
@@ -451,6 +509,25 @@ mod tests {
         // Not flushed: a crash loses the 2.
         arena.rollback_all();
         assert_eq!(arena.word(a).load(), 1);
+    }
+
+    #[test]
+    fn delayed_write_back_cannot_overwrite_a_newer_durable_value() {
+        // The stale write-back race, replayed by hand: flusher A reads `v1`,
+        // owner B stores `v2` and writes it back, then A's delayed half runs.
+        // A plain load-then-store leaves `v1` durable; the verified write-back
+        // must leave `v2`.
+        let arena = Arena::new(8);
+        let w = arena.word(arena.alloc(1));
+        w.store(1);
+        let seen_by_a = w.write_back_begin().expect("dirty word");
+        assert_eq!(seen_by_a, 1);
+        w.store(2);
+        w.write_back();
+        assert_eq!(w.durable(), 2);
+        w.write_back_finish(seen_by_a);
+        assert_eq!(w.durable(), 2, "A's stale write-back must not survive");
+        assert!(w.write_back_begin().is_none(), "a clean word needs no write-back");
     }
 
     #[test]

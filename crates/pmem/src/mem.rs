@@ -102,10 +102,6 @@ pub struct PMem {
     /// The happens-before analyzer (`DF_HB`): vector-clock data-race and
     /// persist-order checking over the instruction stream, disarmed by default.
     hb: HbAnalyzer,
-    /// Whether thread handles elide provably no-op duplicate flushes
-    /// (`DF_COALESCE`, default on; shared-cache model only — the private-cache
-    /// model has no flush work to elide).
-    coalesce: bool,
 }
 
 impl PMem {
@@ -156,11 +152,6 @@ impl PMem {
             crash_events: AtomicU64::new(0),
             auditor: FlushAuditor::new(),
             hb: HbAnalyzer::new(),
-            // `DF_COALESCE=0` disables per-line flush coalescing (the "before"
-            // measurement mode: duplicate flushes are still *counted*, just not
-            // elided). Anything else — including unset — leaves it on.
-            coalesce: config.mode == Mode::SharedCache
-                && std::env::var_os("DF_COALESCE").map_or(true, |v| v != "0" && !v.is_empty()),
         };
         // `DF_FLUSH_AUDIT=1` arms the flush-order auditor on every machine the
         // process creates — the switch the CI audit-armed tier-1 run uses. Only
@@ -258,7 +249,7 @@ impl PMem {
             step_base: Cell::new(0),
             in_recovery: Cell::new(false),
             seg_cache: Cell::new(None),
-            coalesce: Cell::new(self.coalesce),
+            solo: self.threads == 1,
             pending_lines: Default::default(),
             pending_len: Cell::new(0),
         }
@@ -400,12 +391,12 @@ impl std::fmt::Debug for PMem {
     }
 }
 
-/// Capacity of the per-thread flush-coalescing window (distinct cache lines
+/// Capacity of the per-thread duplicate-flush window (distinct cache lines
 /// tracked between two fences). The durable code paths in this workspace touch
 /// at most a handful of lines per fence window (a capsule frame line, an
-/// announcement line, a node line), so a small fixed window catches virtually
+/// announcement line, a node line), so a small fixed window counts virtually
 /// every duplicate without a hash set on the hot path.
-const COALESCE_LINES: usize = 8;
+const WINDOW_LINES: usize = 8;
 
 /// A process's handle onto the machine. One per OS thread; not `Sync`.
 ///
@@ -475,15 +466,17 @@ pub struct PThread<'m> {
     /// move once created (boxed slices behind `OnceLock`s) and the machine
     /// retains every arena it ever used.
     seg_cache: Cell<Option<(u64, usize, &'m [Word])>>,
-    /// Flush coalescing is enabled for this handle (mirrors the machine's
-    /// `DF_COALESCE` decision; shared-cache model only).
-    coalesce: Cell<bool>,
-    /// Line bases this thread has flushed since its last fence — the per-line
-    /// coalescing window. Bounded: once full, further lines simply are not
-    /// tracked (their flushes execute normally). Entries are dropped when this
+    /// The machine has exactly one process, so no second flusher can race this
+    /// handle's write-backs and `flush` keeps the relaxed copy
+    /// ([`Word::persist_now`]) instead of the verified one
+    /// ([`Word::write_back`]). Derived from [`MemConfig`]'s thread count.
+    solo: bool,
+    /// Line bases this thread has flushed since its last fence — the window
+    /// [`Stats::duplicate_flushes`] is counted against. Bounded: once full,
+    /// further lines simply are not tracked. Entries are dropped when this
     /// thread re-dirties the line (write / successful CAS / fetch-add), and the
     /// whole set empties at the fence.
-    pending_lines: [Cell<u64>; COALESCE_LINES],
+    pending_lines: [Cell<u64>; WINDOW_LINES],
     /// Number of live entries in `pending_lines`.
     pending_len: Cell<usize>,
 }
@@ -596,22 +589,8 @@ impl<'m> PThread<'m> {
     /// [`CrashSignal`](crate::CrashSignal).
     pub fn note_crash(&self) {
         StatCells::add(&self.stats.crashes, 1);
-        // A crash ends the fence window: recovery starts with a fresh
-        // coalescing set. (Stale entries would still be harmless — elision is
-        // gated on the line being clean — but the window is per-execution.)
+        // A crash ends the fence window: recovery counts duplicates afresh.
         self.pending_len.set(0);
-    }
-
-    /// Whether this handle elides provably no-op duplicate flushes.
-    pub fn coalescing(&self) -> bool {
-        self.coalesce.get()
-    }
-
-    /// Enable or disable flush coalescing for this handle (overrides the
-    /// machine-level `DF_COALESCE` default; duplicate flushes are counted
-    /// either way).
-    pub fn set_coalesce(&self, on: bool) {
-        self.coalesce.set(on && self.mode == Mode::SharedCache);
     }
 
     /// Begin counting instructions as *recovery* steps (for recovery-delay
@@ -939,9 +918,7 @@ impl<'m> PThread<'m> {
     #[cold]
     fn hb_flush(&self, addr: PAddr, line: &[Word]) {
         let mut hb = self.mem.hb.locked();
-        for word in line {
-            word.persist_now();
-        }
+        self.write_back_line(line);
         hb.note_flush(self.arena_key(), addr, self.pid);
     }
 
@@ -1035,7 +1012,7 @@ impl<'m> PThread<'m> {
                 word.persist_now();
             }
         }
-        self.coalesce_invalidate(addr);
+        self.untrack_line(addr);
         if self.audit_armed.get() {
             self.audit_store(addr);
         }
@@ -1070,7 +1047,7 @@ impl<'m> PThread<'m> {
         // counter itself was bumped at the crash point above).
         StatCells::add(&self.stats.cas_success, result.is_ok() as u64);
         if result.is_ok() {
-            self.coalesce_invalidate(addr);
+            self.untrack_line(addr);
         }
         if result.is_ok() && self.audit_armed.get() {
             // A successful CAS is a publication: everything this thread wrote
@@ -1101,7 +1078,7 @@ impl<'m> PThread<'m> {
             }
             prev
         };
-        self.coalesce_invalidate(addr);
+        self.untrack_line(addr);
         if self.audit_armed.get() {
             self.audit_publish(addr);
         }
@@ -1117,14 +1094,10 @@ impl<'m> PThread<'m> {
     /// Flush the cache line containing `addr` (`clflushopt`). In the private-cache
     /// model this is a counted no-op (shared memory is already durable).
     ///
-    /// Duplicate flushes — same line, already flushed by this thread since its
-    /// last fence, and not re-dirtied since — are counted in
-    /// [`Stats::duplicate_flushes`] and, when coalescing is enabled
-    /// (`DF_COALESCE`, default on), elided. Elision is gated on the line being
-    /// *clean* (every word's durable copy equals its cached copy), so an elided
-    /// flush is a provable no-op: skipping it leaves the durable image — and
-    /// therefore every crash schedule's outcome — bit-identical. A tracked line
-    /// that a peer re-dirtied fails the clean check and is flushed in full.
+    /// A flush of a line this thread already flushed since its last fence,
+    /// not re-dirtied since and still clean, is counted in
+    /// [`Stats::duplicate_flushes`]. It executes like any other flush: the
+    /// write-back of a clean word is a no-op by construction.
     #[inline]
     pub fn flush(&self, addr: PAddr) {
         self.bump(&self.stats.flushes);
@@ -1134,29 +1107,18 @@ impl<'m> PThread<'m> {
             let line = self.line_at(addr);
             let base = addr.line_base().0;
             let len = self.pending_len.get();
-            let tracked = (0..len).any(|i| self.pending_lines[i].get() == base);
-            if tracked && line.iter().all(Word::is_clean) {
-                StatCells::add(&self.stats.duplicate_flushes, 1);
-                if self.coalesce.get() && self.hot_armed.get() & Self::ARMED_HB == 0 {
-                    // The first flush of this window already ran `audit_flush`
-                    // for the line and nothing re-dirtied it, so the auditor's
-                    // per-line state needs no update either. Armed hb runs
-                    // never take this exit: a peer may have flushed the line
-                    // clean, and the analyzer's flushed-pid mask must record
-                    // *this* pid's flush too. The walk below is idempotent, so
-                    // the durable image stays bit-identical either way.
-                    return;
+            if (0..len).any(|i| self.pending_lines[i].get() == base) {
+                if line.iter().all(Word::is_clean) {
+                    StatCells::add(&self.stats.duplicate_flushes, 1);
                 }
-            } else if !tracked && len < COALESCE_LINES {
+            } else if len < WINDOW_LINES {
                 self.pending_lines[len].set(base);
                 self.pending_len.set(len + 1);
             }
             if self.hot_armed.get() & Self::ARMED_HB != 0 {
                 self.hb_flush(addr, line);
             } else {
-                for word in line {
-                    word.persist_now();
-                }
+                self.write_back_line(line);
             }
             if self.audit_armed.get() {
                 self.audit_flush(addr);
@@ -1164,18 +1126,30 @@ impl<'m> PThread<'m> {
         }
     }
 
-    /// Drop `addr`'s line from the coalescing window, if tracked: this thread
-    /// re-dirtied the line, so its next flush must execute in full.
+    /// Make every word of `line` durable. With peers around, each dirty word
+    /// is written back and verified ([`Word::write_back`]); a one-process
+    /// machine has no second flusher and keeps the relaxed copy.
     #[inline]
-    fn coalesce_invalidate(&self, addr: PAddr) {
+    fn write_back_line(&self, line: &[Word]) {
+        if self.solo {
+            line.iter().for_each(Word::persist_now);
+        } else {
+            line.iter().for_each(Word::write_back);
+        }
+    }
+
+    /// Drop `addr`'s line from the duplicate-flush window, if tracked: this
+    /// thread re-dirtied the line, so its next flush is not a duplicate.
+    #[inline]
+    fn untrack_line(&self, addr: PAddr) {
         let len = self.pending_len.get();
         if len != 0 {
-            self.coalesce_invalidate_slow(addr, len);
+            self.untrack_line_slow(addr, len);
         }
     }
 
     #[cold]
-    fn coalesce_invalidate_slow(&self, addr: PAddr, len: usize) {
+    fn untrack_line_slow(&self, addr: PAddr, len: usize) {
         let base = addr.line_base().0;
         for i in 0..len {
             if self.pending_lines[i].get() == base {
@@ -1190,8 +1164,8 @@ impl<'m> PThread<'m> {
     /// stores. The simulator persists eagerly at the flush, so the fence only
     /// contributes to instruction counts (and issues a real compiler/CPU fence so
     /// the simulation does not reorder more than the modelled machine would).
-    /// Closes the flush-coalescing window: lines flushed before the fence
-    /// become dedup candidates again only after being re-flushed.
+    /// Closes the duplicate-flush window: lines flushed before the fence
+    /// count as duplicates again only after being re-flushed.
     #[inline]
     pub fn fence(&self) {
         self.bump(&self.stats.fences);
@@ -1362,17 +1336,24 @@ mod tests {
     fn duplicate_flush_in_one_fence_window_is_counted_and_elided() {
         let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
         let t = mem.thread(0);
-        assert!(t.coalescing(), "coalescing defaults on in the shared-cache model");
         let a = t.alloc(1);
         t.write(a, 7);
         t.flush(a);
         t.flush(a); // same line, nothing re-dirtied: dedup-able
         t.flush(a.line_base()); // any word of the line dedups, not just `a`
         let s = t.stats();
-        assert_eq!(s.flushes, 3, "elided flushes are still counted as issued");
+        assert_eq!(s.flushes, 3, "duplicate flushes are still counted as issued");
         assert_eq!(s.duplicate_flushes, 2);
         mem.crash_all();
         assert_eq!(mem.peek(a), 7);
+        // The private-cache model has no flush work, hence no duplicates.
+        let mem = PMem::new(MemConfig::new(1).mode(Mode::PrivateCache));
+        let t = mem.thread(0);
+        let a = t.alloc(1);
+        t.write(a, 3);
+        t.flush(a);
+        t.flush(a);
+        assert_eq!(t.stats().duplicate_flushes, 0, "PPM flushes are counted no-ops");
     }
 
     #[test]
@@ -1434,49 +1415,19 @@ mod tests {
     }
 
     #[test]
-    fn disabled_coalescing_still_counts_duplicates() {
-        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-        let t = mem.thread(0);
-        t.set_coalesce(false);
-        let a = t.alloc(1);
-        t.write(a, 5);
-        t.flush(a);
-        t.flush(a);
-        let s = t.stats();
-        assert_eq!(s.flushes, 2);
-        assert_eq!(s.duplicate_flushes, 1, "the 'before' mode measures the opportunity");
-        mem.crash_all();
-        assert_eq!(mem.peek(a), 5);
-    }
-
-    #[test]
-    fn private_cache_mode_never_coalesces() {
-        let mem = PMem::new(MemConfig::new(1).mode(Mode::PrivateCache));
-        let t = mem.thread(0);
-        assert!(!t.coalescing());
-        t.set_coalesce(true); // a no-op request in this model
-        assert!(!t.coalescing());
-        let a = t.alloc(1);
-        t.write(a, 3);
-        t.flush(a);
-        t.flush(a);
-        assert_eq!(t.stats().duplicate_flushes, 0, "PPM flushes are counted no-ops");
-    }
-
-    #[test]
     fn coalescing_window_is_bounded() {
         let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
         let t = mem.thread(0);
-        let base = t.alloc_aligned((2 * COALESCE_LINES as u64 + 1) * crate::LINE_WORDS);
+        let base = t.alloc_aligned((2 * WINDOW_LINES as u64 + 1) * crate::LINE_WORDS);
         // Fill the window, then flush an untracked line twice: with the window
         // full it cannot be tracked, so its repeat is not counted — but it must
         // still persist correctly.
-        for i in 0..COALESCE_LINES as u64 {
+        for i in 0..WINDOW_LINES as u64 {
             let a = base.offset(i * crate::LINE_WORDS);
             t.write(a, i + 1);
             t.flush(a);
         }
-        let extra = base.offset(COALESCE_LINES as u64 * crate::LINE_WORDS);
+        let extra = base.offset(WINDOW_LINES as u64 * crate::LINE_WORDS);
         t.write(extra, 77);
         t.flush(extra);
         t.flush(extra);

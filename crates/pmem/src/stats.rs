@@ -101,12 +101,10 @@ pub struct Stats {
     pub cas_success: u64,
     /// Cache-line flush instructions (`clflushopt` equivalents).
     pub flushes: u64,
-    /// Flushes (already counted in `flushes`) whose target cache line was
-    /// already flushed since the thread's last fence — the dedup-able
-    /// population that per-line flush coalescing can elide. When coalescing is
-    /// enabled (`DF_COALESCE=1`, the default) these flushes skip the persist
-    /// work; when disabled they execute in full but are still counted, so the
-    /// same field measures the opportunity ("before") and the win ("after").
+    /// Flushes (already counted in `flushes`) whose target cache line this
+    /// thread had already flushed since its last fence, had not re-dirtied
+    /// since, and found clean — flushes the code could have left out. They
+    /// execute like any other flush (writing back a clean word is a no-op).
     pub duplicate_flushes: u64,
     /// Store fences (`sfence` equivalents).
     pub fences: u64,

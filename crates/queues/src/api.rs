@@ -1,4 +1,8 @@
-//! Common queue interface and durability configuration.
+//! Common queue interface, durability configuration and the capsule-handle
+//! scaffold the two transformed queues share.
+
+use capsules::{BoundaryStyle, CapsuleRuntime, ContentionMeasure};
+use pmem::PThread;
 
 /// How a queue achieves durability in the shared-cache model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,6 +71,250 @@ pub trait QueueHandle {
             }
         }
         out
+    }
+}
+
+/// What the handle scaffold needs to know about a capsule-transformed queue
+/// (all of it lives in the queue's simulator).
+pub trait Capsuled {
+    /// User locals a handle's capsule runtime persists.
+    const LOCALS: usize;
+    /// Frame layout of the handles.
+    fn style(&self) -> BoundaryStyle;
+    /// Contention policy every handle starts with.
+    fn contention(&self) -> ContentionMeasure;
+}
+
+/// Per-thread handle of a capsule-transformed queue: the thread's capsule
+/// runtime plus a reference to the shared part. [`GeneralQueueHandle`] and
+/// [`NormalizedQueueHandle`] are this type.
+///
+/// [`GeneralQueueHandle`]: crate::GeneralQueueHandle
+/// [`NormalizedQueueHandle`]: crate::NormalizedQueueHandle
+pub struct Handle<'q, 't, 'm, Q> {
+    pub(crate) queue: &'q Q,
+    pub(crate) rt: CapsuleRuntime<'t, 'm>,
+}
+
+impl<'q, 't, 'm, Q: Capsuled> Handle<'q, 't, 'm, Q> {
+    fn over(queue: &'q Q, mut rt: CapsuleRuntime<'t, 'm>) -> Self {
+        rt.set_contention(queue.contention());
+        Handle { queue, rt }
+    }
+
+    /// A handle over a freshly allocated capsule frame.
+    pub(crate) fn new(queue: &'q Q, thread: &'t PThread<'m>) -> Self {
+        Self::over(queue, CapsuleRuntime::new(thread, queue.style(), Q::LOCALS))
+    }
+
+    /// A handle resuming from the process's restart pointer (the frame it
+    /// published before the crash). Recovery is constant work: reload the
+    /// frame, and the first capsule re-executed consults the recoverable CAS.
+    pub(crate) fn attach(queue: &'q Q, thread: &'t PThread<'m>) -> Self {
+        let rt = CapsuleRuntime::attach_from_restart_pointer(thread, queue.style(), Q::LOCALS);
+        Self::over(queue, rt)
+    }
+
+    /// Access the underlying capsule runtime (metrics, entry-boundary policy…).
+    pub fn runtime_mut(&mut self) -> &mut CapsuleRuntime<'t, 'm> {
+        &mut self.rt
+    }
+
+    /// Mirror of [`CapsuleRuntime::set_entry_boundary`]: the paper's measurements
+    /// omit the per-operation entry boundary because it is identical for every
+    /// variant under test (§10).
+    pub fn set_entry_boundary(&mut self, enabled: bool) {
+        self.rt.set_entry_boundary(enabled);
+    }
+}
+
+/// Give a capsule-transformed queue its handle type and the two inherent
+/// constructors every caller uses.
+macro_rules! capsule_handles {
+    ($queue:ident, $handle:ident) => {
+        #[doc = concat!("Per-thread handle of a [`", stringify!($queue), "`].")]
+        pub type $handle<'q, 't, 'm> = $crate::api::Handle<'q, 't, 'm, $queue>;
+
+        impl $queue {
+            /// Create the calling thread's handle (allocating its capsule frame).
+            pub fn handle<'q, 't, 'm>(
+                &'q self,
+                thread: &'t pmem::PThread<'m>,
+            ) -> $handle<'q, 't, 'm> {
+                $crate::api::Handle::new(self, thread)
+            }
+
+            /// Re-attach a handle after a restart, resuming from the process's
+            /// restart pointer.
+            pub fn attach_handle<'q, 't, 'm>(
+                &'q self,
+                thread: &'t pmem::PThread<'m>,
+            ) -> $handle<'q, 't, 'm> {
+                $crate::api::Handle::attach(self, thread)
+            }
+        }
+    };
+}
+pub(crate) use capsule_handles;
+
+/// One body per suite the two capsule-transformed queues share (single-thread
+/// FIFO semantics in both styles, concurrent exactness, random crashes on one
+/// and on several threads, full-system-crash durability), generic over the
+/// queue; the queues' test modules call these with a constructor.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use super::*;
+    use pmem::{install_quiet_crash_hook, CrashPolicy, MemConfig, Mode, PMem};
+    use std::collections::HashSet;
+
+    /// FIFO semantics on one thread, for both values of the style flag.
+    pub(crate) fn fifo_single_thread<Q: Capsuled>(
+        build: impl Fn(&PThread<'_>, bool) -> Q,
+        len: fn(&Q, &PThread<'_>) -> usize,
+    ) where
+        for<'q, 't, 'm> Handle<'q, 't, 'm, Q>: QueueHandle,
+    {
+        for flag in [false, true] {
+            let mem = PMem::with_threads(1);
+            let t = mem.thread(0);
+            let q = build(&t, flag);
+            let mut h = Handle::new(&q, &t);
+            assert_eq!(h.dequeue(), None);
+            for i in 1..=200 {
+                h.enqueue(i);
+            }
+            assert_eq!(len(&q, &t), 200);
+            for i in 1..=200 {
+                assert_eq!(h.dequeue(), Some(i), "style flag {flag}");
+            }
+            assert_eq!(h.dequeue(), None);
+        }
+    }
+
+    /// Four threads enqueue and dequeue concurrently: nothing lost, nothing
+    /// doubled.
+    pub(crate) fn concurrent_exactness<Q: Capsuled + Sync>(build: impl Fn(&PThread<'_>, usize) -> Q)
+    where
+        for<'q, 't, 'm> Handle<'q, 't, 'm, Q>: QueueHandle,
+    {
+        const THREADS: usize = 4;
+        const PER_THREAD: u64 = 2_000;
+        let mem = PMem::with_threads(THREADS);
+        let q = build(&mem.thread(0), THREADS);
+        let results: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|pid| {
+                    let (mem, q) = (&mem, &q);
+                    s.spawn(move || {
+                        let t = mem.thread(pid);
+                        let mut h = Handle::new(q, &t);
+                        let mut popped = Vec::new();
+                        for i in 0..PER_THREAD {
+                            h.enqueue((pid as u64) << 32 | i);
+                            popped.extend(h.dequeue());
+                        }
+                        popped
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let t = mem.thread(0);
+        let mut all: Vec<u64> = results.into_iter().flatten().collect();
+        all.extend(Handle::new(&q, &t).drain());
+        assert_eq!(all.len(), THREADS * PER_THREAD as usize);
+        let unique: HashSet<u64> = all.iter().copied().collect();
+        assert_eq!(unique.len(), all.len());
+    }
+
+    /// 300 enqueues then a full drain under random crash injection, for each
+    /// listed style flag: exactly-once, in FIFO order.
+    pub(crate) fn random_crashes<Q: Capsuled>(
+        build: impl Fn(&PThread<'_>, bool) -> Q,
+        flags: &[bool],
+        seed: u64,
+    ) where
+        for<'q, 't, 'm> Handle<'q, 't, 'm, Q>: QueueHandle,
+    {
+        install_quiet_crash_hook();
+        for &flag in flags {
+            let mem = PMem::with_threads(1);
+            let t = mem.thread(0);
+            let q = build(&t, flag);
+            let mut h = Handle::new(&q, &t);
+            t.set_crash_policy(CrashPolicy::Random { prob: 0.02, seed });
+            for i in 1..=300u64 {
+                h.enqueue(i);
+            }
+            let out = h.drain();
+            t.disarm_crashes();
+            let expect: Vec<u64> = (1..=300).collect();
+            assert_eq!(out, expect, "exactly-once despite crashes (style flag {flag})");
+            assert!(t.stats().crashes > 0, "the policy should have fired at least once");
+        }
+    }
+
+    /// Three threads enqueue under independent random crash injection: every
+    /// element is present exactly once afterwards.
+    pub(crate) fn concurrent_random_crashes<Q: Capsuled + Sync>(
+        build: impl Fn(&PThread<'_>, usize) -> Q,
+        per_thread: u64,
+        seed: u64,
+    ) where
+        for<'q, 't, 'm> Handle<'q, 't, 'm, Q>: QueueHandle,
+    {
+        install_quiet_crash_hook();
+        const THREADS: usize = 3;
+        let mem = PMem::with_threads(THREADS);
+        let q = build(&mem.thread(0), THREADS);
+        std::thread::scope(|s| {
+            for pid in 0..THREADS {
+                let (mem, q) = (&mem, &q);
+                s.spawn(move || {
+                    let t = mem.thread(pid);
+                    let mut h = Handle::new(q, &t);
+                    t.set_crash_policy(CrashPolicy::Random {
+                        prob: 0.005,
+                        seed: seed + pid as u64,
+                    });
+                    for i in 0..per_thread {
+                        h.enqueue((pid as u64) << 32 | i);
+                    }
+                    t.disarm_crashes();
+                });
+            }
+        });
+        let t = mem.thread(0);
+        let mut h = Handle::new(&q, &t);
+        let mut seen = HashSet::new();
+        while let Some(v) = h.dequeue() {
+            assert!(seen.insert(v), "value {v:#x} dequeued twice");
+        }
+        assert_eq!(seen.len(), THREADS * per_thread as usize);
+    }
+
+    /// Durable linearizability: 20 completed enqueues, a full-system crash, and
+    /// all 20 are dequeued in order by a fresh handle.
+    pub(crate) fn survives_full_system_crash<Q: Capsuled>(build: impl Fn(&PThread<'_>) -> Q)
+    where
+        for<'q, 't, 'm> Handle<'q, 't, 'm, Q>: QueueHandle,
+    {
+        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+        let q = build(&mem.thread(0));
+        {
+            let t = mem.thread(0);
+            let mut h = Handle::new(&q, &t);
+            for i in 1..=20 {
+                h.enqueue(i);
+            }
+        }
+        mem.crash_all();
+        let t = mem.thread(0);
+        let mut h = Handle::new(&q, &t);
+        for i in 1..=20 {
+            assert_eq!(h.dequeue(), Some(i));
+        }
+        assert_eq!(h.dequeue(), None);
     }
 }
 

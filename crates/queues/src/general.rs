@@ -3,9 +3,11 @@
 //!
 //! Each operation is written exactly as the paper's transformation would emit it: an
 //! explicit program-counter state machine in which every capsule contains at most
-//! one CAS — implemented with the recoverable CAS + `checkRecovery` protocol — as
-//! its first shared-memory effect, followed only by reads and local work, and ends
-//! with a capsule boundary persisting the locals the next capsule needs.
+//! one CAS — the simulator's recoverable [`capsule_cas`] — as its first
+//! shared-memory effect, followed only by reads and local work, and ends with a
+//! capsule boundary persisting the locals the next capsule needs. Everything that
+//! is the construction's rather than the queue's — frame layout, flush
+//! discipline, fast-path entry and crash triage — is the [`CasReadSimulator`]'s.
 //!
 //! Two configurations correspond to the paper's variants:
 //!
@@ -17,13 +19,16 @@
 //!
 //! Durability in the shared-cache model comes from [`Durability::Manual`] flushes
 //! (Figure 6) or from the Izraelevitz thread option (Figure 5).
+//!
+//! [`capsule_cas`]: CasReadSimulator::capsule_cas
 
-use capsules::{adaptive_enabled, recoverable_cas, BoundaryStyle, CapsuleRuntime, CapsuleStep, ContentionMeasure};
+use capsules::{adaptive_enabled, BoundaryStyle, CapsuleRuntime, CapsuleStep, ContentionMeasure};
+use delayfree::{CasReadSimulator, SharedMem};
 use pmem::{PAddr, PThread};
 use rcas::{RcasLayout, RcasSpace};
 
-use crate::api::{Durability, QueueHandle};
-use crate::node::{next_addr, value_addr, NODE_WORDS};
+use crate::api::{capsule_handles, Capsuled, Durability, QueueHandle};
+use crate::node::{chain_len, next_addr, value_addr, NODE_WORDS};
 
 // Persisted local slots (user indices).
 const L_VAL: usize = 0; // enqueue: value to insert; dequeue: value to return
@@ -55,13 +60,7 @@ const F_DEQ: u32 = 15;
 pub struct GeneralQueue {
     head: PAddr,
     tail: PAddr,
-    space: RcasSpace,
-    durability: Durability,
-    style: BoundaryStyle,
-    /// Whether handles try the contention-adaptive fast path (`DF_ADAPTIVE`).
-    adaptive: bool,
-    /// Contention-policy template copied into every handle's runtime.
-    contention: ContentionMeasure,
+    sim: CasReadSimulator,
 }
 
 impl GeneralQueue {
@@ -74,8 +73,8 @@ impl GeneralQueue {
     ) -> GeneralQueue {
         // Under manual durability the recoverable-CAS layer itself must follow
         // the flush discipline (announcement lines durable before every
-        // publishing CAS) — `persist_line` after the CAS is not enough once
-        // full-system crashes can roll back unflushed announcement state.
+        // publishing CAS) — persisting a CAS target afterwards is not enough
+        // once full-system crashes can roll back unflushed announcement state.
         let space =
             RcasSpace::new(thread, nprocs, RcasLayout::DEFAULT).with_durability(durability.manual());
         let sentinel = thread.alloc(NODE_WORDS);
@@ -89,80 +88,46 @@ impl GeneralQueue {
             thread.persist(head);
             thread.persist(tail);
         }
-        GeneralQueue {
-            head,
-            tail,
-            space,
-            durability,
-            style,
-            adaptive: adaptive_enabled(),
-            contention: ContentionMeasure::new(),
-        }
+        let sim = CasReadSimulator::new(space)
+            .with_durable(durability.manual())
+            .with_style(style)
+            .with_adaptive(adaptive_enabled());
+        GeneralQueue { head, tail, sim }
     }
 
     /// Override the contention policy handles start with (the sensitized
     /// `dfck` sweeps lower the trip threshold to 1 so any lost fast-path CAS
     /// deterministically exercises the fast→slow demotion boundary).
     pub fn with_contention(mut self, policy: ContentionMeasure) -> GeneralQueue {
-        self.contention = policy;
+        self.sim = self.sim.with_contention(policy);
         self
     }
 
     /// Override the contention-adaptive fast path (tests and the `dfck` sweeper
     /// force it on or off regardless of the `DF_ADAPTIVE` environment knob).
     pub fn with_adaptive(mut self, adaptive: bool) -> GeneralQueue {
-        self.adaptive = adaptive;
+        self.sim = self.sim.with_adaptive(adaptive);
         self
     }
 
     /// Whether handles of this queue try the contention-adaptive fast path.
     pub fn adaptive(&self) -> bool {
-        self.adaptive
+        self.sim.adaptive()
     }
 
     /// The recoverable-CAS space used by this queue.
     pub fn space(&self) -> &RcasSpace {
-        &self.space
+        self.sim.space()
     }
 
     /// Whether this is the hand-optimised (`-Opt`) configuration.
     pub fn optimised(&self) -> bool {
-        self.style == BoundaryStyle::Compact
-    }
-
-    /// Create the calling thread's handle (allocating its capsule frame).
-    pub fn handle<'q, 't, 'm>(&'q self, thread: &'t PThread<'m>) -> GeneralQueueHandle<'q, 't, 'm> {
-        let mut rt = CapsuleRuntime::new(thread, self.style, GENERAL_LOCALS);
-        rt.set_contention(self.contention);
-        GeneralQueueHandle { queue: self, rt }
-    }
-
-    /// Re-attach a handle after a restart, resuming from the process's restart
-    /// pointer (the frame it published before the crash). Recovery is constant
-    /// work: reload the frame, and the first capsule re-executed consults the
-    /// recoverable CAS.
-    pub fn attach_handle<'q, 't, 'm>(
-        &'q self,
-        thread: &'t PThread<'m>,
-    ) -> GeneralQueueHandle<'q, 't, 'm> {
-        let mut rt = CapsuleRuntime::attach_from_restart_pointer(thread, self.style, GENERAL_LOCALS);
-        rt.set_contention(self.contention);
-        GeneralQueueHandle { queue: self, rt }
+        self.sim.style() == BoundaryStyle::Compact
     }
 
     /// Count elements reachable from the head (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        let mut count = 0;
-        let mut node = PAddr::from_raw(self.space.read(thread, self.head));
-        loop {
-            let next = PAddr::from_raw(self.space.read(thread, next_addr(node)));
-            if next.is_null() {
-                break;
-            }
-            count += 1;
-            node = next;
-        }
-        count
+        chain_len(&self.sim.mem(thread), self.head)
     }
 
     /// Whether the queue is empty (same caveats as [`len`](Self::len)).
@@ -170,482 +135,281 @@ impl GeneralQueue {
         self.len(thread) == 0
     }
 
-    /// Flush + (unless optimised away) fence a line, per the manual-durability
-    /// discipline.
-    fn persist_line(&self, thread: &PThread<'_>, addr: PAddr) {
-        if !self.durability.manual() {
-            return;
-        }
-        thread.flush(addr);
-        // The -Opt variants omit fences that are immediately followed by a CAS:
-        // the lock prefix orders the pending flush just like the fence would
-        // (Px86). A capsule *boundary* does not qualify — see
-        // [`persist_line_before_boundary`](Self::persist_line_before_boundary).
-        if !self.optimised() {
-            thread.fence();
+    /// CAS-Read capsule body: swing the tail from `from` to `to`. Failure is
+    /// fine (someone helped); either way the tail line is persisted.
+    fn swing_tail(&self, rt: &mut CapsuleRuntime<'_, '_>, from: u64, to: u64) {
+        if !self.sim.capsule_cas(rt, self.tail, from, to) {
+            self.sim.persist_line(rt.thread(), self.tail);
         }
     }
 
-    /// Flush + fence a line unconditionally (under the manual discipline): for
-    /// persists whose next publication is a capsule boundary rather than a CAS.
-    /// The compact boundary publishes its control word with a release *store* —
-    /// a plain `mov` on x86, which (unlike a locked CAS) does not order earlier
-    /// `clflushopt`s — so a crash between the boundary's own flush and its
-    /// trailing fence could persist the frame without the node it references.
-    /// Recovery would then resume from the boundary and link a node whose
-    /// contents never became durable.
-    fn persist_line_before_boundary(&self, thread: &PThread<'_>, addr: PAddr) {
-        if !self.durability.manual() {
-            return;
-        }
-        thread.flush(addr);
-        thread.fence();
-    }
-}
-
-/// Per-thread handle: the thread's capsule runtime plus a reference to the queue.
-pub struct GeneralQueueHandle<'q, 't, 'm> {
-    queue: &'q GeneralQueue,
-    rt: CapsuleRuntime<'t, 'm>,
-}
-
-impl<'q, 't, 'm> GeneralQueueHandle<'q, 't, 'm> {
-    /// Access the underlying capsule runtime (metrics, entry-boundary policy…).
-    pub fn runtime_mut(&mut self) -> &mut CapsuleRuntime<'t, 'm> {
-        &mut self.rt
+    /// Fast-capsule helping: swing a lagging tail with an anonymous CAS
+    /// (repeat-safe, so no boundary is needed) and persist the tail line.
+    fn help_tail(&self, t: &PThread<'_>, from: u64, to: u64) {
+        let _ = self.sim.mem(t).help_cas(self.tail, from, to);
+        self.sim.persist_line(t, self.tail);
     }
 
-    /// Mirror of [`CapsuleRuntime::set_entry_boundary`]: the paper's measurements
-    /// omit the per-operation entry boundary because it is identical for every
-    /// variant under test (§10).
-    pub fn set_entry_boundary(&mut self, enabled: bool) {
-        self.rt.set_entry_boundary(enabled);
-    }
-
-    /// Pick the entry capsule for the next operation: the adaptive fast pc when
-    /// the queue is adaptive and the handle's contention measure is off
-    /// probation, the full simulator otherwise.
-    fn entry_pc(&mut self, fast: u32, slow: u32) -> u32 {
-        if self.queue.adaptive && !self.rt.contention_mut().begin_op() {
-            fast
-        } else {
-            slow
-        }
-    }
-
-    /// Fast-path crash triage shared by both operations: returns `Some(evidence)`
-    /// when the crash interrupted *this* operation's evidence-carrying CAS and
-    /// that CAS took effect (the operation is complete); `None` means no durable
-    /// effect escaped and the fast loop may simply retry. Either way the
-    /// runtime's sequence number is raised past every announced attempt so no
-    /// sequence number is ever reused.
-    fn recover_fast(
-        rt: &mut CapsuleRuntime<'_, '_>,
-        space: &RcasSpace,
-    ) -> Option<rcas::CasEvidence> {
-        let t = rt.thread();
-        // Honour the sharding contract: a recovering process re-runs the notify
-        // step for its own announcement group before consulting its own state.
-        let _ = space.help_group(t);
-        let ann = space.announcement(t);
-        if ann.seq <= rt.seq() {
-            return None; // crash hit before this op announced anything
-        }
-        rt.sync_seq(ann.seq);
-        let ev = space.evidence(t)?;
-        if ev.result.seq != ann.seq {
-            return None;
-        }
-        if space.recover(t, ev.x).flag {
-            Some(ev)
-        } else {
-            None // announced but the CAS never took durable effect: retry
-        }
-    }
-
-    fn enqueue_impl(&mut self, value: u64) {
-        let queue = self.queue;
-        let space = queue.space;
-        self.rt.set_local(L_VAL, value);
-        let entry = self.entry_pc(F_ENQ, E_START);
-        self.rt.run_op(entry, |rt| {
-            match rt.pc() {
-                // Adaptive fast path: the whole Michael–Scott enqueue as one
-                // un-checkpointed capsule around a single evidence-carrying
-                // recoverable CAS. A crash anywhere inside re-enters here and is
-                // resolved from the announcement line alone.
-                F_ENQ => {
-                    if rt.crashed() {
-                        if let Some(ev) = Self::recover_fast(rt, &space) {
-                            // The link CAS took effect; re-persist its line (the
-                            // crash may have interrupted the original flush) and
-                            // finish. The tail may lag by one node, which the
-                            // Michael–Scott invariant allows (any later
-                            // operation helps swing it).
-                            queue.persist_line(rt.thread(), ev.x);
-                            rt.finish_boundary(E_DONE);
-                            return CapsuleStep::Done(());
-                        }
-                    }
-                    let value = rt.local(L_VAL);
-                    let t = rt.thread();
-                    let node = t.alloc(NODE_WORDS);
-                    t.write(value_addr(node), value);
-                    space.init_word(t, next_addr(node), 0);
-                    queue.persist_line(t, node);
-                    loop {
-                        let last = PAddr::from_raw(space.read(t, queue.tail));
-                        let next = space.read(t, next_addr(last));
-                        if next != 0 {
-                            // Help swing a lagging tail; anonymous CASes are
-                            // repeat-safe, so no boundary is needed.
-                            let _ = space.cas_anonymous(t, queue.tail, last.to_raw(), next);
-                            queue.persist_line(t, queue.tail);
-                            continue;
-                        }
-                        let seq = rt.advance_seq();
-                        if space.cas_with_evidence(t, next_addr(last), 0, node.to_raw(), seq, 0) {
-                            rt.contention_mut().record_success();
-                            queue.persist_line(t, next_addr(last));
-                            let _ = space.cas_anonymous(t, queue.tail, last.to_raw(), node.to_raw());
-                            queue.persist_line(t, queue.tail);
-                            rt.finish_boundary(E_DONE);
-                            return CapsuleStep::Done(());
-                        }
-                        if rt.contention_mut().record_failure() {
-                            // Contended: demote this operation to the full
-                            // simulator (the node is abandoned, as on any lost
-                            // race; E_START allocates afresh).
-                            rt.boundary(E_START);
-                            return CapsuleStep::Continue;
-                        }
+    /// One enqueue capsule (entry pc [`E_START`], or [`F_ENQ`] on the fast path).
+    fn enqueue_step(&self, rt: &mut CapsuleRuntime<'_, '_>) -> CapsuleStep<()> {
+        let sim = &self.sim;
+        let m = sim.mem(rt.thread());
+        match rt.pc() {
+            // Adaptive fast path: the whole Michael–Scott enqueue as one
+            // un-checkpointed capsule around a single evidence-carrying
+            // recoverable CAS. A crash anywhere inside re-enters here and is
+            // resolved from the announcement line alone.
+            F_ENQ => {
+                if rt.crashed() {
+                    if let Some(ev) = sim.recover_fast(rt) {
+                        // The link CAS took effect; re-persist its line (the
+                        // crash may have interrupted the original flush) and
+                        // finish. The tail may lag by one node, which the
+                        // Michael–Scott invariant allows (any later
+                        // operation helps swing it).
+                        sim.persist_line(rt.thread(), ev.x);
+                        rt.finish_boundary(E_DONE);
+                        return CapsuleStep::Done(());
                     }
                 }
-                // Read-only capsule: allocate and initialise the node, read the
-                // tail and its successor, and branch.
-                E_START => {
-                    let value = rt.local(L_VAL);
-                    let t = rt.thread();
-                    let node = t.alloc(NODE_WORDS);
-                    t.write(value_addr(node), value);
-                    space.init_word(t, next_addr(node), 0);
-                    // The E_LINK boundary (not a CAS) publishes the node pointer
-                    // next, so the fence cannot be elided here.
-                    queue.persist_line_before_boundary(t, node);
-                    let last = PAddr::from_raw(space.read(t, queue.tail));
-                    let next = space.read(t, next_addr(last));
-                    rt.set_local_addr(L_AUX, node);
-                    rt.set_local_addr(L_LAST, last);
-                    if next == 0 {
-                        rt.boundary(E_LINK);
-                    } else {
-                        rt.set_local(L_NEXT, next);
-                        rt.boundary(E_ADVANCE);
+                let node = self.new_node(rt);
+                sim.persist_line(rt.thread(), node);
+                loop {
+                    let last = PAddr::from_raw(m.read(self.tail));
+                    let next = m.read(next_addr(last));
+                    if next != 0 {
+                        self.help_tail(rt.thread(), last.to_raw(), next);
+                        continue;
                     }
-                    CapsuleStep::Continue
-                }
-                // CAS-Read capsule: link the node after the observed tail.
-                E_LINK => {
-                    let node = rt.local(L_AUX);
-                    let last = rt.local_addr(L_LAST);
-                    let ok = recoverable_cas(rt, &space, next_addr(last), 0, node);
-                    if ok {
-                        queue.persist_line(rt.thread(), next_addr(last));
-                        rt.boundary(E_SWING);
-                    } else {
+                    if sim.fast_cas(rt, next_addr(last), 0, node.to_raw(), 0) {
+                        self.help_tail(rt.thread(), last.to_raw(), node.to_raw());
+                        rt.finish_boundary(E_DONE);
+                        return CapsuleStep::Done(());
+                    }
+                    if rt.contention_mut().record_failure() {
+                        // Contended: demote this operation to the full
+                        // simulator (the node is abandoned, as on any lost
+                        // race; E_START allocates afresh).
                         rt.boundary(E_START);
+                        return CapsuleStep::Continue;
                     }
-                    CapsuleStep::Continue
                 }
-                // CAS-Read capsule: swing the tail to the new node (failure is fine,
-                // someone helped).
-                E_SWING => {
-                    let node = rt.local(L_AUX);
-                    let last = rt.local(L_LAST);
-                    let _ = recoverable_cas(rt, &space, queue.tail, last, node);
-                    queue.persist_line(rt.thread(), queue.tail);
-                    rt.finish_boundary(E_DONE);
-                    CapsuleStep::Done(())
-                }
-                // CAS-Read capsule: help advance a lagging tail, then retry.
-                E_ADVANCE => {
-                    let last = rt.local(L_LAST);
-                    let next = rt.local(L_NEXT);
-                    let _ = recoverable_cas(rt, &space, queue.tail, last, next);
-                    queue.persist_line(rt.thread(), queue.tail);
-                    rt.boundary(E_START);
-                    CapsuleStep::Continue
-                }
-                // The final boundary had been published before a crash: done.
-                E_DONE => CapsuleStep::Done(()),
-                pc => unreachable!("general enqueue: unexpected pc {pc}"),
             }
-        })
+            // Read-only capsule: allocate and initialise the node, read the
+            // tail and its successor, and branch.
+            E_START => {
+                let node = self.new_node(rt);
+                // The E_LINK boundary (not a CAS) publishes the node pointer
+                // next, so the fence cannot be elided here.
+                sim.persist_line_before_boundary(rt.thread(), node);
+                let last = PAddr::from_raw(m.read(self.tail));
+                let next = m.read(next_addr(last));
+                rt.set_local_addr(L_AUX, node);
+                rt.set_local_addr(L_LAST, last);
+                if next == 0 {
+                    rt.boundary(E_LINK);
+                } else {
+                    rt.set_local(L_NEXT, next);
+                    rt.boundary(E_ADVANCE);
+                }
+                CapsuleStep::Continue
+            }
+            // CAS-Read capsule: link the node after the observed tail.
+            E_LINK => {
+                let node = rt.local(L_AUX);
+                let last = rt.local_addr(L_LAST);
+                if sim.capsule_cas(rt, next_addr(last), 0, node) {
+                    rt.boundary(E_SWING);
+                } else {
+                    rt.boundary(E_START);
+                }
+                CapsuleStep::Continue
+            }
+            // CAS-Read capsule: swing the tail to the new node.
+            E_SWING => {
+                let node = rt.local(L_AUX);
+                let last = rt.local(L_LAST);
+                self.swing_tail(rt, last, node);
+                rt.finish_boundary(E_DONE);
+                CapsuleStep::Done(())
+            }
+            // CAS-Read capsule: help advance a lagging tail, then retry.
+            E_ADVANCE => {
+                let last = rt.local(L_LAST);
+                let next = rt.local(L_NEXT);
+                self.swing_tail(rt, last, next);
+                rt.boundary(E_START);
+                CapsuleStep::Continue
+            }
+            // The final boundary had been published before a crash: done.
+            E_DONE => CapsuleStep::Done(()),
+            pc => unreachable!("general enqueue: unexpected pc {pc}"),
+        }
     }
 
-    fn dequeue_impl(&mut self) -> Option<u64> {
-        let queue = self.queue;
-        let space = queue.space;
-        let entry = self.entry_pc(F_DEQ, D_START);
-        self.rt.run_op(entry, |rt| {
-            match rt.pc() {
-                // Adaptive fast path: the whole Michael–Scott dequeue as one
-                // un-checkpointed capsule. The dequeued value rides the
-                // evidence's aux word so a post-CAS crash can still report it.
-                F_DEQ => {
-                    if rt.crashed() {
-                        if let Some(ev) = Self::recover_fast(rt, &space) {
-                            queue.persist_line(rt.thread(), ev.x);
-                            let value = ev.aux;
-                            rt.set_local(L_VAL, value);
-                            rt.finish_boundary(D_DONE_SOME);
-                            return CapsuleStep::Done(Some(value));
-                        }
-                    }
-                    let t = rt.thread();
-                    loop {
-                        let first = PAddr::from_raw(space.read(t, queue.head));
-                        let last = PAddr::from_raw(space.read(t, queue.tail));
-                        let next = PAddr::from_raw(space.read(t, next_addr(first)));
-                        if first == last {
-                            if next.is_null() {
-                                rt.finish_boundary(D_DONE_NONE);
-                                return CapsuleStep::Done(None);
-                            }
-                            let _ =
-                                space.cas_anonymous(t, queue.tail, last.to_raw(), next.to_raw());
-                            queue.persist_line(t, queue.tail);
-                            continue;
-                        }
-                        let value = t.read(value_addr(next));
-                        let seq = rt.advance_seq();
-                        if space.cas_with_evidence(
-                            t,
-                            queue.head,
-                            first.to_raw(),
-                            next.to_raw(),
-                            seq,
-                            value,
-                        ) {
-                            rt.contention_mut().record_success();
-                            queue.persist_line(t, queue.head);
-                            rt.set_local(L_VAL, value);
-                            rt.finish_boundary(D_DONE_SOME);
-                            return CapsuleStep::Done(Some(value));
-                        }
-                        if rt.contention_mut().record_failure() {
-                            rt.boundary(D_START);
-                            return CapsuleStep::Continue;
-                        }
+    /// Allocate and initialise the node carrying the enqueue's value (private
+    /// persistent writes: a restarted capsule just builds another).
+    fn new_node(&self, rt: &mut CapsuleRuntime<'_, '_>) -> PAddr {
+        let value = rt.local(L_VAL);
+        let m = self.sim.mem(rt.thread());
+        let node = m.alloc(NODE_WORDS);
+        m.write_plain(value_addr(node), value);
+        m.init_word(next_addr(node), 0);
+        node
+    }
+
+    /// One dequeue capsule (entry pc [`D_START`], or [`F_DEQ`] on the fast path).
+    fn dequeue_step(&self, rt: &mut CapsuleRuntime<'_, '_>) -> CapsuleStep<Option<u64>> {
+        let sim = &self.sim;
+        let m = sim.mem(rt.thread());
+        match rt.pc() {
+            // Adaptive fast path: the whole Michael–Scott dequeue as one
+            // un-checkpointed capsule. The dequeued value rides the
+            // evidence's aux word so a post-CAS crash can still report it.
+            F_DEQ => {
+                if rt.crashed() {
+                    if let Some(ev) = sim.recover_fast(rt) {
+                        sim.persist_line(rt.thread(), ev.x);
+                        rt.set_local(L_VAL, ev.aux);
+                        rt.finish_boundary(D_DONE_SOME);
+                        return CapsuleStep::Done(Some(ev.aux));
                     }
                 }
-                // Read-only capsule: read head, tail and head.next, and branch.
-                D_START => {
-                    let t = rt.thread();
-                    let first = PAddr::from_raw(space.read(t, queue.head));
-                    let last = PAddr::from_raw(space.read(t, queue.tail));
-                    let next = PAddr::from_raw(space.read(t, next_addr(first)));
+                loop {
+                    let first = PAddr::from_raw(m.read(self.head));
+                    let last = PAddr::from_raw(m.read(self.tail));
+                    let next = PAddr::from_raw(m.read(next_addr(first)));
                     if first == last {
                         if next.is_null() {
                             rt.finish_boundary(D_DONE_NONE);
                             return CapsuleStep::Done(None);
                         }
-                        rt.set_local_addr(L_LAST, last);
-                        rt.set_local_addr(L_NEXT, next);
-                        rt.boundary(D_ADVANCE);
+                        self.help_tail(rt.thread(), last.to_raw(), next.to_raw());
+                        continue;
+                    }
+                    let value = m.read_plain(value_addr(next));
+                    if sim.fast_cas(rt, self.head, first.to_raw(), next.to_raw(), value) {
+                        rt.set_local(L_VAL, value);
+                        rt.finish_boundary(D_DONE_SOME);
+                        return CapsuleStep::Done(Some(value));
+                    }
+                    if rt.contention_mut().record_failure() {
+                        rt.boundary(D_START);
                         return CapsuleStep::Continue;
                     }
-                    let value = t.read(value_addr(next));
-                    rt.set_local(L_VAL, value);
-                    rt.set_local_addr(L_AUX, first);
-                    rt.set_local_addr(L_NEXT, next);
-                    rt.boundary(D_CAS_HEAD);
-                    CapsuleStep::Continue
                 }
-                // CAS-Read capsule: swing the head past the dequeued node.
-                D_CAS_HEAD => {
-                    let first = rt.local(L_AUX);
-                    let next = rt.local(L_NEXT);
-                    let ok = recoverable_cas(rt, &space, queue.head, first, next);
-                    if ok {
-                        queue.persist_line(rt.thread(), queue.head);
-                        let value = rt.local(L_VAL);
-                        rt.finish_boundary(D_DONE_SOME);
-                        CapsuleStep::Done(Some(value))
-                    } else {
-                        rt.boundary(D_START);
-                        CapsuleStep::Continue
+            }
+            // Read-only capsule: read head, tail and head.next, and branch.
+            D_START => {
+                let first = PAddr::from_raw(m.read(self.head));
+                let last = PAddr::from_raw(m.read(self.tail));
+                let next = PAddr::from_raw(m.read(next_addr(first)));
+                if first == last {
+                    if next.is_null() {
+                        rt.finish_boundary(D_DONE_NONE);
+                        return CapsuleStep::Done(None);
                     }
+                    rt.set_local_addr(L_LAST, last);
+                    rt.set_local_addr(L_NEXT, next);
+                    rt.boundary(D_ADVANCE);
+                    return CapsuleStep::Continue;
                 }
-                // CAS-Read capsule: help advance a lagging tail, then retry.
-                D_ADVANCE => {
-                    let last = rt.local(L_LAST);
-                    let next = rt.local(L_NEXT);
-                    let _ = recoverable_cas(rt, &space, queue.tail, last, next);
-                    queue.persist_line(rt.thread(), queue.tail);
+                let value = m.read_plain(value_addr(next));
+                rt.set_local(L_VAL, value);
+                rt.set_local_addr(L_AUX, first);
+                rt.set_local_addr(L_NEXT, next);
+                rt.boundary(D_CAS_HEAD);
+                CapsuleStep::Continue
+            }
+            // CAS-Read capsule: swing the head past the dequeued node.
+            D_CAS_HEAD => {
+                let first = rt.local(L_AUX);
+                let next = rt.local(L_NEXT);
+                if sim.capsule_cas(rt, self.head, first, next) {
+                    let value = rt.local(L_VAL);
+                    rt.finish_boundary(D_DONE_SOME);
+                    CapsuleStep::Done(Some(value))
+                } else {
                     rt.boundary(D_START);
                     CapsuleStep::Continue
                 }
-                // Crash after the final boundary: the result was persisted.
-                D_DONE_SOME => CapsuleStep::Done(Some(rt.local(L_VAL))),
-                D_DONE_NONE => CapsuleStep::Done(None),
-                pc => unreachable!("general dequeue: unexpected pc {pc}"),
             }
-        })
+            // CAS-Read capsule: help advance a lagging tail, then retry.
+            D_ADVANCE => {
+                let last = rt.local(L_LAST);
+                let next = rt.local(L_NEXT);
+                self.swing_tail(rt, last, next);
+                rt.boundary(D_START);
+                CapsuleStep::Continue
+            }
+            // Crash after the final boundary: the result was persisted.
+            D_DONE_SOME => CapsuleStep::Done(Some(rt.local(L_VAL))),
+            D_DONE_NONE => CapsuleStep::Done(None),
+            pc => unreachable!("general dequeue: unexpected pc {pc}"),
+        }
     }
 }
 
+impl Capsuled for GeneralQueue {
+    const LOCALS: usize = GENERAL_LOCALS;
+    fn style(&self) -> BoundaryStyle {
+        self.sim.style()
+    }
+    fn contention(&self) -> ContentionMeasure {
+        self.sim.contention()
+    }
+}
+
+capsule_handles!(GeneralQueue, GeneralQueueHandle);
+
 impl QueueHandle for GeneralQueueHandle<'_, '_, '_> {
     fn enqueue(&mut self, value: u64) {
-        self.enqueue_impl(value)
+        let queue = self.queue;
+        self.rt.set_local(L_VAL, value);
+        let entry = queue.sim.enter(&mut self.rt, F_ENQ, E_START);
+        self.rt.run_op(entry, |rt| queue.enqueue_step(rt))
     }
 
     fn dequeue(&mut self) -> Option<u64> {
-        self.dequeue_impl()
+        let queue = self.queue;
+        let entry = queue.sim.enter(&mut self.rt, F_DEQ, D_START);
+        self.rt.run_op(entry, |rt| queue.dequeue_step(rt))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem::{install_quiet_crash_hook, CrashPolicy, MemConfig, Mode, PMem};
-    use std::collections::HashSet;
+    use crate::api::testkit;
+    use pmem::PMem;
 
-    fn new_queue(mem: &PMem, durability: Durability, style: BoundaryStyle) -> GeneralQueue {
-        GeneralQueue::new(&mem.thread(0), mem.threads(), durability, style)
+    fn styled(t: &PThread<'_>, nprocs: usize, compact: bool) -> GeneralQueue {
+        GeneralQueue::new(t, nprocs, Durability::Manual, BoundaryStyle::opt(compact))
     }
 
     #[test]
     fn fifo_order_single_thread_both_styles() {
-        for style in [BoundaryStyle::General, BoundaryStyle::Compact] {
-            let mem = PMem::with_threads(1);
-            let q = new_queue(&mem, Durability::Manual, style);
-            let t = mem.thread(0);
-            let mut h = q.handle(&t);
-            assert_eq!(h.dequeue(), None);
-            for i in 1..=200 {
-                h.enqueue(i);
-            }
-            for i in 1..=200 {
-                assert_eq!(h.dequeue(), Some(i), "style {style:?}");
-            }
-            assert_eq!(h.dequeue(), None);
-        }
+        testkit::fifo_single_thread(|t, compact| styled(t, 1, compact), GeneralQueue::len);
     }
 
     #[test]
     fn concurrent_elements_are_neither_lost_nor_duplicated() {
-        const THREADS: usize = 4;
-        const PER_THREAD: u64 = 2_000;
-        let mem = PMem::with_threads(THREADS);
-        let q = new_queue(&mem, Durability::Manual, BoundaryStyle::General);
-        let results: Vec<Vec<u64>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|pid| {
-                    let mem = &mem;
-                    let q = &q;
-                    s.spawn(move || {
-                        let t = mem.thread(pid);
-                        let mut h = q.handle(&t);
-                        let mut popped = Vec::new();
-                        for i in 0..PER_THREAD {
-                            h.enqueue((pid as u64) << 32 | i);
-                            if let Some(v) = h.dequeue() {
-                                popped.push(v);
-                            }
-                        }
-                        popped
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let t = mem.thread(0);
-        let mut h = q.handle(&t);
-        let mut all: Vec<u64> = results.into_iter().flatten().collect();
-        while let Some(v) = h.dequeue() {
-            all.push(v);
-        }
-        assert_eq!(all.len(), THREADS * PER_THREAD as usize);
-        let unique: HashSet<u64> = all.iter().copied().collect();
-        assert_eq!(unique.len(), all.len());
+        testkit::concurrent_exactness(|t, nprocs| styled(t, nprocs, false));
     }
 
     #[test]
     fn single_thread_operations_survive_random_crashes() {
-        install_quiet_crash_hook();
-        let mem = PMem::with_threads(1);
-        let q = new_queue(&mem, Durability::Manual, BoundaryStyle::General);
-        let t = mem.thread(0);
-        let mut h = q.handle(&t);
-        t.set_crash_policy(CrashPolicy::Random { prob: 0.02, seed: 31 });
-        for i in 1..=300u64 {
-            h.enqueue(i);
-        }
-        let mut out = Vec::new();
-        while let Some(v) = h.dequeue() {
-            out.push(v);
-        }
-        t.disarm_crashes();
-        assert_eq!(out, (1..=300).collect::<Vec<u64>>(), "exactly-once despite crashes");
-        assert!(t.stats().crashes > 0, "the policy should have fired at least once");
+        testkit::random_crashes(|t, compact| styled(t, 1, compact), &[false], 31);
     }
 
     #[test]
     fn concurrent_operations_survive_random_crashes() {
-        install_quiet_crash_hook();
-        const THREADS: usize = 3;
-        const PER_THREAD: u64 = 300;
-        let mem = PMem::with_threads(THREADS);
-        let q = new_queue(&mem, Durability::Manual, BoundaryStyle::General);
-        std::thread::scope(|s| {
-            for pid in 0..THREADS {
-                let mem = &mem;
-                let q = &q;
-                s.spawn(move || {
-                    let t = mem.thread(pid);
-                    let mut h = q.handle(&t);
-                    t.set_crash_policy(CrashPolicy::Random {
-                        prob: 0.005,
-                        seed: 5000 + pid as u64,
-                    });
-                    for i in 0..PER_THREAD {
-                        h.enqueue((pid as u64) << 32 | i);
-                    }
-                    t.disarm_crashes();
-                });
-            }
-        });
-        // Every enqueued element must be present exactly once.
-        let t = mem.thread(0);
-        let mut h = q.handle(&t);
-        let mut seen = HashSet::new();
-        while let Some(v) = h.dequeue() {
-            assert!(seen.insert(v), "value {v:#x} dequeued twice");
-        }
-        assert_eq!(seen.len(), THREADS * PER_THREAD as usize);
+        testkit::concurrent_random_crashes(|t, nprocs| styled(t, nprocs, false), 300, 5000);
     }
 
     #[test]
     fn manual_durability_survives_full_system_crash() {
-        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-        let q = new_queue(&mem, Durability::Manual, BoundaryStyle::General);
-        {
-            let t = mem.thread(0);
-            let mut h = q.handle(&t);
-            for i in 1..=20 {
-                h.enqueue(i);
-            }
-        }
-        mem.crash_all();
-        let t = mem.thread(0);
-        let mut h = q.handle(&t);
-        // Durable linearizability: the persisted queue holds a prefix-consistent
-        // state; since every enqueue completed (returned), all 20 must be present.
-        for i in 1..=20 {
-            assert_eq!(h.dequeue(), Some(i));
-        }
-        assert_eq!(h.dequeue(), None);
+        testkit::survives_full_system_crash(|t| styled(t, 1, false));
     }
 
     #[test]
@@ -679,7 +443,7 @@ mod tests {
     #[test]
     fn attach_handle_resumes_after_restart() {
         let mem = PMem::with_threads(1);
-        let q = new_queue(&mem, Durability::Manual, BoundaryStyle::General);
+        let q = styled(&mem.thread(0), 1, false);
         {
             let t = mem.thread(0);
             let mut h = q.handle(&t);

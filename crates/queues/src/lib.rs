@@ -33,7 +33,7 @@ pub mod msq;
 pub mod node;
 pub mod normalized;
 
-pub use api::{Durability, QueueHandle};
+pub use api::{Capsuled, Durability, Handle, QueueHandle};
 pub use general::{GeneralQueue, GeneralQueueHandle};
 pub use log_queue::{LogQueue, LogQueueHandle, RecoveredOp};
 pub use msq::{MsQueue, MsqHandle};

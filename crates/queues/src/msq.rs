@@ -10,7 +10,7 @@
 use pmem::{PAddr, PThread};
 
 use crate::api::QueueHandle;
-use crate::node::{alloc_node, next_addr, value_addr};
+use crate::node::{alloc_node, chain_len, next_addr, value_addr};
 
 /// The shared, persistent part of the queue: head and tail pointers (plain words
 /// holding node addresses) plus the initial sentinel node.
@@ -49,17 +49,7 @@ impl MsQueue {
     /// Count the elements currently reachable from the head (test/diagnostic helper;
     /// not linearizable with respect to concurrent operations).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        let mut count = 0;
-        let mut node = PAddr::from_raw(thread.read(self.head));
-        loop {
-            let next = PAddr::from_raw(thread.read(next_addr(node)));
-            if next.is_null() {
-                break;
-            }
-            count += 1;
-            node = next;
-        }
-        count
+        chain_len(thread, self.head)
     }
 
     /// Whether the queue is empty (same caveats as [`len`](Self::len)).

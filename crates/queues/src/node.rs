@@ -13,6 +13,7 @@
 //! within a run, which keeps every pointer CAS ABA-free (the property the
 //! recoverable CAS requires of its callers).
 
+use delayfree::SharedMem;
 use pmem::{PAddr, PThread};
 
 /// Word offset of the value field.
@@ -47,6 +48,22 @@ pub fn next_addr(node: PAddr) -> PAddr {
 /// Address of a node's dequeuer word.
 pub fn dequeuer_addr(node: PAddr) -> PAddr {
     node.offset(DEQUEUER)
+}
+
+/// Count the elements reachable from the node `head` points at (diagnostic;
+/// not linearizable). One walk for every variant: `m` says how the variant
+/// reads its head and next words.
+pub fn chain_len<M: SharedMem>(m: &M, head: PAddr) -> usize {
+    let mut count = 0;
+    let mut node = PAddr::from_raw(m.read(head));
+    loop {
+        let next = PAddr::from_raw(m.read(next_addr(node)));
+        if next.is_null() {
+            return count;
+        }
+        count += 1;
+        node = next;
+    }
 }
 
 #[cfg(test)]

@@ -13,13 +13,15 @@
 //! word and updated with plain CASes (§7 explains why such locations need no
 //! recoverable CAS).
 
-use capsules::{adaptive_enabled, BoundaryStyle, CapsuleRuntime, ContentionMeasure};
-use delayfree::{CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, WrapUp};
+use capsules::{adaptive_enabled, BoundaryStyle, ContentionMeasure};
+use delayfree::{
+    CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, SharedMem, WrapUp,
+};
 use pmem::{PAddr, PThread};
 use rcas::{RcasLayout, RcasSpace};
 
-use crate::api::{Durability, QueueHandle};
-use crate::node::{next_addr, value_addr, NODE_WORDS};
+use crate::api::{capsule_handles, Capsuled, Durability, QueueHandle};
+use crate::node::{chain_len, next_addr, value_addr, NODE_WORDS};
 
 /// Number of user locals the handle's capsule runtime needs (the inline-list
 /// optimisation needs the larger figure; using it everywhere keeps handles uniform).
@@ -32,14 +34,7 @@ pub struct NormalizedQueue {
     head: PAddr,
     /// Plain word holding the tail node address (only helping code CASes it).
     tail: PAddr,
-    space: RcasSpace,
-    durability: Durability,
-    style: BoundaryStyle,
-    optimised: bool,
-    /// Whether handles try the contention-adaptive fast path (`DF_ADAPTIVE`).
-    adaptive: bool,
-    /// Contention-policy template copied into every handle's runtime.
-    contention: ContentionMeasure,
+    sim: NormalizedSimulator,
 }
 
 impl NormalizedQueue {
@@ -66,104 +61,50 @@ impl NormalizedQueue {
             thread.persist(head);
             thread.persist(tail);
         }
-        NormalizedQueue {
-            head,
-            tail,
-            space,
-            durability,
-            style: if optimised {
-                BoundaryStyle::Compact
-            } else {
-                BoundaryStyle::General
-            },
-            optimised,
-            adaptive: adaptive_enabled(),
-            contention: ContentionMeasure::new(),
-        }
+        // Algorithm 4 persists the CAS list as part of the capsule boundary (it is a
+        // stack-allocated local); the MSQ's lists have at most one entry, so they
+        // always fit inline in the frame. The heap-buffer fallback only exists for
+        // operations with long CAS lists.
+        let sim = NormalizedSimulator::new(space, durability.manual())
+            .with_style(BoundaryStyle::opt(optimised))
+            .with_inline_lists()
+            .with_adaptive(adaptive_enabled());
+        NormalizedQueue { head, tail, sim }
     }
 
     /// Override the contention policy handles start with (the sensitized
     /// `dfck` sweeps lower the trip threshold to 1 so any lost fast-path CAS
     /// deterministically exercises the fast→slow demotion boundary).
     pub fn with_contention(mut self, policy: ContentionMeasure) -> NormalizedQueue {
-        self.contention = policy;
+        self.sim = self.sim.with_contention(policy);
         self
     }
 
     /// Override the contention-adaptive fast path (tests and the `dfck` sweeper
     /// force it on or off regardless of the `DF_ADAPTIVE` environment knob).
     pub fn with_adaptive(mut self, adaptive: bool) -> NormalizedQueue {
-        self.adaptive = adaptive;
+        self.sim = self.sim.with_adaptive(adaptive);
         self
     }
 
     /// Whether handles of this queue try the contention-adaptive fast path.
     pub fn adaptive(&self) -> bool {
-        self.adaptive
+        self.sim.adaptive()
     }
 
     /// The recoverable-CAS space used by this queue.
     pub fn space(&self) -> &RcasSpace {
-        &self.space
+        self.sim.space()
     }
 
     /// Whether this is the Normalized-Opt configuration.
     pub fn optimised(&self) -> bool {
-        self.optimised
-    }
-
-    fn simulator(&self) -> NormalizedSimulator {
-        // Algorithm 4 persists the CAS list as part of the capsule boundary (it is a
-        // stack-allocated local); the MSQ's lists have at most one entry, so they
-        // always fit inline in the frame. The heap-buffer fallback only exists for
-        // operations with long CAS lists.
-        NormalizedSimulator::new(self.space, self.durability.manual())
-            .with_inline_lists()
-            .with_adaptive(self.adaptive)
-    }
-
-    /// Create the calling thread's handle (allocating its capsule frame).
-    pub fn handle<'q, 't, 'm>(
-        &'q self,
-        thread: &'t PThread<'m>,
-    ) -> NormalizedQueueHandle<'q, 't, 'm> {
-        let mut rt = CapsuleRuntime::new(thread, self.style, NORMALIZED_QUEUE_LOCALS);
-        rt.set_contention(self.contention);
-        NormalizedQueueHandle {
-            queue: self,
-            sim: self.simulator(),
-            rt,
-        }
-    }
-
-    /// Re-attach a handle after a restart (resumes from the restart pointer).
-    pub fn attach_handle<'q, 't, 'm>(
-        &'q self,
-        thread: &'t PThread<'m>,
-    ) -> NormalizedQueueHandle<'q, 't, 'm> {
-        let mut rt =
-            CapsuleRuntime::attach_from_restart_pointer(thread, self.style, NORMALIZED_QUEUE_LOCALS);
-        rt.set_contention(self.contention);
-        NormalizedQueueHandle {
-            queue: self,
-            sim: self.simulator(),
-            rt,
-        }
+        self.sim.style() == BoundaryStyle::Compact
     }
 
     /// Count elements reachable from the head (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        let mut count = 0;
-        let mut node = PAddr::from_raw(self.space.read(thread, self.head));
-        loop {
-            let next = PAddr::from_raw(self.space.read(thread, next_addr(node)));
-            if next.is_null() {
-                break;
-            }
-            count += 1;
-            node = next;
-        }
-        count
+        chain_len(&self.sim.mem(thread), self.head)
     }
 
     /// Whether the queue is empty (same caveats as [`len`](Self::len)).
@@ -174,27 +115,24 @@ impl NormalizedQueue {
 
 /// The normalized enqueue: generator links nothing yet, it just proposes the single
 /// `next` CAS; the wrap-up swings the tail.
-struct EnqueueOp {
-    queue: NormalizedQueue,
-}
+struct EnqueueOp<'q>(&'q NormalizedQueue);
 
-impl NormalizedOp for EnqueueOp {
+impl NormalizedOp for EnqueueOp<'_> {
     type Input = u64;
     type Output = ();
 
     fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, value: &u64) -> CasList {
-        let q = &self.queue;
+        let q = self.0;
+        let m = ctx.mem();
         // Allocate and initialise the node (private persistent writes; repetition
         // just rebuilds an unpublished node).
-        let node = ctx.alloc(NODE_WORDS);
-        ctx.write_private(value_addr(node), *value);
-        q.space.init_word(ctx.thread(), next_addr(node), 0);
-        if q.durability.manual() {
-            ctx.persist(node);
-        }
+        let node = m.alloc(NODE_WORDS);
+        m.write_plain(value_addr(node), *value);
+        m.init_word(next_addr(node), 0);
+        ctx.persist(node);
         loop {
-            let last = PAddr::from_raw(ctx.read_plain(q.tail));
-            let next = q.space.read(ctx.thread(), next_addr(last));
+            let last = PAddr::from_raw(m.read_plain(q.tail));
+            let next = m.read(next_addr(last));
             if next != 0 {
                 // Help a lagging tail; the tail is never touched by an executor, so
                 // a plain CAS suffices (and repetitions are harmless).
@@ -213,13 +151,11 @@ impl NormalizedOp for EnqueueOp {
         executed: usize,
     ) -> WrapUp<()> {
         if executed == cas_list.len() {
-            let q = &self.queue;
+            let q = self.0;
             let last = cas_list[0].aux;
             let node = cas_list[0].new;
             let _ = ctx.plain_cas(q.tail, last, node);
-            if q.durability.manual() {
-                ctx.persist(q.tail);
-            }
+            ctx.persist(q.tail);
             WrapUp::Done(())
         } else {
             WrapUp::Restart
@@ -229,20 +165,19 @@ impl NormalizedOp for EnqueueOp {
 
 /// The normalized dequeue: the generator proposes the head swing (or an empty list
 /// when the queue is empty); the wrap-up reports the value carried in `aux`.
-struct DequeueOp {
-    queue: NormalizedQueue,
-}
+struct DequeueOp<'q>(&'q NormalizedQueue);
 
-impl NormalizedOp for DequeueOp {
+impl NormalizedOp for DequeueOp<'_> {
     type Input = ();
     type Output = Option<u64>;
 
     fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, _input: &()) -> CasList {
-        let q = &self.queue;
+        let q = self.0;
+        let m = ctx.mem();
         loop {
-            let first = PAddr::from_raw(q.space.read(ctx.thread(), q.head));
-            let last = PAddr::from_raw(ctx.read_plain(q.tail));
-            let next = PAddr::from_raw(q.space.read(ctx.thread(), next_addr(first)));
+            let first = PAddr::from_raw(m.read(q.head));
+            let last = PAddr::from_raw(m.read_plain(q.tail));
+            let next = PAddr::from_raw(m.read(next_addr(first)));
             if first == last {
                 if next.is_null() {
                     return Vec::new(); // empty queue: nothing to CAS
@@ -250,7 +185,7 @@ impl NormalizedOp for DequeueOp {
                 let _ = ctx.plain_cas(q.tail, last.to_raw(), next.to_raw());
                 continue;
             }
-            let value = ctx.read_plain(value_addr(next));
+            let value = m.read_plain(value_addr(next));
             return vec![CasDesc::new(q.head, first.to_raw(), next.to_raw()).with_aux(value)];
         }
     }
@@ -275,173 +210,61 @@ impl NormalizedOp for DequeueOp {
     }
 }
 
-/// Per-thread handle for the normalized queue.
-pub struct NormalizedQueueHandle<'q, 't, 'm> {
-    queue: &'q NormalizedQueue,
-    sim: NormalizedSimulator,
-    rt: CapsuleRuntime<'t, 'm>,
-}
-
-impl<'q, 't, 'm> NormalizedQueueHandle<'q, 't, 'm> {
-    /// Access the underlying capsule runtime.
-    pub fn runtime_mut(&mut self) -> &mut CapsuleRuntime<'t, 'm> {
-        &mut self.rt
+impl Capsuled for NormalizedQueue {
+    const LOCALS: usize = NORMALIZED_QUEUE_LOCALS;
+    fn style(&self) -> BoundaryStyle {
+        self.sim.style()
     }
-
-    /// See [`CapsuleRuntime::set_entry_boundary`].
-    pub fn set_entry_boundary(&mut self, enabled: bool) {
-        self.rt.set_entry_boundary(enabled);
+    fn contention(&self) -> ContentionMeasure {
+        self.sim.contention()
     }
 }
+
+capsule_handles!(NormalizedQueue, NormalizedQueueHandle);
 
 impl QueueHandle for NormalizedQueueHandle<'_, '_, '_> {
     fn enqueue(&mut self, value: u64) {
-        let op = EnqueueOp { queue: *self.queue };
-        self.sim.run(&mut self.rt, &op, &value)
+        self.queue.sim.run(&mut self.rt, &EnqueueOp(self.queue), &value)
     }
 
     fn dequeue(&mut self) -> Option<u64> {
-        let op = DequeueOp { queue: *self.queue };
-        self.sim.run(&mut self.rt, &op, &())
+        self.queue.sim.run(&mut self.rt, &DequeueOp(self.queue), &())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem::{install_quiet_crash_hook, CrashPolicy, MemConfig, Mode, PMem};
-    use std::collections::HashSet;
+    use crate::api::testkit;
+    use pmem::PMem;
+
+    fn manual(t: &PThread<'_>, nprocs: usize, optimised: bool) -> NormalizedQueue {
+        NormalizedQueue::new(t, nprocs, Durability::Manual, optimised)
+    }
 
     #[test]
     fn fifo_order_single_thread_both_variants() {
-        for optimised in [false, true] {
-            let mem = PMem::with_threads(1);
-            let q = NormalizedQueue::new(&mem.thread(0), 1, Durability::Manual, optimised);
-            let t = mem.thread(0);
-            let mut h = q.handle(&t);
-            assert_eq!(h.dequeue(), None);
-            for i in 1..=200 {
-                h.enqueue(i);
-            }
-            assert_eq!(q.len(&t), 200);
-            for i in 1..=200 {
-                assert_eq!(h.dequeue(), Some(i), "optimised={optimised}");
-            }
-            assert_eq!(h.dequeue(), None);
-        }
+        testkit::fifo_single_thread(|t, optimised| manual(t, 1, optimised), NormalizedQueue::len);
     }
 
     #[test]
     fn concurrent_elements_are_neither_lost_nor_duplicated() {
-        const THREADS: usize = 4;
-        const PER_THREAD: u64 = 2_000;
-        let mem = PMem::with_threads(THREADS);
-        let q = NormalizedQueue::new(&mem.thread(0), THREADS, Durability::Manual, false);
-        let results: Vec<Vec<u64>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|pid| {
-                    let mem = &mem;
-                    let q = &q;
-                    s.spawn(move || {
-                        let t = mem.thread(pid);
-                        let mut h = q.handle(&t);
-                        let mut popped = Vec::new();
-                        for i in 0..PER_THREAD {
-                            h.enqueue((pid as u64) << 32 | i);
-                            if let Some(v) = h.dequeue() {
-                                popped.push(v);
-                            }
-                        }
-                        popped
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let t = mem.thread(0);
-        let mut h = q.handle(&t);
-        let mut all: Vec<u64> = results.into_iter().flatten().collect();
-        while let Some(v) = h.dequeue() {
-            all.push(v);
-        }
-        assert_eq!(all.len(), THREADS * PER_THREAD as usize);
-        let unique: HashSet<u64> = all.iter().copied().collect();
-        assert_eq!(unique.len(), all.len());
+        testkit::concurrent_exactness(|t, nprocs| manual(t, nprocs, false));
     }
 
     #[test]
     fn operations_survive_random_crashes() {
-        install_quiet_crash_hook();
-        for optimised in [false, true] {
-            let mem = PMem::with_threads(1);
-            let q = NormalizedQueue::new(&mem.thread(0), 1, Durability::Manual, optimised);
-            let t = mem.thread(0);
-            let mut h = q.handle(&t);
-            t.set_crash_policy(CrashPolicy::Random { prob: 0.02, seed: 99 });
-            for i in 1..=300u64 {
-                h.enqueue(i);
-            }
-            let mut out = Vec::new();
-            while let Some(v) = h.dequeue() {
-                out.push(v);
-            }
-            t.disarm_crashes();
-            assert_eq!(out, (1..=300).collect::<Vec<u64>>(), "optimised={optimised}");
-        }
+        testkit::random_crashes(|t, optimised| manual(t, 1, optimised), &[false, true], 99);
     }
 
     #[test]
     fn concurrent_operations_survive_random_crashes() {
-        install_quiet_crash_hook();
-        const THREADS: usize = 3;
-        const PER_THREAD: u64 = 250;
-        let mem = PMem::with_threads(THREADS);
-        let q = NormalizedQueue::new(&mem.thread(0), THREADS, Durability::Manual, false);
-        std::thread::scope(|s| {
-            for pid in 0..THREADS {
-                let mem = &mem;
-                let q = &q;
-                s.spawn(move || {
-                    let t = mem.thread(pid);
-                    let mut h = q.handle(&t);
-                    t.set_crash_policy(CrashPolicy::Random {
-                        prob: 0.005,
-                        seed: 7000 + pid as u64,
-                    });
-                    for i in 0..PER_THREAD {
-                        h.enqueue((pid as u64) << 32 | i);
-                    }
-                    t.disarm_crashes();
-                });
-            }
-        });
-        let t = mem.thread(0);
-        let mut h = q.handle(&t);
-        let mut seen = HashSet::new();
-        while let Some(v) = h.dequeue() {
-            assert!(seen.insert(v), "value {v:#x} dequeued twice");
-        }
-        assert_eq!(seen.len(), THREADS * PER_THREAD as usize);
+        testkit::concurrent_random_crashes(|t, nprocs| manual(t, nprocs, false), 250, 7000);
     }
 
     #[test]
     fn manual_durability_survives_full_system_crash() {
-        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-        let q = NormalizedQueue::new(&mem.thread(0), 1, Durability::Manual, false);
-        {
-            let t = mem.thread(0);
-            let mut h = q.handle(&t);
-            for i in 1..=20 {
-                h.enqueue(i);
-            }
-        }
-        mem.crash_all();
-        let t = mem.thread(0);
-        let mut h = q.handle(&t);
-        for i in 1..=20 {
-            assert_eq!(h.dequeue(), Some(i));
-        }
-        assert_eq!(h.dequeue(), None);
+        testkit::survives_full_system_crash(|t| manual(t, 1, false));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod stack;
 pub mod stack_general;
 pub mod stack_normalized;
 
-pub use api::{StructHandle, StructOp};
+pub use api::{Capsuled, Handle, StructHandle, StructOp};
 pub use map::{map_bucket_of, map_mix64, DetMap, DetMapHandle, MapConfig, MAP_RCAS_LAYOUT};
 pub use map_general::{GeneralDetMap, GeneralDetMapHandle, MAP_GENERAL_LOCALS};
 pub use map_normalized::{NormalizedDetMap, NormalizedDetMapHandle, MAP_NORMALIZED_LOCALS};

@@ -4,7 +4,7 @@
 //! constructions (the plain/Izraelevitz [`DetMap`] lives here too; the
 //! General and Normalized variants in [`map_general`](crate::map_general) and
 //! [`map_normalized`](crate::map_normalized) reuse the same routines through
-//! the [`MapMem`] word-access abstraction).
+//! the [`SharedMem`] face of their simulator).
 //!
 //! ## Layout
 //!
@@ -64,10 +64,11 @@
 //! inserts, `next`/cursor/state/directory installs) is helping-class and safe
 //! to repeat from any crash point.
 
+use delayfree::SharedMem;
 use pmem::{PAddr, PThread, LINE_WORDS};
-use rcas::{RcasLayout, RcasSpace};
+use rcas::RcasLayout;
 
-use crate::api::{bool_ret, Drain, StructHandle, StructOp};
+use crate::api::{apply_keyed, Drain, StructHandle, StructOp};
 use crate::node::{next_addr, value_addr, NODE_WORDS};
 
 /// The recoverable-CAS packing used by the detectable map variants: the
@@ -84,9 +85,9 @@ pub const MAP_RCAS_LAYOUT: RcasLayout = RcasLayout {
 /// Tombstone mark: the node is logically deleted (bit 0 of the next word).
 pub(crate) const DEL: u64 = 1;
 /// Freeze mark: the word belongs to a bucket under migration (bit 1).
-pub(crate) const FRZ: u64 = 2;
+const FRZ: u64 = 2;
 /// Both mark bits.
-pub(crate) const MBITS: u64 = 3;
+const MBITS: u64 = 3;
 
 // Generation header word offsets.
 const G_NBUCKETS: u64 = 0;
@@ -111,7 +112,7 @@ pub(crate) fn menc(succ: PAddr, marks: u64) -> u64 {
 
 /// The successor address of a map next word.
 #[inline]
-pub(crate) fn menc_addr(word: u64) -> PAddr {
+fn menc_addr(word: u64) -> PAddr {
     PAddr::from_raw(word >> 2)
 }
 
@@ -165,98 +166,6 @@ impl Default for MapConfig {
     }
 }
 
-/// The word-access seam between the shared protocol and the three
-/// constructions: plain words (Izraelevitz), an [`RcasSpace`] (General), or a
-/// normalized-simulator ctx. `help_cas` is always the *anonymous*,
-/// repetition-safe CAS of the construction; the linearizing CASes never go
-/// through this trait.
-pub(crate) trait MapMem {
-    /// Read a formatted word's application value.
-    fn read(&mut self, addr: PAddr) -> u64;
-    /// Read a plain (unformatted) word: node keys, `nbuckets`.
-    fn read_plain(&mut self, addr: PAddr) -> u64;
-    /// Value-level helping CAS (anonymous in the detectable constructions).
-    fn help_cas(&mut self, addr: PAddr, expected: u64, new: u64) -> bool;
-    /// Format a fresh word to hold `value`.
-    fn init_word(&mut self, addr: PAddr, value: u64);
-    /// Plain store into a word nobody shares yet.
-    fn write_plain(&mut self, addr: PAddr, value: u64);
-    /// Bump-allocate `nwords` persistent words.
-    fn alloc(&mut self, nwords: u64) -> PAddr;
-    /// Flush the line holding `addr` (no fence) under the manual discipline.
-    fn flush_line(&mut self, addr: PAddr);
-    /// Ordering fence under the manual discipline.
-    fn fence(&mut self);
-}
-
-/// Plain-word accessor: the Izraelevitz construction (durability comes from
-/// the thread option's auto-flushing, so the manual hooks are no-ops).
-pub(crate) struct PlainMem<'t, 'm> {
-    pub t: &'t PThread<'m>,
-}
-
-impl MapMem for PlainMem<'_, '_> {
-    fn read(&mut self, addr: PAddr) -> u64 {
-        self.t.read(addr)
-    }
-    fn read_plain(&mut self, addr: PAddr) -> u64 {
-        self.t.read(addr)
-    }
-    fn help_cas(&mut self, addr: PAddr, expected: u64, new: u64) -> bool {
-        self.t.cas(addr, expected, new)
-    }
-    fn init_word(&mut self, addr: PAddr, value: u64) {
-        self.t.write(addr, value)
-    }
-    fn write_plain(&mut self, addr: PAddr, value: u64) {
-        self.t.write(addr, value)
-    }
-    fn alloc(&mut self, nwords: u64) -> PAddr {
-        self.t.alloc(nwords)
-    }
-    fn flush_line(&mut self, _addr: PAddr) {}
-    fn fence(&mut self) {}
-}
-
-/// Recoverable-CAS-space accessor: the General construction (helping CASes
-/// are anonymous; flushes follow the manual discipline).
-pub(crate) struct SpaceMem<'s, 't, 'm> {
-    pub space: &'s RcasSpace,
-    pub t: &'t PThread<'m>,
-    pub manual: bool,
-}
-
-impl MapMem for SpaceMem<'_, '_, '_> {
-    fn read(&mut self, addr: PAddr) -> u64 {
-        self.space.read(self.t, addr)
-    }
-    fn read_plain(&mut self, addr: PAddr) -> u64 {
-        self.t.read(addr)
-    }
-    fn help_cas(&mut self, addr: PAddr, expected: u64, new: u64) -> bool {
-        self.space.cas_anonymous(self.t, addr, expected, new)
-    }
-    fn init_word(&mut self, addr: PAddr, value: u64) {
-        self.space.init_word(self.t, addr, value)
-    }
-    fn write_plain(&mut self, addr: PAddr, value: u64) {
-        self.t.write(addr, value)
-    }
-    fn alloc(&mut self, nwords: u64) -> PAddr {
-        self.t.alloc(nwords)
-    }
-    fn flush_line(&mut self, addr: PAddr) {
-        if self.manual {
-            self.t.flush(addr);
-        }
-    }
-    fn fence(&mut self) {
-        if self.manual {
-            self.t.fence();
-        }
-    }
-}
-
 fn gen_head(g: PAddr, b: u64) -> PAddr {
     g.offset(G_HEADER + b)
 }
@@ -267,7 +176,7 @@ fn gen_state(g: PAddr, nbuckets: u64, b: u64) -> PAddr {
 
 /// Allocate and format a generation of `nbuckets`, fully persisted before the
 /// caller may publish it.
-pub(crate) fn alloc_gen<M: MapMem>(m: &mut M, nbuckets: u64) -> PAddr {
+pub(crate) fn alloc_gen<M: SharedMem>(m: &M, nbuckets: u64) -> PAddr {
     let words = G_HEADER + 2 * nbuckets;
     let g = m.alloc(words);
     m.write_plain(g.offset(G_NBUCKETS), nbuckets);
@@ -303,7 +212,7 @@ pub(crate) struct MapWindow {
 }
 
 /// Outcome of [`find_in`].
-pub(crate) enum FindRes {
+enum FindRes {
     /// A usable window.
     Win(MapWindow),
     /// The chain is being frozen by a migration: re-route and retry.
@@ -347,7 +256,7 @@ impl ChainLen {
 /// so the CAS target is always a clean word and an insert lands in front of
 /// whatever tombstone run follows the predecessor. The live-key subsequence
 /// stays sorted; the returned [`ChainLen`] is the resize trigger's measure.
-pub(crate) fn find_in<M: MapMem>(m: &mut M, head: PAddr, k: u64) -> (FindRes, ChainLen) {
+fn find_in<M: SharedMem>(m: &M, head: PAddr, k: u64) -> (FindRes, ChainLen) {
     let mut len = ChainLen::default();
     let mut pred_addr = head;
     let mut pred_enc = m.read(head);
@@ -398,7 +307,7 @@ pub(crate) fn find_in<M: MapMem>(m: &mut M, head: PAddr, k: u64) -> (FindRes, Ch
 /// live node is still a member (the old bucket stays the authority for reads
 /// until its state turns `DONE`, and the read-only route below guarantees
 /// the freeze happened inside the operation's interval).
-pub(crate) fn contains_at<M: MapMem>(m: &mut M, head: PAddr, k: u64) -> bool {
+fn contains_at<M: SharedMem>(m: &M, head: PAddr, k: u64) -> bool {
     let mut node = menc_addr(m.read(head));
     while !node.is_null() {
         let ne = m.read(next_addr(node));
@@ -424,7 +333,7 @@ pub(crate) fn contains_at<M: MapMem>(m: &mut M, head: PAddr, k: u64) -> bool {
 /// freeze mark in the target means the *next* resize already promoted — then
 /// every old bucket is `DONE` and `k`'s fate was settled by whoever got
 /// there first, so the copier stands down rather than spin on frozen words.
-pub(crate) fn copy_insert<M: MapMem>(m: &mut M, n: PAddr, n_nbuckets: u64, k: u64) {
+fn copy_insert<M: SharedMem>(m: &M, n: PAddr, n_nbuckets: u64, k: u64) {
     let head = gen_head(n, map_bucket_of(k, n_nbuckets));
     loop {
         let he = m.read(head);
@@ -459,8 +368,7 @@ pub(crate) fn copy_insert<M: MapMem>(m: &mut M, n: PAddr, n_nbuckets: u64, k: u6
                 m.init_word(next_addr(fresh), w.pred_enc);
                 m.flush_line(fresh);
                 m.fence();
-                if m.help_cas(w.pred_addr, w.pred_enc, menc(fresh, 0)) {
-                    m.flush_line(w.pred_addr);
+                if m.help_cas_flush(w.pred_addr, w.pred_enc, menc(fresh, 0)) {
                     return;
                 }
                 // Lost a race (another copier or a user insert): rescan — the
@@ -473,8 +381,8 @@ pub(crate) fn copy_insert<M: MapMem>(m: &mut M, n: PAddr, n_nbuckets: u64, k: u6
 /// Migrate old bucket `b` of generation `g` into `n`: freeze, copy, `DONE`.
 /// Every step is helping-class — safe to repeat from any crash point, safe to
 /// run concurrently with other migrators of the same bucket.
-pub(crate) fn migrate_bucket<M: MapMem>(
-    m: &mut M,
+fn migrate_bucket<M: SharedMem>(
+    m: &M,
     g: PAddr,
     nbuckets: u64,
     n: PAddr,
@@ -494,8 +402,7 @@ pub(crate) fn migrate_bucket<M: MapMem>(
         if w & FRZ != 0 {
             break;
         }
-        if m.help_cas(head, w, w | FRZ) {
-            m.flush_line(head);
+        if m.help_cas_flush(head, w, w | FRZ) {
             break;
         }
     }
@@ -508,8 +415,7 @@ pub(crate) fn migrate_bucket<M: MapMem>(
                 // Frozen already, or a tombstone — both are final (invariant 1).
                 break w;
             }
-            if m.help_cas(na, w, w | FRZ) {
-                m.flush_line(na);
+            if m.help_cas_flush(na, w, w | FRZ) {
                 break w | FRZ;
             }
         };
@@ -530,8 +436,8 @@ pub(crate) fn migrate_bucket<M: MapMem>(
     // Order every copy's flush before the DONE mark: a durable DONE must
     // imply durable copies.
     m.fence();
-    if m.read(st) == STATE_LIVE && m.help_cas(st, STATE_LIVE, STATE_DONE) {
-        m.flush_line(st);
+    if m.read(st) == STATE_LIVE {
+        m.help_cas_flush(st, STATE_LIVE, STATE_DONE);
     }
 }
 
@@ -539,8 +445,8 @@ pub(crate) fn migrate_bucket<M: MapMem>(
 /// cursor and promote the directory once the cursor clears the bucket count.
 /// The cursor only ever advances past `DONE` buckets, so promotion at
 /// `cursor == nbuckets` proves every bucket migrated.
-fn advance_cursor<M: MapMem>(
-    m: &mut M,
+fn advance_cursor<M: SharedMem>(
+    m: &M,
     dir: PAddr,
     g: PAddr,
     nbuckets: u64,
@@ -552,16 +458,13 @@ fn advance_cursor<M: MapMem>(
         let c = m.read(cursor);
         if c >= nbuckets {
             m.fence();
-            if m.help_cas(dir, g.to_raw(), n.to_raw()) {
-                m.flush_line(dir);
+            if m.help_cas_flush(dir, g.to_raw(), n.to_raw()) {
                 m.fence();
             }
             return;
         }
         migrate_bucket(m, g, nbuckets, n, n_nbuckets, c);
-        if m.help_cas(cursor, c, c + 1) {
-            m.flush_line(cursor);
-        }
+        m.help_cas_flush(cursor, c, c + 1);
     }
 }
 
@@ -569,7 +472,7 @@ fn advance_cursor<M: MapMem>(
 /// flight, migrate the key's own old bucket, help the cursor along, and
 /// descend to the successor generation — repeating down the chain until a
 /// generation with no successor owns the key.
-pub(crate) fn route_update<M: MapMem>(m: &mut M, dir: PAddr, k: u64) -> PAddr {
+fn route_update<M: SharedMem>(m: &M, dir: PAddr, k: u64) -> PAddr {
     let mut g = PAddr::from_raw(m.read(dir));
     loop {
         let nbuckets = m.read_plain(g.offset(G_NBUCKETS));
@@ -592,7 +495,7 @@ pub(crate) fn route_update<M: MapMem>(m: &mut M, dir: PAddr, k: u64) -> PAddr {
 /// non-`DONE` bucket's membership cannot change between its freeze and the
 /// first post-`DONE` operation in the successor, and that window provably
 /// overlaps the reader's interval.
-pub(crate) fn route_read<M: MapMem>(m: &mut M, dir: PAddr, k: u64) -> PAddr {
+fn route_read<M: SharedMem>(m: &M, dir: PAddr, k: u64) -> PAddr {
     let mut g = PAddr::from_raw(m.read(dir));
     loop {
         let nbuckets = m.read_plain(g.offset(G_NBUCKETS));
@@ -603,6 +506,25 @@ pub(crate) fn route_read<M: MapMem>(m: &mut M, dir: PAddr, k: u64) -> PAddr {
         }
         g = PAddr::from_raw(nraw);
     }
+}
+
+/// The update-side search every construction runs: route to the owning
+/// generation (performing any migration the route owes) and search its bucket,
+/// re-routing past freezes.
+pub(crate) fn find_routed<M: SharedMem>(m: &M, dir: PAddr, k: u64) -> (MapWindow, ChainLen) {
+    loop {
+        let head = route_update(m, dir, k);
+        if let (FindRes::Win(w), len) = find_in(m, head, k) {
+            return (w, len);
+        }
+    }
+}
+
+/// The read-side search every construction runs: read-only routing, then the
+/// membership walk.
+pub(crate) fn contains_routed<M: SharedMem>(m: &M, dir: PAddr, k: u64) -> bool {
+    let head = route_read(m, dir, k);
+    contains_at(m, head, k)
 }
 
 /// Resize trigger, run after a successful insert that left a chain measuring
@@ -616,7 +538,7 @@ pub(crate) fn route_read<M: MapMem>(m: &mut M, dir: PAddr, k: u64) -> PAddr {
 /// doubling forever. Helping-class throughout (a crash replay re-runs it
 /// harmlessly; a lost publish CAS just leaks the loser's allocation into the
 /// bump arena).
-pub(crate) fn maybe_grow<M: MapMem>(m: &mut M, dir: PAddr, observed: ChainLen, max_chain: usize) {
+pub(crate) fn maybe_grow<M: SharedMem>(m: &M, dir: PAddr, observed: ChainLen, max_chain: usize) {
     if observed.total <= max_chain {
         return;
     }
@@ -631,8 +553,7 @@ pub(crate) fn maybe_grow<M: MapMem>(m: &mut M, dir: PAddr, observed: ChainLen, m
         nbuckets
     };
     let n = alloc_gen(m, new_buckets);
-    if m.help_cas(g.offset(G_NEXT), 0, n.to_raw()) {
-        m.flush_line(g.offset(G_NEXT));
+    if m.help_cas_flush(g.offset(G_NEXT), 0, n.to_raw()) {
         m.fence();
     }
 }
@@ -647,7 +568,7 @@ pub(crate) fn maybe_grow<M: MapMem>(m: &mut M, dir: PAddr, observed: ChainLen, m
 /// mid-resize map legitimately holds originals plus copies, so a global
 /// budget would spuriously truncate), and `truncated` aggregates across
 /// buckets: one cyclic bucket among healthy ones must fail the whole drain.
-pub(crate) fn drain_map<M: MapMem>(m: &mut M, dir: PAddr, max: usize) -> Drain {
+pub(crate) fn drain_map<M: SharedMem>(m: &M, dir: PAddr, max: usize) -> Drain {
     let mut keys = std::collections::BTreeSet::new();
     let mut truncated = false;
     let mut g = PAddr::from_raw(m.read(dir));
@@ -684,7 +605,7 @@ pub(crate) fn drain_map<M: MapMem>(m: &mut M, dir: PAddr, max: usize) -> Drain {
 }
 
 /// Live-key count (diagnostic; not linearizable).
-pub(crate) fn map_len<M: MapMem>(m: &mut M, dir: PAddr) -> usize {
+pub(crate) fn map_len<M: SharedMem>(m: &M, dir: PAddr) -> usize {
     drain_map(m, dir, usize::MAX).items.len()
 }
 
@@ -701,8 +622,7 @@ pub struct DetMap {
 impl DetMap {
     /// Create an empty map.
     pub fn new(thread: &PThread<'_>, cfg: MapConfig) -> DetMap {
-        let mut m = PlainMem { t: thread };
-        let g = alloc_gen(&mut m, cfg.initial_buckets);
+        let g = alloc_gen(thread, cfg.initial_buckets);
         let dir = thread.alloc(1);
         thread.write(dir, g.to_raw());
         DetMap { dir, cfg }
@@ -720,7 +640,7 @@ impl DetMap {
 
     /// Live-key count (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        map_len(&mut PlainMem { t: thread }, self.dir)
+        map_len(thread, self.dir)
     }
 
     /// Bucket count of the *current* generation (diagnostic).
@@ -740,14 +660,9 @@ pub struct DetMapHandle<'q, 't, 'm> {
 impl DetMapHandle<'_, '_, '_> {
     /// Insert `k`; returns whether it was absent.
     pub fn insert(&mut self, k: u64) -> bool {
-        let mut m = PlainMem { t: self.thread };
+        let m = self.thread;
         loop {
-            let head = route_update(&mut m, self.map.dir, k);
-            let (res, len) = find_in(&mut m, head, k);
-            let w = match res {
-                FindRes::Frozen => continue,
-                FindRes::Win(w) => w,
-            };
+            let (w, len) = find_routed(m, self.map.dir, k);
             if w.found {
                 return false;
             }
@@ -755,7 +670,7 @@ impl DetMapHandle<'_, '_, '_> {
             m.write_plain(value_addr(node), k);
             m.init_word(next_addr(node), w.pred_enc);
             if m.help_cas(w.pred_addr, w.pred_enc, menc(node, 0)) {
-                maybe_grow(&mut m, self.map.dir, len.plus_inserted(), self.map.cfg.max_chain);
+                maybe_grow(m, self.map.dir, len.plus_inserted(), self.map.cfg.max_chain);
                 return true;
             }
         }
@@ -764,14 +679,9 @@ impl DetMapHandle<'_, '_, '_> {
     /// Remove `k`; returns whether it was present. A single marking CAS —
     /// tombstones stay linked until the next resize purges them.
     pub fn remove(&mut self, k: u64) -> bool {
-        let mut m = PlainMem { t: self.thread };
+        let m = self.thread;
         loop {
-            let head = route_update(&mut m, self.map.dir, k);
-            let (res, _) = find_in(&mut m, head, k);
-            let w = match res {
-                FindRes::Frozen => continue,
-                FindRes::Win(w) => w,
-            };
+            let (w, _) = find_routed(m, self.map.dir, k);
             if !w.found {
                 return false;
             }
@@ -783,24 +693,17 @@ impl DetMapHandle<'_, '_, '_> {
 
     /// Membership test (read-only: no helping, no migration).
     pub fn contains(&mut self, k: u64) -> bool {
-        let mut m = PlainMem { t: self.thread };
-        let head = route_read(&mut m, self.map.dir, k);
-        contains_at(&mut m, head, k)
+        contains_routed(self.thread, self.map.dir, k)
     }
 }
 
 impl StructHandle for DetMapHandle<'_, '_, '_> {
     fn apply(&mut self, op: StructOp) -> Option<u64> {
-        match op {
-            StructOp::Insert(k) => bool_ret(self.insert(k)),
-            StructOp::Remove(k) => bool_ret(self.remove(k)),
-            StructOp::Contains(k) => bool_ret(self.contains(k)),
-            other => panic!("map handle cannot apply stack operation {other:?}"),
-        }
+        apply_keyed(self, op, Self::insert, Self::remove, Self::contains)
     }
 
     fn drain_up_to(&mut self, max: usize) -> Drain {
-        drain_map(&mut PlainMem { t: self.thread }, self.map.dir, max)
+        drain_map(self.thread, self.map.dir, max)
     }
 }
 

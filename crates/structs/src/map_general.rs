@@ -3,7 +3,8 @@
 //!
 //! Only two CASes in the whole protocol are linearization points that need
 //! exactly-once recovery — the insert's link and the remove's tombstone mark —
-//! and only those head CAS-Read capsules with [`recoverable_cas`]. Everything
+//! and only those head CAS-Read capsules with the simulator's
+//! [`capsule_cas`](CasReadSimulator::capsule_cas). Everything
 //! else the map does under the hood (routing, bucket freezes, copy inserts,
 //! cursor/`next`/state/directory installs — the entire resize machinery) is
 //! parallelizable helping, executed with the *anonymous* CAS inside the search
@@ -19,14 +20,15 @@
 //! are final) and the retry pc re-routes through the migration. Crash-safety
 //! of the resize itself needs no capsule help.
 
-use capsules::{recoverable_cas, BoundaryStyle, CapsuleRuntime, CapsuleStep};
+use capsules::{BoundaryStyle, CapsuleRuntime, CapsuleStep};
+use delayfree::{CasReadSimulator, SharedMem};
 use pmem::{PAddr, PThread};
 use rcas::RcasSpace;
 
-use crate::api::{bool_ret, Drain, StructHandle, StructOp};
+use crate::api::{apply_keyed, capsule_handles, Capsuled, Drain, StructHandle, StructOp};
 use crate::map::{
-    alloc_gen, contains_at, drain_map, find_in, map_len, maybe_grow, menc, route_read,
-    route_update, ChainLen, FindRes, MapConfig, SpaceMem, DEL, MAP_RCAS_LAYOUT,
+    alloc_gen, contains_routed, drain_map, find_routed, map_len, maybe_grow, menc, ChainLen,
+    MapConfig, DEL, MAP_RCAS_LAYOUT,
 };
 use crate::node::{next_addr, value_addr, NODE_WORDS};
 
@@ -60,9 +62,7 @@ const C_DONE: u32 = 21;
 pub struct GeneralDetMap {
     dir: PAddr,
     cfg: MapConfig,
-    space: RcasSpace,
-    manual: bool,
-    style: BoundaryStyle,
+    sim: CasReadSimulator,
 }
 
 impl GeneralDetMap {
@@ -78,105 +78,49 @@ impl GeneralDetMap {
         style: BoundaryStyle,
     ) -> GeneralDetMap {
         let space = RcasSpace::new(thread, nprocs, MAP_RCAS_LAYOUT).with_durability(manual);
-        let g = {
-            let mut m = SpaceMem {
-                space: &space,
-                t: thread,
-                manual,
-            };
-            alloc_gen(&mut m, cfg.initial_buckets)
-        };
+        let sim = CasReadSimulator::new(space).with_durable(manual).with_style(style);
+        let g = alloc_gen(&sim.mem(thread), cfg.initial_buckets);
         let dir = thread.alloc(1);
         space.init_word(thread, dir, g.to_raw());
         if manual {
             thread.persist(dir);
         }
-        GeneralDetMap {
-            dir,
-            cfg,
-            space,
-            manual,
-            style,
-        }
+        GeneralDetMap { dir, cfg, sim }
     }
 
     /// The recoverable-CAS space used by this map.
     pub fn space(&self) -> &RcasSpace {
-        &self.space
-    }
-
-    /// Create the calling thread's handle (allocating its capsule frame).
-    pub fn handle<'q, 't, 'm>(&'q self, thread: &'t PThread<'m>) -> GeneralDetMapHandle<'q, 't, 'm> {
-        let rt = CapsuleRuntime::new(thread, self.style, MAP_GENERAL_LOCALS);
-        GeneralDetMapHandle { map: self, rt }
+        self.sim.space()
     }
 
     /// Live-key count (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        let mut m = SpaceMem {
-            space: &self.space,
-            t: thread,
-            manual: self.manual,
-        };
-        map_len(&mut m, self.dir)
-    }
-
-    /// Flush + fence a line, per the manual-durability discipline (the compact
-    /// style elides the fence before a CAS: the lock prefix orders the flush).
-    fn persist_line(&self, thread: &PThread<'_>, addr: PAddr) {
-        if !self.manual {
-            return;
-        }
-        thread.flush(addr);
-        if self.style != BoundaryStyle::Compact {
-            thread.fence();
-        }
-    }
-
-    /// Flush + fence unconditionally: for persists followed by a capsule
-    /// boundary, whose release-store control write (unlike a locked CAS) does
-    /// not order earlier flushes — the frame could persist without the node.
-    fn persist_line_before_boundary(&self, thread: &PThread<'_>, addr: PAddr) {
-        if !self.manual {
-            return;
-        }
-        thread.flush(addr);
-        thread.fence();
+        map_len(&self.sim.mem(thread), self.dir)
     }
 
     // ----- capsule bodies --------------------------------------------------------
 
     /// One insert capsule (entry pc [`I_FIND`]).
     fn insert_step(&self, rt: &mut CapsuleRuntime<'_, '_>) -> CapsuleStep<bool> {
+        let sim = &self.sim;
+        let m = sim.mem(rt.thread());
         match rt.pc() {
             // Search capsule (reads + anonymous helping, including any resize
             // migration work the route owes): locate the window, allocate and
             // initialise the node.
             I_FIND => {
                 let k = rt.local(L_KEY);
-                let t = rt.thread();
-                let mut m = SpaceMem {
-                    space: &self.space,
-                    t,
-                    manual: self.manual,
-                };
-                let (w, len) = loop {
-                    let head = route_update(&mut m, self.dir, k);
-                    match find_in(&mut m, head, k) {
-                        (FindRes::Frozen, _) => continue,
-                        (FindRes::Win(w), len) => break (w, len),
-                    }
-                };
+                let (w, len) = find_routed(&m, self.dir, k);
                 if w.found {
                     rt.finish_boundary(I_DONE_FALSE);
                     return CapsuleStep::Done(false);
                 }
-                let node = t.alloc(NODE_WORDS);
-                t.write(value_addr(node), k);
-                self.space.init_word(t, next_addr(node), w.pred_enc);
+                let node = m.alloc(NODE_WORDS);
+                m.write_plain(value_addr(node), k);
+                m.init_word(next_addr(node), w.pred_enc);
                 // The I_CAS boundary (not a CAS) publishes the node pointer
                 // next, so the fence cannot be elided here.
-                self.persist_line_before_boundary(t, node);
+                sim.persist_line_before_boundary(rt.thread(), node);
                 rt.set_local_addr(L_PRED_ADDR, w.pred_addr);
                 rt.set_local(L_PRED_ENC, w.pred_enc);
                 rt.set_local_addr(L_NODE, node);
@@ -190,18 +134,10 @@ impl GeneralDetMap {
                 let expected = rt.local(L_PRED_ENC);
                 let node = rt.local_addr(L_NODE);
                 let len = ChainLen::unpack(rt.local(L_LEN));
-                let ok = recoverable_cas(rt, &self.space, pred_addr, expected, menc(node, 0));
-                if ok {
-                    let t = rt.thread();
-                    self.persist_line(t, pred_addr);
+                if sim.capsule_cas(rt, pred_addr, expected, menc(node, 0)) {
                     // Helping-class grow trigger: repetition-safe, so a crash
                     // replay of this capsule re-running it is harmless.
-                    let mut m = SpaceMem {
-                        space: &self.space,
-                        t,
-                        manual: self.manual,
-                    };
-                    maybe_grow(&mut m, self.dir, len.plus_inserted(), self.cfg.max_chain);
+                    maybe_grow(&m, self.dir, len.plus_inserted(), self.cfg.max_chain);
                     rt.finish_boundary(I_DONE_TRUE);
                     CapsuleStep::Done(true)
                 } else {
@@ -222,19 +158,7 @@ impl GeneralDetMap {
         match rt.pc() {
             R_FIND => {
                 let k = rt.local(L_KEY);
-                let t = rt.thread();
-                let mut m = SpaceMem {
-                    space: &self.space,
-                    t,
-                    manual: self.manual,
-                };
-                let w = loop {
-                    let head = route_update(&mut m, self.dir, k);
-                    match find_in(&mut m, head, k) {
-                        (FindRes::Frozen, _) => continue,
-                        (FindRes::Win(w), _) => break w,
-                    }
-                };
+                let (w, _) = find_routed(&self.sim.mem(rt.thread()), self.dir, k);
                 if !w.found {
                     rt.finish_boundary(R_DONE_FALSE);
                     return CapsuleStep::Done(false);
@@ -248,9 +172,7 @@ impl GeneralDetMap {
             R_MARK => {
                 let curr_next = rt.local_addr(L_CURR_NEXT);
                 let curr_enc = rt.local(L_CURR_ENC);
-                let ok = recoverable_cas(rt, &self.space, curr_next, curr_enc, curr_enc | DEL);
-                if ok {
-                    self.persist_line(rt.thread(), curr_next);
+                if self.sim.capsule_cas(rt, curr_next, curr_enc, curr_enc | DEL) {
                     rt.finish_boundary(R_DONE_TRUE);
                     CapsuleStep::Done(true)
                 } else {
@@ -270,13 +192,7 @@ impl GeneralDetMap {
         match rt.pc() {
             C_FIND => {
                 let k = rt.local(L_KEY);
-                let mut m = SpaceMem {
-                    space: &self.space,
-                    t: rt.thread(),
-                    manual: self.manual,
-                };
-                let head = route_read(&mut m, self.dir, k);
-                let found = contains_at(&mut m, head, k);
+                let found = contains_routed(&self.sim.mem(rt.thread()), self.dir, k);
                 rt.set_local(L_CURR_ENC, found as u64);
                 rt.finish_boundary(C_DONE);
                 CapsuleStep::Done(found)
@@ -287,40 +203,33 @@ impl GeneralDetMap {
     }
 }
 
-/// Per-thread handle: the thread's capsule runtime plus a reference to the map.
-pub struct GeneralDetMapHandle<'q, 't, 'm> {
-    map: &'q GeneralDetMap,
-    rt: CapsuleRuntime<'t, 'm>,
+impl Capsuled for GeneralDetMap {
+    const LOCALS: usize = MAP_GENERAL_LOCALS;
+    fn style(&self) -> BoundaryStyle {
+        self.sim.style()
+    }
 }
 
-impl<'q, 't, 'm> GeneralDetMapHandle<'q, 't, 'm> {
-    /// Access the underlying capsule runtime (metrics, crash flavour…).
-    pub fn runtime_mut(&mut self) -> &mut CapsuleRuntime<'t, 'm> {
-        &mut self.rt
-    }
+capsule_handles!(GeneralDetMap, GeneralDetMapHandle);
 
-    /// See [`CapsuleRuntime::set_entry_boundary`].
-    pub fn set_entry_boundary(&mut self, enabled: bool) {
-        self.rt.set_entry_boundary(enabled);
-    }
-
+impl GeneralDetMapHandle<'_, '_, '_> {
     /// Insert `k` (detectably); returns whether it was absent.
     pub fn insert(&mut self, k: u64) -> bool {
-        let map = self.map;
+        let map = self.shared;
         self.rt.set_local(L_KEY, k);
         self.rt.run_op(I_FIND, |rt| map.insert_step(rt))
     }
 
     /// Remove `k` (detectably); returns whether it was present.
     pub fn remove(&mut self, k: u64) -> bool {
-        let map = self.map;
+        let map = self.shared;
         self.rt.set_local(L_KEY, k);
         self.rt.run_op(R_FIND, |rt| map.remove_step(rt))
     }
 
     /// Membership test (read-only, single capsule).
     pub fn contains(&mut self, k: u64) -> bool {
-        let map = self.map;
+        let map = self.shared;
         self.rt.set_local(L_KEY, k);
         self.rt.run_op(C_FIND, |rt| map.contains_step(rt))
     }
@@ -328,180 +237,61 @@ impl<'q, 't, 'm> GeneralDetMapHandle<'q, 't, 'm> {
 
 impl StructHandle for GeneralDetMapHandle<'_, '_, '_> {
     fn apply(&mut self, op: StructOp) -> Option<u64> {
-        match op {
-            StructOp::Insert(k) => bool_ret(self.insert(k)),
-            StructOp::Remove(k) => bool_ret(self.remove(k)),
-            StructOp::Contains(k) => bool_ret(self.contains(k)),
-            other => panic!("map handle cannot apply stack operation {other:?}"),
-        }
+        apply_keyed(self, op, Self::insert, Self::remove, Self::contains)
     }
 
     fn drain_up_to(&mut self, max: usize) -> Drain {
-        let map = self.map;
-        let mut m = SpaceMem {
-            space: &map.space,
-            t: self.rt.thread(),
-            manual: map.manual,
-        };
-        drain_map(&mut m, map.dir, max)
+        drain_map(&self.shared.sim.mem(self.rt.thread()), self.shared.dir, max)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem::{install_quiet_crash_hook, CrashPlan, CrashPolicy, MemConfig, Mode, PMem};
+    use crate::api::testkit;
+    use StructOp::{Contains, Insert, Remove};
+
+    fn styled(t: &PThread<'_>, cfg: MapConfig, compact: bool) -> GeneralDetMap {
+        GeneralDetMap::new(t, 1, cfg, true, BoundaryStyle::opt(compact))
+    }
 
     #[test]
     fn insert_remove_contains_single_thread_both_styles() {
-        for style in [BoundaryStyle::General, BoundaryStyle::Compact] {
-            let mem = PMem::with_threads(1);
-            let t = mem.thread(0);
-            let map = GeneralDetMap::new(&t, 1, MapConfig::new(4, 64), true, style);
-            let mut h = map.handle(&t);
-            assert!(h.insert(5));
-            assert!(h.insert(3));
-            assert!(!h.insert(5));
-            assert!(h.contains(3));
-            assert!(!h.contains(4));
-            assert!(h.remove(3));
-            assert!(!h.remove(3));
-            assert_eq!(h.drain_up_to(16).items, vec![5], "style {style:?}");
-            assert_eq!(map.len(&t), 1);
-        }
+        testkit::keyed_single_thread(|t, flag| styled(t, MapConfig::new(4, 64), flag), GeneralDetMap::len);
     }
 
     #[test]
     fn growth_migrates_every_key_under_capsules() {
-        let mem = PMem::with_threads(1);
-        let t = mem.thread(0);
-        let map = GeneralDetMap::new(&t, 1, MapConfig::tiny(), true, BoundaryStyle::General);
-        let mut h = map.handle(&t);
-        let mut model = std::collections::BTreeSet::new();
-        for k in 0..120u64 {
-            assert!(h.insert(k));
-            model.insert(k);
-            if k % 4 == 1 {
-                assert!(h.remove(k));
-                model.remove(&k);
-            }
-        }
-        for k in 0..120u64 {
-            assert_eq!(h.contains(k), model.contains(&k), "contains({k})");
-        }
-        let d = h.drain_up_to(100_000);
-        assert!(!d.truncated);
-        assert_eq!(d.items, model.iter().copied().collect::<Vec<u64>>());
+        testkit::keyed_growth(|t| styled(t, MapConfig::tiny(), false));
     }
 
     #[test]
     fn operations_survive_random_crashes_across_resizes() {
-        install_quiet_crash_hook();
-        let mem = PMem::with_threads(1);
-        let t = mem.thread(0);
-        let map = GeneralDetMap::new(&t, 1, MapConfig::tiny(), true, BoundaryStyle::General);
-        let mut h = map.handle(&t);
-        t.set_crash_policy(CrashPolicy::Random { prob: 0.02, seed: 43 });
-        let mut model = std::collections::BTreeSet::new();
-        for r in 0..400u64 {
-            let k = (r * 7) % 29;
-            if r % 3 == 2 {
-                assert_eq!(h.remove(k), model.remove(&k), "round {r} remove({k})");
-            } else {
-                assert_eq!(h.insert(k), model.insert(k), "round {r} insert({k})");
-            }
-        }
-        t.disarm_crashes();
-        assert!(t.stats().crashes > 0);
-        let d = h.drain_up_to(100_000);
-        assert!(!d.truncated);
-        assert_eq!(d.items, model.iter().copied().collect::<Vec<u64>>());
+        let build = |t: &PThread<'_>, flag| styled(t, MapConfig::tiny(), flag);
+        testkit::keyed_random_crashes(build, &[false], 43, (400, 7, 29));
     }
 
     #[test]
     fn manual_durability_survives_full_system_crash_mid_growth() {
-        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-        let t = mem.thread(0);
-        let map = GeneralDetMap::new(&t, 1, MapConfig::tiny(), true, BoundaryStyle::General);
-        {
-            let mut h = map.handle(&t);
-            for k in 0..30u64 {
-                assert!(h.insert(k));
-            }
-            assert!(h.remove(11));
-        }
-        mem.crash_all();
-        let t = mem.thread(0);
-        let mut h = map.handle(&t);
-        let d = h.drain_up_to(10_000);
-        assert!(!d.truncated);
+        let ops: Vec<StructOp> = (0..30).map(Insert).chain([Remove(11)]).collect();
         let expect: Vec<u64> = (0..30).filter(|&k| k != 11).collect();
-        assert_eq!(d.items, expect);
+        let build = |t: &PThread<'_>| styled(t, MapConfig::tiny(), false);
+        testkit::survives_full_system_crash(build, &ops, &expect, false);
     }
 
-    /// Exhaustive crash-point sweep over a scripted window that *crosses a
-    /// resize* (tiny config: the inserts outgrow 2 buckets), single + nested
-    /// schedules, both crash flavours.
+    /// The scripted window *crosses a resize* (tiny config: the inserts push
+    /// the chain past max_chain = 3), so crash points land in the migration
+    /// too.
     #[test]
     fn exhaustive_crash_point_sweep_is_exact_across_a_resize() {
-        install_quiet_crash_hook();
-        type History = (Vec<Option<u64>>, Vec<u64>);
-        let run = |plan: Option<CrashPlan>, system: bool| -> (History, u64, u64) {
-            let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-            let t = mem.thread(0);
-            let map = GeneralDetMap::new(&t, 1, MapConfig::tiny(), true, BoundaryStyle::General);
-            let mut h = map.handle(&t);
-            h.runtime_mut().set_system_crashes(system);
-            assert!(h.insert(10));
-            assert!(h.insert(20));
-            assert!(h.insert(30));
-            mem.persist_everything();
-            let _ = t.take_stats();
-            if let Some(p) = plan {
-                t.set_crash_schedule(p);
-            }
-            // The window pushes the chain past max_chain = 3: a resize runs
-            // inside the sweep, so crash points land in the migration too.
-            let rets = vec![
-                h.apply(StructOp::Insert(15)),
-                h.apply(StructOp::Insert(25)),
-                h.apply(StructOp::Insert(15)),
-                h.apply(StructOp::Remove(10)),
-                h.apply(StructOp::Contains(15)),
-                h.apply(StructOp::Remove(99)),
-            ];
-            let points = t.stats().crash_points;
-            t.disarm_crashes();
-            let drained = h.drain_up_to(10_000);
-            assert!(!drained.truncated);
+        testkit::exhaustive_crash_point_sweep(
+            |t| styled(t, MapConfig::tiny(), false),
+            &[Insert(10), Insert(20), Insert(30)],
+            &[Insert(15), Insert(25), Insert(15), Remove(10), Contains(15), Remove(99)],
             (
-                (rets, drained.items),
-                points,
-                h.runtime_mut().metrics().recovery_crashes,
-            )
-        };
-        for system in [false, true] {
-            let (base, n, _) = run(None, system);
-            assert_eq!(
-                base,
-                (
-                    vec![Some(1), Some(1), Some(0), Some(1), Some(1), Some(0)],
-                    vec![15, 20, 25, 30]
-                )
-            );
-            assert!(n > 0);
-            let mut nested_recovery_crashes = 0;
-            for k in 0..n {
-                let (hist, _, _) = run(Some(CrashPlan::once(k)), system);
-                assert_eq!(hist, base, "system={system} crash at point {k}");
-                let (hist, _, rc) = run(Some(CrashPlan::nested(k, &[0])), system);
-                assert_eq!(hist, base, "system={system} nested crash at point {k}");
-                nested_recovery_crashes += rc;
-            }
-            assert!(
-                nested_recovery_crashes > 0,
-                "the nested sweep must interrupt at least one recovery (system={system})"
-            );
-        }
+                vec![Some(1), Some(1), Some(0), Some(1), Some(1), Some(0)],
+                vec![15, 20, 25, 30],
+            ),
+        );
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! * the **generator** routes to the owning generation (performing any resize
 //!   migration the route owes — freezes, copy inserts, cursor and directory
-//!   installs are all parallelizable helping on [`NormalizedCtx::helping_cas`])
+//!   installs are all parallelizable helping through the ctx's [`SharedMem`] face)
 //!   and searches the bucket;
 //! * the **executor** performs the operation's single linearizing CAS — the
 //!   window link for an insert, the tombstone mark for a remove — with the
@@ -21,15 +21,20 @@
 //! `contains` is a pure parallelizable method: its generator proposes an
 //! empty CAS list and the wrap-up answers from a read-only routed traversal.
 
-use capsules::{BoundaryStyle, CapsuleRuntime};
-use delayfree::{CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, WrapUp};
+use capsules::BoundaryStyle;
+use delayfree::{
+    CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, SharedMem, WrapUp,
+};
 use pmem::{PAddr, PThread};
 use rcas::RcasSpace;
 
-use crate::api::{bool_ret, Drain, StructHandle, StructOp};
+use crate::api::{
+    apply_keyed, capsule_handles, normalized_simulator, single_cas_outcome, Capsuled, Drain,
+    StructHandle, StructOp,
+};
 use crate::map::{
-    alloc_gen, contains_at, drain_map, find_in, map_len, maybe_grow, menc, route_read,
-    route_update, ChainLen, FindRes, MapConfig, MapMem, MapWindow, SpaceMem, DEL, MAP_RCAS_LAYOUT,
+    alloc_gen, contains_routed, drain_map, find_routed, map_len, maybe_grow, menc, ChainLen,
+    MapConfig, DEL, MAP_RCAS_LAYOUT,
 };
 use crate::node::{next_addr, value_addr, NODE_WORDS};
 
@@ -37,53 +42,12 @@ use crate::node::{next_addr, value_addr, NODE_WORDS};
 /// every map operation proposes at most one CAS).
 pub const MAP_NORMALIZED_LOCALS: usize = delayfree::NORMALIZED_INLINE_LOCALS;
 
-/// Normalized-simulator accessor for the shared map protocol: reads, plain
-/// writes and allocation go through the ctx (so they are accounted to the
-/// simulated method), helping CASes use the ctx's anonymous CAS.
-struct CtxMem<'a, 'c, 't, 'm> {
-    ctx: &'a mut NormalizedCtx<'c, 't, 'm>,
-    manual: bool,
-}
-
-impl MapMem for CtxMem<'_, '_, '_, '_> {
-    fn read(&mut self, addr: PAddr) -> u64 {
-        self.ctx.read(addr)
-    }
-    fn read_plain(&mut self, addr: PAddr) -> u64 {
-        self.ctx.read_plain(addr)
-    }
-    fn help_cas(&mut self, addr: PAddr, expected: u64, new: u64) -> bool {
-        self.ctx.helping_cas(addr, expected, new)
-    }
-    fn init_word(&mut self, addr: PAddr, value: u64) {
-        self.ctx.space().init_word(self.ctx.thread(), addr, value)
-    }
-    fn write_plain(&mut self, addr: PAddr, value: u64) {
-        self.ctx.write_private(addr, value)
-    }
-    fn alloc(&mut self, nwords: u64) -> PAddr {
-        self.ctx.alloc(nwords)
-    }
-    fn flush_line(&mut self, addr: PAddr) {
-        if self.manual {
-            self.ctx.thread().flush(addr);
-        }
-    }
-    fn fence(&mut self) {
-        if self.manual {
-            self.ctx.thread().fence();
-        }
-    }
-}
-
 /// The shared, persistent part of the normalized map.
 #[derive(Clone, Copy, Debug)]
 pub struct NormalizedDetMap {
     dir: PAddr,
     cfg: MapConfig,
-    space: RcasSpace,
-    manual: bool,
-    optimised: bool,
+    sim: NormalizedSimulator,
 }
 
 impl NormalizedDetMap {
@@ -97,108 +61,46 @@ impl NormalizedDetMap {
         optimised: bool,
     ) -> NormalizedDetMap {
         let space = RcasSpace::new(thread, nprocs, MAP_RCAS_LAYOUT).with_durability(manual);
-        let g = {
-            let mut m = SpaceMem {
-                space: &space,
-                t: thread,
-                manual,
-            };
-            alloc_gen(&mut m, cfg.initial_buckets)
-        };
+        let sim = normalized_simulator(space, manual, optimised);
+        let g = alloc_gen(&sim.mem(thread), cfg.initial_buckets);
         let dir = thread.alloc(1);
         space.init_word(thread, dir, g.to_raw());
         if manual {
             thread.persist(dir);
         }
-        NormalizedDetMap {
-            dir,
-            cfg,
-            space,
-            manual,
-            optimised,
-        }
+        NormalizedDetMap { dir, cfg, sim }
     }
 
     /// The recoverable-CAS space used by this map.
     pub fn space(&self) -> &RcasSpace {
-        &self.space
-    }
-
-    fn style(&self) -> BoundaryStyle {
-        if self.optimised {
-            BoundaryStyle::Compact
-        } else {
-            BoundaryStyle::General
-        }
-    }
-
-    fn simulator(&self) -> NormalizedSimulator {
-        NormalizedSimulator::new(self.space, self.manual).with_inline_lists()
-    }
-
-    /// Create the calling thread's handle (allocating its capsule frame).
-    pub fn handle<'q, 't, 'm>(
-        &'q self,
-        thread: &'t PThread<'m>,
-    ) -> NormalizedDetMapHandle<'q, 't, 'm> {
-        let rt = CapsuleRuntime::new(thread, self.style(), MAP_NORMALIZED_LOCALS);
-        NormalizedDetMapHandle {
-            map: self,
-            sim: self.simulator(),
-            rt,
-        }
+        self.sim.space()
     }
 
     /// Live-key count (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        let mut m = SpaceMem {
-            space: &self.space,
-            t: thread,
-            manual: self.manual,
-        };
-        map_len(&mut m, self.dir)
-    }
-
-    /// Routed search inside a parallelizable method: migration helping plus
-    /// the tombstone-skipping window search, retried past freezes.
-    fn find(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, k: u64) -> (MapWindow, ChainLen) {
-        let mut m = CtxMem {
-            ctx,
-            manual: self.manual,
-        };
-        loop {
-            let head = route_update(&mut m, self.dir, k);
-            match find_in(&mut m, head, k) {
-                (FindRes::Frozen, _) => continue,
-                (FindRes::Win(w), len) => return (w, len),
-            }
-        }
+        map_len(&self.sim.mem(thread), self.dir)
     }
 }
 
 /// The normalized insert: the generator routes, searches and allocates the
 /// node; the executor links it; the wrap-up reports and runs the resize
 /// trigger. An empty CAS list means the key was already present.
-struct MapInsertOp {
-    map: NormalizedDetMap,
-}
+struct MapInsertOp<'q>(&'q NormalizedDetMap);
 
-impl NormalizedOp for MapInsertOp {
+impl NormalizedOp for MapInsertOp<'_> {
     type Input = u64;
     type Output = bool;
 
     fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, k: &u64) -> CasList {
-        let m = &self.map;
-        let (w, len) = m.find(ctx, *k);
+        let m = ctx.mem();
+        let (w, len) = find_routed(&m, self.0.dir, *k);
         if w.found {
             return Vec::new();
         }
-        let node = ctx.alloc(NODE_WORDS);
-        ctx.write_private(value_addr(node), *k);
-        m.space.init_word(ctx.thread(), next_addr(node), w.pred_enc);
-        if m.manual {
-            ctx.persist(node);
-        }
+        let node = m.alloc(NODE_WORDS);
+        m.write_plain(value_addr(node), *k);
+        m.init_word(next_addr(node), w.pred_enc);
+        ctx.persist(node);
         vec![CasDesc::new(w.pred_addr, w.pred_enc, menc(node, 0)).with_aux(len.pack())]
     }
 
@@ -209,37 +111,27 @@ impl NormalizedOp for MapInsertOp {
         cas_list: &CasList,
         executed: usize,
     ) -> WrapUp<bool> {
-        if cas_list.is_empty() {
-            return WrapUp::Done(false);
+        let outcome = single_cas_outcome(cas_list, executed);
+        if outcome == WrapUp::Done(true) {
+            // Resize trigger (helping, repetition-safe): the chain measure rides
+            // in the descriptor's aux word.
+            let len = ChainLen::unpack(cas_list[0].aux);
+            maybe_grow(&ctx.mem(), self.0.dir, len.plus_inserted(), self.0.cfg.max_chain);
         }
-        if executed != cas_list.len() {
-            return WrapUp::Restart;
-        }
-        // Resize trigger (helping, repetition-safe): the chain measure rides
-        // in the descriptor's aux word.
-        let len = ChainLen::unpack(cas_list[0].aux);
-        let mut m = CtxMem {
-            ctx,
-            manual: self.map.manual,
-        };
-        maybe_grow(&mut m, self.map.dir, len.plus_inserted(), self.map.cfg.max_chain);
-        WrapUp::Done(true)
+        outcome
     }
 }
 
 /// The normalized remove: the executor performs the tombstone mark — the
 /// linearization point and, under the no-unlink policy, the whole protocol.
-struct MapRemoveOp {
-    map: NormalizedDetMap,
-}
+struct MapRemoveOp<'q>(&'q NormalizedDetMap);
 
-impl NormalizedOp for MapRemoveOp {
+impl NormalizedOp for MapRemoveOp<'_> {
     type Input = u64;
     type Output = bool;
 
     fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, k: &u64) -> CasList {
-        let m = &self.map;
-        let (w, _) = m.find(ctx, *k);
+        let (w, _) = find_routed(&ctx.mem(), self.0.dir, *k);
         if !w.found {
             return Vec::new();
         }
@@ -253,24 +145,15 @@ impl NormalizedOp for MapRemoveOp {
         cas_list: &CasList,
         executed: usize,
     ) -> WrapUp<bool> {
-        if cas_list.is_empty() {
-            return WrapUp::Done(false);
-        }
-        if executed == cas_list.len() {
-            WrapUp::Done(true)
-        } else {
-            WrapUp::Restart
-        }
+        single_cas_outcome(cas_list, executed)
     }
 }
 
 /// The normalized contains: a pure parallelizable method (empty CAS list; the
 /// wrap-up routes read-only and answers).
-struct MapContainsOp {
-    map: NormalizedDetMap,
-}
+struct MapContainsOp<'q>(&'q NormalizedDetMap);
 
-impl NormalizedOp for MapContainsOp {
+impl NormalizedOp for MapContainsOp<'_> {
     type Input = u64;
     type Output = bool;
 
@@ -285,227 +168,93 @@ impl NormalizedOp for MapContainsOp {
         _cas_list: &CasList,
         _executed: usize,
     ) -> WrapUp<bool> {
-        let mut m = CtxMem {
-            ctx,
-            manual: self.map.manual,
-        };
-        let head = route_read(&mut m, self.map.dir, *k);
-        WrapUp::Done(contains_at(&mut m, head, *k))
+        WrapUp::Done(contains_routed(&ctx.mem(), self.0.dir, *k))
     }
 }
 
-/// Per-thread handle for the normalized map.
-pub struct NormalizedDetMapHandle<'q, 't, 'm> {
-    map: &'q NormalizedDetMap,
-    sim: NormalizedSimulator,
-    rt: CapsuleRuntime<'t, 'm>,
+impl Capsuled for NormalizedDetMap {
+    const LOCALS: usize = MAP_NORMALIZED_LOCALS;
+    fn style(&self) -> BoundaryStyle {
+        self.sim.style()
+    }
 }
 
-impl<'q, 't, 'm> NormalizedDetMapHandle<'q, 't, 'm> {
-    /// Access the underlying capsule runtime (metrics, crash flavour…).
-    pub fn runtime_mut(&mut self) -> &mut CapsuleRuntime<'t, 'm> {
-        &mut self.rt
-    }
+capsule_handles!(NormalizedDetMap, NormalizedDetMapHandle);
 
-    /// See [`CapsuleRuntime::set_entry_boundary`].
-    pub fn set_entry_boundary(&mut self, enabled: bool) {
-        self.rt.set_entry_boundary(enabled);
-    }
-
+impl NormalizedDetMapHandle<'_, '_, '_> {
     /// Insert `k` (detectably); returns whether it was absent.
     pub fn insert(&mut self, k: u64) -> bool {
-        let op = MapInsertOp { map: *self.map };
-        self.sim.run(&mut self.rt, &op, &k)
+        self.shared.sim.run(&mut self.rt, &MapInsertOp(self.shared), &k)
     }
 
     /// Remove `k` (detectably); returns whether it was present.
     pub fn remove(&mut self, k: u64) -> bool {
-        let op = MapRemoveOp { map: *self.map };
-        self.sim.run(&mut self.rt, &op, &k)
+        self.shared.sim.run(&mut self.rt, &MapRemoveOp(self.shared), &k)
     }
 
     /// Membership test (detectably reported).
     pub fn contains(&mut self, k: u64) -> bool {
-        let op = MapContainsOp { map: *self.map };
-        self.sim.run(&mut self.rt, &op, &k)
+        self.shared.sim.run(&mut self.rt, &MapContainsOp(self.shared), &k)
     }
 }
 
 impl StructHandle for NormalizedDetMapHandle<'_, '_, '_> {
     fn apply(&mut self, op: StructOp) -> Option<u64> {
-        match op {
-            StructOp::Insert(k) => bool_ret(self.insert(k)),
-            StructOp::Remove(k) => bool_ret(self.remove(k)),
-            StructOp::Contains(k) => bool_ret(self.contains(k)),
-            other => panic!("map handle cannot apply stack operation {other:?}"),
-        }
+        apply_keyed(self, op, Self::insert, Self::remove, Self::contains)
     }
 
     fn drain_up_to(&mut self, max: usize) -> Drain {
-        let map = self.map;
-        let mut m = SpaceMem {
-            space: &map.space,
-            t: self.rt.thread(),
-            manual: map.manual,
-        };
-        drain_map(&mut m, map.dir, max)
+        drain_map(&self.shared.sim.mem(self.rt.thread()), self.shared.dir, max)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem::{install_quiet_crash_hook, CrashPlan, CrashPolicy, MemConfig, Mode, PMem};
+    use crate::api::testkit;
+    use StructOp::{Contains, Insert, Remove};
+
+    fn styled(t: &PThread<'_>, cfg: MapConfig, optimised: bool) -> NormalizedDetMap {
+        NormalizedDetMap::new(t, 1, cfg, true, optimised)
+    }
 
     #[test]
     fn insert_remove_contains_single_thread_both_variants() {
-        for optimised in [false, true] {
-            let mem = PMem::with_threads(1);
-            let t = mem.thread(0);
-            let map = NormalizedDetMap::new(&t, 1, MapConfig::new(4, 64), true, optimised);
-            let mut h = map.handle(&t);
-            assert!(h.insert(5));
-            assert!(h.insert(3));
-            assert!(!h.insert(5), "optimised={optimised}");
-            assert!(h.contains(3));
-            assert!(!h.contains(4));
-            assert!(h.remove(3));
-            assert!(!h.remove(3));
-            assert_eq!(h.drain_up_to(16).items, vec![5]);
-            assert_eq!(map.len(&t), 1);
-        }
+        testkit::keyed_single_thread(|t, flag| styled(t, MapConfig::new(4, 64), flag), NormalizedDetMap::len);
     }
 
     #[test]
     fn growth_migrates_every_key_under_the_simulator() {
-        let mem = PMem::with_threads(1);
-        let t = mem.thread(0);
-        let map = NormalizedDetMap::new(&t, 1, MapConfig::tiny(), true, false);
-        let mut h = map.handle(&t);
-        let mut model = std::collections::BTreeSet::new();
-        for k in 0..120u64 {
-            assert!(h.insert(k));
-            model.insert(k);
-            if k % 4 == 1 {
-                assert!(h.remove(k));
-                model.remove(&k);
-            }
-        }
-        for k in 0..120u64 {
-            assert_eq!(h.contains(k), model.contains(&k), "contains({k})");
-        }
-        let d = h.drain_up_to(100_000);
-        assert!(!d.truncated);
-        assert_eq!(d.items, model.iter().copied().collect::<Vec<u64>>());
+        testkit::keyed_growth(|t| styled(t, MapConfig::tiny(), false));
     }
 
     #[test]
     fn operations_survive_random_crashes_across_resizes() {
-        install_quiet_crash_hook();
-        for optimised in [false, true] {
-            let mem = PMem::with_threads(1);
-            let t = mem.thread(0);
-            let map = NormalizedDetMap::new(&t, 1, MapConfig::tiny(), true, optimised);
-            let mut h = map.handle(&t);
-            t.set_crash_policy(CrashPolicy::Random { prob: 0.02, seed: 53 });
-            let mut model = std::collections::BTreeSet::new();
-            for r in 0..300u64 {
-                let k = (r * 11) % 23;
-                if r % 3 == 2 {
-                    assert_eq!(h.remove(k), model.remove(&k), "optimised={optimised} round {r}");
-                } else {
-                    assert_eq!(h.insert(k), model.insert(k), "optimised={optimised} round {r}");
-                }
-            }
-            t.disarm_crashes();
-            assert!(t.stats().crashes > 0);
-            let d = h.drain_up_to(100_000);
-            assert!(!d.truncated);
-            assert_eq!(d.items, model.iter().copied().collect::<Vec<u64>>());
-        }
+        let build = |t: &PThread<'_>, flag| styled(t, MapConfig::tiny(), flag);
+        testkit::keyed_random_crashes(build, &[false, true], 53, (300, 11, 23));
     }
 
     #[test]
     fn manual_durability_survives_full_system_crash_mid_growth() {
-        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-        let t = mem.thread(0);
-        let map = NormalizedDetMap::new(&t, 1, MapConfig::tiny(), true, false);
-        {
-            let mut h = map.handle(&t);
-            for k in 0..30u64 {
-                assert!(h.insert(k));
-            }
-            assert!(h.remove(11));
-        }
-        mem.crash_all();
-        let t = mem.thread(0);
-        let mut h = map.handle(&t);
-        let d = h.drain_up_to(10_000);
-        assert!(!d.truncated);
+        let ops: Vec<StructOp> = (0..30).map(Insert).chain([Remove(11)]).collect();
         let expect: Vec<u64> = (0..30).filter(|&k| k != 11).collect();
-        assert_eq!(d.items, expect);
+        let build = |t: &PThread<'_>| styled(t, MapConfig::tiny(), false);
+        testkit::survives_full_system_crash(build, &ops, &expect, false);
     }
 
-    /// Exhaustive crash-point sweep over a scripted window that crosses a
-    /// resize, single + nested schedules, both crash flavours.
+    /// The scripted window *crosses a resize* (tiny config: the inserts push
+    /// the chain past max_chain = 3), so crash points land in the migration
+    /// too.
     #[test]
     fn exhaustive_crash_point_sweep_is_exact_across_a_resize() {
-        install_quiet_crash_hook();
-        type History = (Vec<Option<u64>>, Vec<u64>);
-        let run = |plan: Option<CrashPlan>, system: bool| -> (History, u64, u64) {
-            let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-            let t = mem.thread(0);
-            let map = NormalizedDetMap::new(&t, 1, MapConfig::tiny(), true, false);
-            let mut h = map.handle(&t);
-            h.runtime_mut().set_system_crashes(system);
-            assert!(h.insert(10));
-            assert!(h.insert(20));
-            assert!(h.insert(30));
-            mem.persist_everything();
-            let _ = t.take_stats();
-            if let Some(p) = plan {
-                t.set_crash_schedule(p);
-            }
-            let rets = vec![
-                h.apply(StructOp::Insert(15)),
-                h.apply(StructOp::Insert(25)),
-                h.apply(StructOp::Insert(15)),
-                h.apply(StructOp::Remove(10)),
-                h.apply(StructOp::Contains(15)),
-                h.apply(StructOp::Remove(99)),
-            ];
-            let points = t.stats().crash_points;
-            t.disarm_crashes();
-            let drained = h.drain_up_to(10_000);
-            assert!(!drained.truncated);
+        testkit::exhaustive_crash_point_sweep(
+            |t| styled(t, MapConfig::tiny(), false),
+            &[Insert(10), Insert(20), Insert(30)],
+            &[Insert(15), Insert(25), Insert(15), Remove(10), Contains(15), Remove(99)],
             (
-                (rets, drained.items),
-                points,
-                h.runtime_mut().metrics().recovery_crashes,
-            )
-        };
-        for system in [false, true] {
-            let (base, n, _) = run(None, system);
-            assert_eq!(
-                base,
-                (
-                    vec![Some(1), Some(1), Some(0), Some(1), Some(1), Some(0)],
-                    vec![15, 20, 25, 30]
-                )
-            );
-            assert!(n > 0);
-            let mut nested_recovery_crashes = 0;
-            for k in 0..n {
-                let (hist, _, _) = run(Some(CrashPlan::once(k)), system);
-                assert_eq!(hist, base, "system={system} crash at point {k}");
-                let (hist, _, rc) = run(Some(CrashPlan::nested(k, &[0])), system);
-                assert_eq!(hist, base, "system={system} nested crash at point {k}");
-                nested_recovery_crashes += rc;
-            }
-            assert!(
-                nested_recovery_crashes > 0,
-                "the nested sweep must interrupt at least one recovery (system={system})"
-            );
-        }
+                vec![Some(1), Some(1), Some(0), Some(1), Some(1), Some(0)],
+                vec![15, 20, 25, 30],
+            ),
+        );
     }
 }

@@ -92,39 +92,6 @@ pub fn enc_marked(word: u64) -> bool {
     word & 1 != 0
 }
 
-/// Shared bounded ascending snapshot for the set handles: walk the chain from
-/// the already-read `head_enc`, collecting unmarked keys, visiting at most
-/// `max` nodes (marked or not — a cycle consisting only of marked nodes never
-/// grows the key list, so the bound must count *visits*).
-///
-/// `truncated` is precise for sets: it is set exactly when the walk stopped
-/// at the cap with chain nodes still unvisited. Oracle callers bound `max` by
-/// the total nodes the replay could have allocated, so truncation proves a
-/// corrupted (cyclic) chain even when the collected keys alone would have
-/// matched the model — the marked-cycle case a pure length check misses.
-pub(crate) fn snapshot_up_to(
-    max: usize,
-    head_enc: u64,
-    read_next: impl Fn(PAddr) -> u64,
-    read_key: impl Fn(PAddr) -> u64,
-) -> crate::api::Drain {
-    let mut items = Vec::new();
-    let mut visited = 0usize;
-    let mut node = enc_addr(head_enc);
-    while !node.is_null() && visited < max {
-        visited += 1;
-        let next = read_next(next_addr(node));
-        if !enc_marked(next) {
-            items.push(read_key(value_addr(node)));
-        }
-        node = enc_addr(next);
-    }
-    crate::api::Drain {
-        items,
-        truncated: !node.is_null(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,6 @@
-//! The plain lock-free sorted linked-list set (Harris 2001 / Michael 2002) on
-//! simulated memory — the set-shaped counterpart of [`queues::MsQueue`].
+//! The lock-free sorted linked-list set (Harris 2001 / Michael 2002): the
+//! protocol every construction shares, and its plain shell — the set-shaped
+//! counterpart of [`queues::MsQueue`].
 //!
 //! Keys live in a singly linked list kept in ascending order. A remove is two
 //! CASes: first the *logical* deletion sets the mark bit inside the victim's
@@ -10,18 +11,27 @@
 //! later traversal unlinks whatever marked nodes it walks over, so windows
 //! stay adjacent (`pred.next == curr`) without any traversal ever blocking.
 //!
-//! Plain CASes, no capsules, no flushes: running the operations through a
-//! thread handle with [`pmem::ThreadOptions`]`{ izraelevitz: true }` yields
-//! the durably linearizable (but **not** detectable) Izraelevitz set.
+//! The search, the read-only membership walk, the count and the bounded
+//! snapshot are parallelizable and written once over [`SharedMem`]; the
+//! General and Normalized sets ([`set_general`](crate::set_general),
+//! [`set_normalized`](crate::set_normalized)) run them through their
+//! simulator's face, [`ListSet`] through the bare thread.
+//!
+//! [`ListSet`] itself is plain CASes, no capsules, no flushes: running its
+//! operations through a thread handle with
+//! [`pmem::ThreadOptions`]`{ izraelevitz: true }` yields the durably
+//! linearizable (but **not** detectable) Izraelevitz set.
 
+use delayfree::SharedMem;
 use pmem::{PAddr, PThread};
 
-use crate::api::{bool_ret, Drain, StructHandle, StructOp};
-use crate::node::{alloc_node, enc, enc_addr, enc_marked, next_addr, snapshot_up_to, value_addr};
+use crate::api::{apply_keyed, Drain, StructHandle, StructOp};
+use crate::node::{alloc_node, enc, enc_addr, enc_marked, next_addr, value_addr};
 
 /// A search window: the word to CAS for an insert/unlink, its expected
 /// encoding, and the first unmarked node with `key >= k` (null at the end of
-/// the list). `pred_enc` always decodes to `curr` unmarked — adjacency.
+/// the list). `pred_enc` always decodes to `curr` unmarked — adjacency. Every
+/// field is a boundary-persistable word.
 pub(crate) struct Window {
     pub pred_addr: PAddr,
     pub pred_enc: u64,
@@ -31,7 +41,112 @@ pub(crate) struct Window {
     pub found: bool,
 }
 
-/// The shared, persistent part of the set: one word holding the encoded
+/// Harris–Michael search from the head word `head`: locate the window for `k`,
+/// unlinking every marked node encountered with a helping CAS (restarting from
+/// the head when an unlink loses its race).
+pub(crate) fn find<M: SharedMem>(m: &M, head: PAddr, k: u64) -> Window {
+    'retry: loop {
+        let mut pred_addr = head;
+        let mut pred_enc = m.read(pred_addr);
+        loop {
+            let curr = enc_addr(pred_enc);
+            if curr.is_null() {
+                return Window {
+                    pred_addr,
+                    pred_enc,
+                    curr,
+                    curr_enc: 0,
+                    found: false,
+                };
+            }
+            let curr_enc = m.read(next_addr(curr));
+            if enc_marked(curr_enc) {
+                // Logically deleted: help unlink, keeping the window adjacent.
+                let unmarked = enc(enc_addr(curr_enc), false);
+                if !m.help_cas_flush(pred_addr, pred_enc, unmarked) {
+                    continue 'retry;
+                }
+                pred_enc = unmarked;
+                continue;
+            }
+            let ck = m.read_plain(value_addr(curr));
+            if ck >= k {
+                return Window {
+                    pred_addr,
+                    pred_enc,
+                    curr,
+                    curr_enc,
+                    found: ck == k,
+                };
+            }
+            pred_addr = next_addr(curr);
+            pred_enc = curr_enc;
+        }
+    }
+}
+
+/// Membership walk (read-only: skips marked nodes without helping).
+pub(crate) fn contains_in<M: SharedMem>(m: &M, head: PAddr, k: u64) -> bool {
+    let mut node = enc_addr(m.read(head));
+    while !node.is_null() {
+        let next = m.read(next_addr(node));
+        let ck = m.read_plain(value_addr(node));
+        if !enc_marked(next) {
+            if ck == k {
+                return true;
+            }
+            if ck > k {
+                return false;
+            }
+        }
+        node = enc_addr(next);
+    }
+    false
+}
+
+/// Count the unmarked keys (diagnostic; not linearizable).
+pub(crate) fn len_of<M: SharedMem>(m: &M, head: PAddr) -> usize {
+    let mut count = 0;
+    let mut node = enc_addr(m.read(head));
+    while !node.is_null() {
+        let next = m.read(next_addr(node));
+        if !enc_marked(next) {
+            count += 1;
+        }
+        node = enc_addr(next);
+    }
+    count
+}
+
+/// Bounded ascending snapshot — the set handles' drain hook: walk the chain,
+/// collecting unmarked keys, visiting at most `max` nodes (marked or not — a
+/// cycle consisting only of marked nodes never grows the key list, so the
+/// bound must count *visits*).
+///
+/// `truncated` is precise for sets: it is set exactly when the walk stopped
+/// at the cap with chain nodes still unvisited. Oracle callers bound `max` by
+/// the total nodes the replay could have allocated, so truncation proves a
+/// corrupted (cyclic) chain even when the collected keys alone would have
+/// matched the model — the marked-cycle case a pure length check misses.
+pub(crate) fn snapshot_up_to<M: SharedMem>(m: &M, head: PAddr, max: usize) -> Drain {
+    let mut items = Vec::new();
+    let mut visited = 0usize;
+    let mut node = enc_addr(m.read(head));
+    while !node.is_null() && visited < max {
+        visited += 1;
+        let next = m.read(next_addr(node));
+        if !enc_marked(next) {
+            items.push(m.read_plain(value_addr(node)));
+        }
+        node = enc_addr(next);
+    }
+    Drain {
+        items,
+        truncated: !node.is_null(),
+    }
+}
+
+/// The shared, persistent part of the plain set: one word holding the encoded
 /// pointer to the first node (a degenerate sentinel — the head itself can
 /// never be marked, so its word always decodes unmarked).
 #[derive(Clone, Copy, Debug)]
@@ -57,62 +172,9 @@ impl ListSet {
         ListSetHandle { set: self, thread }
     }
 
-    /// Harris–Michael search: locate the window for `k`, unlinking every
-    /// marked node encountered (restarting from the head when an unlink loses
-    /// its race).
-    fn find(&self, t: &PThread<'_>, k: u64) -> Window {
-        'retry: loop {
-            let mut pred_addr = self.head;
-            let mut pred_enc = t.read(pred_addr);
-            loop {
-                let curr = enc_addr(pred_enc);
-                if curr.is_null() {
-                    return Window {
-                        pred_addr,
-                        pred_enc,
-                        curr,
-                        curr_enc: 0,
-                        found: false,
-                    };
-                }
-                let curr_enc = t.read(next_addr(curr));
-                if enc_marked(curr_enc) {
-                    // Logically deleted: help unlink, keeping the window adjacent.
-                    let unmarked = enc(enc_addr(curr_enc), false);
-                    if !t.cas(pred_addr, pred_enc, unmarked) {
-                        continue 'retry;
-                    }
-                    pred_enc = unmarked;
-                    continue;
-                }
-                let ck = t.read(value_addr(curr));
-                if ck >= k {
-                    return Window {
-                        pred_addr,
-                        pred_enc,
-                        curr,
-                        curr_enc,
-                        found: ck == k,
-                    };
-                }
-                pred_addr = next_addr(curr);
-                pred_enc = curr_enc;
-            }
-        }
-    }
-
     /// Count the unmarked keys (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        let mut count = 0;
-        let mut node = enc_addr(thread.read(self.head));
-        while !node.is_null() {
-            let next = thread.read(next_addr(node));
-            if !enc_marked(next) {
-                count += 1;
-            }
-            node = enc_addr(next);
-        }
-        count
+        len_of(thread, self.head)
     }
 }
 
@@ -128,7 +190,7 @@ impl ListSetHandle<'_, '_, '_> {
     pub fn insert(&mut self, k: u64) -> bool {
         let t = self.thread;
         loop {
-            let w = self.set.find(t, k);
+            let w = find(t, self.set.head, k);
             if w.found {
                 return false;
             }
@@ -144,7 +206,7 @@ impl ListSetHandle<'_, '_, '_> {
     pub fn remove(&mut self, k: u64) -> bool {
         let t = self.thread;
         loop {
-            let w = self.set.find(t, k);
+            let w = find(t, self.set.head, k);
             if !w.found {
                 return false;
             }
@@ -160,39 +222,17 @@ impl ListSetHandle<'_, '_, '_> {
 
     /// Membership test (read-only: skips marked nodes without helping).
     pub fn contains(&mut self, k: u64) -> bool {
-        let t = self.thread;
-        let mut node = enc_addr(t.read(self.set.head));
-        while !node.is_null() {
-            let next = t.read(next_addr(node));
-            let ck = t.read(value_addr(node));
-            if !enc_marked(next) {
-                if ck == k {
-                    return true;
-                }
-                if ck > k {
-                    return false;
-                }
-            }
-            node = enc_addr(next);
-        }
-        false
+        contains_in(self.thread, self.set.head, k)
     }
-
 }
 
 impl StructHandle for ListSetHandle<'_, '_, '_> {
     fn apply(&mut self, op: StructOp) -> Option<u64> {
-        match op {
-            StructOp::Insert(k) => bool_ret(self.insert(k)),
-            StructOp::Remove(k) => bool_ret(self.remove(k)),
-            StructOp::Contains(k) => bool_ret(self.contains(k)),
-            other => panic!("set handle cannot apply stack operation {other:?}"),
-        }
+        apply_keyed(self, op, Self::insert, Self::remove, Self::contains)
     }
 
     fn drain_up_to(&mut self, max: usize) -> Drain {
-        let t = self.thread;
-        snapshot_up_to(max, t.read(self.set.head), |a| t.read(a), |a| t.read(a))
+        snapshot_up_to(self.thread, self.set.head, max)
     }
 }
 

@@ -4,8 +4,8 @@
 //! The shape differs from every other structure in the workspace: a remove is
 //! a **two-CAS protocol**. Only the first CAS — the logical mark, the
 //! operation's linearization point — needs exactly-once recovery, so only it
-//! heads a CAS-Read capsule with [`recoverable_cas`]. The physical unlink (and
-//! every unlink a traversal performs over marked nodes it walks) is
+//! heads a CAS-Read capsule with the simulator's [`capsule_cas`]. The physical
+//! unlink (and every unlink a traversal performs over marked nodes it walks) is
 //! parallelizable helping: safe to repeat, harmless to lose, so it uses the
 //! *anonymous* CAS exactly as §7 prescribes for generator/wrap-up CASes — it
 //! neither consumes a sequence number nor clobbers the notification owed to a
@@ -17,15 +17,17 @@
 //! The marked-pointer encodings occupy 33 bits, so the recoverable-CAS words
 //! use [`SET_RCAS_LAYOUT`](crate::node::SET_RCAS_LAYOUT) rather than the
 //! default 32-bit-value layout.
+//!
+//! [`capsule_cas`]: CasReadSimulator::capsule_cas
 
-use capsules::{recoverable_cas, BoundaryStyle, CapsuleRuntime, CapsuleStep};
+use capsules::{BoundaryStyle, CapsuleRuntime, CapsuleStep};
+use delayfree::{CasReadSimulator, SharedMem};
 use pmem::{PAddr, PThread};
 use rcas::RcasSpace;
 
-use crate::api::{bool_ret, Drain, StructHandle, StructOp};
-use crate::node::{
-    enc, enc_addr, enc_marked, next_addr, snapshot_up_to, value_addr, NODE_WORDS, SET_RCAS_LAYOUT,
-};
+use crate::api::{apply_keyed, capsule_handles, Capsuled, Drain, StructHandle, StructOp};
+use crate::node::{enc, next_addr, value_addr, NODE_WORDS, SET_RCAS_LAYOUT};
+use crate::set::{contains_in, find, len_of, snapshot_up_to};
 
 // Persisted local slots (user indices).
 const L_KEY: usize = 0;
@@ -53,23 +55,11 @@ const R_DONE_FALSE: u32 = 14;
 const C_FIND: u32 = 20;
 const C_DONE: u32 = 21;
 
-/// Outcome of the capsule-level Harris–Michael search (all fields are
-/// boundary-persistable words).
-struct Window {
-    pred_addr: PAddr,
-    pred_enc: u64,
-    curr: PAddr,
-    curr_enc: u64,
-    found: bool,
-}
-
 /// The shared, persistent part of the transformed set.
 #[derive(Clone, Copy, Debug)]
 pub struct GeneralSet {
     head: PAddr,
-    space: RcasSpace,
-    manual: bool,
-    style: BoundaryStyle,
+    sim: CasReadSimulator,
 }
 
 impl GeneralSet {
@@ -83,113 +73,18 @@ impl GeneralSet {
         if manual {
             thread.persist(head);
         }
-        GeneralSet {
-            head,
-            space,
-            manual,
-            style,
-        }
+        let sim = CasReadSimulator::new(space).with_durable(manual).with_style(style);
+        GeneralSet { head, sim }
     }
 
     /// The recoverable-CAS space used by this set.
     pub fn space(&self) -> &RcasSpace {
-        &self.space
-    }
-
-    /// Create the calling thread's handle (allocating its capsule frame).
-    pub fn handle<'q, 't, 'm>(&'q self, thread: &'t PThread<'m>) -> GeneralSetHandle<'q, 't, 'm> {
-        let rt = CapsuleRuntime::new(thread, self.style, SET_GENERAL_LOCALS);
-        GeneralSetHandle { set: self, rt }
-    }
-
-    /// Re-attach a handle after a restart (resumes from the restart pointer).
-    pub fn attach_handle<'q, 't, 'm>(
-        &'q self,
-        thread: &'t PThread<'m>,
-    ) -> GeneralSetHandle<'q, 't, 'm> {
-        let rt = CapsuleRuntime::attach_from_restart_pointer(thread, self.style, SET_GENERAL_LOCALS);
-        GeneralSetHandle { set: self, rt }
-    }
-
-    /// Harris–Michael search with anonymous helping unlinks (see module docs).
-    fn find(&self, t: &PThread<'_>, k: u64) -> Window {
-        'retry: loop {
-            let mut pred_addr = self.head;
-            let mut pred_enc = self.space.read(t, pred_addr);
-            loop {
-                let curr = enc_addr(pred_enc);
-                if curr.is_null() {
-                    return Window {
-                        pred_addr,
-                        pred_enc,
-                        curr,
-                        curr_enc: 0,
-                        found: false,
-                    };
-                }
-                let curr_enc = self.space.read(t, next_addr(curr));
-                if enc_marked(curr_enc) {
-                    let unmarked = enc(enc_addr(curr_enc), false);
-                    if !self.space.cas_anonymous(t, pred_addr, pred_enc, unmarked) {
-                        continue 'retry;
-                    }
-                    if self.manual {
-                        t.flush(pred_addr);
-                    }
-                    pred_enc = unmarked;
-                    continue;
-                }
-                let ck = t.read(value_addr(curr));
-                if ck >= k {
-                    return Window {
-                        pred_addr,
-                        pred_enc,
-                        curr,
-                        curr_enc,
-                        found: ck == k,
-                    };
-                }
-                pred_addr = next_addr(curr);
-                pred_enc = curr_enc;
-            }
-        }
+        self.sim.space()
     }
 
     /// Count the unmarked keys (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        let mut count = 0;
-        let mut node = enc_addr(self.space.read(thread, self.head));
-        while !node.is_null() {
-            let next = self.space.read(thread, next_addr(node));
-            if !enc_marked(next) {
-                count += 1;
-            }
-            node = enc_addr(next);
-        }
-        count
-    }
-
-    /// Flush + fence a line, per the manual-durability discipline (the compact
-    /// style elides the fence before a CAS: the lock prefix orders the flush).
-    fn persist_line(&self, thread: &PThread<'_>, addr: PAddr) {
-        if !self.manual {
-            return;
-        }
-        thread.flush(addr);
-        if self.style != BoundaryStyle::Compact {
-            thread.fence();
-        }
-    }
-
-    /// Flush + fence unconditionally: for persists followed by a capsule
-    /// boundary, whose release-store control write (unlike a locked CAS) does
-    /// not order earlier flushes — the frame could persist without the node.
-    fn persist_line_before_boundary(&self, thread: &PThread<'_>, addr: PAddr) {
-        if !self.manual {
-            return;
-        }
-        thread.flush(addr);
-        thread.fence();
+        len_of(&self.sim.mem(thread), self.head)
     }
 
     // ----- capsule bodies --------------------------------------------------------
@@ -201,24 +96,24 @@ impl GeneralSet {
 
     /// One insert capsule (entry pc [`I_FIND`]).
     fn insert_step(&self, rt: &mut CapsuleRuntime<'_, '_>) -> CapsuleStep<bool> {
-        let space = self.space;
+        let sim = &self.sim;
         match rt.pc() {
             // Search capsule (reads + anonymous helping): locate the window,
             // allocate and initialise the node.
             I_FIND => {
                 let k = rt.local(L_KEY);
-                let t = rt.thread();
-                let w = self.find(t, k);
+                let m = sim.mem(rt.thread());
+                let w = find(&m, self.head, k);
                 if w.found {
                     rt.finish_boundary(I_DONE_FALSE);
                     return CapsuleStep::Done(false);
                 }
-                let node = t.alloc(NODE_WORDS);
-                t.write(value_addr(node), k);
-                space.init_word(t, next_addr(node), w.pred_enc);
+                let node = m.alloc(NODE_WORDS);
+                m.write_plain(value_addr(node), k);
+                m.init_word(next_addr(node), w.pred_enc);
                 // The I_CAS boundary (not a CAS) publishes the node pointer
                 // next, so the fence cannot be elided here.
-                self.persist_line_before_boundary(t, node);
+                sim.persist_line_before_boundary(rt.thread(), node);
                 rt.set_local_addr(L_PRED_ADDR, w.pred_addr);
                 rt.set_local(L_PRED_ENC, w.pred_enc);
                 rt.set_local_addr(L_NODE, node);
@@ -230,9 +125,7 @@ impl GeneralSet {
                 let pred_addr = rt.local_addr(L_PRED_ADDR);
                 let expected = rt.local(L_PRED_ENC);
                 let node = rt.local_addr(L_NODE);
-                let ok = recoverable_cas(rt, &space, pred_addr, expected, enc(node, false));
-                if ok {
-                    self.persist_line(rt.thread(), pred_addr);
+                if sim.capsule_cas(rt, pred_addr, expected, enc(node, false)) {
                     rt.finish_boundary(I_DONE_TRUE);
                     CapsuleStep::Done(true)
                 } else {
@@ -248,12 +141,12 @@ impl GeneralSet {
 
     /// One remove capsule (entry pc [`R_FIND`]).
     fn remove_step(&self, rt: &mut CapsuleRuntime<'_, '_>) -> CapsuleStep<bool> {
-        let space = self.space;
+        let sim = &self.sim;
         match rt.pc() {
             // Search capsule: locate the victim's window.
             R_FIND => {
                 let k = rt.local(L_KEY);
-                let w = self.find(rt.thread(), k);
+                let w = find(&sim.mem(rt.thread()), self.head, k);
                 if !w.found {
                     rt.finish_boundary(R_DONE_FALSE);
                     return CapsuleStep::Done(false);
@@ -271,9 +164,7 @@ impl GeneralSet {
             R_MARK => {
                 let curr_next = rt.local_addr(L_CURR_NEXT);
                 let curr_enc = rt.local(L_CURR_ENC);
-                let ok = recoverable_cas(rt, &space, curr_next, curr_enc, curr_enc | 1);
-                if ok {
-                    self.persist_line(rt.thread(), curr_next);
+                if sim.capsule_cas(rt, curr_next, curr_enc, curr_enc | 1) {
                     rt.boundary(R_UNLINK);
                 } else {
                     rt.boundary(R_FIND);
@@ -283,13 +174,10 @@ impl GeneralSet {
             // Helping capsule: best-effort physical unlink (anonymous CAS —
             // repetition-safe, loss-tolerant; traversals finish the job).
             R_UNLINK => {
-                let t = rt.thread();
                 let pred_addr = rt.local_addr(L_PRED_ADDR);
                 let pred_enc = rt.local(L_PRED_ENC);
                 let curr_enc = rt.local(L_CURR_ENC);
-                if space.cas_anonymous(t, pred_addr, pred_enc, curr_enc) && self.manual {
-                    t.flush(pred_addr);
-                }
+                sim.mem(rt.thread()).help_cas_flush(pred_addr, pred_enc, curr_enc);
                 rt.finish_boundary(R_DONE_TRUE);
                 CapsuleStep::Done(true)
             }
@@ -301,27 +189,10 @@ impl GeneralSet {
 
     /// One contains capsule (entry pc [`C_FIND`]).
     fn contains_step(&self, rt: &mut CapsuleRuntime<'_, '_>) -> CapsuleStep<bool> {
-        let space = self.space;
         match rt.pc() {
             C_FIND => {
                 let k = rt.local(L_KEY);
-                let t = rt.thread();
-                let mut found = false;
-                let mut node = enc_addr(space.read(t, self.head));
-                while !node.is_null() {
-                    let next = space.read(t, next_addr(node));
-                    let ck = t.read(value_addr(node));
-                    if !enc_marked(next) {
-                        if ck == k {
-                            found = true;
-                            break;
-                        }
-                        if ck > k {
-                            break;
-                        }
-                    }
-                    node = enc_addr(next);
-                }
+                let found = contains_in(&self.sim.mem(rt.thread()), self.head, k);
                 rt.set_local(L_CURR_ENC, found as u64);
                 rt.finish_boundary(C_DONE);
                 CapsuleStep::Done(found)
@@ -332,40 +203,33 @@ impl GeneralSet {
     }
 }
 
-/// Per-thread handle: the thread's capsule runtime plus a reference to the set.
-pub struct GeneralSetHandle<'q, 't, 'm> {
-    set: &'q GeneralSet,
-    rt: CapsuleRuntime<'t, 'm>,
+impl Capsuled for GeneralSet {
+    const LOCALS: usize = SET_GENERAL_LOCALS;
+    fn style(&self) -> BoundaryStyle {
+        self.sim.style()
+    }
 }
 
-impl<'q, 't, 'm> GeneralSetHandle<'q, 't, 'm> {
-    /// Access the underlying capsule runtime (metrics, crash flavour…).
-    pub fn runtime_mut(&mut self) -> &mut CapsuleRuntime<'t, 'm> {
-        &mut self.rt
-    }
+capsule_handles!(GeneralSet, GeneralSetHandle);
 
-    /// See [`CapsuleRuntime::set_entry_boundary`].
-    pub fn set_entry_boundary(&mut self, enabled: bool) {
-        self.rt.set_entry_boundary(enabled);
-    }
-
+impl GeneralSetHandle<'_, '_, '_> {
     /// Insert `k` (detectably); returns whether it was absent.
     pub fn insert(&mut self, k: u64) -> bool {
-        let set = self.set;
+        let set = self.shared;
         self.rt.set_local(L_KEY, k);
         self.rt.run_op(I_FIND, |rt| set.insert_step(rt))
     }
 
     /// Remove `k` (detectably); returns whether it was present.
     pub fn remove(&mut self, k: u64) -> bool {
-        let set = self.set;
+        let set = self.shared;
         self.rt.set_local(L_KEY, k);
         self.rt.run_op(R_FIND, |rt| set.remove_step(rt))
     }
 
     /// Membership test (read-only, single capsule).
     pub fn contains(&mut self, k: u64) -> bool {
-        let set = self.set;
+        let set = self.shared;
         self.rt.set_local(L_KEY, k);
         self.rt.run_op(C_FIND, |rt| set.contains_step(rt))
     }
@@ -399,7 +263,7 @@ impl<'q, 't, 'm> GeneralSetHandle<'q, 't, 'm> {
     /// ticket against its own in-flight record to decide whether the resumption
     /// answers an outstanding request or predates it.
     pub fn resume_interrupted(&mut self) -> Option<Resumption> {
-        let set = self.set;
+        let set = self.shared;
         let pc = self.rt.pc();
         let ticket = self.rt.local(L_TICKET);
         let key = self.rt.local(L_KEY);
@@ -454,128 +318,44 @@ pub struct Resumption {
 
 impl StructHandle for GeneralSetHandle<'_, '_, '_> {
     fn apply(&mut self, op: StructOp) -> Option<u64> {
-        match op {
-            StructOp::Insert(k) => bool_ret(self.insert(k)),
-            StructOp::Remove(k) => bool_ret(self.remove(k)),
-            StructOp::Contains(k) => bool_ret(self.contains(k)),
-            other => panic!("set handle cannot apply stack operation {other:?}"),
-        }
+        apply_keyed(self, op, Self::insert, Self::remove, Self::contains)
     }
 
     fn drain_up_to(&mut self, max: usize) -> Drain {
-        let set = self.set;
-        let space = set.space;
-        let t = self.rt.thread();
-        snapshot_up_to(
-            max,
-            space.read(t, set.head),
-            |a| space.read(t, a),
-            |a| t.read(a),
-        )
+        snapshot_up_to(&self.shared.sim.mem(self.rt.thread()), self.shared.head, max)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem::{install_quiet_crash_hook, CrashPlan, CrashPolicy, MemConfig, Mode, PMem};
+    use crate::api::testkit;
+    use pmem::{install_quiet_crash_hook, CrashPolicy, MemConfig, Mode, PMem};
+    use StructOp::{Contains, Insert, Remove};
+
+    fn styled(t: &PThread<'_>, nprocs: usize, compact: bool) -> GeneralSet {
+        GeneralSet::new(t, nprocs, true, BoundaryStyle::opt(compact))
+    }
 
     #[test]
     fn insert_remove_contains_single_thread_both_styles() {
-        for style in [BoundaryStyle::General, BoundaryStyle::Compact] {
-            let mem = PMem::with_threads(1);
-            let t = mem.thread(0);
-            let s = GeneralSet::new(&t, 1, true, style);
-            let mut h = s.handle(&t);
-            assert!(h.insert(5));
-            assert!(h.insert(3));
-            assert!(!h.insert(5));
-            assert!(h.contains(3));
-            assert!(!h.contains(4));
-            assert!(h.remove(3));
-            assert!(!h.remove(3));
-            assert_eq!(h.drain_up_to(16).items, vec![5], "style {style:?}");
-            assert_eq!(s.len(&t), 1);
-        }
+        testkit::keyed_single_thread(|t, compact| styled(t, 1, compact), GeneralSet::len);
     }
 
     #[test]
     fn concurrent_same_key_contention_is_exact() {
-        const THREADS: usize = 3;
-        const ROUNDS: u64 = 250;
-        let mem = PMem::with_threads(THREADS);
-        let s = GeneralSet::new(&mem.thread(0), THREADS, true, BoundaryStyle::General);
-        let counts: Vec<(u64, u64)> = std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|pid| {
-                    let mem = &mem;
-                    let s = &s;
-                    sc.spawn(move || {
-                        let t = mem.thread(pid);
-                        let mut h = s.handle(&t);
-                        let (mut ins, mut rem) = (0, 0);
-                        for r in 0..ROUNDS {
-                            let k = r % 5;
-                            if h.insert(k) {
-                                ins += 1;
-                            }
-                            if h.remove(k) {
-                                rem += 1;
-                            }
-                        }
-                        (ins, rem)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let total_ins: u64 = counts.iter().map(|c| c.0).sum();
-        let total_rem: u64 = counts.iter().map(|c| c.1).sum();
-        let t = mem.thread(0);
-        let mut h = s.handle(&t);
-        let left = h.drain_up_to(64).items;
-        assert_eq!(total_ins, total_rem + left.len() as u64);
+        testkit::keyed_contention(|t, nprocs| styled(t, nprocs, false));
     }
 
     #[test]
     fn operations_survive_random_crashes() {
-        install_quiet_crash_hook();
-        let mem = PMem::with_threads(1);
-        let t = mem.thread(0);
-        let s = GeneralSet::new(&t, 1, true, BoundaryStyle::General);
-        let mut h = s.handle(&t);
-        t.set_crash_policy(CrashPolicy::Random { prob: 0.02, seed: 41 });
-        let mut model = std::collections::BTreeSet::new();
-        for r in 0..400u64 {
-            let k = (r * 7) % 13;
-            if r % 3 == 2 {
-                assert_eq!(h.remove(k), model.remove(&k), "round {r} remove({k})");
-            } else {
-                assert_eq!(h.insert(k), model.insert(k), "round {r} insert({k})");
-            }
-        }
-        t.disarm_crashes();
-        assert!(t.stats().crashes > 0);
-        let left = h.drain_up_to(64).items;
-        assert_eq!(left, model.iter().copied().collect::<Vec<u64>>());
+        testkit::keyed_random_crashes(|t, c| styled(t, 1, c), &[false], 41, (400, 7, 13));
     }
 
     #[test]
     fn manual_durability_survives_full_system_crash() {
-        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-        let t = mem.thread(0);
-        let s = GeneralSet::new(&t, 1, true, BoundaryStyle::General);
-        {
-            let mut h = s.handle(&t);
-            for k in [9, 2, 6] {
-                assert!(h.insert(k));
-            }
-            assert!(h.remove(6));
-        }
-        mem.crash_all();
-        let t = mem.thread(0);
-        let mut h = s.attach_handle(&t);
-        assert_eq!(h.drain_up_to(16).items, vec![2, 9]);
+        let ops = [Insert(9), Insert(2), Insert(6), Remove(6)];
+        testkit::survives_full_system_crash(|t| styled(t, 1, false), &ops, &[2, 9], true);
     }
 
     #[test]
@@ -621,62 +401,14 @@ mod tests {
         assert_eq!(h.drain_up_to(8).items, vec![40, 41], "readback must not re-insert");
     }
 
-    /// dfck-style exhaustive enumeration at the crate level: every crash point
-    /// of an insert/remove/contains window (exercising both the one-CAS insert
-    /// and the two-CAS remove protocols), single + nested schedules, both
-    /// crash flavours.
+    /// Exercises both the one-CAS insert and the two-CAS remove protocols.
     #[test]
     fn exhaustive_crash_point_sweep_is_exact() {
-        install_quiet_crash_hook();
-        type History = (Vec<Option<u64>>, Vec<u64>);
-        let run = |plan: Option<CrashPlan>, system: bool| -> (History, u64, u64) {
-            let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-            let t = mem.thread(0);
-            let s = GeneralSet::new(&t, 1, true, BoundaryStyle::General);
-            let mut h = s.handle(&t);
-            h.runtime_mut().set_system_crashes(system);
-            assert!(h.insert(10));
-            assert!(h.insert(20));
-            mem.persist_everything();
-            let _ = t.take_stats();
-            if let Some(p) = plan {
-                t.set_crash_schedule(p);
-            }
-            let rets = vec![
-                h.apply(StructOp::Insert(15)),
-                h.apply(StructOp::Insert(15)),
-                h.apply(StructOp::Remove(10)),
-                h.apply(StructOp::Contains(15)),
-                h.apply(StructOp::Remove(99)),
-            ];
-            let points = t.stats().crash_points;
-            t.disarm_crashes();
-            let drained = h.drain_up_to(8);
-            assert!(!drained.truncated);
-            ((rets, drained.items), points, h.runtime_mut().metrics().recovery_crashes)
-        };
-        for system in [false, true] {
-            let (base, n, _) = run(None, system);
-            assert_eq!(
-                base,
-                (
-                    vec![Some(1), Some(0), Some(1), Some(1), Some(0)],
-                    vec![15, 20]
-                )
-            );
-            assert!(n > 0);
-            let mut nested_recovery_crashes = 0;
-            for k in 0..n {
-                let (hist, _, _) = run(Some(CrashPlan::once(k)), system);
-                assert_eq!(hist, base, "system={system} crash at point {k}");
-                let (hist, _, rc) = run(Some(CrashPlan::nested(k, &[0])), system);
-                assert_eq!(hist, base, "system={system} nested crash at point {k}");
-                nested_recovery_crashes += rc;
-            }
-            assert!(
-                nested_recovery_crashes > 0,
-                "the nested sweep must interrupt at least one recovery (system={system})"
-            );
-        }
+        testkit::exhaustive_crash_point_sweep(
+            |t| styled(t, 1, false),
+            &[Insert(10), Insert(20)],
+            &[Insert(15), Insert(15), Remove(10), Contains(15), Remove(99)],
+            (vec![Some(1), Some(0), Some(1), Some(1), Some(0)], vec![15, 20]),
+        );
     }
 }

@@ -5,8 +5,8 @@
 //! The decomposition assigns each part exactly the role §7 prescribes:
 //!
 //! * the **generator** performs the search — a parallelizable method whose
-//!   helping unlinks of marked nodes use [`NormalizedCtx::helping_cas`] (the
-//!   anonymous CAS), since they target words the executor also CASes;
+//!   helping unlinks of marked nodes are anonymous CASes (through the ctx's
+//!   [`SharedMem`] face), since they target words the executor also CASes;
 //! * the **executor** performs the operation's single linearizing CAS (the
 //!   window link for an insert, the logical mark for a remove) with the
 //!   recoverable CAS — a one-entry list, so the inline-list optimisation
@@ -17,16 +17,19 @@
 //! `contains` is a pure parallelizable method: its generator proposes an empty
 //! CAS list and the wrap-up answers from a fresh traversal.
 
-use capsules::{BoundaryStyle, CapsuleRuntime};
-use delayfree::{CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, WrapUp};
+use capsules::BoundaryStyle;
+use delayfree::{
+    CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, SharedMem, WrapUp,
+};
 use pmem::{PAddr, PThread};
 use rcas::RcasSpace;
 
-use crate::api::{bool_ret, Drain, StructHandle, StructOp};
-use crate::node::{
-    enc, enc_addr, enc_marked, next_addr, node_of_next, snapshot_up_to, value_addr, NODE_WORDS,
-    SET_RCAS_LAYOUT,
+use crate::api::{
+    apply_keyed, capsule_handles, normalized_simulator, single_cas_outcome, Capsuled, Drain,
+    StructHandle, StructOp,
 };
+use crate::node::{enc, next_addr, node_of_next, value_addr, NODE_WORDS, SET_RCAS_LAYOUT};
+use crate::set::{contains_in, find, len_of, snapshot_up_to};
 
 /// Number of user locals the handle's capsule runtime needs (inline CAS lists:
 /// every set operation proposes at most one CAS).
@@ -36,9 +39,7 @@ pub const NORMALIZED_SET_LOCALS: usize = delayfree::NORMALIZED_INLINE_LOCALS;
 #[derive(Clone, Copy, Debug)]
 pub struct NormalizedSet {
     head: PAddr,
-    space: RcasSpace,
-    manual: bool,
-    optimised: bool,
+    sim: NormalizedSimulator,
 }
 
 impl NormalizedSet {
@@ -51,146 +52,40 @@ impl NormalizedSet {
         if manual {
             thread.persist(head);
         }
-        NormalizedSet {
-            head,
-            space,
-            manual,
-            optimised,
-        }
+        let sim = normalized_simulator(space, manual, optimised);
+        NormalizedSet { head, sim }
     }
 
     /// The recoverable-CAS space used by this set.
     pub fn space(&self) -> &RcasSpace {
-        &self.space
-    }
-
-    fn style(&self) -> BoundaryStyle {
-        if self.optimised {
-            BoundaryStyle::Compact
-        } else {
-            BoundaryStyle::General
-        }
-    }
-
-    fn simulator(&self) -> NormalizedSimulator {
-        NormalizedSimulator::new(self.space, self.manual).with_inline_lists()
-    }
-
-    /// Create the calling thread's handle (allocating its capsule frame).
-    pub fn handle<'q, 't, 'm>(&'q self, thread: &'t PThread<'m>) -> NormalizedSetHandle<'q, 't, 'm> {
-        let rt = CapsuleRuntime::new(thread, self.style(), NORMALIZED_SET_LOCALS);
-        NormalizedSetHandle {
-            set: self,
-            sim: self.simulator(),
-            rt,
-        }
-    }
-
-    /// Re-attach a handle after a restart (resumes from the restart pointer).
-    pub fn attach_handle<'q, 't, 'm>(
-        &'q self,
-        thread: &'t PThread<'m>,
-    ) -> NormalizedSetHandle<'q, 't, 'm> {
-        let rt =
-            CapsuleRuntime::attach_from_restart_pointer(thread, self.style(), NORMALIZED_SET_LOCALS);
-        NormalizedSetHandle {
-            set: self,
-            sim: self.simulator(),
-            rt,
-        }
-    }
-
-    /// Harris–Michael search inside a parallelizable method: anonymous helping
-    /// unlinks via the ctx, restart from the head on a lost race.
-    fn find(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, k: u64) -> Window {
-        'retry: loop {
-            let mut pred_addr = self.head;
-            let mut pred_enc = ctx.read(pred_addr);
-            loop {
-                let curr = enc_addr(pred_enc);
-                if curr.is_null() {
-                    return Window {
-                        pred_addr,
-                        pred_enc,
-                        curr,
-                        curr_enc: 0,
-                        found: false,
-                    };
-                }
-                let curr_enc = ctx.read(next_addr(curr));
-                if enc_marked(curr_enc) {
-                    let unmarked = enc(enc_addr(curr_enc), false);
-                    if !ctx.helping_cas(pred_addr, pred_enc, unmarked) {
-                        continue 'retry;
-                    }
-                    if self.manual {
-                        ctx.thread().flush(pred_addr);
-                    }
-                    pred_enc = unmarked;
-                    continue;
-                }
-                let ck = ctx.read_plain(value_addr(curr));
-                if ck >= k {
-                    return Window {
-                        pred_addr,
-                        pred_enc,
-                        curr,
-                        curr_enc,
-                        found: ck == k,
-                    };
-                }
-                pred_addr = next_addr(curr);
-                pred_enc = curr_enc;
-            }
-        }
+        self.sim.space()
     }
 
     /// Count the unmarked keys (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        let mut count = 0;
-        let mut node = enc_addr(self.space.read(thread, self.head));
-        while !node.is_null() {
-            let next = self.space.read(thread, next_addr(node));
-            if !enc_marked(next) {
-                count += 1;
-            }
-            node = enc_addr(next);
-        }
-        count
+        len_of(&self.sim.mem(thread), self.head)
     }
-}
-
-struct Window {
-    pred_addr: PAddr,
-    pred_enc: u64,
-    curr: PAddr,
-    curr_enc: u64,
-    found: bool,
 }
 
 /// The normalized insert: the generator searches (and allocates the node); the
 /// executor links it; the wrap-up reports. An empty CAS list means the key was
 /// already present.
-struct InsertOp {
-    set: NormalizedSet,
-}
+struct InsertOp<'q>(&'q NormalizedSet);
 
-impl NormalizedOp for InsertOp {
+impl NormalizedOp for InsertOp<'_> {
     type Input = u64;
     type Output = bool;
 
     fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, k: &u64) -> CasList {
-        let s = &self.set;
-        let w = s.find(ctx, *k);
+        let m = ctx.mem();
+        let w = find(&m, self.0.head, *k);
         if w.found {
             return Vec::new();
         }
-        let node = ctx.alloc(NODE_WORDS);
-        ctx.write_private(value_addr(node), *k);
-        s.space.init_word(ctx.thread(), next_addr(node), w.pred_enc);
-        if s.manual {
-            ctx.persist(node);
-        }
+        let node = m.alloc(NODE_WORDS);
+        m.write_plain(value_addr(node), *k);
+        m.init_word(next_addr(node), w.pred_enc);
+        ctx.persist(node);
         vec![CasDesc::new(w.pred_addr, w.pred_enc, enc(node, false))]
     }
 
@@ -201,14 +96,7 @@ impl NormalizedOp for InsertOp {
         cas_list: &CasList,
         executed: usize,
     ) -> WrapUp<bool> {
-        if cas_list.is_empty() {
-            return WrapUp::Done(false);
-        }
-        if executed == cas_list.len() {
-            WrapUp::Done(true)
-        } else {
-            WrapUp::Restart
-        }
+        single_cas_outcome(cas_list, executed)
     }
 }
 
@@ -216,17 +104,14 @@ impl NormalizedOp for InsertOp {
 /// linearization point); the physical unlink is wrap-up helping. The CAS
 /// descriptor's `aux` word carries the predecessor word's address for that
 /// unlink.
-struct RemoveOp {
-    set: NormalizedSet,
-}
+struct RemoveOp<'q>(&'q NormalizedSet);
 
-impl NormalizedOp for RemoveOp {
+impl NormalizedOp for RemoveOp<'_> {
     type Input = u64;
     type Output = bool;
 
     fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, k: &u64) -> CasList {
-        let s = &self.set;
-        let w = s.find(ctx, *k);
+        let w = find(&ctx.mem(), self.0.head, *k);
         if !w.found {
             return Vec::new();
         }
@@ -243,31 +128,24 @@ impl NormalizedOp for RemoveOp {
         cas_list: &CasList,
         executed: usize,
     ) -> WrapUp<bool> {
-        if cas_list.is_empty() {
-            return WrapUp::Done(false);
+        let outcome = single_cas_outcome(cas_list, executed);
+        if outcome == WrapUp::Done(true) {
+            // Best-effort physical unlink (helping, repetition-safe): swing the
+            // predecessor word from the victim to its successor.
+            let c = &cas_list[0];
+            let victim = node_of_next(c.obj);
+            ctx.mem()
+                .help_cas_flush(PAddr::from_raw(c.aux), enc(victim, false), c.expected);
         }
-        if executed != cas_list.len() {
-            return WrapUp::Restart;
-        }
-        // Best-effort physical unlink (helping, repetition-safe): swing the
-        // predecessor word from the victim to its successor.
-        let c = &cas_list[0];
-        let pred_addr = PAddr::from_raw(c.aux);
-        let victim = node_of_next(c.obj);
-        if ctx.helping_cas(pred_addr, enc(victim, false), c.expected) && self.set.manual {
-            ctx.thread().flush(pred_addr);
-        }
-        WrapUp::Done(true)
+        outcome
     }
 }
 
 /// The normalized contains: a pure parallelizable method (empty CAS list; the
 /// wrap-up traverses and answers).
-struct ContainsOp {
-    set: NormalizedSet,
-}
+struct ContainsOp<'q>(&'q NormalizedSet);
 
-impl NormalizedOp for ContainsOp {
+impl NormalizedOp for ContainsOp<'_> {
     type Input = u64;
     type Output = bool;
 
@@ -282,243 +160,94 @@ impl NormalizedOp for ContainsOp {
         _cas_list: &CasList,
         _executed: usize,
     ) -> WrapUp<bool> {
-        let s = &self.set;
-        let mut node = enc_addr(ctx.read(s.head));
-        while !node.is_null() {
-            let next = ctx.read(next_addr(node));
-            let ck = ctx.read_plain(value_addr(node));
-            if !enc_marked(next) {
-                if ck == *k {
-                    return WrapUp::Done(true);
-                }
-                if ck > *k {
-                    return WrapUp::Done(false);
-                }
-            }
-            node = enc_addr(next);
-        }
-        WrapUp::Done(false)
+        WrapUp::Done(contains_in(&ctx.mem(), self.0.head, *k))
     }
 }
 
-/// Per-thread handle for the normalized set.
-pub struct NormalizedSetHandle<'q, 't, 'm> {
-    set: &'q NormalizedSet,
-    sim: NormalizedSimulator,
-    rt: CapsuleRuntime<'t, 'm>,
+impl Capsuled for NormalizedSet {
+    const LOCALS: usize = NORMALIZED_SET_LOCALS;
+    fn style(&self) -> BoundaryStyle {
+        self.sim.style()
+    }
 }
 
-impl<'q, 't, 'm> NormalizedSetHandle<'q, 't, 'm> {
-    /// Access the underlying capsule runtime (metrics, crash flavour…).
-    pub fn runtime_mut(&mut self) -> &mut CapsuleRuntime<'t, 'm> {
-        &mut self.rt
-    }
+capsule_handles!(NormalizedSet, NormalizedSetHandle);
 
-    /// See [`CapsuleRuntime::set_entry_boundary`].
-    pub fn set_entry_boundary(&mut self, enabled: bool) {
-        self.rt.set_entry_boundary(enabled);
-    }
-
+impl NormalizedSetHandle<'_, '_, '_> {
     /// Insert `k` (detectably); returns whether it was absent.
     pub fn insert(&mut self, k: u64) -> bool {
-        let op = InsertOp { set: *self.set };
-        self.sim.run(&mut self.rt, &op, &k)
+        self.shared.sim.run(&mut self.rt, &InsertOp(self.shared), &k)
     }
 
     /// Remove `k` (detectably); returns whether it was present.
     pub fn remove(&mut self, k: u64) -> bool {
-        let op = RemoveOp { set: *self.set };
-        self.sim.run(&mut self.rt, &op, &k)
+        self.shared.sim.run(&mut self.rt, &RemoveOp(self.shared), &k)
     }
 
     /// Membership test (detectably reported).
     pub fn contains(&mut self, k: u64) -> bool {
-        let op = ContainsOp { set: *self.set };
-        self.sim.run(&mut self.rt, &op, &k)
+        self.shared.sim.run(&mut self.rt, &ContainsOp(self.shared), &k)
     }
 }
 
 impl StructHandle for NormalizedSetHandle<'_, '_, '_> {
     fn apply(&mut self, op: StructOp) -> Option<u64> {
-        match op {
-            StructOp::Insert(k) => bool_ret(self.insert(k)),
-            StructOp::Remove(k) => bool_ret(self.remove(k)),
-            StructOp::Contains(k) => bool_ret(self.contains(k)),
-            other => panic!("set handle cannot apply stack operation {other:?}"),
-        }
+        apply_keyed(self, op, Self::insert, Self::remove, Self::contains)
     }
 
     fn drain_up_to(&mut self, max: usize) -> Drain {
-        let set = self.set;
-        let space = set.space;
-        let t = self.rt.thread();
-        snapshot_up_to(
-            max,
-            space.read(t, set.head),
-            |a| space.read(t, a),
-            |a| t.read(a),
-        )
+        snapshot_up_to(&self.shared.sim.mem(self.rt.thread()), self.shared.head, max)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem::{install_quiet_crash_hook, CrashPlan, CrashPolicy, MemConfig, Mode, PMem};
+    use crate::api::testkit;
+    use StructOp::{Contains, Insert, Remove};
 
     #[test]
     fn insert_remove_contains_single_thread_both_variants() {
-        for optimised in [false, true] {
-            let mem = PMem::with_threads(1);
-            let t = mem.thread(0);
-            let s = NormalizedSet::new(&t, 1, true, optimised);
-            let mut h = s.handle(&t);
-            assert!(h.insert(5));
-            assert!(h.insert(3));
-            assert!(!h.insert(5), "optimised={optimised}");
-            assert!(h.contains(3));
-            assert!(!h.contains(4));
-            assert!(h.remove(3));
-            assert!(!h.remove(3));
-            assert_eq!(h.drain_up_to(16).items, vec![5]);
-            assert_eq!(s.len(&t), 1);
-        }
+        testkit::keyed_single_thread(
+            |t, optimised| NormalizedSet::new(t, 1, true, optimised),
+            NormalizedSet::len,
+        );
     }
 
     #[test]
     fn concurrent_same_key_contention_is_exact() {
-        const THREADS: usize = 3;
-        const ROUNDS: u64 = 250;
-        let mem = PMem::with_threads(THREADS);
-        let s = NormalizedSet::new(&mem.thread(0), THREADS, true, false);
-        let counts: Vec<(u64, u64)> = std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|pid| {
-                    let mem = &mem;
-                    let s = &s;
-                    sc.spawn(move || {
-                        let t = mem.thread(pid);
-                        let mut h = s.handle(&t);
-                        let (mut ins, mut rem) = (0, 0);
-                        for r in 0..ROUNDS {
-                            let k = r % 5;
-                            if h.insert(k) {
-                                ins += 1;
-                            }
-                            if h.remove(k) {
-                                rem += 1;
-                            }
-                        }
-                        (ins, rem)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let total_ins: u64 = counts.iter().map(|c| c.0).sum();
-        let total_rem: u64 = counts.iter().map(|c| c.1).sum();
-        let t = mem.thread(0);
-        let mut h = s.handle(&t);
-        let left = h.drain_up_to(64).items;
-        assert_eq!(total_ins, total_rem + left.len() as u64);
+        testkit::keyed_contention(|t, nprocs| NormalizedSet::new(t, nprocs, true, false));
     }
 
     #[test]
     fn operations_survive_random_crashes() {
-        install_quiet_crash_hook();
-        for optimised in [false, true] {
-            let mem = PMem::with_threads(1);
-            let t = mem.thread(0);
-            let s = NormalizedSet::new(&t, 1, true, optimised);
-            let mut h = s.handle(&t);
-            t.set_crash_policy(CrashPolicy::Random { prob: 0.02, seed: 47 });
-            let mut model = std::collections::BTreeSet::new();
-            for r in 0..400u64 {
-                let k = (r * 11) % 13;
-                if r % 3 == 2 {
-                    assert_eq!(h.remove(k), model.remove(&k), "optimised={optimised} round {r}");
-                } else {
-                    assert_eq!(h.insert(k), model.insert(k), "optimised={optimised} round {r}");
-                }
-            }
-            t.disarm_crashes();
-            let left = h.drain_up_to(64).items;
-            assert_eq!(left, model.iter().copied().collect::<Vec<u64>>());
-        }
+        testkit::keyed_random_crashes(
+            |t, optimised| NormalizedSet::new(t, 1, true, optimised),
+            &[false, true],
+            47,
+            (400, 11, 13),
+        );
     }
 
     #[test]
     fn manual_durability_survives_full_system_crash() {
-        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-        let t = mem.thread(0);
-        let s = NormalizedSet::new(&t, 1, true, false);
-        {
-            let mut h = s.handle(&t);
-            for k in [9, 2, 6] {
-                assert!(h.insert(k));
-            }
-            assert!(h.remove(6));
-        }
-        mem.crash_all();
-        let t = mem.thread(0);
-        let mut h = s.attach_handle(&t);
-        assert_eq!(h.drain_up_to(16).items, vec![2, 9]);
+        let ops = [Insert(9), Insert(2), Insert(6), Remove(6)];
+        testkit::survives_full_system_crash(
+            |t| NormalizedSet::new(t, 1, true, false),
+            &ops,
+            &[2, 9],
+            true,
+        );
     }
 
-    /// dfck-style exhaustive enumeration at the crate level (single + nested
-    /// schedules, both crash flavours), mirroring the queue simulators' tests.
+    /// Mirrors the queue simulators' exhaustive tests.
     #[test]
     fn exhaustive_crash_point_sweep_is_exact() {
-        install_quiet_crash_hook();
-        type History = (Vec<Option<u64>>, Vec<u64>);
-        let run = |plan: Option<CrashPlan>, system: bool| -> (History, u64, u64) {
-            let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-            let t = mem.thread(0);
-            let s = NormalizedSet::new(&t, 1, true, false);
-            let mut h = s.handle(&t);
-            h.runtime_mut().set_system_crashes(system);
-            assert!(h.insert(10));
-            assert!(h.insert(20));
-            mem.persist_everything();
-            let _ = t.take_stats();
-            if let Some(p) = plan {
-                t.set_crash_schedule(p);
-            }
-            let rets = vec![
-                h.apply(StructOp::Insert(15)),
-                h.apply(StructOp::Insert(15)),
-                h.apply(StructOp::Remove(10)),
-                h.apply(StructOp::Contains(15)),
-                h.apply(StructOp::Remove(99)),
-            ];
-            let points = t.stats().crash_points;
-            t.disarm_crashes();
-            let drained = h.drain_up_to(8);
-            assert!(!drained.truncated);
-            ((rets, drained.items), points, h.runtime_mut().metrics().recovery_crashes)
-        };
-        for system in [false, true] {
-            let (base, n, _) = run(None, system);
-            assert_eq!(
-                base,
-                (
-                    vec![Some(1), Some(0), Some(1), Some(1), Some(0)],
-                    vec![15, 20]
-                )
-            );
-            assert!(n > 0);
-            let mut nested_recovery_crashes = 0;
-            for k in 0..n {
-                let (hist, _, _) = run(Some(CrashPlan::once(k)), system);
-                assert_eq!(hist, base, "system={system} crash at point {k}");
-                let (hist, _, rc) = run(Some(CrashPlan::nested(k, &[0])), system);
-                assert_eq!(hist, base, "system={system} nested crash at point {k}");
-                nested_recovery_crashes += rc;
-            }
-            assert!(
-                nested_recovery_crashes > 0,
-                "the nested sweep must interrupt at least one recovery (system={system})"
-            );
-        }
+        testkit::exhaustive_crash_point_sweep(
+            |t| NormalizedSet::new(t, 1, true, false),
+            &[Insert(10), Insert(20)],
+            &[Insert(15), Insert(15), Remove(10), Contains(15), Remove(99)],
+            (vec![Some(1), Some(0), Some(1), Some(1), Some(0)], vec![15, 20]),
+        );
     }
 }

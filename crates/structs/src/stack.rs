@@ -8,10 +8,25 @@
 //! flush after every shared access) but **not** detectable: after a crash the
 //! process cannot tell whether its in-flight push/pop took effect.
 
+use delayfree::SharedMem;
 use pmem::{PAddr, PThread};
 
-use crate::api::{drain_by_pops, Drain, StructHandle, StructOp};
+use crate::api::{apply_stack, drain_by_pops, Drain, StructHandle, StructOp};
 use crate::node::{alloc_node, next_addr, value_addr};
+
+/// Count the elements reachable from the `top` word (diagnostic; not
+/// linearizable with respect to concurrent operations). One walk for every
+/// construction: `m` says how the construction reads `top`; next words are
+/// plain everywhere.
+pub(crate) fn len_of<M: SharedMem>(m: &M, top: PAddr) -> usize {
+    let mut count = 0;
+    let mut node = PAddr::from_raw(m.read(top));
+    while !node.is_null() {
+        count += 1;
+        node = PAddr::from_raw(m.read_plain(next_addr(node)));
+    }
+    count
+}
 
 /// The shared, persistent part of the stack: the `top` pointer word.
 #[derive(Clone, Copy, Debug)]
@@ -40,13 +55,7 @@ impl TreiberStack {
     /// Count the elements currently reachable from the top (diagnostic; not
     /// linearizable with respect to concurrent operations).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        let mut count = 0;
-        let mut node = PAddr::from_raw(thread.read(self.top));
-        while !node.is_null() {
-            count += 1;
-            node = PAddr::from_raw(thread.read(next_addr(node)));
-        }
-        count
+        len_of(thread, self.top)
     }
 
     /// Whether the stack is empty (same caveats as [`len`](Self::len)).
@@ -95,14 +104,7 @@ impl TreiberStackHandle<'_, '_, '_> {
 
 impl StructHandle for TreiberStackHandle<'_, '_, '_> {
     fn apply(&mut self, op: StructOp) -> Option<u64> {
-        match op {
-            StructOp::Push(v) => {
-                self.push(v);
-                None
-            }
-            StructOp::Pop => self.pop(),
-            other => panic!("stack handle cannot apply set operation {other:?}"),
-        }
+        apply_stack(self, op, Self::push, Self::pop)
     }
 
     fn drain_up_to(&mut self, max: usize) -> Drain {

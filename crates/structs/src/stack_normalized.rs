@@ -10,13 +10,19 @@
 //! same trick the normalized dequeue uses). An empty stack yields an empty CAS
 //! list and the wrap-up answers `None` directly.
 
-use capsules::{BoundaryStyle, CapsuleRuntime};
-use delayfree::{CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, WrapUp};
+use capsules::BoundaryStyle;
+use delayfree::{
+    CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, SharedMem, WrapUp,
+};
 use pmem::{PAddr, PThread};
 use rcas::{RcasLayout, RcasSpace};
 
-use crate::api::{drain_by_pops, Drain, StructHandle, StructOp};
+use crate::api::{
+    apply_stack, capsule_handles, drain_by_pops, normalized_simulator, Capsuled, Drain,
+    StructHandle, StructOp,
+};
 use crate::node::{next_addr, value_addr, NODE_WORDS};
+use crate::stack::len_of;
 
 /// Number of user locals the handle's capsule runtime needs (inline CAS lists
 /// always fit: every stack operation proposes at most one CAS).
@@ -27,9 +33,7 @@ pub const NORMALIZED_STACK_LOCALS: usize = delayfree::NORMALIZED_INLINE_LOCALS;
 pub struct NormalizedStack {
     /// Recoverable-CAS word holding the top node address.
     top: PAddr,
-    space: RcasSpace,
-    manual: bool,
-    optimised: bool,
+    sim: NormalizedSimulator,
 }
 
 impl NormalizedStack {
@@ -48,96 +52,39 @@ impl NormalizedStack {
         if manual {
             thread.persist(top);
         }
-        NormalizedStack {
-            top,
-            space,
-            manual,
-            optimised,
-        }
+        let sim = normalized_simulator(space, manual, optimised);
+        NormalizedStack { top, sim }
     }
 
     /// The recoverable-CAS space used by this stack.
     pub fn space(&self) -> &RcasSpace {
-        &self.space
-    }
-
-    fn style(&self) -> BoundaryStyle {
-        if self.optimised {
-            BoundaryStyle::Compact
-        } else {
-            BoundaryStyle::General
-        }
-    }
-
-    fn simulator(&self) -> NormalizedSimulator {
-        // Stack CAS lists have at most one entry, so they always fit inline.
-        NormalizedSimulator::new(self.space, self.manual).with_inline_lists()
-    }
-
-    /// Create the calling thread's handle (allocating its capsule frame).
-    pub fn handle<'q, 't, 'm>(
-        &'q self,
-        thread: &'t PThread<'m>,
-    ) -> NormalizedStackHandle<'q, 't, 'm> {
-        let rt = CapsuleRuntime::new(thread, self.style(), NORMALIZED_STACK_LOCALS);
-        NormalizedStackHandle {
-            stack: self,
-            sim: self.simulator(),
-            rt,
-        }
-    }
-
-    /// Re-attach a handle after a restart (resumes from the restart pointer).
-    pub fn attach_handle<'q, 't, 'm>(
-        &'q self,
-        thread: &'t PThread<'m>,
-    ) -> NormalizedStackHandle<'q, 't, 'm> {
-        let rt = CapsuleRuntime::attach_from_restart_pointer(
-            thread,
-            self.style(),
-            NORMALIZED_STACK_LOCALS,
-        );
-        NormalizedStackHandle {
-            stack: self,
-            sim: self.simulator(),
-            rt,
-        }
+        self.sim.space()
     }
 
     /// Count the elements reachable from the top (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        let mut count = 0;
-        let mut node = PAddr::from_raw(self.space.read(thread, self.top));
-        while !node.is_null() {
-            count += 1;
-            node = PAddr::from_raw(thread.read(next_addr(node)));
-        }
-        count
+        len_of(&self.sim.mem(thread), self.top)
     }
 }
 
 /// The normalized push: the generator allocates the node and proposes the top
 /// swing; the wrap-up has nothing left to do.
-struct PushOp {
-    stack: NormalizedStack,
-}
+struct PushOp<'q>(&'q NormalizedStack);
 
-impl NormalizedOp for PushOp {
+impl NormalizedOp for PushOp<'_> {
     type Input = u64;
     type Output = ();
 
     fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, value: &u64) -> CasList {
-        let s = &self.stack;
+        let m = ctx.mem();
         // Allocate and initialise the node (private persistent writes;
         // repetition just rebuilds an unpublished node).
-        let node = ctx.alloc(NODE_WORDS);
-        ctx.write_private(value_addr(node), *value);
-        let top = ctx.read(s.top);
-        ctx.write_private(next_addr(node), top);
-        if s.manual {
-            ctx.persist(node);
-        }
-        vec![CasDesc::new(s.top, top, node.to_raw())]
+        let node = m.alloc(NODE_WORDS);
+        m.write_plain(value_addr(node), *value);
+        let top = m.read(self.0.top);
+        m.write_plain(next_addr(node), top);
+        ctx.persist(node);
+        vec![CasDesc::new(self.0.top, top, node.to_raw())]
     }
 
     fn wrap_up(
@@ -158,23 +105,21 @@ impl NormalizedOp for PushOp {
 
 /// The normalized pop: the generator proposes the top swing (or an empty list
 /// when the stack is empty); the wrap-up reports the value carried in `aux`.
-struct PopOp {
-    stack: NormalizedStack,
-}
+struct PopOp<'q>(&'q NormalizedStack);
 
-impl NormalizedOp for PopOp {
+impl NormalizedOp for PopOp<'_> {
     type Input = ();
     type Output = Option<u64>;
 
     fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, _input: &()) -> CasList {
-        let s = &self.stack;
-        let top = PAddr::from_raw(ctx.read(s.top));
+        let m = ctx.mem();
+        let top = PAddr::from_raw(m.read(self.0.top));
         if top.is_null() {
             return Vec::new(); // empty stack: nothing to CAS
         }
-        let next = ctx.read_plain(next_addr(top));
-        let value = ctx.read_plain(value_addr(top));
-        vec![CasDesc::new(s.top, top.to_raw(), next).with_aux(value)]
+        let next = m.read_plain(next_addr(top));
+        let value = m.read_plain(value_addr(top));
+        vec![CasDesc::new(self.0.top, top.to_raw(), next).with_aux(value)]
     }
 
     fn wrap_up(
@@ -195,47 +140,30 @@ impl NormalizedOp for PopOp {
     }
 }
 
-/// Per-thread handle for the normalized stack.
-pub struct NormalizedStackHandle<'q, 't, 'm> {
-    stack: &'q NormalizedStack,
-    sim: NormalizedSimulator,
-    rt: CapsuleRuntime<'t, 'm>,
+impl Capsuled for NormalizedStack {
+    const LOCALS: usize = NORMALIZED_STACK_LOCALS;
+    fn style(&self) -> BoundaryStyle {
+        self.sim.style()
+    }
 }
 
-impl<'q, 't, 'm> NormalizedStackHandle<'q, 't, 'm> {
-    /// Access the underlying capsule runtime (metrics, crash flavour…).
-    pub fn runtime_mut(&mut self) -> &mut CapsuleRuntime<'t, 'm> {
-        &mut self.rt
-    }
+capsule_handles!(NormalizedStack, NormalizedStackHandle);
 
-    /// See [`CapsuleRuntime::set_entry_boundary`].
-    pub fn set_entry_boundary(&mut self, enabled: bool) {
-        self.rt.set_entry_boundary(enabled);
-    }
-
+impl NormalizedStackHandle<'_, '_, '_> {
     /// Push `value` onto the stack (detectably).
     pub fn push(&mut self, value: u64) {
-        let op = PushOp { stack: *self.stack };
-        self.sim.run(&mut self.rt, &op, &value)
+        self.shared.sim.run(&mut self.rt, &PushOp(self.shared), &value)
     }
 
     /// Pop the top of the stack (detectably).
     pub fn pop(&mut self) -> Option<u64> {
-        let op = PopOp { stack: *self.stack };
-        self.sim.run(&mut self.rt, &op, &())
+        self.shared.sim.run(&mut self.rt, &PopOp(self.shared), &())
     }
 }
 
 impl StructHandle for NormalizedStackHandle<'_, '_, '_> {
     fn apply(&mut self, op: StructOp) -> Option<u64> {
-        match op {
-            StructOp::Push(v) => {
-                self.push(v);
-                None
-            }
-            StructOp::Pop => self.pop(),
-            other => panic!("stack handle cannot apply set operation {other:?}"),
-        }
+        apply_stack(self, op, Self::push, Self::pop)
     }
 
     fn drain_up_to(&mut self, max: usize) -> Drain {
@@ -246,138 +174,39 @@ impl StructHandle for NormalizedStackHandle<'_, '_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem::{install_quiet_crash_hook, CrashPlan, CrashPolicy, MemConfig, Mode, PMem};
-    use std::collections::HashSet;
+    use crate::api::testkit;
+    use StructOp::{Pop, Push};
 
     #[test]
     fn lifo_order_single_thread_both_variants() {
-        for optimised in [false, true] {
-            let mem = PMem::with_threads(1);
-            let s = NormalizedStack::new(&mem.thread(0), 1, true, optimised);
-            let t = mem.thread(0);
-            let mut h = s.handle(&t);
-            assert_eq!(h.pop(), None);
-            for i in 1..=200 {
-                h.push(i);
-            }
-            assert_eq!(s.len(&t), 200);
-            for i in (1..=200).rev() {
-                assert_eq!(h.pop(), Some(i), "optimised={optimised}");
-            }
-            assert_eq!(h.pop(), None);
-        }
+        testkit::lifo_single_thread(
+            |t, optimised| NormalizedStack::new(t, 1, true, optimised),
+            NormalizedStack::len,
+        );
     }
 
     #[test]
     fn concurrent_elements_are_neither_lost_nor_duplicated() {
-        const THREADS: usize = 4;
-        const PER_THREAD: u64 = 1_500;
-        let mem = PMem::with_threads(THREADS);
-        let s = NormalizedStack::new(&mem.thread(0), THREADS, true, false);
-        let results: Vec<Vec<u64>> = std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|pid| {
-                    let mem = &mem;
-                    let s = &s;
-                    sc.spawn(move || {
-                        let t = mem.thread(pid);
-                        let mut h = s.handle(&t);
-                        let mut popped = Vec::new();
-                        for i in 0..PER_THREAD {
-                            h.push((pid as u64) << 32 | i);
-                            if let Some(v) = h.pop() {
-                                popped.push(v);
-                            }
-                        }
-                        popped
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let t = mem.thread(0);
-        let mut h = s.handle(&t);
-        let mut all: Vec<u64> = results.into_iter().flatten().collect();
-        while let Some(v) = h.pop() {
-            all.push(v);
-        }
-        assert_eq!(all.len(), THREADS * PER_THREAD as usize);
-        let unique: HashSet<u64> = all.iter().copied().collect();
-        assert_eq!(unique.len(), all.len());
+        testkit::lifo_concurrent(|t, nprocs| NormalizedStack::new(t, nprocs, true, false));
     }
 
     #[test]
     fn operations_survive_random_crashes() {
-        install_quiet_crash_hook();
-        for optimised in [false, true] {
-            let mem = PMem::with_threads(1);
-            let s = NormalizedStack::new(&mem.thread(0), 1, true, optimised);
-            let t = mem.thread(0);
-            let mut h = s.handle(&t);
-            t.set_crash_policy(CrashPolicy::Random { prob: 0.02, seed: 23 });
-            for i in 1..=300u64 {
-                h.push(i);
-            }
-            let mut out = Vec::new();
-            while let Some(v) = h.pop() {
-                out.push(v);
-            }
-            t.disarm_crashes();
-            assert_eq!(out, (1..=300).rev().collect::<Vec<u64>>(), "optimised={optimised}");
-        }
+        testkit::lifo_random_crashes(
+            |t, optimised| NormalizedStack::new(t, 1, true, optimised),
+            &[false, true],
+            23,
+        );
     }
 
-    /// dfck-style exhaustive enumeration at the crate level, mirroring the
-    /// queue simulators' exhaustive tests (single + nested schedules, both
-    /// crash flavours).
+    /// Mirrors the queue simulators' exhaustive tests.
     #[test]
     fn exhaustive_crash_point_sweep_is_exact() {
-        install_quiet_crash_hook();
-        let run = |plan: Option<CrashPlan>, system: bool| -> (Vec<Option<u64>>, Vec<u64>, u64, u64) {
-            let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-            let t = mem.thread(0);
-            let s = NormalizedStack::new(&t, 1, true, false);
-            let mut h = s.handle(&t);
-            h.runtime_mut().set_system_crashes(system);
-            h.push(100);
-            mem.persist_everything();
-            let _ = t.take_stats();
-            if let Some(p) = plan {
-                t.set_crash_schedule(p);
-            }
-            let mut rets = Vec::new();
-            h.push(1);
-            rets.push(None);
-            rets.push(h.pop());
-            h.push(2);
-            rets.push(None);
-            rets.push(h.pop());
-            rets.push(h.pop());
-            let points = t.stats().crash_points;
-            t.disarm_crashes();
-            let drained = h.drain_up_to(8);
-            assert!(!drained.truncated);
-            (rets, drained.items, points, h.runtime_mut().metrics().recovery_crashes)
-        };
-        for system in [false, true] {
-            let (base_rets, base_drain, n, _) = run(None, system);
-            assert_eq!(base_rets, vec![None, Some(1), None, Some(2), Some(100)]);
-            assert_eq!(base_drain, Vec::<u64>::new());
-            assert!(n > 0);
-            let mut nested_recovery_crashes = 0;
-            for k in 0..n {
-                let (rets, drain, _, _) = run(Some(CrashPlan::once(k)), system);
-                assert_eq!(rets, base_rets, "system={system} crash at point {k}");
-                assert_eq!(drain, base_drain, "system={system} crash at point {k}");
-                let (rets, drain, _, rc) = run(Some(CrashPlan::nested(k, &[0])), system);
-                assert_eq!(rets, base_rets, "system={system} nested crash at point {k}");
-                assert_eq!(drain, base_drain, "system={system} nested crash at point {k}");
-                nested_recovery_crashes += rc;
-            }
-            assert!(
-                nested_recovery_crashes > 0,
-                "the nested sweep must interrupt at least one recovery (system={system})"
-            );
-        }
+        testkit::exhaustive_crash_point_sweep(
+            |t| NormalizedStack::new(t, 1, true, false),
+            &[Push(100)],
+            &[Push(1), Pop, Push(2), Pop, Pop],
+            (vec![None, Some(1), None, Some(2), Some(100)], vec![]),
+        );
     }
 }

@@ -4,23 +4,22 @@
 Checks (all fatal, exit 1, every failure reported before exiting):
 
 1. fig7 capsule-variant 4-thread throughput must not regress more than
-   REGRESS_TOL (default 20%) against the committed baseline's same cell.
+   REGRESS_TOL (20%) against the committed baseline's same cell.
 2. fig7 General and Normalized-Opt must actually *scale*: their 4-thread
    mops must exceed the seed's flat ~3.7 Mops ceiling (the pre-adaptive
-   plateau, DESIGN.md §11), and be >= SCALE_MIN (default 1.5) x their own
+   plateau, DESIGN.md §11), and be >= SCALE_MIN (1.5) x their own
    1-thread mops. The scaling ratio is within-run, so it is robust to the
    absolute speed of the machine.
 3. instr_overhead disarmed rows must stay at-or-above the committed
    baseline: the crash-point plumbing must remain free when disarmed.
-   "At-or-above" is applied with a noise band (DISARM_TOL, default 30%):
-   these are wall-clock rates from shared single-core CI containers whose
-   run-to-run spread is ~25-30%, and a real disarmed-path regression
-   (accidentally armed bookkeeping) shows up as 2x+, far outside the band.
-   Tighten via DF_REGRESS_DISARM_TOL on quiet hardware.
+   "At-or-above" is applied with a noise band (DISARM_TOL, 30%): these are
+   wall-clock rates from shared single-core CI containers whose run-to-run
+   spread is ~25-30%, and a real disarmed-path regression (accidentally
+   armed bookkeeping) shows up as 2x+, far outside the band.
 4. fig_map (--map): every map-variant row of the committed BENCH_map.json
    must be present fresh with nonzero throughput no more than MAP_TOL
-   (default 60%) below the baseline, and the baseline itself must carry the
-   million-key scenario (params.keys >= 2^20). The wide default tolerance is
+   (60%) below the baseline, and the baseline itself must carry the
+   million-key scenario (params.keys >= 2^20). The wide tolerance is
    deliberate: the mixed workload includes bucket-array resizes, whose
    placement relative to the timed window shifts with machine speed.
 
@@ -40,9 +39,6 @@ Usage:
              [--instr fresh/BENCH_instr_overhead.json] \
              [--map fresh/BENCH_map.json] \
              [--dfck fresh/BENCH_dfck.json [baseline/BENCH_dfck.json]]
-
-Env overrides: DF_REGRESS_TOL, DF_REGRESS_SCALE_MIN, DF_REGRESS_CEILING,
-DF_REGRESS_DISARM_TOL, DF_REGRESS_MAP_TOL.
 """
 
 import argparse
@@ -53,11 +49,11 @@ import sys
 CAPSULE_VARIANTS = ["General", "General-Opt", "Normalized", "Normalized-Opt"]
 SCALING_VARIANTS = ["General", "Normalized-Opt"]
 
-REGRESS_TOL = float(os.environ.get("DF_REGRESS_TOL", "0.20"))
-SCALE_MIN = float(os.environ.get("DF_REGRESS_SCALE_MIN", "1.5"))
-SEED_CEILING = float(os.environ.get("DF_REGRESS_CEILING", "3.7"))
-DISARM_TOL = float(os.environ.get("DF_REGRESS_DISARM_TOL", "0.30"))
-MAP_TOL = float(os.environ.get("DF_REGRESS_MAP_TOL", "0.60"))
+REGRESS_TOL = 0.20
+SCALE_MIN = 1.5
+SEED_CEILING = 3.7
+DISARM_TOL = 0.30
+MAP_TOL = 0.60
 MILLION_KEYS = 1 << 20
 DFCK_COUNT_FIELDS = [
     "crash_points", "replays", "crashes_injected", "covictim_crashes",

@@ -1,6 +1,6 @@
 //! `dfck` — exhaustive crash-point sweep over every variant of every shape.
 //!
-//! For each [`Variant`] — the queues MSQ-Izraelevitz, General, General-Opt,
+//! For each swept [`Variant`] — the queues MSQ-Izraelevitz, General, General-Opt,
 //! Normalized, Normalized-Opt and LogQueue, plus the Treiber stack, the
 //! linked-list set and the bucketed hash map, each as Izraelevitz / General /
 //! Normalized — runs the shape's pair workload (for the maps, the
@@ -14,8 +14,8 @@
 //! [`pmem::FlushAuditor`] and the [`pmem::HbAnalyzer`] armed and is checked
 //! against the shape's exactly-once / durable-linearizability oracle. Exits
 //! non-zero on any oracle violation, auditor flag or happens-before flag. The
-//! per-crash-point replays fan out across worker threads (`DF_DFCK_THREADS`),
-//! keeping the full matrix inside the CI budget.
+//! per-crash-point replays fan out across worker threads (one per core, at
+//! most 8), keeping the full matrix inside the CI budget.
 //!
 //! On top of the single-threaded matrix, the binary sweeps the **interleaved**
 //! dimension: the same engine driven by 2 deterministic cooperative threads
@@ -32,11 +32,13 @@
 //! DF_DFCK_CONC_ONLY=1 DF_DFCK_CONC_SEEDS=2 cargo run -p bench --release --bin dfck
 //! ```
 //!
+//! A value that does not parse (or a zero `DF_DFCK_OPS`) ends the run with
+//! exit code 2, as does a `DF_DFCK_CONC_VARIANTS` label the matrix lacks.
+//!
 //! | variable | meaning | default |
 //! |---|---|---|
-//! | `DF_DFCK_OPS`  | operations in the seeded multi-op workload | 8 |
+//! | `DF_DFCK_OPS`  | operations in the seeded multi-op workload (≥ 1) | 8 |
 //! | `DF_DFCK_SEED` | seed of the multi-op workload | 42 |
-//! | `DF_DFCK_THREADS` | sweep worker threads | `available_parallelism`, ≤ 8 |
 //! | `DF_DFCK_CONC_SEEDS` | interleaving seeds per concurrent sweep (0 = skip) | 8 |
 //! | `DF_DFCK_CONC_ONLY` | non-zero: run only the interleaved matrix | 0 |
 //! | `DF_DFCK_CONC_VARIANTS` | comma list of variant labels to sweep concurrently | all |
@@ -47,9 +49,9 @@ use bench::dfck::{
     sweep, sweep_interleaved, sweep_interleaved_multi, sweep_system, ConcWorkload, Shape, Variant,
     Workload,
 };
-use bench::env_u64;
 use bench::json::{emit, JsonRow};
-use bench::sweep::{ConcReport, Report};
+use bench::sweep::Report;
+use bench::{env_u64, env_u64_in};
 
 /// Crash-point gap of the nested (crash-during-recovery) rows: the second
 /// crash lands on the first instruction of the recovery the first triggered.
@@ -64,73 +66,104 @@ const CONC_THREADS: usize = 2;
 /// logs: `variant/workload[/tN][/nestedG][/mv][/system]` (`/tN` = interleaved
 /// over N scheduled pids; `/mv` = multi-victim: a co-victim pid crashes in the
 /// same replay).
-fn label(
-    variant: Variant,
-    workload: &str,
-    threads: Option<usize>,
-    nested: &[u64],
-    multi_victim: bool,
-    system: bool,
-) -> String {
-    let mut label = format!("{}/{workload}", variant.label());
-    if let Some(threads) = threads {
+fn label(r: &Report) -> String {
+    let mut label = format!("{}/{}", r.variant.label(), r.workload);
+    if let Some(threads) = r.threads {
         label.push_str(&format!("/t{threads}"));
     }
-    if !nested.is_empty() {
-        let gaps: Vec<String> = nested.iter().map(|g| g.to_string()).collect();
+    if !r.nested.is_empty() {
+        let gaps: Vec<String> = r.nested.iter().map(|g| g.to_string()).collect();
         label.push_str(&format!("/nested{}", gaps.join("-")));
     }
-    if multi_victim {
+    if r.covictim_gap.is_some() {
         label.push_str("/mv");
     }
-    if system {
+    if r.system {
         label.push_str("/system");
     }
     label
 }
 
-fn report_label(r: &Report) -> String {
-    label(r.variant, r.workload, None, &r.nested, false, r.system)
+/// The JSON row of one sweep. Coverage rows have no throughput;
+/// `crashes_injected` is the DF_REQUIRE_NONZERO signal (zero exactly when the
+/// sweep verified nothing). Interleaved rows additionally carry the seed-set
+/// and co-victim fields.
+fn row(r: &Report) -> JsonRow {
+    let interleaved = r.threads.is_some();
+    let mut fields = Vec::new();
+    if interleaved {
+        fields.push(("seeds", r.seeds.len() as u64));
+        fields.push(("distinct_interleavings", r.distinct_interleavings));
+    }
+    fields.extend([
+        ("crash_points", r.crash_points),
+        ("replays", r.replays),
+        ("crashes_injected", r.crashes_injected),
+    ]);
+    if interleaved {
+        fields.push(("covictim_crashes", r.covictim_crashes));
+    }
+    fields.extend([
+        ("recoveries", r.recoveries),
+        ("entry_retries", r.entry_retries),
+        ("recovery_crashes", r.recovery_crashes),
+        ("fast_ops", r.fast_ops),
+        ("demotions", r.demotions),
+        ("audit_flags", r.audit_flags),
+        ("hb_flags", r.hb_flags),
+        ("oracle_failures", r.violations.len() as u64),
+    ]);
+    let row = JsonRow::new(label(r), r.threads.unwrap_or(1), 0.0);
+    fields.into_iter().fold(row, |row, (key, v)| row.with(key, v as f64))
 }
 
-fn conc_label(r: &ConcReport) -> String {
-    let multi_victim = r.covictim_gap.is_some();
-    label(r.variant, r.workload, Some(r.threads), &r.nested, multi_victim, r.system)
-}
-
-fn row(report: &Report) -> JsonRow {
-    // Coverage rows have no throughput; `crashes_injected` is the
-    // DF_REQUIRE_NONZERO signal (zero exactly when the sweep verified nothing).
-    JsonRow::new(report_label(report), 1, 0.0)
-        .with("crash_points", report.crash_points as f64)
-        .with("replays", report.replays as f64)
-        .with("crashes_injected", report.crashes_injected as f64)
-        .with("recoveries", report.recoveries as f64)
-        .with("entry_retries", report.entry_retries as f64)
-        .with("recovery_crashes", report.recovery_crashes as f64)
-        .with("fast_ops", report.fast_ops as f64)
-        .with("demotions", report.demotions as f64)
-        .with("audit_flags", report.audit_flags as f64)
-        .with("hb_flags", report.hb_flags as f64)
-        .with("oracle_failures", report.violations.len() as f64)
-}
-
-fn conc_row(report: &ConcReport) -> JsonRow {
-    JsonRow::new(conc_label(report), report.threads, 0.0)
-        .with("seeds", report.seeds.len() as f64)
-        .with("distinct_interleavings", report.distinct_interleavings as f64)
-        .with("crash_points", report.crash_points as f64)
-        .with("replays", report.replays as f64)
-        .with("crashes_injected", report.crashes_injected as f64)
-        .with("covictim_crashes", report.covictim_crashes as f64)
-        .with("recoveries", report.recoveries as f64)
-        .with("entry_retries", report.entry_retries as f64)
-        .with("recovery_crashes", report.recovery_crashes as f64)
-        .with("fast_ops", report.fast_ops as f64)
-        .with("demotions", report.demotions as f64)
-        .with("audit_flags", report.audit_flags as f64)
-        .with("hb_flags", report.hb_flags as f64)
-        .with("oracle_failures", report.violations.len() as f64)
+/// Print `reports` as one table (interleaved sweeps fill the seeds /
+/// interleavings columns, single-threaded ones the nested-crash column), log
+/// every violation, append the JSON rows and return the violation count.
+fn print_table(reports: &[Report], rows: &mut Vec<JsonRow>) -> usize {
+    if reports.is_empty() {
+        return 0;
+    }
+    println!(
+        "{:<46} {:>7} {:>13} {:>12} {:>9} {:>9} {:>11} {:>9} {:>7} {:>5} {:>10}",
+        "sweep",
+        "seeds",
+        "interleavings",
+        "crash pts",
+        "replays",
+        "crashes",
+        "recoveries",
+        "nested",
+        "audit",
+        "hb",
+        "violations"
+    );
+    let dash_unless_interleaved = |r: &Report, v: u64| match r.threads {
+        Some(_) => v.to_string(),
+        None => "-".to_string(),
+    };
+    for r in reports {
+        let label = label(r);
+        println!(
+            "{:<46} {:>7} {:>13} {:>12} {:>9} {:>9} {:>11} {:>9} {:>7} {:>5} {:>10}",
+            label,
+            dash_unless_interleaved(r, r.seeds.len() as u64),
+            dash_unless_interleaved(r, r.distinct_interleavings),
+            r.crash_points,
+            r.replays,
+            r.crashes_injected,
+            r.recoveries + r.entry_retries,
+            r.recovery_crashes,
+            r.audit_flags,
+            r.hb_flags,
+            r.violations.len()
+        );
+        for v in &r.violations {
+            eprintln!("VIOLATION [{label}]: {v}");
+        }
+        rows.push(row(r));
+    }
+    reports.iter().map(|r| r.violations.len()).sum()
 }
 
 /// Whether the interleaved matrix sweeps `variant`: every queue, and the
@@ -146,7 +179,7 @@ fn swept_interleaved(variant: &Variant) -> bool {
 /// listed labels. A label that names none of them is an error, not an empty
 /// filter — a typo must not silently drop coverage.
 fn interleaved_variants() -> Result<Vec<Variant>, String> {
-    let all: Vec<Variant> = Variant::all().into_iter().filter(swept_interleaved).collect();
+    let all: Vec<Variant> = Variant::swept().into_iter().filter(swept_interleaved).collect();
     let Ok(list) = std::env::var("DF_DFCK_CONC_VARIANTS") else {
         return Ok(all);
     };
@@ -169,7 +202,7 @@ fn interleaved_variants() -> Result<Vec<Variant>, String> {
 }
 
 fn main() {
-    let ops = env_u64("DF_DFCK_OPS", 8) as usize;
+    let ops = env_u64_in("DF_DFCK_OPS", 8, 1..=u64::MAX) as usize;
     let seed = env_u64("DF_DFCK_SEED", 42);
     let conc_seeds = env_u64("DF_DFCK_CONC_SEEDS", 8);
     let conc_only = env_u64("DF_DFCK_CONC_ONLY", 0) != 0;
@@ -187,14 +220,13 @@ fn main() {
     let mut failures = 0usize;
     let mut reports: Vec<Report> = Vec::new();
     if !conc_only {
-        for variant in Variant::all() {
+        for variant in Variant::swept() {
             // Per shape: the pair workload (for maps, its analogue crossing a
             // bucket-array resize inside the swept window) and a seeded
             // multi-op one (maps share the set's generator — same op
             // alphabet — on the tiny bucket array).
             let workloads = match variant.shape() {
-                Shape::Fifo => [Workload::pair(), Workload::seeded(seed, ops)],
-                Shape::Lifo => [Workload::stack_pair(), Workload::stack_seeded(seed, ops)],
+                Shape::Fifo | Shape::Lifo => [Workload::pair(), Workload::seeded(seed, ops)],
                 Shape::Set => [Workload::set_pair(), Workload::set_seeded(seed, ops)],
                 Shape::Map => [Workload::map_resize(), Workload::set_seeded(seed, ops)],
             };
@@ -222,42 +254,16 @@ fn main() {
             }
         }
     }
-    if !reports.is_empty() {
-        println!(
-            "{:<46} {:>12} {:>9} {:>9} {:>11} {:>9} {:>7} {:>5} {:>10}",
-            "sweep", "crash pts", "replays", "crashes", "recoveries", "nested", "audit", "hb", "violations"
-        );
-    }
-    for report in &reports {
-        let label = report_label(report);
-        println!(
-            "{:<46} {:>12} {:>9} {:>9} {:>11} {:>9} {:>7} {:>5} {:>10}",
-            label,
-            report.crash_points,
-            report.replays,
-            report.crashes_injected,
-            report.recoveries + report.entry_retries,
-            report.recovery_crashes,
-            report.audit_flags,
-            report.hb_flags,
-            report.violations.len()
-        );
-        for v in &report.violations {
-            eprintln!("VIOLATION [{label}]: {v}");
-        }
-        failures += report.violations.len();
-        rows.push(row(report));
-    }
+    failures += print_table(&reports, &mut rows);
 
     // The interleaved matrix: (interleaving seed × victim crash point) over the
     // scheduled concurrent pair workloads, under single + nested schedules and
     // both crash flavours.
     let seeds: Vec<u64> = (1..=conc_seeds).collect();
-    let mut conc_reports: Vec<ConcReport> = Vec::new();
+    let mut conc_reports: Vec<Report> = Vec::new();
     if !seeds.is_empty() {
         let workload_for = |variant: Variant, threads: usize| match variant.shape() {
-            Shape::Fifo => ConcWorkload::pair(threads),
-            Shape::Lifo => ConcWorkload::stack_pair(threads),
+            Shape::Fifo | Shape::Lifo => ConcWorkload::pair(threads),
             Shape::Set => ConcWorkload::set_pair(threads),
             Shape::Map => ConcWorkload::map_pair(threads),
         };
@@ -304,41 +310,8 @@ fn main() {
     }
     if !conc_reports.is_empty() {
         println!("# interleaved sweeps — {conc_seeds} seeds × {CONC_THREADS} scheduled threads");
-        println!(
-            "{:<46} {:>7} {:>13} {:>12} {:>9} {:>9} {:>11} {:>7} {:>5} {:>10}",
-            "sweep",
-            "seeds",
-            "interleavings",
-            "crash pts",
-            "replays",
-            "crashes",
-            "recoveries",
-            "audit",
-            "hb",
-            "violations"
-        );
     }
-    for report in &conc_reports {
-        let label = conc_label(report);
-        println!(
-            "{:<46} {:>7} {:>13} {:>12} {:>9} {:>9} {:>11} {:>7} {:>5} {:>10}",
-            label,
-            report.seeds.len(),
-            report.distinct_interleavings,
-            report.crash_points,
-            report.replays,
-            report.crashes_injected,
-            report.recoveries + report.entry_retries,
-            report.audit_flags,
-            report.hb_flags,
-            report.violations.len()
-        );
-        for v in &report.violations {
-            eprintln!("VIOLATION [{label}]: {v}");
-        }
-        failures += report.violations.len();
-        rows.push(conc_row(report));
-    }
+    failures += print_table(&conc_reports, &mut rows);
 
     emit(
         "dfck",

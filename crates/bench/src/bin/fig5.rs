@@ -1,7 +1,7 @@
 //! Figure 5: throughput of the transformed queues under the Izraelevitz
 //! construction (automatic flush-after-every-access durability).
 //!
-//! Series: Izraelevitz-MSQ (upper bound), General, Normalized; threads 1..=max.
+//! Series: MSQ-Izraelevitz (upper bound), General, Normalized; threads 1..=max.
 //!
 //! ```text
 //! cargo run -p bench --release --bin fig5
@@ -12,6 +12,6 @@ fn main() {
     bench::run_figure(
         "fig5",
         "Figure 5 — transformed queues with the Izraelevitz construction",
-        &bench::Variant::figure5(),
+        &bench::dfck::Variant::figure5(),
     );
 }

@@ -12,6 +12,6 @@ fn main() {
     bench::run_figure(
         "fig6",
         "Figure 6 — manually flushed transformed queues vs prior work",
-        &bench::Variant::figure6(),
+        &bench::dfck::Variant::figure6(),
     );
 }

@@ -9,6 +9,6 @@ fn main() {
     bench::run_figure(
         "fig7",
         "Figure 7 — persistent queues vs the original Michael-Scott queue",
-        &bench::Variant::figure7(),
+        &bench::dfck::Variant::figure7(),
     );
 }

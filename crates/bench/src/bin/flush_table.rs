@@ -9,15 +9,15 @@
 
 use std::time::Instant;
 
+use bench::dfck::{Shape, Variant};
 use bench::json::{emit, JsonRow};
-use bench::{run_workload, Variant, WorkloadConfig};
+use bench::{run_workload, WorkloadConfig};
 
 fn main() {
     let cfg = WorkloadConfig {
         threads: 1,
-        pairs_per_thread: bench::env_u64("DF_PAIRS", 20_000),
+        pairs_per_thread: bench::env_u64_in("DF_PAIRS", 20_000, 1..=u64::MAX),
         prefill: bench::env_u64("DF_PREFILL", 1_000),
-        adaptive: capsules::adaptive_enabled(),
     };
     let wall = Instant::now();
     let mut rows = Vec::new();
@@ -26,18 +26,7 @@ fn main() {
         "{:<28} {:>12} {:>12} {:>12}",
         "variant", "flushes/op", "fences/op", "dup-flush/op"
     );
-    for variant in [
-        Variant::Msq,
-        Variant::IzraelevitzMsq,
-        Variant::GeneralIzraelevitz,
-        Variant::NormalizedIzraelevitz,
-        Variant::GeneralManual,
-        Variant::GeneralOptManual,
-        Variant::NormalizedManual,
-        Variant::NormalizedOptManual,
-        Variant::LogQueue,
-        Variant::Romulus,
-    ] {
+    for variant in Variant::all().into_iter().filter(|v| v.shape() == Shape::Fifo) {
         let m = run_workload(variant, &cfg);
         println!(
             "{:<28} {:>12.2} {:>12.2} {:>12.2}",

@@ -11,22 +11,24 @@
 //! nested mode, crashes *again* a fixed number of crash points later, which lands
 //! inside the recovery code the first crash triggered.
 //!
-//! One [`Variant`] enum names every swept structure — six FIFO queues and the
-//! stack / list-set / hash-map family in three constructions each — and one op
-//! alphabet ([`StructOp`]) drives them all: a queue reads `Push`/`Pop` as
-//! enqueue/dequeue through the [`Fifo`] adaptor. [`build`] is the single table
-//! from a variant to its structure and [`Built::handle`] the single table to its
-//! boxed per-thread handle (the throughput harness in
-//! [`crate::structs_bench`] builds through the same two). A replay then runs
-//! every operation through one of exactly **three op-runners**, picked by
-//! variant:
+//! One [`Variant`] enum names every structure the harness knows — the FIFO
+//! queues and the stack / list-set / hash-map family in three constructions
+//! each, [`Variant::swept`] being the sweeper's matrix — and one op alphabet
+//! ([`StructOp`]) drives them all through the family's one handle trait
+//! ([`StructHandle`]: a queue answers `Push`/`Pop` as enqueue/dequeue).
+//! [`build`] is the single table from a variant to its structure and
+//! [`Built::handle`] the single table to its boxed per-thread handle (the
+//! throughput runner, [`crate::run_throughput`], builds through the same two).
+//! A replay then runs every operation through one of exactly **three
+//! op-runners**, picked by variant:
 //!
 //! * **non-detectable** (the Izraelevitz constructions): no recovery protocol —
 //!   [`catch_crash`] unwinds to the driver, which records the operation as
 //!   [`OpOutcome::Interrupted`]; the oracle forks applied/not-applied;
 //! * **capsule** (General / Normalized, every shape): the capsule runtime
 //!   absorbs the crash inside the operation, which completes with its exact
-//!   result; recovery counters are the handle's [`CapsuleMetrics`] delta;
+//!   result; recovery counters are the delta of the handle's
+//!   [`StructHandle::capsule_metrics`];
 //! * **LogQueue**: the driver runs the queue's detectable-recovery protocol
 //!   (`log_queue_op`) until the operation's exact result is known.
 //!
@@ -57,7 +59,6 @@
 //! global instruction clock.
 
 use std::cell::Cell;
-use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use capsules::{BoundaryStyle, CapsuleMetrics, ContentionMeasure};
@@ -65,18 +66,18 @@ use pmem::{
     catch_crash, CrashPlan, MemConfig, Mode, PMem, PThread, SchedConfig, Stats, ThreadOptions,
     ThreadScheduler,
 };
-use queues::{
-    Durability, GeneralQueue, LogQueue, MsQueue, NormalizedQueue, QueueHandle, RecoveredOp,
-};
+use delayfree::handle::{apply_stack, drain_by_pops};
+use delayfree::{Drain, StructHandle, StructOp};
+use queues::{Durability, GeneralQueue, MsQueue, NormalizedQueue, RecoveredOp};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use structs::api::Drain;
+use romulus::{RomulusQueue, RomulusQueueHandle};
 use structs::{
     DetMap, GeneralDetMap, GeneralSet, GeneralStack, ListSet, MapConfig, NormalizedDetMap,
-    NormalizedSet, NormalizedStack, StructHandle, StructOp, TreiberStack,
+    NormalizedSet, NormalizedStack, TreiberStack,
 };
 
-use crate::sweep::{self, ConcReport, OpOutcome, ReplayRecord, Report, TimedOp, TurnGate};
+use crate::sweep::{self, Model, OpOutcome, ReplayCounts, ReplayRecord, Report, TimedOp, TurnGate};
 
 /// The abstract data type a [`Variant`] implements: it picks the sequential
 /// model the oracle checks against, the op alphabet, and the workload table.
@@ -105,15 +106,27 @@ impl Shape {
     }
 }
 
-/// Every structure the sweeper covers: the queue variants, one per recovery
+/// Every structure the harness knows: the queue variants, one per recovery
 /// discipline (plus the hand-optimised capsule configurations, whose compact
-/// single-copy frames have their own flush-ordering obligations), and each
+/// single-copy frames have their own flush-ordering obligations), each
 /// non-queue shape as Izraelevitz flush-everything (durable, not detectable),
-/// General capsules and the Normalized simulator (both detectable).
+/// General capsules and the Normalized simulator (both detectable), and the
+/// four entries only the paper's figures measure ([`Variant::swept`] leaves
+/// them out).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Variant {
-    /// MSQ + Izraelevitz construction: durably linearizable, *not* detectable.
+    /// The original Michael–Scott queue, no persistence (Figure 7 baseline;
+    /// figures only).
+    Msq,
+    /// MSQ + Izraelevitz construction: durably linearizable, *not* detectable
+    /// (Figure 5's upper bound).
     IzraelevitzMsq,
+    /// General queue with durability from the Izraelevitz construction
+    /// (Figure 5; figures only).
+    GeneralIzraelevitz,
+    /// Normalized queue with durability from the Izraelevitz construction
+    /// (Figure 5; figures only).
+    NormalizedIzraelevitz,
     /// The CAS-Read (General) transformation: detectable via capsules.
     General,
     /// General with compact frames (the paper's General-Opt configuration).
@@ -124,6 +137,8 @@ pub enum Variant {
     NormalizedOpt,
     /// Friedman et al.'s LogQueue: detectable via its operation log.
     LogQueue,
+    /// The Romulus-style durable-TM queue (Figure 6; figures only).
+    Romulus,
     /// Treiber stack + Izraelevitz construction.
     StackIzraelevitz,
     /// Treiber stack through the CAS-Read (General) transformation.
@@ -145,16 +160,20 @@ pub enum Variant {
 }
 
 impl Variant {
-    /// Every swept variant, queues first.
-    pub fn all() -> [Variant; 15] {
+    /// Every variant, queues first.
+    pub fn all() -> [Variant; 19] {
         use Variant::*;
         [
+            Msq,
             IzraelevitzMsq,
+            GeneralIzraelevitz,
+            NormalizedIzraelevitz,
             General,
             GeneralOpt,
             Normalized,
             NormalizedOpt,
             LogQueue,
+            Romulus,
             StackIzraelevitz,
             StackGeneral,
             StackNormalized,
@@ -167,15 +186,47 @@ impl Variant {
         ]
     }
 
+    /// The crash-point sweeper's matrix: every variant that claims a crash
+    /// discipline of its own. The plain MSQ claims none, the capsule queues
+    /// under the Izraelevitz construction are the swept capsule code with
+    /// other flushes, and Romulus is a baseline outside the family.
+    pub fn swept() -> Vec<Variant> {
+        use Variant::*;
+        let figures_only = [Msq, GeneralIzraelevitz, NormalizedIzraelevitz, Romulus];
+        Variant::all().into_iter().filter(|v| !figures_only.contains(v)).collect()
+    }
+
+    /// The series of Figure 5 (queues under the Izraelevitz construction).
+    pub fn figure5() -> Vec<Variant> {
+        use Variant::*;
+        vec![IzraelevitzMsq, GeneralIzraelevitz, NormalizedIzraelevitz]
+    }
+
+    /// The series of Figure 6 (manual flushes vs prior work).
+    pub fn figure6() -> Vec<Variant> {
+        use Variant::*;
+        vec![General, GeneralOpt, Normalized, NormalizedOpt, LogQueue, Romulus]
+    }
+
+    /// The series of Figure 7 (persistent queues vs the original MSQ).
+    pub fn figure7() -> Vec<Variant> {
+        use Variant::*;
+        vec![Msq, IzraelevitzMsq, General, NormalizedOpt, LogQueue, Romulus]
+    }
+
     /// Short label for tables and JSON rows.
     pub fn label(&self) -> &'static str {
         match self {
+            Variant::Msq => "MSQ",
             Variant::IzraelevitzMsq => "MSQ-Izraelevitz",
+            Variant::GeneralIzraelevitz => "General (Izraelevitz)",
+            Variant::NormalizedIzraelevitz => "Normalized (Izraelevitz)",
             Variant::General => "General",
             Variant::GeneralOpt => "General-Opt",
             Variant::Normalized => "Normalized",
             Variant::NormalizedOpt => "Normalized-Opt",
             Variant::LogQueue => "LogQueue",
+            Variant::Romulus => "Romulus",
             Variant::StackIzraelevitz => "Stack-Izraelevitz",
             Variant::StackGeneral => "Stack-General",
             Variant::StackNormalized => "Stack-Normalized",
@@ -197,26 +248,42 @@ impl Variant {
     pub fn shape(&self) -> Shape {
         use Variant::*;
         match self {
-            IzraelevitzMsq | General | GeneralOpt | Normalized | NormalizedOpt | LogQueue => {
-                Shape::Fifo
-            }
             StackIzraelevitz | StackGeneral | StackNormalized => Shape::Lifo,
             SetIzraelevitz | SetGeneral | SetNormalized => Shape::Set,
             MapIzraelevitz | MapGeneral | MapNormalized => Shape::Map,
+            _ => Shape::Fifo,
         }
     }
 
+    /// Whether the variant's thread handles apply the Izraelevitz
+    /// construction (a flush after every shared access).
+    fn izraelevitz(&self) -> bool {
+        use Variant::*;
+        matches!(
+            self,
+            IzraelevitzMsq
+                | GeneralIzraelevitz
+                | NormalizedIzraelevitz
+                | StackIzraelevitz
+                | SetIzraelevitz
+                | MapIzraelevitz
+        )
+    }
+
     /// Whether the variant guarantees exactly-once (detectable) semantics, i.e.
-    /// whether the strict oracle applies. The others are the Izraelevitz
-    /// constructions, whose thread handles flush every access.
+    /// whether the strict oracle applies: the capsule constructions and the
+    /// LogQueue.
     pub fn detectable(&self) -> bool {
         use Variant::*;
-        !matches!(self, IzraelevitzMsq | StackIzraelevitz | SetIzraelevitz | MapIzraelevitz)
+        !matches!(
+            self,
+            Msq | IzraelevitzMsq | Romulus | StackIzraelevitz | SetIzraelevitz | MapIzraelevitz
+        )
     }
 
     /// Whether the variant has a contention-adaptive fast path (the four
-    /// capsule queues). Only these get the extra slow-path-pinned sweep rows —
-    /// the fast path is the default, so the simulator-only route would
+    /// swept capsule queues). Only these get the extra slow-path-pinned sweep
+    /// rows — the fast path is the default, so the simulator-only route would
     /// otherwise lose single-threaded crash coverage.
     pub fn adaptive_capable(&self) -> bool {
         use Variant::*;
@@ -226,7 +293,7 @@ impl Variant {
     /// The options every thread handle driving this variant is created with.
     pub fn thread_options(&self) -> ThreadOptions {
         ThreadOptions {
-            izraelevitz: !self.detectable(),
+            izraelevitz: self.izraelevitz(),
         }
     }
 }
@@ -269,11 +336,6 @@ impl Workload {
             ops: vec![StructOp::Push(1), StructOp::Pop],
             adaptive: true,
         }
-    }
-
-    /// [`Workload::pair`] under the stack family's name.
-    pub fn stack_pair() -> Workload {
-        Workload::pair()
     }
 
     /// The canonical set pair: one insert that lands mid-list, one remove of a
@@ -340,16 +402,6 @@ impl Workload {
             ops,
             adaptive: true,
         }
-    }
-
-    /// [`Workload::seeded`] under the stack family's name.
-    pub fn stack_seeded(seed: u64, nops: usize) -> Workload {
-        Workload::seeded(seed, nops)
-    }
-
-    /// [`Workload::seeded_full`] under the stack family's name.
-    pub fn stack_seeded_full(seed: u64, nops: usize, prefill: usize, value_base: u64) -> Workload {
-        Workload::seeded_full(seed, nops, prefill, value_base)
     }
 
     /// Seeded multi-op set/map workload (`set_seeded_full` with the default
@@ -440,11 +492,6 @@ impl ConcWorkload {
         }
     }
 
-    /// [`ConcWorkload::pair`] under the stack family's name.
-    pub fn stack_pair(threads: usize) -> ConcWorkload {
-        ConcWorkload::pair(threads)
-    }
-
     /// The canonical concurrent set pair: every pid inserts a fresh mid-list
     /// key and removes a (for up to 3 pids) prefilled one.
     pub fn set_pair(threads: usize) -> ConcWorkload {
@@ -522,128 +569,33 @@ impl ConcWorkload {
     }
 }
 
-/// The sequential reference model the oracles run against, one per abstract
-/// data type (maps are checked as sets).
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum Model {
-    Fifo(VecDeque<u64>),
-    Lifo(Vec<u64>),
-    Set(BTreeSet<u64>),
-}
+/// Romulus is a baseline outside the family (it depends on `pmem` alone), so
+/// its handle is given the family's face here: the one handle adaptor of the
+/// harness.
+struct RomulusFifo<'q, 't, 'm>(RomulusQueueHandle<'q, 't, 'm>);
 
-impl Model {
-    fn initial(shape: Shape, prefill: &[u64]) -> Model {
-        match shape {
-            Shape::Fifo => Model::Fifo(prefill.iter().copied().collect()),
-            Shape::Lifo => Model::Lifo(prefill.to_vec()),
-            Shape::Set | Shape::Map => Model::Set(prefill.iter().copied().collect()),
-        }
-    }
-}
-
-impl sweep::SeqModel for Model {
-    type Op = StructOp;
+impl StructHandle for RomulusFifo<'_, '_, '_> {
     fn apply(&mut self, op: StructOp) -> Option<u64> {
-        match (self, op) {
-            (Model::Fifo(q), StructOp::Push(v)) => {
-                q.push_back(v);
-                None
-            }
-            (Model::Fifo(q), StructOp::Pop) => q.pop_front(),
-            (Model::Lifo(s), StructOp::Push(v)) => {
-                s.push(v);
-                None
-            }
-            (Model::Lifo(s), StructOp::Pop) => s.pop(),
-            (Model::Set(s), StructOp::Insert(k)) => Some(s.insert(k) as u64),
-            (Model::Set(s), StructOp::Remove(k)) => Some(s.remove(&k) as u64),
-            (Model::Set(s), StructOp::Contains(k)) => Some(s.contains(&k) as u64),
-            _ => unreachable!("operation does not match the variant's shape"),
-        }
-    }
-    fn final_drain(&self) -> Vec<u64> {
-        match self {
-            Model::Fifo(q) => q.iter().copied().collect(),
-            // Stacks drain top-down.
-            Model::Lifo(items) => items.iter().rev().copied().collect(),
-            // Sets snapshot ascending.
-            Model::Set(keys) => keys.iter().copied().collect(),
-        }
-    }
-}
-
-/// The `QueueHandle` → [`StructHandle`] adaptor: a FIFO reads `Push` as
-/// enqueue and `Pop` as dequeue, so queues are driven by the same op alphabet
-/// and the same boxed handle as every other shape.
-pub struct Fifo<H>(pub H);
-
-impl<H: QueueHandle> StructHandle for Fifo<H> {
-    fn apply(&mut self, op: StructOp) -> Option<u64> {
-        match op {
-            StructOp::Push(v) => {
-                self.0.enqueue(v);
-                None
-            }
-            StructOp::Pop => self.0.dequeue(),
-            other => panic!("queues take Push/Pop only, got {other:?}"),
-        }
+        apply_stack(&mut self.0, op, RomulusQueueHandle::enqueue, RomulusQueueHandle::dequeue)
     }
 
     fn drain_up_to(&mut self, max: usize) -> Drain {
-        let items = self.0.drain_up_to(max);
-        let truncated = max > 0 && items.len() == max;
-        Drain { items, truncated }
+        drain_by_pops(max, || self.0.dequeue())
     }
-}
-
-/// The per-thread handle of any [`Variant`]: [`StructHandle`] plus the one way
-/// the sweeper reaches a capsule handle's `runtime_mut()`. The defaults are
-/// what a handle without a capsule runtime answers.
-pub trait Handle: StructHandle {
-    /// The capsule runtime's counters so far (all zero without a runtime).
-    fn capsule_metrics(&mut self) -> CapsuleMetrics {
-        CapsuleMetrics::default()
-    }
-    /// Make crashes the capsule runtime absorbs full-system ones (unflushed
-    /// lines roll back); a no-op without a runtime, whose driver applies the
-    /// crash itself ([`sweep::apply_driver_crash`]).
-    fn set_system_crashes(&mut self, _system: bool) {}
-}
-
-macro_rules! handles {
-    (plain: $($plain:ty),*; capsule: $($caps:ty $(=> .$inner:tt)?),* $(,)?) => {
-        $(impl Handle for $plain {})*
-        $(impl Handle for $caps {
-            fn capsule_metrics(&mut self) -> CapsuleMetrics {
-                self$(.$inner)?.runtime_mut().metrics()
-            }
-            fn set_system_crashes(&mut self, system: bool) {
-                self$(.$inner)?.runtime_mut().set_system_crashes(system)
-            }
-        })*
-    };
-}
-handles! {
-    plain: Fifo<queues::MsqHandle<'_, '_, '_>>, Fifo<queues::LogQueueHandle<'_, '_, '_>>,
-        structs::TreiberStackHandle<'_, '_, '_>, structs::ListSetHandle<'_, '_, '_>,
-        structs::DetMapHandle<'_, '_, '_>;
-    capsule: Fifo<queues::GeneralQueueHandle<'_, '_, '_>> => .0,
-        Fifo<queues::NormalizedQueueHandle<'_, '_, '_>> => .0,
-        structs::GeneralStackHandle<'_, '_, '_>, structs::NormalizedStackHandle<'_, '_, '_>,
-        structs::GeneralSetHandle<'_, '_, '_>, structs::NormalizedSetHandle<'_, '_, '_>,
-        structs::GeneralDetMapHandle<'_, '_, '_>, structs::NormalizedDetMapHandle<'_, '_, '_>,
 }
 
 /// A constructed structure of any [`Variant`] (see [`build`]).
 pub enum Built {
-    /// [`Variant::IzraelevitzMsq`].
+    /// [`Variant::Msq`] / [`Variant::IzraelevitzMsq`].
     Msq(MsQueue),
-    /// [`Variant::General`] / [`Variant::GeneralOpt`].
+    /// The General queue, any durability and frame style.
     GeneralQueue(GeneralQueue),
-    /// [`Variant::Normalized`] / [`Variant::NormalizedOpt`].
+    /// The Normalized queue, any durability and frame style.
     NormalizedQueue(NormalizedQueue),
     /// [`Variant::LogQueue`].
-    Log(LogQueue),
+    Log(queues::LogQueue),
+    /// [`Variant::Romulus`].
+    Romulus(RomulusQueue),
     /// [`Variant::StackIzraelevitz`].
     Stack(TreiberStack),
     /// [`Variant::StackGeneral`].
@@ -665,72 +617,63 @@ pub enum Built {
 }
 
 /// The one table from a [`Variant`] to its structure, shared by the sweeper's
-/// replays and the throughput harnesses. `t` allocates the structure for
-/// `nprocs` processes; `map` sizes the map variants' bucket array; `adaptive`
-/// and `trip_threshold` configure the capsule queues' contention-adaptive fast
-/// path (`adaptive` is and-ed with the `DF_ADAPTIVE` knob; `None` keeps the
-/// production contention policy) and mean nothing to the other variants.
+/// replays and the throughput runner. `t` allocates the structure for `nprocs`
+/// processes; `map` sizes the map variants' bucket array; `nodes` bounds the
+/// elements ever added (Romulus sizes its region up front; nothing else looks);
+/// `adaptive` and `trip_threshold` configure the capsule queues'
+/// contention-adaptive fast path (`None` keeps the production contention
+/// policy) and mean nothing to the other variants.
 pub fn build(
     variant: Variant,
     t: &PThread<'_>,
     nprocs: usize,
     map: MapConfig,
+    nodes: u64,
     adaptive: bool,
     trip_threshold: Option<u32>,
 ) -> Built {
-    let adaptive = adaptive && capsules::adaptive_enabled();
-    let contention = trip_threshold.map(|n| ContentionMeasure::new().with_threshold(n));
+    use Variant::*;
+    let policy = ContentionMeasure::new();
+    let policy = trip_threshold.map_or(policy, |n| policy.with_threshold(n));
     let general = BoundaryStyle::General;
+    let durability = match variant {
+        GeneralIzraelevitz | NormalizedIzraelevitz => Durability::None,
+        _ => Durability::Manual,
+    };
     match variant {
-        Variant::IzraelevitzMsq => Built::Msq(MsQueue::new(t)),
-        Variant::General | Variant::GeneralOpt => {
-            let style = if variant == Variant::GeneralOpt {
-                BoundaryStyle::Compact
-            } else {
-                general
-            };
-            let q = GeneralQueue::new(t, nprocs, Durability::Manual, style).with_adaptive(adaptive);
-            Built::GeneralQueue(match contention {
-                Some(policy) => q.with_contention(policy),
-                None => q,
-            })
+        Msq | IzraelevitzMsq => Built::Msq(MsQueue::new(t)),
+        GeneralIzraelevitz | General | GeneralOpt => {
+            let style = BoundaryStyle::opt(variant == GeneralOpt);
+            let q = GeneralQueue::new(t, nprocs, durability, style);
+            Built::GeneralQueue(q.with_adaptive(adaptive).with_contention(policy))
         }
-        Variant::Normalized | Variant::NormalizedOpt => {
-            let optimised = variant == Variant::NormalizedOpt;
-            let q = NormalizedQueue::new(t, nprocs, Durability::Manual, optimised)
-                .with_adaptive(adaptive);
-            Built::NormalizedQueue(match contention {
-                Some(policy) => q.with_contention(policy),
-                None => q,
-            })
+        NormalizedIzraelevitz | Normalized | NormalizedOpt => {
+            let q = NormalizedQueue::new(t, nprocs, durability, variant == NormalizedOpt);
+            Built::NormalizedQueue(q.with_adaptive(adaptive).with_contention(policy))
         }
-        Variant::LogQueue => Built::Log(LogQueue::new(t, nprocs)),
-        Variant::StackIzraelevitz => Built::Stack(TreiberStack::new(t)),
-        Variant::StackGeneral => Built::GeneralStack(GeneralStack::new(t, nprocs, true, general)),
-        Variant::StackNormalized => {
-            Built::NormalizedStack(NormalizedStack::new(t, nprocs, true, false))
-        }
-        Variant::SetIzraelevitz => Built::Set(ListSet::new(t)),
-        Variant::SetGeneral => Built::GeneralSet(GeneralSet::new(t, nprocs, true, general)),
-        Variant::SetNormalized => Built::NormalizedSet(NormalizedSet::new(t, nprocs, true, false)),
-        Variant::MapIzraelevitz => Built::Map(DetMap::new(t, map)),
-        Variant::MapGeneral => {
-            Built::GeneralMap(GeneralDetMap::new(t, nprocs, map, true, general))
-        }
-        Variant::MapNormalized => {
-            Built::NormalizedMap(NormalizedDetMap::new(t, nprocs, map, true, false))
-        }
+        LogQueue => Built::Log(queues::LogQueue::new(t, nprocs)),
+        Romulus => Built::Romulus(RomulusQueue::new(t, nodes)),
+        StackIzraelevitz => Built::Stack(TreiberStack::new(t)),
+        StackGeneral => Built::GeneralStack(GeneralStack::new(t, nprocs, true, general)),
+        StackNormalized => Built::NormalizedStack(NormalizedStack::new(t, nprocs, true, false)),
+        SetIzraelevitz => Built::Set(ListSet::new(t)),
+        SetGeneral => Built::GeneralSet(GeneralSet::new(t, nprocs, true, general)),
+        SetNormalized => Built::NormalizedSet(NormalizedSet::new(t, nprocs, true, false)),
+        MapIzraelevitz => Built::Map(DetMap::new(t, map)),
+        MapGeneral => Built::GeneralMap(GeneralDetMap::new(t, nprocs, map, true, general)),
+        MapNormalized => Built::NormalizedMap(NormalizedDetMap::new(t, nprocs, map, true, false)),
     }
 }
 
 impl Built {
     /// The one table from a built structure to thread `t`'s boxed handle.
-    pub fn handle<'a>(&'a self, t: &'a PThread<'a>) -> Box<dyn Handle + 'a> {
+    pub fn handle<'a>(&'a self, t: &'a PThread<'a>) -> Box<dyn StructHandle + 'a> {
         match self {
-            Built::Msq(q) => Box::new(Fifo(q.handle(t))),
-            Built::GeneralQueue(q) => Box::new(Fifo(q.handle(t))),
-            Built::NormalizedQueue(q) => Box::new(Fifo(q.handle(t))),
-            Built::Log(q) => Box::new(Fifo(q.handle(t))),
+            Built::Msq(q) => Box::new(q.handle(t)),
+            Built::GeneralQueue(q) => Box::new(q.handle(t)),
+            Built::NormalizedQueue(q) => Box::new(q.handle(t)),
+            Built::Log(q) => Box::new(q.handle(t)),
+            Built::Romulus(q) => Box::new(RomulusFifo(q.handle(t))),
             Built::Stack(s) => Box::new(s.handle(t)),
             Built::GeneralStack(s) => Box::new(s.handle(t)),
             Built::NormalizedStack(s) => Box::new(s.handle(t)),
@@ -749,9 +692,9 @@ impl Built {
 /// ones included — until the operation's exact result is known. Crashes are
 /// applied kill-aware via [`sweep::apply_driver_crash`].
 fn log_queue_op(
-    q: &LogQueue,
+    q: &queues::LogQueue,
     t: &PThread<'_>,
-    h: &mut dyn Handle,
+    h: &mut dyn StructHandle,
     op: StructOp,
     system: bool,
     recoveries: &Cell<u64>,
@@ -831,7 +774,7 @@ struct Driver<'a> {
     variant: Variant,
     built: &'a Built,
     t: &'a PThread<'a>,
-    h: Box<dyn Handle + 'a>,
+    h: Box<dyn StructHandle + 'a>,
     system: bool,
     /// The handle's capsule metrics when the swept window opened.
     base: CapsuleMetrics,
@@ -859,7 +802,7 @@ impl<'a> Driver<'a> {
 
     /// Open the swept window: recovery counters are deltas from here.
     fn open_window(&mut self) {
-        self.base = self.h.capsule_metrics();
+        self.base = self.h.capsule_metrics().unwrap_or_default();
     }
 
     /// Run one operation through the variant's op-runner.
@@ -896,7 +839,7 @@ impl<'a> Driver<'a> {
     /// Recovery counters since [`open_window`](Driver::open_window), in the
     /// matching [`CapsuleMetrics`] fields (the others stay zero).
     fn window_metrics(&mut self) -> CapsuleMetrics {
-        let m = self.h.capsule_metrics();
+        let m = self.h.capsule_metrics().unwrap_or_default();
         CapsuleMetrics {
             recoveries: m.recoveries - self.base.recoveries + self.recoveries.get(),
             entry_retries: m.entry_retries - self.base.entry_retries,
@@ -931,7 +874,7 @@ pub(crate) fn replay(
     mem.hb().arm();
     let bound = workload.drain_bound();
     let t = mem.thread_with(0, variant.thread_options());
-    let built = build(variant, &t, 1, MapConfig::tiny(), workload.adaptive, None);
+    let built = build(variant, &t, 1, MapConfig::tiny(), bound as u64, workload.adaptive, None);
     let mut d = Driver::new(variant, &built, &t, system);
     for &v in &workload.prefill {
         let _ = d.h.apply(variant.shape().prefill_op(v));
@@ -956,16 +899,19 @@ pub(crate) fn replay(
         drain_overflow: drained.truncated || drained.items.len() > bound,
         drained: drained.items,
         crash_points: window.crash_points,
-        crashes: window.crashes,
-        recoveries: m.recoveries,
-        entry_retries: m.entry_retries,
-        recovery_crashes: m.recovery_crashes,
-        fast_ops: m.fast_ops,
-        demotions: m.demotions,
-        audit_flags: mem.flush_auditor().flags(),
-        audit_reports: mem.flush_auditor().take_reports(),
-        hb_flags: mem.hb().flags(),
-        hb_reports: mem.hb().take_reports(),
+        counts: ReplayCounts {
+            crashes: window.crashes,
+            covictim_crashes: 0,
+            recoveries: m.recoveries,
+            entry_retries: m.entry_retries,
+            recovery_crashes: m.recovery_crashes,
+            fast_ops: m.fast_ops,
+            demotions: m.demotions,
+            audit_flags: mem.flush_auditor().flags(),
+            audit_reports: mem.flush_auditor().take_reports(),
+            hb_flags: mem.hb().flags(),
+            hb_reports: mem.hb().take_reports(),
+        },
     }
 }
 
@@ -976,7 +922,11 @@ pub(crate) fn replay(
 /// applied" branches, and the replay passes iff at least one branch
 /// reproduces every completed operation's return value *and* the final
 /// drained contents.
-fn check_history(shape: Shape, workload: &Workload, r: &ReplayRecord) -> Result<(), String> {
+pub(crate) fn check_history(
+    shape: Shape,
+    workload: &Workload,
+    r: &ReplayRecord,
+) -> Result<(), String> {
     if r.drain_overflow {
         return Err(format!(
             "drain returned {} elements but at most {} could have survived the \
@@ -1027,32 +977,11 @@ pub fn sweep_system(variant: Variant, workload: &Workload, nested_gap: Option<u6
 /// semantics (every crash also rolls unflushed cache lines back).
 ///
 /// The per-`k` replays are independent (each builds a fresh machine), so the
-/// sweep fans them out across OS threads — `DF_DFCK_THREADS` bounds the worker
-/// count (default: `available_parallelism`, capped at 8). Results are merged in
-/// `k` order, so reports are deterministic regardless of the worker count.
+/// sweep fans them out across OS threads ([`sweep::sweep_workers`]). Results
+/// are merged in `k` order, so reports are deterministic regardless of the
+/// worker count.
 pub fn sweep_plan(variant: Variant, workload: &Workload, nested: &[u64], system: bool) -> Report {
-    sweep_plan_with_workers(variant, workload, nested, system, None)
-}
-
-/// [`sweep_plan`] with an explicit worker count (`None` ⇒
-/// [`sweep::sweep_workers`]); lets tests compare sequential and parallel runs
-/// without racing on the process environment.
-fn sweep_plan_with_workers(
-    variant: Variant,
-    workload: &Workload,
-    nested: &[u64],
-    system: bool,
-    workers_override: Option<usize>,
-) -> Report {
-    sweep::run_sweep(
-        variant,
-        workload.name,
-        nested,
-        system,
-        workers_override,
-        |plan| replay(variant, workload, plan, system),
-        |r| check_history(variant.shape(), workload, r),
-    )
+    sweep::run_sweep(variant, workload, nested, system, None)
 }
 
 /// Run one *scheduled* replay: the workload's pids drive one shared structure
@@ -1067,7 +996,7 @@ pub fn conc_replay(
     sched_seed: u64,
     plans: &sweep::VictimPlans,
     system: bool,
-) -> sweep::ConcReplayRecord<StructOp> {
+) -> sweep::ConcReplayRecord {
     pmem::install_quiet_crash_hook();
     let threads = w.threads();
     let victim = plans.victim();
@@ -1109,7 +1038,8 @@ pub fn conc_replay(
     // make the prefill durable so it survives any later rollback.
     let built = {
         let t = mem.thread_with(helper, opts);
-        let built = build(variant, &t, nprocs, MapConfig::tiny(), true, w.trip_threshold);
+        let built =
+            build(variant, &t, nprocs, MapConfig::tiny(), bound as u64, true, w.trip_threshold);
         let mut h = built.handle(&t);
         for &v in &w.prefill {
             let _ = h.apply(variant.shape().prefill_op(v));
@@ -1120,9 +1050,9 @@ pub fn conc_replay(
     mem.persist_everything();
 
     let sched = ThreadScheduler::new(SchedConfig::new(threads, sched_seed));
-    let gate = TurnGate::new();
+    let gate = TurnGate::default();
     struct PidOut {
-        history: Vec<TimedOp<StructOp>>,
+        history: Vec<TimedOp>,
         window: Stats,
         metrics: CapsuleMetrics,
     }
@@ -1165,18 +1095,20 @@ pub fn conc_replay(
         fingerprint: sched.fingerprint(),
         victim_crash_points: v.window.crash_points,
         victim_crashes: v.window.crashes,
-        covictim_crashes: plans.covictim_pids().map(|p| outs[p].window.crashes).sum(),
         victim_recovery_actions: v.metrics.recoveries + v.metrics.entry_retries,
-        crashes: sum(&|o| o.window.crashes),
-        recoveries: sum(&|o| o.metrics.recoveries),
-        entry_retries: sum(&|o| o.metrics.entry_retries),
-        recovery_crashes: sum(&|o| o.metrics.recovery_crashes),
-        fast_ops: sum(&|o| o.metrics.fast_ops),
-        demotions: sum(&|o| o.metrics.demotions),
-        audit_flags: 0,
-        audit_reports: Vec::new(),
-        hb_flags: mem.hb().flags(),
-        hb_reports: mem.hb().take_reports(),
+        counts: ReplayCounts {
+            crashes: sum(&|o| o.window.crashes),
+            covictim_crashes: plans.covictim_pids().map(|p| outs[p].window.crashes).sum(),
+            recoveries: sum(&|o| o.metrics.recoveries),
+            entry_retries: sum(&|o| o.metrics.entry_retries),
+            recovery_crashes: sum(&|o| o.metrics.recovery_crashes),
+            fast_ops: sum(&|o| o.metrics.fast_ops),
+            demotions: sum(&|o| o.metrics.demotions),
+            audit_flags: 0,
+            audit_reports: Vec::new(),
+            hb_flags: mem.hb().flags(),
+            hb_reports: mem.hb().take_reports(),
+        },
     }
 }
 
@@ -1195,8 +1127,8 @@ pub fn sweep_interleaved(
     seeds: &[u64],
     nested: &[u64],
     system: bool,
-) -> ConcReport {
-    sweep_interleaved_with_workers(variant, w, seeds, nested, None, system, None)
+) -> Report {
+    sweep::run_conc_sweep(variant, w, seeds, nested, None, system, None)
 }
 
 /// The multi-victim interleaved sweep: like [`sweep_interleaved`], but every
@@ -1213,39 +1145,15 @@ pub fn sweep_interleaved_multi(
     nested: &[u64],
     covictim_gap: u64,
     system: bool,
-) -> ConcReport {
-    sweep_interleaved_with_workers(variant, w, seeds, nested, Some(covictim_gap), system, None)
-}
-
-/// [`sweep_interleaved`] with an explicit fan-out worker count (`None` ⇒
-/// [`sweep::sweep_workers`]); lets tests compare sequential and parallel runs.
-fn sweep_interleaved_with_workers(
-    variant: Variant,
-    w: &ConcWorkload,
-    seeds: &[u64],
-    nested: &[u64],
-    covictim_gap: Option<u64>,
-    system: bool,
-    workers_override: Option<usize>,
-) -> ConcReport {
-    sweep::run_conc_sweep(
-        variant,
-        w.name,
-        w.threads(),
-        seeds,
-        nested,
-        covictim_gap,
-        system,
-        workers_override,
-        || Model::initial(variant.shape(), &w.prefill),
-        |seed, plans| conc_replay(variant, w, seed, plans, system),
-    )
+) -> Report {
+    sweep::run_conc_sweep(variant, w, seeds, nested, Some(covictim_gap), system, None)
 }
 
 #[cfg(test)]
 mod tests {
 
     use super::*;
+    use std::collections::BTreeSet;
 
     fn crash_free() -> CrashPlan {
         CrashPlan::new(Vec::new())
@@ -1254,7 +1162,7 @@ mod tests {
     #[test]
     fn variant_labels_are_unique_and_round_trip() {
         let labels: BTreeSet<&str> = Variant::all().iter().map(|v| v.label()).collect();
-        assert_eq!(labels.len(), 15, "duplicate label in Variant::all()");
+        assert_eq!(labels.len(), Variant::all().len(), "duplicate label in Variant::all()");
         for v in Variant::all() {
             assert_eq!(Variant::from_label(v.label()), Some(v));
         }
@@ -1271,24 +1179,23 @@ mod tests {
     fn generalopt_slow_path_boundary_crash_runs_hb_clean() {
         let w = Workload::pair().slow_path();
         let r = replay(Variant::GeneralOpt, &w, &CrashPlan::once(15), true);
-        assert_eq!(r.hb_flags, 0, "{:?}", r.hb_reports);
+        assert_eq!(r.counts.hb_flags, 0, "{:?}", r.counts.hb_reports);
     }
 
     /// The crash-free pair replay of every variant of `shape` passes crash
     /// points and satisfies the shape's oracle.
     fn baseline_pair_is_consistent(fifo: bool) {
-        for variant in Variant::all() {
+        for variant in Variant::swept() {
             if (variant.shape() == Shape::Fifo) != fifo {
                 continue;
             }
             let w = match variant.shape() {
-                Shape::Fifo => Workload::pair(),
-                Shape::Lifo => Workload::stack_pair(),
+                Shape::Fifo | Shape::Lifo => Workload::pair(),
                 Shape::Set => Workload::set_pair(),
                 Shape::Map => Workload::map_resize(),
             };
             let r = replay(variant, &w, &crash_free(), false);
-            assert_eq!(r.crashes, 0);
+            assert_eq!(r.counts.crashes, 0);
             assert!(r.crash_points > 0, "{variant:?}: workload passed no crash points");
             check_history(variant.shape(), &w, &r).unwrap();
         }
@@ -1351,7 +1258,7 @@ mod tests {
             outcomes: vec![OpOutcome::Interrupted],
             drained: vec![7, 42],
             crash_points: 1,
-            crashes: 1,
+            counts: ReplayCounts { crashes: 1, ..ReplayCounts::default() },
             ..ReplayRecord::default()
         };
         check_history(shape, &w, &base).unwrap();
@@ -1380,7 +1287,7 @@ mod tests {
         let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
         let t = mem.thread(0);
         let q = MsQueue::new(&t);
-        let mut h = Fifo(q.handle(&t));
+        let mut h = q.handle(&t);
         for v in [1, 2, 3] {
             h.apply(StructOp::Push(v));
         }
@@ -1453,8 +1360,8 @@ mod tests {
     /// worker and with several yields the same report, field for field.
     fn parallel_sweep_matches_sequential(variant: Variant) {
         let w = Workload::pair();
-        let seq = sweep_plan_with_workers(variant, &w, &[0], false, Some(1));
-        let par = sweep_plan_with_workers(variant, &w, &[0], false, Some(4));
+        let seq = sweep::run_sweep(variant, &w, &[0], false, Some(1));
+        let par = sweep::run_sweep(variant, &w, &[0], false, Some(4));
         assert_eq!(seq, par);
         assert!(seq.passed());
     }
@@ -1492,15 +1399,7 @@ mod tests {
         // change any aggregate of the merged report.
         let w = ConcWorkload::pair(2);
         let run = |workers| {
-            sweep_interleaved_with_workers(
-                Variant::General,
-                &w,
-                &[1, 2],
-                &[],
-                None,
-                false,
-                Some(workers),
-            )
+            sweep::run_conc_sweep(Variant::General, &w, &[1, 2], &[], None, false, Some(workers))
         };
         let (seq, par) = (run(1), run(4));
         assert_eq!(seq, par);
@@ -1545,8 +1444,8 @@ mod tests {
 
         #[test]
         fn seeded_workloads_are_reproducible_and_mixed() {
-            let a = Workload::stack_seeded(9, 12);
-            assert_eq!(a.ops, Workload::stack_seeded(9, 12).ops);
+            let a = Workload::seeded(9, 12);
+            assert_eq!(a.ops, Workload::seeded(9, 12).ops);
             assert!(a.ops.iter().any(|o| matches!(o, StructOp::Push(_))));
             assert!(a.ops.iter().any(|o| matches!(o, StructOp::Pop)));
             let s = Workload::set_seeded(9, 24);
@@ -1566,7 +1465,7 @@ mod tests {
 
         #[test]
         fn conc_struct_workload_generators_are_sane() {
-            let sp = ConcWorkload::stack_pair(2);
+            let sp = ConcWorkload::pair(2);
             assert_eq!(sp.threads(), 2);
             assert_eq!(sp.drain_bound(), 4 + 2);
             let tp = ConcWorkload::set_pair(3);

@@ -22,8 +22,8 @@ use crate::Measurement;
 pub const SCHEMA: &str = "delayfree-bench-v1";
 
 /// One row of a JSON benchmark report. Mirrors [`Measurement`] but with a free-form
-/// series label so that non-queue benchmarks (e.g. the instruction-overhead
-/// microbench) can use the same schema.
+/// series label so that benchmarks without a variant (e.g. the
+/// instruction-overhead microbench) can use the same schema.
 #[derive(Clone, Debug)]
 pub struct JsonRow {
     /// Series label (queue variant name, or `"read/disarmed"`-style for micro runs).
@@ -72,7 +72,7 @@ impl From<&Measurement> for JsonRow {
             flushes_per_op: m.flushes_per_op,
             fences_per_op: m.fences_per_op,
             // Additive field (schema stays delayfree-bench-v1): only
-            // measurement-derived rows carry the duplicate-flush rate.
+            // throughput rows carry the duplicate-flush rate.
             extra: vec![("duplicate_flushes_per_op", m.duplicate_flushes_per_op)],
         }
     }
@@ -274,7 +274,7 @@ mod tests {
         // Can't mutate the process environment safely in parallel tests; just
         // exercise the pure parts via render/escape above and the row conversion.
         let m = crate::Measurement {
-            variant: crate::Variant::Msq,
+            variant: crate::dfck::Variant::Msq,
             threads: 3,
             mops: 1.0,
             flushes_per_op: 0.0,

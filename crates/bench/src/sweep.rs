@@ -5,9 +5,10 @@
 //! [`CrashPlan`], the independent replays fan out across worker threads, and
 //! per-replay results are merged into a report in `k` order. This module owns
 //! that engine — the replay record, the report, the fan-out/striping, the
-//! kill-aware crash application and the drain-bound discipline — so
-//! [`crate::dfck`] contributes only the driver (how to run one replay of one
-//! variant) and the sequential models (what a correct history looks like).
+//! kill-aware crash application, the drain-bound discipline and the
+//! sequential models (what a correct history looks like) — so [`crate::dfck`]
+//! contributes the driver: how to run one replay of one variant
+//! (`dfck::replay`, [`dfck::conc_replay`]).
 //!
 //! It also owns the **generalized oracle**: a Wing&Gong-style linearization
 //! checker over timed operation histories ([`check_linearizable`]). The
@@ -20,13 +21,13 @@
 //! the check becomes "consistent with *some* valid linearization of the
 //! concurrent history".
 
-use std::collections::{BTreeSet, HashSet};
-use std::hash::Hash;
+use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 
+use delayfree::StructOp;
 use pmem::{CrashPlan, PThread, Stats, ThreadScheduler};
 
-use crate::dfck::Variant;
+use crate::dfck::{self, ConcWorkload, Shape, Variant, Workload};
 
 /// What a replay driver observed for one operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,6 +38,43 @@ pub enum OpOutcome {
     /// A crash interrupted the operation and the variant cannot tell whether
     /// it took effect (only possible for non-detectable variants).
     Interrupted,
+}
+
+/// The counters every replay reports, single-threaded or scheduled (where
+/// they are summed over the replay's processes).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ReplayCounts {
+    /// Simulated crashes experienced (kills included).
+    pub crashes: u64,
+    /// Of those, crashes that hit the co-victim pids of a multi-victim
+    /// scheduled replay (across such a sweep the total must be nonzero, or the
+    /// co-victim dimension verified nothing).
+    pub covictim_crashes: u64,
+    /// Frame recoveries (capsule variants) or recovery calls (LogQueue).
+    pub recoveries: u64,
+    /// Crashes absorbed by retrying the operation-entry boundary (capsule
+    /// variants only).
+    pub entry_retries: u64,
+    /// Crashes that landed inside recovery itself (the nested path).
+    pub recovery_crashes: u64,
+    /// Operations routed to the contention-adaptive fast entry point
+    /// (capsule variants; zero for variants without a fast path).
+    pub fast_ops: u64,
+    /// Fast→slow demotions: fast-path operations that fell back to the full
+    /// simulator after losing their CAS streak — nonzero exactly when the
+    /// interleaving produced enough contention to trip the streak, which is
+    /// the coverage proof for the demotion-boundary crash site.
+    pub demotions: u64,
+    /// Flush-order violations the armed [`pmem::FlushAuditor`] flagged (0
+    /// where the replay runs with the auditor disarmed — see the drivers).
+    pub audit_flags: u64,
+    /// The auditor's human-readable reports for those flags.
+    pub audit_reports: Vec<String>,
+    /// Happens-before violations (data races + cross-failure races) the armed
+    /// [`pmem::HbAnalyzer`] flagged.
+    pub hb_flags: u64,
+    /// The analyzer's human-readable reports for those flags.
+    pub hb_reports: Vec<String>,
 }
 
 /// Everything one single-threaded replay produced, for the oracle and the
@@ -54,39 +92,24 @@ pub struct ReplayRecord {
     /// Crash points passed inside the swept window (meaningful for the
     /// crash-free baseline, where it defines the sweep range).
     pub crash_points: u64,
-    /// Simulated crashes the thread experienced.
-    pub crashes: u64,
-    /// Frame recoveries (capsule variants) or recovery calls (LogQueue).
-    pub recoveries: u64,
-    /// Crashes absorbed by retrying the operation-entry boundary (capsule
-    /// variants only).
-    pub entry_retries: u64,
-    /// Crashes that landed inside recovery itself (the nested path).
-    pub recovery_crashes: u64,
-    /// Operations routed to the contention-adaptive fast entry point
-    /// (capsule variants; zero for variants without a fast path).
-    pub fast_ops: u64,
-    /// Fast→slow demotions: fast-path operations that fell back to the full
-    /// simulator after losing their CAS streak (capsule variants only).
-    pub demotions: u64,
-    /// Flush-order violations the armed [`pmem::FlushAuditor`] flagged.
-    pub audit_flags: u64,
-    /// The auditor's human-readable reports for those flags.
-    pub audit_reports: Vec<String>,
-    /// Happens-before violations (data races + cross-failure races) the armed
-    /// [`pmem::HbAnalyzer`] flagged.
-    pub hb_flags: u64,
-    /// The analyzer's human-readable reports for those flags.
-    pub hb_reports: Vec<String>,
+    /// Crash, recovery, fast-path and checker counters.
+    pub counts: ReplayCounts,
 }
 
-/// Aggregate result of sweeping one (variant, workload) combination.
+/// Aggregate result of sweeping one (variant, workload, schedule-flavour)
+/// combination: every crash point of a single-threaded workload
+/// (`threads == None`), or (interleaving seed × victim crash point) of a
+/// scheduled concurrent one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Report {
     /// The swept variant.
     pub variant: Variant,
-    /// Workload name ("pair" / "multi").
+    /// Workload name ("pair" / "multi" / "conc-pair" / …).
     pub workload: &'static str,
+    /// Number of scheduled processes; `None` for a single-threaded sweep.
+    pub threads: Option<usize>,
+    /// The interleaving seeds enumerated (empty for a single-threaded sweep).
+    pub seeds: Vec<u64>,
     /// Crash schedule family: the gaps injected *after* the swept crash point.
     /// Empty for the single-crash sweep; `[m]` for the nested sweep that
     /// crashes again `m` crash points into the recovery the first crash
@@ -95,12 +118,19 @@ pub struct Report {
     /// Whether crashes were full-system power failures (unflushed lines rolled
     /// back) rather than per-process faults.
     pub system: bool,
-    /// Total crash points of the crash-free run (all of them were swept).
+    /// The co-victim gap of a multi-victim sweep (`None` = single victim).
+    pub covictim_gap: Option<u64>,
+    /// Distinct scheduler fingerprints among the crash-free baselines — the
+    /// number of genuinely different interleavings the seed set produced.
+    pub distinct_interleavings: u64,
+    /// Total (victim) crash points of the crash-free runs; all were swept.
     pub crash_points: u64,
-    /// Replays executed (= crash points, plus the crash-free baseline).
+    /// Replays executed (crash points, plus the crash-free baselines).
     pub replays: u64,
-    /// Total simulated crashes injected across all replays.
+    /// Total simulated crashes injected across all replays and processes.
     pub crashes_injected: u64,
+    /// Crashes that hit co-victim pids (nonzero only for multi-victim sweeps).
+    pub covictim_crashes: u64,
     /// Total recoveries observed across all replays.
     pub recoveries: u64,
     /// Crashes absorbed by entry-boundary retries across all replays.
@@ -108,10 +138,10 @@ pub struct Report {
     /// Crashes that interrupted recovery itself (proof the nested path ran).
     pub recovery_crashes: u64,
     /// Operations routed to the adaptive fast entry point across all replays
-    /// (baseline included) — the coverage proof that the sweep was crashing
+    /// (baselines included) — the coverage proof that the sweep was crashing
     /// fast-path code, not just the simulator.
     pub fast_ops: u64,
-    /// Fast→slow demotions across all replays (baseline included).
+    /// Fast→slow demotions across all replays (baselines included).
     pub demotions: u64,
     /// Flush-order violations the armed auditor flagged across all replays
     /// (also folded into `violations`). Must be zero.
@@ -124,16 +154,48 @@ pub struct Report {
 }
 
 impl Report {
+    fn new(
+        variant: Variant,
+        workload: &'static str,
+        threads: Option<usize>,
+        nested: &[u64],
+        system: bool,
+    ) -> Report {
+        Report {
+            variant,
+            workload,
+            threads,
+            seeds: Vec::new(),
+            nested: nested.to_vec(),
+            system,
+            covictim_gap: None,
+            distinct_interleavings: 0,
+            crash_points: 0,
+            replays: 0,
+            crashes_injected: 0,
+            covictim_crashes: 0,
+            recoveries: 0,
+            entry_retries: 0,
+            recovery_crashes: 0,
+            fast_ops: 0,
+            demotions: 0,
+            audit_flags: 0,
+            hb_flags: 0,
+            violations: Vec::new(),
+        }
+    }
+
     /// Whether every replay satisfied the oracle.
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
     }
 
     /// Count one replay (`tag` names it in violation messages) into the
-    /// aggregates.
-    fn absorb(&mut self, tag: &str, r: &ReplayRecord) {
+    /// aggregates, folding its auditor and analyzer flags into `violations`.
+    fn absorb(&mut self, tag: &str, r: &ReplayCounts) {
         self.replays += 1;
         self.crashes_injected += r.crashes;
+        self.covictim_crashes += r.covictim_crashes;
         self.recoveries += r.recoveries;
         self.entry_retries += r.entry_retries;
         self.recovery_crashes += r.recovery_crashes;
@@ -141,12 +203,14 @@ impl Report {
         self.demotions += r.demotions;
         self.audit_flags += r.audit_flags;
         self.hb_flags += r.hb_flags;
-        flag_violations(
-            &mut self.violations,
-            tag,
-            (r.audit_flags, &r.audit_reports),
-            (r.hb_flags, &r.hb_reports),
-        );
+        if r.audit_flags > 0 {
+            let (n, reports) = (r.audit_flags, &r.audit_reports);
+            self.violations.push(format!("{tag}: {n} flush-audit flag(s): {reports:?}"));
+        }
+        if r.hb_flags > 0 {
+            let (n, reports) = (r.hb_flags, &r.hb_reports);
+            self.violations.push(format!("{tag}: {n} happens-before flag(s): {reports:?}"));
+        }
     }
 }
 
@@ -178,15 +242,11 @@ pub fn apply_driver_crash(t: &PThread, system: bool) {
     let _ = t.mem().take_crashed(t.pid());
 }
 
-/// Worker-thread count for the sweep fan-out: `DF_DFCK_THREADS`, defaulting
-/// to `available_parallelism` capped at 8, never more than one per replay.
+/// Worker-thread count for the sweep fan-out: `available_parallelism` capped
+/// at 8, never more than one per replay.
 pub fn sweep_workers(replays: u64) -> usize {
-    let default = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
-    let configured = crate::env_u64("DF_DFCK_THREADS", default as u64).max(1) as usize;
-    configured.min(replays.max(1) as usize)
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    cores.min(8).min(replays.max(1) as usize)
 }
 
 /// Fan `run_one` out over `0..n` across `workers` OS threads (striped, since
@@ -223,67 +283,34 @@ pub fn fan_out<R: Send>(
     all
 }
 
-/// Fold one replay's auditor and analyzer flags into `violations`, tagged
-/// with the replay they came from.
-fn flag_violations(
-    violations: &mut Vec<String>,
-    tag: &str,
-    (audit_flags, audit_reports): (u64, &[String]),
-    (hb_flags, hb_reports): (u64, &[String]),
-) {
-    if audit_flags > 0 {
-        violations.push(format!("{tag}: {audit_flags} flush-audit flag(s): {audit_reports:?}"));
-    }
-    if hb_flags > 0 {
-        violations.push(format!("{tag}: {hb_flags} happens-before flag(s): {hb_reports:?}"));
-    }
-}
-
 /// The single-threaded sweep engine: run the crash-free baseline, fan one
 /// replay per crash point out over [`sweep_workers`], and assemble the
 /// [`Report`] — audit flags, schedule-never-fired detection, the
 /// model-consistency check, and (for detectable variants) the exactly-once
 /// obligations: history identical to the crash-free run and at least one
-/// recovery action per injected crash.
-///
-/// `replay` runs one replay under the given plan; `check` is the
-/// model-consistency oracle for one replay (typically [`check_sequential`]
-/// behind a drain-overflow guard).
+/// recovery action per injected crash. `workers_override` pins the fan-out
+/// (tests compare sequential and parallel runs); `None` ⇒ [`sweep_workers`].
 pub fn run_sweep(
     variant: Variant,
-    workload_name: &'static str,
+    workload: &Workload,
     nested: &[u64],
     system: bool,
     workers_override: Option<usize>,
-    replay: impl Fn(&CrashPlan) -> ReplayRecord + Sync,
-    check: impl Fn(&ReplayRecord) -> Result<(), String>,
 ) -> Report {
+    let workload_name = workload.name;
+    let replay = |plan: &CrashPlan| dfck::replay(variant, workload, plan, system);
+    let check = |r: &ReplayRecord| dfck::check_history(variant.shape(), workload, r);
     // Crash-free baseline: defines the sweep range and the reference history.
     let baseline = replay(&CrashPlan::new(Vec::new()));
-    assert_eq!(baseline.crashes, 0);
-    let mut report = Report {
-        variant,
-        workload: workload_name,
-        nested: nested.to_vec(),
-        system,
-        crash_points: baseline.crash_points,
-        replays: 0,
-        crashes_injected: 0,
-        recoveries: 0,
-        entry_retries: 0,
-        recovery_crashes: 0,
-        fast_ops: 0,
-        demotions: 0,
-        audit_flags: 0,
-        hb_flags: 0,
-        violations: Vec::new(),
-    };
+    assert_eq!(baseline.counts.crashes, 0);
+    let mut report = Report::new(variant, workload_name, None, nested, system);
+    report.crash_points = baseline.crash_points;
     if let Err(e) = check(&baseline) {
         report
             .violations
             .push(format!("baseline (crash-free): {e}"));
     }
-    report.absorb("baseline (crash-free)", &baseline);
+    report.absorb("baseline (crash-free)", &baseline.counts);
     // One source of truth for the scripted schedule shape: `CrashPlan::nested`
     // builds `[k, nested…]`, and `script()` is what the reports print.
     let plan_for = |k: u64| CrashPlan::nested(k, nested);
@@ -303,8 +330,8 @@ pub fn run_sweep(
         .unwrap_or_else(|| sweep_workers(n));
     for (k, r) in fan_out(n, workers, run_one) {
         let gaps = plan_for(k).script().to_vec();
-        report.absorb(&format!("k={k} gaps={gaps:?}"), &r);
-        if r.crashes == 0 {
+        report.absorb(&format!("k={k} gaps={gaps:?}"), &r.counts);
+        if r.counts.crashes == 0 {
             report.violations.push(format!(
                 "k={k}: the schedule never fired (swept range disagrees with the replay)"
             ));
@@ -326,7 +353,7 @@ pub fn run_sweep(
                     r.outcomes, baseline.outcomes, r.drained, baseline.drained
                 ));
             }
-            if r.recoveries + r.entry_retries == 0 {
+            if r.counts.recoveries + r.counts.entry_retries == 0 {
                 report.violations.push(format!(
                     "k={k}: a crash was injected but no recovery action ran"
                 ));
@@ -340,21 +367,61 @@ pub fn run_sweep(
 // The generalized oracle: linearization checking over timed histories.
 // ---------------------------------------------------------------------------
 
-/// A sequential model of the shape under test, used by the linearization
-/// checker. Implementations are tiny in-memory references: a `VecDeque` for
-/// FIFO queues, a `Vec` for LIFO stacks, a `BTreeSet` for ordered sets.
-///
-/// `Clone + Eq + Hash` let the checker fork the model at interrupted
-/// operations and memoize visited (decided-set, state) pairs.
-pub trait SeqModel: Clone + Eq + Hash {
-    /// The operation alphabet of the shape.
-    type Op: Copy + std::fmt::Debug;
-    /// Apply `op` to the model, returning the model's return value (compared
-    /// against the observed [`OpOutcome::Completed`] payload).
-    fn apply(&mut self, op: Self::Op) -> Option<u64>;
+/// The sequential reference model the linearization checker runs against, one
+/// per abstract data type (maps are checked as sets): a tiny in-memory
+/// reference the checker forks at interrupted operations and memoizes over
+/// (decided-set, state) pairs.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub enum Model {
+    /// FIFO queue contents, head first.
+    Fifo(VecDeque<u64>),
+    /// LIFO stack contents, bottom first.
+    Lifo(Vec<u64>),
+    /// Ordered set of keys.
+    Set(BTreeSet<u64>),
+}
+
+impl Model {
+    /// The model of a `shape` holding `prefill` (enqueued / pushed in order,
+    /// or inserted as keys).
+    pub fn initial(shape: Shape, prefill: &[u64]) -> Model {
+        match shape {
+            Shape::Fifo => Model::Fifo(prefill.iter().copied().collect()),
+            Shape::Lifo => Model::Lifo(prefill.to_vec()),
+            Shape::Set | Shape::Map => Model::Set(prefill.iter().copied().collect()),
+        }
+    }
+
+    /// Apply `op`, returning the model's return value (compared against the
+    /// observed [`OpOutcome::Completed`] payload).
+    fn apply(&mut self, op: StructOp) -> Option<u64> {
+        match (self, op) {
+            (Model::Fifo(q), StructOp::Push(v)) => {
+                q.push_back(v);
+                None
+            }
+            (Model::Fifo(q), StructOp::Pop) => q.pop_front(),
+            (Model::Lifo(s), StructOp::Push(v)) => {
+                s.push(v);
+                None
+            }
+            (Model::Lifo(s), StructOp::Pop) => s.pop(),
+            (Model::Set(s), StructOp::Insert(k)) => Some(s.insert(k) as u64),
+            (Model::Set(s), StructOp::Remove(k)) => Some(s.remove(&k) as u64),
+            (Model::Set(s), StructOp::Contains(k)) => Some(s.contains(&k) as u64),
+            _ => unreachable!("operation does not match the variant's shape"),
+        }
+    }
+
     /// The drain the harness would observe from this state (FIFO order,
     /// top-down for stacks, ascending for sets).
-    fn final_drain(&self) -> Vec<u64>;
+    fn final_drain(&self) -> Vec<u64> {
+        match self {
+            Model::Fifo(q) => q.iter().copied().collect(),
+            Model::Lifo(items) => items.iter().rev().copied().collect(),
+            Model::Set(keys) => keys.iter().copied().collect(),
+        }
+    }
 }
 
 /// One operation of a (possibly concurrent) history, with the interval of
@@ -369,9 +436,9 @@ pub trait SeqModel: Clone + Eq + Hash {
 /// edge (accepting a history a sharper clock would reject) but never invents
 /// one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimedOp<O> {
+pub struct TimedOp {
     /// The operation.
-    pub op: O,
+    pub op: StructOp,
     /// What the driver observed for it.
     pub outcome: OpOutcome,
     /// Lower bound on the operation's invocation time.
@@ -414,17 +481,17 @@ impl DoneSet {
 /// orders of genuinely concurrent replays. Search is exhaustive
 /// (Wing & Gong-style DFS) with memoization over (decided-set, model state),
 /// which keeps the tiny sweep histories (a handful of ops per process) cheap.
-pub fn check_linearizable<M: SeqModel>(
-    initial: M,
-    history: &[TimedOp<M::Op>],
+pub fn check_linearizable(
+    initial: Model,
+    history: &[TimedOp],
     drained: &[u64],
 ) -> Result<(), String> {
-    fn dfs<M: SeqModel>(
-        history: &[TimedOp<M::Op>],
+    fn dfs(
+        history: &[TimedOp],
         drained: &[u64],
         done: &DoneSet,
-        model: &M,
-        memo: &mut HashSet<(DoneSet, M)>,
+        model: &Model,
+        memo: &mut HashSet<(DoneSet, Model)>,
     ) -> bool {
         if done.count() == history.len() {
             return model.final_drain() == drained;
@@ -485,14 +552,14 @@ pub fn check_linearizable<M: SeqModel>(
 /// op `i` gets the degenerate interval `[i, i]`, which forces program order
 /// and makes every interrupted operation fork applied/not-applied *in place*
 /// — exactly the original sequential forked-model oracles.
-pub fn check_sequential<M: SeqModel>(
-    initial: M,
-    ops: &[M::Op],
+pub fn check_sequential(
+    initial: Model,
+    ops: &[StructOp],
     outcomes: &[OpOutcome],
     drained: &[u64],
 ) -> Result<(), String> {
     assert_eq!(ops.len(), outcomes.len(), "one outcome per operation");
-    let history: Vec<TimedOp<M::Op>> = ops
+    let history: Vec<TimedOp> = ops
         .iter()
         .zip(outcomes)
         .enumerate()
@@ -516,20 +583,14 @@ pub fn check_sequential<M: SeqModel>(
 /// allocation layout — hence cache-line co-location, which line-granular
 /// flush/rollback acts on — must be deterministic for equal seeds to
 /// reproduce replays bit-for-bit.
+#[derive(Default)]
 pub struct TurnGate {
+    /// Whose turn it is (pid 0's first).
     turn: Mutex<usize>,
     cv: Condvar,
 }
 
 impl TurnGate {
-    /// A gate whose first turn belongs to pid 0.
-    pub fn new() -> TurnGate {
-        TurnGate {
-            turn: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
     /// Block until it is `pid`'s turn.
     pub fn wait_for(&self, pid: usize) {
         let mut g = self.turn.lock().unwrap();
@@ -542,12 +603,6 @@ impl TurnGate {
     pub fn advance(&self, pid: usize) {
         *self.turn.lock().unwrap() = pid + 1;
         self.cv.notify_all();
-    }
-}
-
-impl Default for TurnGate {
-    fn default() -> TurnGate {
-        TurnGate::new()
     }
 }
 
@@ -581,15 +636,6 @@ impl VictimPlans {
             victim,
             victim_plan: Some(plan),
             covictims: Vec::new(),
-        }
-    }
-
-    /// Compatibility constructor mirroring the old `(victim, Option<&CrashPlan>)`
-    /// pair: `None` ⇒ baseline.
-    pub fn single(victim: usize, plan: Option<&CrashPlan>) -> VictimPlans {
-        match plan {
-            Some(p) => VictimPlans::scripted(victim, p.clone()),
-            None => VictimPlans::baseline(victim),
         }
     }
 
@@ -644,14 +690,14 @@ impl VictimPlans {
 /// preserves program order. `end` is the global step of the operation's last
 /// instruction — an upper bound on its linearization point — or [`u64::MAX`]
 /// for interrupted operations, whose effect may surface arbitrarily late.
-pub fn run_scheduled_window<O: Copy>(
+pub fn run_scheduled_window(
     t: &PThread<'_>,
     sched: &Arc<ThreadScheduler>,
     pid: usize,
     plans: &VictimPlans,
-    ops: &[O],
-    mut run_op: impl FnMut(O) -> OpOutcome,
-) -> (Vec<TimedOp<O>>, Stats) {
+    ops: &[StructOp],
+    mut run_op: impl FnMut(StructOp) -> OpOutcome,
+) -> (Vec<TimedOp>, Stats) {
     t.set_thread_scheduler(Arc::clone(sched));
     let _guard = sched.finish_guard(pid);
     if let Some(plan) = plans.plan_for(pid) {
@@ -685,10 +731,10 @@ pub fn run_scheduled_window<O: Copy>(
 /// history across all processes, the final drain, the scheduler's trace
 /// digest, and the victim/aggregate crash bookkeeping.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ConcReplayRecord<O> {
+pub struct ConcReplayRecord {
     /// Every process's operations with outcomes and global timestamps
     /// (flattened; the checker orders by timestamps, not position).
-    pub history: Vec<TimedOp<O>>,
+    pub history: Vec<TimedOp>,
     /// The final bounded drain of the container.
     pub drained: Vec<u64>,
     /// The drain exceeded the replay's maximum possible survivors (corrupted,
@@ -704,118 +750,14 @@ pub struct ConcReplayRecord<O> {
     /// Simulated crashes the victim experienced (0 in a replay with a plan ⇒
     /// the schedule never fired).
     pub victim_crashes: u64,
-    /// Crashes that hit the co-victim pids (0 in single-victim replays; in
-    /// multi-victim replays the aggregate across the sweep must be nonzero or
-    /// the co-victim dimension verified nothing).
-    pub covictim_crashes: u64,
     /// The victim's recovery actions (frame recoveries + entry retries, or
     /// LogQueue recovery passes).
     pub victim_recovery_actions: u64,
-    /// Crashes across *all* processes (kills included).
-    pub crashes: u64,
-    /// Recoveries across all processes.
-    pub recoveries: u64,
-    /// Entry-boundary retries across all processes.
-    pub entry_retries: u64,
-    /// Crashes that landed inside recovery itself, across all processes.
-    pub recovery_crashes: u64,
-    /// Operations routed to the adaptive fast entry point, across all
-    /// processes (capsule variants; zero elsewhere).
-    pub fast_ops: u64,
-    /// Fast→slow demotions across all processes — nonzero exactly when the
-    /// interleaving produced enough CAS contention to trip the streak, which
-    /// is the coverage proof for the demotion-boundary crash site.
-    pub demotions: u64,
-    /// Flush-order violations the armed auditor flagged (0 when the variant
-    /// runs with the auditor disarmed — see the drivers).
-    pub audit_flags: u64,
-    /// The auditor's reports for those flags.
-    pub audit_reports: Vec<String>,
-    /// Happens-before violations the armed [`pmem::HbAnalyzer`] flagged.
-    /// Unlike the auditor, the analyzer stays armed in scheduled replays: its
-    /// ordering model is schedule-aware (baton handovers draw no edges).
-    pub hb_flags: u64,
-    /// The analyzer's reports for those flags.
-    pub hb_reports: Vec<String>,
-}
-
-/// Aggregate result of an interleaved sweep: one (variant, workload,
-/// schedule-flavour) combination enumerated over (interleaving seed × crash
-/// point).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ConcReport {
-    /// The swept variant.
-    pub variant: Variant,
-    /// Workload name ("conc-pair" / "conc-multi").
-    pub workload: &'static str,
-    /// Number of scheduled processes.
-    pub threads: usize,
-    /// The interleaving seeds enumerated.
-    pub seeds: Vec<u64>,
-    /// Nested crash-schedule gaps (as in [`Report::nested`]).
-    pub nested: Vec<u64>,
-    /// Whether crashes were full-system power failures.
-    pub system: bool,
-    /// The co-victim gap of a multi-victim sweep (`None` = single victim).
-    pub covictim_gap: Option<u64>,
-    /// Distinct scheduler fingerprints among the crash-free baselines — the
-    /// number of genuinely different interleavings the seed set produced.
-    pub distinct_interleavings: u64,
-    /// Total victim crash points across all seeds (all were swept).
-    pub crash_points: u64,
-    /// Replays executed (crash points + one crash-free baseline per seed).
-    pub replays: u64,
-    /// Total simulated crashes injected across all replays and processes.
-    pub crashes_injected: u64,
-    /// Crashes that hit co-victim pids (nonzero only for multi-victim sweeps).
-    pub covictim_crashes: u64,
-    /// Total recoveries observed.
-    pub recoveries: u64,
-    /// Total entry-boundary retries.
-    pub entry_retries: u64,
-    /// Crashes that interrupted recovery itself.
-    pub recovery_crashes: u64,
-    /// Operations routed to the adaptive fast entry point, across all replays
-    /// and processes.
-    pub fast_ops: u64,
-    /// Fast→slow demotions across all replays and processes (the coverage
-    /// proof that the sweep crashed the demotion boundary, not just the fast
-    /// and slow steady states).
-    pub demotions: u64,
-    /// Flush-order auditor flags (also folded into `violations`).
-    pub audit_flags: u64,
-    /// Happens-before analyzer flags (also folded into `violations`).
-    pub hb_flags: u64,
-    /// Oracle violations. Must be empty.
-    pub violations: Vec<String>,
-}
-
-impl ConcReport {
-    /// Whether every replay satisfied the oracle.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Count one replay (`tag` names it in violation messages) into the
-    /// aggregates.
-    fn absorb<O>(&mut self, tag: &str, r: &ConcReplayRecord<O>) {
-        self.replays += 1;
-        self.crashes_injected += r.crashes;
-        self.covictim_crashes += r.covictim_crashes;
-        self.recoveries += r.recoveries;
-        self.entry_retries += r.entry_retries;
-        self.recovery_crashes += r.recovery_crashes;
-        self.fast_ops += r.fast_ops;
-        self.demotions += r.demotions;
-        self.audit_flags += r.audit_flags;
-        self.hb_flags += r.hb_flags;
-        flag_violations(
-            &mut self.violations,
-            tag,
-            (r.audit_flags, &r.audit_reports),
-            (r.hb_flags, &r.hb_reports),
-        );
-    }
+    /// Crash, recovery, fast-path and checker counters, summed over all
+    /// processes. The auditor is disarmed in scheduled replays (see
+    /// `dfck::conc_replay`); the analyzer stays armed — its ordering model is
+    /// schedule-aware (baton handovers draw no edges).
+    pub counts: ReplayCounts,
 }
 
 /// The interleaved-sweep engine: for every seed, run a crash-free scheduled
@@ -823,7 +765,7 @@ impl ConcReport {
 /// per (seed, crash point `k`) with the scripted schedule `[k, nested…]`
 /// installed on the victim pid (`seed % threads`, so the victim rotates across
 /// the seed set). Every replay is checked with [`check_linearizable`] against
-/// `initial()`; detectable variants additionally must complete every
+/// the shape's [`Model`]; detectable variants additionally must complete every
 /// operation — concurrent returns may legitimately differ across
 /// interleavings, so exact baseline equality is *not* required — and run at
 /// least one victim recovery action per injected crash.
@@ -833,56 +775,31 @@ impl ConcReport {
 /// single-crash plan [`CrashPlan::once`]`(g)` — two pids crash inside one
 /// deterministic interleaving, so one pid's recovery races the other's. The
 /// sweep fails if the co-victim schedule never fires across the whole sweep.
-///
-/// `replay(seed, plans)` runs one scheduled replay (a baseline when
-/// `plans.plan_for` is empty everywhere); everything else mirrors
-/// [`run_sweep`].
-#[allow(clippy::too_many_arguments)] // one assembly site, one thin caller
-pub fn run_conc_sweep<M: SeqModel>(
+/// Everything else mirrors [`run_sweep`].
+pub fn run_conc_sweep(
     variant: Variant,
-    workload_name: &'static str,
-    threads: usize,
+    w: &ConcWorkload,
     seeds: &[u64],
     nested: &[u64],
     covictim_gap: Option<u64>,
     system: bool,
     workers_override: Option<usize>,
-    initial: impl Fn() -> M,
-    replay: impl Fn(u64, &VictimPlans) -> ConcReplayRecord<M::Op> + Sync,
-) -> ConcReport
-where
-    M::Op: Send,
-{
+) -> Report {
+    let (workload_name, threads) = (w.name, w.threads());
+    let initial = || Model::initial(variant.shape(), &w.prefill);
+    let replay =
+        |seed: u64, plans: &VictimPlans| dfck::conc_replay(variant, w, seed, plans, system);
     assert!(
         covictim_gap.is_none() || threads >= 2,
         "multi-victim sweeps need at least two scheduled pids"
     );
     let strict = variant.detectable();
-    let mut report = ConcReport {
-        variant,
-        workload: workload_name,
-        threads,
-        seeds: seeds.to_vec(),
-        nested: nested.to_vec(),
-        system,
-        covictim_gap,
-        distinct_interleavings: 0,
-        crash_points: 0,
-        replays: 0,
-        crashes_injected: 0,
-        covictim_crashes: 0,
-        recoveries: 0,
-        entry_retries: 0,
-        recovery_crashes: 0,
-        fast_ops: 0,
-        demotions: 0,
-        audit_flags: 0,
-        hb_flags: 0,
-        violations: Vec::new(),
-    };
+    let mut report = Report::new(variant, workload_name, Some(threads), nested, system);
+    report.seeds = seeds.to_vec();
+    report.covictim_gap = covictim_gap;
     // The oracle for a replay that carries no scripted victim crash (the
     // baseline and the multi-victim calibration).
-    let check_unscripted = |report: &mut ConcReport, tag: &str, r: &ConcReplayRecord<M::Op>| {
+    let check_unscripted = |report: &mut Report, tag: &str, r: &ConcReplayRecord| {
         if r.drain_overflow {
             report
                 .violations
@@ -895,12 +812,12 @@ where
     for &seed in seeds {
         let victim = (seed as usize) % threads;
         let baseline = replay(seed, &VictimPlans::baseline(victim));
-        assert_eq!(baseline.crashes, 0, "crash-free baseline must not crash");
+        assert_eq!(baseline.counts.crashes, 0, "crash-free baseline must not crash");
         fingerprints.insert(baseline.fingerprint);
         let base_tag = format!("seed={seed} victim={victim}");
         let baseline_tag = format!("{base_tag} baseline");
         check_unscripted(&mut report, &baseline_tag, &baseline);
-        report.absorb(&baseline_tag, &baseline);
+        report.absorb(&baseline_tag, &baseline.counts);
         let covictim = (victim + 1) % threads;
         // The victim's reachable crash-point range must be calibrated under
         // the schedule the fan-out will actually run: with a co-victim armed,
@@ -915,7 +832,7 @@ where
                     .with_covictim(covictim, CrashPlan::once(gap));
                 let cal = replay(seed, &plans);
                 let cal_tag = format!("{base_tag} calibration covictim={covictim} gap={gap}");
-                report.absorb(&cal_tag, &cal);
+                report.absorb(&cal_tag, &cal.counts);
                 check_unscripted(&mut report, &cal_tag, &cal);
                 cal.victim_crash_points
             }
@@ -937,7 +854,7 @@ where
             }
             plans
         };
-        let run_one = |k: u64| -> ConcReplayRecord<M::Op> {
+        let run_one = |k: u64| -> ConcReplayRecord {
             let plans = plans_for(k);
             if std::env::var_os("DF_DFCK_TRACE").is_some() {
                 eprintln!(
@@ -955,7 +872,7 @@ where
             if let Some(gap) = covictim_gap {
                 tag.push_str(&format!(" covictim={covictim} covictim_gap={gap}"));
             }
-            report.absorb(&tag, &r);
+            report.absorb(&tag, &r.counts);
             if r.victim_crashes == 0 {
                 report.violations.push(format!(
                     "{tag}: the schedule never fired on the victim"
@@ -1021,38 +938,13 @@ where
 mod tests {
     use super::*;
 
-    /// A minimal FIFO model for checker-level tests (the real sweepers bring
-    /// their own).
-    #[derive(Clone, PartialEq, Eq, Hash)]
-    struct Fifo(std::collections::VecDeque<u64>);
+    use StructOp::{Pop as Deq, Push as Enq};
 
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    enum QOp {
-        Enq(u64),
-        Deq,
+    fn fifo(values: &[u64]) -> Model {
+        Model::initial(Shape::Fifo, values)
     }
 
-    impl SeqModel for Fifo {
-        type Op = QOp;
-        fn apply(&mut self, op: QOp) -> Option<u64> {
-            match op {
-                QOp::Enq(v) => {
-                    self.0.push_back(v);
-                    None
-                }
-                QOp::Deq => self.0.pop_front(),
-            }
-        }
-        fn final_drain(&self) -> Vec<u64> {
-            self.0.iter().copied().collect()
-        }
-    }
-
-    fn fifo(values: &[u64]) -> Fifo {
-        Fifo(values.iter().copied().collect())
-    }
-
-    fn op(o: QOp, ret: Option<u64>, start: u64, end: u64) -> TimedOp<QOp> {
+    fn op(o: StructOp, ret: Option<u64>, start: u64, end: u64) -> TimedOp {
         TimedOp {
             op: o,
             outcome: OpOutcome::Completed(ret),
@@ -1066,8 +958,8 @@ mod tests {
         // Two overlapping enqueues; the drain fixes which came first. Both
         // drains must be accepted, since the intervals overlap.
         let history = [
-            op(QOp::Enq(1), None, 1, 10),
-            op(QOp::Enq(2), None, 2, 9),
+            op(Enq(1), None, 1, 10),
+            op(Enq(2), None, 2, 9),
         ];
         check_linearizable(fifo(&[]), &history, &[1, 2]).unwrap();
         check_linearizable(fifo(&[]), &history, &[2, 1]).unwrap();
@@ -1079,8 +971,8 @@ mod tests {
         // Enq(1) completed strictly before Enq(2) was invoked: only [1, 2]
         // linearizes.
         let history = [
-            op(QOp::Enq(1), None, 1, 4),
-            op(QOp::Enq(2), None, 5, 9),
+            op(Enq(1), None, 1, 4),
+            op(Enq(2), None, 5, 9),
         ];
         check_linearizable(fifo(&[]), &history, &[1, 2]).unwrap();
         assert!(check_linearizable(fifo(&[]), &history, &[2, 1]).is_err());
@@ -1089,16 +981,16 @@ mod tests {
     #[test]
     fn completed_returns_must_match_the_model() {
         // Dequeue from [7]: must return Some(7), leave [].
-        let history = [op(QOp::Deq, Some(7), 1, 2)];
+        let history = [op(Deq, Some(7), 1, 2)];
         check_linearizable(fifo(&[7]), &history, &[]).unwrap();
-        let wrong = [op(QOp::Deq, Some(8), 1, 2)];
+        let wrong = [op(Deq, Some(8), 1, 2)];
         assert!(check_linearizable(fifo(&[7]), &wrong, &[]).is_err());
     }
 
     #[test]
     fn interrupted_ops_fork_applied_and_not_applied() {
         let history = [TimedOp {
-            op: QOp::Enq(42),
+            op: Enq(42),
             outcome: OpOutcome::Interrupted,
             start: 1,
             end: u64::MAX,
@@ -1114,12 +1006,12 @@ mod tests {
         // helping peer: accept it linearizing after an op that started later.
         let history = [
             TimedOp {
-                op: QOp::Enq(1),
+                op: Enq(1),
                 outcome: OpOutcome::Interrupted,
                 start: 1,
                 end: u64::MAX,
             },
-            op(QOp::Enq(2), None, 10, 12),
+            op(Enq(2), None, 10, 12),
         ];
         check_linearizable(fifo(&[]), &history, &[2, 1]).unwrap();
     }
@@ -1128,7 +1020,7 @@ mod tests {
     fn sequential_wrapper_forces_program_order() {
         // In the totally ordered wrapper the same two enqueues cannot be
         // reordered: [2, 1] must be rejected.
-        let ops = [QOp::Enq(1), QOp::Enq(2)];
+        let ops = [Enq(1), Enq(2)];
         let outcomes = [OpOutcome::Completed(None); 2];
         check_sequential(fifo(&[]), &ops, &outcomes, &[1, 2]).unwrap();
         assert!(check_sequential(fifo(&[]), &ops, &outcomes, &[2, 1]).is_err());
@@ -1138,7 +1030,7 @@ mod tests {
     fn sequential_interrupted_ops_fork_in_place() {
         // Interrupted enqueue then completed dequeue: the dequeue's return
         // decides the fork retroactively, and inconsistent combinations fail.
-        let ops = [QOp::Enq(5), QOp::Deq];
+        let ops = [Enq(5), Deq];
         let outcomes = [OpOutcome::Interrupted, OpOutcome::Completed(Some(5))];
         check_sequential(fifo(&[]), &ops, &outcomes, &[]).unwrap();
         let not_applied = [OpOutcome::Interrupted, OpOutcome::Completed(None)];
@@ -1151,7 +1043,7 @@ mod tests {
     fn histories_longer_than_64_ops_are_supported() {
         // The DoneSet is runtime-sized; a 70-op totally ordered history must
         // check fine (DF_DFCK_OPS is user-controlled).
-        let ops: Vec<QOp> = (0..70).map(QOp::Enq).collect();
+        let ops: Vec<StructOp> = (0..70).map(Enq).collect();
         let outcomes = vec![OpOutcome::Completed(None); 70];
         let expected: Vec<u64> = (0..70).collect();
         check_sequential(fifo(&[]), &ops, &outcomes, &expected).unwrap();

@@ -14,17 +14,6 @@
 //! it only chooses which (individually crash-correct) path the next operation
 //! enters, and that choice is sealed into the operation's entry boundary.
 
-/// Whether the contention-adaptive fast path is enabled for this process
-/// (the `DF_ADAPTIVE` environment knob; default on, `DF_ADAPTIVE=0` or an
-/// empty value disables it). Read once and cached: the adaptive variants
-/// consult this at structure construction time.
-pub fn adaptive_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var_os("DF_ADAPTIVE").map_or(true, |v| v != "0" && !v.is_empty())
-    })
-}
-
 /// Consecutive fast-CAS failures tolerated before an operation demotes
 /// itself to the slow path.
 const DEFAULT_THRESHOLD: u32 = 2;

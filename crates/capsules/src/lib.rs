@@ -85,6 +85,6 @@ pub mod frame;
 pub mod runtime;
 
 pub use cas_read::{anonymous_cas, recoverable_cas};
-pub use contention::{adaptive_enabled, ContentionMeasure};
+pub use contention::ContentionMeasure;
 pub use frame::{BoundaryStyle, Frame};
 pub use runtime::{CapsuleMetrics, CapsuleRuntime, CapsuleStep};

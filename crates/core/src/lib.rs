@@ -24,6 +24,9 @@
 //!   traversals, helping, resize machinery) is written over, so each structure's
 //!   protocol exists once and its three constructions differ only in the face
 //!   and the simulator they are given,
+//! * [`StructHandle`] — the one per-thread face a driver sees ([`handle`]): one
+//!   operation alphabet for every shape, and the [`Handle`] scaffold every
+//!   capsule-transformed structure's handles are,
 //! * [`delay`] — helpers for measuring computation delay and recovery delay against
 //!   an un-transformed baseline (Definition 3.1/3.3),
 //! * [`writes`] — the §8 story for shared writes: replace non-racy writes by a CAS,
@@ -90,6 +93,7 @@
 pub mod cas_read;
 pub mod constant_delay;
 pub mod delay;
+pub mod handle;
 pub mod mem;
 pub mod normalized;
 pub mod writes;
@@ -97,6 +101,7 @@ pub mod writes;
 pub use cas_read::CasReadSimulator;
 pub use constant_delay::ConstantDelaySimulator;
 pub use delay::{DelayReport, RecoveryProbe};
+pub use handle::{Capsuled, Drain, Handle, StructHandle, StructOp};
 pub use mem::{RcasMem, SharedMem};
 pub use normalized::{
     CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, PersistResult, WrapUp,

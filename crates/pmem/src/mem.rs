@@ -1333,7 +1333,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_flush_in_one_fence_window_is_counted_and_elided() {
+    fn duplicate_flush_in_one_fence_window_is_counted() {
         let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
         let t = mem.thread(0);
         let a = t.alloc(1);
@@ -1357,7 +1357,7 @@ mod tests {
     }
 
     #[test]
-    fn fence_closes_the_coalescing_window() {
+    fn fence_closes_the_duplicate_window() {
         let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
         let t = mem.thread(0);
         let a = t.alloc(1);
@@ -1415,7 +1415,7 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_window_is_bounded() {
+    fn duplicate_window_is_bounded() {
         let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
         let t = mem.thread(0);
         let base = t.alloc_aligned((2 * WINDOW_LINES as u64 + 1) * crate::LINE_WORDS);

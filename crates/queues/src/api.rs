@@ -1,8 +1,7 @@
-//! Common queue interface, durability configuration and the capsule-handle
-//! scaffold the two transformed queues share.
-
-use capsules::{BoundaryStyle, CapsuleRuntime, ContentionMeasure};
-use pmem::PThread;
+//! The queues' enqueue/dequeue face and durability configuration. The
+//! family-wide face every queue handle also answers (`Push`/`Pop` through
+//! [`delayfree::StructHandle`]) and the capsule-handle scaffold live in
+//! [`delayfree::handle`].
 
 /// How a queue achieves durability in the shared-cache model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,8 +23,9 @@ impl Durability {
     }
 }
 
-/// The uniform face every queue variant presents to the benchmark harness, the
-/// examples and the integration tests.
+/// The enqueue/dequeue face every queue variant presents to the examples and
+/// the integration tests, next to the family-wide [`delayfree::StructHandle`]
+/// (whose `Push`/`Pop` are these two operations).
 ///
 /// A handle is per-thread (it owns the thread's capsule runtime / operation log) and
 /// must only be used by the thread that created it.
@@ -36,14 +36,8 @@ pub trait QueueHandle {
     fn dequeue(&mut self) -> Option<u64>;
 
     /// Dequeue until the queue is empty, returning the values in FIFO order.
-    ///
-    /// This is the uniform history hook the exhaustive crash-point sweeper
-    /// (`dfck` in the `bench` crate) uses to read off the final queue state of
-    /// every variant after a crash-and-recovery replay: the drained sequence plus
-    /// the per-operation return values form the history its exactly-once /
-    /// durable-linearizability oracle checks. Quiescent use only — like `dequeue`
-    /// it is per-thread and the result is only meaningful once concurrent
-    /// operations have stopped.
+    /// Quiescent use only — like `dequeue` it is per-thread and the result is
+    /// only meaningful once concurrent operations have stopped.
     fn drain(&mut self) -> Vec<u64> {
         let mut out = Vec::new();
         while let Some(v) = self.dequeue() {
@@ -52,16 +46,10 @@ pub trait QueueHandle {
         out
     }
 
-    /// [`drain`](QueueHandle::drain), but stop after at most `max` dequeues even
-    /// if the queue still reports elements.
-    ///
-    /// An unbounded drain trusts the queue's next-pointer chain to be acyclic; a
-    /// recovery bug that splices a node behind itself would make [`drain`]
-    /// (and therefore a whole `dfck` sweep) spin forever instead of failing.
-    /// Oracles that know an upper bound on the surviving elements (prefill plus
-    /// every enqueue the replay could have applied) call this with `bound + 1`:
-    /// a result longer than `bound` is machine-checkable proof of a corrupted
-    /// chain and is reported as an oracle violation, never as a hang.
+    /// [`drain`](QueueHandle::drain), but stop after at most `max` dequeues: a
+    /// corrupted (cyclic) next-pointer chain must surface as an over-long
+    /// result, never as a hang. [`delayfree::StructHandle::drain_up_to`] is the
+    /// form of this hook the sweeper's oracles use, and documents the bound.
     fn drain_up_to(&mut self, max: usize) -> Vec<u64> {
         let mut out = Vec::new();
         while out.len() < max {
@@ -74,88 +62,22 @@ pub trait QueueHandle {
     }
 }
 
-/// What the handle scaffold needs to know about a capsule-transformed queue
-/// (all of it lives in the queue's simulator).
-pub trait Capsuled {
-    /// User locals a handle's capsule runtime persists.
-    const LOCALS: usize;
-    /// Frame layout of the handles.
-    fn style(&self) -> BoundaryStyle;
-    /// Contention policy every handle starts with.
-    fn contention(&self) -> ContentionMeasure;
-}
-
-/// Per-thread handle of a capsule-transformed queue: the thread's capsule
-/// runtime plus a reference to the shared part. [`GeneralQueueHandle`] and
-/// [`NormalizedQueueHandle`] are this type.
-///
-/// [`GeneralQueueHandle`]: crate::GeneralQueueHandle
-/// [`NormalizedQueueHandle`]: crate::NormalizedQueueHandle
-pub struct Handle<'q, 't, 'm, Q> {
-    pub(crate) queue: &'q Q,
-    pub(crate) rt: CapsuleRuntime<'t, 'm>,
-}
-
-impl<'q, 't, 'm, Q: Capsuled> Handle<'q, 't, 'm, Q> {
-    fn over(queue: &'q Q, mut rt: CapsuleRuntime<'t, 'm>) -> Self {
-        rt.set_contention(queue.contention());
-        Handle { queue, rt }
-    }
-
-    /// A handle over a freshly allocated capsule frame.
-    pub(crate) fn new(queue: &'q Q, thread: &'t PThread<'m>) -> Self {
-        Self::over(queue, CapsuleRuntime::new(thread, queue.style(), Q::LOCALS))
-    }
-
-    /// A handle resuming from the process's restart pointer (the frame it
-    /// published before the crash). Recovery is constant work: reload the
-    /// frame, and the first capsule re-executed consults the recoverable CAS.
-    pub(crate) fn attach(queue: &'q Q, thread: &'t PThread<'m>) -> Self {
-        let rt = CapsuleRuntime::attach_from_restart_pointer(thread, queue.style(), Q::LOCALS);
-        Self::over(queue, rt)
-    }
-
-    /// Access the underlying capsule runtime (metrics, entry-boundary policy…).
-    pub fn runtime_mut(&mut self) -> &mut CapsuleRuntime<'t, 'm> {
-        &mut self.rt
-    }
-
-    /// Mirror of [`CapsuleRuntime::set_entry_boundary`]: the paper's measurements
-    /// omit the per-operation entry boundary because it is identical for every
-    /// variant under test (§10).
-    pub fn set_entry_boundary(&mut self, enabled: bool) {
-        self.rt.set_entry_boundary(enabled);
-    }
-}
-
-/// Give a capsule-transformed queue its handle type and the two inherent
-/// constructors every caller uses.
-macro_rules! capsule_handles {
-    ($queue:ident, $handle:ident) => {
-        #[doc = concat!("Per-thread handle of a [`", stringify!($queue), "`].")]
-        pub type $handle<'q, 't, 'm> = $crate::api::Handle<'q, 't, 'm, $queue>;
-
-        impl $queue {
-            /// Create the calling thread's handle (allocating its capsule frame).
-            pub fn handle<'q, 't, 'm>(
-                &'q self,
-                thread: &'t pmem::PThread<'m>,
-            ) -> $handle<'q, 't, 'm> {
-                $crate::api::Handle::new(self, thread)
+/// The family-wide face of a queue handle without a capsule runtime: `Push`
+/// enqueues, `Pop` dequeues, the bounded drain dequeues.
+macro_rules! fifo_struct_handle {
+    ($handle:ident) => {
+        impl delayfree::StructHandle for $handle<'_, '_, '_> {
+            fn apply(&mut self, op: delayfree::StructOp) -> Option<u64> {
+                delayfree::handle::apply_stack(self, op, Self::enqueue, Self::dequeue)
             }
 
-            /// Re-attach a handle after a restart, resuming from the process's
-            /// restart pointer.
-            pub fn attach_handle<'q, 't, 'm>(
-                &'q self,
-                thread: &'t pmem::PThread<'m>,
-            ) -> $handle<'q, 't, 'm> {
-                $crate::api::Handle::attach(self, thread)
+            fn drain_up_to(&mut self, max: usize) -> delayfree::Drain {
+                delayfree::handle::drain_by_pops(max, || self.dequeue())
             }
         }
     };
 }
-pub(crate) use capsule_handles;
+pub(crate) use fifo_struct_handle;
 
 /// One body per suite the two capsule-transformed queues share (single-thread
 /// FIFO semantics in both styles, concurrent exactness, random crashes on one
@@ -164,7 +86,8 @@ pub(crate) use capsule_handles;
 #[cfg(test)]
 pub(crate) mod testkit {
     use super::*;
-    use pmem::{install_quiet_crash_hook, CrashPolicy, MemConfig, Mode, PMem};
+    use delayfree::{Capsuled, Handle};
+    use pmem::{install_quiet_crash_hook, CrashPolicy, MemConfig, Mode, PMem, PThread};
     use std::collections::HashSet;
 
     /// FIFO semantics on one thread, for both values of the style flag.

@@ -22,12 +22,12 @@
 //!
 //! [`capsule_cas`]: CasReadSimulator::capsule_cas
 
-use capsules::{adaptive_enabled, BoundaryStyle, CapsuleRuntime, CapsuleStep, ContentionMeasure};
-use delayfree::{CasReadSimulator, SharedMem};
+use capsules::{BoundaryStyle, CapsuleRuntime, CapsuleStep, ContentionMeasure};
+use delayfree::{capsule_handles, Capsuled, CasReadSimulator, SharedMem, StructHandle, StructOp};
 use pmem::{PAddr, PThread};
 use rcas::{RcasLayout, RcasSpace};
 
-use crate::api::{capsule_handles, Capsuled, Durability, QueueHandle};
+use crate::api::{Durability, QueueHandle};
 use crate::node::{chain_len, next_addr, value_addr, NODE_WORDS};
 
 // Persisted local slots (user indices).
@@ -91,7 +91,7 @@ impl GeneralQueue {
         let sim = CasReadSimulator::new(space)
             .with_durable(durability.manual())
             .with_style(style)
-            .with_adaptive(adaptive_enabled());
+            .with_adaptive(true);
         GeneralQueue { head, tail, sim }
     }
 
@@ -103,8 +103,9 @@ impl GeneralQueue {
         self
     }
 
-    /// Override the contention-adaptive fast path (tests and the `dfck` sweeper
-    /// force it on or off regardless of the `DF_ADAPTIVE` environment knob).
+    /// Turn the contention-adaptive fast path off (or back on; it is on by
+    /// default): the `dfck` slow-path rows and the tests that compare the
+    /// simulators pin operations to the full state machine.
     pub fn with_adaptive(mut self, adaptive: bool) -> GeneralQueue {
         self.sim = self.sim.with_adaptive(adaptive);
         self
@@ -358,22 +359,33 @@ impl Capsuled for GeneralQueue {
     fn contention(&self) -> ContentionMeasure {
         self.sim.contention()
     }
+
+    fn apply(&self, rt: &mut CapsuleRuntime<'_, '_>, op: StructOp) -> Option<u64> {
+        match op {
+            StructOp::Push(value) => {
+                rt.set_local(L_VAL, value);
+                let entry = self.sim.enter(rt, F_ENQ, E_START);
+                rt.run_op(entry, |rt| self.enqueue_step(rt));
+                None
+            }
+            StructOp::Pop => {
+                let entry = self.sim.enter(rt, F_DEQ, D_START);
+                rt.run_op(entry, |rt| self.dequeue_step(rt))
+            }
+            other => panic!("queues take Push/Pop only, got {other:?}"),
+        }
+    }
 }
 
 capsule_handles!(GeneralQueue, GeneralQueueHandle);
 
 impl QueueHandle for GeneralQueueHandle<'_, '_, '_> {
     fn enqueue(&mut self, value: u64) {
-        let queue = self.queue;
-        self.rt.set_local(L_VAL, value);
-        let entry = queue.sim.enter(&mut self.rt, F_ENQ, E_START);
-        self.rt.run_op(entry, |rt| queue.enqueue_step(rt))
+        self.apply(StructOp::Push(value));
     }
 
     fn dequeue(&mut self) -> Option<u64> {
-        let queue = self.queue;
-        let entry = queue.sim.enter(&mut self.rt, F_DEQ, D_START);
-        self.rt.run_op(entry, |rt| queue.dequeue_step(rt))
+        self.apply(StructOp::Pop)
     }
 }
 

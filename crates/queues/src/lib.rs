@@ -21,8 +21,10 @@
 //! private-cache model ([`Durability::None`] + `Mode::PrivateCache`) no flushes are
 //! needed at all.
 //!
-//! Every queue exposes the same minimal interface through [`QueueHandle`] so the
-//! benchmark harness and the integration tests can drive them uniformly.
+//! Every queue handle answers the family-wide `delayfree::StructHandle`
+//! (`Push` = enqueue, `Pop` = dequeue), which is what the benchmark harness and
+//! the crash-point sweeper drive; [`QueueHandle`] is the same two operations
+//! under their queue names for the examples and the integration tests.
 
 #![warn(missing_docs)]
 
@@ -33,7 +35,7 @@ pub mod msq;
 pub mod node;
 pub mod normalized;
 
-pub use api::{Capsuled, Durability, Handle, QueueHandle};
+pub use api::{Durability, QueueHandle};
 pub use general::{GeneralQueue, GeneralQueueHandle};
 pub use log_queue::{LogQueue, LogQueueHandle, RecoveredOp};
 pub use msq::{MsQueue, MsqHandle};

@@ -16,7 +16,7 @@
 
 use pmem::{PAddr, PThread, LINE_WORDS};
 
-use crate::api::QueueHandle;
+use crate::api::{fifo_struct_handle, QueueHandle};
 use crate::node::{alloc_node, dequeuer_addr, next_addr, value_addr};
 
 // Per-thread log entry layout (one cache line per thread).
@@ -312,6 +312,8 @@ impl QueueHandle for LogQueueHandle<'_, '_, '_> {
         result
     }
 }
+
+fifo_struct_handle!(LogQueueHandle);
 
 #[cfg(test)]
 mod tests {

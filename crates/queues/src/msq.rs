@@ -9,7 +9,7 @@
 
 use pmem::{PAddr, PThread};
 
-use crate::api::QueueHandle;
+use crate::api::{fifo_struct_handle, QueueHandle};
 use crate::node::{alloc_node, chain_len, next_addr, value_addr};
 
 /// The shared, persistent part of the queue: head and tail pointers (plain words
@@ -111,6 +111,8 @@ impl QueueHandle for MsqHandle<'_, '_, '_> {
         }
     }
 }
+
+fifo_struct_handle!(MsqHandle);
 
 #[cfg(test)]
 mod tests {

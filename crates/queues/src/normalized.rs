@@ -13,14 +13,15 @@
 //! word and updated with plain CASes (§7 explains why such locations need no
 //! recoverable CAS).
 
-use capsules::{adaptive_enabled, BoundaryStyle, ContentionMeasure};
+use capsules::{BoundaryStyle, CapsuleRuntime, ContentionMeasure};
 use delayfree::{
-    CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, SharedMem, WrapUp,
+    capsule_handles, Capsuled, CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator,
+    SharedMem, StructHandle, StructOp, WrapUp,
 };
 use pmem::{PAddr, PThread};
 use rcas::{RcasLayout, RcasSpace};
 
-use crate::api::{capsule_handles, Capsuled, Durability, QueueHandle};
+use crate::api::{Durability, QueueHandle};
 use crate::node::{chain_len, next_addr, value_addr, NODE_WORDS};
 
 /// Number of user locals the handle's capsule runtime needs (the inline-list
@@ -68,7 +69,7 @@ impl NormalizedQueue {
         let sim = NormalizedSimulator::new(space, durability.manual())
             .with_style(BoundaryStyle::opt(optimised))
             .with_inline_lists()
-            .with_adaptive(adaptive_enabled());
+            .with_adaptive(true);
         NormalizedQueue { head, tail, sim }
     }
 
@@ -80,8 +81,8 @@ impl NormalizedQueue {
         self
     }
 
-    /// Override the contention-adaptive fast path (tests and the `dfck` sweeper
-    /// force it on or off regardless of the `DF_ADAPTIVE` environment knob).
+    /// Turn the contention-adaptive fast path off (or back on; it is on by
+    /// default) — see [`GeneralQueue::with_adaptive`](crate::GeneralQueue::with_adaptive).
     pub fn with_adaptive(mut self, adaptive: bool) -> NormalizedQueue {
         self.sim = self.sim.with_adaptive(adaptive);
         self
@@ -218,17 +219,28 @@ impl Capsuled for NormalizedQueue {
     fn contention(&self) -> ContentionMeasure {
         self.sim.contention()
     }
+
+    fn apply(&self, rt: &mut CapsuleRuntime<'_, '_>, op: StructOp) -> Option<u64> {
+        match op {
+            StructOp::Push(value) => {
+                self.sim.run(rt, &EnqueueOp(self), &value);
+                None
+            }
+            StructOp::Pop => self.sim.run(rt, &DequeueOp(self), &()),
+            other => panic!("queues take Push/Pop only, got {other:?}"),
+        }
+    }
 }
 
 capsule_handles!(NormalizedQueue, NormalizedQueueHandle);
 
 impl QueueHandle for NormalizedQueueHandle<'_, '_, '_> {
     fn enqueue(&mut self, value: u64) {
-        self.queue.sim.run(&mut self.rt, &EnqueueOp(self.queue), &value)
+        self.apply(StructOp::Push(value));
     }
 
     fn dequeue(&mut self) -> Option<u64> {
-        self.queue.sim.run(&mut self.rt, &DequeueOp(self.queue), &())
+        self.apply(StructOp::Pop)
     }
 }
 

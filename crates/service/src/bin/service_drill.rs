@@ -30,22 +30,19 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use bench::env_u64;
 use bench::json::{emit, JsonRow};
 use pmem::install_quiet_crash_hook;
 use service::{run_service, DrillKind, Percentiles, ServiceConfig, ServiceReport};
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("{name} must be an integer, got {v:?}")))
-        .unwrap_or(default)
-}
-
+/// A float knob, held to the contract of [`bench::env_u64`]: a value that does
+/// not parse ends the run with exit code 2 naming the knob.
 fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("{name} must be a float, got {v:?}")))
-        .unwrap_or(default)
+    let Ok(raw) = std::env::var(name) else { return default };
+    raw.trim().parse().unwrap_or_else(|_| {
+        eprintln!("error: {name}={raw:?} is not a number");
+        std::process::exit(2);
+    })
 }
 
 fn config_from_env() -> ServiceConfig {

@@ -19,13 +19,11 @@
 //! | `DF_MAP_SEED`        | base stream seed (client i uses seed+i)  | 42 |
 //! | `DF_MAP_THETA_MILLI` | Zipfian theta in thousandths             | 990 |
 
-use std::sync::Barrier;
 use std::time::Instant;
 
-use bench::dfck::{self, Shape, Variant};
-use bench::env_u64;
+use bench::dfck::{Shape, Variant};
 use bench::json::JsonRow;
-use pmem::{MemConfig, Mode, PMem, Stats};
+use bench::{env_u64, env_u64_in};
 use structs::{MapConfig, StructOp};
 
 use crate::generator::{RequestGen, Zipfian};
@@ -56,16 +54,16 @@ pub struct MapBenchConfig {
 impl MapBenchConfig {
     /// Read the configuration from the `DF_MAP_*` environment.
     pub fn from_env() -> MapBenchConfig {
-        let keys = env_u64("DF_MAP_KEYS", 1 << 20);
+        let keys = env_u64_in("DF_MAP_KEYS", 1 << 20, 1..=u64::MAX);
         MapBenchConfig {
             keys,
             ops: env_u64("DF_MAP_OPS", 1 << 20),
-            read_pct: env_u64("DF_MAP_READ_PCT", 80).min(100) as u32,
-            prefill: env_u64("DF_MAP_PREFILL", keys / 2).min(keys),
+            read_pct: env_u64_in("DF_MAP_READ_PCT", 80, 0..=100) as u32,
+            prefill: env_u64_in("DF_MAP_PREFILL", keys / 2, 0..=keys),
             buckets: env_u64("DF_MAP_BUCKETS", 1 << 14),
-            threads: (env_u64("DF_MAP_THREADS", 4) as usize).max(1),
+            threads: env_u64_in("DF_MAP_THREADS", 4, 1..=u64::MAX) as usize,
             seed: env_u64("DF_MAP_SEED", 42),
-            theta_milli: env_u64("DF_MAP_THETA_MILLI", 990).min(999),
+            theta_milli: env_u64_in("DF_MAP_THETA_MILLI", 990, 0..=999),
         }
     }
 
@@ -78,68 +76,38 @@ impl MapBenchConfig {
     }
 }
 
-/// Run the Zipfian mixed workload for one map variant; returns the JSON row
-/// (`mops` > 0 is the `DF_REQUIRE_NONZERO` signal).
+/// The three constructions of the map.
+fn map_variants() -> impl Iterator<Item = Variant> {
+    Variant::all().into_iter().filter(|v| v.shape() == Shape::Map)
+}
+
+/// Run the Zipfian mixed workload for one map variant through the harness's
+/// throughput runner; returns the JSON row (`mops` > 0 is the
+/// `DF_REQUIRE_NONZERO` signal).
 pub fn run_map_workload(variant: Variant, cfg: &MapBenchConfig) -> JsonRow {
     assert_eq!(variant.shape(), Shape::Map, "fig_map drives map variants");
-    let mem = PMem::new(MemConfig::new(cfg.threads).mode(Mode::SharedCache));
-    let built = dfck::build(variant, &mem.thread(0), cfg.threads, cfg.map_config(), true, None);
-    let opts = variant.thread_options();
-
-    // Prefill the even keys from thread 0 (untimed, uncounted): half the
-    // Zipfian head is present and half absent, so probes, inserts and removes
-    // all exercise both return paths. The bulk of the bucket-array growth
-    // happens here, leaving the timed window with steady-state chains plus
-    // the residual resizes the write mix still triggers.
-    {
-        let t = mem.thread_with(0, opts);
-        let mut h = built.handle(&t);
-        for i in 0..cfg.prefill {
-            let _ = h.apply(StructOp::Insert((2 * i) % cfg.keys.max(1)));
-        }
-    }
-    mem.persist_everything();
-
     let zipf = Zipfian::new(cfg.keys, cfg.theta());
-    let per_thread = (cfg.ops / cfg.threads as u64).max(1);
-    let barrier = Barrier::new(cfg.threads);
-    let results: Vec<(f64, Stats, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.threads)
-            .map(|pid| {
-                let (mem, built, barrier, zipf) = (&mem, &built, &barrier, &zipf);
-                s.spawn(move || {
-                    let t = mem.thread_with(pid, opts);
-                    let mut h = built.handle(&t);
-                    let mut gen =
-                        RequestGen::new(cfg.seed + pid as u64, zipf.clone(), cfg.read_pct);
-                    let _ = t.take_stats();
-                    barrier.wait();
-                    let start = Instant::now();
-                    for _ in 0..per_thread {
-                        let _ = h.apply(gen.next_op());
-                    }
-                    (start.elapsed().as_secs_f64(), t.stats(), per_thread)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    let wall = results.iter().map(|(t, _, _)| *t).fold(0.0f64, f64::max);
-    let total_ops: u64 = results.iter().map(|(_, _, ops)| ops).sum();
-    let total_stats: Stats = results.iter().map(|(_, s, _)| *s).sum();
-    JsonRow {
-        variant: variant.label().to_string(),
-        threads: cfg.threads,
-        mops: total_ops as f64 / wall / 1e6,
-        flushes_per_op: total_stats.flushes_per_op(total_ops),
-        fences_per_op: total_stats.fences_per_op(total_ops),
-        extra: vec![
-            ("keys", cfg.keys as f64),
-            ("prefill", cfg.prefill as f64),
-            ("read_pct", cfg.read_pct as f64),
-        ],
-    }
+    let m = bench::run_throughput(
+        variant,
+        cfg.threads,
+        cfg.map_config(),
+        false,
+        // Prefill the even keys: half the Zipfian head is present and half
+        // absent, so probes, inserts and removes all exercise both return
+        // paths. The bulk of the bucket-array growth happens here, leaving the
+        // timed window with steady-state chains plus the residual resizes the
+        // write mix still triggers.
+        (cfg.prefill, |i| StructOp::Insert((2 * i) % cfg.keys)),
+        (cfg.ops / cfg.threads as u64).max(1),
+        |pid| {
+            let mut gen = RequestGen::new(cfg.seed + pid as u64, zipf.clone(), cfg.read_pct);
+            move |_| gen.next_op()
+        },
+    );
+    JsonRow::from(&m)
+        .with("keys", cfg.keys as f64)
+        .with("prefill", cfg.prefill as f64)
+        .with("read_pct", cfg.read_pct as f64)
 }
 
 /// Run the whole figure: the three map variants under the `DF_MAP_*`
@@ -158,11 +126,7 @@ pub fn run_map_figure() -> Vec<JsonRow> {
         "threads", "variant", "Mops/s", "flushes/op", "fences/op"
     );
     let mut rows = Vec::new();
-    for variant in [
-        Variant::MapIzraelevitz,
-        Variant::MapGeneral,
-        Variant::MapNormalized,
-    ] {
+    for variant in map_variants() {
         let row = run_map_workload(variant, &cfg);
         println!(
             "{:<10} {:<22} {:>10.3} {:>12.2} {:>12.2}",
@@ -207,11 +171,7 @@ mod tests {
 
     #[test]
     fn every_map_variant_runs_the_zipfian_mix() {
-        for variant in [
-            Variant::MapIzraelevitz,
-            Variant::MapGeneral,
-            Variant::MapNormalized,
-        ] {
+        for variant in map_variants() {
             let row = run_map_workload(variant, &tiny());
             assert!(row.mops > 0.0, "{variant:?} produced no throughput");
             assert!(row.flushes_per_op > 0.0, "{variant:?} should flush");

@@ -31,7 +31,7 @@
 //! Every request is stamped with a per-worker ticket that the operation's
 //! entry boundary persists next to its arguments. On restart a worker
 //! re-attaches its capsule frame and calls
-//! [`resume_interrupted`](structs::GeneralSetHandle::resume_interrupted):
+//! [`resume_interrupted`](structs::GeneralSet::resume_interrupted):
 //! a matching ticket settles the in-flight request with its exactly-once
 //! result (resumed to completion, or read back if it had finished but the ack
 //! was lost); a stale ticket proves the kill hit before the entry boundary, so
@@ -344,7 +344,7 @@ fn worker_incarnation(
     h.runtime_mut().set_unwind_on_crash(true);
     if !first {
         // Replay phase: settle the request the kill interrupted (if any).
-        let resumption = h.resume_interrupted();
+        let resumption = set.resume_interrupted(h.runtime_mut());
         if let Some(inflight) = slot.inflight.take() {
             match resumption {
                 Some(r) if r.ticket == inflight.ticket => {
@@ -358,7 +358,7 @@ fn worker_incarnation(
                     // The kill hit before the entry boundary persisted the
                     // request: nothing reached the structure — run it fresh.
                     slot.reexecuted += 1;
-                    h.set_ticket(inflight.ticket);
+                    set.set_ticket(h.runtime_mut(), inflight.ticket);
                     let result = h.apply(inflight.op) == Some(1);
                     ack(slot, shard, inflight, result);
                 }
@@ -384,7 +384,7 @@ fn worker_incarnation(
                     enqueued_at: req.enqueued_at,
                 };
                 slot.inflight = Some(inflight);
-                h.set_ticket(inflight.ticket);
+                set.set_ticket(h.runtime_mut(), inflight.ticket);
                 // A kill can fire at any simulated instruction in here and
                 // unwind the whole incarnation; the ticket protocol above
                 // guarantees the request is still settled exactly once.

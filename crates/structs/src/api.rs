@@ -1,130 +1,19 @@
-//! The uniform face of every structure variant: one operation enum, one handle
-//! trait, the bounded quiescent drain hook the sweeper's oracles rely on, and
-//! the capsule-handle scaffold the six transformed structures share.
+//! The family's per-thread face as this crate uses it — the operation enum,
+//! the handle trait, the bounded-drain result and the capsule-handle scaffold
+//! are `delayfree::handle`'s, re-exported here under the paths callers know —
+//! plus the two Normalized-construction helpers every structure here shares.
 
-use capsules::{BoundaryStyle, CapsuleRuntime};
+use capsules::BoundaryStyle;
 use delayfree::{CasList, NormalizedSimulator, WrapUp};
-use pmem::PThread;
 use rcas::RcasSpace;
 
-/// One operation of the stack/set family.
-///
-/// Stack handles accept `Push`/`Pop`; set handles accept
-/// `Insert`/`Remove`/`Contains`. Applying an operation of the wrong shape is a
-/// driver bug and panics (the `bench::dfck` workloads are shape-homogeneous by
-/// construction).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StructOp {
-    /// Push this value onto the stack.
-    Push(u64),
-    /// Pop the top of the stack.
-    Pop,
-    /// Insert this key into the set (returns whether it was absent).
-    Insert(u64),
-    /// Remove this key from the set (returns whether it was present).
-    Remove(u64),
-    /// Membership test (returns whether the key is present).
-    Contains(u64),
-}
-
-/// Result of a bounded drain: the collected history plus whether the walk was
-/// cut off by the bound.
-///
-/// `truncated` is the cycle signal the sweeper's oracle consumes: callers
-/// bound drains by the maximum node count the replay could have produced, so
-/// a walk that hits the cap with structure contents (or chain nodes — a
-/// cyclic chain of *marked* set nodes yields fewer keys than visited nodes)
-/// still unvisited proves a corrupted chain. The flag makes that explicit
-/// rather than inferable only from `items.len()`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Drain {
-    /// The drained history (top-down for stacks, ascending keys for sets).
-    pub items: Vec<u64>,
-    /// The walk stopped at the bound, not at the structure's end.
-    pub truncated: bool,
-}
-
-/// The uniform per-thread handle every structure variant implements, mirroring
-/// [`queues::QueueHandle`] for the non-FIFO shapes.
-///
-/// Like a queue handle, a struct handle is per-thread (it owns the thread's
-/// capsule runtime where the variant has one) and must only be used by the
-/// thread that created it.
-pub trait StructHandle {
-    /// Apply one operation, with the results word-encoded uniformly so one
-    /// driver can replay any shape:
-    ///
-    /// * `Push` → `None`,
-    /// * `Pop` → the popped value (or `None` on an empty stack),
-    /// * `Insert` / `Remove` / `Contains` → `Some(1)` for *true*, `Some(0)`
-    ///   for *false*.
-    fn apply(&mut self, op: StructOp) -> Option<u64>;
-
-    /// The `drain`-equivalent quiescent history hook: read off (and, for
-    /// stacks, remove) the structure's remaining contents — top-down LIFO
-    /// order for stacks, ascending key order for sets — visiting at most
-    /// `max` elements (stacks) or chain nodes (sets).
-    ///
-    /// The bound exists for the same reason as
-    /// [`queues::QueueHandle::drain_up_to`]: a recovery bug that produces a
-    /// cyclic next-pointer chain must surface as a [`Drain`] with `truncated`
-    /// set (an oracle violation carrying the offending crash schedule), not
-    /// as a sweep that never terminates. Quiescent use only.
-    fn drain_up_to(&mut self, max: usize) -> Drain;
-}
+pub(crate) use delayfree::capsule_handles;
+pub(crate) use delayfree::handle::{apply_keyed, apply_stack, drain_by_pops};
+pub use delayfree::{Capsuled, Drain, Handle, StructHandle, StructOp};
 
 /// Encode a boolean operation result in the uniform word encoding.
 pub(crate) fn bool_ret(b: bool) -> Option<u64> {
     Some(b as u64)
-}
-
-/// [`StructHandle::apply`] of every set- and map-shaped handle: decode the
-/// keyed operation and call the handle's own method.
-pub(crate) fn apply_keyed<H>(
-    h: &mut H,
-    op: StructOp,
-    insert: fn(&mut H, u64) -> bool,
-    remove: fn(&mut H, u64) -> bool,
-    contains: fn(&mut H, u64) -> bool,
-) -> Option<u64> {
-    match op {
-        StructOp::Insert(k) => bool_ret(insert(h, k)),
-        StructOp::Remove(k) => bool_ret(remove(h, k)),
-        StructOp::Contains(k) => bool_ret(contains(h, k)),
-        other => panic!("keyed handle cannot apply stack operation {other:?}"),
-    }
-}
-
-/// [`StructHandle::apply`] of every stack handle.
-pub(crate) fn apply_stack<H>(
-    h: &mut H,
-    op: StructOp,
-    push: fn(&mut H, u64),
-    pop: fn(&mut H) -> Option<u64>,
-) -> Option<u64> {
-    match op {
-        StructOp::Push(v) => {
-            push(h, v);
-            None
-        }
-        StructOp::Pop => pop(h),
-        other => panic!("stack handle cannot apply keyed operation {other:?}"),
-    }
-}
-
-/// Shared bounded pop-drain for the stack handles: pop until empty or until
-/// `max` pops. `truncated` means the cap is what stopped the walk (the stack
-/// *may* hold more; oracle callers pass a cap strictly above any legitimate
-/// element count, so truncation there proves an over-long chain).
-pub(crate) fn drain_by_pops(max: usize, mut pop: impl FnMut() -> Option<u64>) -> Drain {
-    let mut items = Vec::new();
-    while items.len() < max {
-        match pop() {
-            Some(v) => items.push(v),
-            None => return Drain { items, truncated: false },
-        }
-    }
-    Drain { items, truncated: max > 0 }
 }
 
 /// The §7 simulator as every Normalized structure here configures it: each
@@ -153,78 +42,6 @@ pub(crate) fn single_cas_outcome(cas_list: &CasList, executed: usize) -> WrapUp<
     }
 }
 
-/// What the handle scaffold needs to know about a capsule-transformed
-/// structure (the style lives in the structure's simulator).
-pub trait Capsuled {
-    /// User locals a handle's capsule runtime persists.
-    const LOCALS: usize;
-    /// Frame layout of the handles.
-    fn style(&self) -> BoundaryStyle;
-}
-
-/// Per-thread handle of a capsule-transformed structure: the thread's capsule
-/// runtime plus a reference to the shared part. The six `General*Handle` /
-/// `Normalized*Handle` names are this type; their operations are inherent
-/// methods in each structure's module.
-pub struct Handle<'q, 't, 'm, S> {
-    pub(crate) shared: &'q S,
-    pub(crate) rt: CapsuleRuntime<'t, 'm>,
-}
-
-impl<'q, 't, 'm, S: Capsuled> Handle<'q, 't, 'm, S> {
-    /// A handle over a freshly allocated capsule frame.
-    pub(crate) fn new(shared: &'q S, thread: &'t PThread<'m>) -> Self {
-        let rt = CapsuleRuntime::new(thread, shared.style(), S::LOCALS);
-        Handle { shared, rt }
-    }
-
-    /// A handle resuming from the process's restart pointer (the frame it
-    /// published before the crash).
-    pub(crate) fn attach(shared: &'q S, thread: &'t PThread<'m>) -> Self {
-        let rt = CapsuleRuntime::attach_from_restart_pointer(thread, shared.style(), S::LOCALS);
-        Handle { shared, rt }
-    }
-
-    /// Access the underlying capsule runtime (metrics, crash flavour…).
-    pub fn runtime_mut(&mut self) -> &mut CapsuleRuntime<'t, 'm> {
-        &mut self.rt
-    }
-
-    /// See [`CapsuleRuntime::set_entry_boundary`].
-    pub fn set_entry_boundary(&mut self, enabled: bool) {
-        self.rt.set_entry_boundary(enabled);
-    }
-}
-
-/// Give a capsule-transformed structure its handle type and the two inherent
-/// constructors every caller uses.
-macro_rules! capsule_handles {
-    ($shared:ident, $handle:ident) => {
-        #[doc = concat!("Per-thread handle of a [`", stringify!($shared), "`].")]
-        pub type $handle<'q, 't, 'm> = $crate::api::Handle<'q, 't, 'm, $shared>;
-
-        impl $shared {
-            /// Create the calling thread's handle (allocating its capsule frame).
-            pub fn handle<'q, 't, 'm>(
-                &'q self,
-                thread: &'t pmem::PThread<'m>,
-            ) -> $handle<'q, 't, 'm> {
-                $crate::api::Handle::new(self, thread)
-            }
-
-            /// Re-attach a handle after a restart (resumes from the restart
-            /// pointer).
-            pub fn attach_handle<'q, 't, 'm>(
-                &'q self,
-                thread: &'t pmem::PThread<'m>,
-            ) -> $handle<'q, 't, 'm> {
-                $crate::api::Handle::attach(self, thread)
-            }
-        }
-    };
-}
-pub(crate) use capsule_handles;
-
 /// One body per suite of the construction grid (single-thread semantics in
 /// both styles, concurrent exactness, random crashes, full-system-crash
 /// durability, exhaustive crash-point sweep), generic over the
@@ -233,7 +50,7 @@ pub(crate) use capsule_handles;
 #[cfg(test)]
 pub(crate) mod testkit {
     use super::*;
-    use pmem::{install_quiet_crash_hook, CrashPlan, CrashPolicy, MemConfig, Mode, PMem};
+    use pmem::{install_quiet_crash_hook, CrashPlan, CrashPolicy, MemConfig, Mode, PMem, PThread};
     use std::collections::{BTreeSet, HashSet};
     use StructOp::{Contains, Insert, Pop, Push, Remove};
 
@@ -246,9 +63,7 @@ pub(crate) mod testkit {
     pub(crate) fn lifo_single_thread<S: Capsuled>(
         build: impl Fn(&PThread<'_>, bool) -> S,
         len: fn(&S, &PThread<'_>) -> usize,
-    ) where
-        for<'q, 't, 'm> Handle<'q, 't, 'm, S>: StructHandle,
-    {
+    ) {
         for flag in [false, true] {
             let mem = PMem::with_threads(1);
             let t = mem.thread(0);
@@ -270,9 +85,7 @@ pub(crate) mod testkit {
     pub(crate) fn keyed_single_thread<S: Capsuled>(
         build: impl Fn(&PThread<'_>, bool) -> S,
         len: fn(&S, &PThread<'_>) -> usize,
-    ) where
-        for<'q, 't, 'm> Handle<'q, 't, 'm, S>: StructHandle,
-    {
+    ) {
         for flag in [false, true] {
             let mem = PMem::with_threads(1);
             let t = mem.thread(0);
@@ -291,10 +104,7 @@ pub(crate) mod testkit {
     }
 
     /// Four threads push and pop concurrently: nothing lost, nothing doubled.
-    pub(crate) fn lifo_concurrent<S: Capsuled + Sync>(build: impl Fn(&PThread<'_>, usize) -> S)
-    where
-        for<'q, 't, 'm> Handle<'q, 't, 'm, S>: StructHandle,
-    {
+    pub(crate) fn lifo_concurrent<S: Capsuled + Sync>(build: impl Fn(&PThread<'_>, usize) -> S) {
         const THREADS: usize = 4;
         const PER_THREAD: u64 = 1_500;
         let mem = PMem::with_threads(THREADS);
@@ -330,10 +140,7 @@ pub(crate) mod testkit {
 
     /// Three threads insert and remove the same five keys: every successful
     /// insert is matched by a successful remove or survives.
-    pub(crate) fn keyed_contention<S: Capsuled + Sync>(build: impl Fn(&PThread<'_>, usize) -> S)
-    where
-        for<'q, 't, 'm> Handle<'q, 't, 'm, S>: StructHandle,
-    {
+    pub(crate) fn keyed_contention<S: Capsuled + Sync>(build: impl Fn(&PThread<'_>, usize) -> S) {
         const THREADS: usize = 3;
         const ROUNDS: u64 = 250;
         let mem = PMem::with_threads(THREADS);
@@ -367,10 +174,7 @@ pub(crate) mod testkit {
 
     /// 120 inserts (every fourth key removed again) against a model: with a
     /// small map configuration this crosses several resizes and purges.
-    pub(crate) fn keyed_growth<S: Capsuled>(build: impl Fn(&PThread<'_>) -> S)
-    where
-        for<'q, 't, 'm> Handle<'q, 't, 'm, S>: StructHandle,
-    {
+    pub(crate) fn keyed_growth<S: Capsuled>(build: impl Fn(&PThread<'_>) -> S) {
         let mem = PMem::with_threads(1);
         let t = mem.thread(0);
         let s = build(&t);
@@ -398,9 +202,7 @@ pub(crate) mod testkit {
         build: impl Fn(&PThread<'_>, bool) -> S,
         flags: &[bool],
         seed: u64,
-    ) where
-        for<'q, 't, 'm> Handle<'q, 't, 'm, S>: StructHandle,
-    {
+    ) {
         install_quiet_crash_hook();
         for &flag in flags {
             let mem = PMem::with_threads(1);
@@ -430,9 +232,7 @@ pub(crate) mod testkit {
         flags: &[bool],
         seed: u64,
         (rounds, stride, modulus): (u64, u64, u64),
-    ) where
-        for<'q, 't, 'm> Handle<'q, 't, 'm, S>: StructHandle,
-    {
+    ) {
         install_quiet_crash_hook();
         for &flag in flags {
             let mem = PMem::with_threads(1);
@@ -465,9 +265,7 @@ pub(crate) mod testkit {
         ops: &[StructOp],
         expect: &[u64],
         attach: bool,
-    ) where
-        for<'q, 't, 'm> Handle<'q, 't, 'm, S>: StructHandle,
-    {
+    ) {
         let mem = shared_cache(1);
         let s = build(&mem.thread(0));
         {
@@ -498,9 +296,7 @@ pub(crate) mod testkit {
         prefill: &[StructOp],
         script: &[StructOp],
         expect: (Vec<Option<u64>>, Vec<u64>),
-    ) where
-        for<'q, 't, 'm> Handle<'q, 't, 'm, S>: StructHandle,
-    {
+    ) {
         install_quiet_crash_hook();
         type History = (Vec<Option<u64>>, Vec<u64>);
         let run = |plan: Option<CrashPlan>, system: bool| -> (History, u64, u64) {

@@ -25,7 +25,7 @@ use delayfree::{CasReadSimulator, SharedMem};
 use pmem::{PAddr, PThread};
 use rcas::RcasSpace;
 
-use crate::api::{apply_keyed, capsule_handles, Capsuled, Drain, StructHandle, StructOp};
+use crate::api::{bool_ret, capsule_handles, Capsuled, Drain, StructOp};
 use crate::map::{
     alloc_gen, contains_routed, drain_map, find_routed, map_len, maybe_grow, menc, ChainLen,
     MapConfig, DEL, MAP_RCAS_LAYOUT,
@@ -208,42 +208,22 @@ impl Capsuled for GeneralDetMap {
     fn style(&self) -> BoundaryStyle {
         self.sim.style()
     }
+
+    fn apply(&self, rt: &mut CapsuleRuntime<'_, '_>, op: StructOp) -> Option<u64> {
+        rt.set_local(L_KEY, op.key());
+        bool_ret(match op {
+            StructOp::Insert(_) => rt.run_op(I_FIND, |rt| self.insert_step(rt)),
+            StructOp::Remove(_) => rt.run_op(R_FIND, |rt| self.remove_step(rt)),
+            _ => rt.run_op(C_FIND, |rt| self.contains_step(rt)),
+        })
+    }
+
+    fn drain_up_to(&self, rt: &mut CapsuleRuntime<'_, '_>, max: usize) -> Drain {
+        drain_map(&self.sim.mem(rt.thread()), self.dir, max)
+    }
 }
 
 capsule_handles!(GeneralDetMap, GeneralDetMapHandle);
-
-impl GeneralDetMapHandle<'_, '_, '_> {
-    /// Insert `k` (detectably); returns whether it was absent.
-    pub fn insert(&mut self, k: u64) -> bool {
-        let map = self.shared;
-        self.rt.set_local(L_KEY, k);
-        self.rt.run_op(I_FIND, |rt| map.insert_step(rt))
-    }
-
-    /// Remove `k` (detectably); returns whether it was present.
-    pub fn remove(&mut self, k: u64) -> bool {
-        let map = self.shared;
-        self.rt.set_local(L_KEY, k);
-        self.rt.run_op(R_FIND, |rt| map.remove_step(rt))
-    }
-
-    /// Membership test (read-only, single capsule).
-    pub fn contains(&mut self, k: u64) -> bool {
-        let map = self.shared;
-        self.rt.set_local(L_KEY, k);
-        self.rt.run_op(C_FIND, |rt| map.contains_step(rt))
-    }
-}
-
-impl StructHandle for GeneralDetMapHandle<'_, '_, '_> {
-    fn apply(&mut self, op: StructOp) -> Option<u64> {
-        apply_keyed(self, op, Self::insert, Self::remove, Self::contains)
-    }
-
-    fn drain_up_to(&mut self, max: usize) -> Drain {
-        drain_map(&self.shared.sim.mem(self.rt.thread()), self.shared.dir, max)
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -21,7 +21,7 @@
 //! `contains` is a pure parallelizable method: its generator proposes an
 //! empty CAS list and the wrap-up answers from a read-only routed traversal.
 
-use capsules::BoundaryStyle;
+use capsules::{BoundaryStyle, CapsuleRuntime};
 use delayfree::{
     CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, SharedMem, WrapUp,
 };
@@ -29,8 +29,7 @@ use pmem::{PAddr, PThread};
 use rcas::RcasSpace;
 
 use crate::api::{
-    apply_keyed, capsule_handles, normalized_simulator, single_cas_outcome, Capsuled, Drain,
-    StructHandle, StructOp,
+    bool_ret, capsule_handles, normalized_simulator, single_cas_outcome, Capsuled, Drain, StructOp,
 };
 use crate::map::{
     alloc_gen, contains_routed, drain_map, find_routed, map_len, maybe_grow, menc, ChainLen,
@@ -177,36 +176,22 @@ impl Capsuled for NormalizedDetMap {
     fn style(&self) -> BoundaryStyle {
         self.sim.style()
     }
+
+    fn apply(&self, rt: &mut CapsuleRuntime<'_, '_>, op: StructOp) -> Option<u64> {
+        let k = op.key();
+        bool_ret(match op {
+            StructOp::Insert(_) => self.sim.run(rt, &MapInsertOp(self), &k),
+            StructOp::Remove(_) => self.sim.run(rt, &MapRemoveOp(self), &k),
+            _ => self.sim.run(rt, &MapContainsOp(self), &k),
+        })
+    }
+
+    fn drain_up_to(&self, rt: &mut CapsuleRuntime<'_, '_>, max: usize) -> Drain {
+        drain_map(&self.sim.mem(rt.thread()), self.dir, max)
+    }
 }
 
 capsule_handles!(NormalizedDetMap, NormalizedDetMapHandle);
-
-impl NormalizedDetMapHandle<'_, '_, '_> {
-    /// Insert `k` (detectably); returns whether it was absent.
-    pub fn insert(&mut self, k: u64) -> bool {
-        self.shared.sim.run(&mut self.rt, &MapInsertOp(self.shared), &k)
-    }
-
-    /// Remove `k` (detectably); returns whether it was present.
-    pub fn remove(&mut self, k: u64) -> bool {
-        self.shared.sim.run(&mut self.rt, &MapRemoveOp(self.shared), &k)
-    }
-
-    /// Membership test (detectably reported).
-    pub fn contains(&mut self, k: u64) -> bool {
-        self.shared.sim.run(&mut self.rt, &MapContainsOp(self.shared), &k)
-    }
-}
-
-impl StructHandle for NormalizedDetMapHandle<'_, '_, '_> {
-    fn apply(&mut self, op: StructOp) -> Option<u64> {
-        apply_keyed(self, op, Self::insert, Self::remove, Self::contains)
-    }
-
-    fn drain_up_to(&mut self, max: usize) -> Drain {
-        drain_map(&self.shared.sim.mem(self.rt.thread()), self.shared.dir, max)
-    }
-}
 
 #[cfg(test)]
 mod tests {

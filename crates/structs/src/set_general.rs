@@ -25,7 +25,7 @@ use delayfree::{CasReadSimulator, SharedMem};
 use pmem::{PAddr, PThread};
 use rcas::RcasSpace;
 
-use crate::api::{apply_keyed, capsule_handles, Capsuled, Drain, StructHandle, StructOp};
+use crate::api::{bool_ret, capsule_handles, Capsuled, Drain, StructOp};
 use crate::node::{enc, next_addr, value_addr, NODE_WORDS, SET_RCAS_LAYOUT};
 use crate::set::{contains_in, find, len_of, snapshot_up_to};
 
@@ -208,45 +208,39 @@ impl Capsuled for GeneralSet {
     fn style(&self) -> BoundaryStyle {
         self.sim.style()
     }
+
+    fn apply(&self, rt: &mut CapsuleRuntime<'_, '_>, op: StructOp) -> Option<u64> {
+        rt.set_local(L_KEY, op.key());
+        bool_ret(match op {
+            StructOp::Insert(_) => rt.run_op(I_FIND, |rt| self.insert_step(rt)),
+            StructOp::Remove(_) => rt.run_op(R_FIND, |rt| self.remove_step(rt)),
+            _ => rt.run_op(C_FIND, |rt| self.contains_step(rt)),
+        })
+    }
+
+    fn drain_up_to(&self, rt: &mut CapsuleRuntime<'_, '_>, max: usize) -> Drain {
+        snapshot_up_to(&self.sim.mem(rt.thread()), self.head, max)
+    }
 }
 
 capsule_handles!(GeneralSet, GeneralSetHandle);
 
-impl GeneralSetHandle<'_, '_, '_> {
-    /// Insert `k` (detectably); returns whether it was absent.
-    pub fn insert(&mut self, k: u64) -> bool {
-        let set = self.shared;
-        self.rt.set_local(L_KEY, k);
-        self.rt.run_op(I_FIND, |rt| set.insert_step(rt))
-    }
-
-    /// Remove `k` (detectably); returns whether it was present.
-    pub fn remove(&mut self, k: u64) -> bool {
-        let set = self.shared;
-        self.rt.set_local(L_KEY, k);
-        self.rt.run_op(R_FIND, |rt| set.remove_step(rt))
-    }
-
-    /// Membership test (read-only, single capsule).
-    pub fn contains(&mut self, k: u64) -> bool {
-        let set = self.shared;
-        self.rt.set_local(L_KEY, k);
-        self.rt.run_op(C_FIND, |rt| set.contains_step(rt))
-    }
-
-    /// Stamp the next operation with a caller-chosen ticket. The ticket is a
-    /// persisted local like the key: the operation's entry boundary makes it
-    /// durable together with the arguments, and it survives in the frame until
-    /// a later operation's entry boundary overwrites it. A harness that tags
-    /// every request with a unique nonzero ticket can therefore tell, after a
-    /// kill, *which* request the frame's state belongs to — the disambiguation
+impl GeneralSet {
+    /// Stamp the next operation of the handle owning `rt` with a caller-chosen
+    /// ticket. The ticket is a persisted local like the key: the operation's
+    /// entry boundary makes it durable together with the arguments, and it
+    /// survives in the frame until a later operation's entry boundary
+    /// overwrites it. A harness that tags every request with a unique nonzero
+    /// ticket can therefore tell, after a kill, *which* request the frame's
+    /// state belongs to — the disambiguation
     /// [`resume_interrupted`](Self::resume_interrupted) reports back.
-    pub fn set_ticket(&mut self, ticket: u64) {
-        self.rt.set_local(L_TICKET, ticket);
+    pub fn set_ticket(&self, rt: &mut CapsuleRuntime<'_, '_>, ticket: u64) {
+        rt.set_local(L_TICKET, ticket);
     }
 
     /// After [`GeneralSet::attach_handle`], finish whatever the previous
-    /// incarnation left in the frame.
+    /// incarnation left in the handle's frame (`rt` is the handle's
+    /// [`runtime_mut`](delayfree::Handle::runtime_mut)).
     ///
     /// Reads the persisted program counter and dispatches:
     /// * mid-operation pc → drives the interrupted operation to completion with
@@ -262,11 +256,10 @@ impl GeneralSetHandle<'_, '_, '_> {
     /// one is only *read*, never re-applied. The caller matches the returned
     /// ticket against its own in-flight record to decide whether the resumption
     /// answers an outstanding request or predates it.
-    pub fn resume_interrupted(&mut self) -> Option<Resumption> {
-        let set = self.shared;
-        let pc = self.rt.pc();
-        let ticket = self.rt.local(L_TICKET);
-        let key = self.rt.local(L_KEY);
+    pub fn resume_interrupted(&self, rt: &mut CapsuleRuntime<'_, '_>) -> Option<Resumption> {
+        let pc = rt.pc();
+        let ticket = rt.local(L_TICKET);
+        let key = rt.local(L_KEY);
         if pc == I_FIND && ticket == 0 {
             // A frame in its initial state: entry pc, never stamped. (Callers
             // that never use tickets get `insert(key)` resumed via the arm
@@ -275,20 +268,20 @@ impl GeneralSetHandle<'_, '_, '_> {
         }
         let (op, result, resumed) = match pc {
             I_FIND | I_CAS => {
-                let r = self.rt.resume_op(|rt| set.insert_step(rt));
+                let r = rt.resume_op(|rt| self.insert_step(rt));
                 (StructOp::Insert(key), r, true)
             }
             R_FIND | R_MARK | R_UNLINK => {
-                let r = self.rt.resume_op(|rt| set.remove_step(rt));
+                let r = rt.resume_op(|rt| self.remove_step(rt));
                 (StructOp::Remove(key), r, true)
             }
             C_FIND => {
-                let r = self.rt.resume_op(|rt| set.contains_step(rt));
+                let r = rt.resume_op(|rt| self.contains_step(rt));
                 (StructOp::Contains(key), r, true)
             }
             I_DONE_TRUE | I_DONE_FALSE => (StructOp::Insert(key), pc == I_DONE_TRUE, false),
             R_DONE_TRUE | R_DONE_FALSE => (StructOp::Remove(key), pc == R_DONE_TRUE, false),
-            C_DONE => (StructOp::Contains(key), self.rt.local(L_CURR_ENC) != 0, false),
+            C_DONE => (StructOp::Contains(key), rt.local(L_CURR_ENC) != 0, false),
             pc => unreachable!("general set resume: unexpected persisted pc {pc}"),
         };
         Some(Resumption {
@@ -300,7 +293,7 @@ impl GeneralSetHandle<'_, '_, '_> {
     }
 }
 
-/// What [`GeneralSetHandle::resume_interrupted`] found in a re-attached frame.
+/// What [`GeneralSet::resume_interrupted`] found in a re-attached frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Resumption {
     /// The ticket the operation's entry boundary persisted (`0` if the caller
@@ -316,20 +309,10 @@ pub struct Resumption {
     pub resumed: bool,
 }
 
-impl StructHandle for GeneralSetHandle<'_, '_, '_> {
-    fn apply(&mut self, op: StructOp) -> Option<u64> {
-        apply_keyed(self, op, Self::insert, Self::remove, Self::contains)
-    }
-
-    fn drain_up_to(&mut self, max: usize) -> Drain {
-        snapshot_up_to(&self.shared.sim.mem(self.rt.thread()), self.shared.head, max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::testkit;
+    use crate::api::{testkit, StructHandle};
     use pmem::{install_quiet_crash_hook, CrashPolicy, MemConfig, Mode, PMem};
     use StructOp::{Contains, Insert, Remove};
 
@@ -369,12 +352,12 @@ mod tests {
         {
             let t = mem.thread(0);
             let mut h = s.handle(&t);
-            h.set_ticket(1);
-            assert!(h.insert(40));
+            s.set_ticket(h.runtime_mut(), 1);
+            assert_eq!(h.apply(Insert(40)), Some(1));
             h.runtime_mut().set_unwind_on_crash(true);
-            h.set_ticket(2);
+            s.set_ticket(h.runtime_mut(), 2);
             t.set_crash_policy(CrashPolicy::Countdown(20));
-            let died = pmem::catch_crash(std::panic::AssertUnwindSafe(|| h.insert(41)));
+            let died = pmem::catch_crash(std::panic::AssertUnwindSafe(|| h.apply(Insert(41))));
             assert!(died.is_err(), "the kill must unwind out of the insert");
         }
         mem.crash_all();
@@ -382,7 +365,7 @@ mod tests {
         {
             let t = mem.thread(0);
             let mut h = s.attach_handle(&t);
-            let r = h.resume_interrupted().expect("an operation was in flight");
+            let r = s.resume_interrupted(h.runtime_mut()).expect("an operation was in flight");
             assert_eq!(r.ticket, 2);
             assert_eq!(r.op, StructOp::Insert(41));
             assert!(r.result, "41 was absent, the resumed insert must report true");
@@ -394,7 +377,7 @@ mod tests {
         mem.crash_all();
         let t = mem.thread(0);
         let mut h = s.attach_handle(&t);
-        let r = h.resume_interrupted().expect("frame holds the completed op");
+        let r = s.resume_interrupted(h.runtime_mut()).expect("frame holds the completed op");
         assert_eq!(r.ticket, 2);
         assert_eq!(r.op, StructOp::Insert(41));
         assert!(r.result && !r.resumed);

@@ -17,7 +17,7 @@
 //! `contains` is a pure parallelizable method: its generator proposes an empty
 //! CAS list and the wrap-up answers from a fresh traversal.
 
-use capsules::BoundaryStyle;
+use capsules::{BoundaryStyle, CapsuleRuntime};
 use delayfree::{
     CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, SharedMem, WrapUp,
 };
@@ -25,8 +25,7 @@ use pmem::{PAddr, PThread};
 use rcas::RcasSpace;
 
 use crate::api::{
-    apply_keyed, capsule_handles, normalized_simulator, single_cas_outcome, Capsuled, Drain,
-    StructHandle, StructOp,
+    bool_ret, capsule_handles, normalized_simulator, single_cas_outcome, Capsuled, Drain, StructOp,
 };
 use crate::node::{enc, next_addr, node_of_next, value_addr, NODE_WORDS, SET_RCAS_LAYOUT};
 use crate::set::{contains_in, find, len_of, snapshot_up_to};
@@ -169,36 +168,22 @@ impl Capsuled for NormalizedSet {
     fn style(&self) -> BoundaryStyle {
         self.sim.style()
     }
+
+    fn apply(&self, rt: &mut CapsuleRuntime<'_, '_>, op: StructOp) -> Option<u64> {
+        let k = op.key();
+        bool_ret(match op {
+            StructOp::Insert(_) => self.sim.run(rt, &InsertOp(self), &k),
+            StructOp::Remove(_) => self.sim.run(rt, &RemoveOp(self), &k),
+            _ => self.sim.run(rt, &ContainsOp(self), &k),
+        })
+    }
+
+    fn drain_up_to(&self, rt: &mut CapsuleRuntime<'_, '_>, max: usize) -> Drain {
+        snapshot_up_to(&self.sim.mem(rt.thread()), self.head, max)
+    }
 }
 
 capsule_handles!(NormalizedSet, NormalizedSetHandle);
-
-impl NormalizedSetHandle<'_, '_, '_> {
-    /// Insert `k` (detectably); returns whether it was absent.
-    pub fn insert(&mut self, k: u64) -> bool {
-        self.shared.sim.run(&mut self.rt, &InsertOp(self.shared), &k)
-    }
-
-    /// Remove `k` (detectably); returns whether it was present.
-    pub fn remove(&mut self, k: u64) -> bool {
-        self.shared.sim.run(&mut self.rt, &RemoveOp(self.shared), &k)
-    }
-
-    /// Membership test (detectably reported).
-    pub fn contains(&mut self, k: u64) -> bool {
-        self.shared.sim.run(&mut self.rt, &ContainsOp(self.shared), &k)
-    }
-}
-
-impl StructHandle for NormalizedSetHandle<'_, '_, '_> {
-    fn apply(&mut self, op: StructOp) -> Option<u64> {
-        apply_keyed(self, op, Self::insert, Self::remove, Self::contains)
-    }
-
-    fn drain_up_to(&mut self, max: usize) -> Drain {
-        snapshot_up_to(&self.shared.sim.mem(self.rt.thread()), self.shared.head, max)
-    }
-}
 
 #[cfg(test)]
 mod tests {

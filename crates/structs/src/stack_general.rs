@@ -15,9 +15,7 @@ use delayfree::{CasReadSimulator, SharedMem};
 use pmem::{PAddr, PThread};
 use rcas::{RcasLayout, RcasSpace};
 
-use crate::api::{
-    apply_stack, capsule_handles, drain_by_pops, Capsuled, Drain, StructHandle, StructOp,
-};
+use crate::api::{capsule_handles, Capsuled, StructOp};
 use crate::node::{next_addr, value_addr, NODE_WORDS};
 use crate::stack::len_of;
 
@@ -159,35 +157,21 @@ impl Capsuled for GeneralStack {
     fn style(&self) -> BoundaryStyle {
         self.sim.style()
     }
+
+    fn apply(&self, rt: &mut CapsuleRuntime<'_, '_>, op: StructOp) -> Option<u64> {
+        match op {
+            StructOp::Push(value) => {
+                rt.set_local(L_VAL, value);
+                rt.run_op(S_START, |rt| self.push_step(rt));
+                None
+            }
+            StructOp::Pop => rt.run_op(P_START, |rt| self.pop_step(rt)),
+            other => panic!("stack handle cannot apply keyed operation {other:?}"),
+        }
+    }
 }
 
 capsule_handles!(GeneralStack, GeneralStackHandle);
-
-impl GeneralStackHandle<'_, '_, '_> {
-    /// Push `value` onto the stack (detectably: exactly-once under any crash
-    /// schedule).
-    pub fn push(&mut self, value: u64) {
-        let stack = self.shared;
-        self.rt.set_local(L_VAL, value);
-        self.rt.run_op(S_START, |rt| stack.push_step(rt))
-    }
-
-    /// Pop the top of the stack (detectably).
-    pub fn pop(&mut self) -> Option<u64> {
-        let stack = self.shared;
-        self.rt.run_op(P_START, |rt| stack.pop_step(rt))
-    }
-}
-
-impl StructHandle for GeneralStackHandle<'_, '_, '_> {
-    fn apply(&mut self, op: StructOp) -> Option<u64> {
-        apply_stack(self, op, Self::push, Self::pop)
-    }
-
-    fn drain_up_to(&mut self, max: usize) -> Drain {
-        drain_by_pops(max, || self.pop())
-    }
-}
 
 #[cfg(test)]
 mod tests {

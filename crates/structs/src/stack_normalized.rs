@@ -10,17 +10,14 @@
 //! same trick the normalized dequeue uses). An empty stack yields an empty CAS
 //! list and the wrap-up answers `None` directly.
 
-use capsules::BoundaryStyle;
+use capsules::{BoundaryStyle, CapsuleRuntime};
 use delayfree::{
     CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, SharedMem, WrapUp,
 };
 use pmem::{PAddr, PThread};
 use rcas::{RcasLayout, RcasSpace};
 
-use crate::api::{
-    apply_stack, capsule_handles, drain_by_pops, normalized_simulator, Capsuled, Drain,
-    StructHandle, StructOp,
-};
+use crate::api::{capsule_handles, normalized_simulator, Capsuled, StructOp};
 use crate::node::{next_addr, value_addr, NODE_WORDS};
 use crate::stack::len_of;
 
@@ -145,31 +142,20 @@ impl Capsuled for NormalizedStack {
     fn style(&self) -> BoundaryStyle {
         self.sim.style()
     }
+
+    fn apply(&self, rt: &mut CapsuleRuntime<'_, '_>, op: StructOp) -> Option<u64> {
+        match op {
+            StructOp::Push(value) => {
+                self.sim.run(rt, &PushOp(self), &value);
+                None
+            }
+            StructOp::Pop => self.sim.run(rt, &PopOp(self), &()),
+            other => panic!("stack handle cannot apply keyed operation {other:?}"),
+        }
+    }
 }
 
 capsule_handles!(NormalizedStack, NormalizedStackHandle);
-
-impl NormalizedStackHandle<'_, '_, '_> {
-    /// Push `value` onto the stack (detectably).
-    pub fn push(&mut self, value: u64) {
-        self.shared.sim.run(&mut self.rt, &PushOp(self.shared), &value)
-    }
-
-    /// Pop the top of the stack (detectably).
-    pub fn pop(&mut self) -> Option<u64> {
-        self.shared.sim.run(&mut self.rt, &PopOp(self.shared), &())
-    }
-}
-
-impl StructHandle for NormalizedStackHandle<'_, '_, '_> {
-    fn apply(&mut self, op: StructOp) -> Option<u64> {
-        apply_stack(self, op, Self::push, Self::pop)
-    }
-
-    fn drain_up_to(&mut self, max: usize) -> Drain {
-        drain_by_pops(max, || self.pop())
-    }
-}
 
 #[cfg(test)]
 mod tests {

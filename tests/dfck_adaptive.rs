@@ -32,7 +32,7 @@ use bench::dfck::{conc_replay, sweep, sweep_interleaved, sweep_system, ConcWorkl
 use bench::sweep::VictimPlans;
 
 fn adaptive_variants() -> Vec<Variant> {
-    Variant::all().into_iter().filter(|v| v.adaptive_capable()).collect()
+    Variant::swept().into_iter().filter(|v| v.adaptive_capable()).collect()
 }
 
 /// Site (a): with the fast path on (default), the single-thread pair sweep
@@ -146,8 +146,8 @@ fn sensitized_replays_are_deterministic_and_demote() {
         let r = conc_replay(variant, &w, 1, &VictimPlans::baseline(1), false);
         let again = conc_replay(variant, &w, 1, &VictimPlans::baseline(1), false);
         assert_eq!(r, again, "{variant:?}: sensitized replay must be deterministic");
-        assert!(r.demotions > 0, "{variant:?}: threshold-1 pair interleaving must demote");
-        assert!(r.fast_ops > 0, "{variant:?}: the non-demoted ops stay on the fast path");
+        assert!(r.counts.demotions > 0, "{variant:?}: threshold-1 pair interleaving must demote");
+        assert!(r.counts.fast_ops > 0, "{variant:?}: the non-demoted ops stay on the fast path");
     }
 }
 

@@ -57,7 +57,7 @@ fn scheduled_replays_are_bit_identical_for_the_same_seed() {
 #[test]
 fn scheduled_struct_replays_are_bit_identical_for_the_same_seed() {
     for threads in [2usize, 3] {
-        let stack = ConcWorkload::stack_pair(threads);
+        let stack = ConcWorkload::pair(threads);
         let set = ConcWorkload::set_pair(threads);
         for (variant, w) in [
             (Variant::StackGeneral, &stack),
@@ -85,7 +85,7 @@ fn scheduled_struct_replays_are_bit_identical_for_the_same_seed() {
 fn eight_seeds_yield_eight_distinct_interleavings_per_variant() {
     let seeds: Vec<u64> = (1..=8).collect();
     let w = ConcWorkload::pair(2);
-    for variant in Variant::all().into_iter().filter(|v| v.shape() == Shape::Fifo) {
+    for variant in Variant::swept().into_iter().filter(|v| v.shape() == Shape::Fifo) {
         let fingerprints: BTreeSet<u64> = seeds
             .iter()
             .map(|&s| {
@@ -99,7 +99,7 @@ fn eight_seeds_yield_eight_distinct_interleavings_per_variant() {
             "{variant:?}: seeds must map to distinct interleavings"
         );
     }
-    let sw = ConcWorkload::stack_pair(2);
+    let sw = ConcWorkload::pair(2);
     let fingerprints: BTreeSet<u64> = seeds
         .iter()
         .map(|&s| {
@@ -164,7 +164,7 @@ fn bounded_interleaved_sweeps_pass_the_linearization_oracle() {
             assert_eq!(report.covictim_crashes, 0);
         }
     }
-    let sw = ConcWorkload::stack_pair(2);
+    let sw = ConcWorkload::pair(2);
     for system in [false, true] {
         let report = sweep_interleaved(Variant::StackGeneral, &sw, &seeds, &[], system);
         assert!(
@@ -186,7 +186,7 @@ fn bounded_interleaved_sweeps_pass_the_linearization_oracle() {
 fn bounded_interleaved_sweeps_pass_for_the_normalized_stack_and_the_sets() {
     let seeds = [1u64, 2];
     for (variant, w) in [
-        (Variant::StackNormalized, ConcWorkload::stack_pair(2)),
+        (Variant::StackNormalized, ConcWorkload::pair(2)),
         (Variant::SetGeneral, ConcWorkload::set_pair(2)),
         (Variant::SetNormalized, ConcWorkload::set_pair(2)),
     ] {
@@ -235,7 +235,7 @@ fn multi_victim_sweeps_crash_two_pids_and_pass_the_oracle() {
     let again = conc_replay(Variant::General, &w, 4, &plans, false);
     assert_eq!(r, again, "multi-victim replay must be deterministic");
     assert!(r.victim_crashes >= 1, "victim plan must fire");
-    assert!(r.covictim_crashes >= 1, "co-victim plan must fire");
+    assert!(r.counts.covictim_crashes >= 1, "co-victim plan must fire");
     // Sweep-level: every (seed × crash point) cell with a co-victim crash in
     // the mix passes the oracle, and the engine counted the co-victim fires.
     let seeds = [1u64, 2];
@@ -263,7 +263,7 @@ fn multi_victim_sweeps_crash_two_pids_and_pass_the_oracle() {
 fn four_thread_system_crash_kills_parked_peers_at_their_next_yield() {
     let w = ConcWorkload::pair(4);
     let baseline = conc_replay(Variant::General, &w, 11, &VictimPlans::baseline(0), true);
-    assert_eq!(baseline.crashes, 0);
+    assert_eq!(baseline.counts.crashes, 0);
     let k = baseline.victim_crash_points / 2;
     let plans = VictimPlans::scripted(0, CrashPlan::nested(k, &[]));
     let crashed = conc_replay(Variant::General, &w, 11, &plans, true);
@@ -271,11 +271,11 @@ fn four_thread_system_crash_kills_parked_peers_at_their_next_yield() {
     assert_eq!(crashed, again, "4-thread kill delivery must be deterministic");
     assert!(crashed.victim_crashes >= 1, "the scripted crash must fire");
     assert!(
-        crashed.crashes > crashed.victim_crashes,
+        crashed.counts.crashes > crashed.victim_crashes,
         "a full-system crash at 4 threads must kill parked peers too \
          (victim {} vs total {})",
         crashed.victim_crashes,
-        crashed.crashes
+        crashed.counts.crashes
     );
     // Exactly-once still holds: the detectable variant completes every
     // operation despite three peers being killed mid-window.
@@ -303,7 +303,7 @@ fn four_thread_kill_delivery_skips_finished_peers() {
         assert_eq!(crashed, again, "k={k}: late-window kill must be deterministic");
         assert!(crashed.victim_crashes >= 1, "k={k}: the scripted crash must fire");
         assert!(
-            crashed.crashes <= 4,
+            crashed.counts.crashes <= 4,
             "k={k}: each pid can crash at most once for a single scripted system crash"
         );
     }

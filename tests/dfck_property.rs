@@ -87,7 +87,7 @@ fn sampled_workloads_pass_the_struct_sweep_on_rotating_variants() {
         // resizes mid-sweep.
         let stack = variant.shape() == Shape::Lifo;
         let workload = if stack {
-            Workload::stack_seeded_full(seed, ops, prefill, base)
+            Workload::seeded_full(seed, ops, prefill, base)
         } else {
             Workload::set_seeded_full(seed, ops, prefill, base)
         };

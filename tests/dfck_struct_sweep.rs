@@ -15,12 +15,12 @@ use structs::{
 };
 
 fn struct_variants() -> impl Iterator<Item = Variant> {
-    Variant::all().into_iter().filter(|v| v.shape() != Shape::Fifo)
+    Variant::swept().into_iter().filter(|v| v.shape() != Shape::Fifo)
 }
 
 fn pair_for(variant: Variant) -> Workload {
     match variant.shape() {
-        Shape::Fifo | Shape::Lifo => Workload::stack_pair(),
+        Shape::Fifo | Shape::Lifo => Workload::pair(),
         Shape::Set => Workload::set_pair(),
         // The map's pair analogue additionally crosses a bucket-array resize
         // inside the swept window (tiny bucket array, sixth insert trips the
@@ -103,7 +103,7 @@ fn system_crash_pair_sweep_passes_for_every_struct_variant() {
 fn depth2_nested_crash_schedules_pass_on_set_general_and_stack_normalized() {
     for (variant, workload) in [
         (Variant::SetGeneral, Workload::set_pair()),
-        (Variant::StackNormalized, Workload::stack_pair()),
+        (Variant::StackNormalized, Workload::pair()),
     ] {
         for system in [false, true] {
             let report = sweep_plan(variant, &workload, &[0, 0], system);
@@ -133,7 +133,7 @@ fn depth2_nested_crash_schedules_pass_on_set_general_and_stack_normalized() {
 fn all_three_constructions_of_each_shape_agree_op_for_op() {
     for shape_is_stack in [true, false] {
         let w = if shape_is_stack {
-            Workload::stack_seeded(11, 40)
+            Workload::seeded(11, 40)
         } else {
             Workload::set_seeded(11, 40)
         };
@@ -206,7 +206,7 @@ fn seeded_multi_op_sweep_is_exact_for_detectable_struct_variants() {
         Variant::MapNormalized,
     ] {
         let workload = if variant.shape() == Shape::Lifo {
-            Workload::stack_seeded(7, 6)
+            Workload::seeded(7, 6)
         } else {
             Workload::set_seeded(7, 6)
         };

@@ -56,12 +56,16 @@ fn measure_cas_persist_points(durable: bool) -> u64 {
 }
 
 /// Run the increment with a crash pinned between the persisted publish and the
-/// next instruction, then a full-system power failure, then recovery. Returns
-/// the final value: 1 is exactly-once, 2 is the duplicate.
-fn pinned_publish_crash_scenario(durable: bool) -> u64 {
+/// next instruction, then a full-system power failure, then recovery, with both
+/// persist-order checkers armed. Returns the final value — 1 is exactly-once, 2
+/// is the duplicate — and the [`pmem::FlushAuditor`]'s and the
+/// [`pmem::HbAnalyzer`]'s flag counts.
+fn pinned_publish_crash_scenario(durable: bool) -> (u64, u64, u64) {
     install_quiet_crash_hook();
     let n = measure_cas_persist_points(durable);
     let mem = shared_cache(1);
+    mem.flush_auditor().arm();
+    mem.hb().arm();
     let t = mem.thread(0);
     let space = RcasSpace::with_default_layout(&t, 1).with_durability(durable);
     let x = space.create(&t, 0).addr();
@@ -79,30 +83,38 @@ fn pinned_publish_crash_scenario(durable: bool) -> u64 {
     t.disarm_crashes();
     mem.crash_all(); // power failure: every unflushed line rolls back
     let _ = mem.take_crashed(0);
-    recover_and_finish(&space, &t, x)
+    let value = recover_and_finish(&space, &t, x);
+    (value, mem.flush_auditor().flags(), mem.hb().flags())
 }
 
 /// The descriptor/announcement flush gap, reproduced deterministically: without
 /// the durable-announcement discipline the rollback reverts the announcement
 /// word while the installed triple stays durable, `check_recovery` reports
 /// *not done*, and the operation is applied twice.
+///
+/// This is also the bug class's checker test at protocol level: the auditor
+/// flags the published-but-unflushed announcement line at the power failure,
+/// exactly once. The happens-before analyzer does not — it tracks exposure of
+/// plain words, and an announcement word is a synchronization word — which is
+/// why the auditor cannot be retired yet (ROADMAP, persist-order checker item).
 #[test]
 fn pinned_crash_after_publish_duplicates_without_the_flush_discipline() {
+    let (value, audit_flags, _) = pinned_publish_crash_scenario(false);
     assert_eq!(
-        pinned_publish_crash_scenario(false),
-        2,
+        value, 2,
         "without durable announcements the pre-fix duplicate must reproduce \
          (if this now reports 1, the relaxed mode became durable and this \
          regression pin should move into the durable test)"
     );
+    assert_eq!(audit_flags, 1, "the auditor must flag the unflushed announcement line");
 }
 
 /// Same pinned schedule with the discipline on: the announcement was flushed
-/// before the publishing CAS, so recovery sees the success and the increment is
-/// exactly-once.
+/// before the publishing CAS, so recovery sees the success, the increment is
+/// exactly-once, and both checkers stay silent.
 #[test]
 fn pinned_crash_after_publish_is_exactly_once_with_the_flush_discipline() {
-    assert_eq!(pinned_publish_crash_scenario(true), 1);
+    assert_eq!(pinned_publish_crash_scenario(true), (1, 0, 0));
 }
 
 /// The full window, not just the single pinned point: crash at *every* crash

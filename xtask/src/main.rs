@@ -4,7 +4,7 @@
 //!
 //! * `lint-static` (default): walk every first-party `.rs` file (the
 //!   `crates/`, `tests/`, `examples/` and `xtask/` trees — `third_party/`
-//!   mirrors external crates and is exempt) and assert two comment
+//!   mirrors external crates and is exempt) and assert three source
 //!   disciplines that `rustc`/`clippy` cannot check:
 //!
 //!   1. every `unsafe` block, fn, impl or trait carries a `// SAFETY:`
@@ -15,7 +15,12 @@
 //!      justifying why the strongest ordering is needed — the simulator's
 //!      whole point is modelling *weaker* persist orderings, so an
 //!      unexplained `SeqCst` is either load-bearing (document it) or
-//!      cargo-culted (weaken it).
+//!      cargo-culted (weaken it);
+//!   3. the library crates ([`LIBRARY_CRATES`] — everything the benchmark
+//!      measures) read the process environment only for the checker arming
+//!      switches in [`LIBRARY_ENV_KNOBS`]: a behaviour switch read inside a
+//!      library changes what every harness measures without any of them
+//!      saying so. Harness knobs belong in `bench` / `service`.
 //!
 //! Exits non-zero listing every violating `file:line`. CI runs this as the
 //! `lint-static` step.
@@ -24,6 +29,14 @@ use std::path::{Path, PathBuf};
 
 /// First-party source roots, relative to the repo root.
 const ROOTS: [&str; 4] = ["crates", "tests", "examples", "xtask"];
+
+/// The crates under `crates/` that are libraries of the system itself (as
+/// opposed to harnesses around it).
+const LIBRARY_CRATES: [&str; 6] = ["pmem", "rcas", "capsules", "core", "queues", "structs"];
+
+/// The only environment variables a library crate may read: they arm
+/// checkers, they do not change what the checked code does.
+const LIBRARY_ENV_KNOBS: [&str; 2] = ["\"DF_HB\"", "\"DF_FLUSH_AUDIT\""];
 
 fn main() {
     let task = std::env::args().nth(1).unwrap_or_else(|| "lint-static".into());
@@ -165,7 +178,9 @@ fn code_has_unsafe(code: &str) -> bool {
 }
 
 fn lint_file(root: &Path, file: &Path, text: &str, violations: &mut Vec<String>) {
-    let rel = file.strip_prefix(root).unwrap_or(file).display();
+    let rel = file.strip_prefix(root).unwrap_or(file);
+    let library = LIBRARY_CRATES.iter().any(|c| rel.starts_with(Path::new("crates").join(c)));
+    let rel = rel.display();
     let lines: Vec<&str> = text.lines().collect();
     for (i, line) in lines.iter().enumerate() {
         let view = split_line(line);
@@ -183,6 +198,18 @@ fn lint_file(root: &Path, file: &Path, text: &str, violations: &mut Vec<String>)
             violations.push(format!(
                 "{rel}:{}: `SeqCst` without a per-site ordering comment",
                 i + 1
+            ));
+        }
+        // The knob name is a string literal on the call's own line (blanked
+        // out of `view.code`, so look at the raw line).
+        if library
+            && view.code.contains("env::var")
+            && !LIBRARY_ENV_KNOBS.iter().any(|knob| line.contains(knob))
+        {
+            violations.push(format!(
+                "{rel}:{}: a library crate reads the environment (allowed: {})",
+                i + 1,
+                LIBRARY_ENV_KNOBS.join(", ")
             ));
         }
     }
@@ -229,6 +256,26 @@ mod tests {
     fn mentions_inside_comments_and_docs_are_ignored() {
         assert!(lint("// the simulator never needs unsafe { } here\n").is_empty());
         assert!(lint("/// compiles SeqCst stores to xchg\nfn f() {}\n").is_empty());
+    }
+
+    #[test]
+    fn library_crates_may_read_only_the_checker_arming_knobs() {
+        let lint_at = |path: &str, text: &str| {
+            let mut v = Vec::new();
+            lint_file(Path::new("/r"), Path::new(path), text, &mut v);
+            v
+        };
+        let switch = "let on = std::env::var_os(\"DF_ADAPTIVE\").is_some();\n";
+        let v = lint_at("/r/crates/capsules/src/contention.rs", switch);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("contention.rs:1") && v[0].contains("DF_HB"), "{v:?}");
+        assert_eq!(lint_at("/r/crates/core/src/lib.rs", "for (k, _) in std::env::vars() {}\n").len(), 1);
+        // The arming switches are allowed, harness crates are not libraries,
+        // and a mention in a comment is not a read.
+        let arm = "if let Some(v) = std::env::var_os(\"DF_HB\") {}\n";
+        assert!(lint_at("/r/crates/pmem/src/mem.rs", arm).is_empty());
+        assert!(lint_at("/r/crates/bench/src/lib.rs", switch).is_empty());
+        assert!(lint_at("/r/crates/rcas/src/lib.rs", "// no std::env::var here\n").is_empty());
     }
 
     #[test]

@@ -243,7 +243,7 @@ fn main() {
             // The adaptive fast path is on by default, and an uncontended
             // single-threaded replay never demotes — so the rows above crash
             // the fast path at every point. These extra rows pin the replayed
-            // queues to the full simulator so the slow path keeps dedicated
+            // structures to the full simulator so the slow path keeps dedicated
             // single-threaded crash coverage too.
             if variant.adaptive_capable() {
                 for workload in &workloads {

@@ -281,13 +281,18 @@ impl Variant {
         )
     }
 
-    /// Whether the variant has a contention-adaptive fast path (the four
-    /// swept capsule queues). Only these get the extra slow-path-pinned sweep
+    /// Whether the variant has a contention-adaptive fast path (the swept
+    /// capsule queues, stacks and maps — every one-CAS structure; the list set
+    /// does not run it yet). Only these get the extra slow-path-pinned sweep
     /// rows — the fast path is the default, so the simulator-only route would
     /// otherwise lose single-threaded crash coverage.
     pub fn adaptive_capable(&self) -> bool {
         use Variant::*;
-        matches!(self, General | GeneralOpt | Normalized | NormalizedOpt)
+        matches!(
+            self,
+            General | GeneralOpt | Normalized | NormalizedOpt | StackGeneral | StackNormalized
+                | MapGeneral | MapNormalized
+        )
     }
 
     /// The options every thread handle driving this variant is created with.
@@ -317,8 +322,8 @@ pub struct Workload {
     pub prefill: Vec<u64>,
     /// The operations executed inside the swept window.
     pub ops: Vec<StructOp>,
-    /// Whether replayed capsule queues keep their contention-adaptive fast
-    /// path (the default). [`Workload::slow_path`] pins it off so the matrix
+    /// Whether replayed capsule structures keep their contention-adaptive
+    /// fast path (the default). [`Workload::slow_path`] pins it off so the matrix
     /// retains dedicated simulator-route crash coverage — an uncontended
     /// adaptive replay never demotes, so without these rows the slow path
     /// would only ever be crashed through interleaved sweeps.
@@ -435,7 +440,7 @@ impl Workload {
         }
     }
 
-    /// Pin the replayed queues to the full simulator (adaptive fast path
+    /// Pin the replayed structures to the full simulator (adaptive fast path
     /// off), relabelling the workload so reports and JSON rows stay
     /// distinguishable from their adaptive twins.
     pub fn slow_path(mut self) -> Workload {
@@ -443,6 +448,7 @@ impl Workload {
         self.name = match self.name {
             "pair" => "pair-slow",
             "multi" => "multi-slow",
+            "map-resize" => "map-resize-slow",
             other => other,
         };
         self
@@ -469,7 +475,7 @@ pub struct ConcWorkload {
     pub prefill: Vec<u64>,
     /// Per-pid operation sequences; `per_pid.len()` is the process count.
     pub per_pid: Vec<Vec<StructOp>>,
-    /// Contention-trip-threshold override for the adaptive capsule queues
+    /// Contention-trip-threshold override for the adaptive capsule variants
     /// (`None` = the production policy). The sensitized demotion sweeps set
     /// this to 1 so *any* lost fast-path CAS demotes the operation, making
     /// the fast→slow demotion boundary deterministically reachable under the
@@ -541,7 +547,7 @@ impl ConcWorkload {
         }
     }
 
-    /// Sensitize the adaptive capsule queues' contention policy: a trip
+    /// Sensitize the adaptive capsule variants' contention policy: a trip
     /// threshold of 1 makes every lost fast-path CAS demote its operation,
     /// so the interleaved sweeps crash the demotion boundary rather than
     /// hoping the production streak (2 consecutive losses) ever trips inside
@@ -551,6 +557,7 @@ impl ConcWorkload {
         self.name = match self.name {
             "conc-pair" => "conc-pair-trip1",
             "conc-multi" => "conc-multi-trip1",
+            "conc-map" => "conc-map-trip1",
             other => other,
         };
         self
@@ -620,9 +627,9 @@ pub enum Built {
 /// replays and the throughput runner. `t` allocates the structure for `nprocs`
 /// processes; `map` sizes the map variants' bucket array; `nodes` bounds the
 /// elements ever added (Romulus sizes its region up front; nothing else looks);
-/// `adaptive` and `trip_threshold` configure the capsule queues'
-/// contention-adaptive fast path (`None` keeps the production contention
-/// policy) and mean nothing to the other variants.
+/// `adaptive` and `trip_threshold` configure the contention-adaptive fast path
+/// of the variants that have one ([`Variant::adaptive_capable`]; `None` keeps
+/// the production contention policy) and mean nothing to the others.
 pub fn build(
     variant: Variant,
     t: &PThread<'_>,
@@ -640,28 +647,37 @@ pub fn build(
         GeneralIzraelevitz | NormalizedIzraelevitz => Durability::None,
         _ => Durability::Manual,
     };
+    // The fast-path configuration of the variants that have one.
+    macro_rules! tuned {
+        ($s:expr) => {
+            $s.with_adaptive(adaptive).with_contention(policy)
+        };
+    }
     match variant {
         Msq | IzraelevitzMsq => Built::Msq(MsQueue::new(t)),
         GeneralIzraelevitz | General | GeneralOpt => {
             let style = BoundaryStyle::opt(variant == GeneralOpt);
-            let q = GeneralQueue::new(t, nprocs, durability, style);
-            Built::GeneralQueue(q.with_adaptive(adaptive).with_contention(policy))
+            Built::GeneralQueue(tuned!(GeneralQueue::new(t, nprocs, durability, style)))
         }
         NormalizedIzraelevitz | Normalized | NormalizedOpt => {
-            let q = NormalizedQueue::new(t, nprocs, durability, variant == NormalizedOpt);
-            Built::NormalizedQueue(q.with_adaptive(adaptive).with_contention(policy))
+            let optimised = variant == NormalizedOpt;
+            Built::NormalizedQueue(tuned!(NormalizedQueue::new(t, nprocs, durability, optimised)))
         }
         LogQueue => Built::Log(queues::LogQueue::new(t, nprocs)),
         Romulus => Built::Romulus(RomulusQueue::new(t, nodes)),
         StackIzraelevitz => Built::Stack(TreiberStack::new(t)),
-        StackGeneral => Built::GeneralStack(GeneralStack::new(t, nprocs, true, general)),
-        StackNormalized => Built::NormalizedStack(NormalizedStack::new(t, nprocs, true, false)),
+        StackGeneral => Built::GeneralStack(tuned!(GeneralStack::new(t, nprocs, true, general))),
+        StackNormalized => {
+            Built::NormalizedStack(tuned!(NormalizedStack::new(t, nprocs, true, false)))
+        }
         SetIzraelevitz => Built::Set(ListSet::new(t)),
         SetGeneral => Built::GeneralSet(GeneralSet::new(t, nprocs, true, general)),
         SetNormalized => Built::NormalizedSet(NormalizedSet::new(t, nprocs, true, false)),
         MapIzraelevitz => Built::Map(DetMap::new(t, map)),
-        MapGeneral => Built::GeneralMap(GeneralDetMap::new(t, nprocs, map, true, general)),
-        MapNormalized => Built::NormalizedMap(NormalizedDetMap::new(t, nprocs, map, true, false)),
+        MapGeneral => Built::GeneralMap(tuned!(GeneralDetMap::new(t, nprocs, map, true, general))),
+        MapNormalized => {
+            Built::NormalizedMap(tuned!(NormalizedDetMap::new(t, nprocs, map, true, false)))
+        }
     }
 }
 

@@ -385,9 +385,10 @@ mod tests {
     #[test]
     fn opt_variants_use_fewer_fences_than_their_bases() {
         // This asserts on the *simulators'* instruction profiles, so pin the
-        // slow path: under the adaptive fast path the General and Normalized
-        // constructions converge to the same single-CAS profile when
-        // uncontended (their remaining difference is the boundary style).
+        // slow path: under the adaptive fast path (the default of every
+        // one-CAS structure — queues, stacks and maps) the General and
+        // Normalized constructions converge to the same single-CAS profile
+        // when uncontended (their remaining difference is the boundary style).
         let general = slow_path_fences_per_op(Variant::General);
         assert!(slow_path_fences_per_op(Variant::GeneralOpt) < general);
         let normalized = slow_path_fences_per_op(Variant::Normalized);

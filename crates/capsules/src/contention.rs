@@ -2,7 +2,9 @@
 //!
 //! The capsule transformation pays for crash-invisibility with boundaries and
 //! per-CAS announcement work on *every* operation, contended or not. The
-//! adaptive variants instead try each operation as a single un-checkpointed
+//! adaptive variants — every one-CAS structure of both capsule constructions:
+//! the queues, the stacks and the maps, all through the one driver in
+//! `delayfree::fast` — instead try each operation as a single un-checkpointed
 //! fast capsule first (one evidence-carrying recoverable CAS, no intermediate
 //! boundaries) and only fall back to the full simulator when the fast CAS
 //! keeps losing — i.e. when the structure is actually contended and the

@@ -18,16 +18,18 @@
 //! The simulator owns every decision of the construction that is not the
 //! transformed program's own: which frame layout handles use, whether flushes are
 //! hand-placed and which of their fences the `-Opt` style may drop, how a capsule
-//! CAS, a helping CAS ([`mem`](CasReadSimulator::mem)) and the contention-adaptive
-//! fast CAS are issued and persisted, and how a crash inside a fast capsule is
-//! triaged. A transformed
-//! structure holds one simulator and writes only its capsules.
+//! CAS and a helping CAS ([`mem`](CasReadSimulator::mem)) are issued and
+//! persisted, and the contention-adaptive fast capsule
+//! ([`fast_capsule`](CasReadSimulator::fast_capsule)). A transformed structure
+//! holds one simulator and writes only its capsules.
 
-use capsules::{recoverable_cas, BoundaryStyle, CapsuleRuntime, ContentionMeasure};
+use capsules::{recoverable_cas, BoundaryStyle, CapsuleRuntime, CapsuleStep, ContentionMeasure};
 use pmem::{PAddr, PThread};
-use rcas::{CasEvidence, RcasSpace};
+use rcas::RcasSpace;
 
+use crate::fast::{fast_capsule, Attempt, Proposal};
 use crate::mem::RcasMem;
+use crate::normalized::CasDesc;
 
 /// The Low-Computation-Delay (CAS-Read) simulator.
 #[derive(Clone, Copy, Debug)]
@@ -68,7 +70,7 @@ impl CasReadSimulator {
     }
 
     /// Let uncontended operations run as one un-checkpointed fast capsule
-    /// ([`enter`](Self::enter)).
+    /// ([`enter`](Self::enter), [`fast_capsule`](Self::fast_capsule)).
     pub fn with_adaptive(mut self, adaptive: bool) -> CasReadSimulator {
         self.adaptive = adaptive;
         self
@@ -130,28 +132,22 @@ impl CasReadSimulator {
         ok
     }
 
-    /// The single evidence-carrying CAS of a fast capsule: takes a fresh
-    /// sequence number, and on success credits the handle's contention measure
-    /// and persists the target line. `aux` rides the evidence so a post-CAS
-    /// crash can still report the operation's result
-    /// ([`recover_fast`](Self::recover_fast)).
-    pub fn fast_cas(
+    /// Run one contention-adaptive fast capsule ([`fast`](crate::fast): crash
+    /// triage, then propose → evidence-carrying CAS → persist → finish,
+    /// demoting to `slow_pc` under contention). CAS targets are persisted with
+    /// [`persist_line`](Self::persist_line); `finish` runs once the CAS took
+    /// effect (a CAS-Read operation never completes on a lost CAS).
+    pub fn fast_capsule<R>(
         &self,
         rt: &mut CapsuleRuntime<'_, '_>,
-        addr: PAddr,
-        expected: u64,
-        new: u64,
-        aux: u64,
-    ) -> bool {
-        let seq = rt.advance_seq();
-        let ok = self
-            .space
-            .cas_with_evidence(rt.thread(), addr, expected, new, seq, aux);
-        if ok {
-            rt.contention_mut().record_success();
-            self.persist_line(rt.thread(), addr);
-        }
-        ok
+        slow_pc: u32,
+        propose: impl FnMut(&mut CapsuleRuntime<'_, '_>) -> Proposal<R>,
+        mut finish: impl FnMut(&mut CapsuleRuntime<'_, '_>, &CasDesc, Attempt) -> R,
+    ) -> CapsuleStep<R> {
+        let persist = |t: &PThread<'_>, addr| self.persist_line(t, addr);
+        fast_capsule(rt, &self.space, persist, slow_pc, propose, |rt, cas, attempt| {
+            attempt.took_effect().then(|| finish(rt, cas, attempt))
+        })
     }
 
     /// A shared read of a recoverable-CAS-formatted word. Reads are invisible and
@@ -213,39 +209,12 @@ impl CasReadSimulator {
             slow
         }
     }
-
-    /// Crash triage of a fast capsule (see [`recover_fast`]).
-    pub fn recover_fast(&self, rt: &mut CapsuleRuntime<'_, '_>) -> Option<CasEvidence> {
-        recover_fast(rt, &self.space)
-    }
-}
-
-/// Crash triage of a fast capsule, from the announcement line alone: returns
-/// `Some(evidence)` when the crash interrupted *this* operation's
-/// evidence-carrying CAS and that CAS took effect (the operation is complete up
-/// to re-persisting `evidence.x` and its final boundary); `None` means no
-/// durable effect escaped and the capsule may simply run again. Either way the
-/// runtime's sequence number is raised past every announced attempt, so no
-/// sequence number is ever reused. Shared by both simulators' fast paths.
-pub(crate) fn recover_fast(rt: &mut CapsuleRuntime<'_, '_>, space: &RcasSpace) -> Option<CasEvidence> {
-    let t = rt.thread();
-    // Honour the sharding contract: a recovering process re-runs the notify
-    // step for its own announcement group before consulting its own state.
-    let _ = space.help_group(t);
-    let ann = space.announcement(t);
-    if ann.seq <= rt.seq() {
-        return None; // crash hit before this op announced anything
-    }
-    rt.sync_seq(ann.seq);
-    let ev = space.evidence(t)?;
-    // Announced but never took durable effect: retry.
-    (ev.result.seq == ann.seq && space.recover(t, ev.x).flag).then_some(ev)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use capsules::{BoundaryStyle, CapsuleStep};
+    use capsules::BoundaryStyle;
     use pmem::{install_quiet_crash_hook, CrashPolicy, PMem};
 
     /// The canonical CAS-Read encapsulation of a fetch-and-increment: capsule 0

@@ -142,13 +142,15 @@ mod tests {
                 }
                 1 => {
                     let v = rt.local(0);
-                    let ok = sim.cas(rt, x, v, v + 1, 1, 2);
-                    if ok {
-                        CapsuleStep::Continue
-                    } else {
-                        rt.boundary(0);
-                        CapsuleStep::Continue
-                    }
+                    sim.cas(rt, x, v, v + 1, 1, 2);
+                    CapsuleStep::Continue
+                }
+                // The branch on the CAS's persisted result is a capsule of its
+                // own: pc 2 must not mean "done" while a lost CAS still has
+                // to be retried, or a crash right here drops the increment.
+                2 if rt.local(1) == 0 => {
+                    rt.boundary(0);
+                    CapsuleStep::Continue
                 }
                 2 => CapsuleStep::Done(()),
                 pc => unreachable!("pc {pc}"),

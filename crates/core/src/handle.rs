@@ -273,3 +273,34 @@ macro_rules! capsule_handles {
         }
     };
 }
+
+/// Give a capsule-transformed structure that keeps its simulator in a `sim`
+/// field the three builder names of the contention-adaptive fast path.
+#[macro_export]
+macro_rules! adaptive_builders {
+    ($shared:ident) => {
+        impl $shared {
+            /// Turn the contention-adaptive fast path off (or back on; it is on
+            /// by default): the `dfck` slow-path rows and the tests that
+            /// compare the simulators pin operations to the full state machine.
+            pub fn with_adaptive(mut self, adaptive: bool) -> Self {
+                self.sim = self.sim.with_adaptive(adaptive);
+                self
+            }
+
+            /// Override the contention policy handles start with (the
+            /// sensitized `dfck` sweeps lower the trip threshold to 1 so any
+            /// lost fast-path CAS deterministically exercises the fast→slow
+            /// demotion boundary).
+            pub fn with_contention(mut self, policy: capsules::ContentionMeasure) -> Self {
+                self.sim = self.sim.with_contention(policy);
+                self
+            }
+
+            /// Whether handles try the contention-adaptive fast path.
+            pub fn adaptive(&self) -> bool {
+                self.sim.adaptive()
+            }
+        }
+    };
+}

@@ -11,15 +11,17 @@
 //! * [`CasReadSimulator`] (§6) — the Low-Computation-Delay simulator: capsule
 //!   boundaries only where required by the CAS-Read discipline (one CAS at the head
 //!   of a capsule, reads afterwards), trading recovery delay for fewer boundaries.
-//!   It owns the construction's flush discipline, its capsule / helping / fast
-//!   CASes and the fast path's crash triage; a transformed structure writes only
-//!   its capsules.
+//!   It owns the construction's flush discipline and its capsule / helping
+//!   CASes; a transformed structure writes only its capsules.
 //! * [`NormalizedSimulator`] (§7, Algorithm 4) — for normalized lock-free data
 //!   structures (CAS generator / CAS executor / wrap-up): one capsule boundary per
 //!   iteration of the operation's retry loop.
 //!
 //! plus:
 //!
+//! * [`fast`] — the contention-adaptive fast capsule both simulators run an
+//!   uncontended single-CAS operation as (one evidence-carrying CAS, no
+//!   intermediate boundary),
 //! * [`SharedMem`] — the one word-access face parallelizable code (searches,
 //!   traversals, helping, resize machinery) is written over, so each structure's
 //!   protocol exists once and its three constructions differ only in the face
@@ -93,6 +95,7 @@
 pub mod cas_read;
 pub mod constant_delay;
 pub mod delay;
+pub mod fast;
 pub mod handle;
 pub mod mem;
 pub mod normalized;
@@ -101,6 +104,7 @@ pub mod writes;
 pub use cas_read::CasReadSimulator;
 pub use constant_delay::ConstantDelaySimulator;
 pub use delay::{DelayReport, RecoveryProbe};
+pub use fast::{Attempt, Proposal};
 pub use handle::{Capsuled, Drain, Handle, StructHandle, StructOp};
 pub use mem::{RcasMem, SharedMem};
 pub use normalized::{

@@ -20,11 +20,13 @@
 //! *anonymous* CAS ([`SharedMem::help_cas`] on [`NormalizedCtx::mem`]) in the parallelizable parts so
 //! that executor notifications are never clobbered (§7).
 
+use std::cell::RefCell;
+
 use capsules::{BoundaryStyle, CapsuleRuntime, CapsuleStep, ContentionMeasure};
 use pmem::{PAddr, PThread};
 use rcas::{check_recovery, RcasSpace};
 
-use crate::cas_read::recover_fast;
+use crate::fast::{fast_capsule, Attempt, Proposal};
 use crate::mem::{RcasMem, SharedMem};
 
 /// One entry of a CAS list: CAS `obj` from `expected` to `new`. The `aux` word is
@@ -333,10 +335,7 @@ impl NormalizedSimulator {
         };
         rt.run_op(entry, |rt| {
             match rt.pc() {
-                PC_FAST => match self.run_fast(rt, op, input, &mut cached) {
-                    Some(out) => CapsuleStep::Done(out),
-                    None => CapsuleStep::Continue,
-                },
+                PC_FAST => self.run_fast(rt, op, input, &mut cached),
                 PC_GEN => {
                     let list = op.generator(&mut NormalizedCtx::new(rt, self), input);
                     self.persist_list_and_boundary(rt, &list);
@@ -389,90 +388,66 @@ impl NormalizedSimulator {
         })
     }
 
-    /// The contention-adaptive fast capsule: run the whole operation without
-    /// intermediate boundaries as long as the generator proposes at most one
-    /// CAS. Returns `Some(out)` when the operation finished (the final
-    /// boundary has been emitted), `None` when it demoted itself to the full
-    /// simulator (a boundary to `PC_GEN` or `PC_EXEC` has been emitted).
+    /// The contention-adaptive fast capsule ([`fast`](crate::fast)): the
+    /// generator is its *propose* as long as it proposes at most one CAS, the
+    /// wrap-up its *finish*. A multi-CAS list is handed to the full executor
+    /// machinery through the pre-executor boundary; contention demotes to
+    /// `PC_GEN`.
     fn run_fast<O: NormalizedOp>(
         &self,
         rt: &mut CapsuleRuntime<'_, '_>,
         op: &O,
         input: &O::Input,
         cached: &mut Option<CasList>,
-    ) -> Option<O::Output> {
-        if rt.crashed() {
-            if let Some(ev) = recover_fast(rt, &self.space) {
-                // The fast CAS took effect: re-persist its target (the
-                // original flush may have been interrupted), rebuild the
-                // one-entry list from the evidence and let the wrap-up finish
-                // the operation.
-                if self.durable {
-                    rt.thread().persist(ev.x);
-                }
-                let list = vec![CasDesc {
-                    obj: ev.x,
-                    expected: ev.expected,
-                    new: ev.new,
-                    aux: ev.aux,
-                }];
-                let wrap = op.wrap_up(&mut NormalizedCtx::new(rt, self), input, &list, 1);
-                if let WrapUp::Done(out) = wrap {
-                    rt.set_local(L_OUT, out.to_word());
-                    rt.finish_boundary(PC_DONE);
-                    return Some(out);
-                }
-                // A wrap-up that restarts even though every CAS of its list
-                // succeeded (not the MSQ, but legal): fall through and run the
-                // loop below from a clean slate.
-            }
-            // No durable effect escaped the crash: plain retry is safe.
-        }
-        loop {
-            let list = op.generator(&mut NormalizedCtx::new(rt, self), input);
-            if list.len() > 1 {
-                // The fast path only covers single-CAS operations; hand the
-                // multi-CAS list to the full executor machinery.
-                self.persist_list_and_boundary(rt, &list);
-                *cached = Some(list);
-                return None;
-            }
-            let mut failed = false;
-            let executed = match list.first() {
-                Some(c) => {
-                    let seq = rt.advance_seq();
-                    if self
-                        .space
-                        .cas_with_evidence(rt.thread(), c.obj, c.expected, c.new, seq, c.aux)
-                    {
-                        if self.durable {
-                            rt.thread().persist(c.obj);
-                        }
-                        rt.contention_mut().record_success();
-                        1
-                    } else {
-                        failed = true;
-                        0
-                    }
-                }
-                None => 0,
-            };
-            let wrap = op.wrap_up(&mut NormalizedCtx::new(rt, self), input, &list, executed);
-            match wrap {
+    ) -> CapsuleStep<O::Output> {
+        let wrap_up = |rt: &mut CapsuleRuntime<'_, '_>, list: &CasList, executed| {
+            match op.wrap_up(&mut NormalizedCtx::new(rt, self), input, list, executed) {
                 WrapUp::Done(out) => {
                     rt.set_local(L_OUT, out.to_word());
                     rt.finish_boundary(PC_DONE);
-                    return Some(out);
+                    Some(out)
                 }
-                WrapUp::Restart => {
-                    if failed && rt.contention_mut().record_failure() {
-                        // Contended: demote to the full simulator.
-                        rt.boundary(PC_GEN);
-                        return None;
+                WrapUp::Restart => None,
+            }
+        };
+        let persist = |t: &PThread<'_>, addr| {
+            if self.durable {
+                t.persist(addr);
+            }
+        };
+        // The generator's list behind the CAS in flight, kept for its wrap-up.
+        let proposed = RefCell::new(CasList::new());
+        fast_capsule(
+            rt,
+            &self.space,
+            persist,
+            PC_GEN,
+            |rt| loop {
+                let list = op.generator(&mut NormalizedCtx::new(rt, self), input);
+                match list[..] {
+                    [] => {
+                        if let Some(out) = wrap_up(rt, &list, 0) {
+                            return Proposal::Done(out);
+                        }
+                    }
+                    [cas] => {
+                        proposed.replace(list);
+                        return Proposal::Cas(cas);
+                    }
+                    _ => {
+                        self.persist_list_and_boundary(rt, &list);
+                        *cached = Some(list);
+                        return Proposal::Demoted;
                     }
                 }
-            }
-        }
+            },
+            |rt, cas, attempt| {
+                if attempt == Attempt::Recovered {
+                    proposed.replace(vec![*cas]);
+                }
+                wrap_up(rt, &proposed.borrow(), attempt.took_effect() as usize)
+            },
+        )
     }
 
     /// Write the CAS list to a fresh persistent buffer, record it in the frame

@@ -23,7 +23,10 @@
 //! [`capsule_cas`]: CasReadSimulator::capsule_cas
 
 use capsules::{BoundaryStyle, CapsuleRuntime, CapsuleStep, ContentionMeasure};
-use delayfree::{capsule_handles, Capsuled, CasReadSimulator, SharedMem, StructHandle, StructOp};
+use delayfree::{
+    adaptive_builders, capsule_handles, Attempt, Capsuled, CasDesc, CasReadSimulator, Proposal,
+    SharedMem, StructHandle, StructOp,
+};
 use pmem::{PAddr, PThread};
 use rcas::{RcasLayout, RcasSpace};
 
@@ -95,27 +98,6 @@ impl GeneralQueue {
         GeneralQueue { head, tail, sim }
     }
 
-    /// Override the contention policy handles start with (the sensitized
-    /// `dfck` sweeps lower the trip threshold to 1 so any lost fast-path CAS
-    /// deterministically exercises the fast→slow demotion boundary).
-    pub fn with_contention(mut self, policy: ContentionMeasure) -> GeneralQueue {
-        self.sim = self.sim.with_contention(policy);
-        self
-    }
-
-    /// Turn the contention-adaptive fast path off (or back on; it is on by
-    /// default): the `dfck` slow-path rows and the tests that compare the
-    /// simulators pin operations to the full state machine.
-    pub fn with_adaptive(mut self, adaptive: bool) -> GeneralQueue {
-        self.sim = self.sim.with_adaptive(adaptive);
-        self
-    }
-
-    /// Whether handles of this queue try the contention-adaptive fast path.
-    pub fn adaptive(&self) -> bool {
-        self.sim.adaptive()
-    }
-
     /// The recoverable-CAS space used by this queue.
     pub fn space(&self) -> &RcasSpace {
         self.sim.space()
@@ -157,44 +139,37 @@ impl GeneralQueue {
         let m = sim.mem(rt.thread());
         match rt.pc() {
             // Adaptive fast path: the whole Michael–Scott enqueue as one
-            // un-checkpointed capsule around a single evidence-carrying
-            // recoverable CAS. A crash anywhere inside re-enters here and is
-            // resolved from the announcement line alone.
+            // un-checkpointed capsule. The node is built once and abandoned
+            // on a demotion, as on any lost race (E_START allocates afresh).
             F_ENQ => {
-                if rt.crashed() {
-                    if let Some(ev) = sim.recover_fast(rt) {
-                        // The link CAS took effect; re-persist its line (the
-                        // crash may have interrupted the original flush) and
-                        // finish. The tail may lag by one node, which the
-                        // Michael–Scott invariant allows (any later
-                        // operation helps swing it).
-                        sim.persist_line(rt.thread(), ev.x);
-                        rt.finish_boundary(E_DONE);
-                        return CapsuleStep::Done(());
-                    }
-                }
-                let node = self.new_node(rt);
-                sim.persist_line(rt.thread(), node);
-                loop {
-                    let last = PAddr::from_raw(m.read(self.tail));
-                    let next = m.read(next_addr(last));
-                    if next != 0 {
+                let mut node = None;
+                sim.fast_capsule(
+                    rt,
+                    E_START,
+                    |rt| loop {
+                        let node = *node.get_or_insert_with(|| {
+                            let node = self.new_node(rt);
+                            sim.persist_line(rt.thread(), node);
+                            node
+                        });
+                        let last = PAddr::from_raw(m.read(self.tail));
+                        let next = m.read(next_addr(last));
+                        if next == 0 {
+                            let link = CasDesc::new(next_addr(last), 0, node.to_raw());
+                            return Proposal::Cas(link.with_aux(last.to_raw()));
+                        }
                         self.help_tail(rt.thread(), last.to_raw(), next);
-                        continue;
-                    }
-                    if sim.fast_cas(rt, next_addr(last), 0, node.to_raw(), 0) {
-                        self.help_tail(rt.thread(), last.to_raw(), node.to_raw());
+                    },
+                    |rt, cas, attempt| {
+                        // After a crash the tail may lag by one node, which
+                        // the Michael–Scott invariant allows (any later
+                        // operation helps swing it).
+                        if attempt == Attempt::Won {
+                            self.help_tail(rt.thread(), cas.aux, cas.new);
+                        }
                         rt.finish_boundary(E_DONE);
-                        return CapsuleStep::Done(());
-                    }
-                    if rt.contention_mut().record_failure() {
-                        // Contended: demote this operation to the full
-                        // simulator (the node is abandoned, as on any lost
-                        // race; E_START allocates afresh).
-                        rt.boundary(E_START);
-                        return CapsuleStep::Continue;
-                    }
-                }
+                    },
+                )
             }
             // Read-only capsule: allocate and initialise the node, read the
             // tail and its successor, and branch.
@@ -267,39 +242,30 @@ impl GeneralQueue {
             // Adaptive fast path: the whole Michael–Scott dequeue as one
             // un-checkpointed capsule. The dequeued value rides the
             // evidence's aux word so a post-CAS crash can still report it.
-            F_DEQ => {
-                if rt.crashed() {
-                    if let Some(ev) = sim.recover_fast(rt) {
-                        sim.persist_line(rt.thread(), ev.x);
-                        rt.set_local(L_VAL, ev.aux);
-                        rt.finish_boundary(D_DONE_SOME);
-                        return CapsuleStep::Done(Some(ev.aux));
-                    }
-                }
-                loop {
+            F_DEQ => sim.fast_capsule(
+                rt,
+                D_START,
+                |rt| loop {
                     let first = PAddr::from_raw(m.read(self.head));
                     let last = PAddr::from_raw(m.read(self.tail));
                     let next = PAddr::from_raw(m.read(next_addr(first)));
-                    if first == last {
-                        if next.is_null() {
-                            rt.finish_boundary(D_DONE_NONE);
-                            return CapsuleStep::Done(None);
-                        }
-                        self.help_tail(rt.thread(), last.to_raw(), next.to_raw());
-                        continue;
+                    if first != last {
+                        let value = m.read_plain(value_addr(next));
+                        let swing = CasDesc::new(self.head, first.to_raw(), next.to_raw());
+                        return Proposal::Cas(swing.with_aux(value));
                     }
-                    let value = m.read_plain(value_addr(next));
-                    if sim.fast_cas(rt, self.head, first.to_raw(), next.to_raw(), value) {
-                        rt.set_local(L_VAL, value);
-                        rt.finish_boundary(D_DONE_SOME);
-                        return CapsuleStep::Done(Some(value));
+                    if next.is_null() {
+                        rt.finish_boundary(D_DONE_NONE);
+                        return Proposal::Done(None);
                     }
-                    if rt.contention_mut().record_failure() {
-                        rt.boundary(D_START);
-                        return CapsuleStep::Continue;
-                    }
-                }
-            }
+                    self.help_tail(rt.thread(), last.to_raw(), next.to_raw());
+                },
+                |rt, cas, _| {
+                    rt.set_local(L_VAL, cas.aux);
+                    rt.finish_boundary(D_DONE_SOME);
+                    Some(cas.aux)
+                },
+            ),
             // Read-only capsule: read head, tail and head.next, and branch.
             D_START => {
                 let first = PAddr::from_raw(m.read(self.head));
@@ -378,6 +344,7 @@ impl Capsuled for GeneralQueue {
 }
 
 capsule_handles!(GeneralQueue, GeneralQueueHandle);
+adaptive_builders!(GeneralQueue);
 
 impl QueueHandle for GeneralQueueHandle<'_, '_, '_> {
     fn enqueue(&mut self, value: u64) {

@@ -15,7 +15,7 @@
 
 use capsules::{BoundaryStyle, CapsuleRuntime, ContentionMeasure};
 use delayfree::{
-    capsule_handles, Capsuled, CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator,
+    adaptive_builders, capsule_handles, Capsuled, CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator,
     SharedMem, StructHandle, StructOp, WrapUp,
 };
 use pmem::{PAddr, PThread};
@@ -71,26 +71,6 @@ impl NormalizedQueue {
             .with_inline_lists()
             .with_adaptive(true);
         NormalizedQueue { head, tail, sim }
-    }
-
-    /// Override the contention policy handles start with (the sensitized
-    /// `dfck` sweeps lower the trip threshold to 1 so any lost fast-path CAS
-    /// deterministically exercises the fast→slow demotion boundary).
-    pub fn with_contention(mut self, policy: ContentionMeasure) -> NormalizedQueue {
-        self.sim = self.sim.with_contention(policy);
-        self
-    }
-
-    /// Turn the contention-adaptive fast path off (or back on; it is on by
-    /// default) — see [`GeneralQueue::with_adaptive`](crate::GeneralQueue::with_adaptive).
-    pub fn with_adaptive(mut self, adaptive: bool) -> NormalizedQueue {
-        self.sim = self.sim.with_adaptive(adaptive);
-        self
-    }
-
-    /// Whether handles of this queue try the contention-adaptive fast path.
-    pub fn adaptive(&self) -> bool {
-        self.sim.adaptive()
     }
 
     /// The recoverable-CAS space used by this queue.
@@ -233,6 +213,7 @@ impl Capsuled for NormalizedQueue {
 }
 
 capsule_handles!(NormalizedQueue, NormalizedQueueHandle);
+adaptive_builders!(NormalizedQueue);
 
 impl QueueHandle for NormalizedQueueHandle<'_, '_, '_> {
     fn enqueue(&mut self, value: u64) {

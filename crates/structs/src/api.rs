@@ -7,7 +7,7 @@ use capsules::BoundaryStyle;
 use delayfree::{CasList, NormalizedSimulator, WrapUp};
 use rcas::RcasSpace;
 
-pub(crate) use delayfree::capsule_handles;
+pub(crate) use delayfree::{adaptive_builders, capsule_handles};
 pub(crate) use delayfree::handle::{apply_keyed, apply_stack, drain_by_pops};
 pub use delayfree::{Capsuled, Drain, Handle, StructHandle, StructOp};
 
@@ -18,15 +18,18 @@ pub(crate) fn bool_ret(b: bool) -> Option<u64> {
 
 /// The §7 simulator as every Normalized structure here configures it: each
 /// operation proposes at most one CAS, so CAS lists always travel inline in the
-/// frame; `optimised` selects the compact (`-Opt`) frame style.
+/// frame; `optimised` selects the compact (`-Opt`) frame style, `adaptive`
+/// whether uncontended operations run as one fast capsule.
 pub(crate) fn normalized_simulator(
     space: RcasSpace,
     manual: bool,
     optimised: bool,
+    adaptive: bool,
 ) -> NormalizedSimulator {
     NormalizedSimulator::new(space, manual)
         .with_style(BoundaryStyle::opt(optimised))
         .with_inline_lists()
+        .with_adaptive(adaptive)
 }
 
 /// Wrap-up verdict of a boolean operation with at most one linearizing CAS:
@@ -285,6 +288,92 @@ pub(crate) mod testkit {
         let d = h.drain_up_to(10_000);
         assert!(!d.truncated);
         assert_eq!(d.items, expect);
+    }
+
+    /// Run `op` (after `prefill`, made durable) on a fresh structure with the
+    /// incarnation *dying* at the operation's crash point `k`, apply the crash
+    /// (`system`: full-system) and hand `inspect` the structure, the thread and
+    /// a re-attached handle — its runtime sits at the persisted pc with
+    /// `crashed()` raised, so the test sees the machine exactly as recovery
+    /// finds it. `None` once `k` is past the operation's last crash point.
+    pub(crate) fn die_at<S: Capsuled, R>(
+        build: impl Fn(&PThread<'_>) -> S,
+        system: bool,
+        prefill: &[StructOp],
+        op: StructOp,
+        k: u64,
+        inspect: impl FnOnce(&S, &PThread<'_>, &mut Handle<'_, '_, '_, S>) -> R,
+    ) -> Option<R> {
+        install_quiet_crash_hook();
+        let mem = shared_cache(1);
+        let t = mem.thread(0);
+        let s = build(&t);
+        let mut h = Handle::new(&s, &t);
+        for &op in prefill {
+            h.apply(op);
+        }
+        mem.persist_everything();
+        h.runtime_mut().set_unwind_on_crash(true);
+        t.set_crash_schedule(CrashPlan::once(k));
+        let died = pmem::catch_crash(|| h.apply(op)).is_err();
+        t.disarm_crashes();
+        if !died {
+            return None;
+        }
+        if system {
+            mem.crash_all();
+        } else {
+            mem.crash_thread(0);
+        }
+        Some(inspect(&s, &t, &mut Handle::attach(&s, &t)))
+    }
+
+    /// Two scheduled pids (deterministic interleaving per `seed`) run their
+    /// `ops(pid)` on one structure; returns each pid's capsule metrics and
+    /// memory statistics over its operations, then the quiescent contents.
+    pub(crate) fn scheduled_pair<S: Capsuled + Sync>(
+        build: impl Fn(&PThread<'_>, usize) -> S,
+        ops: impl Fn(u64) -> Vec<StructOp> + Sync,
+        seed: u64,
+    ) -> (Vec<(capsules::CapsuleMetrics, pmem::Stats)>, Drain) {
+        let mem = shared_cache(2);
+        let s = build(&mem.thread(0), 2);
+        let sched = pmem::ThreadScheduler::new(pmem::SchedConfig::new(2, seed));
+        let per_pid = std::thread::scope(|sc| {
+            let workers: Vec<_> = (0..2)
+                .map(|pid| {
+                    let (mem, s, sched, ops) = (&mem, &s, &sched, &ops);
+                    sc.spawn(move || {
+                        let t = mem.thread(pid);
+                        t.set_thread_scheduler(std::sync::Arc::clone(sched));
+                        let _guard = sched.finish_guard(pid);
+                        let mut h = Handle::new(s, &t);
+                        let before = t.stats();
+                        for op in ops(pid as u64) {
+                            h.apply(op);
+                        }
+                        let stats = t.stats().since(&before);
+                        t.clear_thread_scheduler();
+                        (h.runtime_mut().metrics(), stats)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let t = mem.thread(0);
+        (per_pid, Handle::new(&s, &t).drain_up_to(10_000))
+    }
+
+    /// What a trip-1 demotion must leave behind on `pid`'s counters after
+    /// `nodes`-allocating operations: the operation re-entered the slow
+    /// machine (demotion boundary + at least the CAS capsule's, on top of
+    /// entry + final) and built a second node — the fast one is abandoned.
+    pub(crate) fn assert_demotions_reentered_the_slow_machine(
+        (m, stats): &(capsules::CapsuleMetrics, pmem::Stats),
+        node_words: u64,
+    ) {
+        assert!(m.boundaries >= 2 * m.operations + 2 * m.demotions, "{m:?}");
+        assert!(stats.words_allocated >= node_words * (m.operations + m.demotions), "{m:?}");
     }
 
     /// dfck-style exhaustive enumeration at the crate level: every crash point

@@ -707,6 +707,14 @@ impl StructHandle for DetMapHandle<'_, '_, '_> {
     }
 }
 
+/// Whether a map created with `initial_buckets` has published a resize yet
+/// (test diagnostic).
+#[cfg(test)]
+pub(crate) fn resize_published<M: SharedMem>(m: &M, dir: PAddr, initial_buckets: u64) -> bool {
+    let g = PAddr::from_raw(m.read(dir));
+    m.read_plain(g.offset(G_NBUCKETS)) != initial_buckets || m.read(g.offset(G_NEXT)) != 0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,10 @@
 //! capsule exactly as §7 prescribes for generator/wrap-up CASes: repetition
 //! after a crash re-runs only operations whose repetition is invisible. The
 //! no-unlink tombstone policy (see the map module docs) is what keeps the
-//! remove a single-CAS protocol here — there is no unlink pc at all.
+//! remove a single-CAS protocol here — there is no unlink pc at all. Being
+//! single-CAS, an uncontended insert or remove runs as one fast capsule
+//! ([`CasReadSimulator::fast_capsule`]; on by default,
+//! [`with_adaptive`](GeneralDetMap::with_adaptive)).
 //!
 //! A crash between the search capsule and the CAS capsule replays against a
 //! *persisted window*; if a concurrent resize froze the window's bucket in
@@ -20,12 +23,12 @@
 //! are final) and the retry pc re-routes through the migration. Crash-safety
 //! of the resize itself needs no capsule help.
 
-use capsules::{BoundaryStyle, CapsuleRuntime, CapsuleStep};
-use delayfree::{CasReadSimulator, SharedMem};
+use capsules::{BoundaryStyle, CapsuleRuntime, CapsuleStep, ContentionMeasure};
+use delayfree::{CasDesc, CasReadSimulator, Proposal, SharedMem};
 use pmem::{PAddr, PThread};
 use rcas::RcasSpace;
 
-use crate::api::{bool_ret, capsule_handles, Capsuled, Drain, StructOp};
+use crate::api::{bool_ret, adaptive_builders, capsule_handles, Capsuled, Drain, StructOp};
 use crate::map::{
     alloc_gen, contains_routed, drain_map, find_routed, map_len, maybe_grow, menc, ChainLen,
     MapConfig, DEL, MAP_RCAS_LAYOUT,
@@ -48,11 +51,15 @@ const I_FIND: u32 = 0;
 const I_CAS: u32 = 1;
 const I_DONE_TRUE: u32 = 2;
 const I_DONE_FALSE: u32 = 3;
+/// Contention-adaptive fast insert: the whole operation in one capsule.
+const F_INSERT: u32 = 4;
 // Remove program counters.
 const R_FIND: u32 = 10;
 const R_MARK: u32 = 11;
 const R_DONE_TRUE: u32 = 12;
 const R_DONE_FALSE: u32 = 13;
+/// Contention-adaptive fast remove: the whole operation in one capsule.
+const F_REMOVE: u32 = 14;
 // Contains program counters.
 const C_FIND: u32 = 20;
 const C_DONE: u32 = 21;
@@ -78,7 +85,10 @@ impl GeneralDetMap {
         style: BoundaryStyle,
     ) -> GeneralDetMap {
         let space = RcasSpace::new(thread, nprocs, MAP_RCAS_LAYOUT).with_durability(manual);
-        let sim = CasReadSimulator::new(space).with_durable(manual).with_style(style);
+        let sim = CasReadSimulator::new(space)
+            .with_durable(manual)
+            .with_style(style)
+            .with_adaptive(true);
         let g = alloc_gen(&sim.mem(thread), cfg.initial_buckets);
         let dir = thread.alloc(1);
         space.init_word(thread, dir, g.to_raw());
@@ -100,11 +110,38 @@ impl GeneralDetMap {
 
     // ----- capsule bodies --------------------------------------------------------
 
-    /// One insert capsule (entry pc [`I_FIND`]).
+    /// One insert capsule (entry pc [`I_FIND`], or [`F_INSERT`] on the fast path).
     fn insert_step(&self, rt: &mut CapsuleRuntime<'_, '_>) -> CapsuleStep<bool> {
         let sim = &self.sim;
         let m = sim.mem(rt.thread());
         match rt.pc() {
+            // Fast capsule: the search's ChainLen rides the evidence's aux
+            // word, so a post-CAS crash still runs the (helping-class,
+            // repetition-safe) resize trigger.
+            F_INSERT => sim.fast_capsule(
+                rt,
+                I_FIND,
+                |rt| {
+                    let k = rt.local(L_KEY);
+                    let (w, len) = find_routed(&m, self.dir, k);
+                    if w.found {
+                        rt.finish_boundary(I_DONE_FALSE);
+                        return Proposal::Done(false);
+                    }
+                    let node = m.alloc(NODE_WORDS);
+                    m.write_plain(value_addr(node), k);
+                    m.init_word(next_addr(node), w.pred_enc);
+                    sim.persist_line(rt.thread(), node);
+                    let link = CasDesc::new(w.pred_addr, w.pred_enc, menc(node, 0));
+                    Proposal::Cas(link.with_aux(len.pack()))
+                },
+                |rt, cas, _| {
+                    let len = ChainLen::unpack(cas.aux).plus_inserted();
+                    maybe_grow(&m, self.dir, len, self.cfg.max_chain);
+                    rt.finish_boundary(I_DONE_TRUE);
+                    true
+                },
+            ),
             // Search capsule (reads + anonymous helping, including any resize
             // migration work the route owes): locate the window, allocate and
             // initialise the node.
@@ -151,11 +188,29 @@ impl GeneralDetMap {
         }
     }
 
-    /// One remove capsule (entry pc [`R_FIND`]). Single-CAS protocol: the
-    /// tombstone mark is the linearization point and the whole story — the
-    /// node stays linked until a resize purges it.
+    /// One remove capsule (entry pc [`R_FIND`], or [`F_REMOVE`] on the fast
+    /// path). Single-CAS protocol: the tombstone mark is the linearization
+    /// point and the whole story — the node stays linked until a resize
+    /// purges it.
     fn remove_step(&self, rt: &mut CapsuleRuntime<'_, '_>) -> CapsuleStep<bool> {
         match rt.pc() {
+            F_REMOVE => self.sim.fast_capsule(
+                rt,
+                R_FIND,
+                |rt| {
+                    let k = rt.local(L_KEY);
+                    let (w, _) = find_routed(&self.sim.mem(rt.thread()), self.dir, k);
+                    if !w.found {
+                        rt.finish_boundary(R_DONE_FALSE);
+                        return Proposal::Done(false);
+                    }
+                    Proposal::Cas(CasDesc::new(next_addr(w.curr), w.curr_enc, w.curr_enc | DEL))
+                },
+                |rt, _, _| {
+                    rt.finish_boundary(R_DONE_TRUE);
+                    true
+                },
+            ),
             R_FIND => {
                 let k = rt.local(L_KEY);
                 let (w, _) = find_routed(&self.sim.mem(rt.thread()), self.dir, k);
@@ -208,13 +263,28 @@ impl Capsuled for GeneralDetMap {
     fn style(&self) -> BoundaryStyle {
         self.sim.style()
     }
+    fn contention(&self) -> ContentionMeasure {
+        self.sim.contention()
+    }
 
     fn apply(&self, rt: &mut CapsuleRuntime<'_, '_>, op: StructOp) -> Option<u64> {
         rt.set_local(L_KEY, op.key());
         bool_ret(match op {
-            StructOp::Insert(_) => rt.run_op(I_FIND, |rt| self.insert_step(rt)),
-            StructOp::Remove(_) => rt.run_op(R_FIND, |rt| self.remove_step(rt)),
-            _ => rt.run_op(C_FIND, |rt| self.contains_step(rt)),
+            StructOp::Insert(_) => {
+                let entry = self.sim.enter(rt, F_INSERT, I_FIND);
+                rt.run_op(entry, |rt| self.insert_step(rt))
+            }
+            StructOp::Remove(_) => {
+                let entry = self.sim.enter(rt, F_REMOVE, R_FIND);
+                rt.run_op(entry, |rt| self.remove_step(rt))
+            }
+            _ => {
+                // One capsule either way; entered like the others so a read
+                // pays down the contention measure's probation, as it does
+                // in the Normalized construction.
+                let entry = self.sim.enter(rt, C_FIND, C_FIND);
+                rt.run_op(entry, |rt| self.contains_step(rt))
+            }
         })
     }
 
@@ -224,11 +294,13 @@ impl Capsuled for GeneralDetMap {
 }
 
 capsule_handles!(GeneralDetMap, GeneralDetMapHandle);
+adaptive_builders!(GeneralDetMap);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::testkit;
+    use crate::api::{testkit, StructHandle};
+    use crate::map::resize_published;
     use StructOp::{Contains, Insert, Remove};
 
     fn styled(t: &PThread<'_>, cfg: MapConfig, compact: bool) -> GeneralDetMap {
@@ -261,17 +333,95 @@ mod tests {
 
     /// The scripted window *crosses a resize* (tiny config: the inserts push
     /// the chain past max_chain = 3), so crash points land in the migration
-    /// too.
+    /// too — through the fast capsules (the default), then the slow machine.
     #[test]
     fn exhaustive_crash_point_sweep_is_exact_across_a_resize() {
-        testkit::exhaustive_crash_point_sweep(
-            |t| styled(t, MapConfig::tiny(), false),
-            &[Insert(10), Insert(20), Insert(30)],
-            &[Insert(15), Insert(25), Insert(15), Remove(10), Contains(15), Remove(99)],
-            (
-                vec![Some(1), Some(1), Some(0), Some(1), Some(1), Some(0)],
-                vec![15, 20, 25, 30],
-            ),
-        );
+        for adaptive in [true, false] {
+            testkit::exhaustive_crash_point_sweep(
+                |t| styled(t, MapConfig::tiny(), false).with_adaptive(adaptive),
+                &[Insert(10), Insert(20), Insert(30)],
+                &[Insert(15), Insert(25), Insert(15), Remove(10), Contains(15), Remove(99)],
+                (
+                    vec![Some(1), Some(1), Some(0), Some(1), Some(1), Some(0)],
+                    vec![15, 20, 25, 30],
+                ),
+            );
+        }
+    }
+
+    /// Kill a fast insert — the one whose chain measure calls for a resize —
+    /// at each of its crash points and look at the machine as recovery finds
+    /// it (both frame styles and crash flavours): the key is linked exactly
+    /// once, reported `true` once, and the resize is published even when the
+    /// crash fell between the link CAS and the final boundary, where the
+    /// `ChainLen` survives only in the evidence's `aux` word.
+    #[test]
+    fn fast_insert_killed_at_any_point_links_once_and_still_triggers_its_resize() {
+        let tiny = MapConfig::tiny();
+        let published = |s: &GeneralDetMap, t: &PThread<'_>| {
+            resize_published(&s.sim.mem(t), s.dir, tiny.initial_buckets)
+        };
+        // The first key whose insert publishes a resize, found by a dry run.
+        let trigger = {
+            let mem = pmem::PMem::with_threads(1);
+            let t = mem.thread(0);
+            let s = styled(&t, tiny, false);
+            let mut h = s.handle(&t);
+            (1..).find(|&k| h.apply(Insert(k)) == Some(1) && published(&s, &t)).unwrap()
+        };
+        // Ends on a `Contains`, so a frame that never entered the insert is
+        // told apart from a completed one by its pc.
+        let prefill: Vec<StructOp> = (1..trigger).map(Insert).chain([Contains(1)]).collect();
+        for (compact, system) in [(false, false), (false, true), (true, false), (true, true)] {
+            let mut after_cas = 0;
+            for k in 0.. {
+                let build = |t: &PThread<'_>| styled(t, tiny, compact);
+                let seen = testkit::die_at(build, system, &prefill, Insert(trigger), k, |s, t, h| {
+                    let pc = h.runtime_mut().pc();
+                    let linked = contains_routed(&s.sim.mem(t), s.dir, trigger);
+                    let got = match pc {
+                        C_DONE => h.apply(Insert(trigger)),
+                        _ => bool_ret(h.runtime_mut().resume_op(|rt| s.insert_step(rt))),
+                    };
+                    assert_eq!(got, Some(1), "compact={compact} system={system} k={k} pc={pc}");
+                    assert!(published(s, t), "k={k} pc={pc}: the resize trigger was lost");
+                    let again = [Insert(trigger), Remove(trigger), Remove(trigger)].map(|op| h.apply(op));
+                    assert_eq!(again, [Some(0), Some(1), Some(0)], "k={k}: linked exactly once");
+                    (pc, linked)
+                });
+                match seen {
+                    None => break,
+                    Some(window) => after_cas += (window == (F_INSERT, true)) as u32,
+                }
+            }
+            assert!(after_cas > 0, "compact={compact} system={system}");
+        }
+    }
+
+    /// Two scheduled pids insert at the head of one chain through a trip-1
+    /// policy: every lost fast CAS demotes its insert, which must re-enter
+    /// `I_FIND`, abandon the fast node and still link exactly once.
+    #[test]
+    fn trip1_demotion_reenters_the_slow_insert_and_abandons_the_fast_node() {
+        let trip1 = ContentionMeasure::new().with_threshold(1);
+        // Descending keys: every insert's window is the bucket head.
+        let keys = |pid: u64| (0..6).map(move |i| 1000 - 2 * i - pid);
+        let ops = |pid: u64| keys(pid).map(Insert).collect::<Vec<_>>();
+        let mut demotions = 0;
+        for seed in 1..=6 {
+            let build = |t: &PThread<'_>, n| {
+                let cfg = MapConfig::new(1, 64);
+                GeneralDetMap::new(t, n, cfg, true, BoundaryStyle::General).with_contention(trip1)
+            };
+            let (pids, left) = testkit::scheduled_pair(build, ops, seed);
+            let mut expect: Vec<u64> = keys(0).chain(keys(1)).collect();
+            expect.sort_unstable();
+            assert_eq!(left.items, expect, "seed {seed}");
+            for pid in &pids {
+                testkit::assert_demotions_reentered_the_slow_machine(pid, NODE_WORDS);
+                demotions += pid.0.demotions;
+            }
+        }
+        assert!(demotions > 0, "the scheduled interleavings must lose a fast CAS");
     }
 }

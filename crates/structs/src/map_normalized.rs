@@ -21,7 +21,7 @@
 //! `contains` is a pure parallelizable method: its generator proposes an
 //! empty CAS list and the wrap-up answers from a read-only routed traversal.
 
-use capsules::{BoundaryStyle, CapsuleRuntime};
+use capsules::{BoundaryStyle, CapsuleRuntime, ContentionMeasure};
 use delayfree::{
     CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, SharedMem, WrapUp,
 };
@@ -29,7 +29,7 @@ use pmem::{PAddr, PThread};
 use rcas::RcasSpace;
 
 use crate::api::{
-    bool_ret, capsule_handles, normalized_simulator, single_cas_outcome, Capsuled, Drain, StructOp,
+    bool_ret, adaptive_builders, capsule_handles, normalized_simulator, single_cas_outcome, Capsuled, Drain, StructOp,
 };
 use crate::map::{
     alloc_gen, contains_routed, drain_map, find_routed, map_len, maybe_grow, menc, ChainLen,
@@ -60,7 +60,7 @@ impl NormalizedDetMap {
         optimised: bool,
     ) -> NormalizedDetMap {
         let space = RcasSpace::new(thread, nprocs, MAP_RCAS_LAYOUT).with_durability(manual);
-        let sim = normalized_simulator(space, manual, optimised);
+        let sim = normalized_simulator(space, manual, optimised, true);
         let g = alloc_gen(&sim.mem(thread), cfg.initial_buckets);
         let dir = thread.alloc(1);
         space.init_word(thread, dir, g.to_raw());
@@ -176,6 +176,9 @@ impl Capsuled for NormalizedDetMap {
     fn style(&self) -> BoundaryStyle {
         self.sim.style()
     }
+    fn contention(&self) -> ContentionMeasure {
+        self.sim.contention()
+    }
 
     fn apply(&self, rt: &mut CapsuleRuntime<'_, '_>, op: StructOp) -> Option<u64> {
         let k = op.key();
@@ -192,6 +195,7 @@ impl Capsuled for NormalizedDetMap {
 }
 
 capsule_handles!(NormalizedDetMap, NormalizedDetMapHandle);
+adaptive_builders!(NormalizedDetMap);
 
 #[cfg(test)]
 mod tests {
@@ -229,17 +233,19 @@ mod tests {
 
     /// The scripted window *crosses a resize* (tiny config: the inserts push
     /// the chain past max_chain = 3), so crash points land in the migration
-    /// too.
+    /// too — through the fast capsules (the default), then the slow machine.
     #[test]
     fn exhaustive_crash_point_sweep_is_exact_across_a_resize() {
-        testkit::exhaustive_crash_point_sweep(
-            |t| styled(t, MapConfig::tiny(), false),
-            &[Insert(10), Insert(20), Insert(30)],
-            &[Insert(15), Insert(25), Insert(15), Remove(10), Contains(15), Remove(99)],
-            (
-                vec![Some(1), Some(1), Some(0), Some(1), Some(1), Some(0)],
-                vec![15, 20, 25, 30],
-            ),
-        );
+        for adaptive in [true, false] {
+            testkit::exhaustive_crash_point_sweep(
+                |t| styled(t, MapConfig::tiny(), false).with_adaptive(adaptive),
+                &[Insert(10), Insert(20), Insert(30)],
+                &[Insert(15), Insert(25), Insert(15), Remove(10), Contains(15), Remove(99)],
+                (
+                    vec![Some(1), Some(1), Some(0), Some(1), Some(1), Some(0)],
+                    vec![15, 20, 25, 30],
+                ),
+            );
+        }
     }
 }

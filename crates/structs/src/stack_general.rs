@@ -5,17 +5,19 @@
 //! Every operation is a two-capsule program: a read-only capsule observes `top`
 //! (and, for a push, allocates and initialises the node — private persistent
 //! writes, safe to repeat), then a CAS-Read capsule performs the single
-//! recoverable CAS on `top` as its first shared-memory effect. The stack is the
+//! recoverable CAS on `top` as its first shared-memory effect. Uncontended, both
+//! run instead as one fast capsule ([`CasReadSimulator::fast_capsule`]; on by
+//! default, [`with_adaptive`](GeneralStack::with_adaptive)). The stack is the
 //! minimal exercise of the construction — one contended word, one CAS per
 //! operation — which makes it the sharpest detectability probe: *every* crash
 //! point is adjacent to the linearization point.
 
-use capsules::{BoundaryStyle, CapsuleRuntime, CapsuleStep};
-use delayfree::{CasReadSimulator, SharedMem};
+use capsules::{BoundaryStyle, CapsuleRuntime, CapsuleStep, ContentionMeasure};
+use delayfree::{CasDesc, CasReadSimulator, Proposal, SharedMem};
 use pmem::{PAddr, PThread};
 use rcas::{RcasLayout, RcasSpace};
 
-use crate::api::{capsule_handles, Capsuled, StructOp};
+use crate::api::{adaptive_builders, capsule_handles, Capsuled, StructOp};
 use crate::node::{next_addr, value_addr, NODE_WORDS};
 use crate::stack::len_of;
 
@@ -30,11 +32,15 @@ pub const STACK_GENERAL_LOCALS: usize = 3;
 const S_START: u32 = 0;
 const S_CAS: u32 = 1;
 const S_DONE: u32 = 2;
+/// Contention-adaptive fast push: the whole operation in one capsule.
+const F_PUSH: u32 = 3;
 // Pop program counters.
 const P_START: u32 = 10;
 const P_CAS: u32 = 11;
 const P_DONE_SOME: u32 = 12;
 const P_DONE_NONE: u32 = 13;
+/// Contention-adaptive fast pop: the whole operation in one capsule.
+const F_POP: u32 = 14;
 
 /// The shared, persistent part of the transformed stack.
 #[derive(Clone, Copy, Debug)]
@@ -60,7 +66,10 @@ impl GeneralStack {
         if manual {
             thread.persist(top);
         }
-        let sim = CasReadSimulator::new(space).with_durable(manual).with_style(style);
+        let sim = CasReadSimulator::new(space)
+            .with_durable(manual)
+            .with_style(style)
+            .with_adaptive(true);
         GeneralStack { top, sim }
     }
 
@@ -74,18 +83,38 @@ impl GeneralStack {
         len_of(&self.sim.mem(thread), self.top)
     }
 
-    /// One push capsule (entry pc [`S_START`]).
+    /// Allocate and initialise the node of a push on top of the observed
+    /// `top`, which is returned with it (private persistent writes: a
+    /// restarted capsule just builds another).
+    fn new_node(&self, rt: &mut CapsuleRuntime<'_, '_>) -> (PAddr, u64) {
+        let value = rt.local(L_VAL);
+        let m = self.sim.mem(rt.thread());
+        let node = m.alloc(NODE_WORDS);
+        m.write_plain(value_addr(node), value);
+        let top = m.read(self.top);
+        m.write_plain(next_addr(node), top);
+        (node, top)
+    }
+
+    /// One push capsule (entry pc [`S_START`], or [`F_PUSH`] on the fast path).
     fn push_step(&self, rt: &mut CapsuleRuntime<'_, '_>) -> CapsuleStep<()> {
         let sim = &self.sim;
         match rt.pc() {
+            // Fast capsule: the node of a lost attempt is abandoned, like the
+            // slow path's.
+            F_PUSH => sim.fast_capsule(
+                rt,
+                S_START,
+                |rt| {
+                    let (node, top) = self.new_node(rt);
+                    sim.persist_line(rt.thread(), node);
+                    Proposal::Cas(CasDesc::new(self.top, top, node.to_raw()))
+                },
+                |rt, _, _| rt.finish_boundary(S_DONE),
+            ),
             // Read-only capsule: allocate and initialise the node, observe top.
             S_START => {
-                let value = rt.local(L_VAL);
-                let m = sim.mem(rt.thread());
-                let node = m.alloc(NODE_WORDS);
-                m.write_plain(value_addr(node), value);
-                let top = m.read(self.top);
-                m.write_plain(next_addr(node), top);
+                let (node, top) = self.new_node(rt);
                 // The S_CAS boundary (not a CAS) publishes the node pointer
                 // next, so the fence cannot be elided here.
                 sim.persist_line_before_boundary(rt.thread(), node);
@@ -112,10 +141,32 @@ impl GeneralStack {
         }
     }
 
-    /// One pop capsule (entry pc [`P_START`]).
+    /// One pop capsule (entry pc [`P_START`], or [`F_POP`] on the fast path).
     fn pop_step(&self, rt: &mut CapsuleRuntime<'_, '_>) -> CapsuleStep<Option<u64>> {
         let sim = &self.sim;
         match rt.pc() {
+            // Fast capsule: the popped value rides the evidence's aux word, so
+            // a post-CAS crash can still report it.
+            F_POP => sim.fast_capsule(
+                rt,
+                P_START,
+                |rt| {
+                    let m = sim.mem(rt.thread());
+                    let top = PAddr::from_raw(m.read(self.top));
+                    if top.is_null() {
+                        rt.finish_boundary(P_DONE_NONE);
+                        return Proposal::Done(None);
+                    }
+                    let next = m.read_plain(next_addr(top));
+                    let value = m.read_plain(value_addr(top));
+                    Proposal::Cas(CasDesc::new(self.top, top.to_raw(), next).with_aux(value))
+                },
+                |rt, cas, _| {
+                    rt.set_local(L_VAL, cas.aux);
+                    rt.finish_boundary(P_DONE_SOME);
+                    Some(cas.aux)
+                },
+            ),
             // Read-only capsule: observe top, its successor and its value.
             P_START => {
                 let m = sim.mem(rt.thread());
@@ -157,26 +208,34 @@ impl Capsuled for GeneralStack {
     fn style(&self) -> BoundaryStyle {
         self.sim.style()
     }
+    fn contention(&self) -> ContentionMeasure {
+        self.sim.contention()
+    }
 
     fn apply(&self, rt: &mut CapsuleRuntime<'_, '_>, op: StructOp) -> Option<u64> {
         match op {
             StructOp::Push(value) => {
                 rt.set_local(L_VAL, value);
-                rt.run_op(S_START, |rt| self.push_step(rt));
+                let entry = self.sim.enter(rt, F_PUSH, S_START);
+                rt.run_op(entry, |rt| self.push_step(rt));
                 None
             }
-            StructOp::Pop => rt.run_op(P_START, |rt| self.pop_step(rt)),
+            StructOp::Pop => {
+                let entry = self.sim.enter(rt, F_POP, P_START);
+                rt.run_op(entry, |rt| self.pop_step(rt))
+            }
             other => panic!("stack handle cannot apply keyed operation {other:?}"),
         }
     }
 }
 
 capsule_handles!(GeneralStack, GeneralStackHandle);
+adaptive_builders!(GeneralStack);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::testkit;
+    use crate::api::{testkit, StructHandle};
     use StructOp::{Pop, Push};
 
     fn styled(t: &PThread<'_>, nprocs: usize, compact: bool) -> GeneralStack {
@@ -205,14 +264,80 @@ mod tests {
         testkit::survives_full_system_crash(|t| styled(t, 1, false), &pushes, &expect, true);
     }
 
-    /// Mirrors the queue simulators' exhaustive tests.
+    /// Mirrors the queue simulators' exhaustive tests: the fast capsules (the
+    /// default), then the slow machine.
     #[test]
     fn exhaustive_crash_point_sweep_is_exact() {
-        testkit::exhaustive_crash_point_sweep(
-            |t| styled(t, 1, false),
-            &[Push(100)],
-            &[Push(1), Push(2), Pop, Pop],
-            (vec![None, None, Some(2), Some(1)], vec![100]),
-        );
+        for adaptive in [true, false] {
+            testkit::exhaustive_crash_point_sweep(
+                |t| styled(t, 1, false).with_adaptive(adaptive),
+                &[Push(100)],
+                &[Push(1), Push(2), Pop, Pop],
+                (vec![None, None, Some(2), Some(1)], vec![100]),
+            );
+        }
+    }
+
+    /// Kill a fast pop at each of its crash points and look at the machine
+    /// as recovery finds it (both frame styles, per-process and full-system
+    /// crashes): whatever the point, the pop takes effect exactly once — in
+    /// particular from the evidence's `aux` word when the crash fell between
+    /// the CAS and the final boundary (`L_VAL` was never persisted), and by
+    /// plainly re-running the capsule, nothing durable having escaped, when
+    /// it fell before the announcement.
+    #[test]
+    fn fast_pop_killed_at_any_point_pops_exactly_once() {
+        for (compact, system) in [(false, false), (false, true), (true, false), (true, true)] {
+            let (mut unannounced, mut after_cas) = (0, 0);
+            for k in 0.. {
+                let build = |t: &PThread<'_>| styled(t, 1, compact);
+                let seen = testkit::die_at(build, system, &[Push(1), Push(2)], Pop, k, |s, t, h| {
+                    let pc = h.runtime_mut().pc();
+                    let swung = s.len(t) == 1;
+                    let announced = s.space().announcement(t).seq > h.runtime_mut().seq();
+                    // A frame still at the last push's S_DONE never entered the pop.
+                    let got = match pc {
+                        S_DONE => h.apply(Pop),
+                        _ => h.runtime_mut().resume_op(|rt| s.pop_step(rt)),
+                    };
+                    assert_eq!(got, Some(2), "compact={compact} system={system} k={k} pc={pc}");
+                    assert_eq!((h.apply(Pop), h.apply(Pop)), (Some(1), None), "k={k}");
+                    (pc, swung, announced)
+                });
+                match seen {
+                    None => break,
+                    Some((F_POP, false, false)) => unannounced += 1,
+                    Some((F_POP, true, announced)) => {
+                        assert!(announced, "k={k}: the CAS follows its announcement");
+                        after_cas += 1;
+                    }
+                    Some(_) => {}
+                }
+            }
+            assert!(unannounced > 0 && after_cas > 0, "compact={compact} system={system}");
+        }
+    }
+
+    /// Two scheduled pids push through a trip-1 policy: every lost fast CAS
+    /// demotes its push, which must re-enter `S_START`, abandon the fast
+    /// node and still push exactly once.
+    #[test]
+    fn trip1_demotion_reenters_the_slow_push_and_abandons_the_fast_node() {
+        let trip1 = ContentionMeasure::new().with_threshold(1);
+        let values = |pid: u64| (0..6).map(move |i| 100 * pid + i);
+        let ops = |pid: u64| values(pid).map(Push).collect::<Vec<_>>();
+        let mut demotions = 0;
+        for seed in 1..=6 {
+            let build = |t: &PThread<'_>, n| styled(t, n, false).with_contention(trip1);
+            let (pids, left) = testkit::scheduled_pair(build, ops, seed);
+            let mut items = left.items;
+            items.sort_unstable();
+            assert_eq!(items, values(0).chain(values(1)).collect::<Vec<_>>(), "seed {seed}");
+            for pid in &pids {
+                testkit::assert_demotions_reentered_the_slow_machine(pid, NODE_WORDS);
+                demotions += pid.0.demotions;
+            }
+        }
+        assert!(demotions > 0, "the scheduled interleavings must lose a fast CAS");
     }
 }

@@ -10,14 +10,14 @@
 //! same trick the normalized dequeue uses). An empty stack yields an empty CAS
 //! list and the wrap-up answers `None` directly.
 
-use capsules::{BoundaryStyle, CapsuleRuntime};
+use capsules::{BoundaryStyle, CapsuleRuntime, ContentionMeasure};
 use delayfree::{
     CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, SharedMem, WrapUp,
 };
 use pmem::{PAddr, PThread};
 use rcas::{RcasLayout, RcasSpace};
 
-use crate::api::{capsule_handles, normalized_simulator, Capsuled, StructOp};
+use crate::api::{adaptive_builders, capsule_handles, normalized_simulator, Capsuled, StructOp};
 use crate::node::{next_addr, value_addr, NODE_WORDS};
 use crate::stack::len_of;
 
@@ -49,7 +49,7 @@ impl NormalizedStack {
         if manual {
             thread.persist(top);
         }
-        let sim = normalized_simulator(space, manual, optimised);
+        let sim = normalized_simulator(space, manual, optimised, true);
         NormalizedStack { top, sim }
     }
 
@@ -142,6 +142,9 @@ impl Capsuled for NormalizedStack {
     fn style(&self) -> BoundaryStyle {
         self.sim.style()
     }
+    fn contention(&self) -> ContentionMeasure {
+        self.sim.contention()
+    }
 
     fn apply(&self, rt: &mut CapsuleRuntime<'_, '_>, op: StructOp) -> Option<u64> {
         match op {
@@ -156,6 +159,7 @@ impl Capsuled for NormalizedStack {
 }
 
 capsule_handles!(NormalizedStack, NormalizedStackHandle);
+adaptive_builders!(NormalizedStack);
 
 #[cfg(test)]
 mod tests {
@@ -185,14 +189,17 @@ mod tests {
         );
     }
 
-    /// Mirrors the queue simulators' exhaustive tests.
+    /// Mirrors the queue simulators' exhaustive tests: the fast capsule (the
+    /// default), then the full Algorithm 4 machinery.
     #[test]
     fn exhaustive_crash_point_sweep_is_exact() {
-        testkit::exhaustive_crash_point_sweep(
-            |t| NormalizedStack::new(t, 1, true, false),
-            &[Push(100)],
-            &[Push(1), Pop, Push(2), Pop, Pop],
-            (vec![None, Some(1), None, Some(2), Some(100)], vec![]),
-        );
+        for adaptive in [true, false] {
+            testkit::exhaustive_crash_point_sweep(
+                |t| NormalizedStack::new(t, 1, true, false).with_adaptive(adaptive),
+                &[Push(100)],
+                &[Push(1), Pop, Push(2), Pop, Pop],
+                (vec![None, Some(1), None, Some(2), Some(100)], vec![]),
+            );
+        }
     }
 }

@@ -27,12 +27,44 @@
 //! simulator-only route's single-thread coverage alive now that the fast
 //! path is the default.
 
-use bench::dfck::{conc_replay, sweep, sweep_interleaved, sweep_system, ConcWorkload, Variant,
-    Workload};
+use bench::dfck::{build, conc_replay, sweep, sweep_interleaved, sweep_system, ConcWorkload, Shape,
+    Variant, Workload};
 use bench::sweep::VictimPlans;
+use pmem::{MemConfig, Mode, PMem};
+use structs::{MapConfig, StructOp};
 
+/// The queues, stacks and maps of both capsule constructions.
 fn adaptive_variants() -> Vec<Variant> {
     Variant::swept().into_iter().filter(|v| v.adaptive_capable()).collect()
+}
+
+/// The canonical single-thread workload of `variant`'s shape.
+fn pair_for(variant: Variant) -> Workload {
+    match variant.shape() {
+        Shape::Map => Workload::map_resize(),
+        _ => Workload::pair(),
+    }
+}
+
+/// The canonical two-pid workload of `variant`'s shape.
+fn conc_pair_for(variant: Variant) -> ConcWorkload {
+    match variant.shape() {
+        Shape::Map => ConcWorkload::map_pair(2),
+        _ => ConcWorkload::pair(2),
+    }
+}
+
+/// `(operations, fast_ops)` of one handle running `ops` uncontended.
+fn fast_share(variant: Variant, ops: &[StructOp]) -> (u64, u64) {
+    let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+    let t = mem.thread(0);
+    let built = build(variant, &t, 1, MapConfig::tiny(), 0, true, None);
+    let mut h = built.handle(&t);
+    for &op in ops {
+        h.apply(op);
+    }
+    let m = h.capsule_metrics().expect("a capsule variant");
+    (m.operations, m.fast_ops)
 }
 
 /// Site (a): with the fast path on (default), the single-thread pair sweep
@@ -45,8 +77,8 @@ fn adaptive_variants() -> Vec<Variant> {
 fn adaptive_fast_path_survives_every_single_thread_crash_point() {
     for variant in adaptive_variants() {
         for (flavour, report) in [
-            ("ppm", sweep(variant, &Workload::pair(), None)),
-            ("system", sweep_system(variant, &Workload::pair(), None)),
+            ("ppm", sweep(variant, &pair_for(variant), None)),
+            ("system", sweep_system(variant, &pair_for(variant), None)),
         ] {
             assert!(
                 report.passed(),
@@ -77,8 +109,8 @@ fn adaptive_fast_path_survives_every_single_thread_crash_point() {
 #[test]
 fn slow_path_workloads_pin_the_simulator_route() {
     for variant in adaptive_variants() {
-        let w = Workload::pair().slow_path();
-        assert_eq!(w.name, "pair-slow");
+        let w = pair_for(variant).slow_path();
+        assert!(w.name.ends_with("-slow"));
         for (flavour, report) in
             [("ppm", sweep(variant, &w, None)), ("system", sweep_system(variant, &w, None))]
         {
@@ -107,9 +139,9 @@ fn slow_path_workloads_pin_the_simulator_route() {
 /// exactly-once checks must hold at every cell.
 #[test]
 fn sensitized_interleaved_sweeps_crash_the_demotion_boundary() {
-    let w = ConcWorkload::pair(2).sensitized();
-    assert_eq!(w.name, "conc-pair-trip1");
     for variant in adaptive_variants() {
+        let w = conc_pair_for(variant).sensitized();
+        assert!(w.name.ends_with("-trip1"));
         for system in [false, true] {
             let report = sweep_interleaved(variant, &w, &[1], &[], system);
             assert!(
@@ -141,8 +173,8 @@ fn sensitized_interleaved_sweeps_crash_the_demotion_boundary() {
 /// including the new fast-path/demotion telemetry.
 #[test]
 fn sensitized_replays_are_deterministic_and_demote() {
-    let w = ConcWorkload::pair(2).sensitized();
     for variant in adaptive_variants() {
+        let w = conc_pair_for(variant).sensitized();
         let r = conc_replay(variant, &w, 1, &VictimPlans::baseline(1), false);
         let again = conc_replay(variant, &w, 1, &VictimPlans::baseline(1), false);
         assert_eq!(r, again, "{variant:?}: sensitized replay must be deterministic");
@@ -152,22 +184,51 @@ fn sensitized_replays_are_deterministic_and_demote() {
 }
 
 /// The production-threshold interleaved rows stay green too — and since the
-/// default policy's two-loss streak never trips inside these short windows,
-/// their telemetry shows all-fast execution. This is the "interleaved
-/// 2-thread row per adaptive variant" of the default matrix, pinned here so
-/// the bin's default output can't silently lose it.
+/// default policy's two-loss streak never trips inside the queues' and maps'
+/// short windows, their telemetry shows all-fast execution (the stack is one
+/// hot word: two pids do lose twice in a row there, so its default rows
+/// demote). This is the "interleaved 2-thread row per adaptive variant" of
+/// the default matrix, pinned here so the bin's default output can't silently
+/// lose it.
 #[test]
 fn default_policy_interleaved_rows_stay_all_fast() {
-    let w = ConcWorkload::pair(2);
     for variant in adaptive_variants() {
+        let w = conc_pair_for(variant);
         let report = sweep_interleaved(variant, &w, &[1], &[], false);
-        assert!(report.passed(), "{} conc-pair: {:?}", variant.label(), report.violations);
+        assert!(report.passed(), "{} {}: {:?}", variant.label(), w.name, report.violations);
         assert!(report.fast_ops > 0, "{}: adaptive default must run fast", variant.label());
+        if variant.shape() == Shape::Lifo {
+            continue;
+        }
         assert_eq!(
             report.demotions, 0,
             "{}: production threshold tripped in a short window — update DESIGN.md §11 \
              and the sensitized-row rationale if the policy changed",
             variant.label()
         );
+    }
+}
+
+/// Uncontended, every operation of the one-CAS structures enters through its
+/// fast capsule — `Contains` and the no-CAS outcomes (empty pop, present key)
+/// included.
+#[test]
+fn one_cas_structures_run_every_uncontended_op_fast() {
+    for variant in adaptive_variants().into_iter().filter(|v| v.shape() != Shape::Fifo) {
+        let ops = pair_for(variant).ops;
+        let (operations, fast_ops) = fast_share(variant, &ops);
+        assert_eq!(operations, ops.len() as u64, "{}", variant.label());
+        assert_eq!(fast_ops, operations, "{}", variant.label());
+    }
+}
+
+/// The list set is held back (its fast path waits for fault-count headroom in
+/// `dfbench`'s smoke suite): its default must not flip silently.
+#[test]
+fn the_list_set_stays_on_the_slow_path() {
+    for variant in [Variant::SetGeneral, Variant::SetNormalized] {
+        assert!(!variant.adaptive_capable());
+        let (operations, fast_ops) = fast_share(variant, &Workload::set_pair().ops);
+        assert_eq!((operations, fast_ops), (2, 0), "{}", variant.label());
     }
 }

@@ -52,8 +52,8 @@ pub struct ReplayCounts {
     pub covictim_crashes: u64,
     /// Frame recoveries (capsule variants) or recovery calls (LogQueue).
     pub recoveries: u64,
-    /// Crashes absorbed by retrying the operation-entry boundary (capsule
-    /// variants only).
+    /// Crashes absorbed by retrying the operation-entry boundary or a
+    /// read-only operation in place (capsule variants only).
     pub entry_retries: u64,
     /// Crashes that landed inside recovery itself (the nested path).
     pub recovery_crashes: u64,
@@ -133,7 +133,8 @@ pub struct Report {
     pub covictim_crashes: u64,
     /// Total recoveries observed across all replays.
     pub recoveries: u64,
-    /// Crashes absorbed by entry-boundary retries across all replays.
+    /// Crashes absorbed by in-place retries (entry boundaries, read-only
+    /// operations) across all replays.
     pub entry_retries: u64,
     /// Crashes that interrupted recovery itself (proof the nested path ran).
     pub recovery_crashes: u64,

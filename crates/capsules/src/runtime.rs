@@ -6,7 +6,8 @@
 //! across any number of simulated crashes: every crash unwinds the operation body
 //! (losing its Rust locals, i.e. the volatile memory of the model), the runtime
 //! reloads the persistent frame, raises the `crashed()` flag, and re-enters the body
-//! at the persisted program counter.
+//! at the persisted program counter. A read-only operation runs outside the
+//! frame altogether ([`CapsuleRuntime::run_read`]): re-running it is its recovery.
 //!
 //! Encapsulated operations are written as explicit state machines over the program
 //! counter, which is exactly the code shape the paper's source-to-source
@@ -47,10 +48,12 @@ pub struct CapsuleMetrics {
     pub recovery_crashes: u64,
     /// Crashes that interrupted the operation-entry boundary, which `run_op`
     /// retries directly (no frame recovery needed: the arguments still live in
-    /// the runtime's volatile mirrors and a torn boundary is unpublished).
-    /// Together with `recoveries` this accounts for every crash an operation
-    /// absorbed, which is how the `dfck` sweeper proves a crash point was
-    /// actually handled rather than silently skipped.
+    /// the runtime's volatile mirrors and a torn boundary is unpublished), and
+    /// crashes inside a read-only operation, which
+    /// [`run_read`](CapsuleRuntime::run_read) retries the same way. Together
+    /// with `recoveries` this accounts for every crash an operation absorbed,
+    /// which is how the `dfck` sweeper proves a crash point was actually
+    /// handled rather than silently skipped.
     pub entry_retries: u64,
     /// Operations the contention policy routed to the adaptive fast entry
     /// point (mirrors [`ContentionMeasure::fast_ops`]); the crash-point
@@ -454,6 +457,30 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
         self.drive(body)
     }
 
+    /// Run a read-only operation: no entry boundary, no final boundary, and
+    /// the frame — persisted and volatile — is left as the previous operation
+    /// left it. A read has nothing to resume, so running it again is its
+    /// recovery: a crash inside `body` is retried directly, exactly like a
+    /// crash inside [`run_op`](Self::run_op)'s entry boundary (the arguments
+    /// still live in the caller, and nothing durable names the operation), and
+    /// is counted in [`CapsuleMetrics::entry_retries`]. Unwinding and the
+    /// crash flavour follow `run_op`.
+    pub fn run_read<R>(&mut self, mut body: impl FnMut(&mut Self) -> R) -> R {
+        self.metrics.operations += 1;
+        loop {
+            match catch_crash(|| body(self)) {
+                Ok(result) => return result,
+                Err(crashed) => {
+                    if self.unwind_on_crash {
+                        raise_crash(crashed.signal.pid, crashed.signal.at_step);
+                    }
+                    self.metrics.entry_retries += 1;
+                    self.apply_crash();
+                }
+            }
+        }
+    }
+
     /// Drive an *already-entered* operation to completion from the runtime's
     /// current program counter — no entry boundary, no pc reset.
     ///
@@ -827,6 +854,56 @@ mod tests {
         let total = rt.resume_op(body);
         assert_eq!(total, (1..=CAPSULES).sum::<u64>());
         assert_eq!(rt.pc(), CAPSULES as u32);
+    }
+
+    /// A read-only operation writes no boundary and leaves the frame alone; a
+    /// crash inside it is retried in place (counted as an entry retry, no
+    /// recovery), a system crash rolls the machine back before the retry, and
+    /// in kill-restart mode the crash escapes.
+    #[test]
+    fn run_read_retries_in_place_and_leaves_the_frame_alone() {
+        use pmem::{CrashPlan, MemConfig, Mode};
+        install_quiet_crash_hook();
+        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+        let t = mem.thread(0);
+        let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, 2);
+        rt.set_local(0, 5);
+        rt.boundary(3);
+        let x = t.alloc(1);
+        mem.persist_everything();
+        t.write(x, 7); // never flushed: a system crash rolls it back to 0
+        let read_twice = |rt: &mut CapsuleRuntime| (rt.thread().read(x), rt.thread().read(x));
+        let before = rt.metrics();
+        rt.set_system_crashes(true);
+        t.set_crash_schedule(CrashPlan::once(1));
+        assert_eq!(
+            rt.run_read(read_twice),
+            (0, 0),
+            "the retry reads the rolled-back word"
+        );
+        t.disarm_crashes();
+        let m = rt.metrics();
+        assert_eq!(m.entry_retries - before.entry_retries, 1);
+        assert_eq!(m.operations - before.operations, 1);
+        assert_eq!(
+            (m.recoveries, m.boundaries),
+            (before.recoveries, before.boundaries)
+        );
+        assert_eq!((rt.pc(), rt.local(0), rt.crashed()), (3, 5, false));
+        rt.recover();
+        assert_eq!(
+            (rt.pc(), rt.local(0)),
+            (3, 5),
+            "the persisted frame is untouched"
+        );
+
+        rt.set_unwind_on_crash(true);
+        t.set_crash_schedule(CrashPlan::once(0));
+        let died = catch_crash(|| rt.run_read(read_twice));
+        t.disarm_crashes();
+        let signal = died.expect_err("the crash must escape run_read").signal;
+        assert_eq!(signal.pid, 0);
+        assert_eq!(rt.metrics().entry_retries, m.entry_retries);
     }
 
     #[test]

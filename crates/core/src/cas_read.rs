@@ -352,6 +352,7 @@ impl Simulator for CasReadSimulator {
     /// Run a single-CAS normalized operation — the generator and wrap-up
     /// [`NormalizedSimulator::run`](crate::NormalizedSimulator::run) places as
     /// Algorithm 4 — to completion with the §6 placement, surviving crashes:
+    /// a [`read_only`](NormalizedOp::read_only) one with no boundary at all;
     /// uncontended ([`enter`](Self::enter)) as one [`fast`](crate::fast)
     /// capsule; otherwise as a read-only capsule (the generator, its CAS saved
     /// at the boundary as the op's [`CasFrame`] says) and a CAS-Read capsule
@@ -365,6 +366,9 @@ impl Simulator for CasReadSimulator {
         op: &O,
         input: &O::Input,
     ) -> O::Output {
+        if op.read_only() {
+            return self.discipline().run_read(rt, op, input);
+        }
         let f = op.frame();
         if let Some((slot, word)) = f.entry {
             rt.set_local(slot, word);

@@ -195,6 +195,24 @@ impl<'s> Discipline<'s> {
             }
         }
     }
+
+    /// Run a [`read_only`](NormalizedOp::read_only) operation — generator,
+    /// then wrap-up, until the wrap-up answers — outside the capsule frame
+    /// ([`CapsuleRuntime::run_read`]), the same under both simulators.
+    pub(crate) fn run_read<O: NormalizedOp>(
+        &self,
+        rt: &mut CapsuleRuntime<'_, '_>,
+        op: &O,
+        input: &O::Input,
+    ) -> O::Output {
+        rt.run_read(|rt| loop {
+            let list = op.generator(&mut self.ctx(rt, false), input);
+            assert!(list.is_empty(), "a read-only operation proposed a CAS");
+            if let WrapUp::Done(out) = op.wrap_up(&mut self.ctx(rt, false), input, &list, 0) {
+                return out;
+            }
+        })
+    }
 }
 
 /// The environment handed to generators and wrap-ups: shared-memory access plus the
@@ -276,6 +294,15 @@ pub trait NormalizedOp {
     /// [`frame`](Self::frame) keeps (the others arrive as 0).
     fn rebuild(&self, kept: CasDesc) -> CasDesc {
         kept
+    }
+
+    /// Whether this operation only reads: its generator never proposes a CAS
+    /// and its answer is a function of shared state alone. Both simulators
+    /// run such an operation with no boundary and no frame
+    /// ([`CapsuleRuntime::run_read`]): nothing durable names it, so running
+    /// it again is its recovery — and nothing can detect it after it returned.
+    fn read_only(&self) -> bool {
+        false
     }
 }
 
@@ -393,6 +420,9 @@ impl NormalizedSimulator {
         input: &O::Input,
     ) -> O::Output {
         let d = self.discipline();
+        if op.read_only() {
+            return d.run_read(rt, op, input);
+        }
         // Volatile cache of the CAS list: valid only while no crash intervened
         // (after a crash the list is reloaded from its persisted buffer).
         let mut cached: Option<CasList> = None;

@@ -116,8 +116,11 @@ impl NormalizedOp for EnqueueOp<'_> {
             let next = m.read(next_addr(last));
             if next != 0 {
                 // Help a lagging tail; the tail is never touched by an executor, so
-                // a plain CAS suffices (and repetitions are harmless).
+                // a plain CAS suffices (and repetitions are harmless). It is
+                // persisted like the wrap-up's swing, so no peer reads a tail
+                // line that is not durable yet.
                 let _ = ctx.plain_cas(q.tail, last.to_raw(), next);
+                ctx.persist(q.tail);
                 continue;
             }
             return vec![CasDesc::new(next_addr(last), 0, node.to_raw()).with_aux(last.to_raw())];
@@ -164,6 +167,7 @@ impl NormalizedOp for DequeueOp<'_> {
                     return Vec::new(); // empty queue: nothing to CAS
                 }
                 let _ = ctx.plain_cas(q.tail, last.to_raw(), next.to_raw());
+                ctx.persist(q.tail);
                 continue;
             }
             let value = m.read_plain(value_addr(next));

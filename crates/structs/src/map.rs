@@ -808,17 +808,17 @@ impl<S: Simulator> CapsuleMap<S> {
 /// One keyed operation of a [`CapsuleMap`], declared once.
 pub(crate) struct MapOp<'s, S>(pub(crate) &'s CapsuleMap<S>, pub(crate) StructOp);
 
-/// First pcs of the operations in a §6 frame.
+/// First pcs of the writing operations in a §6 frame (`contains` has none:
+/// it runs outside the frame).
 const INSERT: u32 = 0;
 const REMOVE: u32 = 10;
-const CONTAINS: u32 = 20;
 
 impl<S> NormalizedOp for MapOp<'_, S> {
     type Input = ();
     type Output = bool;
 
     /// An empty list means the answer is `false` (insert: present; remove:
-    /// absent) or, for `contains`, that the wrap-up will answer.
+    /// absent) or, for the read-only `contains`, that the wrap-up will answer.
     fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, _: &()) -> CasList {
         let (dir, m) = (self.0.dir, ctx.mem());
         match self.1 {
@@ -868,8 +868,7 @@ impl<S> NormalizedOp for MapOp<'_, S> {
     }
 
     /// The insert keeps its whole CAS; the remove keeps the mark's target and
-    /// expected encoding (the marked one is rebuilt); `contains` keeps nothing
-    /// but its key.
+    /// expected encoding (the marked one is rebuilt).
     fn frame(&self) -> CasFrame {
         let (pc, obj, expected, new, aux) = match self.1 {
             Insert(_) => (
@@ -880,7 +879,7 @@ impl<S> NormalizedOp for MapOp<'_, S> {
                 Some(L_LEN),
             ),
             Remove(_) => (REMOVE, Some(L_CURR_NEXT), Some(L_CURR_ENC), None, None),
-            _ => (CONTAINS, None, None, None, None),
+            op => unreachable!("{op:?} runs outside the frame"),
         };
         let entry = Some((L_KEY, self.1.key()));
         CasFrame {
@@ -899,6 +898,10 @@ impl<S> NormalizedOp for MapOp<'_, S> {
             kept.new = kept.expected | DEL;
         }
         kept
+    }
+
+    fn read_only(&self) -> bool {
+        matches!(self.1, Contains(_))
     }
 }
 
@@ -1189,6 +1192,68 @@ mod tests {
         let d = h.drain_up_to(10_000);
         assert!(!d.truncated);
         assert!(d.items.is_empty(), "everything was removed: {:?}", d.items);
+    }
+
+    /// A `Contains` killed at each of its crash points — both simulators,
+    /// both frame styles, per-process and full-system crashes — answers
+    /// right, recovers nothing (the retry is its recovery) and leaves the
+    /// frame word for word as the operation before it left it.
+    #[test]
+    fn a_contains_killed_at_any_point_answers_right_and_leaves_the_frame_alone() {
+        use crate::api::Handle;
+        use pmem::{install_quiet_crash_hook, CrashPlan};
+        fn sweep<S: Capsuled>(label: &str, build: impl Fn(&PThread<'_>) -> S) {
+            for (key, want) in [(20, Some(1)), (25, Some(0))] {
+                for system in [false, true] {
+                    let label = format!("{label} key={key} system={system}");
+                    for k in 0.. {
+                        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+                        let t = mem.thread(0);
+                        let s = build(&t);
+                        let mut h = Handle::new(&s, &t);
+                        for op in [Insert(10), Insert(20), Insert(30), Remove(10)] {
+                            h.apply(op);
+                        }
+                        mem.persist_everything();
+                        let rt = h.runtime_mut();
+                        rt.set_system_crashes(system);
+                        let f = *rt.frame();
+                        let span = match f.style() {
+                            BoundaryStyle::General => 1 + 2 * f.slots() as u64,
+                            BoundaryStyle::Compact => LINE_WORDS,
+                        };
+                        let frame = || -> Vec<u64> {
+                            (0..span).map(|i| t.read(f.base().offset(i))).collect()
+                        };
+                        let (before, m0) = ((rt.pc(), frame()), rt.metrics());
+                        t.set_crash_schedule(CrashPlan::once(k));
+                        let got = h.apply(Contains(key));
+                        t.disarm_crashes();
+                        if t.stats().crashes == 0 {
+                            assert!(k > 0, "{label}: no crash point");
+                            break;
+                        }
+                        let (rt, label) = (h.runtime_mut(), format!("{label} k={k}"));
+                        assert_eq!(got, want, "{label}");
+                        assert_eq!((rt.pc(), frame()), before, "{label}: the frame moved");
+                        let m = rt.metrics();
+                        assert_eq!(m.recoveries, 0, "{label}");
+                        assert_eq!(m.boundaries, m0.boundaries, "{label}");
+                        assert_eq!(m.entry_retries - m0.entry_retries, 1, "{label}");
+                    }
+                }
+            }
+        }
+        install_quiet_crash_hook();
+        let cfg = MapConfig::new(4, 64);
+        for compact in [false, true] {
+            sweep(&format!("General compact={compact}"), |t| {
+                GeneralDetMap::new(t, 1, cfg, true, BoundaryStyle::opt(compact))
+            });
+            sweep(&format!("Normalized compact={compact}"), |t| {
+                NormalizedDetMap::new(t, 1, cfg, true, compact)
+            });
+        }
     }
 
     #[test]

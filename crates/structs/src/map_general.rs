@@ -90,9 +90,10 @@ mod tests {
                 .find(|&k| h.apply(Insert(k)) == Some(1) && published(&s, &t))
                 .unwrap()
         };
-        // Ends on a `Contains`, so a frame that never entered the insert is
-        // told apart from a completed one by its pc.
-        let prefill: Vec<StructOp> = (1..trigger).map(Insert).chain([Contains(1)]).collect();
+        // Ends on a `Remove` of an absent key (a `Contains` leaves the frame
+        // alone), so a frame that never entered the insert is told apart from
+        // a completed one by its pc.
+        let prefill: Vec<StructOp> = (1..trigger).map(Insert).chain([Remove(0)]).collect();
         for (compact, system) in [(false, false), (false, true), (true, false), (true, true)] {
             let mut after_cas = 0;
             for k in 0.. {

@@ -77,6 +77,9 @@ pub struct CapsuleRuntime<'t, 'm> {
     /// Bitmask of slots read since the last boundary (compact-frame hazard check).
     read_mask: u64,
     crashed: bool,
+    /// The sequence number the next `run_op` raises its own to (see
+    /// [`sync_seq_at_next_entry`](Self::sync_seq_at_next_entry)).
+    seq_floor: u64,
     /// Whether `run_op` persists a boundary at operation entry (see
     /// [`set_entry_boundary`](Self::set_entry_boundary)).
     entry_boundary: bool,
@@ -119,6 +122,7 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
             dirty: 0,
             read_mask: 0,
             crashed: false,
+            seq_floor: 0,
             entry_boundary: true,
             final_boundary: true,
             war_check: true,
@@ -147,6 +151,7 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
             dirty: 0,
             read_mask: 0,
             crashed: false,
+            seq_floor: 0,
             entry_boundary: true,
             final_boundary: true,
             war_check: true,
@@ -208,6 +213,21 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
             self.read_mask = 0;
             self.crashed = false;
         }
+    }
+
+    /// End an operation whose durable result already lives outside the frame
+    /// — a fast capsule's evidence-carrying CAS — without a final boundary.
+    /// The frame stays at the operation's pc, so a restart resumes it from
+    /// that evidence, and the changed slots stay dirty: the next
+    /// [`run_op`](Self::run_op)'s entry boundary persists them (the advanced
+    /// sequence number above all) and thereby retires the operation. With
+    /// entry boundaries off nothing would ever persist them, so this does
+    /// nothing and returns `false`: the caller emits its final boundary.
+    pub fn retire_at_next_entry(&mut self) -> bool {
+        if self.entry_boundary {
+            self.crashed = false;
+        }
+        self.entry_boundary
     }
 
     /// Enable or disable the compact-frame write-after-read hazard assertion.
@@ -333,6 +353,18 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
         }
     }
 
+    /// Make the next [`run_op`](Self::run_op) raise the sequence number to
+    /// `seq` before its entry boundary persists it. A restarted process passes
+    /// the last number it announced: the operation its frame names may have
+    /// returned without persisting that number
+    /// ([`retire_at_next_entry`](Self::retire_at_next_entry)), and a new
+    /// operation must not reuse it — while resuming the operation the frame
+    /// names ([`resume_op`](Self::resume_op)) must start from the number the
+    /// frame persisted, which is why the raise waits for the next entry.
+    pub fn sync_seq_at_next_entry(&mut self, seq: u64) {
+        self.seq_floor = self.seq_floor.max(seq);
+    }
+
     /// The volatile contention policy routing operations between the adaptive
     /// fast path and the full simulator.
     pub fn contention_mut(&mut self) -> &mut ContentionMeasure {
@@ -431,6 +463,8 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
         // (the arguments still live in this runtime), never resumed from the
         // stale program counter, so overwriting those locals is safe.
         self.read_mask = 0;
+        let floor = std::mem::take(&mut self.seq_floor);
+        self.sync_seq(floor);
         if self.entry_boundary {
             // A crash during the entry boundary itself is retried directly: the
             // operation arguments still live in the caller (this runtime's volatile
@@ -904,6 +938,64 @@ mod tests {
         let signal = died.expect_err("the crash must escape run_read").signal;
         assert_eq!(signal.pid, 0);
         assert_eq!(rt.metrics().entry_retries, m.entry_retries);
+    }
+
+    /// An operation retired at the next entry leaves the persisted frame as
+    /// its own entry boundary left it; that next entry boundary persists the
+    /// sequence number it advanced. With entry boundaries off the caller is
+    /// told to emit its final boundary, which persists the number at once.
+    #[test]
+    fn retire_at_next_entry_defers_the_seq_to_the_next_entry_boundary() {
+        let mem = PMem::with_threads(1);
+        let t = mem.thread(0);
+        let op = |rt: &mut CapsuleRuntime| {
+            rt.run_op(4, |rt| {
+                let seq = rt.advance_seq();
+                if !rt.retire_at_next_entry() {
+                    rt.finish_boundary(5);
+                }
+                CapsuleStep::Done(seq)
+            })
+        };
+        let persisted = |rt: &CapsuleRuntime| {
+            let (pc, slots) = rt.frame().recover(&t);
+            (pc, slots[SEQ_SLOT])
+        };
+
+        let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, 1);
+        assert_eq!(op(&mut rt), 1);
+        assert_eq!(rt.metrics().boundaries, 1, "the entry boundary alone");
+        assert_eq!(persisted(&rt), (4, 0), "the frame still names the op");
+        assert!(!rt.crashed());
+        rt.run_op(9, |_| CapsuleStep::Done(()));
+        assert_eq!(persisted(&rt), (9, 1), "the next entry persisted the seq");
+
+        let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, 1);
+        rt.set_entry_boundary(false);
+        assert_eq!(op(&mut rt), 1);
+        assert_eq!(rt.metrics().boundaries, 1, "the final boundary alone");
+        assert_eq!(persisted(&rt), (5, 1));
+    }
+
+    /// A restart after a retired operation: resuming it starts from the
+    /// persisted sequence number, and only the next operation's entry raises
+    /// the number to the floor the restart passed in.
+    #[test]
+    fn sync_seq_at_next_entry_waits_for_the_next_operation() {
+        let mem = PMem::with_threads(1);
+        let t = mem.thread(0);
+        let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, 1);
+        rt.run_op(4, |rt| {
+            rt.advance_seq();
+            rt.retire_at_next_entry();
+            CapsuleStep::Done(())
+        });
+        let mut rt = CapsuleRuntime::attach_from_restart_pointer(&t, BoundaryStyle::General, 1);
+        rt.sync_seq_at_next_entry(1);
+        assert_eq!(rt.resume_op(|rt| CapsuleStep::Done(rt.seq())), 0);
+        assert_eq!(rt.run_op(9, |rt| CapsuleStep::Done(rt.advance_seq())), 2);
+        let (pc, slots) = rt.frame().recover(&t);
+        assert_eq!((pc, slots[SEQ_SLOT]), (9, 1), "the entry persisted the floor");
     }
 
     #[test]

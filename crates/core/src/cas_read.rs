@@ -265,6 +265,10 @@ impl CasReadSimulator {
 
     /// Finish the operation `op` a previous incarnation left in `rt`'s frame:
     /// its result, and `false` if it had completed (read back from the done pc).
+    /// `true` also covers a *completed* fast operation whose frame was never
+    /// finalised: it returned with no final boundary, the next entry boundary
+    /// never persisted, and its fast capsule answers again from the evidence
+    /// of its CAS without repeating it ([`fast`](crate::fast)).
     pub fn resume<O: NormalizedOp>(
         &self,
         rt: &mut CapsuleRuntime<'_, '_>,

@@ -27,6 +27,18 @@
 //!   [`CasDesc::aux`] — the evidence carries the word durably, so nothing is
 //!   `set_local` before the CAS and the frame needs no slot for it.
 //!
+//! A normalized operation's fast capsule ([`fast_op`]) goes one step further:
+//! when its CAS took effect it returns with **no** final boundary. The
+//! evidence on the announcement line already names the operation durably —
+//! seq, target, expected, new and `aux` — so it *is* the operation's result
+//! until the next entry boundary persists the advanced sequence number and
+//! so retires it; a restart in between resumes the operation from the
+//! evidence (triage step 1). This leans on entry boundaries
+//! ([`CapsuleRuntime::retire_at_next_entry`]), and the target's flush is
+//! fenced before returning even where the `-Opt` style dropped that fence.
+//! Outcomes no evidence names — no CAS at all, a lost CAS the wrap-up still
+//! answers, the slow path — keep their final boundary.
+//!
 //! [`ContentionMeasure::record_failure`]: capsules::ContentionMeasure::record_failure
 
 use std::cell::RefCell;
@@ -137,7 +149,9 @@ pub(crate) fn fast_capsule<R>(
 
 /// The fast capsule of a normalized operation, for both simulators: the
 /// generator proposes (`multi` takes a list of two or more CASes off the fast
-/// path), the wrap-up finishes, and `done` keeps its result in the frame.
+/// path), the wrap-up finishes, and `done` keeps its result in the frame —
+/// unless the CAS took effect and the next entry boundary retires the
+/// operation instead (module docs).
 pub(crate) fn fast_op<O: NormalizedOp>(
     rt: &mut CapsuleRuntime<'_, '_>,
     d: Discipline<'_>,
@@ -152,7 +166,14 @@ pub(crate) fn fast_op<O: NormalizedOp>(
         let WrapUp::Done(out) = verdict else {
             return None;
         };
-        done(rt, out);
+        // A CAS that took effect is the operation's durable result: its
+        // evidence names it until the next entry boundary retires it. An
+        // outcome no evidence names keeps its final boundary.
+        if executed == 1 && rt.retire_at_next_entry() {
+            d.fence_dropped(rt.thread());
+        } else {
+            done(rt, out);
+        }
         Some(out)
     };
     // The generator's list behind the CAS in flight, kept for its wrap-up.

@@ -239,10 +239,18 @@ impl<'s, 't, 'm, S: Capsuled> Handle<'s, 't, 'm, S> {
 
     /// A handle resuming from the process's restart pointer (the frame it
     /// published before the crash). Recovery is constant work: reload the
-    /// frame, and the first capsule re-executed consults the recoverable CAS.
+    /// frame, read the last sequence number the process announced, and the
+    /// first capsule re-executed consults the recoverable CAS. The frame may
+    /// name a fast operation that returned with no final boundary, its
+    /// sequence number never persisted: the next operation starts past the
+    /// announced one ([`CapsuleRuntime::sync_seq_at_next_entry`]).
     pub fn attach(shared: &'s S, thread: &'t PThread<'m>) -> Self {
         let style = shared.sim().style();
-        let rt = CapsuleRuntime::attach_from_restart_pointer(thread, style, Self::LOCALS);
+        let mut rt = CapsuleRuntime::attach_from_restart_pointer(thread, style, Self::LOCALS);
+        thread.begin_recovery();
+        let announced = shared.sim().mem(thread).space().announcement(thread).seq;
+        thread.end_recovery();
+        rt.sync_seq_at_next_entry(announced);
         Self::over(shared, rt)
     }
 

@@ -196,6 +196,15 @@ impl<'s> Discipline<'s> {
         }
     }
 
+    /// Fence the flushes [`persist_line`](Self::persist_line) left unfenced:
+    /// an operation that returns with no boundary after its CAS must still be
+    /// durable when it returns.
+    pub(crate) fn fence_dropped(&self, thread: &PThread<'_>) {
+        if self.durable && !self.fence_before_cas {
+            thread.fence();
+        }
+    }
+
     /// Run a [`read_only`](NormalizedOp::read_only) operation — generator,
     /// then wrap-up, until the wrap-up answers — outside the capsule frame
     /// ([`CapsuleRuntime::run_read`]), the same under both simulators.

@@ -87,7 +87,7 @@ pub(crate) use fifo_struct_handle;
 pub(crate) mod testkit {
     use super::*;
     use delayfree::{Capsuled, Handle};
-    use pmem::{install_quiet_crash_hook, CrashPolicy, MemConfig, Mode, PMem, PThread};
+    use pmem::{install_quiet_crash_hook, CrashPlan, CrashPolicy, MemConfig, Mode, PMem, PThread};
     use std::collections::HashSet;
 
     /// FIFO semantics on one thread, for both values of the style flag.
@@ -238,6 +238,59 @@ pub(crate) mod testkit {
             assert_eq!(h.dequeue(), Some(i));
         }
         assert_eq!(h.dequeue(), None);
+    }
+
+    /// A restart after a fast enqueue, or a fast dequeue, returned: the
+    /// handle re-attached through the restart pointer dequeues and enqueues
+    /// with a crash at each of their points (per-process and full-system
+    /// crashes, both style flags), exactly once — neither operation may
+    /// mistake the returned operation's evidence, still on the queue's
+    /// words, for its own.
+    pub(crate) fn crash_point_sweep_after_restart<Q: Capsuled>(
+        build: impl Fn(&PThread<'_>, bool) -> Q,
+    ) where
+        for<'q, 't, 'm> Handle<'q, 't, 'm, Q>: QueueHandle,
+    {
+        install_quiet_crash_hook();
+        let enqueued: &[Option<u64>] = &[Some(1), Some(2)];
+        let dequeued: &[Option<u64>] = &[Some(1), Some(2), Some(3), None];
+        let run = |flag, prefill: &[Option<u64>], system, plan: Option<CrashPlan>| {
+            let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+            let t = mem.thread(0);
+            let q = build(&t, flag);
+            let mut h = Handle::new(&q, &t);
+            for op in prefill {
+                match op {
+                    Some(v) => h.enqueue(*v),
+                    None => assert_eq!(h.dequeue(), Some(1)),
+                }
+            }
+            mem.crash_all();
+            let mut h = Handle::attach(&q, &t);
+            h.runtime_mut().set_system_crashes(system);
+            let _ = t.take_stats();
+            if let Some(plan) = plan {
+                t.set_crash_schedule(plan);
+            }
+            let got = h.dequeue();
+            h.enqueue(9);
+            let points = t.stats().crash_points;
+            t.disarm_crashes();
+            ((got, h.drain_up_to(16)), points)
+        };
+        for flag in [false, true] {
+            for (prefill, head) in [(enqueued, 1), (dequeued, 2)] {
+                for system in [false, true] {
+                    let (base, n) = run(flag, prefill, system, None);
+                    let tail = if head == 1 { vec![2, 9] } else { vec![3, 9] };
+                    assert_eq!(base, (Some(head), tail));
+                    for k in 0..n {
+                        let (got, _) = run(flag, prefill, system, Some(CrashPlan::once(k)));
+                        assert_eq!(got, base, "flag={flag} system={system} crash at point {k}");
+                    }
+                }
+            }
+        }
     }
 }
 

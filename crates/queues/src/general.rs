@@ -390,6 +390,11 @@ mod tests {
     }
 
     #[test]
+    fn crash_point_sweep_after_a_restart_is_exact() {
+        testkit::crash_point_sweep_after_restart(|t, compact| styled(t, 1, compact));
+    }
+
+    #[test]
     fn opt_variant_uses_fewer_fences_per_operation() {
         let mem = PMem::with_threads(1);
         let t = mem.thread(0);

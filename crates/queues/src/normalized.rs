@@ -263,6 +263,11 @@ mod tests {
     }
 
     #[test]
+    fn crash_point_sweep_after_a_restart_is_exact() {
+        testkit::crash_point_sweep_after_restart(|t, optimised| manual(t, 1, optimised));
+    }
+
+    #[test]
     fn normalized_uses_fewer_boundaries_than_general() {
         let mem = PMem::with_threads(1);
         let t = mem.thread(0);

@@ -67,6 +67,7 @@ pub(crate) fn single_cas_outcome(cas_list: &CasList, executed: usize) -> WrapUp<
 #[cfg(test)]
 pub(crate) mod testkit {
     use super::*;
+    use capsules::CapsuleRuntime;
     use pmem::{install_quiet_crash_hook, CrashPlan, CrashPolicy, MemConfig, Mode, PMem, PThread};
     use std::collections::{BTreeSet, HashSet};
     use StructOp::{Contains, Insert, Pop, Push, Remove};
@@ -352,6 +353,51 @@ pub(crate) mod testkit {
         Some(inspect(&s, &t, &mut Handle::attach(&s, &t)))
     }
 
+    /// Detect after return: `last` (a fast operation whose CAS takes effect)
+    /// returns `last_out` with no final boundary, and the incarnation dies at
+    /// each crash point of `next` — its entry boundary first — in both frame
+    /// styles (`build`'s flag) and crash flavours. Where the re-attached
+    /// frame still names `last`, `resume` must finish it from its evidence
+    /// with `last_out` and leave its effect in place once, before `next`
+    /// runs afresh; otherwise `next` is finished from its own frame. Either
+    /// way `next` answers `expect.0` and the structure drains to `expect.1`.
+    /// `resume(s, rt, op)` is `None` when the frame does not name `op`.
+    pub(crate) fn resume_after_return<S: Capsuled>(
+        build: impl Fn(&PThread<'_>, bool) -> S,
+        prefill: &[StructOp],
+        (last, last_out): (StructOp, Option<u64>),
+        next: StructOp,
+        resume: impl Fn(&S, &mut CapsuleRuntime<'_, '_>, StructOp) -> Option<Option<u64>>,
+        expect: (Option<u64>, Vec<u64>),
+    ) {
+        let prefill: Vec<StructOp> = prefill.iter().copied().chain([last]).collect();
+        for (compact, system) in [(false, false), (false, true), (true, false), (true, true)] {
+            let mut resumed_last = 0;
+            for k in 0.. {
+                let build = |t: &PThread<'_>| build(t, compact);
+                let seen = die_at(build, system, &prefill, next, k, |s, _, h| {
+                    let at = format!("compact={compact} system={system} k={k}");
+                    let resumed = resume(s, h.runtime_mut(), last);
+                    let got = match resumed {
+                        Some(out) => {
+                            assert_eq!(out, last_out, "{at}: {last:?} resumed");
+                            h.apply(next)
+                        }
+                        None => resume(s, h.runtime_mut(), next).unwrap_or_else(|| h.apply(next)),
+                    };
+                    assert_eq!(got, expect.0, "{at}: {next:?}");
+                    assert_eq!(h.drain_up_to(10_000).items, expect.1, "{at}");
+                    resumed.is_some()
+                });
+                match seen {
+                    None => break,
+                    Some(resumed) => resumed_last += resumed as u32,
+                }
+            }
+            assert!(resumed_last > 0, "compact={compact} system={system}");
+        }
+    }
+
     /// Two scheduled pids (deterministic interleaving per `seed`) run their
     /// `ops(pid)` on one structure; returns each pid's capsule metrics and
     /// memory statistics over its operations, then the quiescent contents.
@@ -390,13 +436,16 @@ pub(crate) mod testkit {
 
     /// What a trip-1 demotion must leave behind on `pid`'s counters after
     /// `nodes`-allocating operations: the operation re-entered the slow
-    /// machine (demotion boundary + at least the CAS capsule's, on top of
-    /// entry + final) and built a second node — the fast one is abandoned.
+    /// machine and built a second node — the fast one is abandoned. Every
+    /// operation pays its entry boundary; a fast one that took effect ends
+    /// without a final boundary (the next entry boundary retires it), while
+    /// a demoted one pays a demotion boundary, at least its CAS capsule's,
+    /// and the slow machine's final boundary.
     pub(crate) fn assert_demotions_reentered_the_slow_machine(
         (m, stats): &(capsules::CapsuleMetrics, pmem::Stats),
         node_words: u64,
     ) {
-        assert!(m.boundaries >= 2 * m.operations + 2 * m.demotions, "{m:?}");
+        assert!(m.boundaries >= m.operations + 3 * m.demotions, "{m:?}");
         assert!(
             stats.words_allocated >= node_words * (m.operations + m.demotions),
             "{m:?}"
@@ -413,6 +462,31 @@ pub(crate) mod testkit {
         script: &[StructOp],
         expect: (Vec<Option<u64>>, Vec<u64>),
     ) {
+        crash_point_sweep(build, prefill, script, expect, false);
+    }
+
+    /// [`exhaustive_crash_point_sweep`] across a restart: `prefill` runs to
+    /// completion, nothing beyond what its operations made durable survives
+    /// a full-system crash, and `script` runs on a handle re-attached
+    /// through the restart pointer. The frame the handle finds may name a
+    /// fast operation that returned with no final boundary, so its sequence
+    /// number was never persisted: no operation of `script` may reuse it.
+    pub(crate) fn crash_point_sweep_after_restart<S: Capsuled>(
+        build: impl Fn(&PThread<'_>) -> S,
+        prefill: &[StructOp],
+        script: &[StructOp],
+        expect: (Vec<Option<u64>>, Vec<u64>),
+    ) {
+        crash_point_sweep(build, prefill, script, expect, true);
+    }
+
+    fn crash_point_sweep<S: Capsuled>(
+        build: impl Fn(&PThread<'_>) -> S,
+        prefill: &[StructOp],
+        script: &[StructOp],
+        expect: (Vec<Option<u64>>, Vec<u64>),
+        restart: bool,
+    ) {
         install_quiet_crash_hook();
         type History = (Vec<Option<u64>>, Vec<u64>);
         let run = |plan: Option<CrashPlan>, system: bool| -> (History, u64, u64) {
@@ -420,11 +494,16 @@ pub(crate) mod testkit {
             let t = mem.thread(0);
             let s = build(&t);
             let mut h = Handle::new(&s, &t);
-            h.runtime_mut().set_system_crashes(system);
             for &op in prefill {
                 assert_ne!(h.apply(op), Some(0));
             }
-            mem.persist_everything();
+            if restart {
+                mem.crash_all();
+                h = Handle::attach(&s, &t);
+            } else {
+                mem.persist_everything();
+            }
+            h.runtime_mut().set_system_crashes(system);
             let _ = t.take_stats();
             if let Some(p) = plan {
                 t.set_crash_schedule(p);

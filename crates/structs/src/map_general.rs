@@ -5,8 +5,7 @@ mod tests {
     use crate::api::{testkit, StructHandle, StructOp};
     use crate::map::{contains_routed, resize_published, GeneralDetMap, MapConfig, MapOp};
     use crate::node::NODE_WORDS;
-    use capsules::BoundaryStyle;
-    use capsules::ContentionMeasure;
+    use capsules::{BoundaryStyle, CapsuleRuntime, ContentionMeasure};
     use delayfree::NormalizedOp;
     use delayfree::Simulator;
     use pmem::PThread;
@@ -64,6 +63,30 @@ mod tests {
                     vec![Some(1), Some(1), Some(0), Some(1), Some(1), Some(0)],
                     vec![15, 20, 25, 30],
                 ),
+            );
+        }
+    }
+
+    /// A restart after a fast insert, or a fast remove, returned: the next
+    /// operations on the re-attached handle — crashed at each of their
+    /// points, both frame styles — must not mistake the returned operation's
+    /// evidence for their own; the first links its key on the word the
+    /// returned operation's CAS changed.
+    #[test]
+    fn crash_point_sweep_after_a_restart_is_exact() {
+        let inserted = [Insert(10), Insert(30)];
+        let removed = [Insert(10), Insert(20), Insert(30), Remove(20)];
+        for (flag, prefill) in [
+            (false, &inserted[..]),
+            (true, &inserted),
+            (false, &removed),
+            (true, &removed),
+        ] {
+            testkit::crash_point_sweep_after_restart(
+                |t| styled(t, MapConfig::new(1, 64), flag),
+                prefill,
+                &[Insert(20), Remove(10)],
+                (vec![Some(1), Some(1)], vec![20, 30]),
             );
         }
     }
@@ -128,6 +151,23 @@ mod tests {
             }
             assert!(after_cas > 0, "compact={compact} system={system}");
         }
+    }
+
+    /// A fast insert returns with no final boundary; killing the next
+    /// operation — in its entry boundary above all — leaves a frame that
+    /// still names it, and resuming it from its evidence answers `true`
+    /// again with the key linked once.
+    #[test]
+    fn a_fast_insert_killed_after_return_resumes_from_its_evidence() {
+        let resume = |s: &GeneralDetMap, rt: &mut CapsuleRuntime<'_, '_>, op| {
+            let op = MapOp(s, op);
+            let resumed = op.frame().owns(rt.pc());
+            resumed.then(|| Some(s.sim.resume(rt, &op, &()).0 as u64))
+        };
+        let build = |t: &PThread<'_>, compact| styled(t, MapConfig::new(1, 64), compact);
+        let (prefill, insert) = ([Insert(1), Insert(3)], (Insert(5), Some(1)));
+        let expect = (Some(1), vec![1, 5]);
+        testkit::resume_after_return(build, &prefill, insert, Remove(3), resume, expect);
     }
 
     /// Two scheduled pids insert at the head of one chain through a trip-1

@@ -62,4 +62,28 @@ mod tests {
             );
         }
     }
+
+    /// A restart after a fast insert, or a fast remove, returned: the next
+    /// operations on the re-attached handle — crashed at each of their
+    /// points, both variants — must not mistake the returned operation's
+    /// evidence for their own; the first links its key on the word the
+    /// returned operation's CAS changed.
+    #[test]
+    fn crash_point_sweep_after_a_restart_is_exact() {
+        let inserted = [Insert(10), Insert(30)];
+        let removed = [Insert(10), Insert(20), Insert(30), Remove(20)];
+        for (flag, prefill) in [
+            (false, &inserted[..]),
+            (true, &inserted),
+            (false, &removed),
+            (true, &removed),
+        ] {
+            testkit::crash_point_sweep_after_restart(
+                |t| styled(t, MapConfig::new(1, 64), flag),
+                prefill,
+                &[Insert(20), Remove(10)],
+                (vec![Some(1), Some(1)], vec![20, 30]),
+            );
+        }
+    }
 }

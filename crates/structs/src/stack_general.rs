@@ -5,7 +5,7 @@ mod tests {
     use crate::api::{testkit, StructHandle, StructOp};
     use crate::node::NODE_WORDS;
     use crate::stack::{GeneralStack, StackOp};
-    use capsules::{BoundaryStyle, ContentionMeasure};
+    use capsules::{BoundaryStyle, CapsuleRuntime, ContentionMeasure};
     use delayfree::NormalizedOp;
     use pmem::PThread;
     use StructOp::{Pop, Push};
@@ -46,6 +46,29 @@ mod tests {
                 &[Push(100)],
                 &[Push(1), Push(2), Pop, Pop],
                 (vec![None, None, Some(2), Some(1)], vec![100]),
+            );
+        }
+    }
+
+    /// A restart after a fast push, or a fast pop, returned: the next
+    /// operations on the re-attached handle — crashed at each of their
+    /// points, both frame styles — must not mistake the returned
+    /// operation's evidence for their own.
+    #[test]
+    fn crash_point_sweep_after_a_restart_is_exact() {
+        let pushed = [Push(1), Push(2)];
+        let popped = [Push(1), Push(2), Push(3), Pop];
+        for (compact, prefill) in [
+            (false, &pushed[..]),
+            (true, &pushed),
+            (false, &popped),
+            (true, &popped),
+        ] {
+            testkit::crash_point_sweep_after_restart(
+                |t| styled(t, 1, compact),
+                prefill,
+                &[Pop, Push(4)],
+                (vec![Some(2), None], vec![4, 1]),
             );
         }
     }
@@ -97,6 +120,25 @@ mod tests {
                 "compact={compact} system={system}"
             );
         }
+    }
+
+    /// A fast push or pop returns with no final boundary; killing the next
+    /// operation — in its entry boundary above all — leaves a frame that
+    /// still names it, and resuming it from its evidence answers it again
+    /// without doing it twice.
+    #[test]
+    fn a_fast_op_killed_after_return_resumes_from_its_evidence() {
+        let resume = |s: &GeneralStack, rt: &mut CapsuleRuntime<'_, '_>, op| {
+            let op = StackOp(s, op);
+            let resumed = op.frame().owns(rt.pc());
+            resumed.then(|| s.sim.resume(rt, &op, &()).0)
+        };
+        let build = |t: &PThread<'_>, compact| styled(t, 1, compact);
+        let push = (Push(2), None);
+        testkit::resume_after_return(build, &[Push(1)], push, Pop, resume, (Some(2), vec![1]));
+        let pop = (Pop, Some(2));
+        let prefill = [Push(1), Push(2)];
+        testkit::resume_after_return(build, &prefill, pop, Push(3), resume, (None, vec![3, 1]));
     }
 
     /// Two scheduled pids push through a trip-1 policy: every lost fast CAS

@@ -41,4 +41,27 @@ mod tests {
             );
         }
     }
+
+    /// A restart after a fast push, or a fast pop, returned: the next
+    /// operations on the re-attached handle — crashed at each of their
+    /// points, both variants — must not mistake the returned operation's
+    /// evidence for their own.
+    #[test]
+    fn crash_point_sweep_after_a_restart_is_exact() {
+        let pushed = [Push(1), Push(2)];
+        let popped = [Push(1), Push(2), Push(3), Pop];
+        for (optimised, prefill) in [
+            (false, &pushed[..]),
+            (true, &pushed),
+            (false, &popped),
+            (true, &popped),
+        ] {
+            testkit::crash_point_sweep_after_restart(
+                |t| NormalizedStack::new(t, 1, true, optimised),
+                prefill,
+                &[Pop, Push(4)],
+                (vec![Some(2), None], vec![4, 1]),
+            );
+        }
+    }
 }

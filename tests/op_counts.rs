@@ -111,34 +111,38 @@ fn every_operation_costs_exactly_its_pinned_counts() {
 /// in the frame, Algorithm 4 keeps the CAS list inline, and the General set's
 /// `Remove` unlinks inside its mark capsule. A map `Contains` is read-only and
 /// runs outside the frame under both: no boundary, no flush, its search alone.
-/// The set's `Contains` still pays its boundaries.
+/// The set's `Contains` still pays its boundaries. A fast operation whose CAS
+/// took effect pays its entry boundary alone: its evidence stands for its
+/// result until the next entry boundary retires it, which then persists the
+/// sequence number it advanced (an empty `Pop` right after a `Pop` pays that
+/// slot's flush and fence in the General frame).
 const EXPECTED: &str = "\
-Stack-General              Push(1)      flushes  7 fences  7 boundaries 2 instr  31
-Stack-General              Push(2)      flushes  8 fences  7 boundaries 2 instr  33
-Stack-General              Pop          flushes  6 fences  5 boundaries 2 instr  29
-Stack-General              Pop          flushes  6 fences  5 boundaries 2 instr  29
-Stack-General              Pop          flushes  2 fences  2 boundaries 2 instr   9
-Stack-Normalized           Push(1)      flushes  6 fences  6 boundaries 2 instr  29
-Stack-Normalized           Push(2)      flushes  7 fences  6 boundaries 2 instr  31
-Stack-Normalized           Pop          flushes  6 fences  5 boundaries 2 instr  29
-Stack-Normalized           Pop          flushes  6 fences  5 boundaries 2 instr  29
-Stack-Normalized           Pop          flushes  3 fences  3 boundaries 2 instr  12
-Map-General                Insert(5)    flushes  7 fences  7 boundaries 2 instr  34
-Map-General                Insert(3)    flushes  7 fences  7 boundaries 2 instr  34
-Map-General                Insert(5)    flushes  3 fences  3 boundaries 2 instr  17
+Stack-General              Push(1)      flushes  5 fences  5 boundaries 1 instr  24
+Stack-General              Push(2)      flushes  6 fences  5 boundaries 1 instr  27
+Stack-General              Pop          flushes  5 fences  4 boundaries 1 instr  24
+Stack-General              Pop          flushes  5 fences  4 boundaries 1 instr  24
+Stack-General              Pop          flushes  3 fences  3 boundaries 2 instr  12
+Stack-Normalized           Push(1)      flushes  4 fences  4 boundaries 1 instr  21
+Stack-Normalized           Push(2)      flushes  6 fences  5 boundaries 1 instr  26
+Stack-Normalized           Pop          flushes  5 fences  4 boundaries 1 instr  24
+Stack-Normalized           Pop          flushes  5 fences  4 boundaries 1 instr  24
+Stack-Normalized           Pop          flushes  4 fences  4 boundaries 2 instr  15
+Map-General                Insert(5)    flushes  5 fences  5 boundaries 1 instr  27
+Map-General                Insert(3)    flushes  6 fences  5 boundaries 1 instr  29
+Map-General                Insert(5)    flushes  4 fences  3 boundaries 2 instr  19
 Map-General                Contains(5)  flushes  0 fences  0 boundaries 0 instr   6
 Map-General                Contains(4)  flushes  0 fences  0 boundaries 0 instr   6
-Map-General                Remove(5)    flushes  6 fences  6 boundaries 2 instr  32
-Map-General                Remove(5)    flushes  3 fences  3 boundaries 2 instr  16
-Map-General                Insert(5)    flushes  8 fences  7 boundaries 2 instr  37
-Map-Normalized             Insert(5)    flushes  6 fences  6 boundaries 2 instr  32
-Map-Normalized             Insert(3)    flushes  6 fences  6 boundaries 2 instr  32
-Map-Normalized             Insert(5)    flushes  3 fences  3 boundaries 2 instr  17
+Map-General                Remove(5)    flushes  4 fences  4 boundaries 1 instr  25
+Map-General                Remove(5)    flushes  3 fences  3 boundaries 2 instr  17
+Map-General                Insert(5)    flushes  6 fences  5 boundaries 1 instr  30
+Map-Normalized             Insert(5)    flushes  4 fences  4 boundaries 1 instr  24
+Map-Normalized             Insert(3)    flushes  5 fences  5 boundaries 1 instr  27
+Map-Normalized             Insert(5)    flushes  4 fences  4 boundaries 2 instr  20
 Map-Normalized             Contains(5)  flushes  0 fences  0 boundaries 0 instr   6
 Map-Normalized             Contains(4)  flushes  0 fences  0 boundaries 0 instr   6
-Map-Normalized             Remove(5)    flushes  6 fences  5 boundaries 2 instr  31
-Map-Normalized             Remove(5)    flushes  3 fences  3 boundaries 2 instr  16
-Map-Normalized             Insert(5)    flushes  7 fences  6 boundaries 2 instr  35
+Map-Normalized             Remove(5)    flushes  3 fences  3 boundaries 1 instr  22
+Map-Normalized             Remove(5)    flushes  4 fences  4 boundaries 2 instr  19
+Map-Normalized             Insert(5)    flushes  5 fences  4 boundaries 1 instr  27
 Stack-General-slow         Push(1)      flushes 10 fences  9 boundaries 3 instr  35
 Stack-General-slow         Push(2)      flushes 10 fences  9 boundaries 3 instr  36
 Stack-General-slow         Pop          flushes  9 fences  7 boundaries 3 instr  33
@@ -181,32 +185,32 @@ Set-Normalized             Contains(4)  flushes  5 fences  5 boundaries 3 instr 
 Set-Normalized             Remove(5)    flushes 11 fences  7 boundaries 3 instr  42
 Set-Normalized             Remove(5)    flushes  5 fences  5 boundaries 3 instr  22
 Set-Normalized             Insert(5)    flushes  9 fences  8 boundaries 3 instr  39
-Stack-General-Opt          Push(1)      flushes  5 fences  3 boundaries 2 instr  23
-Stack-General-Opt          Push(2)      flushes  6 fences  3 boundaries 2 instr  25
-Stack-General-Opt          Pop          flushes  5 fences  3 boundaries 2 instr  24
-Stack-General-Opt          Pop          flushes  5 fences  3 boundaries 2 instr  24
-Stack-General-Opt          Pop          flushes  2 fences  2 boundaries 2 instr   9
-Stack-Normalized-Opt       Push(1)      flushes  5 fences  5 boundaries 2 instr  25
-Stack-Normalized-Opt       Push(2)      flushes  6 fences  5 boundaries 2 instr  27
-Stack-Normalized-Opt       Pop          flushes  5 fences  4 boundaries 2 instr  25
-Stack-Normalized-Opt       Pop          flushes  5 fences  4 boundaries 2 instr  25
-Stack-Normalized-Opt       Pop          flushes  2 fences  2 boundaries 2 instr  10
-Map-General-Opt            Insert(5)    flushes  5 fences  3 boundaries 2 instr  26
-Map-General-Opt            Insert(3)    flushes  5 fences  3 boundaries 2 instr  26
-Map-General-Opt            Insert(5)    flushes  2 fences  2 boundaries 2 instr  15
+Stack-General-Opt          Push(1)      flushes  4 fences  3 boundaries 1 instr  21
+Stack-General-Opt          Push(2)      flushes  5 fences  3 boundaries 1 instr  22
+Stack-General-Opt          Pop          flushes  4 fences  3 boundaries 1 instr  20
+Stack-General-Opt          Pop          flushes  4 fences  3 boundaries 1 instr  20
+Stack-General-Opt          Pop          flushes  2 fences  2 boundaries 2 instr   8
+Stack-Normalized-Opt       Push(1)      flushes  4 fences  4 boundaries 1 instr  21
+Stack-Normalized-Opt       Push(2)      flushes  5 fences  4 boundaries 1 instr  22
+Stack-Normalized-Opt       Pop          flushes  4 fences  3 boundaries 1 instr  20
+Stack-Normalized-Opt       Pop          flushes  4 fences  3 boundaries 1 instr  20
+Stack-Normalized-Opt       Pop          flushes  2 fences  2 boundaries 2 instr   9
+Map-General-Opt            Insert(5)    flushes  4 fences  3 boundaries 1 instr  24
+Map-General-Opt            Insert(3)    flushes  4 fences  3 boundaries 1 instr  23
+Map-General-Opt            Insert(5)    flushes  2 fences  2 boundaries 2 instr  14
 Map-General-Opt            Contains(5)  flushes  0 fences  0 boundaries 0 instr   6
 Map-General-Opt            Contains(4)  flushes  0 fences  0 boundaries 0 instr   6
-Map-General-Opt            Remove(5)    flushes  4 fences  3 boundaries 2 instr  25
-Map-General-Opt            Remove(5)    flushes  2 fences  2 boundaries 2 instr  14
-Map-General-Opt            Insert(5)    flushes  6 fences  3 boundaries 2 instr  29
-Map-Normalized-Opt         Insert(5)    flushes  5 fences  5 boundaries 2 instr  28
-Map-Normalized-Opt         Insert(3)    flushes  5 fences  5 boundaries 2 instr  28
-Map-Normalized-Opt         Insert(5)    flushes  2 fences  2 boundaries 2 instr  15
+Map-General-Opt            Remove(5)    flushes  3 fences  3 boundaries 1 instr  23
+Map-General-Opt            Remove(5)    flushes  2 fences  2 boundaries 2 instr  13
+Map-General-Opt            Insert(5)    flushes  5 fences  3 boundaries 1 instr  27
+Map-Normalized-Opt         Insert(5)    flushes  4 fences  4 boundaries 1 instr  24
+Map-Normalized-Opt         Insert(3)    flushes  4 fences  4 boundaries 1 instr  23
+Map-Normalized-Opt         Insert(5)    flushes  2 fences  2 boundaries 2 instr  14
 Map-Normalized-Opt         Contains(5)  flushes  0 fences  0 boundaries 0 instr   6
 Map-Normalized-Opt         Contains(4)  flushes  0 fences  0 boundaries 0 instr   6
-Map-Normalized-Opt         Remove(5)    flushes  4 fences  4 boundaries 2 instr  26
-Map-Normalized-Opt         Remove(5)    flushes  2 fences  2 boundaries 2 instr  14
-Map-Normalized-Opt         Insert(5)    flushes  6 fences  5 boundaries 2 instr  31
+Map-Normalized-Opt         Remove(5)    flushes  3 fences  3 boundaries 1 instr  22
+Map-Normalized-Opt         Remove(5)    flushes  2 fences  2 boundaries 2 instr  13
+Map-Normalized-Opt         Insert(5)    flushes  5 fences  4 boundaries 1 instr  27
 Stack-General-Opt-slow     Push(1)      flushes  6 fences  5 boundaries 3 instr  25
 Stack-General-Opt-slow     Push(2)      flushes  7 fences  5 boundaries 3 instr  27
 Stack-General-Opt-slow     Pop          flushes  6 fences  4 boundaries 3 instr  25

@@ -393,9 +393,6 @@ mod tests {
         assert!(slow_path_fences_per_op(Variant::GeneralOpt) < general);
         let normalized = slow_path_fences_per_op(Variant::Normalized);
         assert!(slow_path_fences_per_op(Variant::NormalizedOpt) < normalized);
-        // And the normalized construction needs fewer fences than the general one,
-        // which is the mechanism behind its higher throughput in Figures 5 and 6.
-        assert!(normalized < general);
         // The adaptive fast path must only ever lower the fence count.
         let adaptive = run_workload(Variant::General, &tiny(1));
         assert!(adaptive.fences_per_op <= general);

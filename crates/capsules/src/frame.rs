@@ -159,6 +159,22 @@ impl Frame {
         }
     }
 
+    /// Persist `seq` as the sequence number of a frame no boundary has
+    /// written yet, in place of its initial 0.
+    pub(crate) fn persist_initial_seq(&self, thread: &PThread<'_>, seq: u64) {
+        let addr = match self.style {
+            // The validity mask is still 0: copy 0 is the one recovery reads.
+            BoundaryStyle::General => self.copy_addr(0, SEQ_SLOT),
+            // The pc is still 0: the control word is the seq alone.
+            BoundaryStyle::Compact => {
+                assert!(seq <= MAX_COMPACT_SEQ, "sequence number overflows the compact frame");
+                self.control_addr()
+            }
+        };
+        thread.write(addr, seq);
+        thread.persist(addr);
+    }
+
     fn control_addr(&self) -> PAddr {
         self.base
     }

@@ -133,6 +133,24 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
         }
     }
 
+    /// [`new`](Self::new) for a process that announced sequence numbers up
+    /// to `seq` through an earlier frame (a restart that builds a fresh frame
+    /// rather than re-attaching): the new frame persists `seq` as its
+    /// starting number, so no later operation hands one of them out again.
+    pub fn new_after(
+        thread: &'t PThread<'m>,
+        style: BoundaryStyle,
+        nvars: usize,
+        seq: u64,
+    ) -> Self {
+        let mut rt = Self::new(thread, style, nvars);
+        if seq > 0 {
+            rt.frame.persist_initial_seq(thread, seq);
+            rt.locals[SEQ_SLOT] = seq;
+        }
+        rt
+    }
+
     /// Re-attach to the frame published in the process's restart pointer — what a
     /// process does when it restarts after a crash. The runtime comes up in the
     /// recovered state (persisted locals loaded, `crashed()` raised).
@@ -740,6 +758,24 @@ mod tests {
         assert!(rt.crashed());
         assert_eq!(rt.pc(), frame_pc);
         assert_eq!(rt.local(1), 88);
+    }
+
+    /// A fresh frame started after announced sequence numbers keeps its
+    /// starting number across a full-system crash before its first boundary,
+    /// and its first operation advances past it (both frame styles).
+    #[test]
+    fn new_after_persists_its_starting_seq() {
+        for style in [BoundaryStyle::General, BoundaryStyle::Compact] {
+            let mem = PMem::new(pmem::MemConfig::new(1).mode(pmem::Mode::SharedCache));
+            let t = mem.thread(0);
+            let rt = CapsuleRuntime::new_after(&t, style, 2, 41);
+            assert_eq!(rt.seq(), 41);
+            mem.crash_all();
+            let mut rt = CapsuleRuntime::attach_from_restart_pointer(&t, style, 2);
+            assert_eq!((rt.pc(), rt.seq()), (0, 41), "{style:?}");
+            let seq = rt.run_op(0, |rt| CapsuleStep::Done(rt.advance_seq()));
+            assert_eq!(seq, 42, "{style:?}");
+        }
     }
 
     #[test]

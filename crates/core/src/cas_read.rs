@@ -27,7 +27,7 @@ use capsules::{recoverable_cas, BoundaryStyle, CapsuleRuntime, CapsuleStep, Cont
 use pmem::{PAddr, PThread};
 use rcas::RcasSpace;
 
-use crate::fast::{fast_capsule, fast_op, Attempt, Proposal};
+use crate::fast::fast_op;
 use crate::mem::RcasMem;
 use crate::normalized::{CasDesc, CasList, Discipline, NormalizedOp, PersistResult, WrapUp};
 use crate::Simulator;
@@ -148,14 +148,14 @@ impl CasReadSimulator {
 
     /// The frame layout of handles. [`BoundaryStyle::Compact`] is the `-Opt`
     /// configuration, which also drops the fences a CAS makes redundant
-    /// ([`persist_line`](Self::persist_line)).
+    /// ([`capsule_cas`](Self::capsule_cas)).
     pub fn with_style(mut self, style: BoundaryStyle) -> CasReadSimulator {
         self.style = style;
         self
     }
 
     /// Let uncontended operations run as one un-checkpointed fast capsule
-    /// ([`enter`](Self::enter), [`fast_capsule`](Self::fast_capsule)).
+    /// ([`fast`](crate::fast)).
     pub fn with_adaptive(mut self, adaptive: bool) -> CasReadSimulator {
         self.adaptive = adaptive;
         self
@@ -168,15 +168,11 @@ impl CasReadSimulator {
         self
     }
 
-    /// The recoverable-CAS space used by this simulator.
-    pub fn space(&self) -> &RcasSpace {
-        &self.space
-    }
-
     /// The CAS that opens a CAS-Read capsule (Algorithm 3). Must be the capsule's
     /// first shared-memory effect; `expected`/`new` must come from state persisted
-    /// at the previous boundary. On success its target line is persisted
-    /// ([`persist_line`](Self::persist_line)).
+    /// at the previous boundary. On success its target line is persisted, its
+    /// fence dropped in the `-Opt` style (the next publication is a CAS,
+    /// whose lock prefix orders the flush just like the fence would — Px86).
     pub fn capsule_cas(
         &self,
         rt: &mut CapsuleRuntime<'_, '_>,
@@ -186,61 +182,15 @@ impl CasReadSimulator {
     ) -> bool {
         let ok = recoverable_cas(rt, &self.space, addr, expected, new);
         if ok {
-            self.persist_line(rt.thread(), addr);
+            self.discipline().persist_line(rt.thread(), addr);
         }
         ok
-    }
-
-    /// Run one contention-adaptive fast capsule ([`fast`](crate::fast): crash
-    /// triage, then propose → evidence-carrying CAS → persist → finish,
-    /// demoting to `slow_pc` under contention). CAS targets are persisted with
-    /// [`persist_line`](Self::persist_line); `finish` runs once the CAS took
-    /// effect (a CAS-Read operation never completes on a lost CAS).
-    pub fn fast_capsule<R>(
-        &self,
-        rt: &mut CapsuleRuntime<'_, '_>,
-        slow_pc: u32,
-        propose: impl FnMut(&mut CapsuleRuntime<'_, '_>) -> Proposal<R>,
-        mut finish: impl FnMut(&mut CapsuleRuntime<'_, '_>, &CasDesc, Attempt) -> R,
-    ) -> CapsuleStep<R> {
-        let persist = |t: &PThread<'_>, addr| self.persist_line(t, addr);
-        fast_capsule(
-            rt,
-            &self.space,
-            persist,
-            slow_pc,
-            propose,
-            |rt, cas, attempt| attempt.took_effect().then(|| finish(rt, cas, attempt)),
-        )
     }
 
     /// A shared read of a recoverable-CAS-formatted word. Reads are invisible and
     /// may appear anywhere in a capsule.
     pub fn read(&self, rt: &mut CapsuleRuntime<'_, '_>, addr: PAddr) -> u64 {
         self.space.read(rt.thread(), addr)
-    }
-
-    /// Flush a line and fence, per the manual discipline — except that the
-    /// `-Opt` style omits the fence: the next publication is a CAS, whose lock
-    /// prefix orders the pending flush just like the fence would (Px86). A
-    /// capsule *boundary* does not qualify — see
-    /// [`persist_line_before_boundary`](Self::persist_line_before_boundary).
-    pub fn persist_line(&self, thread: &PThread<'_>, addr: PAddr) {
-        self.discipline().persist_line(thread, addr);
-    }
-
-    /// Flush a line and fence unconditionally (under the manual discipline): for
-    /// data whose next publication is a capsule boundary rather than a CAS.
-    /// The compact boundary publishes its control word with a release *store* —
-    /// a plain `mov` on x86, which (unlike a locked CAS) does not order earlier
-    /// `clflushopt`s — so a crash between the boundary's own flush and its
-    /// trailing fence could persist the frame without the node it references.
-    /// Recovery would then resume from the boundary and link a node whose
-    /// contents never became durable.
-    pub fn persist_line_before_boundary(&self, thread: &PThread<'_>, addr: PAddr) {
-        if self.durable {
-            thread.persist(addr);
-        }
     }
 
     fn discipline(&self) -> Discipline<'_> {
@@ -255,7 +205,7 @@ impl CasReadSimulator {
     /// Pick the entry capsule of the next operation: `fast` when the simulator
     /// is adaptive and the handle's contention measure is off probation, `slow`
     /// (the fully checkpointed state machine) otherwise.
-    pub fn enter(&self, rt: &mut CapsuleRuntime<'_, '_>, fast: u32, slow: u32) -> u32 {
+    fn enter(&self, rt: &mut CapsuleRuntime<'_, '_>, fast: u32, slow: u32) -> u32 {
         if self.adaptive && !rt.contention_mut().begin_op() {
             fast
         } else {
@@ -357,7 +307,7 @@ impl Simulator for CasReadSimulator {
     /// [`NormalizedSimulator::run`](crate::NormalizedSimulator::run) places as
     /// Algorithm 4 — to completion with the §6 placement, surviving crashes:
     /// a [`read_only`](NormalizedOp::read_only) one with no boundary at all;
-    /// uncontended ([`enter`](Self::enter)) as one [`fast`](crate::fast)
+    /// uncontended as one [`fast`](crate::fast)
     /// capsule; otherwise as a read-only capsule (the generator, its CAS saved
     /// at the boundary as the op's [`CasFrame`] says) and a CAS-Read capsule
     /// ([`capsule_cas`](Self::capsule_cas) from the saved fields, then the
@@ -383,6 +333,9 @@ impl Simulator for CasReadSimulator {
 
     fn mem<'a, 't, 'm>(&'a self, thread: &'t PThread<'m>) -> RcasMem<'a, 't, 'm> {
         RcasMem::new(&self.space, thread, self.durable)
+    }
+    fn space(&self) -> &RcasSpace {
+        &self.space
     }
     fn style(&self) -> BoundaryStyle {
         self.style

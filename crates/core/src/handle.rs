@@ -13,8 +13,9 @@
 
 use capsules::{BoundaryStyle, CapsuleMetrics, CapsuleRuntime, ContentionMeasure};
 use pmem::PThread;
+use rcas::RcasSpace;
 
-use crate::{NormalizedOp, RcasMem};
+use crate::{CasReadSimulator, NormalizedOp, NormalizedSimulator, RcasMem};
 
 /// One operation of the structure family.
 ///
@@ -185,10 +186,44 @@ pub trait Simulator: Copy {
     /// The [`SharedMem`](crate::SharedMem) face for parallelizable code run on
     /// `thread` on the simulator's behalf, and for quiescent walks.
     fn mem<'a, 't, 'm>(&'a self, thread: &'t PThread<'m>) -> RcasMem<'a, 't, 'm>;
+    /// The recoverable-CAS space of the structure's CASes.
+    fn space(&self) -> &RcasSpace;
     /// The frame layout of handles.
     fn style(&self) -> BoundaryStyle;
     /// The contention-policy template copied into every handle's runtime.
     fn contention(&self) -> ContentionMeasure;
+}
+
+/// The §6 simulator as every General structure configures it: `manual`
+/// selects the hand-placed flush discipline, `style` the frame layout (the
+/// `-Opt` style is [`BoundaryStyle::Compact`]), `adaptive` whether
+/// uncontended operations run as one fast capsule.
+pub fn general_simulator(
+    space: RcasSpace,
+    manual: bool,
+    style: BoundaryStyle,
+    adaptive: bool,
+) -> CasReadSimulator {
+    CasReadSimulator::new(space)
+        .with_durable(manual)
+        .with_style(style)
+        .with_adaptive(adaptive)
+}
+
+/// The §7 simulator as every Normalized structure configures it: each
+/// operation proposes at most one CAS, so CAS lists always travel inline in
+/// the frame; `optimised` selects the compact (`-Opt`) frame style, `adaptive`
+/// whether uncontended operations run as one fast capsule.
+pub fn normalized_simulator(
+    space: RcasSpace,
+    manual: bool,
+    optimised: bool,
+    adaptive: bool,
+) -> NormalizedSimulator {
+    NormalizedSimulator::new(space, manual)
+        .with_style(BoundaryStyle::opt(optimised))
+        .with_inline_lists()
+        .with_adaptive(adaptive)
 }
 
 /// A capsule-transformed structure: what the [`Handle`] scaffold needs to know
@@ -231,10 +266,20 @@ impl<'s, 't, 'm, S: Capsuled> Handle<'s, 't, 'm, S> {
         None => S::LOCALS,
     };
 
-    /// A handle over a freshly allocated capsule frame.
+    /// A handle over a freshly allocated capsule frame. The process may have
+    /// run operations before a restart, through a frame this one replaces: the
+    /// new frame starts at the last sequence number it announced
+    /// ([`CapsuleRuntime::new_after`]), so no earlier operation's evidence can
+    /// pass for a later one's.
     pub fn new(shared: &'s S, thread: &'t PThread<'m>) -> Self {
-        let rt = CapsuleRuntime::new(thread, shared.sim().style(), Self::LOCALS);
+        let (style, announced) = (shared.sim().style(), Self::announced(shared, thread));
+        let rt = CapsuleRuntime::new_after(thread, style, Self::LOCALS, announced);
         Self::over(shared, rt)
+    }
+
+    /// The last sequence number `thread`'s process announced on `shared`.
+    fn announced(shared: &S, thread: &PThread<'_>) -> u64 {
+        shared.sim().space().announcement(thread).seq
     }
 
     /// A handle resuming from the process's restart pointer (the frame it
@@ -248,7 +293,7 @@ impl<'s, 't, 'm, S: Capsuled> Handle<'s, 't, 'm, S> {
         let style = shared.sim().style();
         let mut rt = CapsuleRuntime::attach_from_restart_pointer(thread, style, Self::LOCALS);
         thread.begin_recovery();
-        let announced = shared.sim().mem(thread).space().announcement(thread).seq;
+        let announced = Self::announced(shared, thread);
         thread.end_recovery();
         rt.sync_seq_at_next_entry(announced);
         Self::over(shared, rt)

@@ -104,8 +104,10 @@ pub mod writes;
 pub use cas_read::{CasFrame, CasReadSimulator};
 pub use constant_delay::ConstantDelaySimulator;
 pub use delay::{DelayReport, RecoveryProbe};
-pub use fast::{Attempt, Proposal};
-pub use handle::{Capsuled, Drain, Handle, Simulator, StructHandle, StructOp};
+pub use handle::{
+    general_simulator, normalized_simulator, Capsuled, Drain, Handle, Simulator, StructHandle,
+    StructOp,
+};
 pub use mem::{RcasMem, SharedMem};
 pub use normalized::{
     CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, PersistResult, WrapUp,

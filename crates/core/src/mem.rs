@@ -97,11 +97,6 @@ impl<'a, 't, 'm> RcasMem<'a, 't, 'm> {
             durable,
         }
     }
-
-    /// The recoverable-CAS space behind this face.
-    pub(crate) fn space(&self) -> &'a RcasSpace {
-        self.space
-    }
 }
 
 impl SharedMem for RcasMem<'_, '_, '_> {

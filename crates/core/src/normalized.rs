@@ -25,7 +25,7 @@ use pmem::{PAddr, PThread};
 use rcas::{check_recovery, RcasSpace};
 
 use crate::cas_read::CasFrame;
-use crate::fast::{fast_op, Proposal};
+use crate::fast::fast_op;
 use crate::mem::{RcasMem, SharedMem};
 use crate::Simulator;
 
@@ -407,11 +407,6 @@ impl NormalizedSimulator {
         self
     }
 
-    /// The recoverable-CAS space used by this simulator.
-    pub fn space(&self) -> &RcasSpace {
-        &self.space
-    }
-
     /// Flush + fence everywhere.
     fn discipline(&self) -> Discipline<'_> {
         Discipline {
@@ -457,7 +452,6 @@ impl NormalizedSimulator {
                     |rt, list| {
                         self.persist_list_and_boundary(rt, &list);
                         cached = Some(list);
-                        Proposal::Demoted
                     },
                 ),
                 PC_GEN => {
@@ -625,6 +619,9 @@ impl Simulator for NormalizedSimulator {
     }
     fn mem<'a, 't, 'm>(&'a self, thread: &'t PThread<'m>) -> RcasMem<'a, 't, 'm> {
         RcasMem::new(&self.space, thread, self.durable)
+    }
+    fn space(&self) -> &RcasSpace {
+        &self.space
     }
     fn style(&self) -> BoundaryStyle {
         self.style

@@ -86,7 +86,7 @@ pub(crate) use fifo_struct_handle;
 #[cfg(test)]
 pub(crate) mod testkit {
     use super::*;
-    use delayfree::{Capsuled, Handle};
+    use delayfree::{Capsuled, Handle, Simulator};
     use pmem::{install_quiet_crash_hook, CrashPlan, CrashPolicy, MemConfig, Mode, PMem, PThread};
     use std::collections::HashSet;
 
@@ -238,6 +238,34 @@ pub(crate) mod testkit {
             assert_eq!(h.dequeue(), Some(i));
         }
         assert_eq!(h.dequeue(), None);
+    }
+
+    /// A restart that gives a process a *new* handle — a fresh frame, its
+    /// sequence number at 0 — after fast operations that returned: the next
+    /// operation announces a sequence number past every one the process
+    /// announced before, so it can never meet an earlier operation's evidence
+    /// under its own number (both style flags).
+    pub(crate) fn new_handle_after_restart<Q: Capsuled>(build: impl Fn(&PThread<'_>, bool) -> Q)
+    where
+        for<'q, 't, 'm> Handle<'q, 't, 'm, Q>: QueueHandle,
+    {
+        for flag in [false, true] {
+            let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+            let t = mem.thread(0);
+            let q = build(&t, flag);
+            let mut h = Handle::new(&q, &t);
+            h.enqueue(1);
+            h.enqueue(2);
+            assert_eq!(h.dequeue(), Some(1));
+            let announced = |t: &PThread<'_>| q.sim().space().announcement(t).seq;
+            let before = announced(&t);
+            mem.crash_all();
+            let mut h = Handle::new(&q, &t);
+            h.enqueue(3);
+            let after = announced(&t);
+            assert!(after > before, "style flag {flag}: seq {after} after {before}");
+            assert_eq!(h.drain(), vec![2, 3], "style flag {flag}");
+        }
     }
 
     /// A restart after a fast enqueue, or a fast dequeue, returned: the

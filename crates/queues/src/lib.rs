@@ -8,12 +8,15 @@
 //! |---|---|---|
 //! | MSQ (original, not persistent) | [`MsQueue`] | plain CAS on the simulated memory |
 //! | Izraelevitz queue | [`MsQueue`] run with [`pmem::ThreadOptions`]`{ izraelevitz: true }` | automatic flush-after-every-access |
-//! | General | [`GeneralQueue`] (`BoundaryStyle::General`) | Low-Computation-Delay (CAS-Read) simulator, §6 |
+//! | General | [`GeneralQueue`] = [`CapsuleQueue`]`<CasReadSimulator>` (`BoundaryStyle::General`) | Low-Computation-Delay (CAS-Read) simulator, §6 |
 //! | General-Opt | [`GeneralQueue`] (`BoundaryStyle::Compact`, fence elision) | hand-optimised §9 tricks |
-//! | Normalized | [`NormalizedQueue`] (`BoundaryStyle::General`) | Persistent Normalized Simulator, §7 |
+//! | Normalized | [`NormalizedQueue`] = [`CapsuleQueue`]`<NormalizedSimulator>` (`BoundaryStyle::General`) | Persistent Normalized Simulator, §7 |
 //! | Normalized-Opt | [`NormalizedQueue`] (`BoundaryStyle::Compact`, inline CAS list) | hand-optimised §9 tricks |
 //! | LogQueue | [`LogQueue`] | Friedman et al.'s durable, detectable queue (hand-tuned competitor) |
 //! | Romulus queue | `romulus::RomulusQueue` (separate crate) | durable transactional memory competitor |
+//!
+//! The four capsule-transformed rows are one declaration: enqueue and dequeue,
+//! each written once, placed by the simulator of the [`CapsuleQueue`].
 //!
 //! Durability in the shared-cache model comes either from hand-placed flushes
 //! ([`Durability::Manual`], the Figure 6 configuration) or from the Izraelevitz
@@ -29,14 +32,15 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod general;
+mod general; // the General queue's tests (`CapsuleQueue` is in `normalized`)
 pub mod log_queue;
 pub mod msq;
 pub mod node;
 pub mod normalized;
 
 pub use api::{Durability, QueueHandle};
-pub use general::{GeneralQueue, GeneralQueueHandle};
 pub use log_queue::{LogQueue, LogQueueHandle, RecoveredOp};
 pub use msq::{MsQueue, MsqHandle};
-pub use normalized::{NormalizedQueue, NormalizedQueueHandle};
+pub use normalized::{
+    CapsuleQueue, GeneralQueue, GeneralQueueHandle, NormalizedQueue, NormalizedQueueHandle,
+};

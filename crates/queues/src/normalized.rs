@@ -1,21 +1,22 @@
-//! The "Normalized" queue: the Michael–Scott queue expressed as a normalized data
-//! structure (CAS generator / executor / wrap-up) and run through the Persistent
-//! Normalized Simulator of §7 — one capsule boundary per retry-loop iteration.
+//! The Michael–Scott queue's two operations declared once, and
+//! [`CapsuleQueue`], the detectable queue generic over the simulator that runs
+//! them: [`GeneralQueue`] (§6) and [`NormalizedQueue`] (§7), the queue-shaped
+//! siblings of `structs`' stacks.
 //!
-//! * **Normalized** — [`BoundaryStyle::General`] frames.
-//! * **Normalized-Opt** — [`BoundaryStyle::Compact`] frames plus the inline CAS-list
-//!   optimisation ([`NormalizedSimulator::with_inline_lists`]), which is the "reduce
-//!   one flush" hand-optimisation the paper describes for this variant.
-//!
-//! In the normalized decomposition, the executor only ever CASes `head` and node
-//! `next` fields; the tail pointer is advanced exclusively by helping code inside
-//! the generator and wrap-up (parallelizable methods), so it is kept as a plain
-//! word and updated with plain CASes (§7 explains why such locations need no
-//! recoverable CAS).
+//! The one CAS of an operation — the link of a new node behind the last one,
+//! or the head swing past the first — is the only shared write that needs
+//! detecting. The tail is advanced only by helping code in the generator and
+//! the wrap-up (parallelizable methods), so it is a plain word updated with
+//! plain CASes (§7). That makes the §6 placement as mechanical as for every
+//! other one-CAS operation: the generator in a read-only capsule, the CAS and
+//! the wrap-up in a CAS-Read capsule. Uncontended, an operation runs as one
+//! fast capsule under either simulator (on by default,
+//! [`with_adaptive`](GeneralQueue::with_adaptive)).
 
 use capsules::{BoundaryStyle, CapsuleRuntime};
 use delayfree::{
-    adaptive_builders, capsule_handles, Capsuled, CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator,
+    adaptive_builders, capsule_handles, general_simulator, normalized_simulator, Capsuled, CasDesc,
+    CasFrame, CasList, CasReadSimulator, Handle, NormalizedCtx, NormalizedOp, NormalizedSimulator,
     SharedMem, Simulator, StructHandle, StructOp, WrapUp,
 };
 use pmem::{PAddr, PThread};
@@ -24,18 +25,45 @@ use rcas::{RcasLayout, RcasSpace};
 use crate::api::{Durability, QueueHandle};
 use crate::node::{chain_len, next_addr, value_addr, NODE_WORDS};
 
-/// Number of user locals the handle's capsule runtime needs (the inline-list
-/// optimisation needs the larger figure; using it everywhere keeps handles uniform).
-pub const NORMALIZED_QUEUE_LOCALS: usize = delayfree::NORMALIZED_INLINE_LOCALS;
+// The §6 frame of a queue handle (user locals).
+const L_VAL: usize = 0; // enqueue: the value (entry); dequeue: the value (the CAS's aux)
+const L_NEW: usize = 1; // the CAS's new word: the enqueued node, or the new head
+const L_SEEN: usize = 2; // enqueue: the last node (the CAS's aux); dequeue: the expected head
+const GENERAL_LOCALS: usize = 3;
 
-/// The shared, persistent part of the normalized queue.
+/// First pcs of the operations in a §6 frame.
+const ENQ: u32 = 0;
+const DEQ: u32 = 10;
+
+/// The capsule-transformed Michael–Scott queue (module docs), generic over
+/// the simulator that runs its operations.
 #[derive(Clone, Copy, Debug)]
-pub struct NormalizedQueue {
+pub struct CapsuleQueue<S> {
     /// Recoverable-CAS word holding the head node address.
     head: PAddr,
     /// Plain word holding the tail node address (only helping code CASes it).
     tail: PAddr,
-    sim: NormalizedSimulator,
+    sim: S,
+}
+
+/// The "General" queue: placed by the CAS-Read simulator of §6.
+pub type GeneralQueue = CapsuleQueue<CasReadSimulator>;
+/// The "Normalized" queue: run by the Persistent Normalized Simulator of §7.
+pub type NormalizedQueue = CapsuleQueue<NormalizedSimulator>;
+
+impl GeneralQueue {
+    /// Create an empty queue for `nprocs` processes; `style` selects the
+    /// General (`BoundaryStyle::General`) or General-Opt
+    /// (`BoundaryStyle::Compact`) configuration.
+    pub fn new(
+        thread: &PThread<'_>,
+        nprocs: usize,
+        durability: Durability,
+        style: BoundaryStyle,
+    ) -> GeneralQueue {
+        let sim = |space| general_simulator(space, durability.manual(), style, true);
+        Self::create(thread, nprocs, durability, sim)
+    }
 }
 
 impl NormalizedQueue {
@@ -47,30 +75,42 @@ impl NormalizedQueue {
         durability: Durability,
         optimised: bool,
     ) -> NormalizedQueue {
-        // See GeneralQueue::new: the recoverable-CAS layer follows the durable
-        // flush discipline whenever the queue issues manual flushes.
-        let space =
-            RcasSpace::new(thread, nprocs, RcasLayout::DEFAULT).with_durability(durability.manual());
+        let sim = |space| normalized_simulator(space, durability.manual(), optimised, true);
+        Self::create(thread, nprocs, durability, sim)
+    }
+}
+
+capsule_handles!(GeneralQueue, GeneralQueueHandle);
+capsule_handles!(NormalizedQueue, NormalizedQueueHandle);
+adaptive_builders!(GeneralQueue);
+adaptive_builders!(NormalizedQueue);
+
+impl<S: Simulator> CapsuleQueue<S> {
+    /// An empty queue (a sentinel node) for `nprocs` processes, run by the
+    /// simulator `sim` makes of its recoverable-CAS space. Under manual
+    /// durability that space follows the flush discipline itself: persisting
+    /// a CAS target afterwards is not enough once full-system crashes can roll
+    /// back unflushed announcement state.
+    fn create(
+        thread: &PThread<'_>,
+        nprocs: usize,
+        durability: Durability,
+        sim: impl FnOnce(RcasSpace) -> S,
+    ) -> Self {
+        let space = RcasSpace::new(thread, nprocs, RcasLayout::DEFAULT);
+        let space = space.with_durability(durability.manual());
         let sentinel = thread.alloc(NODE_WORDS);
         space.init_word(thread, next_addr(sentinel), 0);
-        let head = thread.alloc(1);
-        let tail = thread.alloc(1);
+        let (head, tail) = (thread.alloc(1), thread.alloc(1));
         space.init_word(thread, head, sentinel.to_raw());
         thread.write(tail, sentinel.to_raw());
         if durability.manual() {
-            thread.persist(sentinel);
-            thread.persist(head);
-            thread.persist(tail);
+            for word in [sentinel, head, tail] {
+                thread.persist(word);
+            }
         }
-        // Algorithm 4 persists the CAS list as part of the capsule boundary (it is a
-        // stack-allocated local); the MSQ's lists have at most one entry, so they
-        // always fit inline in the frame. The heap-buffer fallback only exists for
-        // operations with long CAS lists.
-        let sim = NormalizedSimulator::new(space, durability.manual())
-            .with_style(BoundaryStyle::opt(optimised))
-            .with_inline_lists()
-            .with_adaptive(true);
-        NormalizedQueue { head, tail, sim }
+        let sim = sim(space);
+        CapsuleQueue { head, tail, sim }
     }
 
     /// The recoverable-CAS space used by this queue.
@@ -78,7 +118,7 @@ impl NormalizedQueue {
         self.sim.space()
     }
 
-    /// Whether this is the Normalized-Opt configuration.
+    /// Whether this is the hand-optimised (`-Opt`) configuration.
     pub fn optimised(&self) -> bool {
         self.sim.style() == BoundaryStyle::Compact
     }
@@ -94,118 +134,150 @@ impl NormalizedQueue {
     }
 }
 
-/// The normalized enqueue: generator links nothing yet, it just proposes the single
-/// `next` CAS; the wrap-up swings the tail.
-struct EnqueueOp<'q>(&'q NormalizedQueue);
+impl<S> CapsuleQueue<S> {
+    /// Help swing the tail from `from` to `to`: no executor ever touches the
+    /// tail, so a plain CAS suffices and repeating it is harmless. The tail
+    /// line is persisted either way, so no peer reads a tail that is not
+    /// durable yet.
+    fn swing_tail(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, from: u64, to: u64) {
+        let _ = ctx.plain_cas(self.tail, from, to);
+        ctx.persist(self.tail);
+    }
+}
 
-impl NormalizedOp for EnqueueOp<'_> {
-    type Input = u64;
+/// The enqueue of its value: the generator builds the node (private writes, a
+/// repetition just builds another) and proposes linking it behind the last
+/// node, helping a lagging tail first; the wrap-up swings the tail.
+struct EnqueueOp<'q, S>(&'q CapsuleQueue<S>, u64);
+
+impl<S> NormalizedOp for EnqueueOp<'_, S> {
+    type Input = ();
     type Output = ();
 
-    fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, value: &u64) -> CasList {
-        let q = self.0;
-        let m = ctx.mem();
-        // Allocate and initialise the node (private persistent writes; repetition
-        // just rebuilds an unpublished node).
+    fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, _: &()) -> CasList {
+        let (q, m) = (self.0, ctx.mem());
         let node = m.alloc(NODE_WORDS);
-        m.write_plain(value_addr(node), *value);
+        m.write_plain(value_addr(node), self.1);
         m.init_word(next_addr(node), 0);
         ctx.persist(node);
         loop {
             let last = PAddr::from_raw(m.read_plain(q.tail));
             let next = m.read(next_addr(last));
-            if next != 0 {
-                // Help a lagging tail; the tail is never touched by an executor, so
-                // a plain CAS suffices (and repetitions are harmless). It is
-                // persisted like the wrap-up's swing, so no peer reads a tail
-                // line that is not durable yet.
-                let _ = ctx.plain_cas(q.tail, last.to_raw(), next);
-                ctx.persist(q.tail);
-                continue;
+            if next == 0 {
+                let link = CasDesc::new(next_addr(last), 0, node.to_raw());
+                return vec![link.with_aux(last.to_raw())];
             }
-            return vec![CasDesc::new(next_addr(last), 0, node.to_raw()).with_aux(last.to_raw())];
+            q.swing_tail(ctx, last.to_raw(), next);
         }
     }
 
     fn wrap_up(
         &self,
         ctx: &mut NormalizedCtx<'_, '_, '_>,
-        _value: &u64,
+        _: &(),
         cas_list: &CasList,
         executed: usize,
     ) -> WrapUp<()> {
-        if executed == cas_list.len() {
-            let q = self.0;
-            let last = cas_list[0].aux;
-            let node = cas_list[0].new;
-            let _ = ctx.plain_cas(q.tail, last, node);
-            ctx.persist(q.tail);
-            WrapUp::Done(())
-        } else {
-            WrapUp::Restart
+        if executed == 0 {
+            return WrapUp::Restart;
         }
+        // After a crash the tail may lag by one node, which the Michael–Scott
+        // invariant allows: any later operation helps swing it.
+        let link = cas_list[0];
+        self.0.swing_tail(ctx, link.aux, link.new);
+        WrapUp::Done(())
+    }
+
+    /// Keeps the value at entry, the new node and the last node; the `next`
+    /// word linked and its expected null are rebuilt.
+    fn frame(&self) -> CasFrame {
+        CasFrame {
+            pc: ENQ,
+            entry: Some((L_VAL, self.1)),
+            new: Some(L_NEW),
+            aux: Some(L_SEEN),
+            out: L_VAL,
+            ..CasFrame::default()
+        }
+    }
+
+    fn rebuild(&self, kept: CasDesc) -> CasDesc {
+        CasDesc::new(next_addr(PAddr::from_raw(kept.aux)), 0, kept.new).with_aux(kept.aux)
     }
 }
 
-/// The normalized dequeue: the generator proposes the head swing (or an empty list
-/// when the queue is empty); the wrap-up reports the value carried in `aux`.
-struct DequeueOp<'q>(&'q NormalizedQueue);
+/// The dequeue: the generator proposes the head swing past the first node,
+/// its value riding `aux` (or an empty list when the queue is empty), helping
+/// a lagging tail first; the wrap-up reports the value.
+struct DequeueOp<'q, S>(&'q CapsuleQueue<S>);
 
-impl NormalizedOp for DequeueOp<'_> {
+impl<S> NormalizedOp for DequeueOp<'_, S> {
     type Input = ();
     type Output = Option<u64>;
 
-    fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, _input: &()) -> CasList {
-        let q = self.0;
-        let m = ctx.mem();
+    fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, _: &()) -> CasList {
+        let (q, m) = (self.0, ctx.mem());
         loop {
             let first = PAddr::from_raw(m.read(q.head));
             let last = PAddr::from_raw(m.read_plain(q.tail));
             let next = PAddr::from_raw(m.read(next_addr(first)));
-            if first == last {
-                if next.is_null() {
-                    return Vec::new(); // empty queue: nothing to CAS
-                }
-                let _ = ctx.plain_cas(q.tail, last.to_raw(), next.to_raw());
-                ctx.persist(q.tail);
-                continue;
+            if first != last {
+                let value = m.read_plain(value_addr(next));
+                let swing = CasDesc::new(q.head, first.to_raw(), next.to_raw());
+                return vec![swing.with_aux(value)];
             }
-            let value = m.read_plain(value_addr(next));
-            return vec![CasDesc::new(q.head, first.to_raw(), next.to_raw()).with_aux(value)];
+            if next.is_null() {
+                return Vec::new(); // empty queue: nothing to CAS
+            }
+            q.swing_tail(ctx, last.to_raw(), next.to_raw());
         }
     }
 
     fn wrap_up(
         &self,
-        _ctx: &mut NormalizedCtx<'_, '_, '_>,
-        _input: &(),
+        _: &mut NormalizedCtx<'_, '_, '_>,
+        _: &(),
         cas_list: &CasList,
         executed: usize,
     ) -> WrapUp<Option<u64>> {
-        if cas_list.is_empty() {
-            return WrapUp::Done(None);
+        // The executor (in durable mode) already persisted the head it swung.
+        match cas_list.first() {
+            None => WrapUp::Done(None),
+            Some(_) if executed == 0 => WrapUp::Restart,
+            Some(swing) => WrapUp::Done(Some(swing.aux)),
         }
-        if executed == cas_list.len() {
-            // The executor (in durable mode) already persisted the head it swung;
-            // no further flushes are needed here.
-            WrapUp::Done(Some(cas_list[0].aux))
-        } else {
-            WrapUp::Restart
+    }
+
+    /// Keeps the expected and new head and the value (the result word);
+    /// `head` itself is rebuilt.
+    fn frame(&self) -> CasFrame {
+        CasFrame {
+            pc: DEQ,
+            expected: Some(L_SEEN),
+            new: Some(L_NEW),
+            aux: Some(L_VAL),
+            out: L_VAL,
+            ..CasFrame::default()
         }
+    }
+
+    fn rebuild(&self, mut kept: CasDesc) -> CasDesc {
+        kept.obj = self.0.head;
+        kept
     }
 }
 
-impl Capsuled for NormalizedQueue {
-    const LOCALS: usize = NORMALIZED_QUEUE_LOCALS;
-    type Sim = NormalizedSimulator;
-    fn sim(&self) -> &NormalizedSimulator {
+impl<S: Simulator> Capsuled for CapsuleQueue<S> {
+    const LOCALS: usize = GENERAL_LOCALS;
+    type Sim = S;
+    fn sim(&self) -> &S {
         &self.sim
     }
 
     fn apply(&self, rt: &mut CapsuleRuntime<'_, '_>, op: StructOp) -> Option<u64> {
         match op {
             StructOp::Push(value) => {
-                self.sim.run(rt, &EnqueueOp(self), &value);
+                self.sim.run(rt, &EnqueueOp(self, value), &());
                 None
             }
             StructOp::Pop => self.sim.run(rt, &DequeueOp(self), &()),
@@ -214,10 +286,7 @@ impl Capsuled for NormalizedQueue {
     }
 }
 
-capsule_handles!(NormalizedQueue, NormalizedQueueHandle);
-adaptive_builders!(NormalizedQueue);
-
-impl QueueHandle for NormalizedQueueHandle<'_, '_, '_> {
+impl<S: Simulator> QueueHandle for Handle<'_, '_, '_, CapsuleQueue<S>> {
     fn enqueue(&mut self, value: u64) {
         self.apply(StructOp::Push(value));
     }
@@ -268,31 +337,8 @@ mod tests {
     }
 
     #[test]
-    fn normalized_uses_fewer_boundaries_than_general() {
-        let mem = PMem::with_threads(1);
-        let t = mem.thread(0);
-        // This compares the two *simulators*, so pin both to the slow path.
-        // Normalized: one boundary before the executor + the final one per op.
-        let qn = NormalizedQueue::new(&t, 1, Durability::Manual, false).with_adaptive(false);
-        let mut hn = qn.handle(&t);
-        hn.set_entry_boundary(false);
-        for i in 0..20 {
-            hn.enqueue(i);
-        }
-        let norm_boundaries = hn.runtime_mut().metrics().boundaries;
-        // General: three boundaries per uncontended enqueue.
-        let qg = crate::GeneralQueue::new(&t, 1, Durability::Manual, BoundaryStyle::General)
-            .with_adaptive(false);
-        let mut hg = qg.handle(&t);
-        hg.set_entry_boundary(false);
-        for i in 0..20 {
-            hg.enqueue(i);
-        }
-        let gen_boundaries = hg.runtime_mut().metrics().boundaries;
-        assert!(
-            norm_boundaries < gen_boundaries,
-            "normalized ({norm_boundaries}) must use fewer boundaries than general ({gen_boundaries})"
-        );
+    fn a_new_handle_after_a_restart_announces_past_the_old_seqs() {
+        testkit::new_handle_after_restart(|t, optimised| manual(t, 1, optimised));
     }
 
     #[test]

@@ -1,49 +1,19 @@
 //! The family's per-thread face as this crate uses it — the operation enum,
 //! the handle trait, the bounded-drain result and the capsule-handle scaffold
 //! are `delayfree::handle`'s, re-exported here under the paths callers know —
-//! plus the simulator configurations and the wrap-up verdict every structure
-//! here shares.
+//! plus the wrap-up verdict every structure here shares.
 
-use capsules::BoundaryStyle;
-use delayfree::{CasList, CasReadSimulator, NormalizedSimulator, WrapUp};
-use rcas::RcasSpace;
+use delayfree::{CasList, WrapUp};
 
 pub(crate) use delayfree::handle::{apply_keyed, apply_stack, drain_by_pops};
-pub(crate) use delayfree::{adaptive_builders, capsule_handles};
+pub(crate) use delayfree::{
+    adaptive_builders, capsule_handles, general_simulator, normalized_simulator,
+};
 pub use delayfree::{Capsuled, Drain, Handle, StructHandle, StructOp};
 
 /// Encode a boolean operation result in the uniform word encoding.
 pub(crate) fn bool_ret(b: bool) -> Option<u64> {
     Some(b as u64)
-}
-
-/// The §6 simulator as every General structure here configures it.
-pub(crate) fn general_simulator(
-    space: RcasSpace,
-    manual: bool,
-    style: BoundaryStyle,
-    adaptive: bool,
-) -> CasReadSimulator {
-    CasReadSimulator::new(space)
-        .with_durable(manual)
-        .with_style(style)
-        .with_adaptive(adaptive)
-}
-
-/// The §7 simulator as every Normalized structure here configures it: each
-/// operation proposes at most one CAS, so CAS lists always travel inline in the
-/// frame; `optimised` selects the compact (`-Opt`) frame style, `adaptive`
-/// whether uncontended operations run as one fast capsule.
-pub(crate) fn normalized_simulator(
-    space: RcasSpace,
-    manual: bool,
-    optimised: bool,
-    adaptive: bool,
-) -> NormalizedSimulator {
-    NormalizedSimulator::new(space, manual)
-        .with_style(BoundaryStyle::opt(optimised))
-        .with_inline_lists()
-        .with_adaptive(adaptive)
 }
 
 /// Wrap-up verdict of a boolean operation with at most one linearizing CAS:

@@ -6,7 +6,7 @@ mod tests {
     use crate::node::NODE_WORDS;
     use crate::stack::{GeneralStack, StackOp};
     use capsules::{BoundaryStyle, CapsuleRuntime, ContentionMeasure};
-    use delayfree::NormalizedOp;
+    use delayfree::{NormalizedOp, Simulator};
     use pmem::PThread;
     use StructOp::{Pop, Push};
 

@@ -25,7 +25,8 @@ fn shared_cache(threads: usize) -> PMem {
 /// CAS with a persisted sequence number, persist the object word, and — after a
 /// crash — consult `checkRecovery` before deciding whether to re-execute; a
 /// stale-expected failure restarts the operation with a fresh sequence number
-/// (exactly what `GeneralQueueHandle` does via `rt.boundary(E_START)`).
+/// (exactly what the CAS-Read simulator does when a declared operation's
+/// wrap-up restarts it: a boundary back to its read-only capsule).
 fn recover_and_finish(space: &RcasSpace, t: &PThread<'_>, x: pmem::PAddr) -> u64 {
     if !check_recovery(space, t, x, 1) {
         // The protocol believes CAS #1 never happened: repeat it.

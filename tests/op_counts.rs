@@ -1,23 +1,25 @@
 //! The per-operation cost table of the structure family, pinned exactly.
 //!
-//! Every stack, set and map operation, in both detectable constructions, on
-//! the fast path and pinned to the slow path (`with_adaptive(false)`; the list
-//! set has only the slow path), on one thread with the operation boundaries
-//! on: flushes, fences, capsule boundaries and pmem instructions (reads,
-//! writes, CASes, flushes and fences) of each operation of a fixed script.
+//! Every queue, stack, set and map operation, in both detectable
+//! constructions, on the fast path and pinned to the slow path
+//! (`with_adaptive(false)`; the list set has only the slow path), on one
+//! thread with the operation boundaries on: flushes, fences, capsule
+//! boundaries and pmem instructions (reads, writes, CASes, flushes and
+//! fences) of each operation of a fixed script.
 //! The counts are deterministic, so a driver refactor that moves a single
 //! instruction fails here, in tier 1, rather than only in a `dfck` or
 //! `dfbench` run.
 
 use capsules::BoundaryStyle;
 use pmem::{MemConfig, Mode, PMem, PThread};
+use queues::{Durability, GeneralQueue, NormalizedQueue};
 use structs::{
     GeneralDetMap, GeneralSet, GeneralStack, MapConfig, NormalizedDetMap, NormalizedSet,
     NormalizedStack, StructHandle, StructOp,
 };
 use StructOp::{Contains, Insert, Pop, Push, Remove};
 
-const LIFO: &[StructOp] = &[Push(1), Push(2), Pop, Pop, Pop];
+const PUSH_POP: &[StructOp] = &[Push(1), Push(2), Pop, Pop, Pop];
 const KEYED: &[StructOp] = &[
     Insert(5),
     Insert(3),
@@ -70,10 +72,10 @@ fn table() -> String {
     ] {
         let compact = style == BoundaryStyle::Compact;
         for (slow, adaptive) in [("", true), ("-slow", false)] {
-            block!(out, format!("Stack-General{opt}{slow}"), LIFO, |t| {
+            block!(out, format!("Stack-General{opt}{slow}"), PUSH_POP, |t| {
                 GeneralStack::new(&t, 1, true, style).with_adaptive(adaptive)
             });
-            block!(out, format!("Stack-Normalized{opt}{slow}"), LIFO, |t| {
+            block!(out, format!("Stack-Normalized{opt}{slow}"), PUSH_POP, |t| {
                 NormalizedStack::new(&t, 1, true, compact).with_adaptive(adaptive)
             });
             block!(out, format!("Map-General{opt}{slow}"), KEYED, |t| {
@@ -92,6 +94,20 @@ fn table() -> String {
         block!(out, format!("Set-Normalized{opt}"), KEYED, |t| {
             NormalizedSet::new(&t, 1, true, compact)
         });
+    }
+    for (opt, style) in [
+        ("", BoundaryStyle::General),
+        ("-Opt", BoundaryStyle::Compact),
+    ] {
+        let compact = style == BoundaryStyle::Compact;
+        for (slow, adaptive) in [("", true), ("-slow", false)] {
+            block!(out, format!("Queue-General{opt}{slow}"), PUSH_POP, |t| {
+                GeneralQueue::new(&t, 1, Durability::Manual, style).with_adaptive(adaptive)
+            });
+            block!(out, format!("Queue-Normalized{opt}{slow}"), PUSH_POP, |t| {
+                NormalizedQueue::new(&t, 1, Durability::Manual, compact).with_adaptive(adaptive)
+            });
+        }
     }
     out
 }
@@ -115,7 +131,10 @@ fn every_operation_costs_exactly_its_pinned_counts() {
 /// took effect pays its entry boundary alone: its evidence stands for its
 /// result until the next entry boundary retires it, which then persists the
 /// sequence number it advanced (an empty `Pop` right after a `Pop` pays that
-/// slot's flush and fence in the General frame).
+/// slot's flush and fence in the General frame). The queue's operations are
+/// declared the same way: its tail is a plain word advanced by the wrap-up's
+/// (and the generator's) helping, never by a capsule of its own, so a slow
+/// General operation takes the same three boundaries as a Normalized one.
 const EXPECTED: &str = "\
 Stack-General              Push(1)      flushes  5 fences  5 boundaries 1 instr  24
 Stack-General              Push(2)      flushes  6 fences  5 boundaries 1 instr  27
@@ -253,4 +272,44 @@ Set-Normalized-Opt         Contains(4)  flushes  3 fences  3 boundaries 3 instr 
 Set-Normalized-Opt         Remove(5)    flushes  6 fences  5 boundaries 3 instr  33
 Set-Normalized-Opt         Remove(5)    flushes  3 fences  3 boundaries 3 instr  18
 Set-Normalized-Opt         Insert(5)    flushes  6 fences  6 boundaries 3 instr  32
+Queue-General              Push(1)      flushes  6 fences  6 boundaries 1 instr  28
+Queue-General              Push(2)      flushes  6 fences  6 boundaries 1 instr  29
+Queue-General              Pop          flushes  4 fences  4 boundaries 1 instr  23
+Queue-General              Pop          flushes  5 fences  4 boundaries 1 instr  25
+Queue-General              Pop          flushes  3 fences  3 boundaries 2 instr  14
+Queue-Normalized           Push(1)      flushes  5 fences  5 boundaries 1 instr  25
+Queue-Normalized           Push(2)      flushes  6 fences  6 boundaries 1 instr  28
+Queue-Normalized           Pop          flushes  4 fences  4 boundaries 1 instr  23
+Queue-Normalized           Pop          flushes  5 fences  4 boundaries 1 instr  25
+Queue-Normalized           Pop          flushes  4 fences  4 boundaries 2 instr  17
+Queue-General-slow         Push(1)      flushes 11 fences 10 boundaries 3 instr  39
+Queue-General-slow         Push(2)      flushes 10 fences 10 boundaries 3 instr  38
+Queue-General-slow         Pop          flushes  8 fences  7 boundaries 3 instr  32
+Queue-General-slow         Pop          flushes  8 fences  7 boundaries 3 instr  33
+Queue-General-slow         Pop          flushes  2 fences  2 boundaries 2 instr  11
+Queue-Normalized-slow      Push(1)      flushes 10 fences  9 boundaries 3 instr  41
+Queue-Normalized-slow      Push(2)      flushes 10 fences  9 boundaries 3 instr  41
+Queue-Normalized-slow      Pop          flushes  8 fences  7 boundaries 3 instr  36
+Queue-Normalized-slow      Pop          flushes  9 fences  7 boundaries 3 instr  38
+Queue-Normalized-slow      Pop          flushes  5 fences  5 boundaries 3 instr  22
+Queue-General-Opt          Push(1)      flushes  5 fences  4 boundaries 1 instr  25
+Queue-General-Opt          Push(2)      flushes  5 fences  4 boundaries 1 instr  24
+Queue-General-Opt          Pop          flushes  3 fences  3 boundaries 1 instr  19
+Queue-General-Opt          Pop          flushes  4 fences  3 boundaries 1 instr  21
+Queue-General-Opt          Pop          flushes  2 fences  2 boundaries 2 instr  10
+Queue-Normalized-Opt       Push(1)      flushes  5 fences  5 boundaries 1 instr  25
+Queue-Normalized-Opt       Push(2)      flushes  5 fences  5 boundaries 1 instr  24
+Queue-Normalized-Opt       Pop          flushes  3 fences  3 boundaries 1 instr  19
+Queue-Normalized-Opt       Pop          flushes  4 fences  3 boundaries 1 instr  21
+Queue-Normalized-Opt       Pop          flushes  2 fences  2 boundaries 2 instr  11
+Queue-General-Opt-slow     Push(1)      flushes  7 fences  6 boundaries 3 instr  29
+Queue-General-Opt-slow     Push(2)      flushes  7 fences  6 boundaries 3 instr  29
+Queue-General-Opt-slow     Pop          flushes  5 fences  4 boundaries 3 instr  24
+Queue-General-Opt-slow     Pop          flushes  6 fences  4 boundaries 3 instr  26
+Queue-General-Opt-slow     Pop          flushes  2 fences  2 boundaries 2 instr  11
+Queue-Normalized-Opt-slow  Push(1)      flushes  7 fences  7 boundaries 3 instr  34
+Queue-Normalized-Opt-slow  Push(2)      flushes  7 fences  7 boundaries 3 instr  34
+Queue-Normalized-Opt-slow  Pop          flushes  5 fences  5 boundaries 3 instr  29
+Queue-Normalized-Opt-slow  Pop          flushes  6 fences  5 boundaries 3 instr  31
+Queue-Normalized-Opt-slow  Pop          flushes  3 fences  3 boundaries 3 instr  18
 ";

@@ -58,7 +58,7 @@ MILLION_KEYS = 1 << 20
 DFCK_COUNT_FIELDS = [
     "crash_points", "replays", "crashes_injected", "covictim_crashes",
     "recoveries", "entry_retries", "recovery_crashes", "fast_ops", "demotions",
-    "audit_flags", "hb_flags", "oracle_failures", "seeds",
+    "hb_flags", "oracle_failures", "seeds",
     "distinct_interleavings",
 ]
 

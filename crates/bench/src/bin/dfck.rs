@@ -11,9 +11,9 @@
 //! failures (`/system`: unflushed cache lines roll back, verifying flush
 //! placement) — plus a nested sweep that injects a second crash inside the
 //! recovery triggered by the first. Every replay runs with the
-//! [`pmem::FlushAuditor`] and the [`pmem::HbAnalyzer`] armed and is checked
-//! against the shape's exactly-once / durable-linearizability oracle. Exits
-//! non-zero on any oracle violation, auditor flag or happens-before flag. The
+//! [`pmem::HbAnalyzer`] armed and is checked against the shape's
+//! exactly-once / durable-linearizability oracle. Exits non-zero on any
+//! oracle violation or happens-before flag. The
 //! per-crash-point replays fan out across worker threads (one per core, at
 //! most 8), keeping the full matrix inside the CI budget.
 //!
@@ -109,7 +109,6 @@ fn row(r: &Report) -> JsonRow {
         ("recovery_crashes", r.recovery_crashes),
         ("fast_ops", r.fast_ops),
         ("demotions", r.demotions),
-        ("audit_flags", r.audit_flags),
         ("hb_flags", r.hb_flags),
         ("oracle_failures", r.violations.len() as u64),
     ]);
@@ -125,7 +124,7 @@ fn print_table(reports: &[Report], rows: &mut Vec<JsonRow>) -> usize {
         return 0;
     }
     println!(
-        "{:<46} {:>7} {:>13} {:>12} {:>9} {:>9} {:>11} {:>9} {:>7} {:>5} {:>10}",
+        "{:<46} {:>7} {:>13} {:>12} {:>9} {:>9} {:>11} {:>9} {:>5} {:>10}",
         "sweep",
         "seeds",
         "interleavings",
@@ -134,7 +133,6 @@ fn print_table(reports: &[Report], rows: &mut Vec<JsonRow>) -> usize {
         "crashes",
         "recoveries",
         "nested",
-        "audit",
         "hb",
         "violations"
     );
@@ -145,7 +143,7 @@ fn print_table(reports: &[Report], rows: &mut Vec<JsonRow>) -> usize {
     for r in reports {
         let label = label(r);
         println!(
-            "{:<46} {:>7} {:>13} {:>12} {:>9} {:>9} {:>11} {:>9} {:>7} {:>5} {:>10}",
+            "{:<46} {:>7} {:>13} {:>12} {:>9} {:>9} {:>11} {:>9} {:>5} {:>10}",
             label,
             dash_unless_interleaved(r, r.seeds.len() as u64),
             dash_unless_interleaved(r, r.distinct_interleavings),
@@ -154,7 +152,6 @@ fn print_table(reports: &[Report], rows: &mut Vec<JsonRow>) -> usize {
             r.crashes_injected,
             r.recoveries + r.entry_retries,
             r.recovery_crashes,
-            r.audit_flags,
             r.hb_flags,
             r.violations.len()
         );
@@ -331,6 +328,6 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "# all sweeps passed the exactly-once / durable-linearizability / linearization oracles (0 violations, 0 audit flags, 0 hb flags)"
+        "# all sweeps passed the exactly-once / durable-linearizability / linearization oracles (0 violations, 0 hb flags)"
     );
 }

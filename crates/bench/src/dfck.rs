@@ -872,12 +872,11 @@ impl<'a> Driver<'a> {
 /// (a disarmed/empty plan ⇒ crash-free baseline). `system` selects full-system
 /// crash semantics (see [`sweep::apply_driver_crash`] and [`sweep`]).
 ///
-/// Every replay runs with the [`pmem::FlushAuditor`] and the
-/// [`pmem::HbAnalyzer`] armed (handles pick the armed bits up at
-/// construction): on top of the history oracle, any flush-ordering or
-/// synchronization-discipline violation is caught *at the faulting
-/// instruction* and reported with the replay (all swept variants claim a
-/// complete flush discipline, so both must stay silent).
+/// Every replay runs with the [`pmem::HbAnalyzer`] armed (handles pick the
+/// armed bit up at construction): on top of the history oracle, any
+/// persist-order or synchronization-discipline violation is caught *at the
+/// faulting instruction* and reported with the replay (all swept variants
+/// claim a complete flush discipline, so it must stay silent).
 pub(crate) fn replay(
     variant: Variant,
     workload: &Workload,
@@ -886,7 +885,6 @@ pub(crate) fn replay(
 ) -> ReplayRecord {
     pmem::install_quiet_crash_hook();
     let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-    mem.flush_auditor().arm();
     mem.hb().arm();
     let bound = workload.drain_bound();
     let t = mem.thread_with(0, variant.thread_options());
@@ -923,8 +921,6 @@ pub(crate) fn replay(
             recovery_crashes: m.recovery_crashes,
             fast_ops: m.fast_ops,
             demotions: m.demotions,
-            audit_flags: mem.flush_auditor().flags(),
-            audit_reports: mem.flush_auditor().take_reports(),
             hb_flags: mem.hb().flags(),
             hb_reports: mem.hb().take_reports(),
         },
@@ -1027,26 +1023,17 @@ pub fn conc_replay(
     let helper = threads;
     let nprocs = threads + 1;
     let mem = PMem::new(MemConfig::new(nprocs).mode(Mode::SharedCache));
-    // Unlike the flush auditor (left disarmed — see below), the
-    // happens-before analyzer stays armed in scheduled replays: its model is
-    // schedule-aware (baton handovers draw no edges, crashes are barriers),
-    // so the interleaved sweeps double as race checks over every enumerated
-    // interleaving.
+    // The happens-before analyzer is armed as in the single-threaded
+    // replays: its model is schedule-aware (baton handovers draw no edges,
+    // crashes are barriers), so the interleaved sweeps double as race and
+    // persist-order checks over every enumerated interleaving. It has no
+    // rule against a peer *reading* a published-but-unflushed word: every
+    // swept variant does that legitimately under concurrency (MSQ and
+    // LogQueue publish first and let readers help; the capsule variants flush
+    // the CAS target after the CAS), and the word is its own flush unit — any
+    // later persist of its line makes the value durable, and a full-system
+    // crash rolls the reader's dependent state back with it.
     mem.hb().arm();
-    // The flush auditor encodes the Izraelevitz flush-before-publish reader
-    // discipline, which only cross-pid reads can violate — and every swept
-    // variant legitimately departs from it once real concurrency is in play.
-    // MSQ and LogQueue publish first and let readers help (the reader
-    // flushes). The capsule variants persist the *announcement* lines before
-    // the publishing CAS and flush the CAS target afterwards: a peer may read
-    // the published-but-unflushed word in that gap, which is safe because the
-    // word is its own flush unit — any later persist of that line (the
-    // reader's own CAS+flush included) makes the predecessor's value durable
-    // with it, and a full-system crash rolls the reader's dependent state back
-    // together with it. The single-threaded sweeps (where no cross-pid read
-    // exists and the discipline is exact) keep the auditor armed; the
-    // scheduled replays leave it disarmed and rely on the linearization oracle
-    // plus the /system rollback semantics to catch real durability bugs.
     let opts = variant.thread_options();
     let bound = w.drain_bound();
 
@@ -1120,8 +1107,6 @@ pub fn conc_replay(
             recovery_crashes: sum(&|o| o.metrics.recovery_crashes),
             fast_ops: sum(&|o| o.metrics.fast_ops),
             demotions: sum(&|o| o.metrics.demotions),
-            audit_flags: 0,
-            audit_reports: Vec::new(),
             hb_flags: mem.hb().flags(),
             hb_reports: mem.hb().take_reports(),
         },

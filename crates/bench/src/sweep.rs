@@ -65,11 +65,6 @@ pub struct ReplayCounts {
     /// interleaving produced enough contention to trip the streak, which is
     /// the coverage proof for the demotion-boundary crash site.
     pub demotions: u64,
-    /// Flush-order violations the armed [`pmem::FlushAuditor`] flagged (0
-    /// where the replay runs with the auditor disarmed — see the drivers).
-    pub audit_flags: u64,
-    /// The auditor's human-readable reports for those flags.
-    pub audit_reports: Vec<String>,
     /// Happens-before violations (data races + cross-failure races) the armed
     /// [`pmem::HbAnalyzer`] flagged.
     pub hb_flags: u64,
@@ -144,9 +139,6 @@ pub struct Report {
     pub fast_ops: u64,
     /// Fast→slow demotions across all replays (baselines included).
     pub demotions: u64,
-    /// Flush-order violations the armed auditor flagged across all replays
-    /// (also folded into `violations`). Must be zero.
-    pub audit_flags: u64,
     /// Happens-before violations the armed analyzer flagged across all
     /// replays (also folded into `violations`). Must be zero.
     pub hb_flags: u64,
@@ -180,7 +172,6 @@ impl Report {
             recovery_crashes: 0,
             fast_ops: 0,
             demotions: 0,
-            audit_flags: 0,
             hb_flags: 0,
             violations: Vec::new(),
         }
@@ -192,7 +183,7 @@ impl Report {
     }
 
     /// Count one replay (`tag` names it in violation messages) into the
-    /// aggregates, folding its auditor and analyzer flags into `violations`.
+    /// aggregates, folding its analyzer flags into `violations`.
     fn absorb(&mut self, tag: &str, r: &ReplayCounts) {
         self.replays += 1;
         self.crashes_injected += r.crashes;
@@ -202,12 +193,7 @@ impl Report {
         self.recovery_crashes += r.recovery_crashes;
         self.fast_ops += r.fast_ops;
         self.demotions += r.demotions;
-        self.audit_flags += r.audit_flags;
         self.hb_flags += r.hb_flags;
-        if r.audit_flags > 0 {
-            let (n, reports) = (r.audit_flags, &r.audit_reports);
-            self.violations.push(format!("{tag}: {n} flush-audit flag(s): {reports:?}"));
-        }
         if r.hb_flags > 0 {
             let (n, reports) = (r.hb_flags, &r.hb_reports);
             self.violations.push(format!("{tag}: {n} happens-before flag(s): {reports:?}"));
@@ -286,7 +272,7 @@ pub fn fan_out<R: Send>(
 
 /// The single-threaded sweep engine: run the crash-free baseline, fan one
 /// replay per crash point out over [`sweep_workers`], and assemble the
-/// [`Report`] — audit flags, schedule-never-fired detection, the
+/// [`Report`] — happens-before flags, schedule-never-fired detection, the
 /// model-consistency check, and (for detectable variants) the exactly-once
 /// obligations: history identical to the crash-free run and at least one
 /// recovery action per injected crash. `workers_override` pins the fan-out
@@ -755,9 +741,9 @@ pub struct ConcReplayRecord {
     /// LogQueue recovery passes).
     pub victim_recovery_actions: u64,
     /// Crash, recovery, fast-path and checker counters, summed over all
-    /// processes. The auditor is disarmed in scheduled replays (see
-    /// `dfck::conc_replay`); the analyzer stays armed — its ordering model is
-    /// schedule-aware (baton handovers draw no edges).
+    /// processes. The happens-before analyzer is armed here as in the
+    /// single-threaded replays — its ordering model is schedule-aware (baton
+    /// handovers draw no edges).
     pub counts: ReplayCounts,
 }
 

@@ -1,9 +1,8 @@
 //! Vector-clock happens-before analyzer (`DF_HB`): data races and
-//! persist-order (cross-failure) races over the simulated instruction stream.
+//! persist-order (cross-failure) races over the simulated instruction stream —
+//! the workspace's one persist-order checker.
 //!
-//! The flush-order auditor ([`crate::FlushAuditor`]) is *exposure*-based: it
-//! flags published-but-unflushed cache lines. This module generalizes that to
-//! true *ordering*, the correctness criterion of "The Path to Durable
+//! It checks *ordering*, the correctness criterion of "The Path to Durable
 //! Linearizability": it maintains FastTrack-style vector clocks per process and
 //! per word, draws release/acquire edges from CAS/fetch-add sites and the
 //! documented [`write_release`](crate::PThread::write_release) annotations,
@@ -23,8 +22,22 @@
 //! issues a fence **or a locked RMW** (see below), and a publishing CAS counts
 //! as possibly-durable once its own line was flushed at all. This is exactly
 //! the strictness that catches the "flush without ordering before the
-//! publication" bug class, which is invisible to both the eager-persist
-//! replay and the flush-order auditor.
+//! publication" bug class, which is invisible to the eager-persist replay.
+//!
+//! ## What a publication exposes
+//!
+//! A publication by `pid` exposes every word `pid` left dirty — written, not
+//! yet flush+fence ordered — on *another* line (same-line words persist in
+//! order with the publisher). Plain words are exposed by any publication: a
+//! successful CAS, a fetch-add or a
+//! [`write_release`](crate::PThread::write_release). Synchronization words
+//! (anything CASed, fetch-added or release-written — an rcas announcement
+//! above all) are exposed only by a **locked RMW**: recovery consults the
+//! announcement as its evidence, so it must be durable before the CAS that
+//! publishes past it (Cho et al., "Practical Detectability"). A release store
+//! does not expose them: it is a plain `mov`, and a sync word it leaves
+//! behind (a notify flag flushed but not yet fenced, say) is ordered by the
+//! locked CAS that follows, which stays the publication that counts.
 //!
 //! ## What orders a flush
 //!
@@ -39,7 +52,7 @@
 //! `mov` on x86 and orders nothing — flush-then-release-store publication
 //! without an intervening fence is still flagged.
 //!
-//! Arming follows the auditor's pattern: `DF_HB=1` arms every machine the
+//! Arming: `DF_HB=1` arms every machine the
 //! process builds (shared-cache model only), [`HbAnalyzer::arm`] arms one
 //! machine, and the per-thread fast flag lives in the packed `hot_armed` byte
 //! so the disarmed fast path is unchanged. While armed, each instruction's
@@ -333,18 +346,18 @@ impl HbInner {
         }
         self.mark_dirty(arena, addr.0, pid, step);
         if release {
-            self.expose(arena, addr.0, pid, step);
+            self.expose(arena, addr.0, pid, step, false);
         }
         flags
     }
 
     /// Successful CAS or fetch-add: acquire + release on the word's clock, and
-    /// a publication point — every plain word this pid left dirty on another
-    /// line may now be reachable before its persist is ordered. Being a
-    /// locked RMW, it first drains the pid's pending flushes (Px86: lock
-    /// prefix orders earlier `clflushopt`), so a word this pid flushed — even
-    /// unfenced — is durably ordered before the publication, never exposed by
-    /// it.
+    /// a publication point — every word this pid left dirty on another line,
+    /// synchronization words included, may now be reachable before its persist
+    /// is ordered. Being a locked RMW, it first drains the pid's pending
+    /// flushes (Px86: lock prefix orders earlier `clflushopt`), so a word this
+    /// pid flushed — even unfenced — is durably ordered before the
+    /// publication, never exposed by it.
     pub(crate) fn note_sync_write(
         &mut self,
         arena: u64,
@@ -361,7 +374,7 @@ impl HbInner {
         ws.sync = Some(self.clocks[pid].clone());
         self.clocks[pid][pid] += 1;
         self.mark_dirty(arena, addr.0, pid, step);
-        self.expose(arena, addr.0, pid, step);
+        self.expose(arena, addr.0, pid, step, true);
         0
     }
 
@@ -384,9 +397,10 @@ impl HbInner {
         0
     }
 
-    /// Record exposures for a publication by `pid` via `publisher`: every
-    /// plain word `pid` left dirty on another line of the arena.
-    fn expose(&mut self, arena: u64, publisher: u64, pid: usize, publish_step: u64) {
+    /// Record exposures for a publication by `pid` via `publisher`: every word
+    /// `pid` left dirty on another line of the arena, synchronization words
+    /// only when the publication is a `locked` RMW (module docs).
+    fn expose(&mut self, arena: u64, publisher: u64, pid: usize, publish_step: u64, locked: bool) {
         let Some(mut candidates) = self.unexposed.remove(&(arena, pid)) else {
             return;
         };
@@ -398,18 +412,18 @@ impl HbInner {
                 // Promoted since, or rewritten by another pid (its candidate now).
                 _ => return false,
             };
-            if self.exposures.contains_key(&(arena, addr))
-                || self
-                    .words
-                    .get(&(arena, addr))
-                    .is_some_and(|w| w.sync.is_some())
-            {
+            if self.exposures.contains_key(&(arena, addr)) {
                 return false;
             }
             // Same-line words are exempt: the line persists in order with the
             // publisher itself (the compact-frame argument). They stay
-            // candidates for a publication on another line.
-            if line_base(addr) == pub_line {
+            // candidates for a publication on another line, as sync words do
+            // for the next locked RMW.
+            let sync = self
+                .words
+                .get(&(arena, addr))
+                .is_some_and(|w| w.sync.is_some());
+            if line_base(addr) == pub_line || (sync && !locked) {
                 return true;
             }
             fresh.push((addr, step));
@@ -838,14 +852,39 @@ mod tests {
     }
 
     #[test]
-    fn sync_words_are_not_exposed_by_a_later_publish() {
-        // A dirty CAS target is not "data published before its flush": its
-        // un-flushed publication rolls back at a crash (checked separately).
+    fn a_cas_on_another_line_exposes_an_unordered_sync_word() {
+        // The announcement shape: a release-stored sync word, never flushed,
+        // then a CAS elsewhere publishes past it. Recovery reads the word as
+        // its evidence, so losing it while the CAS survives is flagged.
         let mut hb = HbInner::default();
         hb.on_thread(0);
-        hb.note_sync_write(A, addr(64), 0, 1);
+        hb.note_write(A, addr(64), 0, 1, true);
         hb.note_sync_write(A, addr(128), 0, 2);
+        assert_eq!(hb.exposures.len(), 1);
+        hb.note_flush(A, addr(128), 0);
+        hb.note_fence(0);
+        hb.note_system_crash(A);
+        assert_eq!(hb.note_read(A, addr(64), 0, 3), 1, "{:?}", hb.reports);
+        assert!(
+            hb.reports[0].contains("cross-failure race"),
+            "{:?}",
+            hb.reports
+        );
+    }
+
+    #[test]
+    fn a_release_store_does_not_expose_a_sync_word() {
+        // A release store is a plain `mov`: the sync word it leaves behind
+        // is not exposed by it, but stays a candidate for the next locked RMW.
+        let mut hb = HbInner::default();
+        hb.on_thread(0);
+        hb.note_sync_write(A, addr(64), 0, 1); // never flushed
+        hb.note_write(A, addr(128), 0, 2, true);
         assert!(hb.exposures.is_empty());
+        hb.note_flush(A, addr(128), 0);
+        hb.note_fence(0);
+        hb.note_sync_write(A, addr(192), 0, 3);
+        assert_eq!(hb.exposures.keys().collect::<Vec<_>>(), [&(A, 64)]);
     }
 
     #[test]

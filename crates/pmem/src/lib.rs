@@ -67,7 +67,6 @@
 pub mod addr;
 pub mod align;
 pub mod arena;
-pub mod audit;
 pub mod crash;
 pub mod hb;
 pub mod mem;
@@ -78,7 +77,6 @@ pub mod typed;
 
 pub use addr::PAddr;
 pub use align::{CacheAligned, CACHE_LINE_BYTES};
-pub use audit::FlushAuditor;
 pub use hb::HbAnalyzer;
 pub use crash::{
     catch_crash, install_quiet_crash_hook, raise_crash, CrashPlan, CrashPolicy, CrashSchedule,

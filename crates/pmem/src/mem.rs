@@ -18,7 +18,6 @@ use parking_lot::{Mutex, RwLock};
 use crate::addr::PAddr;
 use crate::align::CacheAligned;
 use crate::arena::{Arena, Word, SEGMENT_WORDS};
-use crate::audit::FlushAuditor;
 use crate::crash::{raise_crash, ArmedPolicy, CrashPolicy, CrashSchedule};
 use crate::hb::HbAnalyzer;
 use crate::mode::Mode;
@@ -104,7 +103,6 @@ pub struct PMem {
     crashed: Vec<AtomicBool>,
     restart_base: PAddr,
     crash_events: AtomicU64,
-    auditor: FlushAuditor,
     /// The happens-before analyzer (`DF_HB`): vector-clock data-race and
     /// persist-order checking over the instruction stream, disarmed by default.
     hb: HbAnalyzer,
@@ -156,23 +154,13 @@ impl PMem {
             crashed: (0..config.threads).map(|_| AtomicBool::new(false)).collect(),
             restart_base,
             crash_events: AtomicU64::new(0),
-            auditor: FlushAuditor::new(),
             hb: HbAnalyzer::new(),
         };
-        // `DF_FLUSH_AUDIT=1` arms the flush-order auditor on every machine the
-        // process creates — the switch the CI audit-armed tier-1 run uses. Only
-        // meaningful in the shared-cache model (the private-cache model has no
-        // flush ordering to audit).
+        // `DF_HB=1` arms the happens-before analyzer on every machine the
+        // process creates — the switch behind the CI hb-armed tier-1 run.
+        // Shared-cache only: the private-cache model has no flush/fence
+        // ordering, and its per-process crashes never roll memory back.
         if config.mode == Mode::SharedCache {
-            if let Some(v) = std::env::var_os("DF_FLUSH_AUDIT") {
-                if v != "0" && !v.is_empty() {
-                    mem.auditor.arm();
-                }
-            }
-            // `DF_HB=1` arms the happens-before analyzer the same way — the
-            // switch behind the CI hb-armed tier-1 run and the dfck jobs.
-            // Shared-cache only: the private-cache model has no flush/fence
-            // ordering, and its per-process crashes never roll memory back.
             if let Some(v) = std::env::var_os("DF_HB") {
                 if v != "0" && !v.is_empty() {
                     mem.hb.arm();
@@ -208,7 +196,7 @@ impl PMem {
         let old = std::mem::replace(&mut *cur, arena);
         self.retired.lock().push(old.clone());
         // SeqCst: the id must be globally ordered after the arena swap above
-        // so auditor/analyzer hooks never key state under the old arena's id.
+        // so analyzer hooks never key state under the old arena's id.
         self.arena_id.store(cur.id(), Ordering::SeqCst);
         old
     }
@@ -247,7 +235,6 @@ impl PMem {
             stats: CacheAligned::new(StatCells::default()),
             schedule: RefCell::new(Box::new(ArmedPolicy::arm(CrashPolicy::Never, pid))),
             hot_armed: Cell::new(if hb_armed { PThread::ARMED_HB } else { 0 }),
-            audit_armed: Cell::new(self.mode == Mode::SharedCache && self.auditor.is_armed()),
             scheduler: RefCell::new(None),
             killed: Cell::new(false),
             last_sched_step: Cell::new(0),
@@ -259,13 +246,6 @@ impl PMem {
             pending_lines: Default::default(),
             pending_len: Cell::new(0),
         }
-    }
-
-    /// The machine's [`FlushAuditor`]. Arm it *before* creating thread handles
-    /// (or call [`PThread::refresh_flush_audit`] on existing ones) so the
-    /// per-thread fast flag picks the armed state up.
-    pub fn flush_auditor(&self) -> &FlushAuditor {
-        &self.auditor
     }
 
     /// The machine's happens-before analyzer ([`HbAnalyzer`]). Arm it *before*
@@ -294,12 +274,6 @@ impl PMem {
             // SeqCst: pairs with the `swap_arena` store — the crash must be
             // attributed to the arena every quiesced thread last wrote.
             let arena_id = self.arena_id.load(Ordering::SeqCst);
-            if self.auditor.is_armed() {
-                // Any line still published-but-unflushed at this instant is
-                // about to be destroyed while a durable pointer may reference
-                // it — the deterministic form of the descriptor flush gap.
-                self.auditor.note_system_crash(arena_id);
-            }
             if self.hb.is_armed() {
                 // The crash is a happens-before barrier (recovery is ordered
                 // after everything pre-crash), and exposures whose publisher
@@ -377,7 +351,6 @@ impl PMem {
         // SeqCst: pairs with the `swap_arena` store, as in `crash_all`.
         let arena_id = self.arena_id.load(Ordering::SeqCst);
         // Everything is durable: no line is dirty (or exposed) any more.
-        self.auditor.clear_state(arena_id);
         self.hb.locked().note_persist_all(arena_id);
     }
 
@@ -438,13 +411,6 @@ pub struct PThread<'m> {
     /// schedule reports itself disarmed after a consultation; `ARMED_SCHED`
     /// mirrors whether a [`ThreadScheduler`] is installed.
     hot_armed: Cell<u8>,
-    /// Pre-computed fast flag for the flush-order auditor (same pattern, but
-    /// separate from `hot_armed`: it guards the flush/read paths, not the
-    /// per-instruction step). Mirrors the machine's [`FlushAuditor`] armed
-    /// state at handle creation, refreshed by
-    /// [`refresh_flush_audit`](PThread::refresh_flush_audit). Always `false`
-    /// in the private-cache model.
-    audit_armed: Cell<bool>,
     /// The deterministic interleaving scheduler, when one is installed. Only
     /// consulted behind the `ARMED_SCHED` fast bit, so replays without a
     /// scheduler (every throughput run) never touch it.
@@ -541,13 +507,6 @@ impl<'m> PThread<'m> {
     /// Disable crash injection (equivalent to installing [`CrashPolicy::Never`]).
     pub fn disarm_crashes(&self) {
         self.set_crash_policy(CrashPolicy::Never);
-    }
-
-    /// Re-mirror the machine's [`FlushAuditor`] armed state into this handle's
-    /// fast flag (for handles created before the auditor was armed/disarmed).
-    pub fn refresh_flush_audit(&self) {
-        self.audit_armed
-            .set(self.mode == Mode::SharedCache && self.mem.auditor.is_armed());
     }
 
     /// Re-mirror the machine's [`HbAnalyzer`] armed state into this handle's
@@ -813,47 +772,12 @@ impl<'m> PThread<'m> {
         self.step.get()
     }
 
-    /// The current arena's identity, for keying auditor/analyzer state.
+    /// The current arena's identity, for keying analyzer state.
     #[inline]
     fn arena_key(&self) -> u64 {
         // Relaxed: swaps happen only at quiescent points (no handle mid-op),
         // and the key is only compared for equality, never dereferenced.
         self.mem.arena_id.load(Ordering::Relaxed)
-    }
-
-    // ----- flush-order auditor hooks (behind the `audit_armed` fast flag) -----
-
-    #[cold]
-    fn audit_read(&self, addr: PAddr) {
-        if self.mem.auditor.note_read(
-            self.pid,
-            self.arena_key(),
-            addr.line_base().0,
-            self.step.get(),
-        ) {
-            StatCells::add(&self.stats.audit_flags, 1);
-        }
-    }
-
-    #[cold]
-    fn audit_store(&self, addr: PAddr) {
-        self.mem
-            .auditor
-            .note_store(self.pid, self.arena_key(), addr.line_base().0);
-    }
-
-    #[cold]
-    fn audit_publish(&self, addr: PAddr) {
-        self.mem
-            .auditor
-            .note_publish(self.pid, self.arena_key(), addr.line_base().0);
-    }
-
-    #[cold]
-    fn audit_flush(&self, addr: PAddr) {
-        self.mem
-            .auditor
-            .note_flush(self.arena_key(), addr.line_base().0);
     }
 
     // ----- happens-before analyzer hooks (behind the `ARMED_HB` fast bit) -----
@@ -944,9 +868,6 @@ impl<'m> PThread<'m> {
         } else {
             self.word_at(addr).load()
         };
-        if self.audit_armed.get() {
-            self.audit_read(addr);
-        }
         if self.opts.izraelevitz {
             // The automatic construction flushes the line after every access.
             self.flush(addr);
@@ -966,8 +887,8 @@ impl<'m> PThread<'m> {
     }
 
     /// Atomic read annotated as intentionally racy: exempt from happens-before
-    /// race *and* cross-failure checks (the auditor and instruction counters
-    /// still see it).
+    /// race *and* cross-failure checks (the instruction counters still see
+    /// it).
     ///
     /// For protocol-level scans whose tolerance of stale or torn context is
     /// argued separately — e.g. the helping path reading a peer's evidence
@@ -976,9 +897,6 @@ impl<'m> PThread<'m> {
     pub fn read_racy(&self, addr: PAddr) -> u64 {
         self.bump(&self.stats.reads);
         let v = self.word_at(addr).load();
-        if self.audit_armed.get() {
-            self.audit_read(addr);
-        }
         if self.opts.izraelevitz {
             self.flush(addr);
         }
@@ -1019,9 +937,6 @@ impl<'m> PThread<'m> {
             }
         }
         self.untrack_line(addr);
-        if self.audit_armed.get() {
-            self.audit_store(addr);
-        }
         if self.opts.izraelevitz {
             self.flush(addr);
             self.fence();
@@ -1055,12 +970,6 @@ impl<'m> PThread<'m> {
         if result.is_ok() {
             self.untrack_line(addr);
         }
-        if result.is_ok() && self.audit_armed.get() {
-            // A successful CAS is a publication: everything this thread wrote
-            // and has not flushed may now be reachable by other processes (and
-            // by recovery), which is exactly what the auditor polices.
-            self.audit_publish(addr);
-        }
         if self.opts.izraelevitz {
             self.flush(addr);
             self.fence();
@@ -1085,9 +994,6 @@ impl<'m> PThread<'m> {
             prev
         };
         self.untrack_line(addr);
-        if self.audit_armed.get() {
-            self.audit_publish(addr);
-        }
         if self.opts.izraelevitz {
             self.flush(addr);
             self.fence();
@@ -1125,9 +1031,6 @@ impl<'m> PThread<'m> {
                 self.hb_flush(addr, line);
             } else {
                 self.write_back_line(line);
-            }
-            if self.audit_armed.get() {
-                self.audit_flush(addr);
             }
         }
     }
@@ -1575,126 +1478,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_auditor_flags_publish_before_flush_at_system_crash() {
-        let mem = PMem::new(MemConfig::new(2).mode(Mode::SharedCache));
-        mem.flush_auditor().arm();
-        let t = mem.thread(0);
-        let rec = t.alloc(LINE_WORDS); // the "descriptor"
-        let ptr = t.alloc(LINE_WORDS); // the word that publishes it
-        t.write(rec, 7); // descriptor contents, never flushed
-        assert!(t.cas(ptr, 0, rec.to_raw())); // publish while unflushed
-        t.persist(ptr); // the pointer itself is durable — the bug shape
-        mem.crash_all();
-        assert_eq!(mem.flush_auditor().flags(), 1, "{:?}", mem.flush_auditor().take_reports());
-        let reports = mem.flush_auditor().take_reports();
-        assert!(reports[0].contains("full-system crash"), "{reports:?}");
-    }
-
-    #[test]
-    fn flush_auditor_flags_cross_thread_read_of_exposed_line() {
-        let mem = PMem::new(MemConfig::new(2).mode(Mode::SharedCache));
-        mem.flush_auditor().arm();
-        let t0 = mem.thread(0);
-        let t1 = mem.thread(1);
-        let rec = t0.alloc(LINE_WORDS);
-        let ptr = t0.alloc(LINE_WORDS);
-        t0.write(rec, 7);
-        assert!(t0.cas(ptr, 0, rec.to_raw()));
-        assert_eq!(t0.read(rec), 7, "the publisher's own read is fine");
-        assert_eq!(t0.stats().audit_flags, 0);
-        let _ = t1.read(rec); // cross-thread read of published-unflushed state
-        assert_eq!(t1.stats().audit_flags, 1);
-        assert_eq!(mem.flush_auditor().flags(), 1);
-    }
-
-    #[test]
-    fn flush_auditor_accepts_the_flush_before_publish_discipline() {
-        let mem = PMem::new(MemConfig::new(2).mode(Mode::SharedCache));
-        mem.flush_auditor().arm();
-        let t0 = mem.thread(0);
-        let t1 = mem.thread(1);
-        let rec = t0.alloc(LINE_WORDS);
-        let ptr = t0.alloc(LINE_WORDS);
-        t0.write(rec, 7);
-        t0.persist(rec); // discipline: durable before reachable
-        assert!(t0.cas(ptr, 0, rec.to_raw()));
-        t0.persist(ptr);
-        let _ = t1.read(rec);
-        mem.crash_all();
-        assert_eq!(mem.flush_auditor().flags(), 0, "{:?}", mem.flush_auditor().take_reports());
-    }
-
-    #[test]
-    fn flush_auditor_disarmed_or_refreshed_handles_track_arming() {
-        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-        // Start disarmed explicitly (DF_FLUSH_AUDIT=1 may have armed it at
-        // construction; this test is about the per-handle fast flag).
-        mem.flush_auditor().disarm();
-        let t = mem.thread(0); // created before arming: fast flag is off
-        t.refresh_flush_audit();
-        let rec = t.alloc(LINE_WORDS);
-        let ptr = t.alloc(LINE_WORDS);
-        mem.flush_auditor().arm();
-        t.write(rec, 1);
-        assert!(t.cas(ptr, 0, 1));
-        mem.crash_all();
-        assert_eq!(mem.flush_auditor().flags(), 0, "stale handle must not audit");
-        // After a refresh the same handle participates. (The earlier crash
-        // rolled the unflushed CAS back, so `ptr` reads 0 again.)
-        t.refresh_flush_audit();
-        t.write(rec, 2);
-        assert!(t.cas(ptr, 0, 2));
-        mem.crash_all();
-        assert_eq!(mem.flush_auditor().flags(), 1);
-    }
-
-    #[test]
-    fn flush_auditor_is_inert_in_the_private_cache_model() {
-        let mem = PMem::new(MemConfig::new(1).mode(Mode::PrivateCache));
-        mem.flush_auditor().arm();
-        let t = mem.thread(0);
-        let a = t.alloc(LINE_WORDS);
-        let b = t.alloc(LINE_WORDS);
-        t.write(a, 1);
-        assert!(t.cas(b, 0, 1)); // every store is already durable: no exposure
-        mem.crash_all();
-        assert_eq!(mem.flush_auditor().flags(), 0);
-    }
-
-    #[test]
-    fn flush_auditor_state_does_not_leak_across_arena_swaps() {
-        // Same hazard class as the per-thread segment cache: auditor state
-        // recorded against one arena must not fire (or be cleared) by events
-        // on another after `swap_arena`.
-        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-        mem.flush_auditor().arm();
-        let t = mem.thread(0);
-        let rec = t.alloc(LINE_WORDS);
-        let ptr = t.alloc(LINE_WORDS);
-        t.write(rec, 7);
-        assert!(t.cas(ptr, 0, rec.to_raw())); // exposure in the first arena
-
-        let donor = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-        let d = donor.thread(0);
-        d.alloc(2 * LINE_WORDS);
-        drop(d);
-        let old = mem.swap_arena(donor.arena_handle());
-        mem.crash_all();
-        assert_eq!(
-            mem.flush_auditor().flags(),
-            0,
-            "a crash of the swapped-in arena must not flag the retired arena's exposure: {:?}",
-            mem.flush_auditor().take_reports()
-        );
-
-        // Swapping the original arena back in, the recorded exposure is still
-        // live — and the next crash flags it.
-        let _donor_arena = mem.swap_arena(old);
-        mem.crash_all();
-        assert_eq!(mem.flush_auditor().flags(), 1, "the retired arena's state must survive the round trip");
-    }
-
-    #[test]
     fn hb_flags_an_unsynchronized_cross_thread_race() {
         let mem = PMem::new(MemConfig::new(2).mode(Mode::SharedCache));
         mem.hb().arm();
@@ -1815,6 +1598,46 @@ mod tests {
         t0.write(a, 8);
         let _ = t1.read(a);
         assert_eq!(mem.hb().flags(), 0);
+    }
+
+    #[test]
+    fn hb_state_does_not_leak_across_arena_swaps() {
+        // Same hazard class as the per-thread segment cache: analyzer state
+        // recorded against one arena must not fire (or be cleared) by events
+        // on another after `swap_arena`.
+        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+        mem.hb().arm();
+        let t = mem.thread(0);
+        let rec = t.alloc(LINE_WORDS);
+        let ptr = t.alloc(LINE_WORDS);
+        t.write(rec, 7);
+        assert!(t.cas(ptr, 0, rec.to_raw())); // exposure in the first arena
+        t.persist(ptr);
+
+        let donor = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+        let d = donor.thread(0);
+        d.alloc(2 * LINE_WORDS);
+        drop(d);
+        let old = mem.swap_arena(donor.arena_handle());
+        mem.crash_all();
+        let _ = t.read(rec); // the same address on the swapped-in medium
+        assert_eq!(
+            mem.hb().flags(),
+            0,
+            "a crash of the swapped-in arena must not consume the retired arena's exposure: {:?}",
+            mem.hb().take_reports()
+        );
+
+        // Swapping the original arena back in, the recorded exposure is still
+        // live — the next crash loses the word and its read is flagged.
+        let _donor_arena = mem.swap_arena(old);
+        mem.crash_all();
+        let _ = t.read(rec);
+        assert_eq!(
+            mem.hb().flags(),
+            1,
+            "the retired arena's state must survive the round trip"
+        );
     }
 
     #[test]

@@ -47,9 +47,9 @@
 //!
 //! ## Cost model
 //!
-//! The per-instruction hook sits behind a `sched_armed` fast flag on
-//! [`PThread`](crate::PThread) — the same pattern as `crash_armed` and
-//! `audit_armed` — so a run without a scheduler pays one predictable
+//! The per-instruction hook sits behind the `ARMED_SCHED` bit of
+//! [`PThread`](crate::PThread)'s packed `hot_armed` byte — beside the crash
+//! and happens-before bits — so a run without a scheduler pays one predictable
 //! never-taken branch per instruction and the `instr_overhead` disarmed rows
 //! regress 0%. Armed, every instruction takes a mutex; arm it in sweeps, not in
 //! throughput runs.

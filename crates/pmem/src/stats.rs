@@ -30,7 +30,6 @@ pub(crate) struct StatCells {
     pub(crate) words_allocated: Cell<u64>,
     pub(crate) recovery_steps: Cell<u64>,
     pub(crate) crashes: Cell<u64>,
-    pub(crate) audit_flags: Cell<u64>,
     pub(crate) hb_flags: Cell<u64>,
     pub(crate) seg_resolves: Cell<u64>,
 }
@@ -57,7 +56,6 @@ impl StatCells {
             words_allocated: self.words_allocated.get(),
             recovery_steps: self.recovery_steps.get(),
             crashes: self.crashes.get(),
-            audit_flags: self.audit_flags.get(),
             hb_flags: self.hb_flags.get(),
             seg_resolves: self.seg_resolves.get(),
         }
@@ -76,7 +74,6 @@ impl StatCells {
         self.words_allocated.set(0);
         self.recovery_steps.set(0);
         self.crashes.set(0);
-        self.audit_flags.set(0);
         self.hb_flags.set(0);
         self.seg_resolves.set(0);
         snap
@@ -115,10 +112,6 @@ pub struct Stats {
     pub recovery_steps: u64,
     /// Number of simulated crashes this thread has experienced.
     pub crashes: u64,
-    /// Flush-order violations flagged against this thread's reads by the
-    /// [`FlushAuditor`](crate::FlushAuditor) (zero unless the auditor is armed;
-    /// crash-time flags are machine-level and counted on the auditor itself).
-    pub audit_flags: u64,
     /// Happens-before violations flagged against this thread's accesses by the
     /// [`HbAnalyzer`](crate::HbAnalyzer) — data races and cross-failure races,
     /// attributed to the later (observing) access. Zero unless `DF_HB` armed
@@ -146,7 +139,6 @@ impl Stats {
             words_allocated: 0,
             recovery_steps: 0,
             crashes: 0,
-            audit_flags: 0,
             hb_flags: 0,
             seg_resolves: 0,
         }
@@ -189,7 +181,6 @@ impl Stats {
             words_allocated: self.words_allocated + other.words_allocated,
             recovery_steps: self.recovery_steps + other.recovery_steps,
             crashes: self.crashes + other.crashes,
-            audit_flags: self.audit_flags + other.audit_flags,
             hb_flags: self.hb_flags + other.hb_flags,
             seg_resolves: self.seg_resolves + other.seg_resolves,
         }
@@ -213,7 +204,6 @@ impl Stats {
             words_allocated: self.words_allocated.saturating_sub(earlier.words_allocated),
             recovery_steps: self.recovery_steps.saturating_sub(earlier.recovery_steps),
             crashes: self.crashes.saturating_sub(earlier.crashes),
-            audit_flags: self.audit_flags.saturating_sub(earlier.audit_flags),
             hb_flags: self.hb_flags.saturating_sub(earlier.hb_flags),
             seg_resolves: self.seg_resolves.saturating_sub(earlier.seg_resolves),
         }
@@ -265,7 +255,7 @@ impl std::fmt::Display for Stats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "reads={} writes={} cas={} (ok={}) flushes={} (dup={}) fences={} alloc_words={} recovery_steps={} crashes={} crash_points={} audit_flags={} hb_flags={} seg_resolves={}",
+            "reads={} writes={} cas={} (ok={}) flushes={} (dup={}) fences={} alloc_words={} recovery_steps={} crashes={} crash_points={} hb_flags={} seg_resolves={}",
             self.reads,
             self.writes,
             self.cas,
@@ -277,7 +267,6 @@ impl std::fmt::Display for Stats {
             self.recovery_steps,
             self.crashes,
             self.crash_points,
-            self.audit_flags,
             self.hb_flags,
             self.seg_resolves
         )
@@ -301,7 +290,6 @@ mod tests {
             words_allocated: 7,
             recovery_steps: 1,
             crashes: 1,
-            audit_flags: 2,
             hb_flags: 1,
             seg_resolves: 3,
         }
@@ -362,7 +350,6 @@ mod tests {
         assert!(text.contains("(dup=3)"));
         assert!(text.contains("crashes=1"));
         assert!(text.contains("crash_points=24"));
-        assert!(text.contains("audit_flags=2"));
         assert!(text.contains("hb_flags=1"));
     }
 }

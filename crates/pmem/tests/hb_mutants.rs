@@ -8,13 +8,13 @@
 //! the fixed twin must run clean. Everything here is single-schedule and
 //! deterministic: the flags depend only on the instruction sequence.
 //!
-//! The three mutants mirror the bug classes the dfck sweeps could silently
+//! The four mutants mirror the bug classes the dfck sweeps could silently
 //! miss (the simulator persists eagerly at the flush, so a skipped `fence`
 //! never corrupts replayed state — only the ordering analyzer can see it):
 //!
-//! 1. **Dropped announcement flush** — a record is published by CAS and the
-//!    pointer persisted, but the record itself was never flushed (the PR 4
-//!    auditor's class, now caught as an ordering violation).
+//! 1. **Dropped record flush** — a record is published by CAS and the
+//!    pointer persisted, but the record itself (plain words) was never
+//!    flushed.
 //! 2. **Relaxed-where-release store** — a plain store publishes a data word
 //!    to a concurrent reader with no release annotation: a data race.
 //! 3. **Skipped fence before a publishing store** — the record *was* flushed
@@ -24,6 +24,11 @@
 //!    would be the paper's §9 fence elision and is clean — the lock prefix
 //!    drains the pending flush; see
 //!    `a_cas_publication_makes_the_skipped_fence_sound` below.)
+//! 4. **Unpersisted release-stored announcement** — the rcas shape: the
+//!    announcement is a *synchronization* word (stored with `write_release`,
+//!    read by helpers), and a CAS on the object publishes past it before it
+//!    was persisted. Recovery reads the announcement as its evidence, so a
+//!    crash that keeps the CAS and loses the announcement re-executes it.
 
 use pmem::{MemConfig, Mode, PMem, LINE_WORDS};
 
@@ -154,4 +159,38 @@ fn a_cas_publication_makes_the_skipped_fence_sound() {
     let _ = t.read(rec);
     let reports = mem.hb().take_reports();
     assert_eq!(mem.hb().flags(), 0, "{reports:?}");
+}
+
+// ----- mutant 4: announcement (a sync word) published past unpersisted -------
+
+fn sync_announcement_protocol(persist_announcement: bool) -> (u64, Vec<String>, String) {
+    let mem = machine(1);
+    let t = mem.thread(0);
+    let ann = t.alloc(LINE_WORDS);
+    let x = t.alloc(LINE_WORDS);
+    t.write_release(ann, 0xA11); // announce, as `rcas` does
+    if persist_announcement {
+        t.flush(ann); // the fix: durable before the CAS publishes past it
+        t.fence();
+    }
+    assert!(t.cas(x, 0, 1));
+    t.persist(x);
+    mem.crash_all();
+    let _ = t.read(ann); // recovery consults its evidence
+    let fault = format!("pid 0 read {ann:?} at step {}", t.step_count());
+    (mem.hb().flags(), mem.hb().take_reports(), fault)
+}
+
+#[test]
+fn unpersisted_release_stored_announcement_is_flagged_at_the_recovery_read() {
+    let (flags, reports, fault) = sync_announcement_protocol(false);
+    assert_eq!(flags, 1, "{reports:?}");
+    assert!(reports[0].contains("cross-failure race"), "{reports:?}");
+    assert!(reports[0].contains(&fault), "report {reports:?} does not name the faulting instruction {fault:?}");
+}
+
+#[test]
+fn persisting_the_release_stored_announcement_before_the_cas_unflags_it() {
+    let (flags, reports, _) = sync_announcement_protocol(true);
+    assert_eq!(flags, 0, "{reports:?}");
 }

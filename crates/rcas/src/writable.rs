@@ -449,10 +449,11 @@ mod tests {
         // location before swinging Ptr[j], so once the caller persists the
         // pointer word the value survives a power failure; the relaxed mode
         // leaves the backing location to roll back to garbage under the same
-        // sequence. The auditor confirms the discipline at instruction level.
+        // sequence. The happens-before analyzer confirms the discipline at
+        // instruction level: the post-crash read of the lost value is flagged.
         let run = |durable: bool| -> (u64, u64) {
             let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
-            mem.flush_auditor().arm();
+            mem.hb().arm();
             let t = mem.thread(0);
             // m = 8 spreads B and Ptr across distinct cache lines; with a tiny
             // array they pack onto one line and the pointer persist below would
@@ -472,12 +473,12 @@ mod tests {
             t.persist(arr.ptr_addr(0));
             mem.crash_all();
             let idx = t.read(arr.ptr_addr(0));
-            (t.read(arr.b_addr(idx)), mem.flush_auditor().flags())
+            (t.read(arr.b_addr(idx)), mem.hb().flags())
         };
-        assert_eq!(run(true), (77, 0), "durable write + silent auditor");
+        assert_eq!(run(true), (77, 0), "durable write + silent analyzer");
         let (value, flags) = run(false);
         assert_eq!(value, 0, "relaxed mode rolls the published value back");
-        assert!(flags > 0, "the auditor must flag the unflushed publication");
+        assert!(flags > 0, "the analyzer must flag the read of the lost value");
     }
 
     #[test]

@@ -86,7 +86,6 @@ fn adaptive_fast_path_survives_every_single_thread_crash_point() {
                 report.variant.label(),
                 report.violations
             );
-            assert_eq!(report.audit_flags, 0, "{}/{flavour}", report.variant.label());
             assert!(report.crash_points > 0);
             assert!(
                 report.fast_ops > 0,
@@ -151,7 +150,6 @@ fn sensitized_interleaved_sweeps_crash_the_demotion_boundary() {
                 w.name,
                 report.violations
             );
-            assert_eq!(report.audit_flags, 0, "{} (system={system})", variant.label());
             assert!(report.crash_points > 0);
             assert!(
                 report.fast_ops > 0,

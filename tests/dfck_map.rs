@@ -78,7 +78,6 @@ fn interleaved_map_sweeps_pass_for_both_detectable_constructions() {
             );
             assert!(report.crash_points > 0);
             assert!(report.crashes_injected > 0);
-            assert_eq!(report.audit_flags, 0);
         }
     }
 }

@@ -56,7 +56,7 @@ fn every_variant_passes_the_nested_crash_during_recovery_sweep() {
 /// lines back) for **every** variant: since the recoverable-CAS layer adopted
 /// the durable-announcement flush discipline (DESIGN.md §7), the capsule
 /// variants pass alongside MSQ-Izraelevitz and LogQueue. Each replay also runs
-/// with the flush-order auditor armed; `passed()` covers its flags too.
+/// with the happens-before analyzer armed; `passed()` covers its flags too.
 #[test]
 fn system_crash_pair_sweep_passes_for_every_variant() {
     for variant in queue_variants() {
@@ -69,7 +69,6 @@ fn system_crash_pair_sweep_passes_for_every_variant() {
                 report.violations
             );
             assert!(report.crash_points > 0);
-            assert_eq!(report.audit_flags, 0);
             if variant.detectable() && nested.is_some() {
                 assert!(
                     report.recovery_crashes > 0,

@@ -57,15 +57,13 @@ fn measure_cas_persist_points(durable: bool) -> u64 {
 }
 
 /// Run the increment with a crash pinned between the persisted publish and the
-/// next instruction, then a full-system power failure, then recovery, with both
-/// persist-order checkers armed. Returns the final value — 1 is exactly-once, 2
-/// is the duplicate — and the [`pmem::FlushAuditor`]'s and the
-/// [`pmem::HbAnalyzer`]'s flag counts.
-fn pinned_publish_crash_scenario(durable: bool) -> (u64, u64, u64) {
+/// next instruction, then a full-system power failure, then recovery, with the
+/// persist-order checker armed. Returns the final value — 1 is exactly-once, 2
+/// is the duplicate — and the [`pmem::HbAnalyzer`]'s flag count.
+fn pinned_publish_crash_scenario(durable: bool) -> (u64, u64) {
     install_quiet_crash_hook();
     let n = measure_cas_persist_points(durable);
     let mem = shared_cache(1);
-    mem.flush_auditor().arm();
     mem.hb().arm();
     let t = mem.thread(0);
     let space = RcasSpace::with_default_layout(&t, 1).with_durability(durable);
@@ -85,7 +83,7 @@ fn pinned_publish_crash_scenario(durable: bool) -> (u64, u64, u64) {
     mem.crash_all(); // power failure: every unflushed line rolls back
     let _ = mem.take_crashed(0);
     let value = recover_and_finish(&space, &t, x);
-    (value, mem.flush_auditor().flags(), mem.hb().flags())
+    (value, mem.hb().flags())
 }
 
 /// The descriptor/announcement flush gap, reproduced deterministically: without
@@ -93,29 +91,31 @@ fn pinned_publish_crash_scenario(durable: bool) -> (u64, u64, u64) {
 /// word while the installed triple stays durable, `check_recovery` reports
 /// *not done*, and the operation is applied twice.
 ///
-/// This is also the bug class's checker test at protocol level: the auditor
-/// flags the published-but-unflushed announcement line at the power failure,
-/// exactly once. The happens-before analyzer does not — it tracks exposure of
-/// plain words, and an announcement word is a synchronization word — which is
-/// why the auditor cannot be retired yet (ROADMAP, persist-order checker item).
+/// This is also the bug class's checker test at protocol level: the
+/// happens-before analyzer flags recovery's read of the announcement word —
+/// a synchronization word the publishing CAS exposed before it was persisted —
+/// exactly once.
 #[test]
 fn pinned_crash_after_publish_duplicates_without_the_flush_discipline() {
-    let (value, audit_flags, _) = pinned_publish_crash_scenario(false);
+    let (value, hb_flags) = pinned_publish_crash_scenario(false);
     assert_eq!(
         value, 2,
         "without durable announcements the pre-fix duplicate must reproduce \
          (if this now reports 1, the relaxed mode became durable and this \
          regression pin should move into the durable test)"
     );
-    assert_eq!(audit_flags, 1, "the auditor must flag the unflushed announcement line");
+    assert_eq!(
+        hb_flags, 1,
+        "the analyzer must flag the unpersisted announcement"
+    );
 }
 
 /// Same pinned schedule with the discipline on: the announcement was flushed
 /// before the publishing CAS, so recovery sees the success, the increment is
-/// exactly-once, and both checkers stay silent.
+/// exactly-once, and the checker stays silent.
 #[test]
 fn pinned_crash_after_publish_is_exactly_once_with_the_flush_discipline() {
-    assert_eq!(pinned_publish_crash_scenario(true), (1, 0, 0));
+    assert_eq!(pinned_publish_crash_scenario(true), (1, 0));
 }
 
 /// The full window, not just the single pinned point: crash at *every* crash
@@ -213,22 +213,44 @@ fn indirect_rcas_durable_mode_closes_the_descriptor_zeroing_window() {
     assert!(!recovered, "relaxed mode also loses the recovery verdict");
 }
 
-/// The flush-order auditor live on *concurrent* durable queues: the exhaustive
-/// sweeps arm it single-threaded; here three threads hammer the Manual-flush
-/// queues while armed, exercising the cross-thread-read rule for real — the
-/// discipline means no thread ever reads a line another thread published
-/// before flushing, so the auditor must stay silent.
+/// A new (`attach == false`) or re-attached handle on the General queue
+/// (`general`) or the normalized one.
+fn queue_handle<'a>(
+    (g, n): (&'a GeneralQueue, &'a NormalizedQueue),
+    general: bool,
+    t: &'a PThread<'_>,
+    attach: bool,
+) -> Box<dyn QueueHandle + 'a> {
+    match (general, attach) {
+        (true, false) => Box::new(g.handle(t)),
+        (true, true) => Box::new(g.attach_handle(t)),
+        (false, false) => Box::new(n.handle(t)),
+        (false, true) => Box::new(n.attach_handle(t)),
+    }
+}
+
+/// The persist-order checker live on *concurrent* durable queues: the
+/// exhaustive sweeps arm it in every replay; here real threads hammer the
+/// Manual-flush queues while armed, then a power failure, and every pid
+/// re-attaches (recovery reads its frame and announcement) and both queues are
+/// drained. The discipline persists every announcement before its publishing
+/// CAS and every node before the CAS that links it, so nothing recovery or
+/// the drain reads was lost, and the analyzer must stay silent.
 #[test]
-fn auditor_stays_silent_on_concurrent_durable_queues() {
+fn hb_stays_silent_on_concurrent_durable_queues() {
     const THREADS: usize = 3;
     const PER_THREAD: u64 = 300;
     for optimised in [false, true] {
-        let mem = shared_cache(THREADS);
-        mem.flush_auditor().arm();
+        // The General queue runs on pids 0..THREADS and the normalized one on
+        // the next THREADS: a pid's restart pointer names one handle's frame,
+        // so each pid drives — and re-attaches to — one queue.
+        let nprocs = 2 * THREADS;
+        let mem = shared_cache(nprocs);
+        mem.hb().arm();
         let t0 = mem.thread(0);
         let general = GeneralQueue::new(
             &t0,
-            THREADS,
+            nprocs,
             Durability::Manual,
             if optimised {
                 capsules::BoundaryStyle::Compact
@@ -236,32 +258,39 @@ fn auditor_stays_silent_on_concurrent_durable_queues() {
                 capsules::BoundaryStyle::General
             },
         );
-        let normalized = NormalizedQueue::new(&t0, THREADS, Durability::Manual, optimised);
+        let normalized = NormalizedQueue::new(&t0, nprocs, Durability::Manual, optimised);
+        drop(t0);
+        let queues = (&general, &normalized);
         std::thread::scope(|s| {
-            for pid in 0..THREADS {
+            for pid in 0..nprocs {
                 let mem = &mem;
-                let general = &general;
-                let normalized = &normalized;
                 s.spawn(move || {
                     let t = mem.thread(pid);
-                    let mut hg = general.handle(&t);
-                    let mut hn = normalized.handle(&t);
+                    let mut h = queue_handle(queues, pid < THREADS, &t, false);
                     for i in 0..PER_THREAD {
-                        hg.enqueue((pid as u64) << 32 | i);
-                        hn.enqueue((pid as u64) << 32 | i);
-                        let _ = hg.dequeue();
-                        let _ = hn.dequeue();
+                        h.enqueue((pid as u64) << 32 | i);
+                        let _ = h.dequeue();
                     }
-                    t.stats().audit_flags
                 });
             }
         });
-        mem.crash_all(); // the crash-time exposure check, after quiescence
+        mem.crash_all();
+        let threads: Vec<PThread<'_>> = (0..nprocs).map(|pid| mem.thread(pid)).collect();
+        let mut handles: Vec<_> = threads
+            .iter()
+            .enumerate()
+            .map(|(pid, t)| queue_handle(queues, pid < THREADS, t, true))
+            .collect();
+        let left = handles[0].drain().len() + handles[THREADS].drain().len();
         assert_eq!(
-            mem.flush_auditor().flags(),
+            left, 0,
+            "optimised={optimised}: every enqueue was paired with a dequeue"
+        );
+        assert_eq!(
+            mem.hb().flags(),
             0,
             "optimised={optimised}: {:?}",
-            mem.flush_auditor().take_reports()
+            mem.hb().take_reports()
         );
     }
 }

@@ -18,7 +18,7 @@
 //!      cargo-culted (weaken it);
 //!   3. the library crates ([`LIBRARY_CRATES`] — everything the benchmark
 //!      measures) read the process environment only for the checker arming
-//!      switches in [`LIBRARY_ENV_KNOBS`]: a behaviour switch read inside a
+//!      switch in [`LIBRARY_ENV_KNOBS`]: a behaviour switch read inside a
 //!      library changes what every harness measures without any of them
 //!      saying so. Harness knobs belong in `bench` / `service`.
 //!
@@ -34,9 +34,9 @@ const ROOTS: [&str; 4] = ["crates", "tests", "examples", "xtask"];
 /// opposed to harnesses around it).
 const LIBRARY_CRATES: [&str; 6] = ["pmem", "rcas", "capsules", "core", "queues", "structs"];
 
-/// The only environment variables a library crate may read: they arm
-/// checkers, they do not change what the checked code does.
-const LIBRARY_ENV_KNOBS: [&str; 2] = ["\"DF_HB\"", "\"DF_FLUSH_AUDIT\""];
+/// The only environment variable a library crate may read: it arms the
+/// persist-order checker, it does not change what the checked code does.
+const LIBRARY_ENV_KNOBS: [&str; 1] = ["\"DF_HB\""];
 
 fn main() {
     let task = std::env::args().nth(1).unwrap_or_else(|| "lint-static".into());
@@ -270,7 +270,7 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("contention.rs:1") && v[0].contains("DF_HB"), "{v:?}");
         assert_eq!(lint_at("/r/crates/core/src/lib.rs", "for (k, _) in std::env::vars() {}\n").len(), 1);
-        // The arming switches are allowed, harness crates are not libraries,
+        // The arming switch is allowed, harness crates are not libraries,
         // and a mention in a comment is not a read.
         let arm = "if let Some(v) = std::env::var_os(\"DF_HB\") {}\n";
         assert!(lint_at("/r/crates/pmem/src/mem.rs", arm).is_empty());

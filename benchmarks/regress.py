@@ -16,14 +16,7 @@ Checks (all fatal, exit 1, every failure reported before exiting):
    wall-clock rates from shared single-core CI containers whose run-to-run
    spread is ~25-30%, and a real disarmed-path regression (accidentally
    armed bookkeeping) shows up as 2x+, far outside the band.
-4. fig_map (--map): every map-variant row of the committed BENCH_map.json
-   must be present fresh with nonzero throughput no more than MAP_TOL
-   (60%) below the baseline, and the baseline itself must carry the
-   million-key scenario (params.keys >= 2^20). The wide tolerance is
-   deliberate: the mixed workload includes bucket-array resizes, whose
-   placement relative to the timed window shifts with machine speed.
-
-5. dfck (--dfck FRESH [BASELINE]): coverage counts are deterministic, so
+4. dfck (--dfck FRESH [BASELINE]): coverage counts are deterministic, so
    they are gated *exactly*. Every row label present in both documents whose
    governing params agree must match on every count field (DFCK_COUNT_FIELDS)
    — `pair` / `map-resize` rows always, `multi` rows when `multi_ops` and
@@ -37,7 +30,6 @@ Usage:
   regress.py [--baseline benchmarks] \
              [--fig7 fresh/BENCH_fig7.json] \
              [--instr fresh/BENCH_instr_overhead.json] \
-             [--map fresh/BENCH_map.json] \
              [--dfck fresh/BENCH_dfck.json [baseline/BENCH_dfck.json]]
 """
 
@@ -53,8 +45,6 @@ REGRESS_TOL = 0.20
 SCALE_MIN = 1.5
 SEED_CEILING = 3.7
 DISARM_TOL = 0.30
-MAP_TOL = 0.60
-MILLION_KEYS = 1 << 20
 DFCK_COUNT_FIELDS = [
     "crash_points", "replays", "crashes_injected", "covictim_crashes",
     "recoveries", "entry_retries", "recovery_crashes", "fast_ops", "demotions",
@@ -143,34 +133,8 @@ def check_instr(baseline, fresh, failures):
             print(f"ok instr_overhead {variant}: {new:.3f} vs baseline {r['mops']:.3f}")
 
 
-def check_map(baseline, fresh, failures):
-    keys = baseline.get("params", {}).get("keys", 0)
-    if keys < MILLION_KEYS:
-        failures.append(
-            f"fig_map baseline is not the million-key scenario: "
-            f"params.keys = {keys} < {MILLION_KEYS}"
-        )
-    base_rows = baseline["results"]
-    if not base_rows:
-        failures.append("fig_map baseline has no rows")
-    for r in base_rows:
-        variant = r["variant"]
-        new = mops(fresh, variant, r["threads"])
-        if new is None:
-            failures.append(f"fig_map {variant}: fresh row missing")
-            continue
-        floor = r["mops"] * (1.0 - MAP_TOL)
-        if new <= 0.0 or new < floor:
-            failures.append(
-                f"fig_map {variant} regressed: {new:.3f} < {floor:.3f} "
-                f"(baseline {r['mops']:.3f}, tol {MAP_TOL:.0%})"
-            )
-        else:
-            print(f"ok fig_map {variant}: {new:.3f} vs baseline {r['mops']:.3f}")
-
-
 def dfck_governing_params(label):
-    """The params a dfck row's counts depend on (see check 5)."""
+    """The params a dfck row's counts depend on (see check 4)."""
     segments = label.split("/")
     if any(seg[:1] == "t" and seg[1:].isdigit() for seg in segments[2:]):
         return ["conc_seeds", "conc_threads"]
@@ -212,7 +176,6 @@ def main():
                     help="directory with committed BENCH_*.json (default: this script's)")
     ap.add_argument("--fig7", help="fresh BENCH_fig7.json")
     ap.add_argument("--instr", help="fresh BENCH_instr_overhead.json (optional)")
-    ap.add_argument("--map", dest="map_json", help="fresh BENCH_map.json (optional)")
     ap.add_argument("--dfck", nargs="+", metavar=("FRESH", "BASELINE"),
                     help="fresh BENCH_dfck.json, optionally the baseline file to compare with")
     args = ap.parse_args()
@@ -235,13 +198,6 @@ def main():
         with open(args.instr) as f:
             instr_fresh = json.load(f)
         check_instr(instr_base, instr_fresh, failures)
-
-    if args.map_json:
-        with open(os.path.join(args.baseline, "BENCH_map.json")) as f:
-            map_base = json.load(f)
-        with open(args.map_json) as f:
-            map_fresh = json.load(f)
-        check_map(map_base, map_fresh, failures)
 
     if args.dfck:
         base_path = args.dfck[1] if len(args.dfck) == 2 else os.path.join(args.baseline, "BENCH_dfck.json")

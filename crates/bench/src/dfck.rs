@@ -18,7 +18,7 @@
 //! ([`StructHandle`]: a queue answers `Push`/`Pop` as enqueue/dequeue).
 //! [`build`] is the single table from a variant to its structure and
 //! [`Built::handle`] the single table to its boxed per-thread handle (the
-//! throughput runner, [`crate::run_throughput`], builds through the same two).
+//! throughput runner, [`crate::run_workload`], builds through the same two).
 //! A replay then runs every operation through one of exactly **three
 //! op-runners**, picked by variant:
 //!

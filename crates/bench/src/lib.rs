@@ -1,7 +1,7 @@
 //! Benchmark harness: the variant table ([`dfck::Variant`]), the one throughput
-//! runner ([`run_throughput`]) behind the figure-reproduction binaries (`fig5`,
-//! `fig6`, `fig7`, `flush_table`, `fig_struct`, and `service`'s `fig_map`), and the
-//! exhaustive crash-point sweeper ([`dfck`]) over the same table.
+//! runner ([`run_workload`]) behind the figure-reproduction binaries (`fig5`,
+//! `fig6`, `fig7`, `flush_table` and `fig_struct`), and the exhaustive
+//! crash-point sweeper ([`dfck`]) over the same table.
 //!
 //! The queue workload reproduces §10: every thread runs enqueue–dequeue *pairs* on a
 //! queue pre-filled with `prefill` nodes, and we report throughput in million
@@ -124,14 +124,16 @@ pub struct Measurement {
 /// barrier and the clock, and sum the workers' [`Stats`] (handle set-up
 /// included, as the committed baselines count it).
 ///
-/// `map` sizes a map variant's bucket array. `as_measured` elides the
-/// per-operation entry and final boundaries of capsule handles, as the paper's
-/// §10 queue measurements do (they are common to every variant under test);
-/// the structure and map figures keep the library defaults.
-pub fn run_throughput<S: FnMut(u64) -> StructOp>(
+/// A map variant gets a bucket array small enough that the measured window
+/// still crosses grow cycles (the resize protocol is part of the cost being
+/// measured), large enough that steady-state chains stay short.
+/// `as_measured` elides the per-operation entry and final boundaries of
+/// capsule handles, as the paper's §10 queue measurements do (they are common
+/// to every variant under test); the structure figures keep the library
+/// defaults.
+fn run_throughput<S: FnMut(u64) -> StructOp>(
     variant: Variant,
     threads: usize,
-    map: MapConfig,
     as_measured: bool,
     prefill: (u64, impl Fn(u64) -> StructOp),
     ops_per_thread: u64,
@@ -139,7 +141,7 @@ pub fn run_throughput<S: FnMut(u64) -> StructOp>(
 ) -> Measurement {
     let mem = PMem::new(MemConfig::new(threads.max(1)).mode(Mode::SharedCache));
     let nodes = prefill.0 + ops_per_thread * threads as u64 + 64;
-    let built = dfck::build(variant, &mem.thread(0), threads, map, nodes, true, None);
+    let built = dfck::build(variant, &mem.thread(0), threads, MapConfig::new(64, 8), nodes, true, None);
     let opts = variant.thread_options();
     {
         let t = mem.thread_with(0, opts);
@@ -187,24 +189,20 @@ pub fn run_throughput<S: FnMut(u64) -> StructOp>(
     }
 }
 
-/// Run the figure workload of `variant`'s shape through [`run_throughput`].
+/// Run the figure workload of `variant`'s shape through `run_throughput`.
 ///
 /// Queues run §10's workload: every thread runs enqueue–dequeue *pairs* on a
 /// queue pre-filled with `prefill` nodes, boundaries as measured in the paper.
 /// Stacks run push–pop pairs; sets and maps run an insert–contains–remove round
 /// on a per-thread key stripe, so every round exercises both the one-CAS and
 /// the two-CAS (mark + unlink) protocol paths, over `prefill` distinct odd keys
-/// that bound the search cost. Maps get a bucket array small enough that the
-/// measured window still crosses grow cycles (the resize protocol is part of
-/// the cost being measured), large enough that steady-state chains stay short.
+/// that bound the search cost.
 pub fn run_workload(variant: Variant, cfg: &WorkloadConfig) -> Measurement {
-    let map = MapConfig::new(64, 8);
     let (rounds, threads) = (cfg.pairs_per_thread, cfg.threads as u64);
     match variant.shape() {
         shape @ (Shape::Fifo | Shape::Lifo) => run_throughput(
             variant,
             cfg.threads,
-            map,
             shape == Shape::Fifo,
             (cfg.prefill, StructOp::Push),
             2 * rounds,
@@ -219,7 +217,6 @@ pub fn run_workload(variant: Variant, cfg: &WorkloadConfig) -> Measurement {
         Shape::Set | Shape::Map => run_throughput(
             variant,
             cfg.threads,
-            map,
             false,
             (cfg.prefill, |i| StructOp::Insert(1 + 2 * i)),
             3 * rounds,

@@ -1,6 +1,6 @@
 //! The structure family's figure (`fig_struct`): every non-queue variant through
-//! the crate's one figure driver ([`crate::run_figure`] → [`crate::run_workload`]
-//! → [`crate::run_throughput`]), emitting `BENCH_struct.json`.
+//! the crate's one figure entry point ([`crate::run_figure`] → [`crate::run_workload`]),
+//! emitting `BENCH_struct.json`.
 
 use crate::dfck::{Shape, Variant};
 use crate::Measurement;

@@ -2,7 +2,7 @@
 //! Zipfian key sampler over keyspaces of millions, and a configurable
 //! read/write mix mapped onto [`StructOp`]s.
 //!
-//! Everything here is deterministic in the seed so a drill run is replayable:
+//! Everything here is deterministic in the seed so a run is replayable:
 //! the same `(seed, keys, theta, read_pct)` produces the same request stream
 //! per client, independent of scheduling.
 
@@ -44,9 +44,9 @@ impl SplitMix64 {
     }
 }
 
-/// One-time hash of a key (stateless splitmix64 finalizer). The router uses it
-/// to spread the Zipfian head across shards instead of concentrating all hot
-/// keys on shard 0.
+/// One-time hash of a key (stateless splitmix64 finalizer). A request for key
+/// `k` goes to shard `hash_key(k) % shards`, which spreads the Zipfian head
+/// across shards instead of concentrating all hot keys on shard 0.
 pub fn hash_key(k: u64) -> u64 {
     let mut z = k.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -167,6 +167,18 @@ pub fn op_key(op: StructOp) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn routing_is_deterministic_and_spreads_keys() {
+        let shard_of = |k: u64| hash_key(k) % 4;
+        let mut hit = [false; 4];
+        for k in 0..256u64 {
+            let a = shard_of(k);
+            assert_eq!(a, shard_of(k));
+            hit[a as usize] = true;
+        }
+        assert!(hit.iter().all(|&h| h), "256 keys must touch all 4 shards");
+    }
 
     #[test]
     fn splitmix_is_deterministic_and_bounded() {

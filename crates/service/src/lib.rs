@@ -1,11 +1,11 @@
-//! A sharded service harness over the delay-free persistent structures, with
-//! kill-restart drills: crash a live system under traffic, recover on a
-//! deadline, keep serving.
+//! A sharded service over the delay-free persistent structures, built to be
+//! killed: crash a live shard under traffic, recover it over its surviving
+//! arena, keep serving, and never lose or repeat an acknowledged request.
 //!
 //! This crate turns the repo's simulated-pmem machinery into something shaped
-//! like a small keyed service and then attacks it the way the paper's model
-//! says a faulty machine would — processes die at arbitrary simulated
-//! instructions and come back with only their persistent state:
+//! like a small keyed service. Processes die at arbitrary simulated
+//! instructions and come back with only their persistent state, as the
+//! paper's model says a faulty machine would:
 //!
 //! - [`shard`]: one shard = one arena, one detectable [`structs::GeneralSet`]
 //!   and a worker pool, living through kill-restart *incarnations* over the
@@ -13,30 +13,20 @@
 //!   request a kill interrupted (resumed, read back, or
 //!   provably-never-started and re-executed), checked by a per-key balance
 //!   oracle at shutdown.
-//! - [`router`]: the client edge — hash routing plus bounded
-//!   retry-with-backoff that degrades (never blocks) when a shard is down.
 //! - [`generator`]: seeded open-loop traffic — splitmix64 streams, YCSB-style
-//!   Zipfian keys over keyspaces of millions, configurable read/write mix.
-//! - [`drill`]: the drill engine — run executors, clients, and a kill
-//!   schedule (round-robin shard-local kills, periodically a full-system
-//!   crash), timing detect/replay/total per recovery against a deadline.
-//! - [`metrics`]: mergeable log-linear latency histograms and the drill
-//!   record types behind `BENCH_service.json`.
-//! - [`map_bench`]: the `fig_map` figure — the Zipf-skewed million-key mixed
-//!   workload on the detectable hash map family (`BENCH_map.json`).
+//!   Zipfian keys over keyspaces of millions, configurable read/write mix, and
+//!   the key hash that routes a request to its shard.
+//! - [`metrics`]: mergeable log-linear latency histograms.
 //!
-//! The `service_drill` binary wires this to `DF_SERVICE_*` environment knobs
-//! and emits `BENCH_service.json` rows (schema `delayfree-bench-v1`).
+//! The crate reads no environment. `dfbench`'s `service_paced` workload drives
+//! it: open-loop paced clients, kill-restart drills (shard-local, every fourth
+//! one full-system) timed against a recovery deadline, and a `failed` count
+//! for every exactly-once, deadline or progress check a drill can miss.
 
-pub mod drill;
 pub mod generator;
-pub mod map_bench;
 pub mod metrics;
-pub mod router;
 pub mod shard;
 
-pub use drill::{run_service, ServiceConfig, ServiceReport};
 pub use generator::{hash_key, RequestGen, SplitMix64, Zipfian};
-pub use metrics::{DrillKind, DrillRecord, LatencyHistogram, Percentiles};
-pub use router::{RetryPolicy, RouteError, Router, RouterStats};
+pub use metrics::{LatencyHistogram, Percentiles};
 pub use shard::{run_shard, EnqueueError, Request, ShardReport, ShardShared};

@@ -1,6 +1,6 @@
 //! Service-side measurement: a mergeable log-linear latency histogram
-//! (HDR-style: power-of-two segments, linear sub-buckets) and the report
-//! types the drill engine aggregates into `BENCH_service.json`.
+//! (HDR-style: power-of-two segments, linear sub-buckets) and its percentile
+//! snapshot.
 
 use std::time::Duration;
 
@@ -133,48 +133,6 @@ pub struct Percentiles {
     pub max_ns: u64,
     /// Number of samples behind the percentiles.
     pub count: u64,
-}
-
-/// Which crash shape a drill applied.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DrillKind {
-    /// One shard's machine crashed (`crash_all` on that shard's arena).
-    ShardLocal,
-    /// Every shard crashed at once — the full-system power failure.
-    FullSystem,
-}
-
-impl DrillKind {
-    /// Short label for tables and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            DrillKind::ShardLocal => "shard",
-            DrillKind::FullSystem => "system",
-        }
-    }
-}
-
-/// Timed outcome of one kill-restart drill.
-#[derive(Clone, Debug)]
-pub struct DrillRecord {
-    /// Drill sequence number (0-based).
-    pub index: usize,
-    /// Crash shape.
-    pub kind: DrillKind,
-    /// The shard that was killed (the lowest-numbered one for full-system).
-    pub victim: usize,
-    /// Kill-flag set → victim quiesced (workers unwound and joined).
-    pub detect: Duration,
-    /// Quiesced → recovery replay done and the shard serving again. For
-    /// full-system drills this spans until *every* shard serves again.
-    pub replay: Duration,
-    /// Total kill → ready time (`detect + replay` plus scheduling slack).
-    pub total: Duration,
-    /// Operations completed by non-victim shards while the victim was down
-    /// (zero by definition for full-system drills).
-    pub healthy_ops_during_outage: u64,
-    /// Whether recovery beat the configured deadline.
-    pub within_deadline: bool,
 }
 
 #[cfg(test)]

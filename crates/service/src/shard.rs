@@ -78,7 +78,7 @@ pub enum EnqueueError {
     Full,
 }
 
-/// The part of a shard visible to the router and the drill engine. The
+/// The part of a shard visible to the clients and the kill controller. The
 /// executor side (arena, structure, worker state) lives in [`run_shard`].
 #[derive(Debug)]
 pub struct ShardShared {
@@ -125,7 +125,7 @@ impl ShardShared {
     /// Current lifecycle state (one of the `STATE_*` constants).
     pub fn state(&self) -> u8 {
         // SeqCst: lifecycle reads join the single total order the transition
-        // stores write — routers must never see SERVING after a kill's
+        // stores write — clients must never see SERVING after a kill's
         // DRAINING became visible to any other observer.
         self.state.load(Ordering::SeqCst)
     }
@@ -135,7 +135,7 @@ impl ShardShared {
         self.state() == STATE_SERVING
     }
 
-    /// Operations acknowledged so far (monotone; the drill engine samples this
+    /// Operations acknowledged so far (monotone; a kill controller samples this
     /// to prove healthy shards keep serving during a victim's outage).
     pub fn completed_ops(&self) -> u64 {
         self.completed.load(Ordering::Relaxed)
@@ -177,7 +177,7 @@ impl ShardShared {
     /// The detect / replay / total durations of the most recent completed kill
     /// cycle (kill → quiesced, quiesced → serving, kill → serving).
     pub fn last_recovery(&self) -> Option<(Duration, Duration, Duration)> {
-        // SeqCst: the drill engine reads the timestamps in the same total
+        // SeqCst: the kill controller reads the timestamps in the same total
         // order the executor wrote them, so the monotonicity check below
         // distinguishes a half-written cycle from a corrupt one.
         let kill = self.kill_at_ns.load(Ordering::SeqCst);
@@ -193,7 +193,7 @@ impl ShardShared {
         ))
     }
 
-    /// Try to enqueue a request (the router's single entry point).
+    /// Try to enqueue a request (the clients' single entry point).
     pub fn try_enqueue(&self, req: Request) -> Result<(), EnqueueError> {
         if !self.is_serving() {
             return Err(EnqueueError::Down);
@@ -366,7 +366,7 @@ fn worker_incarnation(
         }
     }
     // Arm the kill switch only now: recovery itself must not be re-killed
-    // (the drill engine never kills a non-serving shard).
+    // (`request_kill` refuses a non-serving shard).
     t.set_crash_schedule(KillSwitch {
         kill: Arc::clone(&shard.kill),
     });
@@ -441,9 +441,9 @@ pub fn run_shard(shard: &ShardShared, workers: usize, drain_cap: usize) -> Shard
                 .collect();
             ready.wait();
             // Every worker has recovered and armed its kill switch: open for
-            // business and timestamp readiness for the drill engine.
+            // business and timestamp readiness for the kill controller.
             // SeqCst: readiness timestamp first, then SERVING — in the
-            // lifecycle's single total order, so a router that sees SERVING
+            // lifecycle's single total order, so a client that sees SERVING
             // finds the recovery timestamps already complete.
             shard.ready_at_ns.store(shard.now_ns(), Ordering::SeqCst);
             // SeqCst: ordered after the timestamp store above.
@@ -638,6 +638,93 @@ mod tests {
         });
         assert!(report.incarnations >= 4, "3 kills → ≥4 incarnations, got {}", report.incarnations);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
+    }
+
+    /// Polls until `shard` serves again; a recovery that takes longer than
+    /// `WATCHDOG` fails the test instead of hanging it.
+    fn await_serving(shard: &ShardShared) {
+        const WATCHDOG: Duration = Duration::from_secs(30);
+        let t0 = Instant::now();
+        while !shard.is_serving() {
+            assert!(t0.elapsed() < WATCHDOG, "shard {} not serving after {WATCHDOG:?}", shard.id);
+            thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    #[test]
+    fn two_shards_survive_a_local_kill_then_a_full_system_kill() {
+        install_quiet_crash_hook();
+        let epoch = Instant::now();
+        let shards: Vec<ShardShared> = (0..2).map(|i| ShardShared::new(i, 256, epoch)).collect();
+        let traffic_on = AtomicBool::new(true);
+        let (reports, accepted, local_kills, healthy_during_outage) = thread::scope(|s| {
+            let execs: Vec<_> = shards.iter().map(|sh| s.spawn(move || run_shard(sh, 2, 1 << 16))).collect();
+            // One client per shard keeps its queue fed over a hot keyspace
+            // until told to stop, retrying while its shard is down.
+            let clients: Vec<_> = shards
+                .iter()
+                .map(|sh| {
+                    let traffic_on = &traffic_on;
+                    s.spawn(move || {
+                        let mut accepted = 0u64;
+                        let mut i = 0u64;
+                        while traffic_on.load(Ordering::Relaxed) {
+                            let k = i % 64;
+                            let op = match i % 3 {
+                                0 => StructOp::Insert(k),
+                                1 => StructOp::Contains(k),
+                                _ => StructOp::Remove(k),
+                            };
+                            let req = Request {
+                                op,
+                                enqueued_at: Instant::now(),
+                            };
+                            match sh.try_enqueue(req) {
+                                Ok(()) => {
+                                    accepted += 1;
+                                    i += 1;
+                                }
+                                Err(_) => thread::sleep(Duration::from_micros(50)),
+                            }
+                        }
+                        accepted
+                    })
+                })
+                .collect();
+            shards.iter().for_each(await_serving);
+            thread::sleep(Duration::from_millis(20));
+            // Shard-local kills: shard 1 keeps serving while shard 0 recovers.
+            // An outage can be shorter than a time slice on a loaded host, so
+            // kill again, at most `LOCAL_KILLS` times, until one shows it.
+            const LOCAL_KILLS: u64 = 4;
+            let (mut local_kills, mut healthy_during_outage) = (0, 0);
+            while healthy_during_outage == 0 && local_kills < LOCAL_KILLS {
+                let healthy_before = shards[1].completed_ops();
+                assert!(shards[0].request_kill(), "a serving shard accepts the kill");
+                await_serving(&shards[0]);
+                healthy_during_outage = shards[1].completed_ops() - healthy_before;
+                local_kills += 1;
+                thread::sleep(Duration::from_millis(20));
+            }
+            // Full-system kill: both shards at once.
+            for sh in &shards {
+                assert!(sh.request_kill(), "shard {} refused the system kill", sh.id);
+            }
+            shards.iter().for_each(await_serving);
+            thread::sleep(Duration::from_millis(20));
+            traffic_on.store(false, Ordering::Relaxed);
+            let accepted: Vec<u64> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+            shards.iter().for_each(ShardShared::request_stop);
+            let reports: Vec<ShardReport> = execs.into_iter().map(|e| e.join().unwrap()).collect();
+            (reports, accepted, local_kills, healthy_during_outage)
+        });
+        for (report, accepted) in reports.iter().zip(&accepted) {
+            assert!(report.violations.is_empty(), "shard {}: {:?}", report.id, report.violations);
+            assert_eq!(report.completed, *accepted, "shard {} acknowledged every accepted request", report.id);
+        }
+        assert_eq!(reports[0].incarnations, local_kills + 2, "every kill of shard 0 took effect");
+        assert_eq!(reports[1].incarnations, 2, "shard 1 died only in the system kill");
+        assert!(healthy_during_outage > 0, "the healthy shard served nothing during {local_kills} local kills");
     }
 
     #[test]

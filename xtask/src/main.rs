@@ -20,7 +20,8 @@
 //!      measures) read the process environment only for the checker arming
 //!      switch in [`LIBRARY_ENV_KNOBS`]: a behaviour switch read inside a
 //!      library changes what every harness measures without any of them
-//!      saying so. Harness knobs belong in `bench` / `service`.
+//!      saying so. Harness knobs belong in `bench` and in the standalone
+//!      `dfbench` package.
 //!
 //! Exits non-zero listing every violating `file:line`. CI runs this as the
 //! `lint-static` step.
@@ -32,7 +33,8 @@ const ROOTS: [&str; 4] = ["crates", "tests", "examples", "xtask"];
 
 /// The crates under `crates/` that are libraries of the system itself (as
 /// opposed to harnesses around it).
-const LIBRARY_CRATES: [&str; 6] = ["pmem", "rcas", "capsules", "core", "queues", "structs"];
+const LIBRARY_CRATES: [&str; 7] =
+    ["pmem", "rcas", "capsules", "core", "queues", "structs", "service"];
 
 /// The only environment variable a library crate may read: it arms the
 /// persist-order checker, it does not change what the checked code does.

@@ -37,9 +37,9 @@ pub struct JsonRow {
     /// Fences per operation.
     pub fences_per_op: f64,
     /// Additional benchmark-specific key/value pairs appended to the row object
-    /// (e.g. `recovery_steps` for the recovery table, `crash_points` for the
-    /// `dfck` coverage report). Additive with respect to the schema: readers of
-    /// `delayfree-bench-v1` that only know the fixed fields keep working.
+    /// (e.g. `crash_points` for the `dfck` coverage report). Additive with
+    /// respect to the schema: readers of `delayfree-bench-v1` that only know
+    /// the fixed fields keep working.
     pub extra: Vec<(&'static str, f64)>,
 }
 
@@ -153,18 +153,18 @@ pub fn render(bench: &str, params: &[(&str, u64)], wall_clock_secs: f64, rows: &
     out
 }
 
-/// Extra-field keys that count as a *measured* signal for the
-/// `DF_REQUIRE_NONZERO` guard. Parameter-like extras (`queue_len`,
-/// `crash_points`, …) are deliberately excluded: they are non-zero by
-/// construction, so accepting them would let a broken measurement upload a
-/// "green" baseline — the exact failure the guard exists to stop.
-const NONZERO_METRIC_KEYS: [&str; 2] = ["recovery_steps", "crashes_injected"];
+/// The extra-field key that counts as a *measured* signal for the
+/// `DF_REQUIRE_NONZERO` guard. Parameter-like extras (`crash_points`, …) are
+/// deliberately excluded: they are non-zero by construction, so accepting
+/// them would let a broken measurement upload a "green" baseline — the exact
+/// failure the guard exists to stop.
+const NONZERO_METRIC_KEY: &str = "crashes_injected";
 
 /// The `DF_REQUIRE_NONZERO` check: every row must report a measured signal —
 /// positive throughput or, for rows that carry benchmark-specific `extra`
-/// metrics instead of a throughput (the recovery table, the dfck coverage
-/// report), a positive [`NONZERO_METRIC_KEYS`] extra — and there must be rows
-/// at all: a run whose filters matched nothing measured nothing.
+/// metrics instead of a throughput (the dfck coverage report), a positive
+/// [`NONZERO_METRIC_KEY`] extra — and there must be rows at all: a run whose
+/// filters matched nothing measured nothing.
 fn require_nonzero(bench: &str, rows: &[JsonRow]) -> Result<(), String> {
     if rows.is_empty() {
         return Err(format!("DF_REQUIRE_NONZERO: {bench} produced no rows"));
@@ -174,7 +174,7 @@ fn require_nonzero(bench: &str, rows: &[JsonRow]) -> Result<(), String> {
             || row
                 .extra
                 .iter()
-                .any(|(k, v)| NONZERO_METRIC_KEYS.contains(k) && *v > 0.0);
+                .any(|(k, v)| *k == NONZERO_METRIC_KEY && *v > 0.0);
         if !has_signal {
             return Err(format!(
                 "DF_REQUIRE_NONZERO: {} @ {} threads reported {} Mops/s and no non-zero metric extra",

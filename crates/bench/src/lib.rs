@@ -1,7 +1,8 @@
 //! Benchmark harness: the variant table ([`dfck::Variant`]), the one throughput
 //! runner ([`run_workload`]) behind the figure-reproduction binaries (`fig5`,
-//! `fig6`, `fig7`, `flush_table` and `fig_struct`), and the exhaustive
-//! crash-point sweeper ([`dfck`]) over the same table.
+//! `fig6`, `fig7` and `fig_struct`) and the exact per-variant count table of
+//! the integration tests, and the exhaustive crash-point sweeper ([`dfck`])
+//! over the same table.
 //!
 //! The queue workload reproduces §10: every thread runs enqueue–dequeue *pairs* on a
 //! queue pre-filled with `prefill` nodes, and we report throughput in million

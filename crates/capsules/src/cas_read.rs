@@ -40,20 +40,6 @@ pub fn recoverable_cas(
     space.cas(rt.thread(), x, expected, new, seq)
 }
 
-/// Perform an *anonymous* recoverable CAS (§7): used inside parallelizable methods
-/// (generator / wrap-up) for locations that the CAS-executor also touches, so that
-/// the executor's notifications are never clobbered. Does not consume a sequence
-/// number and is safe to repeat by construction of parallelizable methods.
-pub fn anonymous_cas(
-    rt: &mut CapsuleRuntime<'_, '_>,
-    space: &RcasSpace,
-    x: PAddr,
-    expected: u64,
-    new: u64,
-) -> bool {
-    space.cas_anonymous(rt.thread(), x, expected, new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,7 +232,7 @@ mod tests {
         rt0.boundary(0);
         assert!(recoverable_cas(&mut rt0, &space, x, 0, 5));
         // A wrap-up style anonymous CAS by the same process on the same object.
-        assert!(anonymous_cas(&mut rt0, &space, x, 5, 6));
+        assert!(space.cas_anonymous(rt0.thread(), x, 5, 6));
         // The named CAS's success is still discoverable after a (simulated) crash.
         rt0.recover();
         let r = space.recover(&t0, x);

@@ -84,7 +84,7 @@ pub mod contention;
 pub mod frame;
 pub mod runtime;
 
-pub use cas_read::{anonymous_cas, recoverable_cas};
+pub use cas_read::recoverable_cas;
 pub use contention::ContentionMeasure;
 pub use frame::{BoundaryStyle, Frame};
 pub use runtime::{CapsuleMetrics, CapsuleRuntime, CapsuleStep};

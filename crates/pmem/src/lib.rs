@@ -73,7 +73,6 @@ pub mod mem;
 pub mod mode;
 pub mod sched;
 pub mod stats;
-pub mod typed;
 
 pub use addr::PAddr;
 pub use align::{CacheAligned, CACHE_LINE_BYTES};
@@ -86,7 +85,6 @@ pub use mem::{MemConfig, PMem, PThread, ThreadOptions};
 pub use mode::Mode;
 pub use sched::{FinishGuard, SchedConfig, ThreadScheduler};
 pub use stats::Stats;
-pub use typed::{PCell, PField};
 
 /// Number of 64-bit words in a simulated cache line (64 bytes).
 pub const LINE_WORDS: u64 = 8;

@@ -304,11 +304,6 @@ impl ThreadScheduler {
         fp
     }
 
-    /// Total simulated instructions granted so far across all processes.
-    pub fn global_steps(&self) -> u64 {
-        self.lock().global_step
-    }
-
     /// A guard that [`finish`](ThreadScheduler::finish)es `pid` when dropped —
     /// unwinding from a real panic then releases the other workers instead of
     /// deadlocking them at their yield points.

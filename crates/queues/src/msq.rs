@@ -36,11 +36,6 @@ impl MsQueue {
         self.head
     }
 
-    /// Address of the tail pointer.
-    pub fn tail_addr(&self) -> PAddr {
-        self.tail
-    }
-
     /// Create this thread's operation handle.
     pub fn handle<'q, 't, 'm>(&'q self, thread: &'t PThread<'m>) -> MsqHandle<'q, 't, 'm> {
         MsqHandle { queue: self, thread }

@@ -53,9 +53,9 @@
 //!    live nodes only — resize doubles as garbage collection). Keeping
 //!    tombstones reachable is what makes [`copy_insert`] idempotent across
 //!    laggard migrators: a copier that was suspended across a completed
-//!    migration *and* a user remove still finds the tombstone in its
-//!    full-chain scan and stands down, so a removed key can never be
-//!    resurrected by a late copy.
+//!    migration *and* a user remove still finds the tombstone in the
+//!    full-chain scan it makes after taking its insert window, and stands
+//!    down, so a removed key can never be resurrected by a late copy.
 //!
 //! Exactly-once recovery therefore needs to protect only two CASes per
 //! operation family — the insert's link and the remove's mark, the
@@ -348,55 +348,49 @@ fn contains_at<M: SharedMem>(m: &M, head: PAddr, k: u64) -> bool {
 }
 
 /// Idempotent insert-if-never-present into the *new* generation, the copy
-/// pass's workhorse. The full-chain scan (no sorted early exit — tombstones
-/// may sit out of live order) treats any node with key `k`, live or
-/// tombstone, as "the obligation is settled": either the key was already
-/// copied, or a user operation in the new generation superseded the copy. A
-/// freeze mark in the target means the *next* resize already promoted — then
-/// every old bucket is `DONE` and `k`'s fate was settled by whoever got
-/// there first, so the copier stands down rather than spin on frozen words.
+/// pass's workhorse. It takes its insert window first, then scans the full
+/// chain (no sorted early exit — tombstones may sit out of live order) and
+/// treats any node with key `k`, live or tombstone, as "the obligation is
+/// settled": either the key was already copied, or a user operation in the
+/// new generation superseded the copy. The order is what makes a late copy
+/// safe: the window's predecessor is the last live key below `k`, so any copy
+/// or insert of `k` after the window was taken changes that word and fails
+/// the CAS, while one before it is in the chain the scan walks (a scan taken
+/// *before* the window could miss a `k` copied and removed while the copier
+/// stalled, and the CAS would put a live `k` back). A freeze mark in the
+/// target means the *next* resize already promoted — then every old bucket
+/// is `DONE` and `k`'s fate was settled by whoever got there first, so the
+/// copier stands down rather than spin on frozen words.
 fn copy_insert<M: SharedMem>(m: &M, n: PAddr, n_nbuckets: u64, k: u64) {
     let head = gen_head(n, map_bucket_of(k, n_nbuckets));
     loop {
+        let w = match find_in(m, head, k) {
+            (FindRes::Frozen, _) => return,
+            (FindRes::Win(w), _) if w.found => return,
+            (FindRes::Win(w), _) => w,
+        };
         let he = m.read(head);
         if he & FRZ != 0 {
             return;
         }
         let mut node = menc_addr(he);
-        let mut settled = false;
         while !node.is_null() {
             let ne = m.read(next_addr(node));
-            if ne & FRZ != 0 {
-                settled = true;
-                break;
-            }
-            if m.read_plain(value_addr(node)) == k {
-                settled = true;
-                break;
+            if ne & FRZ != 0 || m.read_plain(value_addr(node)) == k {
+                return;
             }
             node = menc_addr(ne);
         }
-        if settled {
+        let fresh = m.alloc(NODE_WORDS);
+        m.write_plain(value_addr(fresh), k);
+        m.init_word(next_addr(fresh), w.pred_enc);
+        m.flush_line(fresh);
+        m.fence();
+        if m.help_cas_flush(w.pred_addr, w.pred_enc, menc(fresh, 0)) {
             return;
         }
-        match find_in(m, head, k) {
-            (FindRes::Frozen, _) => return,
-            (FindRes::Win(w), _) => {
-                if w.found {
-                    return;
-                }
-                let fresh = m.alloc(NODE_WORDS);
-                m.write_plain(value_addr(fresh), k);
-                m.init_word(next_addr(fresh), w.pred_enc);
-                m.flush_line(fresh);
-                m.fence();
-                if m.help_cas_flush(w.pred_addr, w.pred_enc, menc(fresh, 0)) {
-                    return;
-                }
-                // Lost a race (another copier or a user insert): rescan — the
-                // winner's node is now visible to the full-chain scan.
-            }
-        }
+        // Lost a race (another copier or a user insert): retake the window
+        // and rescan — the winner's node is now in the chain.
     }
 }
 

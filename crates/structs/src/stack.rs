@@ -64,11 +64,6 @@ impl TreiberStack {
         TreiberStack { top }
     }
 
-    /// Address of the top pointer (used by tests asserting durability).
-    pub fn top_addr(&self) -> PAddr {
-        self.top
-    }
-
     /// Create this thread's operation handle.
     pub fn handle<'q, 't, 'm>(&'q self, thread: &'t PThread<'m>) -> TreiberStackHandle<'q, 't, 'm> {
         TreiberStackHandle {

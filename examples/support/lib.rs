@@ -8,7 +8,6 @@ pub const EXAMPLES: &[(&str, &str)] = &[
     ("quickstart", "persistent queue, full-system crash, recovery"),
     ("crash_torture", "random crash injection with exactly-once verification"),
     ("bank_transfer", "multi-CAS normalized operation (money conservation under crashes)"),
-    ("recovery_comparison", "constant-time vs linear-time recovery"),
 ];
 
 #[cfg(test)]
@@ -17,7 +16,7 @@ mod tests {
 
     #[test]
     fn every_example_is_listed() {
-        assert_eq!(EXAMPLES.len(), 4);
+        assert_eq!(EXAMPLES.len(), 3);
         assert!(EXAMPLES.iter().any(|(name, _)| *name == "quickstart"));
     }
 }

@@ -9,9 +9,11 @@
 //! resize-crossing pair workload for every map variant; this file adds the
 //! map-only checks.
 
+use std::sync::Arc;
+
 use bench::dfck::{sweep_interleaved, sweep_interleaved_multi, ConcWorkload, Variant, Workload};
 use capsules::BoundaryStyle;
-use pmem::PMem;
+use pmem::{PMem, SchedConfig, ThreadScheduler};
 use structs::{DetMap, GeneralDetMap, MapConfig, NormalizedDetMap, StructHandle};
 
 /// Crash-free op-for-op equivalence across the map's three constructions, on
@@ -100,4 +102,63 @@ fn three_pid_multi_victim_interleaved_map_sweep_is_exact() {
         report.covictim_crashes > 0,
         "the co-victim schedule never fired"
     );
+}
+
+/// Same-key insert/remove contention across resizes, replayed under the
+/// deterministic scheduler: three pids insert and remove a handful of keys on
+/// the tiny bucket array, so every few operations a resize runs its copiers
+/// against the users. Every successful insert must be matched by a successful
+/// remove or survive in the quiescent map. A copier that scanned the successor
+/// chain for its key *before* taking its insert window could stall there while
+/// another copier copied the key and a user removed it, then walk over the
+/// tombstone and put a live copy back for a later remove to take out a
+/// second time: more removes than inserts.
+/// Slices of 1 to 101 instructions give the laggard that stall; with the
+/// scan before the window, 15 of these 32 seeds resurrected a key.
+#[test]
+fn scheduled_same_key_contention_never_resurrects_a_removed_key() {
+    const THREADS: usize = 3;
+    const ROUNDS: u64 = 60;
+    for seed in 0..32 {
+        let mem = PMem::with_threads(THREADS);
+        let map = DetMap::new(&mem.thread(0), MapConfig::tiny());
+        let sched = ThreadScheduler::new(SchedConfig {
+            base_budget: 1,
+            budget_spread: 100,
+            ..SchedConfig::new(THREADS, seed)
+        });
+        let counts: Vec<(u64, u64)> = std::thread::scope(|sc| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|pid| {
+                    let (mem, map, sched) = (&mem, &map, &sched);
+                    sc.spawn(move || {
+                        let t = mem.thread(pid);
+                        t.set_thread_scheduler(Arc::clone(sched));
+                        let _guard = sched.finish_guard(pid);
+                        let mut h = map.handle(&t);
+                        let (mut ins, mut rem) = (0, 0);
+                        for r in 0..ROUNDS {
+                            let k = r % 7;
+                            ins += h.insert(k) as u64;
+                            rem += h.remove(k) as u64;
+                        }
+                        t.clear_thread_scheduler();
+                        (ins, rem)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let ins: u64 = counts.iter().map(|c| c.0).sum();
+        let rem: u64 = counts.iter().map(|c| c.1).sum();
+        let t = mem.thread(0);
+        let d = map.handle(&t).drain_up_to(10_000);
+        assert!(!d.truncated);
+        assert_eq!(
+            ins,
+            rem + d.items.len() as u64,
+            "seed {seed}: {ins} inserts, {rem} removes, survivors {:?}",
+            d.items
+        );
+    }
 }

@@ -9,7 +9,14 @@
 //! The counts are deterministic, so a driver refactor that moves a single
 //! instruction fails here, in tier 1, rather than only in a `dfck` or
 //! `dfbench` run.
+//!
+//! A second table pins the figure workload of every variant of the harness
+//! (`bench::run_workload`, one thread): flushes, fences and duplicate flushes
+//! per operation — supplementary table S1, the counts §10 explains its
+//! throughput gaps by, and the PPM model's cost measure.
 
+use bench::dfck::Variant;
+use bench::{run_workload, WorkloadConfig};
 use capsules::BoundaryStyle;
 use pmem::{MemConfig, Mode, PMem, PThread};
 use queues::{Durability, GeneralQueue, NormalizedQueue};
@@ -120,6 +127,66 @@ fn every_operation_costs_exactly_its_pinned_counts() {
     }
     assert_eq!(table.lines().count(), EXPECTED.lines().count());
 }
+
+/// The per-variant table: each variant's figure workload (queues and stacks
+/// enqueue–dequeue / push–pop pairs, sets and maps insert–contains–remove
+/// rounds; queue handles elide their operation boundaries as §10 measures
+/// them) on one thread, 2000 rounds over a 500-element prefill. Six decimals
+/// tell apart any two per-op values over 4000 or 6000 operations.
+fn variant_table() -> String {
+    let cfg = WorkloadConfig {
+        threads: 1,
+        pairs_per_thread: 2000,
+        prefill: 500,
+    };
+    let mut out = String::new();
+    for variant in Variant::all() {
+        let m = run_workload(variant, &cfg);
+        out.push_str(&format!(
+            "{:<26} flushes/op {:>9.6} fences/op {:>9.6} dup-flushes/op {:.6}\n",
+            variant.label(),
+            m.flushes_per_op,
+            m.fences_per_op,
+            m.duplicate_flushes_per_op
+        ));
+    }
+    out
+}
+
+#[test]
+fn every_variant_costs_exactly_its_pinned_counts_per_op() {
+    let table = variant_table();
+    assert!(
+        table == EXPECTED_PER_VARIANT,
+        "a variant's per-op counts moved; the table now reads:\n{table}"
+    );
+}
+
+/// The pinned per-variant table. The ten queue rows are table S1: with their
+/// boundaries elided the capsule queues pay about 3.5 flushes per operation,
+/// the durable MSQ 6 and the LogQueue 5; the stack, set and map rows keep
+/// their boundaries.
+const EXPECTED_PER_VARIANT: &str = "\
+MSQ                        flushes/op  0.000000 fences/op  0.000000 dup-flushes/op 0.000000
+MSQ-Izraelevitz            flushes/op  6.000000 fences/op  2.000000 dup-flushes/op 1.750500
+General (Izraelevitz)      flushes/op 13.001500 fences/op  9.001000 dup-flushes/op 1.750250
+Normalized (Izraelevitz)   flushes/op 13.001750 fences/op  9.001000 dup-flushes/op 1.750250
+General                    flushes/op  3.500750 fences/op  3.000750 dup-flushes/op 0.000000
+General-Opt                flushes/op  3.500500 fences/op  1.500750 dup-flushes/op 0.000000
+Normalized                 flushes/op  3.501000 fences/op  3.000750 dup-flushes/op 0.000000
+Normalized-Opt             flushes/op  3.500500 fences/op  3.000750 dup-flushes/op 0.000000
+LogQueue                   flushes/op  5.000000 fences/op  4.000000 dup-flushes/op 0.000000
+Romulus                    flushes/op 10.000000 fences/op  6.000000 dup-flushes/op 0.000000
+Stack-Izraelevitz          flushes/op  4.000000 fences/op  2.000000 dup-flushes/op 0.500000
+Stack-General              flushes/op  5.501000 fences/op  4.500750 dup-flushes/op 0.000000
+Stack-Normalized           flushes/op  5.501000 fences/op  4.500500 dup-flushes/op 0.000000
+Set-Izraelevitz            flushes/op 67.282667 fences/op  1.666667 dup-flushes/op 43.832167
+Set-General                flushes/op  7.678167 fences/op  7.000500 dup-flushes/op 0.000000
+Set-Normalized             flushes/op  8.511500 fences/op  7.000500 dup-flushes/op 0.000000
+Map-Izraelevitz            flushes/op 25.782833 fences/op  7.363167 dup-flushes/op 8.444167
+Map-General                flushes/op  8.297000 fences/op  4.991333 dup-flushes/op 0.000000
+Map-Normalized             flushes/op  7.630333 fences/op  4.991167 dup-flushes/op 0.000000
+";
 
 /// The pinned table. Each operation is declared once and placed by both
 /// simulators, so the General and Normalized rows differ only where the

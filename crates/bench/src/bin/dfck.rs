@@ -13,7 +13,8 @@
 //! recovery triggered by the first. Every replay runs with the
 //! [`pmem::HbAnalyzer`] armed and is checked against the shape's
 //! exactly-once / durable-linearizability oracle. Exits non-zero on any
-//! oracle violation or happens-before flag. The
+//! oracle violation or happens-before flag, and on a run that verified
+//! nothing: no rows at all, or a row that injected no crash. The
 //! per-crash-point replays fan out across worker threads (one per core, at
 //! most 8), keeping the full matrix inside the CI budget.
 //!
@@ -49,7 +50,7 @@ use bench::dfck::{
     sweep, sweep_interleaved, sweep_interleaved_multi, sweep_system, ConcWorkload, Shape, Variant,
     Workload,
 };
-use bench::json::{emit, JsonRow};
+use bench::json::{emit, require_nonzero, JsonRow};
 use bench::sweep::Report;
 use bench::{env_u64, env_u64_in};
 
@@ -84,10 +85,9 @@ fn label(r: &Report) -> String {
     label
 }
 
-/// The JSON row of one sweep. Coverage rows have no throughput;
-/// `crashes_injected` is the DF_REQUIRE_NONZERO signal (zero exactly when the
-/// sweep verified nothing). Interleaved rows additionally carry the seed-set
-/// and co-victim fields.
+/// The JSON row of one sweep: its counts. `crashes_injected` is zero exactly
+/// when the sweep verified nothing ([`require_nonzero`]). Interleaved rows
+/// additionally carry the seed-set and co-victim fields.
 fn row(r: &Report) -> JsonRow {
     let interleaved = r.threads.is_some();
     let mut fields = Vec::new();
@@ -112,8 +112,11 @@ fn row(r: &Report) -> JsonRow {
         ("hb_flags", r.hb_flags),
         ("oracle_failures", r.violations.len() as u64),
     ]);
-    let row = JsonRow::new(label(r), r.threads.unwrap_or(1), 0.0);
-    fields.into_iter().fold(row, |row, (key, v)| row.with(key, v as f64))
+    JsonRow {
+        variant: label(r),
+        threads: r.threads.unwrap_or(1),
+        counts: fields,
+    }
 }
 
 /// Print `reports` as one table (interleaved sweeps fill the seeds /
@@ -310,6 +313,10 @@ fn main() {
     }
     failures += print_table(&conc_reports, &mut rows);
 
+    if let Err(e) = require_nonzero(&rows) {
+        eprintln!("dfck: {e}");
+        std::process::exit(1);
+    }
     emit(
         "dfck",
         &[

@@ -10,7 +10,6 @@
 
 fn main() {
     bench::run_figure(
-        "fig5",
         "Figure 5 — transformed queues with the Izraelevitz construction",
         &bench::dfck::Variant::figure5(),
     );

@@ -10,7 +10,6 @@
 
 fn main() {
     bench::run_figure(
-        "fig6",
         "Figure 6 — manually flushed transformed queues vs prior work",
         &bench::dfck::Variant::figure6(),
     );

@@ -7,7 +7,6 @@
 
 fn main() {
     bench::run_figure(
-        "fig7",
         "Figure 7 — persistent queues vs the original Michael-Scott queue",
         &bench::dfck::Variant::figure7(),
     );

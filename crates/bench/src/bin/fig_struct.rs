@@ -4,12 +4,11 @@
 //! The queues' figure binaries reproduce the paper's plots; this one extends
 //! the same methodology to the shapes the paper's construction promises to
 //! cover but never measures. Same knobs (`DF_PAIRS`, `DF_PREFILL`,
-//! `DF_MAX_THREADS`), same `DF_JSON` emission (`BENCH_struct.json`, schema
-//! `delayfree-bench-v1`).
+//! `DF_MAX_THREADS`), same table.
 //!
 //! ```text
 //! cargo run -p bench --release --bin fig_struct
-//! DF_JSON=1 DF_PAIRS=2000 cargo run -p bench --release --bin fig_struct
+//! DF_PAIRS=2000 cargo run -p bench --release --bin fig_struct
 //! ```
 
 fn main() {

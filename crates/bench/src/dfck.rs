@@ -71,6 +71,7 @@ use delayfree::{Drain, StructHandle, StructOp};
 use queues::{Durability, GeneralQueue, MsQueue, NormalizedQueue, RecoveredOp};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use rcas::RcasLayout;
 use romulus::{RomulusQueue, RomulusQueueHandle};
 use structs::{
     DetMap, GeneralDetMap, GeneralSet, GeneralStack, ListSet, MapConfig, NormalizedDetMap,
@@ -301,6 +302,29 @@ impl Variant {
             izraelevitz: self.izraelevitz(),
         }
     }
+
+    /// The packing of the variant's recoverable-CAS words (`None` for the
+    /// variants without any): its pid field bounds the processes [`build`]
+    /// can make the structure for.
+    fn rcas_layout(&self) -> Option<RcasLayout> {
+        use Variant::*;
+        match self {
+            GeneralIzraelevitz | NormalizedIzraelevitz | General | GeneralOpt | Normalized
+            | NormalizedOpt | StackGeneral | StackNormalized => Some(RcasLayout::DEFAULT),
+            SetGeneral | SetNormalized => Some(structs::node::SET_RCAS_LAYOUT),
+            MapGeneral | MapNormalized => Some(structs::map::MAP_RCAS_LAYOUT),
+            Msq | IzraelevitzMsq | LogQueue | Romulus | StackIzraelevitz | SetIzraelevitz
+            | MapIzraelevitz => None,
+        }
+    }
+}
+
+/// The most processes [`build`] can make every variant for: an rcas space
+/// admits pids strictly below its layout's largest, which stays reserved for
+/// anonymous CASes.
+pub fn max_nprocs() -> usize {
+    let layouts = Variant::all().into_iter().filter_map(|v| v.rcas_layout());
+    layouts.map(|l| l.max_pid() - 1).min().expect("a variant with recoverable CASes")
 }
 
 /// `Push`/`Insert` operations in `ops`: how many elements they can add.
@@ -1168,6 +1192,22 @@ mod tests {
             assert_eq!(Variant::from_label(v.label()), Some(v));
         }
         assert_eq!(Variant::from_label("Stack-Generl"), None);
+    }
+
+    /// `max_nprocs` is what the constructors admit: every variant builds for
+    /// that many processes, and a capsule queue refuses one more.
+    #[test]
+    fn every_variant_builds_for_max_nprocs_and_no_more() {
+        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+        let t = mem.thread(0);
+        let n = max_nprocs();
+        for v in Variant::all() {
+            let _ = build(v, &t, n, MapConfig::tiny(), 64, true, None);
+        }
+        let over = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            build(Variant::General, &t, n + 1, MapConfig::tiny(), 64, true, None)
+        }));
+        assert!(over.is_err(), "{} processes were admitted", n + 1);
     }
 
     /// A slow-path enqueue under a full-system crash that lands between the

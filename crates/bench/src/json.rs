@@ -1,11 +1,10 @@
-//! Machine-readable benchmark output (`BENCH_*.json`).
+//! Machine-readable coverage output of the `dfck` sweeper (`BENCH_dfck.json`).
 //!
-//! Every figure binary (and the instruction-overhead microbench) can emit its
-//! results as a small JSON document so that the perf trajectory of the simulator
-//! can be tracked across PRs by diffing/plotting the files instead of scraping
-//! stdout tables. The schema is documented in the README ("Machine-readable
-//! benchmark output"); the writer is hand-rolled because the workspace builds
-//! offline (no serde).
+//! The one committed baseline of the workspace: every row is one sweep and
+//! every field of a row is an exact count, so `benchmarks/regress.py --dfck`
+//! gates a fresh run against the committed file field for field. The schema
+//! is documented in the README ("Machine-readable benchmark output"); the
+//! writer is hand-rolled because the workspace builds offline (no serde).
 //!
 //! Emission is opt-in through the `DF_JSON` environment variable:
 //!
@@ -15,80 +14,62 @@
 
 use std::path::PathBuf;
 
-use crate::Measurement;
-
 /// Schema identifier stamped into every emitted document. Bump only on breaking
 /// changes to the layout; additions of new fields keep the same identifier.
-pub const SCHEMA: &str = "delayfree-bench-v1";
+/// v2: rows carry integer counts only (v1 rows also had `mops`,
+/// `flushes_per_op` and `fences_per_op`, which coverage rows filled with 0).
+pub const SCHEMA: &str = "delayfree-bench-v2";
 
-/// One row of a JSON benchmark report. Mirrors [`Measurement`] but with a free-form
-/// series label so that benchmarks without a variant (e.g. the
-/// instruction-overhead microbench) can use the same schema.
+/// One row of a JSON report: a series label, the thread count and the row's
+/// counts, rendered as integers in order.
 #[derive(Clone, Debug)]
 pub struct JsonRow {
-    /// Series label (queue variant name, or `"read/disarmed"`-style for micro runs).
+    /// Series label (`variant/workload[/tN]…`, see the `dfck` binary).
     pub variant: String,
     /// Worker-thread count the row was measured with.
     pub threads: usize,
-    /// Throughput in million operations per second.
-    pub mops: f64,
-    /// Cache-line flushes per operation.
-    pub flushes_per_op: f64,
-    /// Fences per operation.
-    pub fences_per_op: f64,
-    /// Additional benchmark-specific key/value pairs appended to the row object
-    /// (e.g. `crash_points` for the `dfck` coverage report). Additive with
-    /// respect to the schema: readers of `delayfree-bench-v1` that only know
-    /// the fixed fields keep working.
-    pub extra: Vec<(&'static str, f64)>,
+    /// The row's counts (`crash_points`, `crashes_injected`, …).
+    pub counts: Vec<(&'static str, u64)>,
 }
 
-impl JsonRow {
-    /// A row with the fixed fields set and no extras.
-    pub fn new(variant: impl Into<String>, threads: usize, mops: f64) -> JsonRow {
-        JsonRow {
-            variant: variant.into(),
-            threads,
-            mops,
-            flushes_per_op: 0.0,
-            fences_per_op: 0.0,
-            extra: Vec::new(),
+/// The count that says whether a row verified anything: a sweep that
+/// injected no crash checked nothing. Parameter-like counts (`crash_points`,
+/// …) are deliberately not accepted in its place: they are non-zero by
+/// construction, so a broken replay loop would still pass.
+const NONZERO_METRIC_KEY: &str = "crashes_injected";
+
+/// Reject a report that verified nothing: no rows at all (a filter that
+/// matched nothing), or a row whose [`NONZERO_METRIC_KEY`] count is missing
+/// or zero.
+pub fn require_nonzero(rows: &[JsonRow]) -> Result<(), String> {
+    if rows.is_empty() {
+        return Err("no rows: the run verified nothing".to_string());
+    }
+    for row in rows {
+        let signal = row.counts.iter().any(|&(k, v)| k == NONZERO_METRIC_KEY && v > 0);
+        if !signal {
+            return Err(format!(
+                "{} @ {} threads injected no crash: the sweep verified nothing",
+                row.variant, row.threads
+            ));
         }
     }
-
-    /// Append a benchmark-specific key/value pair.
-    pub fn with(mut self, key: &'static str, value: f64) -> JsonRow {
-        self.extra.push((key, value));
-        self
-    }
+    Ok(())
 }
 
-impl From<&Measurement> for JsonRow {
-    fn from(m: &Measurement) -> JsonRow {
-        JsonRow {
-            variant: m.variant.label().to_string(),
-            threads: m.threads,
-            mops: m.mops,
-            flushes_per_op: m.flushes_per_op,
-            fences_per_op: m.fences_per_op,
-            // Additive field (schema stays delayfree-bench-v1): only
-            // throughput rows carry the duplicate-flush rate.
-            extra: vec![("duplicate_flushes_per_op", m.duplicate_flushes_per_op)],
-        }
+/// Where JSON output should go, given the value of `DF_JSON`: `None` when it
+/// is unset, empty or `0` (emission disabled).
+fn json_dir_from(raw: Option<&str>) -> Option<PathBuf> {
+    match raw? {
+        "" | "0" => None,
+        "1" => Some(PathBuf::from(".")),
+        dir => Some(PathBuf::from(dir)),
     }
 }
 
 /// Where JSON output should go: `None` when `DF_JSON` is unset (emission disabled).
-pub fn json_dir() -> Option<PathBuf> {
-    let raw = std::env::var("DF_JSON").ok()?;
-    if raw.is_empty() || raw == "0" {
-        return None;
-    }
-    if raw == "1" {
-        Some(PathBuf::from("."))
-    } else {
-        Some(PathBuf::from(raw))
-    }
+fn json_dir() -> Option<PathBuf> {
+    json_dir_from(std::env::var("DF_JSON").ok().as_deref())
 }
 
 fn escape(s: &str) -> String {
@@ -108,16 +89,7 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Format a float as a JSON number (JSON has no NaN/Inf; those become 0).
-fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-/// Render a benchmark report as a JSON document (pretty-printed, trailing newline).
+/// Render a report as a JSON document (pretty-printed, trailing newline).
 pub fn render(bench: &str, params: &[(&str, u64)], wall_clock_secs: f64, rows: &[JsonRow]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -131,21 +103,18 @@ pub fn render(bench: &str, params: &[(&str, u64)], wall_clock_secs: f64, rows: &
         out.push_str(&format!("\"{}\": {}", escape(k), v));
     }
     out.push_str("},\n");
-    out.push_str(&format!("  \"wall_clock_secs\": {},\n", number(wall_clock_secs)));
+    out.push_str(&format!("  \"wall_clock_secs\": {wall_clock_secs:.6},\n"));
     out.push_str("  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {
-        let mut extras = String::new();
-        for (k, v) in &row.extra {
-            extras.push_str(&format!(", \"{}\": {}", escape(k), number(*v)));
+        let mut counts = String::new();
+        for (k, v) in &row.counts {
+            counts.push_str(&format!(", \"{}\": {}", escape(k), v));
         }
         out.push_str(&format!(
-            "    {{\"variant\": \"{}\", \"threads\": {}, \"mops\": {}, \"flushes_per_op\": {}, \"fences_per_op\": {}{}}}{}\n",
+            "    {{\"variant\": \"{}\", \"threads\": {}{}}}{}\n",
             escape(&row.variant),
             row.threads,
-            number(row.mops),
-            number(row.flushes_per_op),
-            number(row.fences_per_op),
-            extras,
+            counts,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -153,50 +122,8 @@ pub fn render(bench: &str, params: &[(&str, u64)], wall_clock_secs: f64, rows: &
     out
 }
 
-/// The extra-field key that counts as a *measured* signal for the
-/// `DF_REQUIRE_NONZERO` guard. Parameter-like extras (`crash_points`, …) are
-/// deliberately excluded: they are non-zero by construction, so accepting
-/// them would let a broken measurement upload a "green" baseline — the exact
-/// failure the guard exists to stop.
-const NONZERO_METRIC_KEY: &str = "crashes_injected";
-
-/// The `DF_REQUIRE_NONZERO` check: every row must report a measured signal —
-/// positive throughput or, for rows that carry benchmark-specific `extra`
-/// metrics instead of a throughput (the dfck coverage report), a positive
-/// [`NONZERO_METRIC_KEY`] extra — and there must be rows at all: a run whose
-/// filters matched nothing measured nothing.
-fn require_nonzero(bench: &str, rows: &[JsonRow]) -> Result<(), String> {
-    if rows.is_empty() {
-        return Err(format!("DF_REQUIRE_NONZERO: {bench} produced no rows"));
-    }
-    for row in rows {
-        let has_signal = row.mops > 0.0
-            || row
-                .extra
-                .iter()
-                .any(|(k, v)| *k == NONZERO_METRIC_KEY && *v > 0.0);
-        if !has_signal {
-            return Err(format!(
-                "DF_REQUIRE_NONZERO: {} @ {} threads reported {} Mops/s and no non-zero metric extra",
-                row.variant, row.threads, row.mops
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Write `BENCH_<name>.json` if `DF_JSON` is set; returns the path written.
-///
-/// When `DF_REQUIRE_NONZERO` is set, panics instead if [`require_nonzero`]
-/// rejects the rows. The CI bench-smoke job uses this as its pass/fail
-/// criterion so a silently broken variant — or a filter that silently matched
-/// nothing — cannot upload a "green" baseline.
 pub fn emit(bench: &str, params: &[(&str, u64)], wall_clock_secs: f64, rows: &[JsonRow]) -> Option<PathBuf> {
-    if std::env::var_os("DF_REQUIRE_NONZERO").is_some() {
-        if let Err(e) = require_nonzero(bench, rows) {
-            panic!("{e}");
-        }
-    }
     let dir = json_dir()?;
     std::fs::create_dir_all(&dir).expect("creating DF_JSON output directory");
     let path = dir.join(format!("BENCH_{bench}.json"));
@@ -210,79 +137,79 @@ pub fn emit(bench: &str, params: &[(&str, u64)], wall_clock_secs: f64, rows: &[J
 mod tests {
     use super::*;
 
-    fn row(variant: &str, mops: f64) -> JsonRow {
+    fn row(variant: &str, crashes: u64) -> JsonRow {
         JsonRow {
             variant: variant.to_string(),
             threads: 2,
-            mops,
-            flushes_per_op: 1.5,
-            fences_per_op: 0.5,
-            extra: Vec::new(),
+            counts: vec![("crash_points", 7), ("crashes_injected", crashes)],
         }
     }
 
     #[test]
     fn render_produces_well_formed_json() {
-        let doc = render("fig7", &[("pairs", 500), ("prefill", 100)], 1.25, &[row("MSQ", 10.0), row("LogQueue", 2.0)]);
+        let rows = [row("MSQ/pair", 3), row("LogQueue/pair", 2)];
+        let doc = render("dfck", &[("seed", 42), ("multi_ops", 8)], 1.25, &rows);
         // Structural checks (no JSON parser in the offline workspace): balanced
         // braces/brackets, schema string, both rows, no trailing comma.
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
         assert_eq!(doc.matches('[').count(), doc.matches(']').count());
-        assert!(doc.contains("\"schema\": \"delayfree-bench-v1\""));
-        assert!(doc.contains("\"bench\": \"fig7\""));
-        assert!(doc.contains("\"pairs\": 500"));
-        assert!(doc.contains("\"variant\": \"MSQ\""));
-        assert!(doc.contains("\"variant\": \"LogQueue\""));
+        assert!(doc.contains("\"schema\": \"delayfree-bench-v2\""));
+        assert!(doc.contains("\"bench\": \"dfck\""));
+        assert!(doc.contains("\"seed\": 42"));
+        assert!(doc.contains("\"variant\": \"MSQ/pair\""));
+        assert!(doc.contains("\"variant\": \"LogQueue/pair\""));
         assert!(!doc.contains(",\n  ]"));
         assert!(doc.contains("\"wall_clock_secs\": 1.250000"));
     }
 
     #[test]
     fn render_appends_extra_fields_per_row() {
-        let r = JsonRow::new("General/pair", 1, 2.5)
-            .with("crash_points", 321.0)
-            .with("oracle_failures", 0.0);
+        let r = JsonRow {
+            variant: "General/pair".to_string(),
+            threads: 1,
+            counts: vec![("crash_points", 321), ("oracle_failures", 0)],
+        };
         let doc = render("dfck", &[("ops", 2)], 0.5, &[r]);
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(doc.contains("\"crash_points\": 321.000000"));
-        assert!(doc.contains("\"oracle_failures\": 0.000000"));
-        assert!(doc.contains("\"variant\": \"General/pair\""));
+        // Counts render as integers, in order, after the fixed fields.
+        assert!(
+            doc.contains(
+                "{\"variant\": \"General/pair\", \"threads\": 1, \"crash_points\": 321, \"oracle_failures\": 0}"
+            ),
+            "{doc}"
+        );
+        assert!(!doc.contains("mops"));
     }
 
     #[test]
-    fn render_escapes_strings_and_sanitises_floats() {
-        let doc = render("x\"y", &[], f64::NAN, &[row("a\\b", f64::INFINITY)]);
+    fn render_escapes_strings() {
+        let doc = render("x\"y", &[], 0.0, &[row("a\\b", 1)]);
         assert!(doc.contains("\"bench\": \"x\\\"y\""));
         assert!(doc.contains("\"variant\": \"a\\\\b\""));
-        assert!(!doc.contains("NaN"));
-        assert!(!doc.contains("inf"));
     }
 
     #[test]
     fn require_nonzero_rejects_an_empty_row_set_and_signal_free_rows() {
-        let err = require_nonzero("dfck", &[]).unwrap_err();
+        let err = require_nonzero(&[]).unwrap_err();
         assert!(err.contains("no rows"), "{err}");
-        require_nonzero("fig7", &[row("MSQ", 1.0)]).unwrap();
-        assert!(require_nonzero("fig7", &[row("MSQ", 0.0)]).is_err());
-        let coverage = |crashes| JsonRow::new("General/pair", 1, 0.0).with("crashes_injected", crashes);
-        require_nonzero("dfck", &[coverage(3.0)]).unwrap();
-        assert!(require_nonzero("dfck", &[coverage(0.0)]).is_err());
+        require_nonzero(&[row("General/pair", 3)]).unwrap();
+        let err = require_nonzero(&[row("General/pair", 3), row("LogQueue/pair", 0)]).unwrap_err();
+        assert!(err.contains("LogQueue/pair"), "{err}");
+        // A parameter-like count is no signal.
+        let params_only = JsonRow {
+            variant: "General/pair".to_string(),
+            threads: 1,
+            counts: vec![("crash_points", 9)],
+        };
+        assert!(require_nonzero(&[params_only]).is_err());
     }
 
     #[test]
     fn json_dir_parses_the_env_convention() {
-        // Can't mutate the process environment safely in parallel tests; just
-        // exercise the pure parts via render/escape above and the row conversion.
-        let m = crate::Measurement {
-            variant: crate::dfck::Variant::Msq,
-            threads: 3,
-            mops: 1.0,
-            flushes_per_op: 0.0,
-            fences_per_op: 0.0,
-            duplicate_flushes_per_op: 0.0,
-        };
-        let r = JsonRow::from(&m);
-        assert_eq!(r.variant, "MSQ");
-        assert_eq!(r.threads, 3);
+        assert_eq!(json_dir_from(None), None);
+        assert_eq!(json_dir_from(Some("")), None);
+        assert_eq!(json_dir_from(Some("0")), None);
+        assert_eq!(json_dir_from(Some("1")), Some(PathBuf::from(".")));
+        assert_eq!(json_dir_from(Some("out/dfck")), Some(PathBuf::from("out/dfck")));
     }
 }

@@ -15,10 +15,11 @@
 //! |---|---|---|
 //! | `DF_PAIRS` | operation rounds (pairs) per thread per data point | 50 000 |
 //! | `DF_PREFILL` | nodes pre-inserted before timing | 10 000 (the paper used 1M) |
-//! | `DF_MAX_THREADS` | largest thread count in the sweep (≥ 1) | min(8, #cores) |
+//! | `DF_MAX_THREADS` | largest thread count in the sweep (1..=[`dfck::max_nprocs`]) | min(8, #cores) |
 
 #![warn(missing_docs)]
 
+pub mod ablation;
 pub mod dfck;
 pub mod json;
 pub mod structs_bench;
@@ -93,10 +94,11 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
     env_u64_in(name, default, 0..=u64::MAX)
 }
 
-/// Largest thread count a sweep should use (`DF_MAX_THREADS`, at least 1).
+/// Largest thread count a sweep should use (`DF_MAX_THREADS`, at least 1 and
+/// at most the [`dfck::max_nprocs`] processes every variant can be built for).
 pub fn max_threads() -> usize {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8);
-    env_u64_in("DF_MAX_THREADS", cores.min(8) as u64, 1..=u64::MAX) as usize
+    env_u64_in("DF_MAX_THREADS", cores.min(8) as u64, 1..=dfck::max_nprocs() as u64) as usize
 }
 
 /// One measured data point of any figure.
@@ -243,14 +245,8 @@ pub fn run_workload(variant: Variant, cfg: &WorkloadConfig) -> Measurement {
 
 /// Run a whole figure: the given variants over 1..=`max_threads` threads, printing a
 /// CSV-ish table like the paper's plots (one row per (threads, variant)).
-///
-/// `name` is the machine-readable identifier (`"fig5"`, `"fig7"`, `"struct"`, …):
-/// when the `DF_JSON` environment variable is set, the sweep also writes
-/// `BENCH_<name>.json` (schema in [`json`]; see README "Machine-readable
-/// benchmark output") so the perf trajectory can be tracked across PRs.
-pub fn run_figure(name: &str, title: &str, variants: &[Variant]) -> Vec<Measurement> {
+pub fn run_figure(title: &str, variants: &[Variant]) -> Vec<Measurement> {
     let max = max_threads();
-    let wall = Instant::now();
     let probe = WorkloadConfig::from_env(1);
     println!("# {title}");
     println!(
@@ -274,17 +270,6 @@ pub fn run_figure(name: &str, title: &str, variants: &[Variant]) -> Vec<Measurem
             all.push(m);
         }
     }
-    let rows: Vec<json::JsonRow> = all.iter().map(json::JsonRow::from).collect();
-    json::emit(
-        name,
-        &[
-            ("pairs_per_thread", probe.pairs_per_thread),
-            ("prefill", probe.prefill),
-            ("max_threads", max as u64),
-        ],
-        wall.elapsed().as_secs_f64(),
-        &rows,
-    );
     all
 }
 

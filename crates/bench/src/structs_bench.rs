@@ -1,6 +1,5 @@
 //! The structure family's figure (`fig_struct`): every non-queue variant through
-//! the crate's one figure entry point ([`crate::run_figure`] → [`crate::run_workload`]),
-//! emitting `BENCH_struct.json`.
+//! the crate's one figure entry point ([`crate::run_figure`] → [`crate::run_workload`]).
 
 use crate::dfck::{Shape, Variant};
 use crate::Measurement;
@@ -13,11 +12,9 @@ fn struct_variants() -> Vec<Variant> {
 }
 
 /// Run the whole structure figure: every variant over 1..=`max_threads`
-/// threads, printing the usual table and emitting `BENCH_struct.json` when
-/// `DF_JSON` is set.
+/// threads, printing the usual table.
 pub fn run_struct_figure() -> Vec<Measurement> {
     crate::run_figure(
-        "struct",
         "structure family: Treiber stack + linked-list set + hash map, all variants",
         &struct_variants(),
     )

@@ -14,6 +14,10 @@
 //! (`bench::run_workload`, one thread): flushes, fences and duplicate flushes
 //! per operation — supplementary table S1, the counts §10 explains its
 //! throughput gaps by, and the PPM model's cost measure.
+//!
+//! A third table pins the design-choice ablations of DESIGN.md §4
+//! (`bench::ablation`, the loops `instr_overhead` times): recoverable-CAS
+//! encodings, boundary styles and writable CAS objects against plain words.
 
 use bench::dfck::Variant;
 use bench::{run_workload, WorkloadConfig};
@@ -379,4 +383,66 @@ Queue-Normalized-Opt-slow  Push(2)      flushes  7 fences  7 boundaries 3 instr 
 Queue-Normalized-Opt-slow  Pop          flushes  5 fences  5 boundaries 3 instr  29
 Queue-Normalized-Opt-slow  Pop          flushes  6 fences  5 boundaries 3 instr  31
 Queue-Normalized-Opt-slow  Pop          flushes  3 fences  3 boundaries 3 instr  18
+";
+
+/// Operations per ablation row: the counts below are totals over this many.
+const ABLATION_OPS: u64 = 1000;
+
+/// The ablation table: each loop of `bench::ablation::ALL` run
+/// `ABLATION_OPS` times on a fresh one-thread machine, its object's set-up
+/// not counted.
+fn ablation_table() -> String {
+    let mut out = String::new();
+    for (label, ablation) in bench::ablation::ALL {
+        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+        let s = ablation(&mem.thread(0), ABLATION_OPS);
+        out.push_str(&format!(
+            "{:<26} instr {:>5} reads {:>5} writes {:>5} cas {:>5} flushes {:>5} fences {:>5}\n",
+            label,
+            s.steps(),
+            s.reads,
+            s.writes,
+            s.cas,
+            s.flushes,
+            s.fences
+        ));
+    }
+    out
+}
+
+#[test]
+fn every_ablation_costs_exactly_its_pinned_counts() {
+    let table = ablation_table();
+    assert!(
+        table == EXPECTED_ABLATIONS,
+        "an ablation's counts moved; the table now reads:\n{table}"
+    );
+}
+
+/// The pinned ablation table (totals over 1000 operations). Algorithm 1 pays
+/// a read, an announcement write and the CAS, plus the notify CAS on the
+/// previous winner's announcement from the second operation on; its durable
+/// discipline adds the announcement's and the previous winner's flushes and
+/// one fence. The Attiya object notifies by a plain write into its matrix.
+/// The indirect encoding allocates and writes a three-word record per CAS.
+/// A General boundary flushes and fences twice (the slot copies, then the
+/// control word), a Compact one once. Algorithm 8's `Write` writes a fresh
+/// location, swings the pointer and takes the unlinked location back, with a
+/// periodic scan of the announcements; its durable discipline persists the
+/// fresh location. Its `CAS` (announce, dereference, CAS) writes no location,
+/// so the discipline costs it nothing.
+const EXPECTED_ABLATIONS: &str = "\
+cas/plain                  instr  1000 reads     0 writes     0 cas  1000 flushes     0 fences     0
+cas/algorithm1             instr  3999 reads  1000 writes  1000 cas  1999 flushes     0 fences     0
+cas/algorithm1-durable     instr  6998 reads  1000 writes  1000 cas  1999 flushes  1999 fences  1000
+cas/attiya                 instr  2999 reads  1000 writes   999 cas  1000 flushes     0 fences     0
+cas/indirect               instr  9999 reads  4000 writes  4000 cas  1999 flushes     0 fences     0
+cas/indirect-durable       instr 13998 reads  4000 writes  4000 cas  1999 flushes  2999 fences  1000
+boundary/general           instr  8000 reads  1000 writes  3000 cas     0 flushes  2000 fences  2000
+boundary/compact           instr  6000 reads  1000 writes  3000 cas     0 flushes  1000 fences  1000
+write/plain                instr  1000 reads     0 writes  1000 cas     0 flushes     0 fences     0
+write/algorithm8           instr  8663 reads  4997 writes  1000 cas  2666 flushes     0 fences     0
+write/algorithm8-durable   instr 10663 reads  4997 writes  1000 cas  2666 flushes  1000 fences  1000
+cas/algorithm8             instr  6000 reads  3000 writes     0 cas  3000 flushes     0 fences     0
+cas/algorithm8-durable     instr  6000 reads  3000 writes     0 cas  3000 flushes     0 fences     0
 ";

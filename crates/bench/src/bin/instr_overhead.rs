@@ -24,7 +24,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use bench::env_u64;
+use bench::env_u64_in;
 use pmem::{CrashPolicy, MemConfig, Mode, PAddr, PMem, PThread};
 
 /// Most operations per ablation loop: the indirect family allocates a
@@ -73,7 +73,7 @@ fn raw(
 }
 
 fn main() {
-    let iters = env_u64("DF_INSTR_ITERS", 10_000_000);
+    let iters = env_u64_in("DF_INSTR_ITERS", 10_000_000, 1..=u64::MAX);
     let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
 
     println!("# instruction-overhead microbench — {iters} iterations per loop");

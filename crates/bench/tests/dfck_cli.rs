@@ -47,7 +47,8 @@ fn a_run_that_sweeps_nothing_fails() {
 /// also accepted any count, but every figure has a capsule variant whose
 /// recoverable-CAS layout reserves its largest pid for anonymous CASes: the
 /// 63-thread point panicked in `RcasSpace::new`, after the 62 points before
-/// it had run. Each must exit 2 naming the knob, before any work is done.
+/// it had run. `DF_INSTR_ITERS=0` timed empty loops and printed `inf` ns/op.
+/// Each must exit 2 naming the knob, before any work is done.
 /// The run-length knobs are tiny, so a binary that accepted a value would
 /// still end quickly and fail the exit-code check.
 #[test]
@@ -56,6 +57,7 @@ fn unparsable_or_out_of_range_knobs_are_rejected() {
     let dfck = env!("CARGO_BIN_EXE_dfck");
     let fig5 = env!("CARGO_BIN_EXE_fig5");
     let fig7 = env!("CARGO_BIN_EXE_fig7");
+    let instr_overhead = env!("CARGO_BIN_EXE_instr_overhead");
     for (bin, knob, value) in [
         (dfck, "DF_DFCK_OPS", "six"),
         (dfck, "DF_DFCK_OPS", "0"),
@@ -64,6 +66,7 @@ fn unparsable_or_out_of_range_knobs_are_rejected() {
         (fig5, "DF_MAX_THREADS", "0"),
         (fig7, "DF_MAX_THREADS", "63"),
         (fig5, "DF_PAIRS", ""),
+        (instr_overhead, "DF_INSTR_ITERS", "0"),
     ] {
         let out = Command::new(bin)
             .env("DF_PAIRS", "1")

@@ -193,38 +193,55 @@ impl Frame {
         self.base.offset(slot as u64)
     }
 
-    /// Emit a capsule boundary: persist the changed slots and atomically publish the
-    /// new program counter.
+    /// Emit a capsule boundary: persist the slots whose bit is set in `dirty`
+    /// and atomically publish the new program counter.
     ///
-    /// `changed` lists `(slot, value)` pairs; slot [`SEQ_SLOT`] is the sequence
-    /// number, slots `1..=nvars` are the user locals (user index + 1).
-    pub fn write_boundary(&self, thread: &PThread<'_>, pc: u32, changed: &[(usize, u64)]) {
+    /// `slots` holds every slot's value, indexed by slot: slot [`SEQ_SLOT`] is
+    /// the sequence number, slot `i + 1` is user local `i`. With `fence` the
+    /// control store is fenced behind every earlier flush even when no slot
+    /// changed: the caller left a flush unfenced for this boundary to order
+    /// before it publishes.
+    pub fn write_boundary(
+        &self,
+        thread: &PThread<'_>,
+        pc: u32,
+        slots: &[u64],
+        dirty: u64,
+        fence: bool,
+    ) {
+        assert!(dirty >> self.slots() == 0, "dirty mask {dirty:#b} names a slot out of range");
         match self.style {
-            BoundaryStyle::General => self.write_boundary_general(thread, pc, changed),
-            BoundaryStyle::Compact => self.write_boundary_compact(thread, pc, changed),
+            BoundaryStyle::General => self.write_boundary_general(thread, pc, slots, dirty, fence),
+            BoundaryStyle::Compact => self.write_boundary_compact(thread, pc, slots, dirty, fence),
         }
     }
 
-    fn write_boundary_general(&self, thread: &PThread<'_>, pc: u32, changed: &[(usize, u64)]) {
+    fn write_boundary_general(
+        &self,
+        thread: &PThread<'_>,
+        pc: u32,
+        slots: &[u64],
+        dirty: u64,
+        fence: bool,
+    ) {
         let control = thread.read(self.control_addr());
         let mut mask = control & 0xFFFF_FFFF;
-        if !changed.is_empty() {
-            // Write the currently invalid copy of each changed slot.
-            let mut touched_lines: Vec<u64> = Vec::with_capacity(changed.len());
-            for &(slot, value) in changed {
-                assert!(slot < self.slots(), "slot {slot} out of range");
+        if dirty != 0 {
+            // Write the currently invalid copy of each changed slot. Bit i of
+            // `lines` is the frame's i-th line (the frame is line-aligned).
+            let mut lines = 0u64;
+            for slot in ones(dirty) {
                 let valid_copy = (mask >> slot) & 1;
                 let target = self.copy_addr(1 - valid_copy, slot);
-                thread.write(target, value);
+                thread.write(target, slots[slot]);
                 mask ^= 1 << slot;
-                let line = target.line_base().index();
-                if !touched_lines.contains(&line) {
-                    touched_lines.push(line);
-                }
+                lines |= 1 << ((target.index() - self.base.index()) / LINE_WORDS);
             }
-            for line in touched_lines {
-                thread.flush(PAddr::from_raw(line));
+            for line in ones(lines) {
+                thread.flush(self.base.offset(line as u64 * LINE_WORDS));
             }
+            thread.fence();
+        } else if fence {
             thread.fence();
         }
         // Atomically publish: new pc + flipped validity bits in one word. A
@@ -235,20 +252,29 @@ impl Frame {
         thread.persist(self.control_addr());
     }
 
-    fn write_boundary_compact(&self, thread: &PThread<'_>, pc: u32, changed: &[(usize, u64)]) {
-        // The sequence number travels inside the control word, so fish it out of the
-        // change list (or keep the current one if this boundary did not advance it).
-        let mut seq = None;
-        for &(slot, value) in changed {
-            assert!(slot < self.slots(), "slot {slot} out of range");
-            if slot == SEQ_SLOT {
-                assert!(value <= MAX_COMPACT_SEQ, "sequence number overflows the compact frame");
-                seq = Some(value);
-            } else {
-                thread.write(self.compact_slot_addr(slot), value);
-            }
+    fn write_boundary_compact(
+        &self,
+        thread: &PThread<'_>,
+        pc: u32,
+        slots: &[u64],
+        dirty: u64,
+        fence: bool,
+    ) {
+        // The sequence number travels inside the control word, so it is taken
+        // from `slots` only when this boundary advanced it.
+        for slot in ones(dirty & !(1 << SEQ_SLOT)) {
+            thread.write(self.compact_slot_addr(slot), slots[slot]);
         }
-        let seq = seq.unwrap_or_else(|| thread.read(self.control_addr()) & MAX_COMPACT_SEQ);
+        let seq = if dirty & (1 << SEQ_SLOT) != 0 {
+            let seq = slots[SEQ_SLOT];
+            assert!(seq <= MAX_COMPACT_SEQ, "sequence number overflows the compact frame");
+            seq
+        } else {
+            thread.read(self.control_addr()) & MAX_COMPACT_SEQ
+        };
+        if fence {
+            thread.fence();
+        }
         // The control word (pc + seq) is written last; within one cache line, stores
         // persist in order, so a crash can never persist the new pc without the new
         // locals, and the pc/seq pair is updated atomically. Written as a
@@ -283,25 +309,35 @@ impl Frame {
         }
     }
 
-    /// For compact frames: report whether persisting `changed` would overwrite a
-    /// slot in `read_mask` (slots the current capsule depended on) with a different
-    /// value than the one it read — the write-after-read hazard described in the
-    /// module docs. General frames are immune (double buffering) and return `false`.
+    /// For compact frames: report whether persisting the `dirty` slots of
+    /// `slots` would overwrite a slot in `read_mask` (slots the current capsule
+    /// depended on) with a different value than the one it read — the
+    /// write-after-read hazard described in the module docs. General frames are
+    /// immune (double buffering) and return `false`.
     pub fn check_compact_war(
         &self,
         thread: &PThread<'_>,
         read_mask: u64,
-        changed: &[(usize, u64)],
+        slots: &[u64],
+        dirty: u64,
     ) -> bool {
         if self.style != BoundaryStyle::Compact {
             return false;
         }
-        changed.iter().any(|&(slot, value)| {
-            slot != SEQ_SLOT
-                && (read_mask >> slot) & 1 == 1
-                && thread.read(self.compact_slot_addr(slot)) != value
-        })
+        ones(dirty & read_mask & !(1 << SEQ_SLOT))
+            .any(|slot| thread.read(self.compact_slot_addr(slot)) != slots[slot])
     }
+}
+
+/// The indices of the set bits of `mask`, lowest first.
+fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 #[cfg(test)]
@@ -313,12 +349,33 @@ mod tests {
         PMem::new(MemConfig::new(1).mode(Mode::SharedCache))
     }
 
+    /// The slot values and dirty mask of a boundary that changes `changed`.
+    fn slots(changed: &[(usize, u64)]) -> (Vec<u64>, u64) {
+        let mut slots = vec![0; 64];
+        let mut dirty = 0;
+        for &(slot, value) in changed {
+            slots[slot] = value;
+            dirty |= 1 << slot;
+        }
+        (slots, dirty)
+    }
+
+    fn write(f: &Frame, t: &PThread<'_>, pc: u32, changed: &[(usize, u64)]) {
+        let (slots, dirty) = slots(changed);
+        f.write_boundary(t, pc, &slots, dirty, false);
+    }
+
+    fn war(f: &Frame, t: &PThread<'_>, read_mask: u64, changed: &[(usize, u64)]) -> bool {
+        let (slots, dirty) = slots(changed);
+        f.check_compact_war(t, read_mask, &slots, dirty)
+    }
+
     #[test]
     fn general_boundary_round_trip() {
         let m = mem();
         let t = m.thread(0);
         let f = Frame::alloc(&t, BoundaryStyle::General, 4);
-        f.write_boundary(&t, 7, &[(SEQ_SLOT, 3), (1, 10), (2, 20)]);
+        write(&f, &t, 7, &[(SEQ_SLOT, 3), (1, 10), (2, 20)]);
         let (pc, vals) = f.recover(&t);
         assert_eq!(pc, 7);
         assert_eq!(vals[SEQ_SLOT], 3);
@@ -332,8 +389,8 @@ mod tests {
         let m = mem();
         let t = m.thread(0);
         let f = Frame::alloc(&t, BoundaryStyle::Compact, 3);
-        f.write_boundary(&t, 2, &[(SEQ_SLOT, 1), (1, 100)]);
-        f.write_boundary(&t, 3, &[(2, 200)]);
+        write(&f, &t, 2, &[(SEQ_SLOT, 1), (1, 100)]);
+        write(&f, &t, 3, &[(2, 200)]);
         let (pc, vals) = f.recover(&t);
         assert_eq!(pc, 3);
         assert_eq!(vals, vec![1, 100, 200, 0]);
@@ -344,7 +401,7 @@ mod tests {
         let m = mem();
         let t = m.thread(0);
         let f = Frame::alloc(&t, BoundaryStyle::General, 2);
-        f.write_boundary(&t, 5, &[(SEQ_SLOT, 9), (1, 11), (2, 22)]);
+        write(&f, &t, 5, &[(SEQ_SLOT, 9), (1, 11), (2, 22)]);
         // Volatile-only update after the boundary must be lost; the boundary state
         // must survive.
         t.write(f.base().offset(1), 9999); // scribble on copy A without flushing
@@ -362,7 +419,7 @@ mod tests {
         let m = mem();
         let t = m.thread(0);
         let f = Frame::alloc(&t, BoundaryStyle::Compact, 2);
-        f.write_boundary(&t, 4, &[(SEQ_SLOT, 2), (1, 5), (2, 6)]);
+        write(&f, &t, 4, &[(SEQ_SLOT, 2), (1, 5), (2, 6)]);
         m.crash_all();
         let t = m.thread(0);
         let (pc, vals) = f.recover(&t);
@@ -375,7 +432,7 @@ mod tests {
         let t = m.thread(0);
         let f = Frame::alloc(&t, BoundaryStyle::General, 1);
         for i in 1..=20u64 {
-            f.write_boundary(&t, i as u32, &[(1, i * 10)]);
+            write(&f, &t, i as u32, &[(1, i * 10)]);
             let (pc, vals) = f.recover(&t);
             assert_eq!(pc as u64, i);
             assert_eq!(vals[1], i * 10);
@@ -389,9 +446,9 @@ mod tests {
         let general = Frame::alloc(&t, BoundaryStyle::General, 3);
         let compact = Frame::alloc(&t, BoundaryStyle::Compact, 3);
         let before = t.stats();
-        general.write_boundary(&t, 1, &[(1, 1), (2, 2)]);
+        write(&general, &t, 1, &[(1, 1), (2, 2)]);
         let mid = t.stats();
-        compact.write_boundary(&t, 1, &[(1, 1), (2, 2)]);
+        write(&compact, &t, 1, &[(1, 1), (2, 2)]);
         let after = t.stats();
         let general_cost = mid.since(&before);
         let compact_cost = after.since(&mid);
@@ -405,7 +462,7 @@ mod tests {
         let m = mem();
         let t = m.thread(0);
         let f = Frame::alloc(&t, BoundaryStyle::General, 2);
-        f.write_boundary(&t, 9, &[(1, 77)]);
+        write(&f, &t, 9, &[(1, 77)]);
         let g = Frame::attach(f.base(), BoundaryStyle::General, 2);
         let (pc, vals) = g.recover(&t);
         assert_eq!(pc, 9);
@@ -417,17 +474,17 @@ mod tests {
         let m = mem();
         let t = m.thread(0);
         let f = Frame::alloc(&t, BoundaryStyle::Compact, 2);
-        f.write_boundary(&t, 1, &[(1, 10)]);
+        write(&f, &t, 1, &[(1, 10)]);
         // The capsule read slot 1 (mask bit 1) and now wants to persist a different
         // value into it: hazard.
-        assert!(f.check_compact_war(&t, 0b010, &[(1, 11)]));
+        assert!(war(&f, &t, 0b010, &[(1, 11)]));
         // Persisting the same value, or a slot the capsule did not read, is fine.
-        assert!(!f.check_compact_war(&t, 0b010, &[(1, 10)]));
-        assert!(!f.check_compact_war(&t, 0b010, &[(2, 11)]));
+        assert!(!war(&f, &t, 0b010, &[(1, 10)]));
+        assert!(!war(&f, &t, 0b010, &[(2, 11)]));
         // General frames never report a hazard.
         let g = Frame::alloc(&t, BoundaryStyle::General, 2);
-        g.write_boundary(&t, 1, &[(1, 10)]);
-        assert!(!g.check_compact_war(&t, 0b010, &[(1, 11)]));
+        write(&g, &t, 1, &[(1, 10)]);
+        assert!(!war(&g, &t, 0b010, &[(1, 11)]));
     }
 
     #[test]
@@ -444,6 +501,6 @@ mod tests {
         let m = mem();
         let t = m.thread(0);
         let f = Frame::alloc(&t, BoundaryStyle::General, 1);
-        f.write_boundary(&t, 1, &[(5, 1)]);
+        write(&f, &t, 1, &[(5, 1)]);
     }
 }

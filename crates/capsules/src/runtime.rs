@@ -76,6 +76,9 @@ pub struct CapsuleRuntime<'t, 'm> {
     dirty: u64,
     /// Bitmask of slots read since the last boundary (compact-frame hazard check).
     read_mask: u64,
+    /// Whether a flush since the last boundary waits for the next one to fence it
+    /// ([`fence_at_next_boundary`](Self::fence_at_next_boundary)).
+    unfenced: bool,
     crashed: bool,
     /// The sequence number the next `run_op` raises its own to (see
     /// [`sync_seq_at_next_entry`](Self::sync_seq_at_next_entry)).
@@ -121,6 +124,7 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
             pc: 0,
             dirty: 0,
             read_mask: 0,
+            unfenced: false,
             crashed: false,
             seq_floor: 0,
             entry_boundary: true,
@@ -168,6 +172,7 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
             pc: 0,
             dirty: 0,
             read_mask: 0,
+            unfenced: false,
             crashed: false,
             seq_floor: 0,
             entry_boundary: true,
@@ -226,6 +231,9 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
         if self.final_boundary {
             self.boundary(next_pc);
         } else {
+            if std::mem::take(&mut self.unfenced) {
+                self.thread.fence();
+            }
             self.pc = next_pc;
             self.dirty = 0;
             self.read_mask = 0;
@@ -412,27 +420,34 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
     /// Emit a capsule boundary: persist every slot changed since the previous
     /// boundary together with the next program counter, atomically.
     pub fn boundary(&mut self, next_pc: u32) {
-        let changed: Vec<(usize, u64)> = (0..self.frame.slots())
-            .filter(|slot| (self.dirty >> slot) & 1 == 1)
-            .map(|slot| (slot, self.locals[slot]))
-            .collect();
         if self.war_check
-            && self.frame.style() == BoundaryStyle::Compact
             && self
                 .frame
-                .check_compact_war(self.thread, self.read_mask, &changed)
+                .check_compact_war(self.thread, self.read_mask, &self.locals, self.dirty)
         {
             panic!(
                 "compact-frame write-after-read hazard: capsule at pc {} overwrites a local it depended on",
                 self.pc
             );
         }
-        self.frame.write_boundary(self.thread, next_pc, &changed);
+        self.frame
+            .write_boundary(self.thread, next_pc, &self.locals, self.dirty, self.unfenced);
         self.pc = next_pc;
         self.dirty = 0;
         self.read_mask = 0;
+        self.unfenced = false;
         self.crashed = false;
         self.metrics.boundaries += 1;
+    }
+
+    /// Let the next boundary order a flush the caller issued without a fence:
+    /// it fences before publishing its control word even when no slot changed
+    /// (a General boundary fences there only for changed slots, a Compact one
+    /// never). An operation that ends with no boundary fences on its way out
+    /// ([`finish_boundary`](Self::finish_boundary)); a crash drops the debt
+    /// with the capsule that owed it.
+    pub fn fence_at_next_boundary(&mut self) {
+        self.unfenced = true;
     }
 
     /// Reload the persisted frame into the volatile mirrors (what the process does
@@ -446,6 +461,7 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
         self.locals = values;
         self.dirty = 0;
         self.read_mask = 0;
+        self.unfenced = false;
         self.crashed = true;
         // Consume the system-level crashed flag, mirroring the model's crashed().
         let _ = self.thread.mem().take_crashed(self.thread.pid());
@@ -1046,6 +1062,34 @@ mod tests {
         rt.set_local(0, v + 1);
         rt.boundary(2); // does not panic
         assert_eq!(rt.local(0), 2);
+    }
+
+    /// A flush handed to the next boundary is fenced before the control
+    /// store even when the boundary saves no slot, on either frame, and an
+    /// operation that ends with no final boundary fences it on its way out.
+    /// The debt is paid once: the boundary after costs what it did.
+    #[test]
+    fn a_deferred_fence_is_paid_by_the_next_boundary_even_with_no_slot_saved() {
+        let mem = PMem::with_threads(1);
+        let t = mem.thread(0);
+        for style in [BoundaryStyle::General, BoundaryStyle::Compact] {
+            let mut rt = CapsuleRuntime::new(&t, style, 1);
+            let fences = |rt: &mut CapsuleRuntime, defer: bool| {
+                let before = t.stats().fences;
+                if defer {
+                    rt.fence_at_next_boundary();
+                }
+                rt.boundary(1);
+                t.stats().fences - before
+            };
+            assert_eq!(fences(&mut rt, true), 2, "{style:?}: before and after the control store");
+            assert_eq!(fences(&mut rt, false), 1, "{style:?}: after the control store only");
+            rt.set_final_boundary(false);
+            rt.fence_at_next_boundary();
+            let before = t.stats().fences;
+            rt.finish_boundary(2);
+            assert_eq!(t.stats().fences - before, 1, "{style:?}: an elided final boundary");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use rcas::RcasSpace;
 
 use crate::fast::fast_op;
 use crate::mem::RcasMem;
-use crate::normalized::{CasDesc, CasList, Discipline, NormalizedOp, PersistResult, WrapUp};
+use crate::normalized::{CasDesc, CasList, Discipline, Next, NormalizedOp, PersistResult, WrapUp};
 use crate::Simulator;
 
 // An operation's pcs from its `CasFrame::pc`: read-only capsule, CAS-Read
@@ -182,7 +182,7 @@ impl CasReadSimulator {
     ) -> bool {
         let ok = recoverable_cas(rt, &self.space, addr, expected, new);
         if ok {
-            self.discipline().persist_line(rt.thread(), addr);
+            self.discipline().persist_target(rt.thread(), addr);
         }
         ok
     }
@@ -194,11 +194,10 @@ impl CasReadSimulator {
     }
 
     fn discipline(&self) -> Discipline<'_> {
-        let fence_before_cas = self.style != BoundaryStyle::Compact;
         Discipline {
             space: &self.space,
             durable: self.durable,
-            fence_before_cas,
+            lock_orders: self.style == BoundaryStyle::Compact,
         }
     }
 
@@ -252,14 +251,13 @@ impl CasReadSimulator {
                 |rt, out| f.finish(rt, out, None),
                 |_, _| multi(),
             ),
-            // The next boundary, not a CAS, publishes what the generator built,
-            // so its persists keep their fence (`before_cas` false).
+            // The next boundary, not a CAS, publishes what the generator built.
             GEN => loop {
-                let list = op.generator(&mut d.ctx(rt, false), input);
+                let list = op.generator(&mut d.ctx(rt, Next::Boundary), input);
                 match list[..] {
                     [] => {
                         if let WrapUp::Done(out) =
-                            op.wrap_up(&mut d.ctx(rt, false), input, &list, 0)
+                            op.wrap_up(&mut d.ctx(rt, Next::Own), input, &list, 0)
                         {
                             f.finish(rt, out, None);
                             return CapsuleStep::Done(out);
@@ -281,7 +279,7 @@ impl CasReadSimulator {
                 let cas = op.rebuild(f.load(rt));
                 let executed = self.capsule_cas(rt, cas.obj, cas.expected, cas.new) as usize;
                 let list: CasList = vec![cas];
-                match op.wrap_up(&mut d.ctx(rt, false), input, &list, executed) {
+                match op.wrap_up(&mut d.ctx(rt, Next::Own), input, &list, executed) {
                     WrapUp::Done(out) => {
                         f.finish(rt, out, Some(&cas));
                         CapsuleStep::Done(out)

@@ -37,7 +37,7 @@
 use capsules::{CapsuleRuntime, CapsuleStep};
 use rcas::{CasEvidence, RcasSpace};
 
-use crate::normalized::{CasDesc, CasList, Discipline, NormalizedOp, WrapUp};
+use crate::normalized::{CasDesc, CasList, Discipline, Next, NormalizedOp, WrapUp};
 
 /// Crash triage of a fast capsule, from the announcement line alone: returns
 /// `Some(evidence)` when the crash interrupted *this* operation's
@@ -76,7 +76,7 @@ pub(crate) fn fast_op<O: NormalizedOp>(
     multi: impl FnOnce(&mut CapsuleRuntime<'_, '_>, CasList),
 ) -> CapsuleStep<O::Output> {
     let wrap_up = |rt: &mut CapsuleRuntime<'_, '_>, list: &CasList, executed| {
-        let verdict = op.wrap_up(&mut d.ctx(rt, false), input, list, executed);
+        let verdict = op.wrap_up(&mut d.ctx(rt, Next::Own), input, list, executed);
         let WrapUp::Done(out) = verdict else {
             return None;
         };
@@ -93,7 +93,7 @@ pub(crate) fn fast_op<O: NormalizedOp>(
     if rt.crashed() {
         if let Some(ev) = recover_fast(rt, d.space) {
             // The original flush of the target may have been interrupted.
-            d.persist_line(rt.thread(), ev.x);
+            d.persist_target(rt.thread(), ev.x);
             let cas = CasDesc::new(ev.x, ev.expected, ev.new).with_aux(ev.aux);
             if let Some(out) = wrap_up(rt, &vec![cas], 1) {
                 return CapsuleStep::Done(out);
@@ -101,7 +101,7 @@ pub(crate) fn fast_op<O: NormalizedOp>(
         }
     }
     loop {
-        let list = op.generator(&mut d.ctx(rt, true), input);
+        let list = op.generator(&mut d.ctx(rt, Next::Cas), input);
         let cas = match list[..] {
             [] => match wrap_up(rt, &list, 0) {
                 Some(out) => return CapsuleStep::Done(out),
@@ -118,7 +118,7 @@ pub(crate) fn fast_op<O: NormalizedOp>(
         let won = space.cas_with_evidence(t, cas.obj, cas.expected, cas.new, seq, cas.aux);
         if won {
             rt.contention_mut().record_success();
-            d.persist_line(t, cas.obj);
+            d.persist_target(t, cas.obj);
         }
         if let Some(out) = wrap_up(rt, &list, won as usize) {
             return CapsuleStep::Done(out);

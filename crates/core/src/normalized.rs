@@ -161,46 +161,66 @@ impl PersistResult for Option<u64> {
 pub(crate) struct Discipline<'s> {
     pub(crate) space: &'s RcasSpace,
     pub(crate) durable: bool,
-    /// Whether persisting data whose next publication is a CAS fences: always,
-    /// except in the §6 `-Opt` style, where the CAS's lock prefix orders the
-    /// pending flush just like the fence would (Px86).
-    pub(crate) fence_before_cas: bool,
+    /// The §6 `-Opt` style: a CAS's lock prefix orders a pending flush just
+    /// like a fence would (Px86), so a persist whose next publication is a CAS
+    /// — a CAS target's, a fast generator's — leaves its fence out.
+    pub(crate) lock_orders: bool,
+}
+
+/// What publishes the data a generator or wrap-up persists next, which
+/// decides whether [`NormalizedCtx::persist`] fences itself.
+#[derive(Clone, Copy)]
+pub(crate) enum Next {
+    /// The fast capsule's evidence-carrying CAS. A durable space flushes and
+    /// fences the announcement right before it, and that fence orders the
+    /// generator's flushes as well; otherwise only the `-Opt` lock prefix
+    /// does.
+    Cas,
+    /// The slow path's boundary. A General one fences its slot copies before
+    /// its control store, and is told to fence there even when no slot
+    /// changed ([`CapsuleRuntime::fence_at_next_boundary`]); a Compact one
+    /// fences only after its control store, so the persist keeps its fence.
+    Boundary,
+    /// Nothing the placement fences for: a wrap-up's persists (the operation
+    /// may return right after them) and a read-only operation's.
+    Own,
 }
 
 impl<'s> Discipline<'s> {
-    /// The context of a generator (`before_cas`: its proposal goes straight to
-    /// a CAS, not through a boundary) or of a wrap-up.
+    /// The context of a generator or wrap-up whose persists `next` publishes.
     pub(crate) fn ctx<'a, 't, 'm>(
         &'a self,
         rt: &'a mut CapsuleRuntime<'t, 'm>,
-        before_cas: bool,
+        next: Next,
     ) -> NormalizedCtx<'a, 't, 'm> {
-        let fence_before_cas = !before_cas || self.fence_before_cas;
+        let ordered = match next {
+            Next::Cas => self.space.durable() || self.lock_orders,
+            Next::Boundary => rt.frame().style() == BoundaryStyle::General,
+            Next::Own => false,
+        };
         NormalizedCtx {
             rt,
-            d: Discipline {
-                fence_before_cas,
-                ..*self
-            },
+            d: *self,
+            ordered_by: ordered.then_some(next),
         }
     }
 
-    /// Flush a line whose next publication is a CAS — or a CAS target — and
-    /// fence unless [`fence_before_cas`](Self::fence_before_cas) is off.
-    pub(crate) fn persist_line(&self, thread: &PThread<'_>, addr: PAddr) {
+    /// Flush a CAS target after its CAS took effect, and fence unless the
+    /// `-Opt` style leaves that to the next CAS's lock prefix.
+    pub(crate) fn persist_target(&self, thread: &PThread<'_>, addr: PAddr) {
         if self.durable {
             thread.flush(addr);
-            if self.fence_before_cas {
+            if !self.lock_orders {
                 thread.fence();
             }
         }
     }
 
-    /// Fence the flushes [`persist_line`](Self::persist_line) left unfenced:
+    /// Fence the flush [`persist_target`](Self::persist_target) left unfenced:
     /// an operation that returns with no boundary after its CAS must still be
     /// durable when it returns.
     pub(crate) fn fence_dropped(&self, thread: &PThread<'_>) {
-        if self.durable && !self.fence_before_cas {
+        if self.durable && self.lock_orders {
             thread.fence();
         }
     }
@@ -215,9 +235,9 @@ impl<'s> Discipline<'s> {
         input: &O::Input,
     ) -> O::Output {
         rt.run_read(|rt| loop {
-            let list = op.generator(&mut self.ctx(rt, false), input);
+            let list = op.generator(&mut self.ctx(rt, Next::Own), input);
             assert!(list.is_empty(), "a read-only operation proposed a CAS");
-            if let WrapUp::Done(out) = op.wrap_up(&mut self.ctx(rt, false), input, &list, 0) {
+            if let WrapUp::Done(out) = op.wrap_up(&mut self.ctx(rt, Next::Own), input, &list, 0) {
                 return out;
             }
         })
@@ -232,6 +252,8 @@ pub struct NormalizedCtx<'a, 't, 'm> {
     rt: &'a mut CapsuleRuntime<'t, 'm>,
     /// The placement's discipline, which [`persist`](Self::persist) follows.
     d: Discipline<'a>,
+    /// What fences a persist in its place (`None`: the persist itself).
+    ordered_by: Option<Next>,
 }
 
 impl<'a, 't, 'm> NormalizedCtx<'a, 't, 'm> {
@@ -253,12 +275,21 @@ impl<'a, 't, 'm> NormalizedCtx<'a, 't, 'm> {
         self.rt.thread().cas(addr, expected, new)
     }
 
-    /// Flush + fence a line when the simulator places flushes by hand (a
-    /// generator persisting the node its CAS is about to publish). The fence is
-    /// left out only where the placement's next publication is a CAS that
-    /// orders the flush itself (the §6 `-Opt` fast capsule).
-    pub fn persist(&self, addr: PAddr) {
-        self.d.persist_line(self.rt.thread(), addr);
+    /// Flush a line when the simulator places flushes by hand (a generator
+    /// persisting the node its CAS is about to publish), and fence it unless
+    /// the placement already fences before that publication: the fast
+    /// capsule's durable announcement before its CAS, a General boundary
+    /// before its control store. A wrap-up's persists always fence.
+    pub fn persist(&mut self, addr: PAddr) {
+        if self.d.durable {
+            let thread = self.rt.thread();
+            thread.flush(addr);
+            match self.ordered_by {
+                None => thread.fence(),
+                Some(Next::Boundary) => self.rt.fence_at_next_boundary(),
+                Some(_) => {}
+            }
+        }
     }
 }
 
@@ -407,12 +438,12 @@ impl NormalizedSimulator {
         self
     }
 
-    /// Flush + fence everywhere.
+    /// No `-Opt` fence dropping: every CAS target's persist fences.
     fn discipline(&self) -> Discipline<'_> {
         Discipline {
             space: &self.space,
             durable: self.durable,
-            fence_before_cas: true,
+            lock_orders: false,
         }
     }
 
@@ -455,7 +486,7 @@ impl NormalizedSimulator {
                     },
                 ),
                 PC_GEN => {
-                    let list = op.generator(&mut d.ctx(rt, false), input);
+                    let list = op.generator(&mut d.ctx(rt, Next::Boundary), input);
                     self.persist_list_and_boundary(rt, &list);
                     cached = Some(list);
                     CapsuleStep::Continue
@@ -467,7 +498,7 @@ impl NormalizedSimulator {
                         cached.take().expect("volatile CAS-list cache disappeared")
                     };
                     let executed = self.cas_executor(rt, &list);
-                    match op.wrap_up(&mut d.ctx(rt, false), input, &list, executed) {
+                    match op.wrap_up(&mut d.ctx(rt, Next::Own), input, &list, executed) {
                         WrapUp::Done(out) => {
                             rt.set_local(L_OUT, out.to_word());
                             rt.finish_boundary(PC_DONE);
@@ -485,7 +516,7 @@ impl NormalizedSimulator {
                             } else {
                                 // §7: the wrap-up and the next iteration's generator
                                 // share this capsule — one boundary per iteration.
-                                let list = op.generator(&mut d.ctx(rt, false), input);
+                                let list = op.generator(&mut d.ctx(rt, Next::Boundary), input);
                                 self.persist_list_and_boundary(rt, &list);
                                 cached = Some(list);
                                 CapsuleStep::Continue
@@ -634,8 +665,10 @@ impl Simulator for NormalizedSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CasReadSimulator;
     use capsules::BoundaryStyle;
     use pmem::{install_quiet_crash_hook, CrashPolicy, PMem};
+    use std::cell::Cell;
 
     /// A normalized fetch-and-add: generator reads the counter and proposes one CAS;
     /// wrap-up returns the old value on success and restarts on contention.
@@ -882,6 +915,157 @@ mod tests {
         let durable = run_with(true);
         assert!(durable.flushes > plain.flushes);
         assert!(durable.fences > plain.fences);
+    }
+
+    /// An increment whose generator first persists a record of its own, the
+    /// way a push persists its node. `fenced` keeps the fences that persist
+    /// issued; with a `bare` frame the §6 placement saves no field at the
+    /// generator's boundary (`rebuild` derives the CAS), and `published`
+    /// keeps the fences from the persist to the CAS-Read capsule's start.
+    struct PersistThenAdd<'t, 'm> {
+        t: &'t PThread<'m>,
+        x: PAddr,
+        bare: bool,
+        fenced: Cell<u64>,
+        persisted_at: Cell<u64>,
+        published: Cell<u64>,
+    }
+
+    impl NormalizedOp for PersistThenAdd<'_, '_> {
+        type Input = ();
+        type Output = ();
+
+        fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, _: &()) -> CasList {
+            let record = self.t.alloc(pmem::LINE_WORDS);
+            self.t.write(record, 1);
+            let before = self.t.stats().fences;
+            ctx.persist(record);
+            self.persisted_at.set(self.t.stats().fences);
+            self.fenced.set(self.persisted_at.get() - before);
+            let v = ctx.read(self.x);
+            vec![CasDesc::new(self.x, v, v + 1)]
+        }
+
+        fn wrap_up(
+            &self,
+            _: &mut NormalizedCtx<'_, '_, '_>,
+            _: &(),
+            _: &CasList,
+            executed: usize,
+        ) -> WrapUp<()> {
+            match executed {
+                1 => WrapUp::Done(()),
+                _ => WrapUp::Restart,
+            }
+        }
+
+        fn frame(&self) -> CasFrame {
+            match self.bare {
+                true => CasFrame::default(),
+                // The default frame, which keeps the whole CAS.
+                false => NormalizedCounter { x: self.x }.frame(),
+            }
+        }
+
+        fn rebuild(&self, kept: CasDesc) -> CasDesc {
+            self.published.set(self.t.stats().fences - self.persisted_at.get());
+            match self.bare {
+                // The one add from 0 each test machine runs.
+                true => CasDesc::new(self.x, 0, 1),
+                false => kept,
+            }
+        }
+    }
+
+    /// One operation of `sim` (built over a space whose announcement is
+    /// durable iff `durable_space`) on a `style` frame: the fences of the
+    /// generator's persist, and those between it and the CAS-Read capsule.
+    fn generator_fences<S: Simulator>(
+        sim: impl Fn(RcasSpace) -> S,
+        durable_space: bool,
+        style: BoundaryStyle,
+        bare: bool,
+    ) -> (u64, u64) {
+        use pmem::{MemConfig, Mode};
+        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+        let t = mem.thread(0);
+        let space = RcasSpace::with_default_layout(&t, 1).with_durability(durable_space);
+        let x = space.create(&t, 0).addr();
+        let sim = sim(space);
+        let mut rt = CapsuleRuntime::new(&t, style, S::LOCALS.unwrap_or(5));
+        let op = PersistThenAdd {
+            t: &t,
+            x,
+            bare,
+            fenced: Cell::new(0),
+            persisted_at: Cell::new(0),
+            published: Cell::new(0),
+        };
+        sim.run(&mut rt, &op, &());
+        assert_eq!(space.read(&t, x), 1);
+        (op.fenced.get(), op.published.get())
+    }
+
+    fn cas_read(adaptive: bool, style: BoundaryStyle) -> impl Fn(RcasSpace) -> CasReadSimulator {
+        move |space| {
+            let sim = CasReadSimulator::new(space).with_durable(true);
+            sim.with_style(style).with_adaptive(adaptive)
+        }
+    }
+
+    fn normalized(
+        adaptive: bool,
+        style: BoundaryStyle,
+    ) -> impl Fn(RcasSpace) -> NormalizedSimulator {
+        move |space| {
+            let sim = NormalizedSimulator::new(space, true).with_inline_lists();
+            sim.with_style(style).with_adaptive(adaptive)
+        }
+    }
+
+    /// The fast capsule's announcement flush + fence orders a generator's
+    /// flush before the CAS only when the space is durable; without it (and
+    /// outside the `-Opt` style, whose lock-prefix rule is its own) the
+    /// generator's persist keeps its fence.
+    #[test]
+    fn a_fast_generator_leaves_its_fence_to_a_durable_announcement_only() {
+        let general = BoundaryStyle::General;
+        for durable_space in [true, false] {
+            let want = !durable_space as u64;
+            let got = generator_fences(cas_read(true, general), durable_space, general, false);
+            assert_eq!(got.0, want, "§6 fast, durable space {durable_space}");
+            let got = generator_fences(normalized(true, general), durable_space, general, false);
+            assert_eq!(got.0, want, "§7 fast, durable space {durable_space}");
+        }
+        let compact = BoundaryStyle::Compact;
+        let got = generator_fences(normalized(true, compact), true, compact, false);
+        assert_eq!(got.0, 0, "§7 fast on a Compact frame, durable space");
+    }
+
+    /// A slow-path generator before a General boundary leaves its fence to
+    /// the boundary, which fences before its control store even when it saves
+    /// no slot: one fence there, one after the control store.
+    #[test]
+    fn a_general_boundary_that_saves_no_slot_fences_for_a_skipped_generator_fence() {
+        let general = BoundaryStyle::General;
+        for bare in [true, false] {
+            let (fenced, published) =
+                generator_fences(cas_read(false, general), true, general, bare);
+            assert_eq!((fenced, published), (0, 2), "bare frame {bare}");
+        }
+        let (fenced, _) = generator_fences(normalized(false, general), true, general, false);
+        assert_eq!(fenced, 0, "§7 slow on a General frame");
+    }
+
+    /// A Compact boundary fences only after its control store (DESIGN.md
+    /// §13), so a slow-path generator before one keeps its fence.
+    #[test]
+    fn a_compact_slow_path_fences_its_generator_persist() {
+        let compact = BoundaryStyle::Compact;
+        let (fenced, published) = generator_fences(cas_read(false, compact), true, compact, true);
+        assert_eq!((fenced, published), (1, 1), "§6 slow, bare Compact frame");
+        let (fenced, _) = generator_fences(normalized(false, compact), true, compact, false);
+        assert_eq!(fenced, 1, "§7 slow, inline list on a Compact frame");
     }
 
     #[test]

@@ -50,8 +50,9 @@
 //! The per-instruction hook sits behind the `ARMED_SCHED` bit of
 //! [`PThread`](crate::PThread)'s packed `hot_armed` byte — beside the crash
 //! and happens-before bits — so a run without a scheduler pays one predictable
-//! never-taken branch per instruction and the `instr_overhead` disarmed rows
-//! regress 0%. Armed, every instruction takes a mutex; arm it in sweeps, not in
+//! never-taken branch per instruction. That disarmed path is what `dfbench`'s
+//! per-layer `pmem.*_ns` rows and the `instr_overhead` disarmed rows time.
+//! Armed, every instruction takes a mutex; arm it in sweeps, not in
 //! throughput runs.
 
 use std::sync::{Arc, Condvar, Mutex};

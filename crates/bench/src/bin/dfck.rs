@@ -46,10 +46,7 @@
 
 use std::time::Instant;
 
-use bench::dfck::{
-    sweep, sweep_interleaved, sweep_interleaved_multi, sweep_system, ConcWorkload, Shape, Variant,
-    Workload,
-};
+use bench::dfck::{sweep, sweep_interleaved, sweep_interleaved_multi, sweep_system, Shape, Variant};
 use bench::json::{emit, require_nonzero, JsonRow};
 use bench::sweep::Report;
 use bench::{env_u64, env_u64_in};
@@ -221,15 +218,8 @@ fn main() {
     let mut reports: Vec<Report> = Vec::new();
     if !conc_only {
         for variant in Variant::swept() {
-            // Per shape: the pair workload (for maps, its analogue crossing a
-            // bucket-array resize inside the swept window) and a seeded
-            // multi-op one (maps share the set's generator — same op
-            // alphabet — on the tiny bucket array).
-            let workloads = match variant.shape() {
-                Shape::Fifo | Shape::Lifo => [Workload::pair(), Workload::seeded(seed, ops)],
-                Shape::Set => [Workload::set_pair(), Workload::set_seeded(seed, ops)],
-                Shape::Map => [Workload::map_resize(), Workload::set_seeded(seed, ops)],
-            };
+            // Per shape: the pair workload and a seeded multi-op one.
+            let workloads = variant.shape().workloads(seed, ops);
             for workload in &workloads {
                 for nested in [None, Some(NESTED_GAP)] {
                     // Per-process (PPM) sweeps, then the full-system sweeps that
@@ -262,13 +252,8 @@ fn main() {
     let seeds: Vec<u64> = (1..=conc_seeds).collect();
     let mut conc_reports: Vec<Report> = Vec::new();
     if !seeds.is_empty() {
-        let workload_for = |variant: Variant, threads: usize| match variant.shape() {
-            Shape::Fifo | Shape::Lifo => ConcWorkload::pair(threads),
-            Shape::Set => ConcWorkload::set_pair(threads),
-            Shape::Map => ConcWorkload::map_pair(threads),
-        };
         for &variant in &conc_variants {
-            let w = workload_for(variant, CONC_THREADS);
+            let w = variant.shape().conc_pair(CONC_THREADS);
             for nested in [&[] as &[u64], &[NESTED_GAP]] {
                 conc_reports.push(sweep_interleaved(variant, &w, &seeds, nested, false));
                 conc_reports.push(sweep_interleaved(variant, &w, &seeds, nested, true));
@@ -297,7 +282,7 @@ fn main() {
         // A wider map row: three scheduled pids race the resize trigger while
         // the victim *and* a co-victim crash in the same replay.
         if conc_variants.contains(&Variant::MapGeneral) {
-            let w3 = workload_for(Variant::MapGeneral, 3);
+            let w3 = Shape::Map.conc_pair(3);
             conc_reports.push(sweep_interleaved_multi(
                 Variant::MapGeneral,
                 &w3,

@@ -19,18 +19,22 @@
 //! [`build`] is the single table from a variant to its structure and
 //! [`Built::handle`] the single table to its boxed per-thread handle (the
 //! throughput runner, [`crate::run_workload`], builds through the same two).
-//! A replay then runs every operation through one of exactly **three
+//! A replay then runs every operation through one of exactly **two
 //! op-runners**, picked by variant:
 //!
-//! * **non-detectable** (the Izraelevitz constructions): no recovery protocol —
-//!   [`catch_crash`] unwinds to the driver, which records the operation as
-//!   [`OpOutcome::Interrupted`]; the oracle forks applied/not-applied;
-//! * **capsule** (General / Normalized, every shape): the capsule runtime
-//!   absorbs the crash inside the operation, which completes with its exact
-//!   result; recovery counters are the delta of the handle's
+//! * **detectable** (General / Normalized, every shape, and the LogQueue): the
+//!   handle absorbs the crash inside the operation — the capsule runtime, or
+//!   the LogQueue's recovery protocol — and the operation completes with its
+//!   exact result; recovery counters are the delta of the handle's
 //!   [`StructHandle::capsule_metrics`];
-//! * **LogQueue**: the driver runs the queue's detectable-recovery protocol
-//!   (`log_queue_op`) until the operation's exact result is known.
+//! * **non-detectable** (the Izraelevitz constructions): no recovery protocol —
+//!   [`catch_crash`] unwinds to the driver, which applies the crash
+//!   ([`PThread::apply_crash`]) and records the operation as
+//!   [`OpOutcome::Interrupted`]; the oracle forks applied/not-applied.
+//!
+//! Either way the crash flavour (per-process or full-system) is the replay
+//! machine's ([`MemConfig::system_crashes`]), set once where the replay builds
+//! it.
 //!
 //! After every replay the engine drains the structure (bounded by the replay's
 //! maximum possible survivors, so a corrupted cyclic chain is a violation, not
@@ -58,7 +62,6 @@
 //! ([`sweep::check_linearizable`]), with timestamps taken from the scheduler's
 //! global instruction clock.
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use capsules::{BoundaryStyle, CapsuleMetrics, ContentionMeasure};
@@ -68,7 +71,7 @@ use pmem::{
 };
 use delayfree::handle::{apply_stack, drain_by_pops};
 use delayfree::{Drain, StructHandle, StructOp};
-use queues::{Durability, GeneralQueue, MsQueue, NormalizedQueue, RecoveredOp};
+use queues::{Durability, GeneralQueue, MsQueue, NormalizedQueue};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rcas::RcasLayout;
@@ -97,6 +100,38 @@ pub enum Shape {
 }
 
 impl Shape {
+    /// The shape's canonical pair workload: one addition and one removal (for
+    /// maps, the analogue that crosses a bucket-array resize inside the swept
+    /// window).
+    pub fn pair(self) -> Workload {
+        match self {
+            Shape::Fifo | Shape::Lifo => Workload::pair(),
+            Shape::Set => Workload::set_pair(),
+            Shape::Map => Workload::map_resize(),
+        }
+    }
+
+    /// The sweeper matrix's workloads of this shape: the [`pair`](Shape::pair)
+    /// and a seeded multi-op one of `ops` operations (maps share the set's
+    /// generator — same op alphabet — on the tiny bucket array).
+    pub fn workloads(self, seed: u64, ops: usize) -> [Workload; 2] {
+        let multi = match self {
+            Shape::Fifo | Shape::Lifo => Workload::seeded(seed, ops),
+            Shape::Set | Shape::Map => Workload::set_seeded(seed, ops),
+        };
+        [self.pair(), multi]
+    }
+
+    /// The shape's canonical concurrent workload over `threads` scheduled
+    /// pids.
+    pub fn conc_pair(self, threads: usize) -> ConcWorkload {
+        match self {
+            Shape::Fifo | Shape::Lifo => ConcWorkload::pair(threads),
+            Shape::Set => ConcWorkload::set_pair(threads),
+            Shape::Map => ConcWorkload::map_pair(threads),
+        }
+    }
+
     /// The operation that puts `v` into a structure of this shape before the
     /// swept window.
     pub(crate) fn prefill_op(self, v: u64) -> StructOp {
@@ -727,116 +762,24 @@ impl Built {
     }
 }
 
-/// Run one operation through the LogQueue's detectable-recovery protocol
-/// (documented on `LogQueue::logged_seq`), retrying through crashes — nested
-/// ones included — until the operation's exact result is known. Crashes are
-/// applied kill-aware via [`sweep::apply_driver_crash`].
-fn log_queue_op(
-    q: &queues::LogQueue,
-    t: &PThread<'_>,
-    h: &mut dyn StructHandle,
-    op: StructOp,
-    system: bool,
-    recoveries: &Cell<u64>,
-    recovery_crashes: &Cell<u64>,
-) -> Option<u64> {
-    // Single site for the per-crash bookkeeping (stats, machine fault flag)
-    // so every catch in the driver accounts identically.
-    let crashed = |during_recovery: bool| {
-        if during_recovery {
-            recovery_crashes.set(recovery_crashes.get() + 1);
-        }
-        sweep::apply_driver_crash(t, system);
-    };
-    // The restart/recovery code itself executes simulated instructions, so a
-    // (nested) crash can land inside it too. Every read-only step of the
-    // driver protocol is therefore retried until it completes — safe because
-    // those steps never write.
-    let read_only = |f: &dyn Fn() -> u64, during_recovery: bool| loop {
-        match catch_crash(f) {
-            Ok(v) => break v,
-            Err(_) => {
-                crashed(during_recovery);
-                // Restarting the protocol read is itself the recovery action
-                // for a crash that lands between operations.
-                recoveries.set(recoveries.get() + 1);
-            }
-        }
-    };
-    loop {
-        let seq_before = read_only(&|| q.logged_seq(t), false);
-        match catch_crash(|| h.apply(op)) {
-            Ok(ret) => break ret,
-            Err(_) => {
-                crashed(false);
-                // Recovery itself passes crash points; a nested schedule
-                // element may interrupt it. Recovery only reads, so retrying
-                // from scratch is safe.
-                let verdict = loop {
-                    match catch_crash(|| q.recover(t)) {
-                        Ok(v) => break v,
-                        Err(_) => crashed(true),
-                    }
-                };
-                recoveries.set(recoveries.get() + 1);
-                if read_only(&|| q.logged_seq(t), true) == seq_before {
-                    // log_begin never completed: the queue is untouched;
-                    // re-run the operation from scratch.
-                    continue;
-                }
-                match verdict {
-                    RecoveredOp::None => {
-                        // The log entry is marked done: the operation
-                        // completed before the crash.
-                        break match op {
-                            StructOp::Push(_) => None,
-                            _ => loop {
-                                match catch_crash(|| q.logged_result(t)) {
-                                    Ok(r) => break r,
-                                    Err(_) => crashed(true),
-                                }
-                            },
-                        };
-                    }
-                    RecoveredOp::EnqueueApplied => break None,
-                    RecoveredOp::DequeueApplied(v) => break Some(v),
-                    RecoveredOp::EnqueueNotApplied | RecoveredOp::DequeueNotApplied => continue,
-                }
-            }
-        }
-    }
-}
-
 /// One process driving one built structure: the thread's boxed handle plus
-/// the three op-runners (module docs) and the recovery bookkeeping they
-/// share. Used verbatim by the single-threaded and the scheduled replays.
+/// the two op-runners (module docs). Used verbatim by the single-threaded and
+/// the scheduled replays.
 struct Driver<'a> {
     variant: Variant,
-    built: &'a Built,
     t: &'a PThread<'a>,
     h: Box<dyn StructHandle + 'a>,
-    system: bool,
-    /// The handle's capsule metrics when the swept window opened.
+    /// The handle's recovery counters when the swept window opened.
     base: CapsuleMetrics,
-    /// LogQueue protocol recoveries / crashes inside them (driver-counted;
-    /// the capsule variants count theirs in the runtime's metrics).
-    recoveries: Cell<u64>,
-    recovery_crashes: Cell<u64>,
 }
 
 impl<'a> Driver<'a> {
-    fn new(variant: Variant, built: &'a Built, t: &'a PThread<'a>, system: bool) -> Driver<'a> {
-        let mut h = built.handle(t);
-        h.set_system_crashes(system);
+    fn new(variant: Variant, built: &'a Built, t: &'a PThread<'a>) -> Driver<'a> {
         Driver {
             variant,
-            built,
             t,
-            h,
-            system,
+            h: built.handle(t),
             base: CapsuleMetrics::default(),
-            recoveries: Cell::new(0),
-            recovery_crashes: Cell::new(0),
         }
     }
 
@@ -847,32 +790,23 @@ impl<'a> Driver<'a> {
 
     /// Run one operation through the variant's op-runner.
     fn run(&mut self, op: StructOp) -> OpOutcome {
-        match self.built {
-            Built::Log(q) => OpOutcome::Completed(log_queue_op(
-                q,
-                self.t,
-                self.h.as_mut(),
-                op,
-                self.system,
-                &self.recoveries,
-                &self.recovery_crashes,
-            )),
-            // The capsule runtime absorbs every crash inside the operation:
-            // it completes with its exact result no matter where the schedule
+        if self.variant.detectable() {
+            // The handle absorbs every crash inside the operation: it
+            // completes with its exact result no matter where the schedule
             // fires. That completion *is* the detectability claim the oracle
             // then verifies against the crash-free history.
-            _ if self.variant.detectable() => OpOutcome::Completed(self.h.apply(op)),
-            // No recovery protocol: a crash unwinds to here, and the process
-            // cannot tell whether the interrupted operation took effect (that
-            // is the point of Figure 5's comparison). Record the ambiguity
-            // for the forked-model oracle and move on.
-            _ => match catch_crash(|| self.h.apply(op)) {
-                Ok(ret) => OpOutcome::Completed(ret),
-                Err(_) => {
-                    sweep::apply_driver_crash(self.t, self.system);
-                    OpOutcome::Interrupted
-                }
-            },
+            return OpOutcome::Completed(self.h.apply(op));
+        }
+        // No recovery protocol: a crash unwinds to here, and the process
+        // cannot tell whether the interrupted operation took effect (that is
+        // the point of Figure 5's comparison). Record the ambiguity for the
+        // forked-model oracle and move on.
+        match catch_crash(|| self.h.apply(op)) {
+            Ok(ret) => OpOutcome::Completed(ret),
+            Err(_) => {
+                self.t.apply_crash();
+                OpOutcome::Interrupted
+            }
         }
     }
 
@@ -881,10 +815,9 @@ impl<'a> Driver<'a> {
     fn window_metrics(&mut self) -> CapsuleMetrics {
         let m = self.h.capsule_metrics().unwrap_or_default();
         CapsuleMetrics {
-            recoveries: m.recoveries - self.base.recoveries + self.recoveries.get(),
+            recoveries: m.recoveries - self.base.recoveries,
             entry_retries: m.entry_retries - self.base.entry_retries,
-            recovery_crashes: m.recovery_crashes - self.base.recovery_crashes
-                + self.recovery_crashes.get(),
+            recovery_crashes: m.recovery_crashes - self.base.recovery_crashes,
             fast_ops: m.fast_ops - self.base.fast_ops,
             demotions: m.demotions - self.base.demotions,
             ..CapsuleMetrics::default()
@@ -894,7 +827,7 @@ impl<'a> Driver<'a> {
 
 /// Run one replay of `workload` on `variant` with the given crash script
 /// (a disarmed/empty plan ⇒ crash-free baseline). `system` selects full-system
-/// crash semantics (see [`sweep::apply_driver_crash`] and [`sweep`]).
+/// crash semantics: the replay machine's [`MemConfig::system_crashes`].
 ///
 /// Every replay runs with the [`pmem::HbAnalyzer`] armed (handles pick the
 /// armed bit up at construction): on top of the history oracle, any
@@ -908,12 +841,12 @@ pub(crate) fn replay(
     system: bool,
 ) -> ReplayRecord {
     pmem::install_quiet_crash_hook();
-    let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+    let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache).system_crashes(system));
     mem.hb().arm();
     let bound = workload.drain_bound();
     let t = mem.thread_with(0, variant.thread_options());
     let built = build(variant, &t, 1, MapConfig::tiny(), bound as u64, workload.adaptive, None);
-    let mut d = Driver::new(variant, &built, &t, system);
+    let mut d = Driver::new(variant, &built, &t);
     for &v in &workload.prefill {
         let _ = d.h.apply(variant.shape().prefill_op(v));
     }
@@ -1046,7 +979,7 @@ pub fn conc_replay(
     // conclude its own interrupted CAS already took effect.
     let helper = threads;
     let nprocs = threads + 1;
-    let mem = PMem::new(MemConfig::new(nprocs).mode(Mode::SharedCache));
+    let mem = PMem::new(MemConfig::new(nprocs).mode(Mode::SharedCache).system_crashes(system));
     // The happens-before analyzer is armed as in the single-threaded
     // replays: its model is schedule-aware (baton handovers draw no edges,
     // crashes are barriers), so the interleaved sweeps double as race and
@@ -1094,7 +1027,7 @@ pub fn conc_replay(
                     // Handle construction allocates: serialise it in pid
                     // order so equal seeds reproduce the same layout.
                     gate.wait_for(pid);
-                    let mut d = Driver::new(variant, built, &t, system);
+                    let mut d = Driver::new(variant, built, &t);
                     gate.advance(pid);
                     d.open_window();
                     let (history, window) =
@@ -1230,11 +1163,7 @@ mod tests {
             if (variant.shape() == Shape::Fifo) != fifo {
                 continue;
             }
-            let w = match variant.shape() {
-                Shape::Fifo | Shape::Lifo => Workload::pair(),
-                Shape::Set => Workload::set_pair(),
-                Shape::Map => Workload::map_resize(),
-            };
+            let w = variant.shape().pair();
             let r = replay(variant, &w, &crash_free(), false);
             assert_eq!(r.counts.crashes, 0);
             assert!(r.crash_points > 0, "{variant:?}: workload passed no crash points");

@@ -5,10 +5,9 @@
 //! [`CrashPlan`], the independent replays fan out across worker threads, and
 //! per-replay results are merged into a report in `k` order. This module owns
 //! that engine — the replay record, the report, the fan-out/striping, the
-//! kill-aware crash application, the drain-bound discipline and the
-//! sequential models (what a correct history looks like) — so [`crate::dfck`]
-//! contributes the driver: how to run one replay of one variant
-//! (`dfck::replay`, [`dfck::conc_replay`]).
+//! drain-bound discipline and the sequential models (what a correct history
+//! looks like) — so [`crate::dfck`] contributes the driver: how to run one
+//! replay of one variant (`dfck::replay`, [`dfck::conc_replay`]).
 //!
 //! It also owns the **generalized oracle**: a Wing&Gong-style linearization
 //! checker over timed operation histories ([`check_linearizable`]). The
@@ -201,34 +200,6 @@ impl Report {
     }
 }
 
-/// Apply a caught crash to the machine from a sweep *driver* (code outside the
-/// capsule runtime, e.g. the MSQ-Izraelevitz and LogQueue protocol drivers).
-///
-/// Kill-aware: when the crash this thread just caught was the collateral of a
-/// peer's full-system crash delivered through the
-/// [`ThreadScheduler`](pmem::ThreadScheduler)
-/// ([`PThread::take_killed`]), the peer already applied the machine-level
-/// effects (rollback + crashed flags); re-applying them would double the
-/// rollback and re-kill the peers in turn. Otherwise this is the crash the
-/// thread's own schedule raised: apply a full-system power failure (roll back
-/// every unflushed cache line and kill the scheduled peers — sound because
-/// only the baton holder executes instructions, so every peer is parked
-/// before its next access) or the default per-process fault.
-pub fn apply_driver_crash(t: &PThread, system: bool) {
-    t.note_crash();
-    if t.take_killed() {
-        let _ = t.mem().take_crashed(t.pid());
-        return;
-    }
-    if system {
-        t.mem().crash_all();
-        t.kill_peers();
-    } else {
-        t.mem().crash_thread(t.pid());
-    }
-    let _ = t.mem().take_crashed(t.pid());
-}
-
 /// Worker-thread count for the sweep fan-out: `available_parallelism` capped
 /// at 8, never more than one per replay.
 pub fn sweep_workers(replays: u64) -> usize {
@@ -381,7 +352,7 @@ impl Model {
 
     /// Apply `op`, returning the model's return value (compared against the
     /// observed [`OpOutcome::Completed`] payload).
-    fn apply(&mut self, op: StructOp) -> Option<u64> {
+    pub fn apply(&mut self, op: StructOp) -> Option<u64> {
         match (self, op) {
             (Model::Fifo(q), StructOp::Push(v)) => {
                 q.push_back(v);

@@ -167,13 +167,12 @@ mod tests {
         use pmem::{CrashPlan, MemConfig, Mode};
         install_quiet_crash_hook();
         let run = |plan: Option<CrashPlan>| -> u64 {
-            let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+            let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache).system_crashes(true));
             let t = mem.thread(0);
             let space = RcasSpace::with_default_layout(&t, 1).with_durability(true);
             let x = space.create(&t, 0).addr();
             t.persist(x);
             let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, 2);
-            rt.set_system_crashes(true);
             mem.persist_everything();
             let _ = t.take_stats();
             if let Some(p) = plan {

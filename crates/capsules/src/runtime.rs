@@ -92,11 +92,6 @@ pub struct CapsuleRuntime<'t, 'm> {
     /// Whether compact-frame boundaries assert the absence of write-after-read
     /// hazards (enabled by default; benchmarks may disable it).
     war_check: bool,
-    /// Crash flavour simulated when `run_op` catches a [`CrashSignal`]: per-process
-    /// (`false`, the default — volatile thread state lost, shared cache intact) or
-    /// full-system (`true` — every unflushed cache line rolls back too). See
-    /// [`set_system_crashes`](Self::set_system_crashes).
-    system_crashes: bool,
     /// When set, a caught crash is *not* absorbed: the signal is re-raised so it
     /// unwinds out of the operation driver entirely (see
     /// [`set_unwind_on_crash`](Self::set_unwind_on_crash)).
@@ -130,7 +125,6 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
             entry_boundary: true,
             final_boundary: true,
             war_check: true,
-            system_crashes: false,
             unwind_on_crash: false,
             contention: ContentionMeasure::new(),
             metrics: CapsuleMetrics::default(),
@@ -178,7 +172,6 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
             entry_boundary: true,
             final_boundary: true,
             war_check: true,
-            system_crashes: false,
             unwind_on_crash: false,
             contention: ContentionMeasure::new(),
             metrics: CapsuleMetrics::default(),
@@ -261,27 +254,6 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
         self.war_check = enabled;
     }
 
-    /// Select which crash flavour [`run_op`](Self::run_op) simulates when it
-    /// catches a crash. By default an injected crash is a *per-process* fault
-    /// (the PPM model of §2.1): the thread's volatile state is lost but the
-    /// shared cache survives. With system crashes enabled, every caught crash
-    /// also rolls the whole machine's unflushed cache lines back to their
-    /// durable contents ([`PMem::crash_all`](pmem::PMem::crash_all)) before
-    /// recovery runs — the shared-cache model's full-system power failure, which
-    /// additionally verifies the algorithm's flush placement.
-    ///
-    /// Only sound when no *other* thread is executing simulated instructions at
-    /// any crash point (`crash_all` requires quiescence). Single-threaded
-    /// harnesses like the `dfck` sweeper's replays satisfy this trivially;
-    /// genuinely concurrent replays satisfy it by running every worker under a
-    /// [`ThreadScheduler`](pmem::ThreadScheduler), whose baton guarantees the
-    /// crashing thread is the only one executing simulated instructions — the
-    /// handler below then broadcasts the crash to the parked peers with
-    /// [`PThread::kill_peers`](pmem::PThread::kill_peers).
-    pub fn set_system_crashes(&mut self, enabled: bool) {
-        self.system_crashes = enabled;
-    }
-
     /// Choose what happens when the operation driver catches a crash. The default
     /// (`false`) absorbs the crash: the runtime applies the machine-level fault,
     /// reloads the frame and re-enters the body — a process that restarts
@@ -298,30 +270,6 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
     /// workers have quiesced).
     pub fn set_unwind_on_crash(&mut self, enabled: bool) {
         self.unwind_on_crash = enabled;
-    }
-
-    /// Record the caught crash with the machine: full-system rollback in system
-    /// mode, per-process fault otherwise.
-    ///
-    /// A crash that was itself the *collateral* of a peer's full-system crash —
-    /// a kill delivered at a scheduler yield point — applies nothing further:
-    /// the crashing peer already rolled the machine back and set every crashed
-    /// flag, and re-applying `crash_all` here would roll back state the peers
-    /// legitimately wrote *after* that crash. (The machine-level crashed flag is
-    /// consumed by [`recover`](Self::recover), exactly as for a direct crash.)
-    fn apply_crash(&self) {
-        self.thread.note_crash();
-        if self.thread.take_killed() {
-            return;
-        }
-        if self.system_crashes {
-            self.thread.mem().crash_all();
-            // Under a thread scheduler the other workers are parked mid-access:
-            // deliver the same crash to them. A no-op without a scheduler.
-            self.thread.kill_peers();
-        } else {
-            self.thread.mem().crash_thread(self.thread.pid());
-        }
     }
 
     // ----- persisted locals ----------------------------------------------------
@@ -512,7 +460,7 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
                             raise_crash(crashed.signal.pid, crashed.signal.at_step);
                         }
                         self.metrics.entry_retries += 1;
-                        self.apply_crash();
+                        self.thread.apply_crash();
                         self.pc = entry_pc;
                     }
                 }
@@ -531,8 +479,9 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
     /// recovery: a crash inside `body` is retried directly, exactly like a
     /// crash inside [`run_op`](Self::run_op)'s entry boundary (the arguments
     /// still live in the caller, and nothing durable names the operation), and
-    /// is counted in [`CapsuleMetrics::entry_retries`]. Unwinding and the
-    /// crash flavour follow `run_op`.
+    /// is counted in [`CapsuleMetrics::entry_retries`]. Unwinding follows
+    /// `run_op`; the crash flavour is the machine's, as everywhere
+    /// ([`PThread::apply_crash`](pmem::PThread::apply_crash)).
     pub fn run_read<R>(&mut self, mut body: impl FnMut(&mut Self) -> R) -> R {
         self.metrics.operations += 1;
         loop {
@@ -543,7 +492,7 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
                         raise_crash(crashed.signal.pid, crashed.signal.at_step);
                     }
                     self.metrics.entry_retries += 1;
-                    self.apply_crash();
+                    self.thread.apply_crash();
                 }
             }
         }
@@ -584,13 +533,13 @@ impl<'t, 'm> CapsuleRuntime<'t, 'm> {
                     // recovery itself may be interrupted by a further crash — the
                     // model allows crashes at any instruction — so retry it until
                     // it completes (recovery is idempotent: it only reads).
-                    self.apply_crash();
+                    self.thread.apply_crash();
                     while catch_crash(|| self.recover()).is_err() {
                         // A crash interrupted the recovery itself (the model allows
                         // crashes at any instruction); count it so sweeps can assert
                         // the nested path was exercised, then restart the recovery.
                         self.metrics.recovery_crashes += 1;
-                        self.apply_crash();
+                        self.thread.apply_crash();
                     }
                 }
             }
@@ -837,7 +786,8 @@ mod tests {
         // at both crashes and observe them as kills; everyone's state machine
         // must still produce the exact sum.
         let run = |seed: u64| -> (Vec<(u64, u64)>, u64) {
-            let mem = PMem::new(MemConfig::new(WORKERS).mode(Mode::SharedCache));
+            let config = MemConfig::new(WORKERS).mode(Mode::SharedCache).system_crashes(true);
+            let mem = PMem::new(config);
             let sched = ThreadScheduler::new(SchedConfig::new(WORKERS, seed));
             let per_pid: Vec<(u64, u64)> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..WORKERS)
@@ -849,7 +799,6 @@ mod tests {
                             t.set_thread_scheduler(Arc::clone(sched));
                             let _guard = sched.finish_guard(pid);
                             let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, 2);
-                            rt.set_system_crashes(true);
                             if pid == 0 {
                                 t.set_crash_schedule(CrashPlan::new(vec![25, 3]));
                             }
@@ -950,7 +899,7 @@ mod tests {
     fn run_read_retries_in_place_and_leaves_the_frame_alone() {
         use pmem::{CrashPlan, MemConfig, Mode};
         install_quiet_crash_hook();
-        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache).system_crashes(true));
         let t = mem.thread(0);
         let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, 2);
         rt.set_local(0, 5);
@@ -960,7 +909,6 @@ mod tests {
         t.write(x, 7); // never flushed: a system crash rolls it back to 0
         let read_twice = |rt: &mut CapsuleRuntime| (rt.thread().read(x), rt.thread().read(x));
         let before = rt.metrics();
-        rt.set_system_crashes(true);
         t.set_crash_schedule(CrashPlan::once(1));
         assert_eq!(
             rt.run_read(read_twice),

@@ -544,14 +544,14 @@ mod tests {
             plan: Option<CrashPlan>,
             system: bool,
         ) -> u64 {
-            let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+            let config = MemConfig::new(1).mode(Mode::SharedCache).system_crashes(system);
+            let mem = PMem::new(config);
             let t = mem.thread(0);
             let space = RcasSpace::with_default_layout(&t, 1).with_durability(true);
             let x = space.create(&t, 0).addr();
             let sim = sim(space);
             let locals = S::LOCALS.unwrap_or(5);
             let mut rt = CapsuleRuntime::new(&t, sim.style(), locals);
-            rt.set_system_crashes(system);
             mem.persist_everything();
             let _ = t.take_stats();
             let label = format!("{plan:?} system={system}");

@@ -91,17 +91,15 @@ pub trait StructHandle {
     /// terminates. Quiescent use only.
     fn drain_up_to(&mut self, max: usize) -> Drain;
 
-    /// The capsule runtime's counters so far; `None` for a handle without a
-    /// capsule runtime (the untransformed and Izraelevitz programs, LogQueue).
+    /// The recovery counters so far of a handle that absorbs crashes itself:
+    /// a capsule handle's runtime metrics, or the LogQueue's protocol counts
+    /// (`recoveries`, `recovery_crashes`). `None` for a handle whose crashes
+    /// unwind to its driver (the untransformed and Izraelevitz programs).
+    /// Either way the crash flavour is the machine's
+    /// ([`pmem::MemConfig::system_crashes`]).
     fn capsule_metrics(&mut self) -> Option<CapsuleMetrics> {
         None
     }
-
-    /// Make crashes the capsule runtime absorbs full-system ones (unflushed
-    /// lines roll back — [`CapsuleRuntime::set_system_crashes`]). A no-op
-    /// without a runtime: the driver of such a handle catches and applies
-    /// crashes itself.
-    fn set_system_crashes(&mut self, _system: bool) {}
 
     /// Persist (the default) or elide the per-operation entry and final
     /// boundaries. The paper's §10 measurements elide both because they are
@@ -304,7 +302,7 @@ impl<'s, 't, 'm, S: Capsuled> Handle<'s, 't, 'm, S> {
         self.shared
     }
 
-    /// Access the underlying capsule runtime (metrics, crash flavour…).
+    /// Access the underlying capsule runtime (metrics, unwinding…).
     pub fn runtime_mut(&mut self) -> &mut CapsuleRuntime<'t, 'm> {
         &mut self.rt
     }
@@ -326,10 +324,6 @@ impl<S: Capsuled> StructHandle for Handle<'_, '_, '_, S> {
 
     fn capsule_metrics(&mut self) -> Option<CapsuleMetrics> {
         Some(self.rt.metrics())
-    }
-
-    fn set_system_crashes(&mut self, system: bool) {
-        self.rt.set_system_crashes(system);
     }
 
     fn set_op_boundaries(&mut self, enabled: bool) {

@@ -54,6 +54,9 @@
 //! crash point; when the policy fires, the access panics with a [`CrashSignal`]
 //! payload, which the capsule runtime (see the `capsules` crate) catches to emulate
 //! the loss of volatile state followed by a restart from the last capsule boundary.
+//! Whoever catches a crash hands it to [`PThread::apply_crash`], which applies the
+//! machine's crash flavour ([`MemConfig::system_crashes`]: per-process by default,
+//! full-system on request).
 //!
 //! ## Statistics
 //!

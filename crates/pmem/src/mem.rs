@@ -32,6 +32,9 @@ pub struct MemConfig {
     pub threads: usize,
     /// Cache model (private-cache PPM model or shared-cache model).
     pub mode: Mode,
+    /// Crash flavour of [`PThread::apply_crash`]: per-process (`false`, the
+    /// default — the PPM model of §2.1) or full-system (unflushed lines roll back).
+    pub system_crashes: bool,
 }
 
 impl MemConfig {
@@ -40,12 +43,19 @@ impl MemConfig {
         MemConfig {
             threads,
             mode: Mode::default(),
+            system_crashes: false,
         }
     }
 
     /// Select the cache model.
     pub fn mode(mut self, mode: Mode) -> MemConfig {
         self.mode = mode;
+        self
+    }
+
+    /// Select the crash flavour ([`system_crashes`](MemConfig::system_crashes)).
+    pub fn system_crashes(mut self, enabled: bool) -> MemConfig {
+        self.system_crashes = enabled;
         self
     }
 }
@@ -100,6 +110,7 @@ pub struct PMem {
     retired: Mutex<Vec<Arc<Arena>>>,
     mode: Mode,
     threads: usize,
+    system_crashes: bool,
     crashed: Vec<AtomicBool>,
     restart_base: PAddr,
     crash_events: AtomicU64,
@@ -151,6 +162,7 @@ impl PMem {
             retired: Mutex::new(Vec::new()),
             mode: config.mode,
             threads: config.threads,
+            system_crashes: config.system_crashes,
             crashed: (0..config.threads).map(|_| AtomicBool::new(false)).collect(),
             restart_base,
             crash_events: AtomicU64::new(0),
@@ -416,8 +428,8 @@ pub struct PThread<'m> {
     /// scheduler (every throughput run) never touch it.
     scheduler: RefCell<Option<Arc<ThreadScheduler>>>,
     /// Set when the scheduler delivered a kill (a peer's full-system crash) at
-    /// one of this thread's yield points; consumed by [`take_killed`](PThread::take_killed)
-    /// so the crash handler can tell collateral kills from scheduled crashes.
+    /// one of this thread's yield points; consumed by [`apply_crash`](PThread::apply_crash)
+    /// so collateral kills are told apart from scheduled crashes.
     killed: Cell<bool>,
     /// Global (cross-process) index of the last instruction the scheduler
     /// granted this thread — the logical clock concurrent-history oracles use
@@ -549,13 +561,27 @@ impl<'m> PThread<'m> {
         self.step.get()
     }
 
-    /// Record that this thread observed a simulated crash (increments the crash
-    /// counter in [`Stats`]); called by the capsule runtime when it catches a
-    /// [`CrashSignal`](crate::CrashSignal).
-    pub fn note_crash(&self) {
+    /// Apply a crash this thread caught — the one crash path of every driver
+    /// that catches one. Counts it in [`Stats`]; a *kill* (a peer's
+    /// full-system crash delivered at a [`ThreadScheduler`] yield point)
+    /// applies nothing further, since the peer already did. Otherwise the
+    /// machine's flavour ([`MemConfig::system_crashes`]): [`PMem::crash_all`]
+    /// and a kill of every scheduled peer (parked before its next access, so
+    /// the rollback is quiescent), or [`PMem::crash_thread`]. The crashed flag
+    /// is left for [`take_crashed`](PThread::take_crashed).
+    pub fn apply_crash(&self) {
         StatCells::add(&self.stats.crashes, 1);
         // A crash ends the fence window: recovery counts duplicates afresh.
         self.pending_len.set(0);
+        if self.killed.replace(false) {
+            return;
+        }
+        if self.mem.system_crashes {
+            self.mem.crash_all();
+            self.kill_peers();
+        } else {
+            self.mem.crash_thread(self.pid);
+        }
     }
 
     /// Begin counting instructions as *recovery* steps (for recovery-delay
@@ -688,21 +714,10 @@ impl<'m> PThread<'m> {
         self.set_hot(Self::ARMED_SCHED, false);
     }
 
-    /// Whether the last crash this thread observed was a *kill* — the
-    /// collateral of a peer's full-system crash delivered at a yield point —
-    /// rather than this thread's own crash schedule firing. Resets the marker.
-    /// Crash handlers use this to skip re-applying machine-level crash effects
-    /// that the crashing peer already applied.
-    pub fn take_killed(&self) -> bool {
-        self.killed.replace(false)
-    }
-
-    /// Broadcast a kill to every other scheduled participant (no-op without a
-    /// scheduler). Called by the crash handler of a thread whose crash is
-    /// *full-system* ([`PMem::crash_all`]): the peers are parked mid-access and
-    /// must observe the same crash, which they do by raising a
-    /// [`CrashSignal`](crate::CrashSignal) at their next yield point.
-    pub fn kill_peers(&self) {
+    /// Deliver a kill to every other scheduled participant (no-op without a
+    /// scheduler): each raises a [`CrashSignal`](crate::CrashSignal) at its
+    /// next yield point.
+    pub(crate) fn kill_peers(&self) {
         if let Some(sched) = self.scheduler.borrow().as_ref() {
             sched.kill_peers(self.pid);
         }

@@ -36,8 +36,8 @@
 //! the sweep wants.
 //!
 //! A full-system crash must also take down the *other* processes, which are
-//! parked mid-instruction. The crashing process calls
-//! [`PThread::kill_peers`](crate::PThread::kill_peers) (after
+//! parked mid-instruction. The crashing process's
+//! [`PThread::apply_crash`](crate::PThread::apply_crash) kills them (after
 //! [`crash_all`](crate::PMem::crash_all)); each peer's next yield point then
 //! returns a kill verdict instead of running, and the peer raises a normal
 //! [`CrashSignal`](crate::CrashSignal) from its own instruction stream. Kills
@@ -476,8 +476,11 @@ mod tests {
                                 }
                             })
                             .is_err();
-                            let killed = t.take_killed();
-                            assert!(killed, "kill must set the killed marker");
+                            // A kill is applied as nothing further: the
+                            // killing peer already applied the crash.
+                            let events = mem.crash_events();
+                            t.apply_crash();
+                            assert_eq!(mem.crash_events(), events, "a kill must not crash again");
                             (1, crashed)
                         }
                     })
@@ -526,7 +529,9 @@ mod tests {
                     }) {
                         Ok(()) => issued = 40,
                         Err(_) => {
-                            assert!(t.take_killed());
+                            let events = mem.crash_events();
+                            t.apply_crash();
+                            assert_eq!(mem.crash_events(), events, "a kill must not crash again");
                             crashes += 1;
                             issued = t.step_count().min(40);
                         }

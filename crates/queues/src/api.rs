@@ -63,9 +63,11 @@ pub trait QueueHandle {
 }
 
 /// The family-wide face of a queue handle without a capsule runtime: `Push`
-/// enqueues, `Pop` dequeues, the bounded drain dequeues.
+/// enqueues, `Pop` dequeues, the bounded drain dequeues. Trailing tokens are
+/// further trait items (a handle that counts its own recoveries adds
+/// `capsule_metrics`).
 macro_rules! fifo_struct_handle {
-    ($handle:ident) => {
+    ($handle:ident $(, $($item:tt)+)?) => {
         impl delayfree::StructHandle for $handle<'_, '_, '_> {
             fn apply(&mut self, op: delayfree::StructOp) -> Option<u64> {
                 delayfree::handle::apply_stack(self, op, Self::enqueue, Self::dequeue)
@@ -74,6 +76,8 @@ macro_rules! fifo_struct_handle {
             fn drain_up_to(&mut self, max: usize) -> delayfree::Drain {
                 delayfree::handle::drain_by_pops(max, || self.dequeue())
             }
+
+            $($($item)+)?
         }
     };
 }
@@ -283,7 +287,7 @@ pub(crate) mod testkit {
         let enqueued: &[Option<u64>] = &[Some(1), Some(2)];
         let dequeued: &[Option<u64>] = &[Some(1), Some(2), Some(3), None];
         let run = |flag, prefill: &[Option<u64>], system, plan: Option<CrashPlan>| {
-            let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+            let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache).system_crashes(system));
             let t = mem.thread(0);
             let q = build(&t, flag);
             let mut h = Handle::new(&q, &t);
@@ -295,7 +299,6 @@ pub(crate) mod testkit {
             }
             mem.crash_all();
             let mut h = Handle::attach(&q, &t);
-            h.runtime_mut().set_system_crashes(system);
             let _ = t.take_stats();
             if let Some(plan) = plan {
                 t.set_crash_schedule(plan);

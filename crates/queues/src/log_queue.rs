@@ -12,9 +12,12 @@
 //! is not marked done, determines whether it nevertheless took effect by traversing
 //! the queue — which is why LogQueue recovery is O(queue length) while the
 //! capsule-based transformations recover in constant time (the comparison in the
-//! supplementary recovery-delay table).
+//! supplementary recovery-delay table). A [`LogQueueHandle`] runs that recovery
+//! itself: like a capsule handle, it absorbs every crash inside the operation and
+//! returns the operation's exact result.
 
-use pmem::{PAddr, PThread, LINE_WORDS};
+use capsules::CapsuleMetrics;
+use pmem::{catch_crash, PAddr, PThread, LINE_WORDS};
 
 use crate::api::{fifo_struct_handle, QueueHandle};
 use crate::node::{alloc_node, dequeuer_addr, next_addr, value_addr};
@@ -93,7 +96,11 @@ impl LogQueue {
 
     /// Create the calling thread's handle.
     pub fn handle<'q, 't, 'm>(&'q self, thread: &'t PThread<'m>) -> LogQueueHandle<'q, 't, 'm> {
-        LogQueueHandle { queue: self, thread }
+        LogQueueHandle {
+            queue: self,
+            thread,
+            metrics: CapsuleMetrics::default(),
+        }
     }
 
     /// Count elements reachable from the head (diagnostic; not linearizable).
@@ -116,25 +123,16 @@ impl LogQueue {
         self.len(thread) == 0
     }
 
-    /// The operation sequence number currently recorded in `thread`'s log entry.
-    ///
-    /// The crash-replay driver protocol (used by the `dfck` sweeper): read this
-    /// *before* starting an operation; after a crash, if it is unchanged the
-    /// interrupted operation never completed its `log_begin` and therefore never
-    /// touched the queue — re-run it from scratch without consulting
-    /// [`recover`](Self::recover) (whose verdict could be computed from a torn
-    /// record). If it advanced, the log record is fully this operation's and the
-    /// recovery verdict is reliable; [`RecoveredOp::None`] then means the
-    /// operation *completed* (its log entry was marked done) and a dequeue's
-    /// return value is available from [`logged_result`](Self::logged_result).
-    pub fn logged_seq(&self, thread: &PThread<'_>) -> u64 {
+    /// The operation sequence number currently recorded in `thread`'s log
+    /// entry (the protocol of [`LogQueueHandle`] reads it around a crash).
+    fn logged_seq(&self, thread: &PThread<'_>) -> u64 {
         thread.read(self.log_addr(thread.pid(), LOG_SEQ))
     }
 
     /// The completed-operation result recorded in `thread`'s log entry (only
     /// meaningful for a dequeue whose log entry is marked done): `None` for an
     /// empty-queue dequeue, `Some(v)` for a dequeue that returned `v`.
-    pub fn logged_result(&self, thread: &PThread<'_>) -> Option<u64> {
+    fn logged_result(&self, thread: &PThread<'_>) -> Option<u64> {
         let word = thread.read(self.log_addr(thread.pid(), LOG_RESULT));
         if word & 1 == 0 {
             None
@@ -197,14 +195,100 @@ impl LogQueue {
     }
 }
 
-/// Per-thread handle for the LogQueue.
+/// A LogQueue operation, as the handle's recovery protocol re-runs it.
+#[derive(Clone, Copy)]
+enum LogOp {
+    Enqueue(u64),
+    Dequeue,
+}
+
+/// Per-thread handle for the LogQueue. Every operation runs the queue's
+/// detectable-recovery protocol and absorbs crashes, nested ones included, as
+/// a capsule handle does: read the logged sequence number before the
+/// operation; on a crash apply it ([`PThread::apply_crash`]) and run
+/// [`LogQueue::recover`], restarted through further crashes (it only reads).
+/// An unchanged sequence number means `log_begin` never completed and the
+/// queue is untouched: re-run the operation. Otherwise the record is fully
+/// this operation's, so answer from the verdict or from a done dequeue's
+/// logged result, or re-run an operation that did not take effect.
+/// `recoveries` and `recovery_crashes` are counted in the [`CapsuleMetrics`]
+/// of [`capsule_metrics`](delayfree::StructHandle::capsule_metrics).
 #[derive(Debug)]
 pub struct LogQueueHandle<'q, 't, 'm> {
     queue: &'q LogQueue,
     thread: &'t PThread<'m>,
+    metrics: CapsuleMetrics,
+}
+
+/// Run the read-only protocol step `f` until it completes without a crash
+/// (it never writes, so restarting it is safe), applying every crash and
+/// counting it with `count`.
+fn retry_read<R>(
+    t: &PThread<'_>,
+    metrics: &mut CapsuleMetrics,
+    count: fn(&mut CapsuleMetrics),
+    f: impl Fn() -> R,
+) -> R {
+    loop {
+        match catch_crash(&f) {
+            Ok(v) => return v,
+            Err(_) => {
+                t.apply_crash();
+                count(metrics);
+            }
+        }
+    }
 }
 
 impl LogQueueHandle<'_, '_, '_> {
+    /// Run `op` through the recovery protocol (see [`LogQueueHandle`]) until
+    /// its exact result is known.
+    fn run(&mut self, op: LogOp) -> Option<u64> {
+        let (q, t) = (self.queue, self.thread);
+        // Restarting the read before the operation is itself a recovery
+        // action; a crash inside a recovery step is a recovery crash.
+        let restart: fn(&mut CapsuleMetrics) = |m| m.recoveries += 1;
+        let in_recovery: fn(&mut CapsuleMetrics) = |m| m.recovery_crashes += 1;
+        loop {
+            let seq_before = retry_read(t, &mut self.metrics, restart, || q.logged_seq(t));
+            let attempt = catch_crash(|| match op {
+                LogOp::Enqueue(v) => {
+                    self.enqueue_once(v);
+                    None
+                }
+                LogOp::Dequeue => self.dequeue_once(),
+            });
+            match attempt {
+                Ok(ret) => return ret,
+                Err(_) => t.apply_crash(),
+            }
+            let verdict = retry_read(t, &mut self.metrics, in_recovery, || q.recover(t));
+            self.metrics.recoveries += 1;
+            let both: fn(&mut CapsuleMetrics) = |m| {
+                m.recoveries += 1;
+                m.recovery_crashes += 1;
+            };
+            if retry_read(t, &mut self.metrics, both, || q.logged_seq(t)) == seq_before {
+                continue;
+            }
+            match verdict {
+                // The log entry is marked done: the operation completed
+                // before the crash.
+                RecoveredOp::None => {
+                    return match op {
+                        LogOp::Enqueue(_) => None,
+                        LogOp::Dequeue => {
+                            retry_read(t, &mut self.metrics, in_recovery, || q.logged_result(t))
+                        }
+                    }
+                }
+                RecoveredOp::EnqueueApplied => return None,
+                RecoveredOp::DequeueApplied(v) => return Some(v),
+                RecoveredOp::EnqueueNotApplied | RecoveredOp::DequeueNotApplied => {}
+            }
+        }
+    }
+
     /// Persist the operation's log record; returns the operation's sequence
     /// number (so callers need not re-read it).
     fn log_begin(&self, kind: u64, node: PAddr) -> u64 {
@@ -216,7 +300,7 @@ impl LogQueueHandle<'_, '_, '_> {
         // function may leave the other fields torn (mixing this record with the
         // previous operation's), but then the old sequence number is still in
         // place, and "seq unchanged ⇒ the operation never began" is the invariant
-        // the post-crash driver protocol relies on (see [`LogQueue::logged_seq`]).
+        // the handle's recovery protocol relies on (see [`LogQueueHandle`]).
         // Once the sequence number has advanced, every other field belongs fully
         // to this operation and [`LogQueue::recover`]'s verdict is reliable.
         t.write(q.log_addr(pid, LOG_KIND), kind);
@@ -236,10 +320,9 @@ impl LogQueueHandle<'_, '_, '_> {
         t.write(q.log_addr(pid, LOG_DONE), 1);
         t.persist(q.log_addr(pid, 0));
     }
-}
 
-impl QueueHandle for LogQueueHandle<'_, '_, '_> {
-    fn enqueue(&mut self, value: u64) {
+    /// One enqueue attempt, unprotected: a crash unwinds out of it.
+    fn enqueue_once(&self, value: u64) {
         let t = self.thread;
         let q = self.queue;
         let node = alloc_node(t, value);
@@ -267,7 +350,8 @@ impl QueueHandle for LogQueueHandle<'_, '_, '_> {
         self.log_finish(0);
     }
 
-    fn dequeue(&mut self) -> Option<u64> {
+    /// One dequeue attempt, unprotected: a crash unwinds out of it.
+    fn dequeue_once(&self) -> Option<u64> {
         let t = self.thread;
         let q = self.queue;
         let seq = self.log_begin(2, PAddr::NULL);
@@ -313,7 +397,22 @@ impl QueueHandle for LogQueueHandle<'_, '_, '_> {
     }
 }
 
-fifo_struct_handle!(LogQueueHandle);
+impl QueueHandle for LogQueueHandle<'_, '_, '_> {
+    fn enqueue(&mut self, value: u64) {
+        self.run(LogOp::Enqueue(value));
+    }
+
+    fn dequeue(&mut self) -> Option<u64> {
+        self.run(LogOp::Dequeue)
+    }
+}
+
+fifo_struct_handle!(
+    LogQueueHandle,
+    fn capsule_metrics(&mut self) -> Option<CapsuleMetrics> {
+        Some(self.metrics)
+    }
+);
 
 #[cfg(test)]
 mod tests {
@@ -427,6 +526,41 @@ mod tests {
         mem.crash_all();
         let t = mem.thread(0);
         assert_eq!(q.recover(&t), RecoveredOp::EnqueueNotApplied);
+    }
+
+    /// The handle absorbs a crash at any point of an enqueue + dequeue, under
+    /// either crash flavour of the machine: both operations answer exactly
+    /// once and every crash is met by a recovery.
+    #[test]
+    fn the_handle_absorbs_a_crash_at_every_point_exactly_once() {
+        use delayfree::StructHandle;
+        use pmem::{install_quiet_crash_hook, CrashPlan};
+        install_quiet_crash_hook();
+        for system in [false, true] {
+            for k in 0.. {
+                let config = MemConfig::new(1).mode(Mode::SharedCache);
+                let mem = PMem::new(config.system_crashes(system));
+                let t = mem.thread(0);
+                let q = LogQueue::new(&t, 1);
+                let mut h = q.handle(&t);
+                h.enqueue(1);
+                h.enqueue(2);
+                mem.persist_everything();
+                t.set_crash_schedule(CrashPlan::once(k));
+                h.enqueue(3);
+                let got = h.dequeue();
+                t.disarm_crashes();
+                let crashes = t.stats().crashes;
+                let label = format!("system={system} k={k}");
+                assert_eq!((got, h.drain()), (Some(1), vec![2, 3]), "{label}");
+                let m = h.capsule_metrics().expect("the handle counts its recoveries");
+                assert!(m.recoveries >= crashes, "{label}: {m:?}");
+                if crashes == 0 {
+                    assert!(k > 0, "no crash point");
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

@@ -756,7 +756,7 @@ mod tests {
                                     recovering = false;
                                 }
                                 Err(_) => {
-                                    t.note_crash();
+                                    t.apply_crash();
                                     recovering = true;
                                 }
                             }

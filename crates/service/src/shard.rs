@@ -100,7 +100,10 @@ pub struct ShardShared {
 }
 
 impl ShardShared {
-    /// A new shard handle in the `Serving` state.
+    /// A new shard handle in the `Recovering` state: [`try_enqueue`](Self::try_enqueue)
+    /// refuses every request with [`EnqueueError::Down`] until [`run_shard`]'s
+    /// first incarnation has attached its structure and moved the shard to
+    /// `Serving`.
     pub fn new(id: usize, queue_cap: usize, epoch: Instant) -> ShardShared {
         ShardShared {
             id,
@@ -725,6 +728,20 @@ mod tests {
         assert_eq!(reports[0].incarnations, local_kills + 2, "every kill of shard 0 took effect");
         assert_eq!(reports[1].incarnations, 2, "shard 1 died only in the system kill");
         assert!(healthy_during_outage > 0, "the healthy shard served nothing during {local_kills} local kills");
+    }
+
+    /// A shard nobody runs yet is recovering, not serving: it refuses
+    /// requests until its first incarnation is ready.
+    #[test]
+    fn a_fresh_shard_is_recovering_and_refuses_requests() {
+        let shard = ShardShared::new(0, 4, Instant::now());
+        assert_eq!(shard.state(), STATE_RECOVERING);
+        assert!(!shard.is_serving());
+        let req = Request {
+            op: StructOp::Insert(1),
+            enqueued_at: Instant::now(),
+        };
+        assert_eq!(shard.try_enqueue(req), Err(EnqueueError::Down));
     }
 
     #[test]

@@ -460,7 +460,7 @@ pub(crate) mod testkit {
         install_quiet_crash_hook();
         type History = (Vec<Option<u64>>, Vec<u64>);
         let run = |plan: Option<CrashPlan>, system: bool| -> (History, u64, u64) {
-            let mem = shared_cache(1);
+            let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache).system_crashes(system));
             let t = mem.thread(0);
             let s = build(&t);
             let mut h = Handle::new(&s, &t);
@@ -473,7 +473,6 @@ pub(crate) mod testkit {
             } else {
                 mem.persist_everything();
             }
-            h.runtime_mut().set_system_crashes(system);
             let _ = t.take_stats();
             if let Some(p) = plan {
                 t.set_crash_schedule(p);

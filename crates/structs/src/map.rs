@@ -1201,7 +1201,8 @@ mod tests {
                 for system in [false, true] {
                     let label = format!("{label} key={key} system={system}");
                     for k in 0.. {
-                        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+                        let config = MemConfig::new(1).mode(Mode::SharedCache);
+                        let mem = PMem::new(config.system_crashes(system));
                         let t = mem.thread(0);
                         let s = build(&t);
                         let mut h = Handle::new(&s, &t);
@@ -1210,7 +1211,6 @@ mod tests {
                         }
                         mem.persist_everything();
                         let rt = h.runtime_mut();
-                        rt.set_system_crashes(system);
                         let f = *rt.frame();
                         let span = match f.style() {
                             BoundaryStyle::General => 1 + 2 * f.slots() as u64,

@@ -122,27 +122,28 @@ fn capsule_recovery_steps<S: Simulator>(
     probe.after(&t)
 }
 
-/// Recovery steps of a LogQueue holding `n` elements, with one more enqueue
-/// interrupted mid-flight (after its log entry persisted, before it was
-/// marked done), so recovery has an in-flight operation to resolve, as the
-/// capsule queues' frames always describe one.
+/// Recovery steps of a LogQueue holding `n` elements, taken across one more
+/// enqueue that a full-system crash interrupts mid-flight (after its log
+/// entry persisted, before it was marked done) and that the handle's own
+/// recovery protocol absorbs: recovery has an in-flight operation to resolve,
+/// as the capsule queues' frames always describe one.
 fn log_recovery_steps(n: u64) -> u64 {
     pmem::install_quiet_crash_hook();
-    let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+    let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache).system_crashes(true));
     let t = mem.thread(0);
     let q = LogQueue::new(&t, 1);
     let mut h = q.handle(&t);
     for i in 0..n {
         h.enqueue(i);
     }
-    t.set_crash_policy(pmem::CrashPolicy::Countdown(12));
-    let _ = pmem::catch_crash(|| h.enqueue(n));
+    let before = t.stats();
+    t.set_crash_policy(pmem::CrashPolicy::Countdown(13));
+    h.enqueue(n);
     t.disarm_crashes();
-    mem.crash_all();
-    let t = mem.thread(0);
-    let before = t.stats().recovery_steps;
-    let _ = q.recover(&t);
-    t.stats().recovery_steps - before
+    let stats = t.stats().since(&before);
+    assert_eq!(stats.crashes, 1, "queue length {n}: the enqueue was not interrupted");
+    assert_eq!(q.len(&t), n as usize + 1, "queue length {n}: the enqueue did not complete once");
+    stats.recovery_steps
 }
 
 /// Supplementary table S2, pinned: the General queue recovers in 6 steps at

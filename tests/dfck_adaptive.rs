@@ -15,7 +15,7 @@
 //!   after a fast-path success** — demotion needs a genuinely lost CAS, i.e.
 //!   instruction-level interleaving, and the production policy (two
 //!   consecutive losses) never trips inside the short scheduled windows. The
-//!   sensitized workloads ([`ConcWorkload::sensitized`]) inject a
+//!   sensitized workloads ([`bench::dfck::ConcWorkload::sensitized`]) inject a
 //!   threshold-1 policy so *any* lost fast-path CAS demotes; the interleaved
 //!   (seed × crash point) sweep then crashes every victim instruction —
 //!   including the demotion boundary itself and the slow-path window that
@@ -27,8 +27,8 @@
 //! simulator-only route's single-thread coverage alive now that the fast
 //! path is the default.
 
-use bench::dfck::{build, conc_replay, sweep, sweep_interleaved, sweep_system, ConcWorkload, Shape,
-    Variant, Workload};
+use bench::dfck::{build, conc_replay, sweep, sweep_interleaved, sweep_system, Shape, Variant,
+    Workload};
 use bench::sweep::VictimPlans;
 use capsules::CapsuleMetrics;
 use pmem::{MemConfig, Mode, PMem};
@@ -37,22 +37,6 @@ use structs::{MapConfig, StructOp};
 /// The queues, stacks and maps of both capsule constructions.
 fn adaptive_variants() -> Vec<Variant> {
     Variant::swept().into_iter().filter(|v| v.adaptive_capable()).collect()
-}
-
-/// The canonical single-thread workload of `variant`'s shape.
-fn pair_for(variant: Variant) -> Workload {
-    match variant.shape() {
-        Shape::Map => Workload::map_resize(),
-        _ => Workload::pair(),
-    }
-}
-
-/// The canonical two-pid workload of `variant`'s shape.
-fn conc_pair_for(variant: Variant) -> ConcWorkload {
-    match variant.shape() {
-        Shape::Map => ConcWorkload::map_pair(2),
-        _ => ConcWorkload::pair(2),
-    }
 }
 
 /// The capsule counters of one handle running `ops` uncontended.
@@ -77,8 +61,8 @@ fn metrics_of(variant: Variant, ops: &[StructOp]) -> CapsuleMetrics {
 fn adaptive_fast_path_survives_every_single_thread_crash_point() {
     for variant in adaptive_variants() {
         for (flavour, report) in [
-            ("ppm", sweep(variant, &pair_for(variant), None)),
-            ("system", sweep_system(variant, &pair_for(variant), None)),
+            ("ppm", sweep(variant, &variant.shape().pair(), None)),
+            ("system", sweep_system(variant, &variant.shape().pair(), None)),
         ] {
             assert!(
                 report.passed(),
@@ -108,7 +92,7 @@ fn adaptive_fast_path_survives_every_single_thread_crash_point() {
 #[test]
 fn slow_path_workloads_pin_the_simulator_route() {
     for variant in adaptive_variants() {
-        let w = pair_for(variant).slow_path();
+        let w = variant.shape().pair().slow_path();
         assert!(w.name.ends_with("-slow"));
         for (flavour, report) in
             [("ppm", sweep(variant, &w, None)), ("system", sweep_system(variant, &w, None))]
@@ -139,7 +123,7 @@ fn slow_path_workloads_pin_the_simulator_route() {
 #[test]
 fn sensitized_interleaved_sweeps_crash_the_demotion_boundary() {
     for variant in adaptive_variants() {
-        let w = conc_pair_for(variant).sensitized();
+        let w = variant.shape().conc_pair(2).sensitized();
         assert!(w.name.ends_with("-trip1"));
         for system in [false, true] {
             let report = sweep_interleaved(variant, &w, &[1], &[], system);
@@ -172,7 +156,7 @@ fn sensitized_interleaved_sweeps_crash_the_demotion_boundary() {
 #[test]
 fn sensitized_replays_are_deterministic_and_demote() {
     for variant in adaptive_variants() {
-        let w = conc_pair_for(variant).sensitized();
+        let w = variant.shape().conc_pair(2).sensitized();
         let r = conc_replay(variant, &w, 1, &VictimPlans::baseline(1), false);
         let again = conc_replay(variant, &w, 1, &VictimPlans::baseline(1), false);
         assert_eq!(r, again, "{variant:?}: sensitized replay must be deterministic");
@@ -191,7 +175,7 @@ fn sensitized_replays_are_deterministic_and_demote() {
 #[test]
 fn default_policy_interleaved_rows_stay_all_fast() {
     for variant in adaptive_variants() {
-        let w = conc_pair_for(variant);
+        let w = variant.shape().conc_pair(2);
         let report = sweep_interleaved(variant, &w, &[1], &[], false);
         assert!(report.passed(), "{} {}: {:?}", variant.label(), w.name, report.violations);
         assert!(report.fast_ops > 0, "{}: adaptive default must run fast", variant.label());
@@ -214,7 +198,7 @@ fn default_policy_interleaved_rows_stay_all_fast() {
 #[test]
 fn one_cas_structures_run_every_uncontended_op_fast() {
     for variant in adaptive_variants().into_iter().filter(|v| v.shape() != Shape::Fifo) {
-        let ops = pair_for(variant).ops;
+        let ops = variant.shape().pair().ops;
         let reads = ops.iter().filter(|op| is_read(op)).count() as u64;
         let m = metrics_of(variant, &ops);
         assert_eq!(m.operations, ops.len() as u64, "{}", variant.label());

@@ -18,22 +18,10 @@ fn struct_variants() -> impl Iterator<Item = Variant> {
     Variant::swept().into_iter().filter(|v| v.shape() != Shape::Fifo)
 }
 
-fn pair_for(variant: Variant) -> Workload {
-    match variant.shape() {
-        Shape::Fifo | Shape::Lifo => Workload::pair(),
-        Shape::Set => Workload::set_pair(),
-        // The map's pair analogue additionally crosses a bucket-array resize
-        // inside the swept window (tiny bucket array, sixth insert trips the
-        // grow trigger), so these sweeps enumerate every crash point of the
-        // freeze/copy/promote migration too.
-        Shape::Map => Workload::map_resize(),
-    }
-}
-
 #[test]
 fn every_struct_variant_passes_the_pair_sweep_at_every_crash_point() {
     for variant in struct_variants() {
-        let report = sweep(variant, &pair_for(variant), None);
+        let report = sweep(variant, &variant.shape().pair(), None);
         assert!(
             report.passed(),
             "{} pair sweep: {:?}",
@@ -50,7 +38,7 @@ fn every_struct_variant_passes_the_pair_sweep_at_every_crash_point() {
 #[test]
 fn every_struct_variant_passes_the_nested_crash_during_recovery_sweep() {
     for variant in struct_variants() {
-        let report = sweep(variant, &pair_for(variant), Some(0));
+        let report = sweep(variant, &variant.shape().pair(), Some(0));
         assert!(
             report.passed(),
             "{} nested sweep: {:?}",
@@ -76,7 +64,7 @@ fn every_struct_variant_passes_the_nested_crash_during_recovery_sweep() {
 fn system_crash_pair_sweep_passes_for_every_struct_variant() {
     for variant in struct_variants() {
         for nested in [None, Some(0)] {
-            let report = sweep_system(variant, &pair_for(variant), nested);
+            let report = sweep_system(variant, &variant.shape().pair(), nested);
             assert!(
                 report.passed(),
                 "{} system sweep (nested={nested:?}): {:?}",
